@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the package source importable for the benchmark's tests.
+
+Run from the repository root with ``python -m pytest perfbench -q``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NotInjective, NotState, ShapeMismatch)
+from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
+                     ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, block_diag,
-                       gram_quotient, orthonormal_span, residual,
-                       spectral_norm)
+                       orthonormal_span, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -332,30 +332,23 @@ class State:
         return State.from_densities(algebra, densities)
 
 
-def state_gram(omega: State) -> np.ndarray:
-    """Gram form G[i, j] = omega(b_i* b_j) over the matrix-unit basis."""
+def _state_chois(omega: State) -> list[np.ndarray]:
+    """Per-block Choi matrices [omega(e_pq)]_{pq}, the transposed densities."""
     alg = omega.algebra
-    g = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for b, n in enumerate(alg.block_sizes):
-        # E_{p qi}* E_{p qj} = E_{qi qj}; cross-block products vanish
-        unit_vals = np.empty((n, n), dtype=complex)
-        for qi in range(n):
-            for qj in range(n):
-                unit_vals[qi, qj] = omega.vector[alg.unit_index(b, qi, qj)]
-        for p in range(n):
-            for qi in range(n):
-                i = alg.unit_index(b, p, qi)
-                for qj in range(n):
-                    g[i, alg.unit_index(b, p, qj)] = unit_vals[qi, qj]
-    return g
+    return [omega.vector[off:off + n * n].reshape(n, n)
+            for n, off in zip(alg.block_sizes, alg.block_offsets)]
 
 
 def verify_state(omega: State, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Return (unit residual, most negative Gram eigenvalue)."""
+    """Return (unit residual, most negative Choi eigenvalue).
+
+    The Gram form omega(b_i* b_j) is n_b copies of each Choi block, so both
+    have the same smallest eigenvalue.
+    """
     unit_res = abs(omega(omega.algebra.unit()) - 1.0)
-    g = state_gram(omega)
-    vals = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    return float(unit_res), float(vals[0])
+    low = min(float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+              for c in _state_chois(omega))
+    return float(unit_res), low
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,33 +412,38 @@ class GnsData:
 
 def gns(algebra: FiniteDimCStarAlgebra, omega: State,
         tol: Tolerance = DEFAULT_TOL) -> GnsData:
-    """GNS representation of a state: quotient of A by the null space of omega(b* a).
+    """GNS representation of a state, read off its Choi blocks.
 
-    The quotient basis order is fixed by the matrix-unit order of the
-    algebra, so repeated runs produce identical coordinates.
+    The space is directsum_b C^{n_b} x C^{r_b} with r_b the rank of the b-th
+    density block, rho(a) = directsum_b a_b x I_{r_b}, and the cyclic vector
+    is the Kraus isometry of omega applied to 1 (the kernel of
+    :func:`covdilate.cpmaps.kraus_dilation` with a one-dimensional target).
     """
+    from .cpmaps import kraus_dilation  # cpmaps imports this module
+
     unit_res, min_eig = verify_state(omega, tol)
     if unit_res > tol.residual_tol:
         raise NotState(f"omega(1) = 1 fails by {unit_res:.3e}")
     if min_eig < -tol.psd_floor:
-        raise NotState(f"Gram eigenvalue {min_eig:.3e} below -psd_floor")
-    g = state_gram(omega)
-    cmap, lift, rank = gram_quotient(g, tol)
+        raise NotState(f"Choi eigenvalue {min_eig:.3e} below -psd_floor")
+    try:
+        dil = kraus_dilation(algebra, _state_chois(omega), tol)
+    except NotCP as exc:
+        raise NotState(f"omega fails the Choi checks: {exc}") from exc
+    rep = Representation.from_multiplicities(algebra, dil.multiplicities)
+    cyclic = dil.isometry[:, 0]
     basis = algebra.basis()
-    images = []
-    for x in basis:
-        lm = left_mult_matrix(x)
-        images.append(cmap @ lm @ lift)
-    rep = Representation.from_images(algebra, images)
-    cyclic = cmap @ algebra.unit().coords
     vec_res = max(abs(np.vdot(cyclic, rep(a) @ cyclic) - omega(a)) for a in basis)
     span, span_rank = orthonormal_span(
         np.column_stack([rep(a) @ cyclic for a in basis]), tol)
-    return GnsData(rep, cyclic, rank, float(vec_res), span_rank)
+    return GnsData(rep, cyclic, dil.dim, float(vec_res), span_rank)
 
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of a -> x a on coordinates (row-major flattening per block)."""
+    """Matrix of a -> x a on coordinates (row-major flattening per block).
+
+    Used only by the Gram-quotient reference route.
+    """
     return block_diag([np.kron(b, np.eye(n, dtype=complex))
                        for b, n in zip(x.blocks, x.algebra.block_sizes)])
 

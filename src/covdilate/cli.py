@@ -134,6 +134,10 @@ def run(scenario: Scenario, command: str, other: Scenario | None = None,
     elif command == "compare":
         if other is None:
             raise ScenarioValidationError("schema", "compare needs a second scenario")
+        if other.tol != tol:
+            # both chains are certified at one tolerance, so they must share it
+            raise ScenarioValidationError(
+                "tolerance", f"compare needs equal tolerances, got {tol} and {other.tol}")
         chain1 = coisometric_extend(scenario.pair, scenario.levels, scenario.strategy,
                                     tol, scenario.seed)
         chain2 = coisometric_extend(other.pair, other.levels, other.strategy,

@@ -11,11 +11,12 @@ isometric extension step (a larger representation ``rho`` and an isometry
   construction per summand, with the state extension induced by a chosen
   conditional expectation onto the range of the dynamics.
 
-Both backends (finite-dimensional algebras and the graded tensor tower)
-drive the same engine through a small system protocol: ``basis(depth)``,
-``alpha_apply``, ``coords``, ``left_mult`` and friends.  Finite systems
-ignore every ``depth`` argument; the tower consumes one depth unit per
-application of the dynamics.
+Both strategies build their dilations with the Choi/Kraus kernel of
+:mod:`covdilate.cpmaps`.  Both backends (finite-dimensional algebras and the
+graded tensor tower) drive the same engine through a small system protocol:
+``basis(depth)``, ``alpha_apply``, ``coords``, ``blocks`` and friends.
+Finite systems ignore every ``depth`` argument; the tower consumes one depth
+unit per application of the dynamics.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (FiniteDimCStarAlgebra, StarHom, cyclic_summands,
-                      left_mult_matrix, range_subalgebra_basis)
-from .cpmaps import (CPMap, stinespring_gram, verify_completely_positive,
-                     verify_transfer)
+                      range_subalgebra_basis)
+from .cpmaps import (CPMap, KrausRep, kraus_dilation, unit_image_chois,
+                     verify_completely_positive, verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
-                     NotCP, NotHermitian, NotPositive, NullCyclicVector,
-                     RangeNotInImage, ShapeMismatch, StrategyInvalid)
+                     NullCyclicVector, RangeNotInImage, ShapeMismatch,
+                     StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, block_diag,
-                       gram_quotient, orthonormal_span, psd_sqrt, residual,
-                       spectral_norm)
+                       orthonormal_span, psd_sqrt, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -77,8 +77,8 @@ class FiniteDimSystem:
     def element_from_coords(self, coords, depth=None):
         return self.algebra.from_coords(coords)
 
-    def left_mult(self, x, depth=None) -> np.ndarray:
-        return left_mult_matrix(x)
+    def blocks(self, x, depth=None) -> tuple:
+        return x.blocks
 
     def alpha_coord_matrix(self, depth=None) -> np.ndarray:
         return self.alpha.matrix
@@ -168,7 +168,12 @@ class DirectSumRep:
 
 @dataclass(eq=False)
 class QuotientRep:
-    """Left multiplication on a Gram-form quotient of (algebra basis) x C^h."""
+    """Left multiplication on a Gram-form quotient of (algebra basis) x C^h.
+
+    Reference route only: the extension steps build :class:`KrausRep`, and
+    the differential tests certify the two unitarily equivalent.  ``system``
+    must provide ``left_mult(x, depth)``, the coordinate matrix of a -> x a.
+    """
 
     system: object
     depth: Optional[int]      # truncation depth of the underlying algebra (None: finite)
@@ -480,22 +485,18 @@ def extend_representation(system, rep, strategy, check_depth,
 
 def _stinespring_step(system, rep, phi, working, tol, rng):
     view = system.algebra_view(working)
-    h = rep.dim
     phi_units = [phi(b) for b in system.basis(working)]
-    gram = stinespring_gram(view, phi_units, h)
-    try:
-        cmap, lift, rank = gram_quotient(gram, tol)
-    except (NotHermitian, NotPositive) as exc:
-        # Gram positivity is exactly complete positivity of phi on this basis
-        raise NotCP(f"Stinespring Gram form is not PSD: {exc}") from exc
-    if rng is not None:
-        q = haar_unitary(rank, rng)
-        cmap = q @ cmap
-        lift = lift @ q.conj().T
-    rho = QuotientRep(system, working, view.dim, h, cmap, lift)
-    unit_coords = system.coords(system.unit(working), working)
-    w = cmap @ np.kron(unit_coords.reshape(view.dim, 1), np.eye(h, dtype=complex))
-    return rho, w
+    dil = kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
+    return _kraus_rep(system, working, dil, rng)
+
+
+def _kraus_rep(system, working, dil, rng):
+    """The dilation's representation and isometry, in a Haar-rotated basis
+    when a generator is given."""
+    if rng is None:
+        return KrausRep(system, working, dil), dil.isometry
+    q = haar_unitary(dil.dim, rng)
+    return KrausRep(system, working, dil, q), q @ dil.isometry
 
 
 def _gns_step(system, rep, phi, check_depth, working, tol, rng):
@@ -504,21 +505,14 @@ def _gns_step(system, rep, phi, check_depth, working, tol, rng):
     summands = cyclic_summands(images, rep.dim, tol)
     parts = []
     w_rows = []
-    unit_coords = system.coords(system.unit(working), working)
     span_basis = system.basis(check_depth)
     for xi, _ in summands:
         if np.linalg.norm(xi) < tol.rank_eps:
             raise NullCyclicVector("cyclic vector collapsed")
-        omega_units = [np.array([[np.vdot(xi, phi(b) @ xi)]], dtype=complex)
-                       for b in system.basis(working)]
-        gram = stinespring_gram(view, omega_units, 1)
-        cmap, lift, rank = gram_quotient(gram, tol)
-        if rng is not None:
-            q = haar_unitary(rank, rng)
-            cmap = q @ cmap
-            lift = lift @ q.conj().T
-        rho_s = QuotientRep(system, working, view.dim, 1, cmap, lift)
-        cyc = cmap @ unit_coords
+        omega_units = [np.vdot(xi, phi(b) @ xi) for b in system.basis(working)]
+        dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
+        rho_s, w_s = _kraus_rep(system, working, dil, rng)
+        cyc = w_s[:, 0]
         x1 = np.column_stack([rep(a) @ xi for a in span_basis])
         x2 = np.column_stack([rho_s(system.alpha_apply(a)) @ cyc for a in span_basis])
         w_rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))

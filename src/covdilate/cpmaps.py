@@ -6,23 +6,25 @@ but without any homomorphism claim.  Complete positivity is certified by
 per-source-block Choi matrices; for direct-sum sources CP holds iff it holds
 on every block.  Transfer operators (CP left inverses of the dynamics) and
 the induced conditional expectations ``E = alpha o tau`` are built and
-verified here, together with the minimal Stinespring dilation used by the
-extension engine.
+verified here, together with the Choi/Kraus dilation kernel: the minimal
+Stinespring dilation of a CP map on ``directsum_b M_{n_b}`` read off its
+Choi blocks, shared by :func:`stinespring_minimal`, GNS and the extension
+engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimCStarAlgebra, Representation,
-                      StarHom, left_mult_matrix, operator_algebra,
-                      range_subalgebra_basis)
+                      StarHom, operator_algebra, range_subalgebra_basis)
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, gram_quotient,
-                       orthonormal_span, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
+                       block_diag, orthonormal_span, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -74,16 +76,23 @@ def compose_rep(pi: Representation, tau: CPMap) -> CPMap:
 
 def choi_blocks(phi: CPMap) -> list[np.ndarray]:
     """One Choi-type matrix [phi(e_pq)]_{pq} per source block."""
+    images = [phi(b).full_matrix() for b in phi.source.basis()]
+    return unit_image_chois(phi.source, images, sum(phi.target.block_sizes))
+
+
+def unit_image_chois(source: FiniteDimCStarAlgebra, unit_images,
+                     inner_dim: int) -> list[np.ndarray]:
+    """Choi blocks [phi(e_pq)]_{pq} from the images of the matrix units.
+
+    ``unit_images[i]`` is the ``inner_dim x inner_dim`` matrix phi(b_i) (a
+    scalar when ``inner_dim`` is 1); row and column index (p, s) of block b
+    is ``p * inner_dim + s``.
+    """
+    h = inner_dim
     out = []
-    src = phi.source
-    tdim = sum(phi.target.block_sizes)
-    for b, n in enumerate(src.block_sizes):
-        choi = np.zeros((n * tdim, n * tdim), dtype=complex)
-        for p in range(n):
-            for q in range(n):
-                img = phi(src.basis()[src.unit_index(b, p, q)]).full_matrix()
-                choi[p * tdim:(p + 1) * tdim, q * tdim:(q + 1) * tdim] = img
-        out.append(choi)
+    for n, off in zip(source.block_sizes, source.block_offsets):
+        units = np.asarray(unit_images[off:off + n * n], dtype=complex)
+        out.append(units.reshape(n, n, h, h).transpose(0, 2, 1, 3).reshape(n * h, n * h))
     return out
 
 
@@ -195,10 +204,101 @@ def transfer_from_expectation(alpha: StarHom, e: CPMap,
     return tau
 
 
+@dataclass(frozen=True)
+class KrausDilation:
+    """Minimal Stinespring data of a CP map phi: directsum_b M_{n_b} -> B(C^h).
+
+    The dilation space is directsum_b C^{n_b} x C^{r_b}, with r_b the rank of
+    the b-th Choi block; rho(x) = directsum_b x_b x I_{r_b} acts there, and
+    row (p, k) of the isometry is the conjugated p-th component of the k-th
+    Kraus vector, so that W* rho(x) W = phi(x).
+    """
+
+    multiplicities: tuple[int, ...]   # r_b
+    isometry: np.ndarray              # W : C^h -> K
+
+    @property
+    def dim(self) -> int:
+        return self.isometry.shape[0]
+
+
+def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
+                   tol: Tolerance = DEFAULT_TOL) -> KrausDilation:
+    """Minimal Stinespring dilation from the per-block Choi matrices of phi.
+
+    The Gram form <a x h, b x h'> = <phi(a* b) h, h'> over (matrix units) x H
+    is n_b copies of each Choi block, so its checks and rank rule are applied
+    to the Choi blocks: a hermiticity residual, no eigenvalue below
+    ``-psd_floor (1 + top)``, and eigenvalues above ``rank_eps max(top,
+    rank_eps)`` kept, with ``top`` the largest eigenvalue over all blocks.
+    Kept eigenvectors scaled by the square roots of their eigenvalues are the
+    Kraus vectors.  A failed check raises :class:`NotCP`, since Choi
+    positivity is complete positivity.
+    """
+    sizes = source.block_sizes
+    mats = [as_matrix(c) for c in chois]
+    h = mats[0].shape[0] // sizes[0]
+    skew = max(spectral_norm(c - c.conj().T) for c in mats)
+    herm_res = skew / (1.0 + max(spectral_norm(c) for c in mats))
+    if herm_res > tol.residual_tol:
+        raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
+    spectra = [np.linalg.eigh((c + c.conj().T) / 2.0) for c in mats]
+    top = max([float(vals[-1]) for vals, _ in spectra if vals.size] + [0.0])
+    # large Choi blocks accumulate eigenvalue noise proportional to their norm
+    floor = tol.psd_floor * (1.0 + top)
+    low = min([float(vals[0]) for vals, _ in spectra if vals.size] + [0.0])
+    if low < -floor:
+        raise NotCP(f"Choi eigenvalue {low:.3e} below -{floor:.3e}")
+    cut = tol.rank_eps * max(top, tol.rank_eps)
+    rows = []
+    mults = []
+    for n, (vals, vecs) in zip(sizes, spectra):
+        keep = vals > cut
+        kept = vals[keep][::-1]
+        kraus = _canonical_phases(vecs[:, keep][:, ::-1]) * np.sqrt(kept)
+        r = kept.size
+        rows.append(kraus.conj().reshape(n, h, r).transpose(0, 2, 1).reshape(n * r, h))
+        mults.append(r)
+    return KrausDilation(tuple(mults), np.vstack(rows))
+
+
+@dataclass(eq=False)
+class KrausRep:
+    """rho(x) = Q (directsum_b x_b x I_{r_b}) Q* on a Kraus dilation space.
+
+    ``system.blocks(x, depth)`` gives the blocks of x in the dilated algebra
+    (``depth`` is None on finite systems); ``rotation`` is the optional basis
+    unitary Q.
+    """
+
+    system: object
+    depth: Optional[int]
+    dilation: KrausDilation
+    rotation: Optional[np.ndarray] = None
+
+    @property
+    def dim(self) -> int:
+        return self.dilation.dim
+
+    @property
+    def max_depth(self):
+        return self.depth
+
+    def __call__(self, x) -> np.ndarray:
+        out = block_diag([np.kron(b, np.eye(r, dtype=complex))
+                          for b, r in zip(self.system.blocks(x, self.depth),
+                                          self.dilation.multiplicities) if r])
+        if self.rotation is None:
+            return out
+        return self.rotation @ out @ self.rotation.conj().T
+
+
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,
                      inner_dim: int) -> np.ndarray:
     """Gram form <a x h, b x h'> = <phi(a* b) h, h'> over (matrix units) x H.
 
+    Reference route only: :func:`kraus_dilation` reads the same data off the
+    Choi blocks, and the differential tests compare the two.
     ``phi_unit_images[i]`` is the ``inner_dim x inner_dim`` matrix phi(b_i).
     Matrix-unit products make the form sparse: E_{p qi}* E_{p qj} = E_{qi qj}
     inside one block and zero across blocks.
@@ -234,8 +334,9 @@ class StinespringData:
 def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> StinespringData:
     """Minimal Stinespring dilation of a unital CP map into B(H).
 
-    K is the quotient of (basis of A) x H by the null space of the Gram
-    form; rho acts by left multiplication and W h is the class of 1 x h.
+    K = directsum_b C^{n_b} x C^{r_b} with r_b the rank of the b-th Choi
+    block, rho acts by a -> directsum_b a_b x I_{r_b}, and W stacks the Kraus
+    vectors (:func:`kraus_dilation`).
     """
     if len(phi.target.block_sizes) != 1:
         raise ShapeMismatch("phi must map into a full operator algebra B(H)")
@@ -248,19 +349,10 @@ def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
         raise NotUnital(f"phi(1) = I fails by {unit_res:.3e}")
 
     src = phi.source
-    images = [phi(b).blocks[0] for b in src.basis()]
-    g = stinespring_gram(src, images, h)
-    cmap, lift, rank = gram_quotient(g, tol)
-
-    n = src.dim
-    rep_images = []
-    for x in src.basis():
-        lm = left_mult_matrix(x)
-        t = lift.reshape(n, h, rank)
-        out = np.einsum("mn,nhr->mhr", lm, t).reshape(n * h, rank)
-        rep_images.append(cmap @ out)
-    rho = Representation.from_images(src, rep_images)
-    w = cmap @ np.kron(src.unit().coords.reshape(n, 1), np.eye(h, dtype=complex))
+    dil = kraus_dilation(src, choi_blocks(phi), tol)
+    rho = Representation.from_multiplicities(src, dil.multiplicities)
+    w = dil.isometry
+    rank = dil.dim
 
     iso_res = residual(w.conj().T @ w, np.eye(h))
     dil_res = max(residual(w.conj().T @ rho(a) @ w, phi(a).blocks[0])

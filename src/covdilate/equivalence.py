@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .covariant import HBExtension, usable_depth
-from .cpmaps import stinespring_gram
+from .cpmaps import unit_image_chois
 from .dilation import DilationRecord
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
@@ -98,24 +98,31 @@ def _verdict(residuals: dict, threshold: float, intertwiner,
 
 def _gram_mismatch_witness(system, depth, phi_a, phi_b, h: int, level: int,
                            tol: Tolerance) -> tuple[float, Optional[GramWitness]]:
+    """Largest entrywise gap between the reference Gram forms of two maps.
+
+    The Gram form over (matrix units) x H is n_b copies of each Choi block,
+    so the Choi blocks of the unit images are compared instead; the first
+    largest Gram entry lies in the copy of row-block p = 0, whose basis
+    element E_{0 qi} has index offset_b + qi.
+    """
     view = system.algebra_view(depth)
     basis = system.basis(depth)
-    units_a = [phi_a(b) for b in basis]
-    units_b = [phi_b(b) for b in basis]
-    ga = stinespring_gram(view, units_a, h)
-    gb = stinespring_gram(view, units_b, h)
-    diff = np.abs(ga - gb)
-    mismatch = float(diff.max()) if diff.size else 0.0
+    chois_a = unit_image_chois(view, [phi_a(b) for b in basis], h)
+    chois_b = unit_image_chois(view, [phi_b(b) for b in basis], h)
+    diffs = [np.abs(ca - cb) for ca, cb in zip(chois_a, chois_b)]
+    mismatch = max([float(d.max()) for d in diffs if d.size] + [0.0])
     if mismatch <= WITNESS_FACTOR * tol.residual_tol:
         return mismatch, None
-    flat = int(np.argmax(diff))
-    i, j = np.unravel_index(flat, diff.shape)
-    bi, p = divmod(int(i), h)
-    bj, q = divmod(int(j), h)
+    blk = next(b for b, d in enumerate(diffs) if d.size and d.max() == mismatch)
+    i, j = np.unravel_index(int(np.argmax(diffs[blk])), diffs[blk].shape)
+    qi, p = divmod(int(i), h)
+    qj, q = divmod(int(j), h)
+    off = view.block_offsets[blk]
+    bi, bj = off + qi, off + qj
     element = f"adjoint(basis[{bi}]) * basis[{bj}] at working depth {depth}" \
         if depth is not None else f"adjoint(basis[{bi}]) * basis[{bj}]"
-    return mismatch, GramWitness(level, element, p, q,
-                                 complex(ga[i, j]), complex(gb[i, j]))
+    return mismatch, GramWitness(level, element, p, q, complex(chois_a[blk][i, j]),
+                                 complex(chois_b[blk][i, j]))
 
 
 def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,

@@ -171,7 +171,8 @@ def gram_quotient(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     Returns ``(cmap, lift, rank)`` with ``cmap.conj().T @ cmap`` recovering
     the Gram matrix on the quotient: a vector with coefficient column ``c``
     gets quotient coordinates ``cmap @ c``, and ``lift`` is the right
-    inverse (``cmap @ lift = I``).
+    inverse (``cmap @ lift = I``).  Reference route only: the dilations are
+    built by :func:`covdilate.cpmaps.kraus_dilation`.
     """
     g = as_matrix(gram)
     if g.shape[0] != g.shape[1]:

@@ -307,7 +307,12 @@ class TowerSystem:
         return GradedElement(self.tower, depth,
                              np.asarray(coords, dtype=complex).reshape(n, n))
 
+    def blocks(self, x: GradedElement, depth: int) -> tuple:
+        return (embed(x, depth).mat,)
+
     def left_mult(self, x: GradedElement, depth: int) -> np.ndarray:
+        """Coordinate matrix of a -> x a at ``depth``; used only by the
+        Gram-quotient reference route."""
         n = self.tower.stage_dim(depth)
         return np.kron(embed(x, depth).mat, np.eye(n, dtype=complex))
 

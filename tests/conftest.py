@@ -13,19 +13,13 @@ import numpy as np
 import pytest
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import AdaptedStrategy, CovariantPair, FiniteDimSystem
+from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
+                                 haar_unitary)
 from covdilate.cpmaps import CPMap
 from covdilate.extension import ExtensionChain, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, spectral_norm
 from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
                              state_density)
-
-
-def haar(n: int, rng) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def random_covariant_contraction(system, rep, rng, norm: float) -> np.ndarray:
@@ -72,7 +66,7 @@ def make_finite_case(rng, idx: int, unitary_t: bool = False) -> Case:
     algebra = FiniteDimCStarAlgebra(blocks)
     kind = idx % 3
     if unitary_t or kind == 0:
-        u = algebra.element([haar(n, rng) for n in blocks])
+        u = algebra.element([haar_unitary(n, rng) for n in blocks])
         alpha = StarHom.inner_automorphism(u)
     elif kind == 1:
         alpha = StarHom.identity(algebra)
@@ -90,7 +84,7 @@ def make_finite_case(rng, idx: int, unitary_t: bool = False) -> Case:
         else:
             alpha = StarHom.block_permutation(algebra, perm)
     d = sum(n * m for n, m in zip(blocks, mults))
-    pi = Representation.from_multiplicities(algebra, mults, haar(d, rng))
+    pi = Representation.from_multiplicities(algebra, mults, haar_unitary(d, rng))
     system = FiniteDimSystem(algebra, alpha)
     if unitary_t:
         t = pi(u).conj().T  # pi(u)* intertwines pi(alpha(a)) with pi(a), unitary

@@ -3,8 +3,9 @@ import pytest
 
 from covdilate.algebra import (FiniteDimCStarAlgebra, Representation, StarHom,
                                State, cyclic_decomposition, gns,
-                               range_subalgebra_basis, state_gram,
-                               verify_endomorphism, verify_star_hom)
+                               range_subalgebra_basis, verify_endomorphism,
+                               verify_star_hom, verify_state)
+from covdilate.covariant import haar_unitary
 from covdilate.errors import NotState
 from covdilate.numerics import spectral_norm
 
@@ -12,10 +13,10 @@ M2 = FiniteDimCStarAlgebra((2,))
 C2 = FiniteDimCStarAlgebra((1, 1))
 
 
-def haar(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def gram_oracle(omega):
+    """G[i, j] = omega(b_i* b_j) over the matrix-unit basis, elementwise."""
+    basis = omega.algebra.basis()
+    return np.array([[omega(bi.adjoint() * bj) for bj in basis] for bi in basis])
 
 
 def test_algebra_basics():
@@ -50,7 +51,7 @@ def test_verify_star_hom_identity():
 def test_verify_star_hom_inner():
     # oracle: direct multiplication of the conjugation images
     rng = np.random.default_rng(1)
-    u = M2.element([haar(2, rng)])
+    u = M2.element([haar_unitary(2, rng)])
     h = StarHom.inner_automorphism(u)
     for a in M2.basis():
         expected = u.blocks[0] @ a.blocks[0] @ u.blocks[0].conj().T
@@ -91,12 +92,17 @@ def test_verify_endomorphism_non_injective():
 def test_states_and_gram():
     omega = State.normalized_trace(M2)
     assert abs(omega(M2.unit()) - 1.0) < 1e-14
-    g = state_gram(omega)
-    # oracle: omega(b_i* b_j) computed elementwise
-    basis = M2.basis()
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            assert abs(g[i, j] - omega(bi.adjoint() * bj)) < 1e-14
+    # verify_state reads the Choi blocks; the oracle Gram form is n_b copies
+    # of them, so both have the same smallest eigenvalue
+    indefinite = State.from_densities(FiniteDimCStarAlgebra((2, 1)),
+                                      [np.array([[1.5, 0.5j], [-0.5j, -0.25]]),
+                                       np.array([[-0.25]])])
+    for state in (omega, indefinite):
+        g = gram_oracle(state)
+        unit_res, low = verify_state(state)
+        assert unit_res < 1e-14
+        assert abs(low - np.linalg.eigvalsh(g)[0]) < 1e-14
+    assert verify_state(indefinite)[1] < -0.25
 
 
 @pytest.mark.parametrize("state_builder,expected_dim", [
@@ -107,7 +113,7 @@ def test_states_and_gram():
 def test_gns_dimensions(state_builder, expected_dim):
     omega = state_builder()
     # oracle: the GNS dimension is the rank of the Gram form
-    g = state_gram(omega)
+    g = gram_oracle(omega)
     gram_rank = int(np.sum(np.linalg.eigvalsh((g + g.conj().T) / 2) > 1e-10))
     assert gram_rank == expected_dim
     data = gns(omega.algebra, omega)
@@ -120,16 +126,15 @@ def test_gns_inner_product_identity():
     omega = State.normalized_trace(M2)
     data = gns(M2, omega)
     basis = M2.basis()
-    # omega(b* a) = <[a], [b]> on the quotient
-    from covdilate.algebra import state_gram as sg
-    g = sg(omega)
+    # omega(b* a) = <[a], [b]> on the GNS space
+    g = gram_oracle(omega)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            lhs = omega(b.adjoint() * a)
-            # quotient coordinates of the classes
+            assert abs(g[j, i] - omega(b.adjoint() * a)) < 1e-14
+            # GNS coordinates of the classes
             ca = data.rep(a) @ data.cyclic
             cb = data.rep(b) @ data.cyclic
-            assert abs(np.vdot(cb, ca) - lhs) < 1e-8
+            assert abs(np.vdot(cb, ca) - g[j, i]) < 1e-8
 
 
 def test_gns_rejects_non_state():
@@ -170,7 +175,7 @@ def test_cyclic_decomposition_multiplicities_and_commutant():
 def test_cyclic_summands_are_invariant_and_orthogonal():
     rng = np.random.default_rng(4)
     algebra = FiniteDimCStarAlgebra((2, 1))
-    pi = Representation.from_multiplicities(algebra, [1, 2], haar(4, rng))
+    pi = Representation.from_multiplicities(algebra, [1, 2], haar_unitary(4, rng))
     summands = cyclic_decomposition(pi)
     for i, s in enumerate(summands):
         for a in algebra.basis():
@@ -190,6 +195,6 @@ def test_range_subalgebra_basis():
 
 def test_representation_from_images_roundtrip():
     rng = np.random.default_rng(9)
-    u = haar(2, rng)
+    u = haar_unitary(2, rng)
     pi = Representation.from_images(M2, [u @ b.blocks[0] @ u.conj().T for b in M2.basis()])
     assert pi.verify().passed

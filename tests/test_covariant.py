@@ -4,13 +4,14 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  GnsStrategy, covariant_pair, defect_operators,
-                                 hb_extend, two_step, verify_covariance)
+                                 haar_unitary, hb_extend, two_step,
+                                 verify_covariance)
 from covdilate.cpmaps import CPMap
 from covdilate.errors import NotContraction, StrategyInvalid
 from covdilate.numerics import spectral_norm
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
-from conftest import haar, random_covariant_contraction
+from conftest import random_covariant_contraction
 
 SCALARS = FiniteDimCStarAlgebra((1,))
 
@@ -35,7 +36,7 @@ def test_tower_fixture_covariance():
 def test_non_intertwiner_has_visible_residual():
     rng = np.random.default_rng(6)
     algebra = FiniteDimCStarAlgebra((2,))
-    pi = Representation.from_multiplicities(algebra, [2], haar(4, rng))
+    pi = Representation.from_multiplicities(algebra, [2], haar_unitary(4, rng))
     system = FiniteDimSystem(algebra, StarHom.identity(algebra))
     # a seeded random contraction almost surely fails to intertwine
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -60,7 +61,7 @@ def test_defect_operators_scalar():
 def test_defect_operators_unitary():
     rng = np.random.default_rng(7)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)
@@ -104,8 +105,8 @@ def test_hb_extend_identity_dynamics():
 def test_hb_extend_reports_all_identities():
     rng = np.random.default_rng(8)
     algebra = FiniteDimCStarAlgebra((2,))
-    alpha = StarHom.inner_automorphism(algebra.element([haar(2, rng)]))
-    pi = Representation.from_multiplicities(algebra, [2], haar(4, rng))
+    alpha = StarHom.inner_automorphism(algebra.element([haar_unitary(2, rng)]))
+    pi = Representation.from_multiplicities(algebra, [2], haar_unitary(4, rng))
     system = FiniteDimSystem(algebra, alpha)
     t = random_covariant_contraction(system, pi, rng, 0.8)
     pair = CovariantPair(system, pi, t)
@@ -151,7 +152,7 @@ def test_gns_strategy_matches_adapted_scalar():
 def test_two_step_unitary_contraction_degenerates():
     rng = np.random.default_rng(9)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)

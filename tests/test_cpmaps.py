@@ -3,6 +3,7 @@ import pytest
 
 from covdilate.algebra import (FiniteDimCStarAlgebra, Representation, StarHom,
                                State)
+from covdilate.covariant import haar_unitary
 from covdilate.cpmaps import (CPMap, choi_blocks, compose_rep,
                               expectation_from_transfer, stinespring_minimal,
                               transfer_from_expectation,
@@ -11,12 +12,6 @@ from covdilate.errors import NotUnital, RangeNotInImage, TransferInvalid
 from covdilate.numerics import spectral_norm
 
 M2 = FiniteDimCStarAlgebra((2,))
-
-
-def haar(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def transpose_map(alg=M2):
@@ -56,7 +51,7 @@ def test_depolarizing_is_cp():
 
 def test_verify_transfer_automorphism_inverse():
     rng = np.random.default_rng(2)
-    alpha = StarHom.inner_automorphism(M2.element([haar(2, rng)]))
+    alpha = StarHom.inner_automorphism(M2.element([haar_unitary(2, rng)]))
     tau = CPMap.from_hom(alpha.inverse())
     rep = verify_transfer(tau, alpha)
     assert rep.passed
@@ -80,7 +75,7 @@ def test_expectation_from_transfer_identity():
 def test_expectation_idempotent_random_automorphism():
     rng = np.random.default_rng(3)
     alg = FiniteDimCStarAlgebra((2, 1))
-    u = alg.element([haar(2, rng), haar(1, rng)])
+    u = alg.element([haar_unitary(2, rng), haar_unitary(1, rng)])
     alpha = StarHom.inner_automorphism(u)
     tau = CPMap.from_hom(alpha.inverse())
     e = expectation_from_transfer(alpha, tau)
@@ -91,7 +86,7 @@ def test_expectation_idempotent_random_automorphism():
 
 def test_transfer_expectation_roundtrip():
     rng = np.random.default_rng(4)
-    alpha = StarHom.inner_automorphism(M2.element([haar(2, rng)]))
+    alpha = StarHom.inner_automorphism(M2.element([haar_unitary(2, rng)]))
     tau = CPMap.from_hom(alpha.inverse())
     e = expectation_from_transfer(alpha, tau)
     tau2 = transfer_from_expectation(alpha, e)
@@ -122,7 +117,7 @@ def test_stinespring_identity_channel():
 
 
 def test_stinespring_of_state_matches_gns():
-    # phi = omega(.) on B(C) has the same Gram form as the GNS construction
+    # phi = omega(.) on B(C) has the same Choi blocks as the GNS construction
     from covdilate.algebra import gns
     omega = State.normalized_trace(M2)
     target = FiniteDimCStarAlgebra((1,))
@@ -130,8 +125,8 @@ def test_stinespring_of_state_matches_gns():
     data = stinespring_minimal(phi)
     g = gns(M2, omega)
     assert data.dilation_dim == g.embed_dim == 4
-    # intertwiner oracle: both reps act on quotients of the same Gram form,
-    # so mapping class to class intertwines them
+    # intertwiner oracle: both are minimal dilations of the same state, so
+    # mapping rho(a) W 1 to rho'(a) xi intertwines them
     basis = M2.basis()
     x1 = np.column_stack([data.rep(a) @ data.isometry[:, 0] for a in basis])
     x2 = np.column_stack([g.rep(a) @ g.cyclic for a in basis])

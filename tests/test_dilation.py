@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import AdaptedStrategy, CovariantPair, FiniteDimSystem
+from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
+                                 haar_unitary)
 from covdilate.cpmaps import CPMap
 from covdilate.dilation import (explicit_matricial_unitary, schaffer_dilate,
                                 unitary_dilate, verify_isometric_dilation)
@@ -11,7 +12,6 @@ from covdilate.extension import coisometric_extend
 from covdilate.numerics import block_diag, orthonormal_span, spectral_norm
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
-from conftest import haar
 
 SCALARS = FiniteDimCStarAlgebra((1,))
 
@@ -77,7 +77,7 @@ def test_schaffer_matches_classical_construction_entrywise():
 def test_isometry_input_degenerates():
     rng = np.random.default_rng(4)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)
@@ -145,9 +145,9 @@ def test_coisometry_inheritance_from_extension_output():
     # the dilation and the inheritance clause fires and passes
     rng = np.random.default_rng(21)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
-    pi = Representation.from_multiplicities(algebra, [2], haar(4, rng))
+    pi = Representation.from_multiplicities(algebra, [2], haar_unitary(4, rng))
     system = FiniteDimSystem(algebra, alpha)
     pair = CovariantPair(system, pi, pi(u).conj().T)
     chain = coisometric_extend(pair, 2, AdaptedStrategy(CPMap.from_hom(alpha.inverse())))
@@ -174,7 +174,7 @@ def test_unitary_dilate_scalar_powers():
 def test_unitary_dilate_unitary_contraction():
     rng = np.random.default_rng(11)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)
@@ -247,7 +247,7 @@ def test_matricial_equivalent_to_composed(corpus):
 def test_matricial_unitary_contraction_degenerates():
     rng = np.random.default_rng(13)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
+from covdilate.cli import run
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
-                                 GnsStrategy, hb_extend)
-from covdilate.cpmaps import CPMap
+                                 GnsStrategy, haar_unitary, hb_extend)
+from covdilate.cpmaps import CPMap, stinespring_gram
 from covdilate.dilation import (DilationRecord, explicit_matricial_unitary,
                                 schaffer_dilate)
-from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
+from covdilate.equivalence import (GramWitness, _gram_mismatch_witness,
+                                   chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import LevelMismatch, SpanDeficient
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import block_diag, spectral_norm
+from covdilate.numerics import DEFAULT_TOL, block_diag, spectral_norm
+from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer,
                              shift_down_pair, state_density)
 
-from conftest import haar, random_covariant_contraction
+from conftest import random_covariant_contraction
 
 SCALARS = FiniteDimCStarAlgebra((1,))
 
@@ -23,8 +26,8 @@ SCALARS = FiniteDimCStarAlgebra((1,))
 def finite_pair(seed=0, norm=0.8):
     rng = np.random.default_rng(seed)
     algebra = FiniteDimCStarAlgebra((2,))
-    alpha = StarHom.inner_automorphism(algebra.element([haar(2, rng)]))
-    pi = Representation.from_multiplicities(algebra, [2], haar(4, rng))
+    alpha = StarHom.inner_automorphism(algebra.element([haar_unitary(2, rng)]))
+    pi = Representation.from_multiplicities(algebra, [2], haar_unitary(4, rng))
     system = FiniteDimSystem(algebra, alpha)
     t = random_covariant_contraction(system, pi, rng, norm)
     pair = CovariantPair(system, pi, t)
@@ -174,7 +177,7 @@ def test_dilation_intertwiner_external_minimal_dilation():
     pair, _ = finite_pair(9)
     rec = schaffer_dilate(pair, 2)
     rng = np.random.default_rng(123)
-    u0 = haar(rec.total_dim, rng)
+    u0 = haar_unitary(rec.total_dim, rng)
 
     class RotatedEta:
         dim = rec.total_dim
@@ -213,3 +216,69 @@ def test_gns_route_equivalence_on_tower():
     cert = stinespring_intertwiner(ext1, ext2)
     assert cert.verdict == "equivalent"
     assert cert.max_residual <= 1e-7
+
+
+def gram_witness_oracle(system, depth, phi_a, phi_b, h, level):
+    """The witness read off the first largest entry of the two full Gram forms."""
+    view = system.algebra_view(depth)
+    basis = system.basis(depth)
+    ga = stinespring_gram(view, [phi_a(b) for b in basis], h)
+    gb = stinespring_gram(view, [phi_b(b) for b in basis], h)
+    diff = np.abs(ga - gb)
+    i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    bi, p = divmod(int(i), h)
+    bj, q = divmod(int(j), h)
+    element = f"adjoint(basis[{bi}]) * basis[{bj}]"
+    if depth is not None:
+        element += f" at working depth {depth}"
+    return float(diff.max()), GramWitness(level, element, p, q, complex(ga[i, j]),
+                                          complex(gb[i, j]))
+
+
+def test_witness_matches_gram_oracle_on_tower_compare():
+    a = demo_fixture("tower")
+    b = demo_fixture("tower")
+    b["strategy"] = {"kind": "adapted", "phi": {"vector": [[0.6, 0], [0, 0.8]]}}
+    sa, sb = build_scenario(a), build_scenario(b)
+    report = run(sa, "compare", other=sb)
+    c1 = coisometric_extend(sa.pair, sa.levels, sa.strategy, sa.tol, sa.seed)
+    c2 = coisometric_extend(sb.pair, sb.levels, sb.strategy, sb.tol, sb.seed)
+    ext1, ext2 = c1.levels[0].ext, c2.levels[0].ext
+    eye = np.eye(ext1.space_dim, dtype=complex)
+    _, expected = gram_witness_oracle(
+        sa.system, ext1.working_depth, ext1.phi,
+        lambda y: eye.conj().T @ ext2.phi(y) @ eye, ext1.space_dim, 0)
+    assert report["verdicts"]["chains"]["witness"] == expected.as_dict()
+    # the extension-step certificate names the same entry
+    assert stinespring_intertwiner(ext1, ext2).witness == expected
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["random", "tied"])
+def test_witness_matches_gram_oracle_multi_block(tie):
+    rng = np.random.default_rng(5)
+    algebra = FiniteDimCStarAlgebra((2, 3))
+    system = FiniteDimSystem(algebra, StarHom.identity(algebra))
+    h = 2
+    index = {id(b): i for i, b in enumerate(algebra.basis())}
+    shape = (algebra.dim, h, h)
+    if tie:
+        # integer data: every block-1 entry differs by exactly 1
+        units_a = rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+        units_b = units_a.copy()
+        units_b[4:] += 1.0
+    else:
+        units_a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        units_b = units_a + 1e-3 * rng.standard_normal(shape)
+        units_b[4:] += 1e-2 * rng.standard_normal((algebra.dim - 4, h, h))
+
+    def phi_a(y):
+        return units_a[index[id(y)]]
+
+    def phi_b(y):
+        return units_b[index[id(y)]]
+
+    mismatch, witness = _gram_mismatch_witness(system, None, phi_a, phi_b, h, 3,
+                                               DEFAULT_TOL)
+    expected_mismatch, expected = gram_witness_oracle(system, None, phi_a, phi_b, h, 3)
+    assert mismatch == expected_mismatch
+    assert witness == expected

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import AdaptedStrategy, CovariantPair, FiniteDimSystem
+from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
+                                 haar_unitary)
 from covdilate.cpmaps import CPMap
 from covdilate.errors import DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
@@ -11,7 +12,6 @@ from covdilate.extension import (ExtensionChain, coisometric_extend,
 from covdilate.numerics import spectral_norm
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
-from conftest import haar
 
 SCALARS = FiniteDimCStarAlgebra((1,))
 
@@ -29,7 +29,7 @@ def scalar_strategy():
 def unitary_pair(seed=0):
     rng = np.random.default_rng(seed)
     algebra = FiniteDimCStarAlgebra((2,))
-    u = algebra.element([haar(2, rng)])
+    u = algebra.element([haar_unitary(2, rng)])
     alpha = StarHom.inner_automorphism(u)
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)
@@ -105,8 +105,8 @@ def test_monotone_consistency():
 def test_monotone_consistency_matrix_case():
     rng = np.random.default_rng(5)
     algebra = FiniteDimCStarAlgebra((2,))
-    alpha = StarHom.inner_automorphism(algebra.element([haar(2, rng)]))
-    pi = Representation.from_multiplicities(algebra, [2], haar(4, rng))
+    alpha = StarHom.inner_automorphism(algebra.element([haar_unitary(2, rng)]))
+    pi = Representation.from_multiplicities(algebra, [2], haar_unitary(4, rng))
     system = FiniteDimSystem(algebra, alpha)
     from conftest import random_covariant_contraction
     t = random_covariant_contraction(system, pi, rng, 0.85)

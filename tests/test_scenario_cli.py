@@ -109,6 +109,32 @@ def test_compare_same_scenario_equivalent():
     assert report["passed"]
 
 
+def test_compare_rejects_mismatched_tolerances(monkeypatch):
+    a = demo_fixture("tower")
+    b = demo_fixture("tower")
+    b["tolerances"] = {"residual_tol": 1e-9}
+    sa, sb = build_scenario(a), build_scenario(b)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was built before the tolerance gate")
+
+    monkeypatch.setattr("covdilate.cli.coisometric_extend", no_chain)
+    with pytest.raises(ScenarioValidationError) as err:
+        run(sa, "compare", other=sb)
+    assert err.value.gate == "tolerance"
+
+
+def test_cli_compare_mismatched_tolerances_exit_code(tmp_path):
+    a = write(tmp_path, "a.json", demo_fixture("tower"))
+    b = dict(demo_fixture("tower"))
+    b["tolerances"] = {"psd_floor": 1e-11}
+    bp = write(tmp_path, "b.json", b)
+    out = tmp_path / "r.json"
+    assert main(["compare", "--scenario", a, "--other", bp, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["compare", "--scenario", a, "--other", a, "--out", str(out)]) == 0
+
+
 def test_cli_exit_codes(tmp_path):
     good = write(tmp_path, "good.json", demo_fixture("scalar"))
     assert main(["check", "--scenario", good, "--out", str(tmp_path / "r.json")]) == 0

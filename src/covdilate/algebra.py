@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
                      ShapeMismatch)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, block_diag,
-                       orthonormal_span, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
+                       block_diag, block_offsets, kron_eye, orthonormal_span,
+                       residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -41,12 +42,7 @@ class FiniteDimCStarAlgebra:
 
     @property
     def block_offsets(self) -> tuple[int, ...]:
-        offs = []
-        o = 0
-        for n in self.block_sizes:
-            offs.append(o)
-            o += n * n
-        return tuple(offs)
+        return tuple(block_offsets(n * n for n in self.block_sizes))
 
     def unit_index(self, block: int, p: int, q: int) -> int:
         return self.block_offsets[block] + p * self.block_sizes[block] + q
@@ -221,16 +217,19 @@ def verify_star_hom(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> "StarHomReport"
     """Certify multiplicativity, star preservation and unitality on basis pairs."""
     basis = h.source.basis()
     images = [h(b) for b in basis]
-    mult = 0.0
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            lhs = h(bi * bj).full_matrix()
-            rhs = (images[i] * images[j]).full_matrix()
-            mult = max(mult, residual(lhs, rhs))
-    star = max(residual(h(b.adjoint()).full_matrix(), images[i].adjoint().full_matrix())
-               for i, b in enumerate(basis))
-    unit = residual(h(h.source.unit()).full_matrix(), h.target.unit().full_matrix())
-    return StarHomReport(mult, star, unit, tol.residual_tol)
+    (mult,) = basis_sweep(
+        ((bi, bj, hi, hj) for bi, hi in zip(basis, images) for bj, hj in zip(basis, images)),
+        lambda quad: quad,
+        lambda bi, bj, hi, hj: (h(bi * bj).full_matrix(), (hi * hj).full_matrix()))
+    (star,) = basis_sweep(zip(basis, images), lambda bh: bh,
+                          lambda b, hb: (h(b.adjoint()).full_matrix(),
+                                         hb.adjoint().full_matrix()))
+    return StarHomReport(mult, star, unit_residual(h), tol.residual_tol)
+
+
+def unit_residual(m) -> float:
+    """residual(m(1), 1) for a coordinate map between unital algebras."""
+    return residual(m(m.source.unit()).full_matrix(), m.target.unit().full_matrix())
 
 
 @dataclass(frozen=True)
@@ -393,11 +392,8 @@ class Representation:
         u = np.eye(d, dtype=complex) if unitary is None else as_matrix(unitary)
         if u.shape != (d, d):
             raise ShapeMismatch(f"basis unitary must be {d} x {d}")
-        images = []
-        for x in algebra.basis():
-            parts = [np.kron(blk, np.eye(m, dtype=complex))
-                     for blk, m in zip(x.blocks, mults) if m > 0]
-            images.append(u @ block_diag(parts) @ u.conj().T)
+        images = [u @ block_diag([kron_eye(blk, m) for blk, m in zip(x.blocks, mults) if m])
+                  @ u.conj().T for x in algebra.basis()]
         return Representation.from_images(algebra, images)
 
 
@@ -433,9 +429,9 @@ def gns(algebra: FiniteDimCStarAlgebra, omega: State,
     rep = Representation.from_multiplicities(algebra, dil.multiplicities)
     cyclic = dil.isometry[:, 0]
     basis = algebra.basis()
-    vec_res = max(abs(np.vdot(cyclic, rep(a) @ cyclic) - omega(a)) for a in basis)
-    span, span_rank = orthonormal_span(
-        np.column_stack([rep(a) @ cyclic for a in basis]), tol)
+    orbit = [rep(a) @ cyclic for a in basis]
+    vec_res = max(abs(np.vdot(cyclic, x) - omega(a)) for x, a in zip(orbit, basis))
+    span, span_rank = orthonormal_span(np.column_stack(orbit), tol)
     return GnsData(rep, cyclic, dil.dim, float(vec_res), span_rank)
 
 
@@ -451,12 +447,7 @@ def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
 def cyclic_decomposition(pi: Representation, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Split the space of pi into mutually orthogonal cyclic invariant subspaces."""
     images = [pi(b) for b in pi.algebra.basis()]
-    return cyclic_decomposition_from_images(images, pi.space_dim, tol)
-
-
-def cyclic_decomposition_from_images(images, space_dim: int,
-                                     tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    return [basis for _, basis in cyclic_summands(images, space_dim, tol)]
+    return [basis for _, basis in cyclic_summands(images, pi.space_dim, tol)]
 
 
 def cyclic_summands(images, space_dim: int,

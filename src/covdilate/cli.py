@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .algebra import verify_endomorphism
+from .algebra import verify_endomorphism, verify_star_hom
 from .covariant import defect_operators, verify_covariance, verify_strategy
 from .dilation import (explicit_matricial_unitary, schaffer_dilate,
                        unitary_dilate, verify_isometric_dilation)
@@ -34,6 +34,7 @@ from .extension import (coisometric_extend, defect_decomposition,
 from .report import ClauseReport, clause
 from .scenario import (DEMO_NAMES, Scenario, build_scenario, demo_fixture,
                        load_scenario)
+from .tower import alpha_hom
 
 EXIT_PASS = 0
 EXIT_CLAUSE_FAILURE = 1
@@ -65,10 +66,8 @@ def _check_clauses(scenario: Scenario) -> ClauseReport:
         rep.extend(pair.rep.verify(tol).clauses("representation"))
     else:
         t_depth = system.stinespring_depth(pair.depth)
-        view = pair.rep.view(min(pair.depth, 2) if pair.depth >= 1 else 1)
+        view = pair.rep.view(max(pair.depth, 1))
         rep.extend(view.verify(tol).clauses("representation"))
-        from .tower import alpha_hom
-        from .algebra import verify_star_hom
         rep.extend(verify_star_hom(alpha_hom(system.tower, t_depth - 1), tol)
                    .clauses("dynamics"))
     rep.extend(verify_strategy(system, scenario.strategy,

@@ -27,14 +27,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (FiniteDimCStarAlgebra, StarHom, cyclic_summands,
-                      range_subalgebra_basis)
-from .cpmaps import (CPMap, KrausRep, kraus_dilation, unit_image_chois,
-                     verify_completely_positive, verify_transfer)
+                      unit_residual)
+from .cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
+                     range_defect, unit_image_chois, verify_completely_positive,
+                     verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, block_diag,
-                       orthonormal_span, psd_sqrt, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
+                       block_diag, orthonormal_complement, orthonormal_span,
+                       psd_sqrt, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -80,15 +82,12 @@ class FiniteDimSystem:
     def blocks(self, x, depth=None) -> tuple:
         return x.blocks
 
-    def alpha_coord_matrix(self, depth=None) -> np.ndarray:
-        return self.alpha.matrix
-
     def stinespring_depth(self, pair_depth):
         return None
 
     def solve_alpha(self, y, tol: Tolerance = DEFAULT_TOL):
         """alpha^{-1} on the range of alpha, by least squares with residual check."""
-        m = self.alpha_coord_matrix(None)
+        m = self.alpha.matrix
         rhs = self.coords(y)
         sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
         off = np.linalg.norm(m @ sol - rhs)
@@ -213,6 +212,34 @@ def usable_depth(system, reps, shifts: int, requested: Optional[int]) -> Optiona
     return d
 
 
+def rep_and_shifted(system, rep):
+    """a -> (rep(a), rep(alpha(a))), the images most clauses share."""
+    return lambda a: (rep(a), rep(system.alpha_apply(a)))
+
+
+def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
+    """Clause x -> C* x B for the orthonormal columns B of a subspace.
+
+    C is an orthonormal basis of the complement of span B, so the clause's
+    spectral norm equals ||(I - B B*) x B||.  None when B is empty or spans
+    the whole space, where that norm is exactly 0.
+    """
+    comp = orthonormal_complement(basis, basis.shape[0], tol)
+    if comp.shape[1] == 0 or basis.shape[1] == 0:
+        return None
+    comp_h = comp.conj().T
+    return lambda x: comp_h @ (x @ basis)
+
+
+def invariance_residual(elements, rep, basis, tol: Tolerance = DEFAULT_TOL) -> float:
+    """max over ``elements`` of ||(I - B B*) rep(a) B||, B orthonormal columns."""
+    off = leaves_span(basis, tol)
+    if off is None:
+        return 0.0
+    (inv,) = basis_sweep(elements, lambda a: (rep(a),), off)
+    return inv
+
+
 def haar_unitary(n: int, rng) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
@@ -278,10 +305,8 @@ def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> floa
             raise DepthExceeded("covariance check needs depth + 1 <= d_max")
     d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
     t = pair.contraction
-    worst = 0.0
-    for a in pair.system.basis(d):
-        worst = max(worst, residual(t @ pair.rep(pair.system.alpha_apply(a)),
-                                    pair.rep(a) @ t))
+    (worst,) = basis_sweep(pair.system.basis(d), rep_and_shifted(pair.system, pair.rep),
+                           lambda pa, paa: (t @ paa, pa @ t))
     return worst
 
 
@@ -293,13 +318,8 @@ class DefectData:
     pi_alpha_commutation: float  # max_a ||[delta, pi(alpha(a))]||
 
 
-def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> DefectData:
-    """Defect operators of T and T*, with their commutation residuals.
-
-    Covariance makes ``delta_star`` commute with the representation and
-    ``delta`` with its composition with the dynamics; both facts are
-    measured rather than assumed.
-    """
+def defect_roots(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """The defect operators (I - T*T)^(1/2) and (I - TT*)^(1/2) of a contraction."""
     t = pair.contraction
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol.rank_eps:
@@ -309,16 +329,22 @@ def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> Defec
     # defect slightly below zero; widen the clamp floor accordingly.
     floor = Tolerance(tol.rank_eps, tol.residual_tol,
                       max(tol.psd_floor, 4.0 * tol.rank_eps))
-    delta = psd_sqrt(eye - t.conj().T @ t, floor)
-    delta_star = psd_sqrt(eye - t @ t.conj().T, floor)
+    return psd_sqrt(eye - t.conj().T @ t, floor), psd_sqrt(eye - t @ t.conj().T, floor)
+
+
+def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> DefectData:
+    """Defect operators of T and T*, with their commutation residuals.
+
+    Covariance makes ``delta_star`` commute with the representation and
+    ``delta`` with its composition with the dynamics; both facts are
+    measured rather than assumed.
+    """
+    delta, delta_star = defect_roots(pair, tol)
     d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
-    comm = 0.0
-    comm_alpha = 0.0
-    for a in pair.system.basis(d):
-        pa = pair.rep(a)
-        paa = pair.rep(pair.system.alpha_apply(a))
-        comm = max(comm, residual(delta_star @ pa, pa @ delta_star))
-        comm_alpha = max(comm_alpha, residual(delta @ paa, paa @ delta))
+    comm, comm_alpha = basis_sweep(
+        pair.system.basis(d), rep_and_shifted(pair.system, pair.rep),
+        lambda pa, paa: (delta_star @ pa, pa @ delta_star),
+        lambda pa, paa: (delta @ paa, paa @ delta))
     return DefectData(delta, delta_star, comm, comm_alpha)
 
 
@@ -373,17 +399,12 @@ def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> Cl
         return rep
     if isinstance(strategy, GnsStrategy):
         e_cp, alpha_hom = system.expectation_check_data(strategy.expectation, depth)
-        basis = e_cp.source.basis()
-        idem = max(residual(e_cp(e_cp(a)).full_matrix(), e_cp(a).full_matrix())
-                   for a in basis)
-        unit = residual(e_cp(e_cp.source.unit()).full_matrix(),
-                        e_cp.target.unit().full_matrix())
         cp = verify_completely_positive(e_cp, tol)
-        rng_basis = range_subalgebra_basis(alpha_hom, tol)
-        off = spectral_norm(e_cp.matrix - rng_basis @ (rng_basis.conj().T @ e_cp.matrix))
-        off = off / (1.0 + spectral_norm(e_cp.matrix))
-        rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)", idem, tol.residual_tol))
-        rep.add(clause("expectation/unital", "E(1) = 1", unit, tol.residual_tol))
+        off = range_defect(alpha_hom, e_cp.matrix, tol)
+        rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
+                       idempotency_residual(e_cp), tol.residual_tol))
+        rep.add(clause("expectation/unital", "E(1) = 1", unit_residual(e_cp),
+                       tol.residual_tol))
         rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
                        max(0.0, -cp.min_eig), tol.psd_floor))
         rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
@@ -501,20 +522,22 @@ def _kraus_rep(system, working, dil, rng):
 
 def _gns_step(system, rep, phi, check_depth, working, tol, rng):
     view = system.algebra_view(working)
-    images = [rep(b) for b in system.basis(check_depth)]
+    span_basis = system.basis(check_depth)
+    images = [rep(b) for b in span_basis]
     summands = cyclic_summands(images, rep.dim, tol)
+    phi_units = [phi(b) for b in system.basis(working)] if summands else []
+    shifted_basis = [system.alpha_apply(a) for a in span_basis]
     parts = []
     w_rows = []
-    span_basis = system.basis(check_depth)
     for xi, _ in summands:
         if np.linalg.norm(xi) < tol.rank_eps:
             raise NullCyclicVector("cyclic vector collapsed")
-        omega_units = [np.vdot(xi, phi(b) @ xi) for b in system.basis(working)]
+        omega_units = [np.vdot(xi, p @ xi) for p in phi_units]
         dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
         rho_s, w_s = _kraus_rep(system, working, dil, rng)
         cyc = w_s[:, 0]
-        x1 = np.column_stack([rep(a) @ xi for a in span_basis])
-        x2 = np.column_stack([rho_s(system.alpha_apply(a)) @ cyc for a in span_basis])
+        x1 = np.column_stack([img @ xi for img in images])
+        x2 = np.column_stack([rho_s(aa) @ cyc for aa in shifted_basis])
         w_rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))
         parts.append(rho_s)
     rho = DirectSumRep(tuple(parts))
@@ -525,13 +548,11 @@ def _gns_step(system, rep, phi, check_depth, working, tol, rng):
 def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
     d = usable_depth(system, [rep, rho], 1, check_depth)
     iso = residual(w.conj().T @ w, np.eye(rep.dim))
-    ext = 0.0
-    comm = 0.0
     ww = w @ w.conj().T
-    for a in system.basis(d):
-        ra = rho(system.alpha_apply(a))
-        ext = max(ext, residual(w.conj().T @ ra @ w, rep(a)))
-        comm = max(comm, residual(ww @ ra, ra @ ww))
+    ext, comm = basis_sweep(
+        system.basis(d), lambda a: (rho(system.alpha_apply(a)), rep(a)),
+        lambda ra, pa: (w.conj().T @ ra @ w, pa),
+        lambda ra, pa: (ww @ ra, ra @ ww))
     span_depth = rho.max_depth if system.is_tower else None
     cols = [rho(a) @ w for a in system.basis(span_depth)]
     _, rank = orthonormal_span(np.hstack(cols), tol)
@@ -557,24 +578,21 @@ class TwoStepBlock:
 def two_step(pair: CovariantPair, ext: HBExtension,
              tol: Tolerance = DEFAULT_TOL, rng=None) -> TwoStepBlock:
     """Build the defect space rho(A) W Delta* H and the block partial isometry."""
-    defect = defect_operators(pair, tol)
+    _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
-    seed_cols = w @ defect.delta_star
+    seed_cols = w @ delta_star
     span_depth = ext.rho.max_depth if pair.system.is_tower else None
     cols = [ext.rho(a) @ seed_cols for a in pair.system.basis(span_depth)]
     basis, rank = orthonormal_span(np.hstack(cols) if cols else seed_cols, tol)
     if rng is not None and rank:
         basis = basis @ haar_unitary(rank, rng)
 
-    inv = 0.0
-    proj_off = np.eye(ext.dilation_dim, dtype=complex) - basis @ basis.conj().T
-    for a in pair.system.basis(span_depth):
-        inv = max(inv, spectral_norm(proj_off @ ext.rho(a) @ basis))
+    inv = invariance_residual(pair.system.basis(span_depth), ext.rho, basis, tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
 
     pi_hat = RestrictedRep(ext.rho, basis)
-    d_star = defect.delta_star @ w.conj().T @ basis
+    d_star = delta_star @ w.conj().T @ basis
     h = pair.space_dim
     k = basis.shape[1]
     block = np.zeros((h + k, h + k), dtype=complex)
@@ -588,12 +606,9 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     rep.add(clause("two-step/partial-isometry-idem", "M M* M = M",
                    residual(block @ block.conj().T @ block, block), tol.residual_tol))
     d = usable_depth(pair.system, [pair.rep, pi_hat], 1, pair.depth)
-    cov = 0.0
-    for a in pair.system.basis(d):
-        aa = pair.system.alpha_apply(a)
-        lhs = block @ block_diag([pair.rep(aa), pi_hat(aa)])
-        rhs = block_diag([pair.rep(a), pi_hat(a)]) @ block
-        cov = max(cov, residual(lhs, rhs))
+    sigma = DirectSumRep((pair.rep, pi_hat))
+    (cov,) = basis_sweep(pair.system.basis(d), rep_and_shifted(pair.system, sigma),
+                         lambda sa, saa: (block @ saa, sa @ block))
     rep.add(clause("two-step/covariance", "M diag(pi, pi^)(alpha(a)) = diag(pi, pi^)(a) M",
                    cov, tol.residual_tol))
     rep.add(clause("two-step/invariance", "rho(A) preserves the defect space",

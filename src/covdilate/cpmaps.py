@@ -20,11 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimCStarAlgebra, Representation,
-                      StarHom, operator_algebra, range_subalgebra_basis)
+                      StarHom, operator_algebra, range_subalgebra_basis,
+                      unit_residual)
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       block_diag, orthonormal_span, residual, spectral_norm)
+                       basis_sweep, orthonormal_span, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 
@@ -153,11 +154,23 @@ def verify_transfer(tau: CPMap, alpha: StarHom,
     if alpha.source.block_sizes != tau.target.block_sizes \
             or alpha.target.block_sizes != tau.source.block_sizes:
         raise ShapeMismatch("tau and alpha are not composable both ways")
-    left = max(residual(tau(alpha(a)).full_matrix(), a.full_matrix())
-               for a in alpha.source.basis())
-    unit = residual(tau(tau.source.unit()).full_matrix(), tau.target.unit().full_matrix())
+    (left,) = basis_sweep(alpha.source.basis(), lambda a: (a,),
+                          lambda a: (tau(alpha(a)).full_matrix(), a.full_matrix()))
     cp = verify_completely_positive(tau, tol)
-    return TransferReport(float(left), float(unit), cp, tol.residual_tol)
+    return TransferReport(float(left), float(unit_residual(tau)), cp, tol.residual_tol)
+
+
+def idempotency_residual(e: CPMap) -> float:
+    """max over the basis of residual(E(E(a)), E(a))."""
+    (idem,) = basis_sweep(e.source.basis(), lambda a: (e(a),),
+                          lambda ea: (e(ea).full_matrix(), ea.full_matrix()))
+    return idem
+
+
+def range_defect(alpha: StarHom, m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+    """||M - P M|| / (1 + ||M||), P the projection onto the coordinates of ran alpha."""
+    rng_basis = range_subalgebra_basis(alpha, tol)
+    return spectral_norm(m - rng_basis @ (rng_basis.conj().T @ m)) / (1.0 + spectral_norm(m))
 
 
 def expectation_from_transfer(alpha: StarHom, tau: CPMap,
@@ -173,14 +186,13 @@ def expectation_from_transfer(alpha: StarHom, tau: CPMap,
             f"transfer checks failed (left inverse {rep.left_inverse_residual:.3e}, "
             f"unit {rep.unit_residual:.3e}, min Choi eig {rep.cp.min_eig:.3e})")
     e = CPMap(tau.source, alpha.target, alpha.matrix @ tau.matrix)
-    idem = max(residual(e(e(a)).full_matrix(), e(a).full_matrix())
-               for a in e.source.basis())
+    idem = idempotency_residual(e)
     if idem > tol.residual_tol:
         raise TransferInvalid(f"E = alpha o tau fails idempotency by {idem:.3e}")
-    rng_basis = range_subalgebra_basis(alpha, tol)
-    off_range = spectral_norm(e.matrix - rng_basis @ (rng_basis.conj().T @ e.matrix))
-    if off_range > tol.residual_tol * (1.0 + spectral_norm(e.matrix)):
-        raise TransferInvalid(f"range of E leaves the image of alpha by {off_range:.3e}")
+    off_range = range_defect(alpha, e.matrix, tol)
+    if off_range > tol.residual_tol:
+        raise TransferInvalid(f"range of E leaves the image of alpha by {off_range:.3e} "
+                              "(relative)")
     return e
 
 
@@ -222,8 +234,13 @@ class KrausDilation:
         return self.isometry.shape[0]
 
 
+def choi_spectra(chois) -> list:
+    """``eigh`` of the hermitian part of each Choi block."""
+    return [np.linalg.eigh((c + c.conj().T) / 2.0) for c in chois]
+
+
 def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
-                   tol: Tolerance = DEFAULT_TOL) -> KrausDilation:
+                   tol: Tolerance = DEFAULT_TOL, spectra=None) -> KrausDilation:
     """Minimal Stinespring dilation from the per-block Choi matrices of phi.
 
     The Gram form <a x h, b x h'> = <phi(a* b) h, h'> over (matrix units) x H
@@ -233,7 +250,8 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
     rank_eps)`` kept, with ``top`` the largest eigenvalue over all blocks.
     Kept eigenvectors scaled by the square roots of their eigenvalues are the
     Kraus vectors.  A failed check raises :class:`NotCP`, since Choi
-    positivity is complete positivity.
+    positivity is complete positivity.  ``spectra`` passes in
+    :func:`choi_spectra` of the same blocks when the caller already has it.
     """
     sizes = source.block_sizes
     mats = [as_matrix(c) for c in chois]
@@ -242,7 +260,8 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
     herm_res = skew / (1.0 + max(spectral_norm(c) for c in mats))
     if herm_res > tol.residual_tol:
         raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
-    spectra = [np.linalg.eigh((c + c.conj().T) / 2.0) for c in mats]
+    if spectra is None:
+        spectra = choi_spectra(mats)
     top = max([float(vals[-1]) for vals, _ in spectra if vals.size] + [0.0])
     # large Choi blocks accumulate eigenvalue noise proportional to their norm
     floor = tol.psd_floor * (1.0 + top)
@@ -285,9 +304,16 @@ class KrausRep:
         return self.depth
 
     def __call__(self, x) -> np.ndarray:
-        out = block_diag([np.kron(b, np.eye(r, dtype=complex))
-                          for b, r in zip(self.system.blocks(x, self.depth),
-                                          self.dilation.multiplicities) if r])
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        o = 0
+        for b, r in zip(self.system.blocks(x, self.depth), self.dilation.multiplicities):
+            n = b.shape[0]
+            # the diagonal block of x_b (x) I_r, viewed as (n, r, n, r): a view,
+            # since reshaping only splits axes
+            block = out[o:o + n * r, o:o + n * r].reshape(n, r, n, r)
+            idx = np.arange(r)
+            block[:, idx, :, idx] = b
+            o += n * r
         if self.rotation is None:
             return out
         return self.rotation @ out @ self.rotation.conj().T
@@ -340,7 +366,10 @@ def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
     """
     if len(phi.target.block_sizes) != 1:
         raise ShapeMismatch("phi must map into a full operator algebra B(H)")
-    cp = verify_completely_positive(phi, tol)
+    chois = choi_blocks(phi)
+    spectra = choi_spectra(chois)
+    cp = CompletePositivityReport(tuple(float(vals[0]) for vals, _ in spectra),
+                                  tol.psd_floor)
     if not cp.passed:
         raise NotCP(f"min Choi eigenvalue {cp.min_eig:.3e}")
     h = phi.target.block_sizes[0]
@@ -349,14 +378,14 @@ def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
         raise NotUnital(f"phi(1) = I fails by {unit_res:.3e}")
 
     src = phi.source
-    dil = kraus_dilation(src, choi_blocks(phi), tol)
+    dil = kraus_dilation(src, chois, tol, spectra)
     rho = Representation.from_multiplicities(src, dil.multiplicities)
     w = dil.isometry
     rank = dil.dim
 
     iso_res = residual(w.conj().T @ w, np.eye(h))
-    dil_res = max(residual(w.conj().T @ rho(a) @ w, phi(a).blocks[0])
-                  for a in src.basis())
+    (dil_res,) = basis_sweep(src.basis(), lambda a: (a,),
+                             lambda a: (w.conj().T @ rho(a) @ w, phi(a).blocks[0]))
     span_cols = np.column_stack([rho(a) @ w for a in src.basis()]) if rank else w
     _, span_rank = orthonormal_span(span_cols, tol)
     return StinespringData(rho, w, rank, float(iso_res), float(dil_res), span_rank)

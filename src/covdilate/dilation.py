@@ -19,13 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                        ShiftedRep, defect_operators, usable_depth)
+                        ShiftedRep, defect_roots, invariance_residual,
+                        rep_and_shifted, usable_depth)
 from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
                      StrategyInvalid)
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
-from .numerics import (DEFAULT_TOL, Tolerance, orthonormal_span, residual,
-                       spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_offsets,
+                       orthonormal_span, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -66,12 +67,7 @@ class DilationRecord:
         return sum(self.block_dims)
 
     def block_offsets(self) -> list[int]:
-        offs = []
-        o = 0
-        for d in self.block_dims:
-            offs.append(o)
-            o += d
-        return offs
+        return block_offsets(self.block_dims)
 
     def index_table(self) -> list[dict]:
         offs = self.block_offsets()
@@ -95,15 +91,15 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     if pair.norm() > 1.0 + tol.rank_eps:
         raise NotContraction(f"||T|| = {pair.norm():.12f} exceeds 1")
 
-    defect = defect_operators(pair, tol)
-    basis, r = orthonormal_span(defect.delta, tol)
+    delta, _ = defect_roots(pair, tol)
+    basis, r = orthonormal_span(delta, tol)
     h = pair.space_dim
     dims = [h] + [r] * copies
     total = h + copies * r
     w = np.zeros((total, total), dtype=complex)
     w[:h, :h] = pair.contraction
     if r:
-        w[h:h + r, :h] = basis.conj().T @ defect.delta
+        w[h:h + r, :h] = basis.conj().T @ delta
         for j in range(1, copies):
             lo = h + j * r
             w[lo:lo + r, lo - r:lo] = np.eye(r, dtype=complex)
@@ -111,8 +107,7 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     parts = [pair.rep] + [RestrictedRep(ShiftedRep(pair.rep, system, n), basis)
                           for n in range(1, copies + 1)]
     eta = DirectSumRep(tuple(parts))
-    embed = np.zeros((total, h), dtype=complex)
-    embed[:h, :] = np.eye(h)
+    embed = np.eye(total, h, dtype=complex)
     names = ["H"] + [f"copy-{j}" for j in range(1, copies + 1)]
     index = list(range(0, copies + 1))
     last = np.arange(total - r, total) if r else np.zeros(0, dtype=int)
@@ -144,10 +139,8 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    cov = 0.0
-    for a in system.basis(d):
-        aa = system.alpha_apply(a)
-        cov = max(cov, residual(rec.w @ rec.eta(aa), rec.eta(a) @ rec.w))
+    (cov,) = basis_sweep(system.basis(d), rep_and_shifted(system, rec.eta),
+                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w))
     rep.add(clause("dilation/covariance", "W eta(alpha(a)) = eta(a) W",
                    cov, tol.residual_tol))
 
@@ -156,39 +149,24 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     if copy_dim and h:
         bd = rec.eta.parts[1].basis
         inv = 0.0
-        proj_off = np.eye(h, dtype=complex) - bd @ bd.conj().T
         for n in range(1, rec.copies + 1):
             dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-            for a in system.basis(dd):
-                img = pair.rep(system.alpha_apply(a, n))
-                inv = max(inv, spectral_norm(proj_off @ img @ bd))
+            inv = max(inv, invariance_residual(system.basis(dd),
+                                               ShiftedRep(pair.rep, system, n), bd, tol))
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))
 
     keep = np.eye(total, dtype=complex)
-    for i in rec.boundary_cols:
-        keep[i, i] = 0.0
+    keep[rec.boundary_cols, rec.boundary_cols] = 0.0
     rep.add(clause("dilation/isometry", "W* W = P(all copies but the truncated last)",
                    residual(rec.w.conj().T @ rec.w, keep), tol.residual_tol))
 
-    dil = 0.0
-    power = np.eye(total, dtype=complex)
-    tpower = np.eye(h, dtype=complex)
-    e = rec.source_embed
-    for n in range(rec.copies + 1):
-        dil = max(dil, residual(e.conj().T @ power @ e, tpower))
-        power = rec.w @ power
-        tpower = t @ tpower
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
-                   dil, tol.residual_tol))
+                   _compression(rec.w, rec.source_embed, t, rec.copies), tol.residual_tol))
 
-    cols = []
-    power = np.eye(total, dtype=complex)
-    for n in range(rec.copies + 1):
-        cols.append(power @ e)
-        power = rec.w @ power
-    _, rank = orthonormal_span(np.hstack(cols), tol)
+    orbit = power_orbit(rec.w, rec.source_embed, rec.copies)
+    _, rank = orthonormal_span(np.hstack(orbit), tol)
     rep.add(clause("dilation/minimal", "span{W^n H} = K",
                    0.0 if rank == total else 1.0, 0.5,
                    note=f"rank {rank} of {total}"))
@@ -203,6 +181,42 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
         rep.notes.append(f"coisometry-inheritance clause not applicable: "
                          f"||I - T T*|| = {coiso_cond:.3e}")
     return rep
+
+
+def power_orbit(w, embed, steps: int) -> list:
+    """[W^n E for 0 <= n <= steps], advancing the embedded columns rather
+    than the full power W^n."""
+    orbit = [embed]
+    for _ in range(steps):
+        orbit.append(w @ orbit[-1])
+    return orbit
+
+
+def _compression(u, embed, t, steps: int) -> float:
+    """max over 0 <= n <= steps of residual(E* U^n E, T^n)."""
+    t_powers = power_orbit(t, np.eye(t.shape[0], dtype=complex), steps)
+    return max(residual(embed.conj().T @ x, tn)
+               for x, tn in zip(power_orbit(u, embed, steps), t_powers))
+
+
+def _interior_clauses(rec: DilationRecord, prefix: str,
+                      tol: Tolerance) -> tuple[ClauseReport, np.ndarray, np.ndarray]:
+    """Isometry and coisometry of U on the interior window, with the Gram
+    defects U* U - I and U U* - I they are read from."""
+    u = rec.w
+    eye = np.eye(rec.total_dim, dtype=complex)
+    iso_def = u.conj().T @ u - eye
+    coiso_def = u @ u.conj().T - eye
+    # zeroing the boundary columns is the product with the interior projection
+    boundary = np.concatenate([rec.boundary_rows, rec.boundary_cols]).astype(int)
+    rep = ClauseReport()
+    for name, formula, gram_def in (("isometric-interior", "(U* U - I) P_int = 0", iso_def),
+                                    ("coisometric-interior", "(U U* - I) P_int = 0",
+                                     coiso_def)):
+        masked = gram_def.copy()
+        masked[:, boundary] = 0.0
+        rep.add(clause(f"{prefix}/{name}", formula, spectral_norm(masked), tol.residual_tol))
+    return rep, iso_def, coiso_def
 
 
 def unitary_dilate(pair: CovariantPair, n_levels: int, copies: int, strategy,
@@ -227,8 +241,7 @@ def compose_unitary(chain: ExtensionChain, copies: int,
 
     h = pair.space_dim
     total = rec.total_dim
-    origin_embed = np.zeros((total, h), dtype=complex)
-    origin_embed[:h, :] = np.eye(h)
+    origin_embed = np.eye(total, h, dtype=complex)
     # boundary blocks: the truncated last chain block (rows) and the last copy (cols)
     chain_last_off = chain.block_offsets[-1]
     chain_last_dim = chain.block_dims[-1]
@@ -246,38 +259,16 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
                      tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
     rep = ClauseReport()
     rep.notes.append(BOUNDARY_NOTE)
-    t = rec.origin_pair.contraction
-    h = rec.origin_pair.space_dim
-    total = rec.total_dim
-    u = rec.w
-
     window = min(n_levels, rec.copies)
-    dil = 0.0
-    power = np.eye(total, dtype=complex)
-    tpower = np.eye(h, dtype=complex)
-    e = rec.origin_embed
-    for n in range(window + 1):
-        dil = max(dil, residual(e.conj().T @ power @ e, tpower))
-        power = u @ power
-        tpower = t @ tpower
+    dil = _compression(rec.w, rec.origin_embed, rec.origin_pair.contraction, window)
     rep.add(clause("unitary/compression", "P_H U^n |H = T^n (0 <= n <= min(levels, copies))",
                    dil, tol.residual_tol))
+    interior, iso_def, coiso_def = _interior_clauses(rec, "unitary", tol)
+    rep.extend(interior)
 
-    interior = np.eye(total, dtype=complex)
-    for i in rec.boundary_rows:
-        interior[i, i] = 0.0
-    for i in rec.boundary_cols:
-        interior[i, i] = 0.0
-    eye = np.eye(total, dtype=complex)
-    rep.add(clause("unitary/isometric-interior", "(U* U - I) P_int = 0",
-                   spectral_norm((u.conj().T @ u - eye) @ interior), tol.residual_tol))
-    rep.add(clause("unitary/coisometric-interior", "(U U* - I) P_int = 0",
-                   spectral_norm((u @ u.conj().T - eye) @ interior), tol.residual_tol))
-
-    row_b = spectral_norm((u @ u.conj().T - eye)[rec.boundary_rows][:, rec.boundary_rows]) \
-        if rec.boundary_rows.size else 0.0
-    col_b = spectral_norm((u.conj().T @ u - eye)[rec.boundary_cols][:, rec.boundary_cols]) \
-        if rec.boundary_cols.size else 0.0
+    rows, cols = rec.boundary_rows, rec.boundary_cols
+    row_b = spectral_norm(coiso_def[rows][:, rows]) if rows.size else 0.0
+    col_b = spectral_norm(iso_def[cols][:, cols]) if cols.size else 0.0
     rep.notes.append(f"boundary residuals (expected order 1 by truncation): "
                      f"rows {row_b:.3e}, columns {col_b:.3e}")
     return rep
@@ -309,56 +300,34 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
     dims = [chain.block_dims[k + 1] for k in range(n - 1, -1, -1)] + [h] + [dv] * copies
     index = list(range(-n, 0)) + [0] + list(range(1, copies + 1))
     total = sum(dims)
-    offs = []
-    o = 0
-    for d0 in dims:
-        offs.append(o)
-        o += d0
+    offs = block_offsets(dims)
 
     def blk(name):
         i = names.index(name)
         return offs[i], dims[i]
 
-    u = np.zeros((total, total), dtype=complex)
-    ho, _ = blk("H")
-    u[ho:ho + h, ho:ho + h] = pair.contraction
-    for k in range(n):
-        # D_{k*} sits in the row of the previous space, column of defect-k
-        co, cd = blk(f"defect-{k}")
-        if k == 0:
-            ro, rd = ho, h
-        else:
-            ro, rd = blk(f"defect-{k - 1}")
-        u[ro:ro + rd, co:co + cd] = chain.levels[k].d_star
-    # the defect row: one entry per chain block, reassembled in ambient order
+    # the chain space inside the ambient one, its defect blocks reversed
+    src_embed = np.zeros((total, chain.total_dim), dtype=complex)
+    for name, src, cd in zip(chain.block_names, chain.block_offsets, chain.block_dims):
+        co, _ = blk(name)
+        src_embed[co:co + cd, src:src + cd] = np.eye(cd)
+    # V carried over (T in the corner, D_{k*} in the row of the previous
+    # space and the column of defect-k), the defect row below H, and the
+    # identities down the copies
+    u = src_embed @ chain.v @ src_embed.T
     c1o, _ = blk("copy-1")
-    chain_offs = chain.block_offsets
-    u[c1o:c1o + dv, ho:ho + h] = dd.row_map[:, :h]
-    for k in range(n):
-        co, cd = blk(f"defect-{k}")
-        src = chain_offs[k + 1]
-        u[c1o:c1o + dv, co:co + cd] = dd.row_map[:, src:src + cd]
+    u[c1o:c1o + dv] = dd.row_map @ src_embed.T
     for j in range(1, copies):
         ro, _ = blk(f"copy-{j + 1}")
         co, _ = blk(f"copy-{j}")
         u[ro:ro + dv, co:co + dv] = np.eye(dv, dtype=complex)
 
-    parts = []
-    for k in range(n - 1, -1, -1):
-        parts.append(chain.levels[k].pi_hat)
-    parts.append(pair.rep)
-    for j in range(copies):
-        parts.append(ShiftedRep(dd.rho1, system, j) if j else dd.rho1)
-    sigma = DirectSumRep(tuple(parts))
-
-    src_embed = np.zeros((total, chain.total_dim), dtype=complex)
-    src_embed[ho:ho + h, :h] = np.eye(h)
-    for k in range(n):
-        co, cd = blk(f"defect-{k}")
-        src = chain_offs[k + 1]
-        src_embed[co:co + cd, src:src + cd] = np.eye(cd)
-    origin_embed = np.zeros((total, h), dtype=complex)
-    origin_embed[ho:ho + h, :] = np.eye(h)
+    sigma = DirectSumRep(tuple([chain.levels[k].pi_hat for k in range(n - 1, -1, -1)]
+                               + [pair.rep]
+                               + [ShiftedRep(dd.rho1, system, j) if j else dd.rho1
+                                  for j in range(copies)]))
+    ho, _ = blk("H")
+    origin_embed = np.eye(total, h, -ho, dtype=complex)
 
     bro, brd = blk(f"defect-{n - 1}") if n else (ho, 0)
     rows = np.arange(bro, bro + brd)
@@ -388,45 +357,17 @@ def _matricial_clauses(rec: DilationRecord, dd,
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    cov = 0.0
-    for a in system.basis(d):
-        aa = system.alpha_apply(a)
-        cov = max(cov, residual(u @ rec.eta(aa), rec.eta(a) @ u))
+    (cov,) = basis_sweep(system.basis(d), rep_and_shifted(system, rec.eta),
+                         lambda ea, eaa: (u @ eaa, ea @ u))
     rep.add(clause("matricial/covariance", "U sigma(alpha(a)) = sigma(a) U",
                    cov, tol.residual_tol))
-
-    interior = np.eye(total, dtype=complex)
-    for i in rec.boundary_rows:
-        interior[i, i] = 0.0
-    for i in rec.boundary_cols:
-        interior[i, i] = 0.0
-    eye = np.eye(total, dtype=complex)
-    rep.add(clause("matricial/isometric-interior", "(U* U - I) P_int = 0",
-                   spectral_norm((u.conj().T @ u - eye) @ interior), tol.residual_tol))
-    rep.add(clause("matricial/coisometric-interior", "(U U* - I) P_int = 0",
-                   spectral_norm((u @ u.conj().T - eye) @ interior), tol.residual_tol))
+    rep.extend(_interior_clauses(rec, "matricial", tol)[0])
 
     # compressions: to the chain pair and to the original corner
-    e = rec.source_embed
-    vpow = np.eye(chain.total_dim, dtype=complex)
-    upow = np.eye(total, dtype=complex)
-    res_v = 0.0
-    for nn in range(rec.copies + 1):
-        res_v = max(res_v, residual(e.conj().T @ upow @ e, vpow))
-        upow = u @ upow
-        vpow = chain.v @ vpow
+    res_v = _compression(u, rec.source_embed, chain.v, rec.copies)
     rep.add(clause("matricial/restricts-to-extension", "P_KV U^n |KV = V^n",
                    res_v, tol.residual_tol))
-
-    h = pair.space_dim
-    eh = rec.origin_embed
-    upow = np.eye(total, dtype=complex)
-    tpow = np.eye(h, dtype=complex)
-    res_t = 0.0
-    for nn in range(rec.copies + 1):
-        res_t = max(res_t, residual(eh.conj().T @ upow @ eh, tpow))
-        upow = u @ upow
-        tpow = pair.contraction @ tpow
+    res_t = _compression(u, rec.origin_embed, pair.contraction, rec.copies)
     rep.add(clause("matricial/compression", "P_H U^n |H = T^n",
                    res_t, tol.residual_tol))
     return rep

@@ -20,11 +20,11 @@ import numpy as np
 
 from .covariant import HBExtension, usable_depth
 from .cpmaps import unit_image_chois
-from .dilation import DilationRecord
+from .dilation import DilationRecord, power_orbit
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
-from .numerics import (DEFAULT_TOL, Tolerance, block_diag, orthonormal_span,
-                       residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
+                       orthonormal_span, residual, spectral_norm)
 
 EQUIV_THRESHOLD = 1e-7
 DILATION_THRESHOLD = 1e-6
@@ -96,6 +96,25 @@ def _verdict(residuals: dict, threshold: float, intertwiner,
                                           "misses the threshold")
 
 
+def _require_span(x, dim: int, tol: Tolerance, message: str) -> None:
+    """SpanDeficient(message) unless the columns of x span dimension ``dim``."""
+    _, rank = orthonormal_span(x, tol)
+    if rank < dim:
+        raise SpanDeficient(message.format(rank=rank, dim=dim))
+
+
+def _unitarity(u) -> dict:
+    return {"unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1])),
+            "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]))}
+
+
+def _intertwined(elements, rep1, rep2, u) -> float:
+    """max over ``elements`` of residual(u rep1(a), rep2(a) u)."""
+    (rel,) = basis_sweep(elements, lambda a: (rep1(a), rep2(a)),
+                         lambda r1, r2: (u @ r1, r2 @ u))
+    return rel
+
+
 def _gram_mismatch_witness(system, depth, phi_a, phi_b, h: int, level: int,
                            tol: Tolerance) -> tuple[float, Optional[GramWitness]]:
     """Largest entrywise gap between the reference Gram forms of two maps.
@@ -150,30 +169,17 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
     basis = system.basis(depth)
     x1 = np.hstack([ext1.rho(a) @ ext1.isometry for a in basis])
     x2 = np.hstack([ext2.rho(a) @ ext2.isometry for a in basis])
-    _, rank1 = orthonormal_span(x1, tol)
-    if rank1 < ext1.dilation_dim:
-        raise SpanDeficient(f"span rank {rank1} below dilation dimension "
-                            f"{ext1.dilation_dim}")
-    _, rank2 = orthonormal_span(x2, tol)
-    if rank2 < ext2.dilation_dim:
-        raise SpanDeficient(f"span rank {rank2} below dilation dimension "
-                            f"{ext2.dilation_dim}")
+    for x, dim in ((x1, ext1.dilation_dim), (x2, ext2.dilation_dim)):
+        _require_span(x, dim, tol, "span rank {rank} below dilation dimension {dim}")
     if ext1.dilation_dim != ext2.dilation_dim:
         return EquivalenceCertificate(
             "inconclusive", threshold, {"gram_mismatch": mismatch}, None, None,
             "matching Gram forms but different dilation dimensions")
 
     u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
-    residuals = {
-        "gram_mismatch": mismatch,
-        "unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1])),
-        "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0])),
-        "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry),
-    }
-    rel = 0.0
-    for a in basis:
-        rel = max(rel, residual(u @ ext1.rho(a), ext2.rho(a) @ u))
-    residuals["representation_intertwined"] = rel
+    residuals = {"gram_mismatch": mismatch, **_unitarity(u),
+                 "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry)}
+    residuals["representation_intertwined"] = _intertwined(basis, ext1.rho, ext2.rho, u)
     return _verdict(residuals, threshold, u)
 
 
@@ -216,9 +222,7 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         basis = system.basis(depth)
         x1 = np.hstack([lv1.ext.rho(a) @ lv1.ext.isometry for a in basis])
         x2 = np.hstack([lv2.ext.rho(a) @ lv2.ext.isometry @ u_prev for a in basis])
-        _, rank1 = orthonormal_span(x1, tol)
-        if rank1 < lv1.ext.dilation_dim:
-            raise SpanDeficient(f"level {k} span deficient")
+        _require_span(x1, lv1.ext.dilation_dim, tol, f"level {k} span deficient")
         u_k = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
         u_def = lv2.defect_basis.conj().T @ u_k @ lv1.defect_basis
         residuals[f"level{k}_unitarity"] = residual(
@@ -227,16 +231,13 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         u_prev = u_def
 
     u = block_diag(blocks)
-    residuals["unitarity_left"] = residual(u.conj().T @ u, np.eye(u.shape[1]))
-    residuals["unitarity_right"] = residual(u @ u.conj().T, np.eye(u.shape[0]))
+    residuals.update(_unitarity(u))
     residuals["fixes_H"] = spectral_norm(
         u[:p1.space_dim, :p1.space_dim] - np.eye(p1.space_dim))
     residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u)
     d = usable_depth(system, [chain1.rho, chain2.rho], 0, p1.depth)
-    rel = 0.0
-    for a in system.basis(d):
-        rel = max(rel, residual(u @ chain1.rho(a), chain2.rho(a) @ u))
-    residuals["representation_intertwined"] = rel
+    residuals["representation_intertwined"] = _intertwined(system.basis(d), chain1.rho,
+                                                           chain2.rho, u)
     return _verdict(residuals, threshold, u)
 
 
@@ -257,37 +258,20 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
     if residual(s1.contraction, s2.contraction) > tol.residual_tol:
         raise LevelMismatch("records over different source contractions")
 
-    def span_cols(rec):
-        cols = []
-        power = rec.source_embed
-        for _ in range(rec.copies + 1):
-            cols.append(power)
-            power = rec.w @ power
-        return np.hstack(cols)
-
-    x1 = span_cols(rec1)
-    x2 = span_cols(rec2)
-    _, rank1 = orthonormal_span(x1, tol)
-    if rank1 < rec1.total_dim:
-        raise SpanDeficient(f"first record not minimal: rank {rank1} of {rec1.total_dim}")
-    _, rank2 = orthonormal_span(x2, tol)
-    if rank2 < rec2.total_dim:
-        raise SpanDeficient(f"second record not minimal: rank {rank2} of {rec2.total_dim}")
+    x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
+              for rec in (rec1, rec2))
+    _require_span(x1, rec1.total_dim, tol, "first record not minimal: rank {rank} of {dim}")
+    _require_span(x2, rec2.total_dim, tol, "second record not minimal: rank {rank} of {dim}")
     if rec1.total_dim != rec2.total_dim:
         return EquivalenceCertificate("inconclusive", threshold, {}, None, None,
                                       "minimal records of different dimension")
 
     u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
-    residuals = {
-        "unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1])),
-        "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0])),
-        "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
-        "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u),
-    }
+    residuals = {**_unitarity(u),
+                 "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
+                 "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u)}
     system = s1.system
     d = usable_depth(system, [rec1.eta, rec2.eta], 0, s1.depth)
-    rel = 0.0
-    for a in system.basis(d):
-        rel = max(rel, residual(u @ rec1.eta(a), rec2.eta(a) @ u))
-    residuals["representation_intertwined"] = rel
+    residuals["representation_intertwined"] = _intertwined(system.basis(d), rec1.eta,
+                                                           rec2.eta, u)
     return _verdict(residuals, threshold, u)

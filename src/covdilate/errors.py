@@ -23,15 +23,7 @@ class ShapeMismatch(WorkbenchError):
     pass
 
 
-class NotStarHom(WorkbenchError):
-    pass
-
-
 class NotState(WorkbenchError):
-    pass
-
-
-class NotLinear(WorkbenchError):
     pass
 
 

@@ -21,12 +21,13 @@ import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, HBExtension,
                         RestrictedRep, ShiftedRep, extend_representation,
-                        defect_operators, haar_unitary, two_step,
-                        usable_depth, verify_strategy)
+                        defect_roots, haar_unitary, invariance_residual,
+                        leaves_span, two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, block_diag, orthonormal_complement,
-                       orthonormal_span, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
+                       block_offsets, orthonormal_complement, orthonormal_span,
+                       residual, spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -71,12 +72,7 @@ class ExtensionChain:
 
     @property
     def block_offsets(self) -> list[int]:
-        offs = []
-        o = 0
-        for d in self.block_dims:
-            offs.append(o)
-            o += d
-        return offs
+        return block_offsets(self.block_dims)
 
     def kept_projection(self) -> np.ndarray:
         """Projection onto every block except the truncated last one."""
@@ -139,40 +135,35 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
         basis, rank = orthonormal_span(np.hstack(cols) if cols else w, tol)
         if rng is not None and rank:
             basis = basis @ haar_unitary(rank, rng)
-        proj_off = np.eye(ext.dilation_dim, dtype=complex) - basis @ basis.conj().T
-        inv = max((spectral_norm(proj_off @ ext.rho(a) @ basis)
-                   for a in system.basis(span_depth)), default=0.0)
+        inv = invariance_residual(system.basis(span_depth), ext.rho, basis, tol)
         if inv > tol.residual_tol:
             raise InvarianceViolation(f"level {k} defect space drifts by {inv:.3e}")
-        embed_res = spectral_norm(proj_off @ w)
+        embed_res = spectral_norm(w - basis @ (basis.conj().T @ w))
         d_star = w.conj().T @ basis
         pi_hat = RestrictedRep(ext.rho, basis)
         # how far the full algebra action moves the embedded previous defect:
         # only alpha(A) is guaranteed to preserve it
-        p_embed = w @ w.conj().T
         check_d = usable_depth(system, [ext.rho], 0, pair.depth)
-        off = np.eye(ext.dilation_dim, dtype=complex) - p_embed
-        containment = max((spectral_norm(off @ ext.rho(a) @ p_embed)
-                           for a in system.basis(check_d)), default=0.0)
+        containment = invariance_residual(system.basis(check_d), ext.rho, w, tol)
         levels.append(ChainLevel(ext, basis, d_star, pi_hat, float(embed_res),
                                  float(containment)))
 
+    return _assemble(pair, strategies, levels, basis_seed)
+
+
+def _assemble(pair: CovariantPair, strategies, levels, basis_seed) -> ExtensionChain:
+    """(rho, V) on H + defect_0 + ...: T in the corner, each level's D_{k*} in
+    the row of the previous block, and the row of the last block zero."""
     block_dims = [pair.space_dim] + [lv.dim for lv in levels]
-    block_names = ["H"] + [f"defect-{k}" for k in range(n_levels)]
     total = sum(block_dims)
-    offs = []
-    o = 0
-    for d in block_dims:
-        offs.append(o)
-        o += d
+    offs = block_offsets(block_dims)
     v = np.zeros((total, total), dtype=complex)
     v[:pair.space_dim, :pair.space_dim] = pair.contraction
     for k, lv in enumerate(levels):
-        r0, r1 = offs[k], offs[k] + block_dims[k]
-        c0, c1 = offs[k + 1], offs[k + 1] + block_dims[k + 1]
-        v[r0:r1, c0:c1] = lv.d_star
+        v[offs[k]:offs[k] + block_dims[k], offs[k + 1]:offs[k + 1] + lv.dim] = lv.d_star
     rho = DirectSumRep(tuple([pair.rep] + [lv.pi_hat for lv in levels]))
-    return ExtensionChain(pair, strategies, levels, rho, v, block_names,
+    return ExtensionChain(pair, strategies, levels, rho, v,
+                          ["H"] + [f"defect-{k}" for k in range(len(levels))],
                           block_dims, basis_seed)
 
 
@@ -187,25 +178,24 @@ def verify_coisometric_extension(chain: ExtensionChain,
     rep.notes.append(LEVEL_SPACE_NOTE)
 
     d = usable_depth(system, [pair.rep, chain.rho], 1, pair.depth)
-    restr = 0.0
-    for a in system.basis(d):
-        col = chain.rho(a)[:, :h]
-        target = np.zeros((chain.total_dim, h), dtype=complex)
-        target[:h, :] = pair.rep(a)
-        restr = max(restr, residual(col, target))
+
+    def in_h(m):
+        # an operator on H as a map H -> chain space landing in H
+        col = np.zeros((chain.total_dim, h), dtype=complex)
+        col[:h, :] = m
+        return col
+
+    restr, cov = basis_sweep(
+        system.basis(d),
+        lambda a: (chain.rho(a), chain.rho(system.alpha_apply(a)), pair.rep(a)),
+        lambda ra, raa, pa: (ra[:, :h], in_h(pa)),
+        lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v))
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
-    vcol = chain.v[:, :h]
-    vtarget = np.zeros((chain.total_dim, h), dtype=complex)
-    vtarget[:h, :] = pair.contraction
     rep.add(clause("chain/contraction-restricts", "V|H = T, V H in H",
-                   residual(vcol, vtarget), tol.residual_tol))
+                   residual(chain.v[:, :h], in_h(pair.contraction)), tol.residual_tol))
 
-    cov = 0.0
-    for a in system.basis(d):
-        aa = system.alpha_apply(a)
-        cov = max(cov, residual(chain.v @ chain.rho(aa), chain.rho(a) @ chain.v))
     rep.add(clause("chain/covariance", "V rho(alpha(a)) = rho(a) V",
                    cov, tol.residual_tol))
 
@@ -257,41 +247,31 @@ def defect_decomposition(chain: ExtensionChain,
     pair = chain.pair
     system = pair.system
     h = pair.space_dim
-    defect = defect_operators(pair, tol)
-    delta = defect.delta
+    delta, delta_star = defect_roots(pair, tol)
     rep = ClauseReport()
 
     delta_h_basis, r_delta = orthonormal_span(delta, tol)
 
     level0 = chain.levels[0]
     w0 = level0.ext.isometry
-    inner0 = level0.defect_basis.conj().T @ (w0 @ defect.delta_star)  # in defect-0 coords
-    f0, f0_rank = orthonormal_span(inner0, tol)
-    q0 = orthonormal_complement(f0, level0.dim, tol)
-    if f0_rank + q0.shape[1] != level0.dim:
-        raise DecompositionMismatch(
-            f"defect-0 does not split: {f0_rank} + {q0.shape[1]} != {level0.dim}")
-    q_bases = [q0]
-    for k in range(1, chain.n_levels):
-        lv = chain.levels[k]
-        inner = lv.defect_basis.conj().T @ lv.ext.isometry
-        fk, fk_rank = orthonormal_span(inner, tol)
-        qk = orthonormal_complement(fk, lv.dim, tol)
-        if fk_rank + qk.shape[1] != lv.dim:
-            raise DecompositionMismatch(f"defect-{k} does not split")
-        q_bases.append(qk)
+    # q_k: the complement, in defect-k coordinates, of what the previous
+    # space embeds there (W delta* H at level 0, W_k defect_(k-1) above)
+    f_bases, q_bases = [], []
+    for k, lv in enumerate(chain.levels):
+        seed = w0 @ delta_star if k == 0 else lv.ext.isometry
+        f, f_rank = orthonormal_span(lv.defect_basis.conj().T @ seed, tol)
+        q = orthonormal_complement(f, lv.dim, tol)
+        if f_rank + q.shape[1] != lv.dim:
+            raise DecompositionMismatch(
+                f"defect-{k} does not split: {f_rank} + {q.shape[1]} != {lv.dim}")
+        f_bases.append(f)
+        q_bases.append(q)
+    f0, q0 = f_bases[0], q_bases[0]
 
     offs = chain.block_offsets
     summand_dims = [r_delta] + [q.shape[1] for q in q_bases]
     dv_dim = sum(summand_dims)
-    dv_basis = np.zeros((chain.total_dim, dv_dim), dtype=complex)
-    col = 0
-    dv_basis[:h, col:col + r_delta] = delta_h_basis
-    col += r_delta
-    for k, q in enumerate(q_bases):
-        lo = offs[k + 1]
-        dv_basis[lo:lo + chain.block_dims[k + 1], col:col + q.shape[1]] = q
-        col += q.shape[1]
+    dv_basis = block_diag([delta_h_basis] + q_bases)
 
     # X = (-T* W*|span(W delta* H)) + q_0, mapping defect-0 into D_V
     t = pair.contraction
@@ -303,18 +283,11 @@ def defect_decomposition(chain: ExtensionChain,
 
     # T delta = delta_star T (used implicitly by X mapping into delta H)
     rep.add(clause("defect/intertwine", "T (I-T*T)^1/2 = (I-TT*)^1/2 T",
-                   residual(t @ delta, defect.delta_star @ t), tol.residual_tol))
+                   residual(t @ delta, delta_star @ t), tol.residual_tol))
 
     # defect row of the two-sided form, one column block per chain block
-    row_map = np.zeros((dv_dim, chain.total_dim), dtype=complex)
-    row_map[:r_delta, :h] = delta_h_basis.conj().T @ delta
+    row_map = block_diag([delta_h_basis.conj().T @ delta] + [q.conj().T for q in q_bases])
     row_map[:, offs[1]:offs[1] + level0.dim] = x_map
-    col = r_delta + q0.shape[1]
-    for k in range(1, chain.n_levels):
-        lo = offs[k + 1]
-        nk = chain.block_dims[k + 1]
-        row_map[col:col + q_bases[k].shape[1], lo:lo + nk] = q_bases[k].conj().T
-        col += q_bases[k].shape[1]
 
     eye = np.eye(chain.total_dim, dtype=complex)
     gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v)
@@ -329,22 +302,23 @@ def defect_decomposition(chain: ExtensionChain,
 
     shifted = ShiftedRep(chain.rho, system, 1)
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    inv = 0.0
-    proj_off = eye - dv_basis @ dv_basis.conj().T
-    for a in system.basis(d):
-        inv = max(inv, spectral_norm(proj_off @ shifted(a) @ dv_basis))
-    rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
-                   inv, tol.residual_tol))
     rho1 = RestrictedRep(shifted, dv_basis)
 
-    # rho1 must agree with the block-diagonal compressions onto the summands
-    block_res = 0.0
-    for a in system.basis(d):
-        aa = system.alpha_apply(a)
-        parts = [delta_h_basis.conj().T @ pair.rep(aa) @ delta_h_basis]
+    def diagonal(x):
+        # rho1 must agree with the block-diagonal compressions onto the
+        # summands; rho(alpha(a)) carries pi(alpha(a)) and each level's
+        # pi_hat(alpha(a)) as its diagonal blocks
+        parts = [delta_h_basis.conj().T @ x[:h, :h] @ delta_h_basis]
         for k, q in enumerate(q_bases):
-            parts.append(q.conj().T @ chain.levels[k].pi_hat(aa) @ q)
-        block_res = max(block_res, residual(rho1(a), block_diag(parts)))
+            lo, nk = offs[k + 1], chain.block_dims[k + 1]
+            parts.append(q.conj().T @ x[lo:lo + nk, lo:lo + nk] @ q)
+        return dv_basis.conj().T @ x @ dv_basis, block_diag(parts)
+
+    off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((0, 0)))
+    inv, block_res = basis_sweep(system.basis(d), lambda a: (shifted(a),),
+                                 off, diagonal)
+    rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
+                   inv, tol.residual_tol))
     rep.add(clause("defect/diagonal-form", "rho1 = diag of summand compressions",
                    block_res, tol.residual_tol))
 
@@ -359,13 +333,5 @@ def restrict_chain(chain: ExtensionChain, n_levels: int) -> ExtensionChain:
     """The chain truncated to its first ``n_levels`` blocks (for consistency tests)."""
     if n_levels < 1 or n_levels > chain.n_levels:
         raise LevelMismatch(f"cannot restrict to {n_levels} levels")
-    levels = chain.levels[:n_levels]
-    block_dims = chain.block_dims[:n_levels + 1]
-    total = sum(block_dims)
-    v = chain.v[:total, :total].copy()
-    lo = sum(block_dims[:-1])
-    v[lo:, :] = 0.0  # the new last row is truncated
-    rho = DirectSumRep(tuple([chain.pair.rep] + [lv.pi_hat for lv in levels]))
-    return ExtensionChain(chain.pair, chain.strategies[:n_levels], levels, rho, v,
-                          chain.block_names[:n_levels + 1], block_dims,
-                          chain.basis_seed)
+    return _assemble(chain.pair, chain.strategies[:n_levels], chain.levels[:n_levels],
+                     chain.basis_seed)

@@ -71,6 +71,87 @@ def residual(aop, bop) -> float:
     return spectral_norm(a - b) / (1.0 + max(spectral_norm(a), spectral_norm(b)))
 
 
+# byte cap on the clause operators one basis sweep holds before reducing them
+SWEEP_STACK_BYTES = 1 << 19
+
+
+def basis_sweep(elements, images, *clauses) -> list[float]:
+    """Max over ``elements`` of each clause, each element's images computed once.
+
+    ``images(a)`` returns the operators the clauses share for element ``a``;
+    a clause maps them to a pair ``(A, B)``, valued :func:`residual` ``(A, B)``,
+    or to one operator, valued by its spectral norm.  Operators are held for
+    at most ``SWEEP_STACK_BYTES`` (or one element) and reduced with stacked
+    spectral norms; nothing outlives the call.  0.0 over an empty family.
+    """
+    worst = [0.0] * len(clauses)
+    pending = [[] for _ in clauses]
+    chunk = None
+    for a in elements:
+        imgs = images(a)
+        for terms, clause in zip(pending, clauses):
+            terms.append(clause(*imgs))
+        if chunk is None:
+            held = sum(np.asarray(m).nbytes for terms in pending for m in
+                       (terms[0] if isinstance(terms[0], tuple) else (terms[0],)))
+            chunk = max(1, SWEEP_STACK_BYTES // max(held, 1))
+        if len(pending[0]) >= chunk:
+            _reduce_pending(pending, worst)
+    _reduce_pending(pending, worst)
+    return worst
+
+
+def _reduce_pending(pending, worst) -> None:
+    def norms(mats):
+        stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
+        return np.linalg.norm(stack, 2, axis=(-2, -1)) if stack[0].size else np.zeros(len(mats))
+
+    for c, terms in enumerate(pending):
+        if not terms:
+            continue
+        if isinstance(terms[0], tuple):
+            lhs, rhs = ([as_matrix(t[i]) for t in terms] for i in (0, 1))
+            for x, y in zip(lhs, rhs):
+                if x.shape != y.shape:
+                    raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
+            vals = norms([x - y for x, y in zip(lhs, rhs)]) / (
+                1.0 + np.maximum(norms(lhs), norms(rhs)))
+        else:
+            vals = norms([as_matrix(t) for t in terms])
+        worst[c] = max(worst[c], float(vals.max()))
+        terms.clear()
+
+
+def kron_eye(x, m: int) -> np.ndarray:
+    """x (x) I_m with np.kron's entries, by strided assignment into zeros."""
+    x = np.asarray(x)
+    rows, cols = x.shape
+    out = np.zeros((rows, m, cols, m), dtype=complex)
+    idx = np.arange(m)
+    out[:, idx, :, idx] = x
+    return out.reshape(rows * m, cols * m)
+
+
+def eye_kron(k: int, x) -> np.ndarray:
+    """I_k (x) x with np.kron's entries, by strided assignment into zeros."""
+    x = np.asarray(x)
+    rows, cols = x.shape
+    out = np.zeros((k, rows, k, cols), dtype=complex)
+    idx = np.arange(k)
+    out[idx, :, idx, :] = x
+    return out.reshape(k * rows, k * cols)
+
+
+def block_offsets(dims) -> list[int]:
+    """Start index of each summand of a direct sum with the given dimensions."""
+    offs = []
+    o = 0
+    for d in dims:
+        offs.append(o)
+        o += d
+    return offs
+
+
 def hermitian_residual(a) -> float:
     m = as_matrix(a)
     return residual(m, m.conj().T)
@@ -158,6 +239,8 @@ def orthonormal_complement(basis: np.ndarray, inside_dim: int,
     """Orthonormal basis of the complement of ``span(basis)`` in C^inside_dim."""
     if basis.shape[1] == 0:
         return np.eye(inside_dim, dtype=complex)
+    if basis.shape[1] == inside_dim:
+        return np.zeros((inside_dim, 0), dtype=complex)
     proj = np.eye(inside_dim, dtype=complex) - basis @ basis.conj().T
     # projector singular values are 0 or 1; the unit scale keeps pure noise out
     comp, _ = orthonormal_span(proj, tol, scale=1.0)

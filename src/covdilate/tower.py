@@ -24,7 +24,7 @@ from .covariant import CovariantPair, covariant_pair
 from .cpmaps import CPMap
 from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
                      SizeCap, StrategyInvalid)
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,14 @@ def embed(x: GradedElement, depth: int) -> GradedElement:
     if depth == x.depth:
         return x
     pad = x.tower.k ** (depth - x.depth)
-    return GradedElement(x.tower, depth, np.kron(x.mat, np.eye(pad, dtype=complex)))
+    return GradedElement(x.tower, depth, kron_eye(x.mat, pad))
 
 
 def shift_alpha(x: GradedElement) -> GradedElement:
     """The dynamics 1 tensor x; depth rises by one and is never surjective."""
     if x.depth + 1 > x.tower.d_max:
         raise DepthExceeded(f"shift from depth {x.depth} exceeds d_max {x.tower.d_max}")
-    return GradedElement(x.tower, x.depth + 1,
-                         np.kron(np.eye(x.tower.k, dtype=complex), x.mat))
+    return GradedElement(x.tower, x.depth + 1, eye_kron(x.tower.k, x.mat))
 
 
 def state_density(tower: ShiftTower, phi) -> np.ndarray:
@@ -200,10 +199,7 @@ class TowerTransfer:
         """Depth-fixed finite view A_depth -> A_{depth-1}."""
         if depth < 1:
             raise DepthZero("transfer view needs depth >= 1")
-        src = self.tower.stage(depth)
-        dst = self.tower.stage(depth - 1)
-        cols = [dst.element([self(b).mat]).coords for b in self.tower.basis(depth)]
-        return CPMap(src, dst, np.column_stack(cols))
+        return _stage_map(CPMap, self.tower, depth, depth - 1, self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,19 +215,22 @@ class TowerExpectation:
     def as_cpmap(self, depth: int) -> CPMap:
         if depth < 1:
             raise DepthZero("expectation view needs depth >= 1")
-        alg = self.tower.stage(depth)
-        cols = [alg.element([self(b).mat]).coords for b in self.tower.basis(depth)]
-        return CPMap(alg, alg, np.column_stack(cols))
+        return _stage_map(CPMap, self.tower, depth, depth, self)
 
 
 def alpha_hom(tower: ShiftTower, depth: int) -> StarHom:
     """Depth-fixed view of the shift as a map A_depth -> A_{depth+1}."""
     if depth + 1 > tower.d_max:
         raise DepthExceeded(f"shift view from depth {depth} exceeds d_max")
-    src = tower.stage(depth)
-    dst = tower.stage(depth + 1)
-    cols = [dst.element([shift_alpha(b).mat]).coords for b in tower.basis(depth)]
-    return StarHom(src, dst, np.column_stack(cols))
+    return _stage_map(StarHom, tower, depth, depth + 1, shift_alpha)
+
+
+def _stage_map(kind, tower: ShiftTower, src_depth: int, dst_depth: int, fn):
+    """A graded map as a ``kind`` (CPMap or StarHom) between two stages,
+    from the images of the stage basis."""
+    dst = tower.stage(dst_depth)
+    cols = [dst.element([fn(b).mat]).coords for b in tower.basis(src_depth)]
+    return kind(tower.stage(src_depth), dst, np.column_stack(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +253,7 @@ class TowerRep:
         full = embed(x, self.top_depth).mat
         if self.multiplicity == 1:
             return full
-        return np.kron(full, np.eye(self.multiplicity, dtype=complex))
+        return kron_eye(full, self.multiplicity)
 
     def view(self, depth: int) -> Representation:
         """Finite Representation of the stage algebra, for the standard checks."""
@@ -316,24 +315,23 @@ class TowerSystem:
         n = self.tower.stage_dim(depth)
         return np.kron(embed(x, depth).mat, np.eye(n, dtype=complex))
 
-    def alpha_coord_matrix(self, depth: int) -> np.ndarray:
-        return alpha_hom(self.tower, depth).matrix
-
     def stinespring_depth(self, pair_depth: int) -> int:
         if pair_depth is None:
             raise DepthExceeded("tower constructions need an explicit check depth")
         return pair_depth + 1
 
     def solve_alpha(self, y: GradedElement, tol: Tolerance = DEFAULT_TOL) -> GradedElement:
+        """The shift inverted on its range: the partial trace of y over the
+        first factor, divided by k, is the x with 1 (x) x closest to y."""
         if y.depth == 0:
             raise DepthZero("cannot invert the shift below depth 1")
-        m = self.alpha_coord_matrix(y.depth - 1)
-        rhs = y.coords
-        sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-        off = np.linalg.norm(m @ sol - rhs)
-        if off > tol.residual_tol * (1.0 + np.linalg.norm(rhs)):
+        k = self.tower.k
+        n = self.tower.stage_dim(y.depth - 1)
+        x = np.trace(y.mat.reshape(k, n, k, n), axis1=0, axis2=2) / k
+        off = np.linalg.norm(eye_kron(k, x) - y.mat)
+        if off > tol.residual_tol * (1.0 + np.linalg.norm(y.mat)):
             raise RangeNotInImage(f"element misses the image of the shift by {off:.3e}")
-        return self.element_from_coords(sol, y.depth - 1)
+        return GradedElement(self.tower, y.depth - 1, x)
 
     def transfer_check_data(self, tau, depth: int):
         if not isinstance(tau, TowerTransfer):

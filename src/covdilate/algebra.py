@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
                      ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
                        block_diag, block_offsets, kron_eye, orthonormal_span,
-                       residual, spectral_norm)
+                       residual, spectral_norm, stack_images)
 from .report import ClauseReport, clause
 
 
@@ -65,6 +65,20 @@ class FiniteDimCStarAlgebra:
             blocks.append(v[off:off + n * n].reshape(n, n))
         return AlgebraElement(self, tuple(blocks))
 
+    def split(self, coords) -> tuple[np.ndarray, ...]:
+        """Coordinate rows (m, dim) as one (m, n_b, n_b) stack per block."""
+        c = np.asarray(coords)
+        return tuple(c[:, off:off + n * n].reshape(len(c), n, n)
+                     for n, off in zip(self.block_sizes, self.block_offsets))
+
+    def join(self, blocks) -> np.ndarray:
+        """Inverse of :meth:`split`: per-block stacks back to coordinate rows."""
+        return np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+
+    def full_matrices(self, coords) -> np.ndarray:
+        """Coordinate rows as the (m, N, N) stack of block-diagonal matrices."""
+        return block_diag(self.split(coords))
+
     def unit(self) -> "AlgebraElement":
         return self.element([np.eye(n, dtype=complex) for n in self.block_sizes])
 
@@ -102,6 +116,9 @@ class AlgebraElement:
 
     algebra: FiniteDimCStarAlgebra
     blocks: tuple[np.ndarray, ...]
+
+    # finite algebras are not graded: every coordinate chunk has depth None
+    depth = None
 
     @property
     def coords(self) -> np.ndarray:
@@ -183,19 +200,12 @@ class StarHom:
         return StarHom(algebra, algebra, np.eye(algebra.dim, dtype=complex))
 
     @staticmethod
-    def from_images(source: FiniteDimCStarAlgebra, target: FiniteDimCStarAlgebra,
-                    images) -> "StarHom":
-        cols = [img.coords for img in images]
-        if len(cols) != source.dim:
-            raise ShapeMismatch("one image per basis element required")
-        return StarHom(source, target, np.column_stack(cols))
-
-    @staticmethod
     def inner_automorphism(u: AlgebraElement) -> "StarHom":
         """a -> u a u* for a (block-diagonal) unitary u."""
         alg = u.algebra
-        ustar = u.adjoint()
-        return StarHom.from_images(alg, alg, [u * b * ustar for b in alg.basis()])
+        units = alg.split(np.eye(alg.dim, dtype=complex))
+        images = alg.join([ub @ x @ ub.conj().T for ub, x in zip(u.blocks, units)])
+        return StarHom(alg, alg, images.T)
 
     @staticmethod
     def block_permutation(algebra: FiniteDimCStarAlgebra, perm) -> "StarHom":
@@ -206,24 +216,37 @@ class StarHom:
         for b, src in enumerate(perm):
             if algebra.block_sizes[b] != algebra.block_sizes[src]:
                 raise ShapeMismatch("permuted blocks must have equal sizes")
-        images = []
-        for x in algebra.basis():
-            images.append(algebra.element([x.blocks[perm[b]]
-                                           for b in range(len(algebra.block_sizes))]))
-        return StarHom.from_images(algebra, algebra, images)
+        units = algebra.split(np.eye(algebra.dim, dtype=complex))
+        return StarHom(algebra, algebra, algebra.join([units[src] for src in perm]).T)
 
 
 def verify_star_hom(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> "StarHomReport":
-    """Certify multiplicativity, star preservation and unitality on basis pairs."""
-    basis = h.source.basis()
-    images = [h(b) for b in basis]
-    (mult,) = basis_sweep(
-        ((bi, bj, hi, hj) for bi, hi in zip(basis, images) for bj, hj in zip(basis, images)),
-        lambda quad: quad,
-        lambda bi, bj, hi, hj: (h(bi * bj).full_matrix(), (hi * hj).full_matrix()))
-    (star,) = basis_sweep(zip(basis, images), lambda bh: bh,
-                          lambda b, hb: (h(b.adjoint()).full_matrix(),
-                                         hb.adjoint().full_matrix()))
+    """Certify multiplicativity, star preservation and unitality on basis pairs.
+
+    The pairs (b_i, b_j) run in chunks of index rows; both sides are formed
+    by batched block products of coordinate stacks.
+    """
+    src, dst = h.source, h.target
+    units = np.eye(src.dim, dtype=complex)
+    images = h.matrix.T  # row i: the coordinates of h(b_i)
+
+    def product(alg, left, right):
+        return alg.join([x @ y for x, y in zip(alg.split(left), alg.split(right))])
+
+    def pair_sides(ij):
+        i, j = ij[:, 0], ij[:, 1]
+        return (dst.full_matrices(product(src, units[i], units[j]) @ h.matrix.T),
+                dst.full_matrices(product(dst, images[i], images[j])))
+
+    def adjoint(alg, coords):
+        return alg.join([x.swapaxes(-1, -2).conj() for x in alg.split(coords)])
+
+    pairs = np.indices((src.dim, src.dim)).reshape(2, -1).T
+    (mult,) = basis_sweep(pairs, pair_sides, lambda lhs, rhs: (lhs, rhs))
+    (star,) = basis_sweep(
+        src.dim, lambda c: (c,),
+        lambda c: (dst.full_matrices(adjoint(src, c) @ h.matrix.T),
+                   dst.full_matrices(adjoint(dst, c @ h.matrix.T))))
     return StarHomReport(mult, star, unit_residual(h), tol.residual_tol)
 
 
@@ -350,8 +373,18 @@ def verify_state(omega: State, tol: Tolerance = DEFAULT_TOL) -> tuple[float, flo
     return float(unit_res), low
 
 
+class ChunkRep:
+    """What every representation shares: ``images(coords, depth)`` maps an
+    (m, n) array of coordinate rows at basis depth ``depth`` (None on finite
+    algebras) to the (m, dim, dim) stack of their images, and rep(x) is its
+    one-row case."""
+
+    def __call__(self, x) -> np.ndarray:
+        return self.images(x.coords[None], x.depth)[0]
+
+
 @dataclass(frozen=True, eq=False)
-class Representation:
+class Representation(ChunkRep):
     """Unital *-homomorphism of an algebra into B(C^space_dim)."""
 
     algebra: FiniteDimCStarAlgebra
@@ -365,19 +398,24 @@ class Representation:
     def dim(self) -> int:
         return self.space_dim
 
-    def __call__(self, x: AlgebraElement) -> np.ndarray:
-        return self.hom(x).blocks[0]
+    def images(self, coords, depth=None) -> np.ndarray:
+        d = self.space_dim
+        return (np.asarray(coords) @ self.hom.matrix.T).reshape(len(coords), d, d)
 
     def verify(self, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
         return verify_star_hom(self.hom, tol)
 
     @staticmethod
     def from_images(algebra: FiniteDimCStarAlgebra, images) -> "Representation":
+        """From the images of the basis, a sequence or (dim, d, d) stack."""
         mats = [as_matrix(m) for m in images]
         d = mats[0].shape[0]
-        target = operator_algebra(d)
-        hom = StarHom.from_images(algebra, target, [target.element([m]) for m in mats])
-        return Representation(algebra, d, hom)
+        if any(m.shape != (d, d) for m in mats):
+            raise ShapeMismatch(f"images must all be {d} x {d}")
+        if len(mats) != algebra.dim:
+            raise ShapeMismatch("one image per basis element required")
+        coords = np.stack(mats).reshape(len(mats), d * d)
+        return Representation(algebra, d, StarHom(algebra, operator_algebra(d), coords.T))
 
     @staticmethod
     def from_multiplicities(algebra: FiniteDimCStarAlgebra, multiplicities,
@@ -392,8 +430,9 @@ class Representation:
         u = np.eye(d, dtype=complex) if unitary is None else as_matrix(unitary)
         if u.shape != (d, d):
             raise ShapeMismatch(f"basis unitary must be {d} x {d}")
-        images = [u @ block_diag([kron_eye(blk, m) for blk, m in zip(x.blocks, mults) if m])
-                  @ u.conj().T for x in algebra.basis()]
+        units = algebra.split(np.eye(algebra.dim, dtype=complex))
+        images = u @ block_diag([kron_eye(blk, m) for blk, m in zip(units, mults) if m]) \
+            @ u.conj().T
         return Representation.from_images(algebra, images)
 
 
@@ -428,10 +467,10 @@ def gns(algebra: FiniteDimCStarAlgebra, omega: State,
         raise NotState(f"omega fails the Choi checks: {exc}") from exc
     rep = Representation.from_multiplicities(algebra, dil.multiplicities)
     cyclic = dil.isometry[:, 0]
-    basis = algebra.basis()
-    orbit = [rep(a) @ cyclic for a in basis]
-    vec_res = max(abs(np.vdot(cyclic, x) - omega(a)) for x, a in zip(orbit, basis))
-    span, span_rank = orthonormal_span(np.column_stack(orbit), tol)
+    orbit = stack_images(algebra.dim, rep.images, cyclic[:, None])
+    # <rho(b_i) xi, xi> against omega(b_i), the i-th coordinate of omega
+    vec_res = np.max(np.abs(cyclic.conj() @ orbit - omega.vector))
+    _, span_rank = orthonormal_span(orbit, tol)
     return GnsData(rep, cyclic, dil.dim, float(vec_res), span_rank)
 
 
@@ -446,7 +485,7 @@ def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
 
 def cyclic_decomposition(pi: Representation, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Split the space of pi into mutually orthogonal cyclic invariant subspaces."""
-    images = [pi(b) for b in pi.algebra.basis()]
+    images = stack_images(pi.algebra.dim, pi.images)
     return [basis for _, basis in cyclic_summands(images, pi.space_dim, tol)]
 
 
@@ -454,8 +493,9 @@ def cyclic_summands(images, space_dim: int,
                     tol: Tolerance = DEFAULT_TOL) -> list[tuple[np.ndarray, np.ndarray]]:
     """Greedy cyclic decomposition returning (cyclic vector, subspace basis) pairs.
 
-    Takes the first standard basis vector not yet covered and closes its
-    residual under the algebra action; the orthocomplement of an invariant
+    ``images`` is the (N, d, d) stack of the images of the basis.  Takes
+    the first standard basis vector not yet covered and closes its residual
+    under the algebra action; the orthocomplement of an invariant
     subspace is invariant, so summands stay orthogonal.
     """
     summands: list[tuple[np.ndarray, np.ndarray]] = []
@@ -467,8 +507,7 @@ def cyclic_summands(images, space_dim: int,
         if np.linalg.norm(r) <= 1e3 * tol.rank_eps:
             continue
         r = r / np.linalg.norm(r)
-        cols = np.column_stack([m @ r for m in images])
-        basis, _ = orthonormal_span(cols, tol)
+        basis, _ = orthonormal_span((images @ r).T, tol)
         summands.append((r, basis))
         covered = np.column_stack([covered, basis])
         if covered.shape[1] >= space_dim:

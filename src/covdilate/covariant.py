@@ -14,9 +14,12 @@ isometric extension step (a larger representation ``rho`` and an isometry
 Both strategies build their dilations with the Choi/Kraus kernel of
 :mod:`covdilate.cpmaps`.  Both backends (finite-dimensional algebras and the
 graded tensor tower) drive the same engine through a small system protocol:
-``basis(depth)``, ``alpha_apply``, ``coords``, ``blocks`` and friends.
-Finite systems ignore every ``depth`` argument; the tower consumes one depth
-unit per application of the dynamics.
+``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``, ``coord_blocks``
+and friends.  The engine evaluates on coordinate rows: a chunk of algebra
+elements is an (m, n) array at one basis depth, and a chunk of the basis is
+a row slice of the identity.  Finite systems ignore every ``depth``
+argument; the tower consumes one depth unit per application of the
+dynamics.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (FiniteDimCStarAlgebra, StarHom, cyclic_summands,
-                      unit_residual)
+from .algebra import (ChunkRep, FiniteDimCStarAlgebra, StarHom,
+                      cyclic_summands, unit_residual)
 from .cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
                      range_defect, unit_image_chois, verify_completely_positive,
                      verify_transfer)
@@ -35,8 +38,9 @@ from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
-                       block_diag, orthonormal_complement, orthonormal_span,
-                       psd_sqrt, residual, spectral_norm)
+                       block_diag, kron_eye, orthonormal_complement,
+                       orthonormal_span, psd_sqrt, residual, spectral_norm,
+                       stack_images)
 from .report import ClauseReport, clause
 
 
@@ -62,16 +66,24 @@ class FiniteDimSystem:
     def basis(self, depth=None):
         return self.algebra.basis()
 
+    def basis_size(self, depth=None) -> int:
+        return self.algebra.dim
+
     def unit(self, depth=None):
         return self.algebra.unit()
 
     def algebra_view(self, depth=None) -> FiniteDimCStarAlgebra:
         return self.algebra
 
-    def alpha_apply(self, x, n: int = 1):
+    def alpha_coords(self, coords, depth=None, n: int = 1):
+        """alpha^n on coordinate rows, with the depth of the result (None)."""
         for _ in range(n):
-            x = self.alpha(x)
-        return x
+            coords = coords @ self.alpha.matrix.T
+        return coords, None
+
+    def alpha_apply(self, x, n: int = 1):
+        coords, _ = self.alpha_coords(x.coords[None], None, n)
+        return self.algebra.from_coords(coords[0])
 
     def coords(self, x, depth=None) -> np.ndarray:
         return x.coords
@@ -79,8 +91,9 @@ class FiniteDimSystem:
     def element_from_coords(self, coords, depth=None):
         return self.algebra.from_coords(coords)
 
-    def blocks(self, x, depth=None) -> tuple:
-        return x.blocks
+    def coord_blocks(self, coords, depth=None, at=None) -> tuple:
+        """Coordinate rows as one (m, n_b, n_b) stack per block."""
+        return self.algebra.split(coords)
 
     def stinespring_depth(self, pair_depth):
         return None
@@ -107,11 +120,18 @@ class FiniteDimSystem:
 
 
 # ---------------------------------------------------------------------------
-# representation combinators (shared protocol: dim, max_depth, __call__)
+# representation combinators
+#
+# Every representation offers ``dim``, ``max_depth`` (the deepest basis
+# depth it accepts, None when unbounded) and ``images(coords, depth)``, the
+# (m, dim, dim) stack of its values on m coordinate rows at one basis depth;
+# rep(x) is the one-row case (:class:`~covdilate.algebra.ChunkRep`).
+# Combinators act on whole stacks, so a chunk of the basis is evaluated by
+# one batched linear map per layer instead of one call per element.
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class RestrictedRep:
+class RestrictedRep(ChunkRep):
     inner: object
     basis: np.ndarray  # ambient_dim x dim, orthonormal columns
 
@@ -123,12 +143,12 @@ class RestrictedRep:
     def max_depth(self):
         return self.inner.max_depth
 
-    def __call__(self, x) -> np.ndarray:
-        return self.basis.conj().T @ self.inner(x) @ self.basis
+    def images(self, coords, depth) -> np.ndarray:
+        return self.basis.conj().T @ self.inner.images(coords, depth) @ self.basis
 
 
 @dataclass(eq=False)
-class ShiftedRep:
+class ShiftedRep(ChunkRep):
     """x -> inner(alpha^n(x)); consumes n depth units on the tower."""
 
     inner: object
@@ -144,12 +164,12 @@ class ShiftedRep:
         md = self.inner.max_depth
         return None if md is None else md - self.shifts
 
-    def __call__(self, x) -> np.ndarray:
-        return self.inner(self.system.alpha_apply(x, self.shifts))
+    def images(self, coords, depth) -> np.ndarray:
+        return self.inner.images(*self.system.alpha_coords(coords, depth, self.shifts))
 
 
 @dataclass(eq=False)
-class DirectSumRep:
+class DirectSumRep(ChunkRep):
     parts: tuple
 
     @property
@@ -161,17 +181,23 @@ class DirectSumRep:
         depths = [p.max_depth for p in self.parts if p.max_depth is not None]
         return min(depths) if depths else None
 
-    def __call__(self, x) -> np.ndarray:
-        return block_diag([p(x) for p in self.parts])
+    def images(self, coords, depth) -> np.ndarray:
+        out = np.zeros((len(coords), self.dim, self.dim), dtype=complex)
+        o = 0
+        for p in self.parts:
+            out[:, o:o + p.dim, o:o + p.dim] = p.images(coords, depth)
+            o += p.dim
+        return out
 
 
 @dataclass(eq=False)
-class QuotientRep:
+class QuotientRep(ChunkRep):
     """Left multiplication on a Gram-form quotient of (algebra basis) x C^h.
 
     Reference route only: the extension steps build :class:`KrausRep`, and
-    the differential tests certify the two unitarily equivalent.  ``system``
-    must provide ``left_mult(x, depth)``, the coordinate matrix of a -> x a.
+    the differential tests certify the two unitarily equivalent.  Left
+    multiplication by x on coordinates is directsum_b x_b (x) I_{n_b}, built
+    from ``system.coord_blocks``.
     """
 
     system: object
@@ -189,11 +215,14 @@ class QuotientRep:
     def max_depth(self):
         return self.depth
 
-    def __call__(self, x) -> np.ndarray:
-        lm = self.system.left_mult(x, self.depth)
-        t = self.lift.reshape(self.n, self.h, self.dim)
-        out = np.einsum("mn,nhr->mhr", lm, t).reshape(self.n * self.h, self.dim)
-        return self.cmap @ out
+    def images(self, coords, depth) -> np.ndarray:
+        blocks = self.system.coord_blocks(coords, depth, self.depth)
+        left = block_diag([kron_eye(b, b.shape[-1]) for b in blocks])
+        out = left @ self.lift.reshape(self.n, self.h * self.dim)
+        return self.cmap @ out.reshape(len(coords), self.n * self.h, self.dim)
+
+    # in the class namespace, where perfbench/tracer.py looks it up by name
+    __call__ = ChunkRep.__call__
 
 
 def usable_depth(system, reps, shifts: int, requested: Optional[int]) -> Optional[int]:
@@ -212,9 +241,23 @@ def usable_depth(system, reps, shifts: int, requested: Optional[int]) -> Optiona
     return d
 
 
-def rep_and_shifted(system, rep):
-    """a -> (rep(a), rep(alpha(a))), the images most clauses share."""
-    return lambda a: (rep(a), rep(system.alpha_apply(a)))
+def rep_and_shifted(system, rep, depth):
+    """Coordinate rows c at ``depth`` -> (rep(c), rep(alpha(c))), the image
+    stacks most clauses share."""
+    return lambda c: (rep.images(c, depth), rep.images(*system.alpha_coords(c, depth)))
+
+
+def basis_images(system, rep, depth, right=None) -> np.ndarray:
+    """rep on the basis at ``depth``: the (N, dim, dim) stack, or with
+    ``right`` the spanning set [rep(b_1) right, ..., rep(b_N) right]."""
+    return stack_images(system.basis_size(depth), lambda c: rep.images(c, depth), right)
+
+
+def transfer_images(system, rep, tau, depth) -> np.ndarray:
+    """rep(tau(b)) for every basis element b at ``depth``, as one stack."""
+    values = [tau(b) for b in system.basis(depth)]
+    coords = np.stack([y.coords for y in values])
+    return stack_images(coords, lambda c: rep.images(c, values[0].depth))
 
 
 def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
@@ -231,12 +274,13 @@ def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
     return lambda x: comp_h @ (x @ basis)
 
 
-def invariance_residual(elements, rep, basis, tol: Tolerance = DEFAULT_TOL) -> float:
-    """max over ``elements`` of ||(I - B B*) rep(a) B||, B orthonormal columns."""
+def invariance_residual(system, depth, rep, basis, tol: Tolerance = DEFAULT_TOL) -> float:
+    """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
+    orthonormal columns."""
     off = leaves_span(basis, tol)
     if off is None:
         return 0.0
-    (inv,) = basis_sweep(elements, lambda a: (rep(a),), off)
+    (inv,) = basis_sweep(system.basis_size(depth), lambda c: (rep.images(c, depth),), off)
     return inv
 
 
@@ -305,7 +349,8 @@ def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> floa
             raise DepthExceeded("covariance check needs depth + 1 <= d_max")
     d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
     t = pair.contraction
-    (worst,) = basis_sweep(pair.system.basis(d), rep_and_shifted(pair.system, pair.rep),
+    (worst,) = basis_sweep(pair.system.basis_size(d),
+                           rep_and_shifted(pair.system, pair.rep, d),
                            lambda pa, paa: (t @ paa, pa @ t))
     return worst
 
@@ -342,7 +387,7 @@ def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> Defec
     delta, delta_star = defect_roots(pair, tol)
     d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
     comm, comm_alpha = basis_sweep(
-        pair.system.basis(d), rep_and_shifted(pair.system, pair.rep),
+        pair.system.basis_size(d), rep_and_shifted(pair.system, pair.rep, d),
         lambda pa, paa: (delta_star @ pa, pa @ delta_star),
         lambda pa, paa: (delta @ paa, paa @ delta))
     return DefectData(delta, delta_star, comm, comm_alpha)
@@ -454,7 +499,7 @@ class HBExtension:
     rho: object
     isometry: np.ndarray
     strategy_kind: str
-    phi: Callable                 # y -> pi(tau(y)), the CP map the step dilates
+    transfer: Callable            # tau; phi = base_rep o tau is the CP map the step dilates
     base_rep: object
     system: object
     check_depth: Optional[int]
@@ -468,6 +513,14 @@ class HBExtension:
     @property
     def space_dim(self) -> int:
         return self.isometry.shape[1]
+
+    def phi(self, y) -> np.ndarray:
+        return self.base_rep(self.transfer(y))
+
+    def phi_units(self) -> np.ndarray:
+        """phi on the basis at the working depth, as one (N, h, h) stack."""
+        return transfer_images(self.system, self.base_rep, self.transfer,
+                               self.working_depth)
 
 
 def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL,
@@ -488,25 +541,21 @@ def extend_representation(system, rep, strategy, check_depth,
     if system.is_tower and working > system.d_max:
         raise DepthExceeded(f"working depth {working} exceeds d_max {system.d_max}")
     tau = resolve_transfer(system, strategy, tol)
-
-    def phi(y):
-        return rep(tau(y))
-
     if isinstance(strategy, AdaptedStrategy):
-        rho, w = _stinespring_step(system, rep, phi, working, tol, rng)
+        rho, w = _stinespring_step(system, rep, tau, working, tol, rng)
     elif isinstance(strategy, GnsStrategy):
-        rho, w = _gns_step(system, rep, phi, check_depth, working, tol, rng)
+        rho, w = _gns_step(system, rep, tau, check_depth, working, tol, rng)
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
     rep_report = _certify_step(system, rep, rho, w, check_depth, tol)
-    return HBExtension(rho, w, strategy.kind, phi, rep, system,
+    return HBExtension(rho, w, strategy.kind, tau, rep, system,
                        check_depth, working, rep_report)
 
 
-def _stinespring_step(system, rep, phi, working, tol, rng):
+def _stinespring_step(system, rep, tau, working, tol, rng):
     view = system.algebra_view(working)
-    phi_units = [phi(b) for b in system.basis(working)]
+    phi_units = transfer_images(system, rep, tau, working)
     dil = kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
     return _kraus_rep(system, working, dil, rng)
 
@@ -520,24 +569,21 @@ def _kraus_rep(system, working, dil, rng):
     return KrausRep(system, working, dil, q), q @ dil.isometry
 
 
-def _gns_step(system, rep, phi, check_depth, working, tol, rng):
+def _gns_step(system, rep, tau, check_depth, working, tol, rng):
     view = system.algebra_view(working)
-    span_basis = system.basis(check_depth)
-    images = [rep(b) for b in span_basis]
+    images = basis_images(system, rep, check_depth)
     summands = cyclic_summands(images, rep.dim, tol)
-    phi_units = [phi(b) for b in system.basis(working)] if summands else []
-    shifted_basis = [system.alpha_apply(a) for a in span_basis]
+    phi_units = transfer_images(system, rep, tau, working) if summands else None
     parts = []
     w_rows = []
     for xi, _ in summands:
         if np.linalg.norm(xi) < tol.rank_eps:
             raise NullCyclicVector("cyclic vector collapsed")
-        omega_units = [np.vdot(xi, p @ xi) for p in phi_units]
+        omega_units = (phi_units @ xi) @ xi.conj()
         dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
         rho_s, w_s = _kraus_rep(system, working, dil, rng)
-        cyc = w_s[:, 0]
-        x1 = np.column_stack([img @ xi for img in images])
-        x2 = np.column_stack([rho_s(aa) @ cyc for aa in shifted_basis])
+        x1 = (images @ xi).T
+        x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, w_s[:, :1])
         w_rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))
         parts.append(rho_s)
     rho = DirectSumRep(tuple(parts))
@@ -550,12 +596,12 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
     iso = residual(w.conj().T @ w, np.eye(rep.dim))
     ww = w @ w.conj().T
     ext, comm = basis_sweep(
-        system.basis(d), lambda a: (rho(system.alpha_apply(a)), rep(a)),
+        system.basis_size(d),
+        lambda c: (rho.images(*system.alpha_coords(c, d)), rep.images(c, d)),
         lambda ra, pa: (w.conj().T @ ra @ w, pa),
         lambda ra, pa: (ww @ ra, ra @ ww))
     span_depth = rho.max_depth if system.is_tower else None
-    cols = [rho(a) @ w for a in system.basis(span_depth)]
-    _, rank = orthonormal_span(np.hstack(cols), tol)
+    _, rank = orthonormal_span(basis_images(system, rho, span_depth, w), tol)
     return HBReport(float(ext), float(iso), float(comm), rho.dim, rank,
                     tol.residual_tol)
 
@@ -582,12 +628,12 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     w = ext.isometry
     seed_cols = w @ delta_star
     span_depth = ext.rho.max_depth if pair.system.is_tower else None
-    cols = [ext.rho(a) @ seed_cols for a in pair.system.basis(span_depth)]
-    basis, rank = orthonormal_span(np.hstack(cols) if cols else seed_cols, tol)
+    basis, rank = orthonormal_span(
+        basis_images(pair.system, ext.rho, span_depth, seed_cols), tol)
     if rng is not None and rank:
         basis = basis @ haar_unitary(rank, rng)
 
-    inv = invariance_residual(pair.system.basis(span_depth), ext.rho, basis, tol)
+    inv = invariance_residual(pair.system, span_depth, ext.rho, basis, tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
 
@@ -607,7 +653,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
                    residual(block @ block.conj().T @ block, block), tol.residual_tol))
     d = usable_depth(pair.system, [pair.rep, pi_hat], 1, pair.depth)
     sigma = DirectSumRep((pair.rep, pi_hat))
-    (cov,) = basis_sweep(pair.system.basis(d), rep_and_shifted(pair.system, sigma),
+    (cov,) = basis_sweep(pair.system.basis_size(d), rep_and_shifted(pair.system, sigma, d),
                          lambda sa, saa: (block @ saa, sa @ block))
     rep.add(clause("two-step/covariance", "M diag(pi, pi^)(alpha(a)) = diag(pi, pi^)(a) M",
                    cov, tol.residual_tol))

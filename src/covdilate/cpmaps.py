@@ -19,13 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (AlgebraElement, FiniteDimCStarAlgebra, Representation,
-                      StarHom, operator_algebra, range_subalgebra_basis,
-                      unit_residual)
+from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
+                      Representation, StarHom, operator_algebra,
+                      range_subalgebra_basis, unit_residual)
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       basis_sweep, orthonormal_span, residual, spectral_norm)
+                       basis_sweep, orthonormal_span, residual, spectral_norm,
+                       stack_images)
 from .report import ClauseReport, clause
 
 
@@ -77,7 +78,7 @@ def compose_rep(pi: Representation, tau: CPMap) -> CPMap:
 
 def choi_blocks(phi: CPMap) -> list[np.ndarray]:
     """One Choi-type matrix [phi(e_pq)]_{pq} per source block."""
-    images = [phi(b).full_matrix() for b in phi.source.basis()]
+    images = phi.target.full_matrices(phi.matrix.T)
     return unit_image_chois(phi.source, images, sum(phi.target.block_sizes))
 
 
@@ -86,8 +87,8 @@ def unit_image_chois(source: FiniteDimCStarAlgebra, unit_images,
     """Choi blocks [phi(e_pq)]_{pq} from the images of the matrix units.
 
     ``unit_images[i]`` is the ``inner_dim x inner_dim`` matrix phi(b_i) (a
-    scalar when ``inner_dim`` is 1); row and column index (p, s) of block b
-    is ``p * inner_dim + s``.
+    scalar when ``inner_dim`` is 1), as a sequence or one stack; row and
+    column index (p, s) of block b is ``p * inner_dim + s``.
     """
     h = inner_dim
     out = []
@@ -154,16 +155,19 @@ def verify_transfer(tau: CPMap, alpha: StarHom,
     if alpha.source.block_sizes != tau.target.block_sizes \
             or alpha.target.block_sizes != tau.source.block_sizes:
         raise ShapeMismatch("tau and alpha are not composable both ways")
-    (left,) = basis_sweep(alpha.source.basis(), lambda a: (a,),
-                          lambda a: (tau(alpha(a)).full_matrix(), a.full_matrix()))
+    (left,) = basis_sweep(
+        alpha.source.dim, lambda c: (c,),
+        lambda c: (tau.target.full_matrices(c @ alpha.matrix.T @ tau.matrix.T),
+                   alpha.source.full_matrices(c)))
     cp = verify_completely_positive(tau, tol)
     return TransferReport(float(left), float(unit_residual(tau)), cp, tol.residual_tol)
 
 
 def idempotency_residual(e: CPMap) -> float:
     """max over the basis of residual(E(E(a)), E(a))."""
-    (idem,) = basis_sweep(e.source.basis(), lambda a: (e(a),),
-                          lambda ea: (e(ea).full_matrix(), ea.full_matrix()))
+    (idem,) = basis_sweep(e.source.dim, lambda c: (c @ e.matrix.T,),
+                          lambda ec: (e.target.full_matrices(ec @ e.matrix.T),
+                                      e.target.full_matrices(ec)))
     return idem
 
 
@@ -282,12 +286,12 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
 
 
 @dataclass(eq=False)
-class KrausRep:
+class KrausRep(ChunkRep):
     """rho(x) = Q (directsum_b x_b x I_{r_b}) Q* on a Kraus dilation space.
 
-    ``system.blocks(x, depth)`` gives the blocks of x in the dilated algebra
-    (``depth`` is None on finite systems); ``rotation`` is the optional basis
-    unitary Q.
+    ``system.coord_blocks(coords, depth, self.depth)`` gives the block stacks
+    of the coordinate rows in the dilated algebra (``depth`` is None on
+    finite systems); ``rotation`` is the optional basis unitary Q.
     """
 
     system: object
@@ -303,20 +307,23 @@ class KrausRep:
     def max_depth(self):
         return self.depth
 
-    def __call__(self, x) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+    def images(self, coords, depth) -> np.ndarray:
+        m = len(coords)
+        out = np.zeros((m, self.dim, self.dim), dtype=complex)
         o = 0
-        for b, r in zip(self.system.blocks(x, self.depth), self.dilation.multiplicities):
-            n = b.shape[0]
-            # the diagonal block of x_b (x) I_r, viewed as (n, r, n, r): a view,
-            # since reshaping only splits axes
-            block = out[o:o + n * r, o:o + n * r].reshape(n, r, n, r)
+        for b, r in zip(self.system.coord_blocks(coords, depth, self.depth),
+                        self.dilation.multiplicities):
+            n = b.shape[-1]
+            # the diagonal block of x_b (x) I_r, viewed as (m, n, r, n, r): a
+            # view, since reshaping only splits axes
+            block = out[:, o:o + n * r, o:o + n * r].reshape(m, n, r, n, r)
             idx = np.arange(r)
-            block[:, idx, :, idx] = b
+            block[:, :, idx, :, idx] = b
             o += n * r
         if self.rotation is None:
             return out
-        return self.rotation @ out @ self.rotation.conj().T
+        rotated = np.matmul(self.rotation, out)
+        return np.matmul(rotated, self.rotation.conj().T, out=out)
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,
@@ -384,8 +391,9 @@ def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
     rank = dil.dim
 
     iso_res = residual(w.conj().T @ w, np.eye(h))
-    (dil_res,) = basis_sweep(src.basis(), lambda a: (a,),
-                             lambda a: (w.conj().T @ rho(a) @ w, phi(a).blocks[0]))
-    span_cols = np.column_stack([rho(a) @ w for a in src.basis()]) if rank else w
+    (dil_res,) = basis_sweep(src.dim, lambda c: (c,),
+                             lambda c: (w.conj().T @ rho.images(c) @ w,
+                                        (c @ phi.matrix.T).reshape(len(c), h, h)))
+    span_cols = stack_images(src.dim, rho.images, w) if rank else w
     _, span_rank = orthonormal_span(span_cols, tol)
     return StinespringData(rho, w, rank, float(iso_res), float(dil_res), span_rank)

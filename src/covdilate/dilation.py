@@ -139,7 +139,7 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    (cov,) = basis_sweep(system.basis(d), rep_and_shifted(system, rec.eta),
+    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
                          lambda ea, eaa: (rec.w @ eaa, ea @ rec.w))
     rep.add(clause("dilation/covariance", "W eta(alpha(a)) = eta(a) W",
                    cov, tol.residual_tol))
@@ -151,8 +151,8 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
         inv = 0.0
         for n in range(1, rec.copies + 1):
             dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-            inv = max(inv, invariance_residual(system.basis(dd),
-                                               ShiftedRep(pair.rep, system, n), bd, tol))
+            inv = max(inv, invariance_residual(system, dd, ShiftedRep(pair.rep, system, n),
+                                               bd, tol))
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))
@@ -357,7 +357,7 @@ def _matricial_clauses(rec: DilationRecord, dd,
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    (cov,) = basis_sweep(system.basis(d), rep_and_shifted(system, rec.eta),
+    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
                          lambda ea, eaa: (u @ eaa, ea @ u))
     rep.add(clause("matricial/covariance", "U sigma(alpha(a)) = sigma(a) U",
                    cov, tol.residual_tol))

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import HBExtension, usable_depth
+from .covariant import HBExtension, basis_images, usable_depth
 from .cpmaps import unit_image_chois
 from .dilation import DilationRecord, power_orbit
 from .errors import LevelMismatch, SpanDeficient
@@ -108,32 +108,35 @@ def _unitarity(u) -> dict:
             "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]))}
 
 
-def _intertwined(elements, rep1, rep2, u) -> float:
-    """max over ``elements`` of residual(u rep1(a), rep2(a) u)."""
-    (rel,) = basis_sweep(elements, lambda a: (rep1(a), rep2(a)),
+def _intertwined(system, depth, rep1, rep2, u) -> float:
+    """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u)."""
+    (rel,) = basis_sweep(system.basis_size(depth),
+                         lambda c: (rep1.images(c, depth), rep2.images(c, depth)),
                          lambda r1, r2: (u @ r1, r2 @ u))
     return rel
 
 
-def _gram_mismatch_witness(system, depth, phi_a, phi_b, h: int, level: int,
+def _gram_mismatch_witness(view, depth, units_a, units_b, h: int, level: int,
                            tol: Tolerance) -> tuple[float, Optional[GramWitness]]:
-    """Largest entrywise gap between the reference Gram forms of two maps.
+    """Largest entrywise gap between the reference Gram forms of two maps,
+    given by their (N, h, h) stacks of unit images on the algebra ``view``.
 
     The Gram form over (matrix units) x H is n_b copies of each Choi block,
-    so the Choi blocks of the unit images are compared instead; the first
-    largest Gram entry lies in the copy of row-block p = 0, whose basis
-    element E_{0 qi} has index offset_b + qi.
+    so the Choi blocks are compared instead.  The witness is the first entry,
+    block-major then row-major, within 4 eps of the largest gap, so that
+    exact ties are not ordered by round-off; in the Gram form that entry lies
+    in the copy of row-block p = 0, whose basis element E_{0 qi} has index
+    offset_b + qi.
     """
-    view = system.algebra_view(depth)
-    basis = system.basis(depth)
-    chois_a = unit_image_chois(view, [phi_a(b) for b in basis], h)
-    chois_b = unit_image_chois(view, [phi_b(b) for b in basis], h)
+    chois_a = unit_image_chois(view, units_a, h)
+    chois_b = unit_image_chois(view, units_b, h)
     diffs = [np.abs(ca - cb) for ca, cb in zip(chois_a, chois_b)]
     mismatch = max([float(d.max()) for d in diffs if d.size] + [0.0])
     if mismatch <= WITNESS_FACTOR * tol.residual_tol:
         return mismatch, None
-    blk = next(b for b, d in enumerate(diffs) if d.size and d.max() == mismatch)
-    i, j = np.unravel_index(int(np.argmax(diffs[blk])), diffs[blk].shape)
+    near = mismatch * (1.0 - 4.0 * np.finfo(float).eps)
+    blk = next(b for b, d in enumerate(diffs) if d.size and d.max() >= near)
+    i, j = np.unravel_index(int(np.argmax(diffs[blk] >= near)), diffs[blk].shape)
     qi, p = divmod(int(i), h)
     qj, q = divmod(int(j), h)
     off = view.block_offsets[blk]
@@ -160,15 +163,15 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
     if ext2.working_depth != depth:
         raise LevelMismatch("extensions at different working depths")
 
-    mismatch, witness = _gram_mismatch_witness(system, depth, ext1.phi, ext2.phi,
+    mismatch, witness = _gram_mismatch_witness(system.algebra_view(depth), depth,
+                                               ext1.phi_units(), ext2.phi_units(),
                                                ext1.space_dim, 0, tol)
     if witness is not None:
         return EquivalenceCertificate("inequivalent", threshold,
                                       {"gram_mismatch": mismatch}, None, witness)
 
-    basis = system.basis(depth)
-    x1 = np.hstack([ext1.rho(a) @ ext1.isometry for a in basis])
-    x2 = np.hstack([ext2.rho(a) @ ext2.isometry for a in basis])
+    x1 = basis_images(system, ext1.rho, depth, ext1.isometry)
+    x2 = basis_images(system, ext2.rho, depth, ext2.isometry)
     for x, dim in ((x1, ext1.dilation_dim), (x2, ext2.dilation_dim)):
         _require_span(x, dim, tol, "span rank {rank} below dilation dimension {dim}")
     if ext1.dilation_dim != ext2.dilation_dim:
@@ -179,7 +182,8 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
     u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
     residuals = {"gram_mismatch": mismatch, **_unitarity(u),
                  "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry)}
-    residuals["representation_intertwined"] = _intertwined(basis, ext1.rho, ext2.rho, u)
+    residuals["representation_intertwined"] = _intertwined(system, depth, ext1.rho,
+                                                           ext2.rho, u)
     return _verdict(residuals, threshold, u)
 
 
@@ -208,20 +212,18 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         lv1, lv2 = chain1.levels[k], chain2.levels[k]
         depth = lv1.ext.working_depth
         h_prev = lv1.ext.space_dim
-
-        def phi2_twisted(b, _lv2=lv2, _u=u_prev):
-            return _u.conj().T @ _lv2.ext.phi(b) @ _u
-
-        mismatch, witness = _gram_mismatch_witness(system, depth, lv1.ext.phi,
-                                                   phi2_twisted, h_prev, k, tol)
+        # the second chain's map in the coordinates of the first, through u_prev
+        units2 = u_prev.conj().T @ lv2.ext.phi_units() @ u_prev
+        mismatch, witness = _gram_mismatch_witness(system.algebra_view(depth), depth,
+                                                   lv1.ext.phi_units(), units2,
+                                                   h_prev, k, tol)
         if witness is not None:
             note = "" if k == 0 else f"levels below {k} already intertwined"
             return EquivalenceCertificate("inequivalent", threshold,
                                           {f"level{k}_gram_mismatch": mismatch},
                                           None, witness, note)
-        basis = system.basis(depth)
-        x1 = np.hstack([lv1.ext.rho(a) @ lv1.ext.isometry for a in basis])
-        x2 = np.hstack([lv2.ext.rho(a) @ lv2.ext.isometry @ u_prev for a in basis])
+        x1 = basis_images(system, lv1.ext.rho, depth, lv1.ext.isometry)
+        x2 = basis_images(system, lv2.ext.rho, depth, lv2.ext.isometry @ u_prev)
         _require_span(x1, lv1.ext.dilation_dim, tol, f"level {k} span deficient")
         u_k = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
         u_def = lv2.defect_basis.conj().T @ u_k @ lv1.defect_basis
@@ -236,7 +238,7 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         u[:p1.space_dim, :p1.space_dim] - np.eye(p1.space_dim))
     residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u)
     d = usable_depth(system, [chain1.rho, chain2.rho], 0, p1.depth)
-    residuals["representation_intertwined"] = _intertwined(system.basis(d), chain1.rho,
+    residuals["representation_intertwined"] = _intertwined(system, d, chain1.rho,
                                                            chain2.rho, u)
     return _verdict(residuals, threshold, u)
 
@@ -272,6 +274,6 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
                  "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u)}
     system = s1.system
     d = usable_depth(system, [rec1.eta, rec2.eta], 0, s1.depth)
-    residuals["representation_intertwined"] = _intertwined(system.basis(d), rec1.eta,
+    residuals["representation_intertwined"] = _intertwined(system, d, rec1.eta,
                                                            rec2.eta, u)
     return _verdict(residuals, threshold, u)

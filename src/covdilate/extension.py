@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, HBExtension,
-                        RestrictedRep, ShiftedRep, extend_representation,
-                        defect_roots, haar_unitary, invariance_residual,
-                        leaves_span, two_step, usable_depth, verify_strategy)
+                        RestrictedRep, ShiftedRep, basis_images,
+                        defect_roots, extend_representation, haar_unitary,
+                        invariance_residual, leaves_span, two_step,
+                        usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
@@ -131,11 +132,10 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
                                     pair.depth, tol, rng)
         w = ext.isometry
         span_depth = ext.rho.max_depth if system.is_tower else None
-        cols = [ext.rho(a) @ w for a in system.basis(span_depth)]
-        basis, rank = orthonormal_span(np.hstack(cols) if cols else w, tol)
+        basis, rank = orthonormal_span(basis_images(system, ext.rho, span_depth, w), tol)
         if rng is not None and rank:
             basis = basis @ haar_unitary(rank, rng)
-        inv = invariance_residual(system.basis(span_depth), ext.rho, basis, tol)
+        inv = invariance_residual(system, span_depth, ext.rho, basis, tol)
         if inv > tol.residual_tol:
             raise InvarianceViolation(f"level {k} defect space drifts by {inv:.3e}")
         embed_res = spectral_norm(w - basis @ (basis.conj().T @ w))
@@ -144,7 +144,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
         # how far the full algebra action moves the embedded previous defect:
         # only alpha(A) is guaranteed to preserve it
         check_d = usable_depth(system, [ext.rho], 0, pair.depth)
-        containment = invariance_residual(system.basis(check_d), ext.rho, w, tol)
+        containment = invariance_residual(system, check_d, ext.rho, w, tol)
         levels.append(ChainLevel(ext, basis, d_star, pi_hat, float(embed_res),
                                  float(containment)))
 
@@ -180,15 +180,16 @@ def verify_coisometric_extension(chain: ExtensionChain,
     d = usable_depth(system, [pair.rep, chain.rho], 1, pair.depth)
 
     def in_h(m):
-        # an operator on H as a map H -> chain space landing in H
-        col = np.zeros((chain.total_dim, h), dtype=complex)
-        col[:h, :] = m
+        # operators on H as maps H -> chain space landing in H
+        col = np.zeros(m.shape[:-2] + (chain.total_dim, h), dtype=complex)
+        col[..., :h, :] = m
         return col
 
     restr, cov = basis_sweep(
-        system.basis(d),
-        lambda a: (chain.rho(a), chain.rho(system.alpha_apply(a)), pair.rep(a)),
-        lambda ra, raa, pa: (ra[:, :h], in_h(pa)),
+        system.basis_size(d),
+        lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
+                   pair.rep.images(c, d)),
+        lambda ra, raa, pa: (ra[..., :h], in_h(pa)),
         lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v))
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
@@ -308,15 +309,15 @@ def defect_decomposition(chain: ExtensionChain,
         # rho1 must agree with the block-diagonal compressions onto the
         # summands; rho(alpha(a)) carries pi(alpha(a)) and each level's
         # pi_hat(alpha(a)) as its diagonal blocks
-        parts = [delta_h_basis.conj().T @ x[:h, :h] @ delta_h_basis]
+        parts = [delta_h_basis.conj().T @ x[..., :h, :h] @ delta_h_basis]
         for k, q in enumerate(q_bases):
             lo, nk = offs[k + 1], chain.block_dims[k + 1]
-            parts.append(q.conj().T @ x[lo:lo + nk, lo:lo + nk] @ q)
+            parts.append(q.conj().T @ x[..., lo:lo + nk, lo:lo + nk] @ q)
         return dv_basis.conj().T @ x @ dv_basis, block_diag(parts)
 
-    off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((0, 0)))
-    inv, block_res = basis_sweep(system.basis(d), lambda a: (shifted(a),),
-                                 off, diagonal)
+    off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((len(x), 0, 0)))
+    inv, block_res = basis_sweep(system.basis_size(d),
+                                 lambda c: (shifted.images(c, d),), off, diagonal)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
                    inv, tol.residual_tol))
     rep.add(clause("defect/diagonal-form", "rho1 = diag of summand compressions",

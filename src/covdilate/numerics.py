@@ -56,10 +56,16 @@ def as_matrix(a) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     """Largest singular value; zero for empty matrices."""
-    m = np.asarray(a, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(_spectral_norms(np.asarray(a, dtype=complex)))
+
+
+def _spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (0 when zero-size):
+    what np.linalg.norm(stack, 2, axis=(-2, -1)) computes, without its axis
+    bookkeeping."""
+    if stack.shape[-1] * stack.shape[-2] == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def residual(aop, bop) -> float:
@@ -68,78 +74,151 @@ def residual(aop, bop) -> float:
     b = as_matrix(bop)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    return spectral_norm(a - b) / (1.0 + max(spectral_norm(a), spectral_norm(b)))
+    return _clause_max((a[None], b[None]))
 
 
-# byte cap on the clause operators one basis sweep holds before reducing them
+# byte cap on what one chunk of a basis sweep holds: its coordinate rows,
+# their images and the clause operators built from them
 SWEEP_STACK_BYTES = 1 << 19
 
 
-def basis_sweep(elements, images, *clauses) -> list[float]:
-    """Max over ``elements`` of each clause, each element's images computed once.
+def _row_count(rows) -> int:
+    return int(rows) if isinstance(rows, (int, np.integer)) else len(rows)
 
-    ``images(a)`` returns the operators the clauses share for element ``a``;
-    a clause maps them to a pair ``(A, B)``, valued :func:`residual` ``(A, B)``,
-    or to one operator, valued by its spectral norm.  Operators are held for
-    at most ``SWEEP_STACK_BYTES`` (or one element) and reduced with stacked
-    spectral norms; nothing outlives the call.  0.0 over an empty family.
+
+def _row_slice(rows, lo: int, hi: int) -> np.ndarray:
+    # an int n stands for the coordinates of the basis, the rows of I_n,
+    # built one chunk at a time
+    if isinstance(rows, (int, np.integer)):
+        return np.eye(hi - lo, int(rows), lo, dtype=complex)
+    return rows[lo:hi]
+
+
+def _nbytes(obj) -> int:
+    if isinstance(obj, (tuple, list)):
+        return sum(_nbytes(o) for o in obj)
+    return np.asarray(obj).nbytes
+
+
+def _sweep(rows, images, clauses, consume) -> None:
+    """Call ``consume(lo, hi, terms)`` for consecutive row chunks of ``rows``.
+
+    ``terms`` holds each clause applied to ``images(chunk)``.  The first
+    chunk is one row; what it holds sets the chunk size to about
+    ``SWEEP_STACK_BYTES`` (at least one row).  Images and clause operators
+    count twice: images are assembled from intermediate stacks of their own
+    size, and a pair is reduced through the stack [A - B; A; B].  A chunk is
+    dropped before the next one is built.
+    """
+    total = _row_count(rows)
+    lo, step = 0, 1
+    while lo < total:
+        hi = min(total, lo + step)
+        chunk = _row_slice(rows, lo, hi)
+        imgs = images(chunk)
+        terms = [clause(*imgs) for clause in clauses]
+        if lo == 0:
+            held = _nbytes(chunk) + 2 * _nbytes((imgs, terms))
+            step = max(1, SWEEP_STACK_BYTES // max(held, 1))
+        consume(lo, hi, terms)
+        del chunk, imgs, terms
+        lo = hi
+
+
+def basis_sweep(rows, images, *clauses) -> list[float]:
+    """Max over the rows of ``rows`` of each clause, chunk by chunk.
+
+    ``rows`` is an array whose first axis runs over the elements (coordinate
+    rows, or index rows), or an int n for the basis coordinates I_n.
+    ``images(chunk)`` returns the stacks the clauses share, one slice per
+    row; a clause maps them to a pair of stacks ``(A, B)``, each slice valued
+    :func:`residual` ``(A_i, B_i)``, or to one stack valued by spectral norms.
+    A chunk holds about ``SWEEP_STACK_BYTES`` (or one row) and nothing
+    outlives the call.  0.0 over an empty family.
     """
     worst = [0.0] * len(clauses)
-    pending = [[] for _ in clauses]
-    chunk = None
-    for a in elements:
-        imgs = images(a)
-        for terms, clause in zip(pending, clauses):
-            terms.append(clause(*imgs))
-        if chunk is None:
-            held = sum(np.asarray(m).nbytes for terms in pending for m in
-                       (terms[0] if isinstance(terms[0], tuple) else (terms[0],)))
-            chunk = max(1, SWEEP_STACK_BYTES // max(held, 1))
-        if len(pending[0]) >= chunk:
-            _reduce_pending(pending, worst)
-    _reduce_pending(pending, worst)
+
+    def reduce(lo, hi, terms):
+        for c, term in enumerate(terms):
+            worst[c] = max(worst[c], _clause_max(term))
+
+    _sweep(rows, images, clauses, reduce)
     return worst
 
 
-def _reduce_pending(pending, worst) -> None:
-    def norms(mats):
-        stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
-        return np.linalg.norm(stack, 2, axis=(-2, -1)) if stack[0].size else np.zeros(len(mats))
+def _clause_max(term) -> float:
+    """Largest value of one clause over a chunk: one finiteness check and
+    one stacked spectral norm, over [A - B; A; B] for a pair, whose slices
+    are valued ||A - B|| / (1 + max(||A||, ||B||))."""
+    if isinstance(term, tuple):
+        a, b = (np.asarray(t) for t in term)
+        if a.shape != b.shape:
+            raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
+        m = len(a)
+        stack = np.empty((3 * m,) + a.shape[1:], dtype=complex)
+        np.subtract(a, b, out=stack[:m])
+        stack[m:2 * m] = a
+        stack[2 * m:] = b
+    else:
+        stack = np.asarray(term, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    norms = _spectral_norms(stack)
+    if isinstance(term, tuple):
+        norms = norms[:m] / (1.0 + np.maximum(norms[m:2 * m], norms[2 * m:]))
+    return float(norms.max())
 
-    for c, terms in enumerate(pending):
-        if not terms:
-            continue
-        if isinstance(terms[0], tuple):
-            lhs, rhs = ([as_matrix(t[i]) for t in terms] for i in (0, 1))
-            for x, y in zip(lhs, rhs):
-                if x.shape != y.shape:
-                    raise DimensionMismatch(f"shape {x.shape} vs {y.shape}")
-            vals = norms([x - y for x, y in zip(lhs, rhs)]) / (
-                1.0 + np.maximum(norms(lhs), norms(rhs)))
+
+def stack_images(rows, images, right=None) -> np.ndarray:
+    """``images(chunk)`` over the row chunks of ``rows``, kept whole.
+
+    Without ``right`` this is the (N, d, d) stack of images.  With ``right``
+    it is the spanning set ``np.hstack([X_1 @ right, ..., X_N @ right])``,
+    filled chunk by chunk so that only the (d, N * cols) result is kept.
+    """
+    total = _row_count(rows)
+    out = None
+
+    def fill(lo, hi, terms):
+        nonlocal out
+        (term,) = terms
+        if out is None:
+            shape = (total,) + term.shape[1:] if right is None \
+                else (term.shape[1], total, term.shape[2])
+            out = np.empty(shape, dtype=complex)
+        if right is None:
+            out[lo:hi] = term
         else:
-            vals = norms([as_matrix(t) for t in terms])
-        worst[c] = max(worst[c], float(vals.max()))
-        terms.clear()
+            out[:, lo:hi] = term.transpose(1, 0, 2)
+
+    clause = (lambda x: x) if right is None else (lambda x: x @ right)
+    _sweep(rows, lambda c: (images(c),), (clause,), fill)
+    if right is None:
+        return out
+    d, _, cols = out.shape
+    return out.reshape(d, total * cols)
 
 
 def kron_eye(x, m: int) -> np.ndarray:
-    """x (x) I_m with np.kron's entries, by strided assignment into zeros."""
+    """x (x) I_m over the last two axes, with np.kron's entries, by strided
+    assignment into zeros."""
     x = np.asarray(x)
-    rows, cols = x.shape
-    out = np.zeros((rows, m, cols, m), dtype=complex)
+    *lead, rows, cols = x.shape
+    out = np.zeros((*lead, rows, m, cols, m), dtype=complex)
     idx = np.arange(m)
-    out[:, idx, :, idx] = x
-    return out.reshape(rows * m, cols * m)
+    out[..., :, idx, :, idx] = x
+    return out.reshape(*lead, rows * m, cols * m)
 
 
 def eye_kron(k: int, x) -> np.ndarray:
-    """I_k (x) x with np.kron's entries, by strided assignment into zeros."""
+    """I_k (x) x over the last two axes, with np.kron's entries, by strided
+    assignment into zeros."""
     x = np.asarray(x)
-    rows, cols = x.shape
-    out = np.zeros((k, rows, k, cols), dtype=complex)
+    *lead, rows, cols = x.shape
+    out = np.zeros((*lead, k, rows, k, cols), dtype=complex)
     idx = np.arange(k)
-    out[idx, :, idx, :] = x
-    return out.reshape(k * rows, k * cols)
+    out[..., idx, :, idx, :] = x
+    return out.reshape(*lead, k * rows, k * cols)
 
 
 def block_offsets(dims) -> list[int]:
@@ -284,15 +363,17 @@ def gram_quotient(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
 
 
 def block_diag(mats) -> np.ndarray:
-    """Direct sum of square complex matrices (zero-size blocks allowed)."""
+    """Direct sum over the last two axes of complex matrices or equal-length
+    stacks of them (zero-size blocks allowed)."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    n = sum(m.shape[0] for m in mats)
-    c = sum(m.shape[1] for m in mats)
-    out = np.zeros((n, c), dtype=complex)
+    lead = mats[0].shape[:-2] if mats else ()
+    n = sum(m.shape[-2] for m in mats)
+    c = sum(m.shape[-1] for m in mats)
+    out = np.zeros(lead + (n, c), dtype=complex)
     r = 0
     s = 0
     for m in mats:
-        out[r:r + m.shape[0], s:s + m.shape[1]] = m
-        r += m.shape[0]
-        s += m.shape[1]
+        out[..., r:r + m.shape[-2], s:s + m.shape[-1]] = m
+        r += m.shape[-2]
+        s += m.shape[-1]
     return out

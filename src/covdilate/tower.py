@@ -19,12 +19,13 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import FiniteDimCStarAlgebra, Representation, StarHom
+from .algebra import ChunkRep, FiniteDimCStarAlgebra, Representation, StarHom
 from .covariant import CovariantPair, covariant_pair
 from .cpmaps import CPMap
 from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
                      SizeCap, StrategyInvalid)
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye
+from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye,
+                       stack_images)
 
 
 @dataclass(frozen=True)
@@ -129,21 +130,26 @@ def _common_depth(a: GradedElement, b: GradedElement):
 
 def embed(x: GradedElement, depth: int) -> GradedElement:
     """x tensor 1 up to the requested stage; unital, injective, multiplicative."""
-    if depth < x.depth:
-        raise DepthExceeded(f"cannot embed depth {x.depth} into shallower {depth}")
-    if depth > x.tower.d_max:
-        raise DepthExceeded(f"depth {depth} exceeds d_max {x.tower.d_max}")
     if depth == x.depth:
         return x
-    pad = x.tower.k ** (depth - x.depth)
-    return GradedElement(x.tower, depth, kron_eye(x.mat, pad))
+    (mat,) = _embed_coords(x.tower, x.coords[None], x.depth, depth)
+    return GradedElement(x.tower, depth, mat)
+
+
+def _embed_coords(tower: ShiftTower, coords, depth: int, at: int) -> np.ndarray:
+    """Coordinate rows at ``depth`` as the (m, k^at, k^at) stack of x (x) 1."""
+    if at < depth:
+        raise DepthExceeded(f"cannot embed depth {depth} into shallower {at}")
+    if at > tower.d_max:
+        raise DepthExceeded(f"depth {at} exceeds d_max {tower.d_max}")
+    s = tower.stage_dim(depth)
+    x = np.asarray(coords, dtype=complex).reshape(len(coords), s, s)
+    return x if at == depth else kron_eye(x, tower.k ** (at - depth))
 
 
 def shift_alpha(x: GradedElement) -> GradedElement:
     """The dynamics 1 tensor x; depth rises by one and is never surjective."""
-    if x.depth + 1 > x.tower.d_max:
-        raise DepthExceeded(f"shift from depth {x.depth} exceeds d_max {x.tower.d_max}")
-    return GradedElement(x.tower, x.depth + 1, eye_kron(x.tower.k, x.mat))
+    return TowerSystem(x.tower).alpha_apply(x)
 
 
 def state_density(tower: ShiftTower, phi) -> np.ndarray:
@@ -234,7 +240,7 @@ def _stage_map(kind, tower: ShiftTower, src_depth: int, dst_depth: int, fn):
 
 
 @dataclass(frozen=True, eq=False)
-class TowerRep:
+class TowerRep(ChunkRep):
     """Depth-compatible representation family pi_d(x) = (x tensor 1) tensor I_m."""
 
     tower: ShiftTower
@@ -249,8 +255,8 @@ class TowerRep:
     def max_depth(self) -> int:
         return self.top_depth
 
-    def __call__(self, x: GradedElement) -> np.ndarray:
-        full = embed(x, self.top_depth).mat
+    def images(self, coords, depth: int) -> np.ndarray:
+        full = _embed_coords(self.tower, coords, depth, self.top_depth)
         if self.multiplicity == 1:
             return full
         return kron_eye(full, self.multiplicity)
@@ -258,7 +264,8 @@ class TowerRep:
     def view(self, depth: int) -> Representation:
         """Finite Representation of the stage algebra, for the standard checks."""
         alg = self.tower.stage(depth)
-        return Representation.from_images(alg, [self(b) for b in self.tower.basis(depth)])
+        return Representation.from_images(
+            alg, stack_images(alg.dim, lambda c: self.images(c, depth)))
 
 
 def standard_rep(tower: ShiftTower, depth: int, multiplicity: int = 1) -> TowerRep:
@@ -287,16 +294,28 @@ class TowerSystem:
     def basis(self, depth: int):
         return self.tower.basis(depth)
 
+    def basis_size(self, depth: int) -> int:
+        return self.tower.stage_dim(depth) ** 2
+
     def unit(self, depth: int) -> GradedElement:
         return self.tower.unit(depth)
 
     def algebra_view(self, depth: int) -> FiniteDimCStarAlgebra:
         return self.tower.stage(depth)
 
+    def alpha_coords(self, coords, depth: int, n: int = 1):
+        """The shift applied n times to coordinate rows at ``depth``: rows of
+        I_{k^n} (x) x at depth + n."""
+        if depth + n > self.tower.d_max:
+            raise DepthExceeded(f"shift from depth {depth} by {n} exceeds d_max "
+                                f"{self.tower.d_max}")
+        s = self.tower.stage_dim(depth)
+        out = eye_kron(self.tower.k ** n, np.asarray(coords).reshape(len(coords), s, s))
+        return out.reshape(len(coords), -1), depth + n
+
     def alpha_apply(self, x: GradedElement, n: int = 1) -> GradedElement:
-        for _ in range(n):
-            x = shift_alpha(x)
-        return x
+        coords, depth = self.alpha_coords(x.coords[None], x.depth, n)
+        return self.element_from_coords(coords[0], depth)
 
     def coords(self, x: GradedElement, depth: int) -> np.ndarray:
         return embed(x, depth).coords
@@ -306,12 +325,15 @@ class TowerSystem:
         return GradedElement(self.tower, depth,
                              np.asarray(coords, dtype=complex).reshape(n, n))
 
-    def blocks(self, x: GradedElement, depth: int) -> tuple:
-        return (embed(x, depth).mat,)
+    def coord_blocks(self, coords, depth: int, at: int) -> tuple:
+        """Coordinate rows at ``depth`` embedded at depth ``at``: the one
+        block stack of the stage algebra."""
+        return (_embed_coords(self.tower, coords, depth, at),)
 
     def left_mult(self, x: GradedElement, depth: int) -> np.ndarray:
-        """Coordinate matrix of a -> x a at ``depth``; used only by the
-        Gram-quotient reference route."""
+        """Coordinate matrix of a -> x a at ``depth``: the per-element form of
+        the left multiplication that the reference-route ``QuotientRep``
+        builds for whole chunks."""
         n = self.tower.stage_dim(depth)
         return np.kron(embed(x, depth).mat, np.eye(n, dtype=complex))
 

@@ -35,6 +35,12 @@ def _loop_max(elements, fn):
     return worst
 
 
+def _chain_images(system, chain, pair, d):
+    """Chunk callback: the chain's images, their shifts and pi's images."""
+    return lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
+                      pair.rep.images(c, d))
+
+
 def _projector_invariance(elements, rep, basis):
     proj_off = np.eye(basis.shape[0], dtype=complex) - basis @ basis.conj().T
     return _loop_max(elements, lambda a: spectral_norm(proj_off @ rep(a) @ basis))
@@ -66,14 +72,13 @@ def test_sweep_matches_per_element_loop_on_corpus(corpus, built_chains):
             return spectral_norm(v @ chain.rho(a))
 
         def padded(pa):
-            target = np.zeros((chain.total_dim, h), dtype=complex)
-            target[:h, :] = pa
+            target = np.zeros((len(pa), chain.total_dim, h), dtype=complex)
+            target[:, :h, :] = pa
             return target
 
-        got = basis_sweep(basis, lambda a: (chain.rho(a), chain.rho(system.alpha_apply(a)),
-                                            case.pair.rep(a)),
+        got = basis_sweep(system.basis_size(d), _chain_images(system, chain, case.pair, d),
                           lambda ra, raa, pa: (v @ raa, ra @ v),
-                          lambda ra, raa, pa: (ra[:, :h], padded(pa)),
+                          lambda ra, raa, pa: (ra[..., :h], padded(pa)),
                           lambda ra, raa, pa: v @ ra)
         want = [_loop_max(basis, cov), _loop_max(basis, restr), _loop_max(basis, norm)]
         assert np.allclose(got, want, rtol=0.0, atol=1e-13), (case.name, got, want)
@@ -85,9 +90,9 @@ def test_sweep_value_does_not_depend_on_the_chunk(monkeypatch, built_chains, cor
     case = next(c for c in corpus if c.backend == "tower")
     chain = built_chains[case.name]
     system = case.pair.system
-    basis = system.basis(usable_depth(system, [chain.rho], 1, case.pair.depth))
-    args = (basis, lambda a: (chain.rho(a), chain.rho(system.alpha_apply(a))),
-            lambda ra, raa: (chain.v @ raa, ra @ chain.v), lambda ra, raa: ra - raa)
+    d = usable_depth(system, [chain.rho], 1, case.pair.depth)
+    args = (system.basis_size(d), _chain_images(system, chain, case.pair, d),
+            lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v), lambda ra, raa, pa: ra - raa)
     big = basis_sweep(*args)
     monkeypatch.setattr(numerics_mod, "SWEEP_STACK_BYTES", 1)
     one = basis_sweep(*args)
@@ -96,15 +101,17 @@ def test_sweep_value_does_not_depend_on_the_chunk(monkeypatch, built_chains, cor
 
 def test_sweep_edge_cases():
     eye = np.eye(2)
-    assert basis_sweep([], lambda a: (a,), lambda a: (a, a), lambda a: a) == [0.0, 0.0]
-    assert basis_sweep([np.zeros((3, 0))], lambda a: (a,), lambda a: a) == [0.0]
+    assert basis_sweep(np.zeros((0, 2, 2)), lambda c: (c,), lambda c: (c, c),
+                       lambda c: c) == [0.0, 0.0]
+    assert basis_sweep(0, lambda c: (c,), lambda c: (c, c)) == [0.0]
+    assert basis_sweep(np.zeros((1, 3, 0)), lambda c: (c,), lambda c: c) == [0.0]
     with pytest.raises(DimensionMismatch):
-        basis_sweep([eye], lambda a: (a,), lambda a: (a, np.eye(3)))
+        basis_sweep(eye[None], lambda c: (c,), lambda c: (c, np.eye(3)[None]))
     with pytest.raises(ValueError):
-        basis_sweep([eye], lambda a: (a,), lambda a: (a * np.nan, a))
+        basis_sweep(eye[None], lambda c: (c,), lambda c: (c * np.nan, c))
     # a residual clause is the scale-free distance of residual()
     x = np.array([[1.0, 2.0], [0.0, 1.0]])
-    (val,) = basis_sweep([x], lambda a: (a,), lambda a: (a, eye))
+    (val,) = basis_sweep(x[None], lambda c: (c,), lambda c: (c, eye[None]))
     assert val == residual(x, eye)
 
 
@@ -122,7 +129,7 @@ def test_complement_form_matches_projector_form(corpus, built_chains):
         elements = system.basis(span_depth)
         basis = level.defect_basis
         want = _projector_invariance(elements, rho, basis)
-        got = invariance_residual(elements, rho, basis)
+        got = invariance_residual(system, span_depth, rho, basis)
         assert abs(got - want) <= 1e-13, case.name
         if basis.shape[1] in (0, rho.dim):
             # an empty or whole subspace leaves no complement: exactly 0
@@ -147,13 +154,14 @@ def _perturbed(basis, rng, eps=1e-4):
 def test_complement_form_on_proper_subspaces():
     rng = np.random.default_rng(7)
     alg, pi, inv_basis = _multiplicity_two_rep(rng)
+    system = FiniteDimSystem(alg, StarHom.identity(alg))
     elements = alg.basis()
     assert _projector_invariance(elements, pi, inv_basis) <= 1e-14
-    assert invariance_residual(elements, pi, inv_basis) <= 1e-14
+    assert invariance_residual(system, None, pi, inv_basis) <= 1e-14
     for _ in range(3):
         bad = _perturbed(inv_basis, rng)
         want = _projector_invariance(elements, pi, bad)
-        got = invariance_residual(elements, pi, bad)
+        got = invariance_residual(system, None, pi, bad)
         assert want > DEFAULT_TOL.residual_tol
         assert abs(got - want) <= 1e-13
 

@@ -7,13 +7,11 @@ multiplication.  The kernel must give the same dimensions and a unitarily
 equivalent step, certified by the package's own intertwiner.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from covdilate.algebra import (FiniteDimCStarAlgebra, Representation, State,
-                               StarHom, cyclic_summands, gns, left_mult_matrix)
+                               StarHom, cyclic_summands, gns)
 from covdilate.covariant import (AdaptedStrategy, DirectSumRep, FiniteDimSystem,
                                  GnsStrategy, HBExtension, QuotientRep,
                                  extend_representation, haar_unitary,
@@ -42,8 +40,6 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
 
     view = system.algebra_view(working)
     unit = system.coords(system.unit(working), working).reshape(view.dim, 1)
-    lm_system = system if system.is_tower else SimpleNamespace(
-        left_mult=lambda x, depth: left_mult_matrix(x))
 
     def quotient(units, h):
         cmap, lift, rank = gram_quotient(stinespring_gram(view, units, h), tol)
@@ -51,7 +47,7 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
             q = haar_unitary(rank, rng)
             cmap = q @ cmap
             lift = lift @ q.conj().T
-        rho = QuotientRep(lm_system, working, view.dim, h, cmap, lift)
+        rho = QuotientRep(system, working, view.dim, h, cmap, lift)
         return rho, cmap @ np.kron(unit, np.eye(h, dtype=complex))
 
     if isinstance(strategy, AdaptedStrategy):
@@ -60,7 +56,7 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
         span_basis = system.basis(check_depth)
         parts = []
         rows = []
-        for xi, _ in cyclic_summands([rep(b) for b in span_basis], rep.dim, tol):
+        for xi, _ in cyclic_summands(np.array([rep(b) for b in span_basis]), rep.dim, tol):
             rho_s, w_s = quotient([np.vdot(xi, phi(b) @ xi)
                                    for b in system.basis(working)], 1)
             x1 = np.column_stack([rep(a) @ xi for a in span_basis])
@@ -69,7 +65,7 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
             rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))
             parts.append(rho_s)
         rho, w = DirectSumRep(tuple(parts)), np.vstack(rows)
-    return HBExtension(rho, w, strategy.kind, phi, rep, system, check_depth,
+    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth,
                        working, None)
 
 

@@ -17,9 +17,10 @@ graded tensor tower) drive the same engine through a small system protocol:
 ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``, ``coord_blocks``
 and friends.  The engine evaluates on coordinate rows: a chunk of algebra
 elements is an (m, n) array at one basis depth, and a chunk of the basis is
-a row slice of the identity.  Finite systems ignore every ``depth``
-argument; the tower consumes one depth unit per application of the
-dynamics.
+a row slice of the identity.  Transfer maps act on such chunks too
+(``tau.rows(coords, depth)``, the rows of the values and their depth).
+Finite systems ignore every ``depth`` argument; the tower consumes one depth
+unit per application of the dynamics.
 """
 
 from __future__ import annotations
@@ -100,13 +101,21 @@ class FiniteDimSystem:
 
     def solve_alpha(self, y, tol: Tolerance = DEFAULT_TOL):
         """alpha^{-1} on the range of alpha, by least squares with residual check."""
-        m = self.alpha.matrix
-        rhs = self.coords(y)
-        sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-        off = np.linalg.norm(m @ sol - rhs)
-        if off > tol.residual_tol * (1.0 + np.linalg.norm(rhs)):
-            raise RangeNotInImage(f"element misses the image of alpha by {off:.3e}")
+        (sol,), _ = self.solve_alpha_rows(self.coords(y)[None], None, tol)
         return self.element_from_coords(sol, None)
+
+    def solve_alpha_rows(self, coords, depth=None, tol: Tolerance = DEFAULT_TOL):
+        """alpha^{-1} on coordinate rows, by one least-squares solve with one
+        right-hand side per row; each row is gated on its own residual."""
+        m = self.alpha.matrix
+        rhs = np.asarray(coords, dtype=complex).T
+        sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
+        off = np.linalg.norm(m @ sol - rhs, axis=0)
+        outside = off > tol.residual_tol * (1.0 + np.linalg.norm(rhs, axis=0))
+        if outside.any():
+            raise RangeNotInImage(f"element misses the image of alpha by "
+                                  f"{off[np.argmax(outside)]:.3e}")
+        return sol.T, None
 
     def transfer_check_data(self, tau, depth):
         if not isinstance(tau, CPMap):
@@ -254,10 +263,12 @@ def basis_images(system, rep, depth, right=None) -> np.ndarray:
 
 
 def transfer_images(system, rep, tau, depth) -> np.ndarray:
-    """rep(tau(b)) for every basis element b at ``depth``, as one stack."""
-    values = [tau(b) for b in system.basis(depth)]
-    coords = np.stack([y.coords for y in values])
-    return stack_images(coords, lambda c: rep.images(c, values[0].depth))
+    """rep(tau(b)) for every basis element b at ``depth``, as one stack.
+
+    The transfer acts on coordinate rows, one chunk at a time:
+    ``tau.rows(coords, depth)`` returns the rows of the values and their depth.
+    """
+    return stack_images(system.basis_size(depth), lambda c: rep.images(*tau.rows(c, depth)))
 
 
 def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
@@ -414,6 +425,23 @@ class GnsStrategy:
     kind = "gns"
 
 
+@dataclass(frozen=True, eq=False)
+class RangeInverse:
+    """alpha^{-1} o E: the dynamics inverted on the range of an expectation,
+    with the system's residual gate on every value."""
+
+    system: object
+    expectation: Callable
+    tol: Tolerance
+
+    def __call__(self, x):
+        return self.system.solve_alpha(self.expectation(x), self.tol)
+
+    def rows(self, coords, depth):
+        return self.system.solve_alpha_rows(*self.expectation.rows(coords, depth),
+                                            self.tol)
+
+
 def resolve_transfer(system, strategy, tol: Tolerance = DEFAULT_TOL) -> Callable:
     """The transfer operator the strategy effectively uses.
 
@@ -423,12 +451,7 @@ def resolve_transfer(system, strategy, tol: Tolerance = DEFAULT_TOL) -> Callable
     if isinstance(strategy, AdaptedStrategy):
         return strategy.transfer
     if isinstance(strategy, GnsStrategy):
-        e = strategy.expectation
-
-        def tau(x):
-            return system.solve_alpha(e(x), tol)
-
-        return tau
+        return RangeInverse(system, strategy.expectation, tol)
     raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
 
@@ -505,6 +528,7 @@ class HBExtension:
     check_depth: Optional[int]
     working_depth: Optional[int]
     report: HBReport
+    span: np.ndarray              # orthonormal basis of span rho(A) W H (minimality rank)
 
     @property
     def dilation_dim(self) -> int:
@@ -548,9 +572,9 @@ def extend_representation(system, rep, strategy, check_depth,
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
-    rep_report = _certify_step(system, rep, rho, w, check_depth, tol)
+    rep_report, span = _certify_step(system, rep, rho, w, check_depth, tol)
     return HBExtension(rho, w, strategy.kind, tau, rep, system,
-                       check_depth, working, rep_report)
+                       check_depth, working, rep_report, span)
 
 
 def _stinespring_step(system, rep, tau, working, tol, rng):
@@ -591,7 +615,9 @@ def _gns_step(system, rep, tau, check_depth, working, tol, rng):
     return rho, w
 
 
-def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
+def _certify_step(system, rep, rho, w, check_depth, tol) -> tuple[HBReport, np.ndarray]:
+    """The step's clauses, and the orthonormal span of rho(A) W H whose rank
+    is the minimality clause."""
     d = usable_depth(system, [rep, rho], 1, check_depth)
     iso = residual(w.conj().T @ w, np.eye(rep.dim))
     ww = w @ w.conj().T
@@ -601,9 +627,9 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
         lambda ra, pa: (w.conj().T @ ra @ w, pa),
         lambda ra, pa: (ww @ ra, ra @ ww))
     span_depth = rho.max_depth if system.is_tower else None
-    _, rank = orthonormal_span(basis_images(system, rho, span_depth, w), tol)
+    span, rank = orthonormal_span(basis_images(system, rho, span_depth, w), tol)
     return HBReport(float(ext), float(iso), float(comm), rho.dim, rank,
-                    tol.residual_tol)
+                    tol.residual_tol), span
 
 
 # ---------------------------------------------------------------------------

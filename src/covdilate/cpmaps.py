@@ -47,6 +47,10 @@ class CPMap:
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.from_coords(self.matrix @ x.coords)
 
+    def rows(self, coords, depth=None):
+        """The map on coordinate rows (finite algebras have no depth)."""
+        return np.asarray(coords) @ self.matrix.T, None
+
     def compose(self, inner: "CPMap") -> "CPMap":
         if inner.target.block_sizes != self.source.block_sizes:
             raise ShapeMismatch("composition shape mismatch")

@@ -193,10 +193,13 @@ def power_orbit(w, embed, steps: int) -> list:
 
 
 def _compression(u, embed, t, steps: int) -> float:
-    """max over 0 <= n <= steps of residual(E* U^n E, T^n)."""
-    t_powers = power_orbit(t, np.eye(t.shape[0], dtype=complex), steps)
-    return max(residual(embed.conj().T @ x, tn)
-               for x, tn in zip(power_orbit(u, embed, steps), t_powers))
+    """max over 0 <= n <= steps of residual(E* U^n E, T^n), as one sweep
+    over the powers."""
+    compressed = embed.conj().T @ np.stack(power_orbit(u, embed, steps))
+    t_powers = np.stack(power_orbit(t, np.eye(t.shape[0], dtype=complex), steps))
+    (worst,) = basis_sweep(np.arange(steps + 1), lambda n: (compressed[n], t_powers[n]),
+                           lambda c, tn: (c, tn))
+    return worst
 
 
 def _interior_clauses(rec: DilationRecord, prefix: str,

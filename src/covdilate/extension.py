@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, HBExtension,
-                        RestrictedRep, ShiftedRep, basis_images,
-                        defect_roots, extend_representation, haar_unitary,
+                        RestrictedRep, ShiftedRep, defect_roots,
+                        extend_representation, haar_unitary,
                         invariance_residual, leaves_span, two_step,
                         usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded,
@@ -132,7 +132,10 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
                                     pair.depth, tol, rng)
         w = ext.isometry
         span_depth = ext.rho.max_depth if system.is_tower else None
-        basis, rank = orthonormal_span(basis_images(system, ext.rho, span_depth, w), tol)
+        # defect_k = span rho_k(A) W_k defect_(k-1): the span on which the
+        # step certified its minimality, as defect_(k-1) is the space it extends
+        basis = ext.span
+        rank = basis.shape[1]
         if rng is not None and rank:
             basis = basis @ haar_unitary(rank, rng)
         inv = invariance_residual(system, span_depth, ext.rho, basis, tol)

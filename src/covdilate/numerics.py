@@ -8,6 +8,7 @@ which the report layer relies on for byte-identical reruns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.real)) or m.size and not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -59,20 +60,60 @@ def spectral_norm(a) -> float:
     return float(_spectral_norms(np.asarray(a, dtype=complex)))
 
 
+# divisor floor of an all-zero slice, whose Gram is then exactly zero
+_TINY = np.finfo(float).tiny
+
+
 def _spectral_norms(stack) -> np.ndarray:
-    """Largest singular value of each matrix of a stack (0 when zero-size):
-    what np.linalg.norm(stack, 2, axis=(-2, -1)) computes, without its axis
-    bookkeeping."""
-    if stack.shape[-1] * stack.shape[-2] == 0:
+    """Largest singular value of each matrix of a stack (0 when zero-size).
+
+    sigma_max is the square root of the top eigenvalue of the smaller Gram
+    side, X* X or X X*, of each slice scaled by its largest entry modulus.
+    A non-finite entry raises ValueError.
+    """
+    rows, cols = stack.shape[-2:]
+    if rows * cols == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    scale = _entry_scale(stack)
+    if not math.isfinite(scale.max(initial=0.0)):
+        raise ValueError("matrix entries must be finite")
+    return _top_norms(_scaled_gram(stack, scale), scale)
+
+
+def _entry_scale(stack) -> np.ndarray:
+    # largest entry modulus of each slice; an all-zero slice gets the
+    # smallest normal float, and its Gram is exactly zero
+    return np.maximum(np.abs(stack).max(axis=(-2, -1)), _TINY)
+
+
+def _scaled_gram(stack, scale, out=None) -> np.ndarray:
+    """The Gram (X*/s) X of each finite slice (X (X*/s) when X is wide),
+    s its entry scale.
+
+    Dividing one factor by s keeps every product and sum inside the
+    floating-point range for entries up to about 1e308 / max(rows, cols).
+    Besides the input this holds one scaled adjoint and the Gram (written
+    to ``out`` when given).
+    """
+    rows, cols = stack.shape[-2:]
+    adj = np.conj(stack).swapaxes(-1, -2)
+    adj /= scale[..., None, None]
+    return np.matmul(adj, stack, out=out) if cols <= rows else np.matmul(stack, adj, out=out)
+
+
+def _top_norms(gram, scale) -> np.ndarray:
+    """sigma_max of each slice from its scaled Gram, whose top eigenvalue
+    is sigma_max^2 / s."""
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1] / scale) * scale
 
 
 def residual(aop, bop) -> float:
-    """Scale-free distance ||A - B|| / (1 + max(||A||, ||B||)), spectral norm."""
-    a = as_matrix(aop)
-    b = as_matrix(bop)
-    if a.shape != b.shape:
+    """Scale-free distance ||A - B|| / (1 + max(||A||, ||B||)), spectral norm.
+
+    The norm kernel is the finiteness check of both operands (ValueError).
+    """
+    a, b = (np.asarray(x, dtype=complex) for x in (aop, bop))
+    if a.ndim != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
     return _clause_max((a[None], b[None]))
 
@@ -147,26 +188,31 @@ def basis_sweep(rows, images, *clauses) -> list[float]:
 
 
 def _clause_max(term) -> float:
-    """Largest value of one clause over a chunk: one finiteness check and
-    one stacked spectral norm, over [A - B; A; B] for a pair, whose slices
-    are valued ||A - B|| / (1 + max(||A||, ||B||))."""
-    if isinstance(term, tuple):
-        a, b = (np.asarray(t) for t in term)
-        if a.shape != b.shape:
-            raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
-        m = len(a)
-        stack = np.empty((3 * m,) + a.shape[1:], dtype=complex)
-        np.subtract(a, b, out=stack[:m])
-        stack[m:2 * m] = a
-        stack[2 * m:] = b
-    else:
-        stack = np.asarray(term, dtype=complex)
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    norms = _spectral_norms(stack)
-    if isinstance(term, tuple):
-        norms = norms[:m] / (1.0 + np.maximum(norms[m:2 * m], norms[2 * m:]))
-    return float(norms.max())
+    """Largest value of one clause over a chunk.
+
+    One stack is valued by its spectral norms.  A pair ``(A, B)`` is valued
+    slice by slice ||A - B|| / (1 + max(||A||, ||B||)) and reduced part by
+    part: the norms of A - B first, then those of A and B from one
+    eigensolve over their two Gram stacks.  Either phase holds no more than
+    three operator stacks, as much as the stack [A - B; A; B].  A non-finite
+    entry of A or B makes A - B non-finite, which raises first.
+    """
+    if not isinstance(term, tuple):
+        return float(_spectral_norms(np.asarray(term, dtype=complex)).max())
+    a, b = (np.asarray(t, dtype=complex) for t in term)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
+    m, rows, cols = a.shape
+    if rows * cols == 0:
+        return 0.0
+    num = _spectral_norms(a - b)
+    side = min(rows, cols)
+    grams = np.empty((2 * m, side, side), dtype=complex)
+    scales = np.concatenate([_entry_scale(a), _entry_scale(b)])
+    _scaled_gram(a, scales[:m], grams[:m])
+    _scaled_gram(b, scales[m:], grams[m:])
+    norms = _top_norms(grams, scales)
+    return float((num / (1.0 + np.maximum(norms[:m], norms[m:]))).max())
 
 
 def stack_images(rows, images, right=None) -> np.ndarray:
@@ -263,14 +309,11 @@ def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:
     # Fix the free phase of each column: largest-magnitude entry made real
     # positive (first index wins ties), so repeated runs are bit-stable.
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        z = col[i]
-        if abs(z) > 0:
-            out[:, j] = col * (z.conjugate() / abs(z))
-    return out
+    if basis.size == 0:
+        return basis.copy()
+    z = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    nonzero = z != 0
+    return basis * (np.where(nonzero, z.conj(), 1.0) / np.where(nonzero, np.abs(z), 1.0))
 
 
 def _stack_columns(vectors) -> np.ndarray:
@@ -299,14 +342,19 @@ def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL,
     ``rank_eps``, referenced to ``max(sigma_max, scale)`` so callers with a
     known operator scale are not fooled by all-noise inputs.  The returned
     basis is an SVD basis with canonical column phases, hence deterministic
-    for a given input.
+    for a given input.  A wide set (more vectors than their dimension) is
+    first reduced to the triangular factor R of ``cols* = Q R``: ``R*`` has
+    the singular values and left singular vectors of ``cols``, and its SVD
+    does not build the long right factor.
     """
     cols = _stack_columns(vectors)
     dim = cols.shape[0]
     if dim == 0 or cols.shape[1] == 0:
         return np.zeros((dim, 0), dtype=complex), 0
+    if cols.shape[1] > dim:
+        cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    ref = max(float(s[0]) if s.size else 0.0, scale or 0.0)
+    ref = max(float(s[0]), scale or 0.0)
     if ref <= 0.0:
         return np.zeros((dim, 0), dtype=complex), 0
     rank = int(np.sum(s > tol.rank_eps * ref))

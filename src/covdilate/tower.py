@@ -193,13 +193,18 @@ class TowerTransfer:
     density: np.ndarray
 
     def __call__(self, y: GradedElement) -> GradedElement:
-        if y.depth == 0:
+        (row,), depth = self.rows(y.coords[None], y.depth)
+        return TowerSystem(self.tower).element_from_coords(row, depth)
+
+    def rows(self, coords, depth: int):
+        """tau_phi on coordinate rows at ``depth``: rows at depth - 1."""
+        if depth == 0:
             raise DepthZero("transfer operators are undefined at depth 0")
         k = self.tower.k
-        n = self.tower.stage_dim(y.depth - 1)
-        y4 = y.mat.reshape(k, n, k, n)
-        out = np.einsum("qp,piqj->ij", self.density, y4)
-        return GradedElement(self.tower, y.depth - 1, out)
+        n = self.tower.stage_dim(depth - 1)
+        y = np.asarray(coords).reshape(len(coords), k, n, k, n)
+        out = np.einsum("qp,mpiqj->mij", self.density, y)
+        return out.reshape(len(coords), n * n), depth - 1
 
     def as_cpmap(self, depth: int) -> CPMap:
         """Depth-fixed finite view A_depth -> A_{depth-1}."""
@@ -217,6 +222,10 @@ class TowerExpectation:
 
     def __call__(self, y: GradedElement) -> GradedElement:
         return shift_alpha(TowerTransfer(self.tower, self.density)(y))
+
+    def rows(self, coords, depth: int):
+        return TowerSystem(self.tower).alpha_coords(
+            *TowerTransfer(self.tower, self.density).rows(coords, depth))
 
     def as_cpmap(self, depth: int) -> CPMap:
         if depth < 1:
@@ -343,17 +352,28 @@ class TowerSystem:
         return pair_depth + 1
 
     def solve_alpha(self, y: GradedElement, tol: Tolerance = DEFAULT_TOL) -> GradedElement:
-        """The shift inverted on its range: the partial trace of y over the
-        first factor, divided by k, is the x with 1 (x) x closest to y."""
-        if y.depth == 0:
+        """The shift inverted on its range (one element of solve_alpha_rows)."""
+        (row,), depth = self.solve_alpha_rows(y.coords[None], y.depth, tol)
+        return self.element_from_coords(row, depth)
+
+    def solve_alpha_rows(self, coords, depth: int, tol: Tolerance = DEFAULT_TOL):
+        """The shift inverted on its range, row by row: the partial trace of
+        y over the first factor, divided by k, is the x with 1 (x) x closest
+        to y.  Each row is gated on its own residual."""
+        if depth == 0:
             raise DepthZero("cannot invert the shift below depth 1")
         k = self.tower.k
-        n = self.tower.stage_dim(y.depth - 1)
-        x = np.trace(y.mat.reshape(k, n, k, n), axis1=0, axis2=2) / k
-        off = np.linalg.norm(eye_kron(k, x) - y.mat)
-        if off > tol.residual_tol * (1.0 + np.linalg.norm(y.mat)):
-            raise RangeNotInImage(f"element misses the image of the shift by {off:.3e}")
-        return GradedElement(self.tower, y.depth - 1, x)
+        n = self.tower.stage_dim(depth - 1)
+        y = np.asarray(coords, dtype=complex).reshape(len(coords), k, n, k, n)
+        x = np.trace(y, axis1=1, axis2=3) / k
+        gap = (eye_kron(k, x) - y.reshape(len(coords), k * n, k * n)).reshape(len(coords), -1)
+        off = np.linalg.norm(gap, axis=1)
+        outside = off > tol.residual_tol * (1.0 + np.linalg.norm(y.reshape(len(coords), -1),
+                                                                 axis=1))
+        if outside.any():
+            raise RangeNotInImage(f"element misses the image of the shift by "
+                                  f"{off[np.argmax(outside)]:.3e}")
+        return x.reshape(len(coords), n * n), depth - 1
 
     def transfer_check_data(self, tau, depth: int):
         if not isinstance(tau, TowerTransfer):

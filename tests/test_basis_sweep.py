@@ -3,6 +3,8 @@ shift inverse and the strided Kraus representation, each against the
 per-element or dense route it replaces (kept here as test-local references).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.cli import run
-from covdilate.covariant import (FiniteDimSystem, extend_representation,
-                                 haar_unitary, invariance_residual, two_step,
-                                 usable_depth)
-from covdilate.cpmaps import KrausDilation, KrausRep, stinespring_minimal
+from covdilate.covariant import (FiniteDimSystem, GnsStrategy,
+                                 extend_representation, haar_unitary,
+                                 invariance_residual, resolve_transfer,
+                                 transfer_images, two_step, usable_depth)
+from covdilate.cpmaps import CPMap, KrausDilation, KrausRep, stinespring_minimal
 from covdilate.errors import (DimensionMismatch, InvarianceViolation, NotCP,
                               RangeNotInImage)
 from covdilate.extension import coisometric_extend
@@ -188,11 +191,36 @@ def test_two_step_rejects_a_drifting_defect_space(corpus, monkeypatch):
 
 
 def test_chain_rejects_a_drifting_level_defect_space(corpus, monkeypatch):
+    # a level's defect space is the span its step certified (HBExtension.span),
+    # so a step that reports a proper subspace there must trip the chain's gate
     case = next(c for c in corpus if c.backend == "tower" and c.levels >= 2)
-    monkeypatch.setattr(extension_mod, "orthonormal_span",
-                        _dropping_span(orthonormal_span))
+    real_certify = covariant_mod._certify_step
+
+    def dropping_certify(*args):
+        report, span = real_certify(*args)
+        return report, span[:, :-1]
+
+    monkeypatch.setattr(covariant_mod, "_certify_step", dropping_certify)
     with pytest.raises(InvarianceViolation, match="level 1 defect space drifts"):
         coisometric_extend(case.pair, case.levels, case.strategy)
+
+
+def test_each_level_spans_its_step_set_once(corpus, monkeypatch):
+    case = next(c for c in corpus if c.backend == "tower" and c.levels >= 2)
+    calls = []
+    real_images = covariant_mod.basis_images
+
+    def recording(system, rep, depth, right=None):
+        calls.append((rep, right))
+        return real_images(system, rep, depth, right)
+
+    for mod in (covariant_mod, extension_mod):
+        monkeypatch.setattr(mod, "basis_images", recording, raising=False)
+    chain = coisometric_extend(case.pair, case.levels, case.strategy)
+    assert chain.n_levels >= 2
+    for level in chain.levels:
+        ext = level.ext
+        assert sum(rep is ext.rho and right is ext.isometry for rep, right in calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +261,47 @@ def test_closed_form_solve_alpha_matches_lstsq(k, d_max):
         assert outside
         with pytest.raises(RangeNotInImage):
             system.solve_alpha(off_range)
+
+
+def _lstsq_alpha_inverse(system, coords, tol=DEFAULT_TOL):
+    """The per-element least-squares inverse the batched solve replaced:
+    (solution, miss) for one coordinate row."""
+    m = system.alpha.matrix
+    sol, _, _, _ = np.linalg.lstsq(m, coords, rcond=None)
+    off = np.linalg.norm(m @ sol - coords)
+    return sol, off if off > tol.residual_tol * (1.0 + np.linalg.norm(coords)) else None
+
+
+def test_batched_alpha_inverse_keeps_the_per_element_gate():
+    # alpha(a + b) = a + a on C + C: its range is the diagonal
+    alg = FiniteDimCStarAlgebra((1, 1))
+    system = FiniteDimSystem(alg, StarHom(alg, alg, np.array([[1.0, 0.0], [1.0, 0.0]])))
+    inside = np.array([[2.0, 2.0], [1j, 1j], [0.0, 0.0]])
+    got, depth = system.solve_alpha_rows(inside)
+    assert depth is None
+    for row, sol in zip(inside, got):
+        want, miss = _lstsq_alpha_inverse(system, row)
+        assert miss is None
+        assert np.allclose(sol, want, rtol=0.0, atol=1e-14)
+    # the first row outside the range raises, with the per-element message
+    rows = np.vstack([inside, [[1.0, 1.0 + 1e-3], [3.0, 0.0]]])
+    _, miss = _lstsq_alpha_inverse(system, rows[3])
+    with pytest.raises(RangeNotInImage,
+                       match=re.escape(f"element misses the image of alpha by {miss:.3e}")):
+        system.solve_alpha_rows(rows)
+
+
+def test_batched_gns_transfer_matches_per_element_values(corpus):
+    case = next(c for c in corpus if c.backend == "finite-dim" and c.pair.rep.dim >= 3)
+    system, rep = case.pair.system, case.pair.rep
+    tau = resolve_transfer(system, GnsStrategy(CPMap.identity(system.algebra)))
+    want = []
+    for b in system.basis(None):
+        sol, miss = _lstsq_alpha_inverse(system, b.coords)
+        assert miss is None
+        want.append(rep(system.element_from_coords(sol, None)))
+    got = transfer_images(system, rep, tau, None)
+    assert np.allclose(got, np.stack(want), rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

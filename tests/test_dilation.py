@@ -5,11 +5,12 @@ from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
 from covdilate.cpmaps import CPMap
-from covdilate.dilation import (explicit_matricial_unitary, schaffer_dilate,
-                                unitary_dilate, verify_isometric_dilation)
+from covdilate.dilation import (_compression, explicit_matricial_unitary,
+                                power_orbit, schaffer_dilate, unitary_dilate,
+                                verify_isometric_dilation)
 from covdilate.errors import DepthExceeded, NotContraction
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import block_diag, orthonormal_span, spectral_norm
+from covdilate.numerics import block_diag, orthonormal_span, residual, spectral_norm
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
 
@@ -256,3 +257,16 @@ def test_matricial_unitary_contraction_degenerates():
     rec = explicit_matricial_unitary(chain, 1)
     assert rec.total_dim == 2
     assert spectral_norm(rec.w[:2, :2] - pair.contraction) <= 1e-12
+
+
+def test_compression_sweep_matches_per_power_residuals():
+    """The one-sweep compression clause against the per-power residual loop."""
+    rng = np.random.default_rng(61)
+    u = haar_unitary(6, rng)
+    embed = haar_unitary(6, rng)[:, :2]
+    t = 0.8 * haar_unitary(2, rng)
+    for steps in (0, 1, 4):
+        want = max(residual(embed.conj().T @ x, tn) for x, tn in
+                   zip(power_orbit(u, embed, steps),
+                       power_orbit(t, np.eye(2, dtype=complex), steps)))
+        assert abs(_compression(u, embed, t, steps) - want) <= 1e-15

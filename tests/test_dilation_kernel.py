@@ -66,7 +66,7 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
             parts.append(rho_s)
         rho, w = DirectSumRep(tuple(parts)), np.vstack(rows)
     return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth,
-                       working, None)
+                       working, None, None)
 
 
 def gns_strategy(case):

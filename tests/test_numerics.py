@@ -1,13 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covdilate.numerics as numerics_mod
+from covdilate.covariant import basis_images, defect_roots
+from covdilate.equivalence import chain_intertwiner
 from covdilate.errors import DimensionMismatch, NotHermitian, NotPositive
-from covdilate.numerics import (Tolerance, orthonormal_complement,
-                                orthonormal_span, psd_sqrt, residual,
-                                spectral_norm)
+from covdilate.extension import coisometric_extend
+from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms,
+                                orthonormal_complement, orthonormal_span,
+                                psd_sqrt, residual, spectral_norm)
 
 
 def test_tolerance_validation():
@@ -151,3 +157,114 @@ def test_orthonormal_complement_splits():
     comp = orthonormal_complement(basis, 5)
     assert rank + comp.shape[1] == 5
     assert spectral_norm(basis.conj().T @ comp) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the norm kernel and the QR-first span against the
+# direct LAPACK routes they replace
+# ---------------------------------------------------------------------------
+
+SLICE_SCALES = (1.0, 1e-200, 1e150)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=10**6))
+def test_spectral_norms_match_numpy_two_norm(count, rows, cols, rank, seed):
+    """Square, tall, wide, zero-size, rank-deficient and all-zero slices, each
+    scaled by 1, 1e-200 or 1e150."""
+    rng = np.random.default_rng(seed)
+    r = min(rank, rows, cols)  # r = 0 gives exactly-zero slices
+    left = rng.standard_normal((count, rows, r)) + 1j * rng.standard_normal((count, rows, r))
+    right = rng.standard_normal((count, r, cols)) + 1j * rng.standard_normal((count, r, cols))
+    scales = rng.choice(SLICE_SCALES, size=count)
+    stack = (left @ right) * scales[:, None, None]
+    got = _spectral_norms(stack)
+    assert got.shape == (count,)
+    for x, value in zip(stack, got):
+        want = np.linalg.norm(x, 2) if x.size else 0.0
+        assert abs(value - want) <= 1e-13 * want, (x.shape, value, want)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e150])
+def test_spectral_norm_is_scale_safe(s):
+    rng = np.random.default_rng(17)
+    for shape in [(4, 4), (3, 7), (7, 3), (1, 5)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = s * np.linalg.norm(x, 2)
+        assert abs(spectral_norm(s * x) - want) <= 1e-13 * want
+
+
+def test_spectral_norm_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spectral_norm(np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            residual(np.array([[1.0, 0.0]]), np.array([[bad, 0.0]]))
+
+
+def direct_svd_span(vectors, tol=DEFAULT_TOL, scale=None):
+    """orthonormal_span without the QR step: one SVD of the whole set."""
+    cols = numerics_mod._stack_columns(vectors)
+    dim = cols.shape[0]
+    if dim == 0 or cols.shape[1] == 0:
+        return np.zeros((dim, 0), dtype=complex), 0
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    ref = max(float(s[0]), scale or 0.0)
+    if ref <= 0.0:
+        return np.zeros((dim, 0), dtype=complex), 0
+    rank = int(np.sum(s > tol.rank_eps * ref))
+    return numerics_mod._canonical_phases(u[:, :rank]), rank
+
+
+def _clustered_sets():
+    """Wide sets whose singular values come in tight clusters."""
+    rng = np.random.default_rng(23)
+    out = []
+    for dim, width, sigmas in [(6, 40, [1.0, 1.0, 1.0 + 1e-9, 0.5, 0.5 - 1e-12]),
+                               (8, 64, [2.0] * 4 + [1e-3] * 2),
+                               (5, 9, [1.0] * 5)]:
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))
+        v, _ = np.linalg.qr(rng.standard_normal((width, len(sigmas)))
+                            + 1j * rng.standard_normal((width, len(sigmas))))
+        out.append(u[:, :len(sigmas)] @ np.diag(sigmas) @ v.conj().T)
+    return out
+
+
+def _corpus_spanning_sets(corpus, built_chains):
+    """Every set the chains span: rho(A) W H per level, rho(A) W Delta* H at
+    level 0."""
+    for case in corpus:
+        system = case.pair.system
+        for k, level in enumerate(built_chains[case.name].levels):
+            ext = level.ext
+            depth = ext.rho.max_depth if system.is_tower else None
+            yield basis_images(system, ext.rho, depth, ext.isometry)
+            if k == 0:
+                _, delta_star = defect_roots(case.pair)
+                yield basis_images(system, ext.rho, depth, ext.isometry @ delta_star)
+
+
+def test_qr_first_span_matches_direct_svd(corpus, built_chains):
+    wide = 0
+    for cols in [*_corpus_spanning_sets(corpus, built_chains), *_clustered_sets()]:
+        basis, rank = orthonormal_span(cols)
+        ref, ref_rank = direct_svd_span(cols)
+        assert rank == ref_rank
+        assert spectral_norm(basis @ basis.conj().T - ref @ ref.conj().T) <= 1e-12
+        wide += cols.shape[1] > cols.shape[0]
+    assert wide > len(corpus)
+
+
+def test_chain_through_direct_svd_span_is_equivalent(corpus, built_chains, monkeypatch):
+    """A chain built through the direct SVD span is unitarily equivalent to
+    the QR-first chain, certified by the package's own intertwiner."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("covdilate") and hasattr(mod, "orthonormal_span"):
+            monkeypatch.setattr(mod, "orthonormal_span", direct_svd_span)
+    for case in corpus:
+        ref = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL)
+        cert = chain_intertwiner(ref, built_chains[case.name])
+        assert cert.verdict == "equivalent", (case.name, cert.residuals)

@@ -57,6 +57,7 @@ def _check_clauses(scenario: Scenario) -> ClauseReport:
     tol = scenario.tol
     pair = scenario.pair
     system = scenario.system
+    t_depth = system.stinespring_depth(pair.depth)
     if scenario.backend == "finite-dim":
         endo = verify_endomorphism(system.alpha, tol)
         rep.extend(endo.hom.clauses("dynamics"))
@@ -65,14 +66,11 @@ def _check_clauses(scenario: Scenario) -> ClauseReport:
                        note=endo.note))
         rep.extend(pair.rep.verify(tol).clauses("representation"))
     else:
-        t_depth = system.stinespring_depth(pair.depth)
         view = pair.rep.view(max(pair.depth, 1))
         rep.extend(view.verify(tol).clauses("representation"))
         rep.extend(verify_star_hom(alpha_hom(system.tower, t_depth - 1), tol)
                    .clauses("dynamics"))
-    rep.extend(verify_strategy(system, scenario.strategy,
-                               system.stinespring_depth(pair.depth)
-                               if system.is_tower else None, tol))
+    rep.extend(verify_strategy(system, scenario.strategy, t_depth, tol))
     rep.add(clause("pair/contraction", "||T|| <= 1",
                    max(0.0, pair.norm() - 1.0), tol.rank_eps))
     rep.add(clause("pair/covariance", "T pi(alpha(a)) = pi(a) T",

@@ -26,6 +26,7 @@ unit per application of the dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -501,23 +502,13 @@ class HBReport:
                     self.commutant_residual) <= self.threshold
                 and self.minimality_rank == self.dilation_dim)
 
-    def clauses(self, prefix: str = "extension-step") -> ClauseReport:
-        rep = ClauseReport()
-        rep.add(clause(f"{prefix}/isometry", "W* W = I",
-                       self.isometry_residual, self.threshold))
-        rep.add(clause(f"{prefix}/compression", "W* rho(alpha(a)) W = pi(a)",
-                       self.extension_residual, self.threshold))
-        rep.add(clause(f"{prefix}/projection-commutes", "[W W*, rho(alpha(a))] = 0",
-                       self.commutant_residual, self.threshold))
-        rep.add(clause(f"{prefix}/minimal", "span rho(A) W H = K",
-                       0.0 if self.minimality_rank == self.dilation_dim else 1.0, 0.5,
-                       note=f"rank {self.minimality_rank} of {self.dilation_dim}"))
-        return rep
-
 
 @dataclass(eq=False)
 class HBExtension:
-    """An isometric extension step (rho, W) for one representation."""
+    """An isometric extension step (rho, W) for one representation.
+
+    ``report`` (the step's clauses) is built on first read.
+    """
 
     rho: object
     isometry: np.ndarray
@@ -527,8 +518,12 @@ class HBExtension:
     system: object
     check_depth: Optional[int]
     working_depth: Optional[int]
-    report: HBReport
-    span: np.ndarray              # orthonormal basis of span rho(A) W H (minimality rank)
+    tol: Tolerance
+
+    @cached_property
+    def report(self) -> HBReport:
+        return _certify_step(self.system, self.base_rep, self.rho, self.isometry,
+                             self.check_depth, self.tol)
 
     @property
     def dilation_dim(self) -> int:
@@ -550,8 +545,7 @@ class HBExtension:
 def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL,
               rng=None) -> HBExtension:
     """One extension step for the pair's representation (T plays no role here)."""
-    t_depth = pair.system.stinespring_depth(pair.depth) if pair.system.is_tower else None
-    verify_strategy(pair.system, strategy, t_depth, tol)
+    verify_strategy(pair.system, strategy, pair.system.stinespring_depth(pair.depth), tol)
     return extend_representation(pair.system, pair.rep, strategy, pair.depth, tol, rng)
 
 
@@ -561,7 +555,7 @@ def extend_representation(system, rep, strategy, check_depth,
 
     Strategy data is assumed verified by the caller (chains verify once).
     """
-    working = system.stinespring_depth(check_depth) if system.is_tower else None
+    working = system.stinespring_depth(check_depth)
     if system.is_tower and working > system.d_max:
         raise DepthExceeded(f"working depth {working} exceeds d_max {system.d_max}")
     tau = resolve_transfer(system, strategy, tol)
@@ -572,9 +566,7 @@ def extend_representation(system, rep, strategy, check_depth,
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
-    rep_report, span = _certify_step(system, rep, rho, w, check_depth, tol)
-    return HBExtension(rho, w, strategy.kind, tau, rep, system,
-                       check_depth, working, rep_report, span)
+    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol)
 
 
 def _stinespring_step(system, rep, tau, working, tol, rng):
@@ -615,9 +607,8 @@ def _gns_step(system, rep, tau, check_depth, working, tol, rng):
     return rho, w
 
 
-def _certify_step(system, rep, rho, w, check_depth, tol) -> tuple[HBReport, np.ndarray]:
-    """The step's clauses, and the orthonormal span of rho(A) W H whose rank
-    is the minimality clause."""
+def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
+    """The step's clauses; minimality is the rank of span rho(A) W H."""
     d = usable_depth(system, [rep, rho], 1, check_depth)
     iso = residual(w.conj().T @ w, np.eye(rep.dim))
     ww = w @ w.conj().T
@@ -626,10 +617,8 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> tuple[HBReport, np.n
         lambda c: (rho.images(*system.alpha_coords(c, d)), rep.images(c, d)),
         lambda ra, pa: (w.conj().T @ ra @ w, pa),
         lambda ra, pa: (ww @ ra, ra @ ww))
-    span_depth = rho.max_depth if system.is_tower else None
-    span, rank = orthonormal_span(basis_images(system, rho, span_depth, w), tol)
-    return HBReport(float(ext), float(iso), float(comm), rho.dim, rank,
-                    tol.residual_tol), span
+    _, rank = orthonormal_span(basis_images(system, rho, rho.max_depth, w), tol)
+    return HBReport(float(ext), float(iso), float(comm), rho.dim, rank, tol.residual_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +627,22 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> tuple[HBReport, np.n
 
 @dataclass(eq=False)
 class TwoStepBlock:
-    """One block coisometric step on H + defect space."""
+    """One block coisometric step on H + defect space.
 
+    ``report`` (the block's clauses) is built on first read.
+    """
+
+    pair: CovariantPair
     defect_basis: np.ndarray      # orthonormal columns inside the dilation space
     d_star: np.ndarray            # defect map back to H, in basis coordinates
     pi_hat: object                # restriction of rho to the defect space
     block: np.ndarray             # [[T, D*], [0, 0]]
-    report: ClauseReport
+    invariance: float             # max_a ||(I - B B*) rho(a) B||, B the defect basis
+    tol: Tolerance
+
+    @cached_property
+    def report(self) -> ClauseReport:
+        return _two_step_clauses(self)
 
 
 def two_step(pair: CovariantPair, ext: HBExtension,
@@ -652,10 +650,9 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     """Build the defect space rho(A) W Delta* H and the block partial isometry."""
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
-    seed_cols = w @ delta_star
-    span_depth = ext.rho.max_depth if pair.system.is_tower else None
+    span_depth = ext.rho.max_depth
     basis, rank = orthonormal_span(
-        basis_images(pair.system, ext.rho, span_depth, seed_cols), tol)
+        basis_images(pair.system, ext.rho, span_depth, w @ delta_star), tol)
     if rng is not None and rank:
         basis = basis @ haar_unitary(rank, rng)
 
@@ -663,26 +660,33 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
 
-    pi_hat = RestrictedRep(ext.rho, basis)
     d_star = delta_star @ w.conj().T @ basis
     h = pair.space_dim
     k = basis.shape[1]
     block = np.zeros((h + k, h + k), dtype=complex)
     block[:h, :h] = pair.contraction
     block[:h, h:] = d_star
+    return TwoStepBlock(pair, basis, d_star, RestrictedRep(ext.rho, basis), block,
+                        inv, tol)
 
+
+def _two_step_clauses(step: TwoStepBlock) -> ClauseReport:
+    """Partial isometry, covariance and invariance clauses of a two-step block."""
+    pair, block, tol = step.pair, step.block, step.tol
+    h = pair.space_dim
+    k = step.defect_basis.shape[1]
     rep = ClauseReport()
     target = block_diag([np.eye(h, dtype=complex), np.zeros((k, k), dtype=complex)])
     rep.add(clause("two-step/partial-isometry", "M M* = I_H + 0",
                    residual(block @ block.conj().T, target), tol.residual_tol))
     rep.add(clause("two-step/partial-isometry-idem", "M M* M = M",
                    residual(block @ block.conj().T @ block, block), tol.residual_tol))
-    d = usable_depth(pair.system, [pair.rep, pi_hat], 1, pair.depth)
-    sigma = DirectSumRep((pair.rep, pi_hat))
+    d = usable_depth(pair.system, [pair.rep, step.pi_hat], 1, pair.depth)
+    sigma = DirectSumRep((pair.rep, step.pi_hat))
     (cov,) = basis_sweep(pair.system.basis_size(d), rep_and_shifted(pair.system, sigma, d),
                          lambda sa, saa: (block @ saa, sa @ block))
     rep.add(clause("two-step/covariance", "M diag(pi, pi^)(alpha(a)) = diag(pi, pi^)(a) M",
                    cov, tol.residual_tol))
     rep.add(clause("two-step/invariance", "rho(A) preserves the defect space",
-                   inv, tol.residual_tol))
-    return TwoStepBlock(basis, d_star, pi_hat, block, rep)
+                   step.invariance, tol.residual_tol))
+    return rep

@@ -135,14 +135,8 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     h = pair.space_dim
     total = rec.total_dim
 
-    d = usable_depth(system, [rec.eta], 1, pair.depth)
-    if system.is_tower and d == 0:
-        rep.notes.append("covariance window reduced to basis depth 0 by the "
-                         "truncation budget (scalars only)")
-    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
-                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w))
-    rep.add(clause("dilation/covariance", "W eta(alpha(a)) = eta(a) W",
-                   cov, tol.residual_tol))
+    d = _covariance_clause(rep, rec, pair, "dilation/covariance",
+                           "W eta(alpha(a)) = eta(a) W", tol)
 
     # defect-space invariance under pi o alpha^n, needed for eta's diagonal
     copy_dim = rec.block_dims[1] if len(rec.block_dims) > 1 else 0
@@ -181,6 +175,21 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
         rep.notes.append(f"coisometry-inheritance clause not applicable: "
                          f"||I - T T*|| = {coiso_cond:.3e}")
     return rep
+
+
+def _covariance_clause(rep: ClauseReport, rec: DilationRecord, pair: CovariantPair,
+                       name: str, formula: str, tol: Tolerance) -> Optional[int]:
+    """Add the clause W eta(alpha(a)) = eta(a) W for the record's operator and
+    representation; return the basis depth it was checked at."""
+    system = pair.system
+    d = usable_depth(system, [rec.eta], 1, pair.depth)
+    if system.is_tower and d == 0:
+        rep.notes.append("covariance window reduced to basis depth 0 by the "
+                         "truncation budget (scalars only)")
+    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
+                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w))
+    rep.add(clause(name, formula, cov, tol.residual_tol))
+    return d
 
 
 def power_orbit(w, embed, steps: int) -> list:
@@ -352,18 +361,10 @@ def _matricial_clauses(rec: DilationRecord, dd,
     rep.extend(dd.report, prefix="")
     chain = rec.chain
     pair = chain.pair
-    system = pair.system
-    total = rec.total_dim
     u = rec.w
 
-    d = usable_depth(system, [rec.eta], 1, pair.depth)
-    if system.is_tower and d == 0:
-        rep.notes.append("covariance window reduced to basis depth 0 by the "
-                         "truncation budget (scalars only)")
-    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
-                         lambda ea, eaa: (u @ eaa, ea @ u))
-    rep.add(clause("matricial/covariance", "U sigma(alpha(a)) = sigma(a) U",
-                   cov, tol.residual_tol))
+    _covariance_clause(rep, rec, pair, "matricial/covariance",
+                       "U sigma(alpha(a)) = sigma(a) U", tol)
     rep.extend(_interior_clauses(rec, "matricial", tol)[0])
 
     # compressions: to the chain pair and to the original corner

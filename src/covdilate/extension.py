@@ -1,9 +1,10 @@
 """Truncated inductive coisometric extension of a covariant pair.
 
-``coisometric_extend(pair, n_levels, ...)`` stacks ``n_levels`` extension
-steps: level 0 is the two-step block construction on H, and each further
-level applies the extension step to the previous restricted representation
-on its defect space.  The assembled pair ``(rho, V)`` lives on
+``coisometric_extend(pair, n_levels, ...)`` builds every level with
+:func:`~covdilate.covariant.two_step`: level 0 on ``(pi, T)``, level k on
+``(pi_hat_(k-1), 0)``, whose defect ``Delta* = I`` makes its defect space
+the one generated by ``W_k defect_(k-1)``.  The assembled pair ``(rho, V)``
+lives on
 
     H + defect_0 + defect_1 + ... + defect_{n_levels-1}
 
@@ -21,9 +22,8 @@ import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, HBExtension,
                         RestrictedRep, ShiftedRep, defect_roots,
-                        extend_representation, haar_unitary,
-                        invariance_residual, leaves_span, two_step,
-                        usable_depth, verify_strategy)
+                        extend_representation, invariance_residual,
+                        leaves_span, two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
@@ -111,7 +111,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
     if len(strategies) != n_levels:
         raise StrategyInvalid("one strategy per level required")
 
-    t_depth = system.stinespring_depth(pair.depth) if system.is_tower else None
+    t_depth = system.stinespring_depth(pair.depth)
     seen = []
     for strat in strategies:
         if not any(strat is s for s in seen):
@@ -120,36 +120,27 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
 
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels: list[ChainLevel] = []
-
-    ext0 = extend_representation(system, pair.rep, strategies[0], pair.depth, tol, rng)
-    step0 = two_step(pair, ext0, tol, rng)
-    levels.append(ChainLevel(ext0, step0.defect_basis, step0.d_star, step0.pi_hat,
-                             0.0, 0.0))
-
-    for k in range(1, n_levels):
-        prev = levels[-1]
-        ext = extend_representation(system, prev.pi_hat, strategies[k],
-                                    pair.depth, tol, rng)
-        w = ext.isometry
-        span_depth = ext.rho.max_depth if system.is_tower else None
-        # defect_k = span rho_k(A) W_k defect_(k-1): the span on which the
-        # step certified its minimality, as defect_(k-1) is the space it extends
-        basis = ext.span
-        rank = basis.shape[1]
-        if rng is not None and rank:
-            basis = basis @ haar_unitary(rank, rng)
-        inv = invariance_residual(system, span_depth, ext.rho, basis, tol)
-        if inv > tol.residual_tol:
-            raise InvarianceViolation(f"level {k} defect space drifts by {inv:.3e}")
-        embed_res = spectral_norm(w - basis @ (basis.conj().T @ w))
-        d_star = w.conj().T @ basis
-        pi_hat = RestrictedRep(ext.rho, basis)
-        # how far the full algebra action moves the embedded previous defect:
-        # only alpha(A) is guaranteed to preserve it
-        check_d = usable_depth(system, [ext.rho], 0, pair.depth)
-        containment = invariance_residual(system, check_d, ext.rho, w, tol)
-        levels.append(ChainLevel(ext, basis, d_star, pi_hat, float(embed_res),
-                                 float(containment)))
+    # level 0 extends (pi, T); level k extends (pi_hat_(k-1), 0), whose
+    # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
+    rep, t = pair.rep, pair.contraction
+    for k, strat in enumerate(strategies):
+        ext = extend_representation(system, rep, strat, pair.depth, tol, rng)
+        try:
+            step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
+        except InvarianceViolation as exc:
+            raise InvarianceViolation(f"level {k} {exc}") from exc
+        embed_res = containment = 0.0
+        if k:
+            w = ext.isometry
+            basis = step.defect_basis
+            embed_res = spectral_norm(w - basis @ (basis.conj().T @ w))
+            # how far the full algebra action moves the embedded previous
+            # defect: only alpha(A) is guaranteed to preserve it
+            check_d = usable_depth(system, [ext.rho], 0, pair.depth)
+            containment = invariance_residual(system, check_d, ext.rho, w, tol)
+        levels.append(ChainLevel(ext, step.defect_basis, step.d_star, step.pi_hat,
+                                 float(embed_res), float(containment)))
+        rep, t = step.pi_hat, np.zeros((step.pi_hat.dim,) * 2, dtype=complex)
 
     return _assemble(pair, strategies, levels, basis_seed)
 

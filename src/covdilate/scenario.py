@@ -130,9 +130,8 @@ def build_scenario(data, tol_override: Optional[float] = None) -> Scenario:
     if cov > tol.residual_tol:
         raise ScenarioValidationError("covariance",
                                       f"covariance residual {cov:.3e} exceeds tolerance")
-    t_depth = system.stinespring_depth(pair.depth) if system.is_tower else None
     try:
-        verify_strategy(system, strategy, t_depth, tol)
+        verify_strategy(system, strategy, system.stinespring_depth(pair.depth), tol)
     except StrategyInvalid as exc:
         raise ScenarioValidationError("strategy", str(exc)) from exc
     return Scenario(data, backend, system, pair, strategy, levels, copies, tol, seed)

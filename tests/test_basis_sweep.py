@@ -191,18 +191,23 @@ def test_two_step_rejects_a_drifting_defect_space(corpus, monkeypatch):
 
 
 def test_chain_rejects_a_drifting_level_defect_space(corpus, monkeypatch):
-    # a level's defect space is the span its step certified (HBExtension.span),
-    # so a step that reports a proper subspace there must trip the chain's gate
+    # level k >= 1 is the two-step block of (pi_hat_(k-1), 0), so a level-1
+    # step that reports a proper subspace of its span must trip its gate
     case = next(c for c in corpus if c.backend == "tower" and c.levels >= 2)
-    real_certify = covariant_mod._certify_step
+    real_two_step = covariant_mod.two_step
+    steps = []
 
-    def dropping_certify(*args):
-        report, span = real_certify(*args)
-        return report, span[:, :-1]
+    def dropping_at_level_one(pair, ext, tol, rng):
+        steps.append(pair)
+        if len(steps) == 2:
+            monkeypatch.setattr(covariant_mod, "orthonormal_span",
+                                _dropping_span(orthonormal_span))
+        return real_two_step(pair, ext, tol, rng)
 
-    monkeypatch.setattr(covariant_mod, "_certify_step", dropping_certify)
+    monkeypatch.setattr(extension_mod, "two_step", dropping_at_level_one)
     with pytest.raises(InvarianceViolation, match="level 1 defect space drifts"):
         coisometric_extend(case.pair, case.levels, case.strategy)
+    assert len(steps) == 2
 
 
 def test_each_level_spans_its_step_set_once(corpus, monkeypatch):
@@ -220,7 +225,7 @@ def test_each_level_spans_its_step_set_once(corpus, monkeypatch):
     assert chain.n_levels >= 2
     for level in chain.levels:
         ext = level.ext
-        assert sum(rep is ext.rho and right is ext.isometry for rep, right in calls) == 1
+        assert sum(rep is ext.rho and right is not None for rep, right in calls) == 1
 
 
 # ---------------------------------------------------------------------------

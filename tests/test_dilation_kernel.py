@@ -32,7 +32,7 @@ M2 = FiniteDimCStarAlgebra((2,))
 def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
                          rng=None) -> HBExtension:
     """Extension step through the Gram-form quotient (reference route)."""
-    working = system.stinespring_depth(check_depth) if system.is_tower else None
+    working = system.stinespring_depth(check_depth)
     tau = resolve_transfer(system, strategy, tol)
 
     def phi(y):
@@ -66,7 +66,7 @@ def gram_route_extension(system, rep, strategy, check_depth, tol=DEFAULT_TOL,
             parts.append(rho_s)
         rho, w = DirectSumRep(tuple(parts)), np.vstack(rows)
     return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth,
-                       working, None, None)
+                       working, tol)
 
 
 def gns_strategy(case):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import covdilate.covariant as covariant_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
+from covdilate.cli import run
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
-                                 haar_unitary)
+                                 extend_representation, haar_unitary, two_step)
 from covdilate.cpmaps import CPMap
 from covdilate.errors import DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, restrict_chain,
                                  verify_coisometric_extension)
-from covdilate.numerics import spectral_norm
+from covdilate.numerics import DEFAULT_TOL, orthonormal_span, spectral_norm
+from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
 
@@ -192,3 +195,74 @@ def test_mixed_strategies_allowed_behind_flag():
     chain = coisometric_extend(pair, 2, scalar_strategy(),
                                level_strategies=strategies)
     assert verify_coisometric_extension(chain).passed
+
+
+# ---------------------------------------------------------------------------
+# one builder for every chain level
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("basis_seed", [None, 5])
+def test_each_level_is_the_span_of_its_step_set(corpus, built_chains, basis_seed):
+    # level k >= 1 must be span rho_k(A) W_k, recomputed here one basis
+    # element at a time, with D_k* = W_k* B_k
+    checked = 0
+    for case in corpus:
+        chain = built_chains[case.name] if basis_seed is None else \
+            coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, basis_seed)
+        system = case.pair.system
+        for level in chain.levels[1:]:
+            ext = level.ext
+            w = ext.isometry
+            cols = [ext.rho(b) @ w for b in system.basis(ext.rho.max_depth)]
+            want, rank = orthonormal_span(np.hstack(cols))
+            basis = level.defect_basis
+            assert level.dim == rank, case.name
+            assert spectral_norm(basis @ basis.conj().T - want @ want.conj().T) <= 1e-12
+            assert np.array_equal(level.d_star, w.conj().T @ basis)
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("basis_seed", [None, 5])
+def test_one_level_chain_is_the_two_step_block(corpus, basis_seed):
+    for case in corpus:
+        pair = case.pair
+        rng = None if basis_seed is None else np.random.default_rng(basis_seed)
+        ext = extend_representation(pair.system, pair.rep, case.strategy, pair.depth,
+                                    DEFAULT_TOL, rng)
+        block = two_step(pair, ext, DEFAULT_TOL, rng).block
+        chain = coisometric_extend(pair, 1, case.strategy, DEFAULT_TOL, basis_seed)
+        assert np.array_equal(chain.v, block), case.name
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a step certificate was built")
+
+
+def test_reports_never_build_step_certificates(monkeypatch):
+    scenarios = {name: build_scenario(demo_fixture(name))
+                 for name in ("scalar", "automorphism", "tower")}
+    commands = ("extend", "unitary", "matricial", "compare")
+
+    def reports():
+        return {(name, command): run(sc, command, sc)
+                for name, sc in scenarios.items() for command in commands}
+
+    want = reports()
+    monkeypatch.setattr(covariant_mod, "_certify_step", _refuse)
+    monkeypatch.setattr(covariant_mod, "_two_step_clauses", _refuse)
+    assert reports() == want
+
+    # read later, the certificates are those of a direct build
+    sc = scenarios["tower"]
+    pair = sc.pair
+    chain = coisometric_extend(pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+    step = two_step(pair, chain.levels[0].ext, sc.tol)
+    monkeypatch.undo()
+    for level in chain.levels:
+        ext = level.ext
+        assert ext.report == covariant_mod._certify_step(
+            ext.system, ext.base_rep, ext.rho, ext.isometry, ext.check_depth, sc.tol)
+        assert ext.report.passed
+    assert step.report.as_dict() == covariant_mod._two_step_clauses(step).as_dict()
+    assert step.report.passed

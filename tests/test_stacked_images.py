@@ -268,9 +268,9 @@ def test_sweeps_stay_within_the_byte_cap(monkeypatch):
     peak, _ = _peak_above_baseline(lambda: verify_coisometric_extension(chain))
     assert peak <= CAP + one, (peak, CAP, one)
 
-    # _certify_step's span build keeps only the spanning set it returns;
-    # at level 0 one chunk holds several elements, at level 1 one element
-    # exceeds the cap
+    # a level's span build (rho_k(A) applied to columns of W_k's shape)
+    # keeps only the spanning set it returns; at level 0 one chunk holds
+    # several elements, at level 1 one element exceeds the cap
     chunked = []
     for level in chain.levels:
         ext = level.ext

@@ -242,17 +242,21 @@ def verify_star_hom(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> "StarHomReport"
         return alg.join([x.swapaxes(-1, -2).conj() for x in alg.split(coords)])
 
     pairs = np.indices((src.dim, src.dim)).reshape(2, -1).T
-    (mult,) = basis_sweep(pairs, pair_sides, lambda lhs, rhs: (lhs, rhs))
+    (mult,) = basis_sweep(pairs, pair_sides, lambda lhs, rhs: (lhs, rhs),
+                          threshold=tol.residual_tol)
     (star,) = basis_sweep(
         src.dim, lambda c: (c,),
         lambda c: (dst.full_matrices(adjoint(src, c) @ h.matrix.T),
-                   dst.full_matrices(adjoint(dst, c @ h.matrix.T))))
-    return StarHomReport(mult, star, unit_residual(h), tol.residual_tol)
+                   dst.full_matrices(adjoint(dst, c @ h.matrix.T))),
+        threshold=tol.residual_tol)
+    return StarHomReport(mult, star, unit_residual(h, tol.residual_tol), tol.residual_tol)
 
 
-def unit_residual(m) -> float:
-    """residual(m(1), 1) for a coordinate map between unital algebras."""
-    return residual(m(m.source.unit()).full_matrix(), m.target.unit().full_matrix())
+def unit_residual(m, threshold: float | None = None) -> float:
+    """residual(m(1), 1) for a coordinate map between unital algebras,
+    decided against ``threshold`` when one is given."""
+    return residual(m(m.source.unit()).full_matrix(), m.target.unit().full_matrix(),
+                    threshold)
 
 
 @dataclass(frozen=True)

@@ -286,13 +286,16 @@ def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
     return lambda x: comp_h @ (x @ basis)
 
 
-def invariance_residual(system, depth, rep, basis, tol: Tolerance = DEFAULT_TOL) -> float:
+def invariance_residual(system, depth, rep, basis, tol: Tolerance = DEFAULT_TOL,
+                        threshold: Optional[float] = None) -> float:
     """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
-    orthonormal columns."""
+    orthonormal columns, decided against ``threshold`` when one is given
+    (see :func:`~covdilate.numerics.basis_sweep`)."""
     off = leaves_span(basis, tol)
     if off is None:
         return 0.0
-    (inv,) = basis_sweep(system.basis_size(depth), lambda c: (rep.images(c, depth),), off)
+    (inv,) = basis_sweep(system.basis_size(depth), lambda c: (rep.images(c, depth),), off,
+                         threshold=threshold)
     return inv
 
 
@@ -363,7 +366,7 @@ def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> floa
     t = pair.contraction
     (worst,) = basis_sweep(pair.system.basis_size(d),
                            rep_and_shifted(pair.system, pair.rep, d),
-                           lambda pa, paa: (t @ paa, pa @ t))
+                           lambda pa, paa: (t @ paa, pa @ t), threshold=tol.residual_tol)
     return worst
 
 
@@ -376,8 +379,16 @@ class DefectData:
 
 
 def defect_roots(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """The defect operators (I - T*T)^(1/2) and (I - TT*)^(1/2) of a contraction."""
+    """The defect operators (I - T*T)^(1/2) and (I - TT*)^(1/2) of a contraction.
+
+    For T = 0 (every chain level above the first) both are returned as
+    exact identities, which is what psd_sqrt gives on I, without an
+    eigensolve.
+    """
     t = pair.contraction
+    if not t.any():
+        eye = np.eye(pair.space_dim, dtype=complex)
+        return eye, eye.copy()
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol.rank_eps:
         raise NotContraction(f"||T|| = {nrm:.12f} exceeds 1")
@@ -401,7 +412,7 @@ def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> Defec
     comm, comm_alpha = basis_sweep(
         pair.system.basis_size(d), rep_and_shifted(pair.system, pair.rep, d),
         lambda pa, paa: (delta_star @ pa, pa @ delta_star),
-        lambda pa, paa: (delta @ paa, paa @ delta))
+        lambda pa, paa: (delta @ paa, paa @ delta), threshold=tol.residual_tol)
     return DefectData(delta, delta_star, comm, comm_alpha)
 
 
@@ -471,9 +482,9 @@ def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> Cl
         cp = verify_completely_positive(e_cp, tol)
         off = range_defect(alpha_hom, e_cp.matrix, tol)
         rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
-                       idempotency_residual(e_cp), tol.residual_tol))
-        rep.add(clause("expectation/unital", "E(1) = 1", unit_residual(e_cp),
-                       tol.residual_tol))
+                       idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
+        rep.add(clause("expectation/unital", "E(1) = 1",
+                       unit_residual(e_cp, tol.residual_tol), tol.residual_tol))
         rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
                        max(0.0, -cp.min_eig), tol.psd_floor))
         rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
@@ -656,7 +667,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     if rng is not None and rank:
         basis = basis @ haar_unitary(rank, rng)
 
-    inv = invariance_residual(pair.system, span_depth, ext.rho, basis, tol)
+    inv = invariance_residual(pair.system, span_depth, ext.rho, basis, tol, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
 
@@ -678,13 +689,16 @@ def _two_step_clauses(step: TwoStepBlock) -> ClauseReport:
     rep = ClauseReport()
     target = block_diag([np.eye(h, dtype=complex), np.zeros((k, k), dtype=complex)])
     rep.add(clause("two-step/partial-isometry", "M M* = I_H + 0",
-                   residual(block @ block.conj().T, target), tol.residual_tol))
+                   residual(block @ block.conj().T, target, tol.residual_tol),
+                   tol.residual_tol))
     rep.add(clause("two-step/partial-isometry-idem", "M M* M = M",
-                   residual(block @ block.conj().T @ block, block), tol.residual_tol))
+                   residual(block @ block.conj().T @ block, block, tol.residual_tol),
+                   tol.residual_tol))
     d = usable_depth(pair.system, [pair.rep, step.pi_hat], 1, pair.depth)
     sigma = DirectSumRep((pair.rep, step.pi_hat))
     (cov,) = basis_sweep(pair.system.basis_size(d), rep_and_shifted(pair.system, sigma, d),
-                         lambda sa, saa: (block @ saa, sa @ block))
+                         lambda sa, saa: (block @ saa, sa @ block),
+                         threshold=tol.residual_tol)
     rep.add(clause("two-step/covariance", "M diag(pi, pi^)(alpha(a)) = diag(pi, pi^)(a) M",
                    cov, tol.residual_tol))
     rep.add(clause("two-step/invariance", "rho(A) preserves the defect space",

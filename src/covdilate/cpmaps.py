@@ -15,6 +15,7 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -162,16 +163,17 @@ def verify_transfer(tau: CPMap, alpha: StarHom,
     (left,) = basis_sweep(
         alpha.source.dim, lambda c: (c,),
         lambda c: (tau.target.full_matrices(c @ alpha.matrix.T @ tau.matrix.T),
-                   alpha.source.full_matrices(c)))
+                   alpha.source.full_matrices(c)), threshold=tol.residual_tol)
     cp = verify_completely_positive(tau, tol)
-    return TransferReport(float(left), float(unit_residual(tau)), cp, tol.residual_tol)
+    return TransferReport(left, unit_residual(tau, tol.residual_tol), cp, tol.residual_tol)
 
 
-def idempotency_residual(e: CPMap) -> float:
-    """max over the basis of residual(E(E(a)), E(a))."""
+def idempotency_residual(e: CPMap, threshold: Optional[float] = None) -> float:
+    """max over the basis of residual(E(E(a)), E(a)), decided against
+    ``threshold`` when one is given."""
     (idem,) = basis_sweep(e.source.dim, lambda c: (c @ e.matrix.T,),
                           lambda ec: (e.target.full_matrices(ec @ e.matrix.T),
-                                      e.target.full_matrices(ec)))
+                                      e.target.full_matrices(ec)), threshold=threshold)
     return idem
 
 
@@ -194,7 +196,7 @@ def expectation_from_transfer(alpha: StarHom, tau: CPMap,
             f"transfer checks failed (left inverse {rep.left_inverse_residual:.3e}, "
             f"unit {rep.unit_residual:.3e}, min Choi eig {rep.cp.min_eig:.3e})")
     e = CPMap(tau.source, alpha.target, alpha.matrix @ tau.matrix)
-    idem = idempotency_residual(e)
+    idem = idempotency_residual(e, tol.residual_tol)
     if idem > tol.residual_tol:
         raise TransferInvalid(f"E = alpha o tau fails idempotency by {idem:.3e}")
     off_range = range_defect(alpha, e.matrix, tol)
@@ -311,12 +313,30 @@ class KrausRep(ChunkRep):
     def max_depth(self):
         return self.depth
 
+    @cached_property
+    def _kraus_blocks(self) -> list:
+        """Per block b, Q's column block Q_b (columns (p, s), p < n_b and
+        s < r_b) twice: as the (dim r_b, n_b) matrix L_b with rows (i, s),
+        and as R_b = Q_b* with rows (s, q).  Then Q_b (x_b (x) I_r) Q_b* is
+        (L_b x_b viewed as (dim, r_b n_b)) R_b."""
+        out = []
+        o = 0
+        for n, r in zip(self.system.algebra_view(self.depth).block_sizes,
+                        self.dilation.multiplicities):
+            q = self.rotation[:, o:o + n * r].reshape(self.dim, n, r).transpose(0, 2, 1)
+            q = np.ascontiguousarray(q)
+            out.append((q.reshape(self.dim * r, n), q.reshape(self.dim, r * n).conj().T))
+            o += n * r
+        return out
+
     def images(self, coords, depth) -> np.ndarray:
         m = len(coords)
+        blocks = self.system.coord_blocks(coords, depth, self.depth)
+        if self.rotation is not None:
+            return self._rotated_images(m, blocks)
         out = np.zeros((m, self.dim, self.dim), dtype=complex)
         o = 0
-        for b, r in zip(self.system.coord_blocks(coords, depth, self.depth),
-                        self.dilation.multiplicities):
+        for b, r in zip(blocks, self.dilation.multiplicities):
             n = b.shape[-1]
             # the diagonal block of x_b (x) I_r, viewed as (m, n, r, n, r): a
             # view, since reshaping only splits axes
@@ -324,10 +344,19 @@ class KrausRep(ChunkRep):
             idx = np.arange(r)
             block[:, :, idx, :, idx] = b
             o += n * r
-        if self.rotation is None:
-            return out
-        rotated = np.matmul(self.rotation, out)
-        return np.matmul(rotated, self.rotation.conj().T, out=out)
+        return out
+
+    def _rotated_images(self, m, blocks) -> np.ndarray:
+        # sum over b of Q_b (x_b (x) I_r) Q_b*: x_b against Q's column block
+        # in one batched product, then one product with Q_b*
+        out = None
+        for b, (left, right) in zip(blocks, self._kraus_blocks):
+            half = np.matmul(left, b).reshape(m, self.dim, right.shape[0])
+            if out is None:
+                out = np.matmul(half, right)
+            else:
+                out += np.matmul(half, right)
+        return out if out is not None else np.zeros((m, self.dim, self.dim), dtype=complex)
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,

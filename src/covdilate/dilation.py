@@ -126,7 +126,8 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     """
     pair = rec.source_pair if source is None else source
     if pair.space_dim != rec.source_pair.space_dim or \
-            residual(pair.contraction, rec.source_pair.contraction) > tol.residual_tol:
+            residual(pair.contraction, rec.source_pair.contraction,
+                     tol.residual_tol) > tol.residual_tol:
         raise ShapeMismatch("supplied source pair does not match the record")
     system = pair.system
     rep = ClauseReport()
@@ -146,7 +147,7 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
         for n in range(1, rec.copies + 1):
             dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
             inv = max(inv, invariance_residual(system, dd, ShiftedRep(pair.rep, system, n),
-                                               bd, tol))
+                                               bd, tol, tol.residual_tol))
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))
@@ -154,10 +155,12 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
     keep = np.eye(total, dtype=complex)
     keep[rec.boundary_cols, rec.boundary_cols] = 0.0
     rep.add(clause("dilation/isometry", "W* W = P(all copies but the truncated last)",
-                   residual(rec.w.conj().T @ rec.w, keep), tol.residual_tol))
+                   residual(rec.w.conj().T @ rec.w, keep, tol.residual_tol),
+                   tol.residual_tol))
 
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
-                   _compression(rec.w, rec.source_embed, t, rec.copies), tol.residual_tol))
+                   _compression(rec.w, rec.source_embed, t, rec.copies, tol.residual_tol),
+                   tol.residual_tol))
 
     orbit = power_orbit(rec.w, rec.source_embed, rec.copies)
     _, rank = orthonormal_span(np.hstack(orbit), tol)
@@ -187,7 +190,8 @@ def _covariance_clause(rep: ClauseReport, rec: DilationRecord, pair: CovariantPa
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
     (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
-                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w))
+                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w),
+                         threshold=tol.residual_tol)
     rep.add(clause(name, formula, cov, tol.residual_tol))
     return d
 
@@ -201,13 +205,13 @@ def power_orbit(w, embed, steps: int) -> list:
     return orbit
 
 
-def _compression(u, embed, t, steps: int) -> float:
+def _compression(u, embed, t, steps: int, threshold: Optional[float] = None) -> float:
     """max over 0 <= n <= steps of residual(E* U^n E, T^n), as one sweep
-    over the powers."""
+    over the powers, decided against ``threshold`` when one is given."""
     compressed = embed.conj().T @ np.stack(power_orbit(u, embed, steps))
     t_powers = np.stack(power_orbit(t, np.eye(t.shape[0], dtype=complex), steps))
     (worst,) = basis_sweep(np.arange(steps + 1), lambda n: (compressed[n], t_powers[n]),
-                           lambda c, tn: (c, tn))
+                           lambda c, tn: (c, tn), threshold=threshold)
     return worst
 
 
@@ -272,7 +276,8 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
     rep = ClauseReport()
     rep.notes.append(BOUNDARY_NOTE)
     window = min(n_levels, rec.copies)
-    dil = _compression(rec.w, rec.origin_embed, rec.origin_pair.contraction, window)
+    dil = _compression(rec.w, rec.origin_embed, rec.origin_pair.contraction, window,
+                       tol.residual_tol)
     rep.add(clause("unitary/compression", "P_H U^n |H = T^n (0 <= n <= min(levels, copies))",
                    dil, tol.residual_tol))
     interior, iso_def, coiso_def = _interior_clauses(rec, "unitary", tol)
@@ -368,10 +373,11 @@ def _matricial_clauses(rec: DilationRecord, dd,
     rep.extend(_interior_clauses(rec, "matricial", tol)[0])
 
     # compressions: to the chain pair and to the original corner
-    res_v = _compression(u, rec.source_embed, chain.v, rec.copies)
+    res_v = _compression(u, rec.source_embed, chain.v, rec.copies, tol.residual_tol)
     rep.add(clause("matricial/restricts-to-extension", "P_KV U^n |KV = V^n",
                    res_v, tol.residual_tol))
-    res_t = _compression(u, rec.origin_embed, pair.contraction, rec.copies)
+    res_t = _compression(u, rec.origin_embed, pair.contraction, rec.copies,
+                         tol.residual_tol)
     rep.add(clause("matricial/compression", "P_H U^n |H = T^n",
                    res_t, tol.residual_tol))
     return rep

@@ -23,7 +23,7 @@ from .cpmaps import unit_image_chois
 from .dilation import DilationRecord, power_orbit
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
-from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
+from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, basis_sweep, block_diag,
                        orthonormal_span, residual, spectral_norm)
 
 EQUIV_THRESHOLD = 1e-7
@@ -64,6 +64,13 @@ class GramWitness:
 
 @dataclass
 class EquivalenceCertificate:
+    """A verdict with the residuals it was decided on.
+
+    Relation residuals are computed against ``threshold``: one above it is
+    exact, one at or below it may be an upper bound on the exact value, and
+    ``as_dict`` lists those under ``residual_kinds``.
+    """
+
     verdict: str                      # equivalent | inequivalent | inconclusive
     threshold: float
     residuals: dict = field(default_factory=dict)
@@ -78,6 +85,9 @@ class EquivalenceCertificate:
     def as_dict(self) -> dict:
         d = {"verdict": self.verdict, "threshold": self.threshold,
              "residuals": {k: float(v) for k, v in self.residuals.items()}}
+        bounds = {k: "bound" for k, v in self.residuals.items() if isinstance(v, UpperBound)}
+        if bounds:
+            d["residual_kinds"] = bounds
         if self.witness is not None:
             d["witness"] = self.witness.as_dict()
         if self.note:
@@ -103,16 +113,17 @@ def _require_span(x, dim: int, tol: Tolerance, message: str) -> None:
         raise SpanDeficient(message.format(rank=rank, dim=dim))
 
 
-def _unitarity(u) -> dict:
-    return {"unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1])),
-            "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]))}
+def _unitarity(u, threshold: float) -> dict:
+    return {"unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1]), threshold),
+            "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]), threshold)}
 
 
-def _intertwined(system, depth, rep1, rep2, u) -> float:
-    """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u)."""
+def _intertwined(system, depth, rep1, rep2, u, threshold: float) -> float:
+    """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u),
+    decided against ``threshold``."""
     (rel,) = basis_sweep(system.basis_size(depth),
                          lambda c: (rep1.images(c, depth), rep2.images(c, depth)),
-                         lambda r1, r2: (u @ r1, r2 @ u))
+                         lambda r1, r2: (u @ r1, r2 @ u), threshold=threshold)
     return rel
 
 
@@ -180,10 +191,10 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
             "matching Gram forms but different dilation dimensions")
 
     u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
-    residuals = {"gram_mismatch": mismatch, **_unitarity(u),
+    residuals = {"gram_mismatch": mismatch, **_unitarity(u, threshold),
                  "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry)}
     residuals["representation_intertwined"] = _intertwined(system, depth, ext1.rho,
-                                                           ext2.rho, u)
+                                                           ext2.rho, u, threshold)
     return _verdict(residuals, threshold, u)
 
 
@@ -201,7 +212,7 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         raise LevelMismatch(f"{chain1.n_levels} vs {chain2.n_levels} levels")
     if p1.space_dim != p2.space_dim:
         raise LevelMismatch("chains over different spaces")
-    if residual(p1.contraction, p2.contraction) > tol.residual_tol:
+    if residual(p1.contraction, p2.contraction, tol.residual_tol) > tol.residual_tol:
         raise LevelMismatch("chains over different contractions")
     system = p1.system
 
@@ -228,18 +239,18 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
         u_k = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
         u_def = lv2.defect_basis.conj().T @ u_k @ lv1.defect_basis
         residuals[f"level{k}_unitarity"] = residual(
-            u_def.conj().T @ u_def, np.eye(u_def.shape[1]))
+            u_def.conj().T @ u_def, np.eye(u_def.shape[1]), threshold)
         blocks.append(u_def)
         u_prev = u_def
 
     u = block_diag(blocks)
-    residuals.update(_unitarity(u))
+    residuals.update(_unitarity(u, threshold))
     residuals["fixes_H"] = spectral_norm(
         u[:p1.space_dim, :p1.space_dim] - np.eye(p1.space_dim))
-    residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u)
+    residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u, threshold)
     d = usable_depth(system, [chain1.rho, chain2.rho], 0, p1.depth)
     residuals["representation_intertwined"] = _intertwined(system, d, chain1.rho,
-                                                           chain2.rho, u)
+                                                           chain2.rho, u, threshold)
     return _verdict(residuals, threshold, u)
 
 
@@ -257,7 +268,7 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
         raise LevelMismatch("records with different numbers of copies")
     if s1.space_dim != s2.space_dim:
         raise LevelMismatch("records over different source spaces")
-    if residual(s1.contraction, s2.contraction) > tol.residual_tol:
+    if residual(s1.contraction, s2.contraction, tol.residual_tol) > tol.residual_tol:
         raise LevelMismatch("records over different source contractions")
 
     x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
@@ -269,11 +280,11 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
                                       "minimal records of different dimension")
 
     u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
-    residuals = {**_unitarity(u),
+    residuals = {**_unitarity(u, threshold),
                  "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
-                 "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u)}
+                 "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u, threshold)}
     system = s1.system
     d = usable_depth(system, [rec1.eta, rec2.eta], 0, s1.depth)
     residuals["representation_intertwined"] = _intertwined(system, d, rec1.eta,
-                                                           rec2.eta, u)
+                                                           rec2.eta, u, threshold)
     return _verdict(residuals, threshold, u)

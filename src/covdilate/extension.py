@@ -184,18 +184,20 @@ def verify_coisometric_extension(chain: ExtensionChain,
         lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
                    pair.rep.images(c, d)),
         lambda ra, raa, pa: (ra[..., :h], in_h(pa)),
-        lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v))
+        lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v), threshold=tol.residual_tol)
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
     rep.add(clause("chain/contraction-restricts", "V|H = T, V H in H",
-                   residual(chain.v[:, :h], in_h(pair.contraction)), tol.residual_tol))
+                   residual(chain.v[:, :h], in_h(pair.contraction), tol.residual_tol),
+                   tol.residual_tol))
 
     rep.add(clause("chain/covariance", "V rho(alpha(a)) = rho(a) V",
                    cov, tol.residual_tol))
 
     rep.add(clause("chain/coisometry", "V V* = P(all blocks but the truncated last)",
-                   residual(chain.v @ chain.v.conj().T, chain.kept_projection()),
+                   residual(chain.v @ chain.v.conj().T, chain.kept_projection(),
+                            tol.residual_tol),
                    tol.residual_tol))
 
     for k, lv in enumerate(chain.levels):
@@ -278,14 +280,15 @@ def defect_decomposition(chain: ExtensionChain,
 
     # T delta = delta_star T (used implicitly by X mapping into delta H)
     rep.add(clause("defect/intertwine", "T (I-T*T)^1/2 = (I-TT*)^1/2 T",
-                   residual(t @ delta, delta_star @ t), tol.residual_tol))
+                   residual(t @ delta, delta_star @ t, tol.residual_tol), tol.residual_tol))
 
     # defect row of the two-sided form, one column block per chain block
     row_map = block_diag([delta_h_basis.conj().T @ delta] + [q.conj().T for q in q_bases])
     row_map[:, offs[1]:offs[1] + level0.dim] = x_map
 
     eye = np.eye(chain.total_dim, dtype=complex)
-    gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v)
+    gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v,
+                        tol.residual_tol)
     rep.add(clause("defect/row-gram", "row* row = I - V* V", gram_res, tol.residual_tol))
     _, row_rank = orthonormal_span(row_map.conj().T, tol)
     rep.add(clause("defect/row-onto", "defect row maps onto D_V",
@@ -311,7 +314,8 @@ def defect_decomposition(chain: ExtensionChain,
 
     off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((len(x), 0, 0)))
     inv, block_res = basis_sweep(system.basis_size(d),
-                                 lambda c: (shifted.images(c, d),), off, diagonal)
+                                 lambda c: (shifted.images(c, d),), off, diagonal,
+                                 threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
                    inv, tol.residual_tol))
     rep.add(clause("defect/diagonal-form", "rho1 = diag of summand compressions",

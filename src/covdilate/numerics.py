@@ -74,9 +74,7 @@ def _spectral_norms(stack) -> np.ndarray:
     rows, cols = stack.shape[-2:]
     if rows * cols == 0:
         return np.zeros(stack.shape[:-2])
-    scale = _entry_scale(stack)
-    if not math.isfinite(scale.max(initial=0.0)):
-        raise ValueError("matrix entries must be finite")
+    scale = _finite_scale(stack)
     return _top_norms(_scaled_gram(stack, scale), scale)
 
 
@@ -107,15 +105,29 @@ def _top_norms(gram, scale) -> np.ndarray:
     return np.sqrt(np.linalg.eigvalsh(gram)[..., -1] / scale) * scale
 
 
-def residual(aop, bop) -> float:
+class UpperBound(float):
+    """A clause value decided by its norm bound at or below the threshold it
+    was computed against: an upper bound on the exact value, not the value.
+
+    The max of values keeps the type of the larger one, so a max over slices
+    or clauses is an :class:`UpperBound` exactly when a bound attains it.
+    """
+
+    __slots__ = ()
+
+
+def residual(aop, bop, threshold: float | None = None) -> float:
     """Scale-free distance ||A - B|| / (1 + max(||A||, ||B||)), spectral norm.
 
-    The norm kernel is the finiteness check of both operands (ValueError).
+    With a ``threshold`` the value is decided as in :func:`basis_sweep`:
+    exact when it is above the threshold, possibly an :class:`UpperBound`
+    when it is not.  The entry maximum of A - B is the finiteness check of
+    both operands (ValueError).
     """
     a, b = (np.asarray(x, dtype=complex) for x in (aop, bop))
     if a.ndim != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    return _clause_max((a[None], b[None]))
+    return _clause_max((a[None], b[None]), threshold)
 
 
 # byte cap on what one chunk of a basis sweep holds: its coordinate rows,
@@ -166,7 +178,7 @@ def _sweep(rows, images, clauses, consume) -> None:
         lo = hi
 
 
-def basis_sweep(rows, images, *clauses) -> list[float]:
+def basis_sweep(rows, images, *clauses, threshold: float | None = None) -> list[float]:
     """Max over the rows of ``rows`` of each clause, chunk by chunk.
 
     ``rows`` is an array whose first axis runs over the elements (coordinate
@@ -176,18 +188,29 @@ def basis_sweep(rows, images, *clauses) -> list[float]:
     :func:`residual` ``(A_i, B_i)``, or to one stack valued by spectral norms.
     A chunk holds about ``SWEEP_STACK_BYTES`` (or one row) and nothing
     outlives the call.  0.0 over an empty family.
+
+    With a ``threshold`` each slice is first valued by a norm bound (Golub &
+    Van Loan 2.3: ||X||_F >= ||X||_2 >= max_ij |x_ij|), for a pair
+    ||A - B||_F / (1 + max(max_ij |a_ij|, max_ij |b_ij|)) and for one stack
+    ||X||_F, and only the slices whose bound is above the threshold get the
+    exact value.  A clause above its threshold is therefore exactly the
+    value without one; at or below it, the value may be an
+    :class:`UpperBound`.  The Frobenius norm is s ||X / s||_F with s the
+    largest entry modulus, and the denominator uses entry maxima, not
+    column norms: neither leaves the floating-point range for finite
+    entries, where an overflowing denominator would turn the bound into 0.
     """
     worst = [0.0] * len(clauses)
 
     def reduce(lo, hi, terms):
         for c, term in enumerate(terms):
-            worst[c] = max(worst[c], _clause_max(term))
+            worst[c] = max(worst[c], _clause_max(term, threshold))
 
     _sweep(rows, images, clauses, reduce)
     return worst
 
 
-def _clause_max(term) -> float:
+def _clause_max(term, threshold: float | None = None) -> float:
     """Largest value of one clause over a chunk.
 
     One stack is valued by its spectral norms.  A pair ``(A, B)`` is valued
@@ -195,24 +218,71 @@ def _clause_max(term) -> float:
     part: the norms of A - B first, then those of A and B from one
     eigensolve over their two Gram stacks.  Either phase holds no more than
     three operator stacks, as much as the stack [A - B; A; B].  A non-finite
-    entry of A or B makes A - B non-finite, which raises first.
+    entry of A or B makes A - B non-finite, which raises first.  With a
+    ``threshold``, slices whose norm bound is at or below it are valued by
+    the bound and skip both eigensolves (see :func:`basis_sweep`).
     """
-    if not isinstance(term, tuple):
-        return float(_spectral_norms(np.asarray(term, dtype=complex)).max())
-    a, b = (np.asarray(t, dtype=complex) for t in term)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
-    m, rows, cols = a.shape
+    a = b = None
+    if isinstance(term, tuple):
+        a, b = (np.asarray(t, dtype=complex) for t in term)
+        if a.shape != b.shape:
+            raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
+        diff = a - b
+    else:
+        diff = np.asarray(term, dtype=complex)
+    rows, cols = diff.shape[-2:]
     if rows * cols == 0:
         return 0.0
-    num = _spectral_norms(a - b)
-    side = min(rows, cols)
+    scale = _finite_scale(diff)
+    top = 0.0
+    if threshold is not None:
+        bounds = _frobenius_norms(diff, scale)
+        if a is not None:
+            bounds /= 1.0 + np.maximum(_entry_scale(a), _entry_scale(b))
+        over = bounds > threshold
+        top = float(bounds.max(initial=0.0, where=~over))
+        if not over.any():
+            return UpperBound(top)
+        if not over.all():
+            diff, scale = diff[over], scale[over]
+            if a is not None:
+                a, b = a[over], b[over]
+    values = _top_norms(_scaled_gram(diff, scale), scale)
+    del diff
+    if a is not None:
+        values /= 1.0 + _pair_norms(a, b)
+    worst = float(values.max())
+    return UpperBound(top) if worst < top else worst
+
+
+def _finite_scale(stack) -> np.ndarray:
+    """:func:`_entry_scale` of each slice; a non-finite entry raises ValueError."""
+    scale = _entry_scale(stack)
+    if not math.isfinite(scale.max(initial=0.0)):
+        raise ValueError("matrix entries must be finite")
+    return scale
+
+
+def _pair_norms(a, b) -> np.ndarray:
+    """max(||A_i||, ||B_i||) of each slice pair, from one eigensolve over
+    the two scaled Gram stacks."""
+    m = a.shape[0]
+    side = min(a.shape[-2:])
     grams = np.empty((2 * m, side, side), dtype=complex)
     scales = np.concatenate([_entry_scale(a), _entry_scale(b)])
     _scaled_gram(a, scales[:m], grams[:m])
     _scaled_gram(b, scales[m:], grams[m:])
     norms = _top_norms(grams, scales)
-    return float((num / (1.0 + np.maximum(norms[:m], norms[m:]))).max())
+    return np.maximum(norms[:m], norms[m:])
+
+
+def _frobenius_norms(stack, scale) -> np.ndarray:
+    """s ||X / s||_F of each slice, s its entry scale: every entry of X / s
+    is at most 1 in modulus, so the sum of squares stays in range."""
+    flat = np.divide(stack, scale[:, None, None], order="C").view(float)
+    flat = flat.reshape(len(stack), -1)
+    np.multiply(flat, flat, out=flat)
+    return np.sqrt(flat.sum(axis=1)) * scale
 
 
 def stack_images(rows, images, right=None) -> np.ndarray:
@@ -277,9 +347,10 @@ def block_offsets(dims) -> list[int]:
     return offs
 
 
-def hermitian_residual(a) -> float:
+def hermitian_residual(a, threshold: float | None = None) -> float:
+    """residual(A, A*), decided against ``threshold`` when one is given."""
     m = as_matrix(a)
-    return residual(m, m.conj().T)
+    return residual(m, m.conj().T, threshold)
 
 
 def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -295,8 +366,9 @@ def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatch(f"square matrix required, got {m.shape}")
     if m.shape[0] == 0:
         return m.copy()
-    if hermitian_residual(m) > tol.residual_tol:
-        raise NotHermitian(f"hermitian residual {hermitian_residual(m):.3e}")
+    skew = hermitian_residual(m, tol.residual_tol)
+    if skew > tol.residual_tol:
+        raise NotHermitian(f"hermitian residual {skew:.3e}")
     herm = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     if vals[0] < -tol.psd_floor:

@@ -23,7 +23,7 @@ from .covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
 from .cpmaps import CPMap
 from .errors import (NotInjective, ScenarioParseError, ScenarioValidationError,
                      StrategyInvalid, WorkbenchError)
-from .numerics import DEFAULT_TOL, Tolerance, spectral_norm
+from .numerics import DEFAULT_TOL, Tolerance, UpperBound, spectral_norm
 from .tower import (ShiftTower, TowerExpectation, TowerSystem, TowerTransfer,
                     shift_down_pair, state_density)
 
@@ -162,9 +162,12 @@ def _build_finite(data, tol):
     from .algebra import verify_endomorphism
     endo = verify_endomorphism(alpha, tol)
     if not endo.passed:
+        mult = endo.hom.mult_residual
+        # a passing mult residual may be its norm bound; the message says so
+        at_most = "<= " if isinstance(mult, UpperBound) else ""
         raise ScenarioValidationError(
             "star-hom", "alpha is not a unital injective *-endomorphism "
-            f"(mult {endo.hom.mult_residual:.3e}, injective {endo.injective})")
+            f"(mult {at_most}{mult:.3e}, injective {endo.injective})")
 
     pi_spec = data.get("pi")
     if not isinstance(pi_spec, dict):

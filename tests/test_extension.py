@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import covdilate.covariant as covariant_mod
+import covdilate.extension as extension_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.cli import run
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
@@ -11,7 +12,7 @@ from covdilate.errors import DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, restrict_chain,
                                  verify_coisometric_extension)
-from covdilate.numerics import DEFAULT_TOL, orthonormal_span, spectral_norm
+from covdilate.numerics import DEFAULT_TOL, Tolerance, orthonormal_span, spectral_norm
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
@@ -266,3 +267,56 @@ def test_reports_never_build_step_certificates(monkeypatch):
         assert ext.report.passed
     assert step.report.as_dict() == covariant_mod._two_step_clauses(step).as_dict()
     assert step.report.passed
+
+
+def _defect_roots_by_square_root(pair, tol=DEFAULT_TOL):
+    """defect_roots without the zero-contraction shortcut: both defects
+    through psd_sqrt, whatever T is."""
+    t = pair.contraction
+    eye = np.eye(pair.space_dim, dtype=complex)
+    floor = Tolerance(tol.rank_eps, tol.residual_tol, max(tol.psd_floor, 4.0 * tol.rank_eps))
+    return (covariant_mod.psd_sqrt(eye - t.conj().T @ t, floor),
+            covariant_mod.psd_sqrt(eye - t @ t.conj().T, floor))
+
+
+def test_levels_above_the_first_take_no_square_root(corpus, built_chains, monkeypatch):
+    """Level k >= 1 extends (pi_hat_(k-1), 0), whose defects are exactly I
+    without an eigensolve, and the chain equals the one built through
+    psd_sqrt at every level."""
+    levels, roots = [], []
+    real_step, real_sqrt = extension_mod.two_step, covariant_mod.psd_sqrt
+
+    def step(pair, ext, tol, rng):
+        levels.append(pair)
+        return real_step(pair, ext, tol, rng)
+
+    def sqrt(mat, tol=DEFAULT_TOL):
+        roots.append(len(levels) - 1)
+        return real_sqrt(mat, tol)
+
+    monkeypatch.setattr(extension_mod, "two_step", step)
+    monkeypatch.setattr(covariant_mod, "psd_sqrt", sqrt)
+    deep = 0
+    for case in corpus:
+        levels.clear()
+        roots.clear()
+        chain = coisometric_extend(case.pair, case.levels, case.strategy)
+        assert len(levels) == case.levels
+        assert roots == ([0, 0] if case.pair.contraction.any() else [])
+        deep += case.levels > 1
+
+        levels.clear()
+        roots.clear()
+        with monkeypatch.context() as m:
+            m.setattr(covariant_mod, "defect_roots", _defect_roots_by_square_root)
+            direct = coisometric_extend(case.pair, case.levels, case.strategy)
+        assert roots == [k for k in range(case.levels) for _ in range(2)]
+        ref = built_chains[case.name]
+        for got in (chain, direct):
+            assert got.block_dims == ref.block_dims
+            assert np.array_equal(got.v, ref.v)
+            for lv, ref_lv in zip(got.levels, ref.levels):
+                assert np.array_equal(lv.defect_basis, ref_lv.defect_basis)
+                assert np.array_equal(lv.d_star, ref_lv.d_star)
+                assert np.array_equal(lv.ext.isometry, ref_lv.ext.isometry)
+    assert deep > 0

@@ -14,6 +14,7 @@ from covdilate.extension import coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms,
                                 orthonormal_complement, orthonormal_span,
                                 psd_sqrt, residual, spectral_norm)
+from covdilate.report import clause
 
 
 def test_tolerance_validation():
@@ -268,3 +269,132 @@ def test_chain_through_direct_svd_span_is_equivalent(corpus, built_chains, monke
         ref = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL)
         cert = chain_intertwiner(ref, built_chains[case.name])
         assert cert.verdict == "equivalent", (case.name, cert.residuals)
+
+
+# ---------------------------------------------------------------------------
+# threshold-aware clause values: the norm bound and its exact fallback
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _slices(rng, count, rows, cols, rank, scales):
+    """``count`` slices of the given rank (0: all zero), each scaled by one
+    of ``scales``."""
+    r = min(rank, rows, cols)
+    left = rng.standard_normal((count, rows, r)) + 1j * rng.standard_normal((count, rows, r))
+    right = rng.standard_normal((count, r, cols)) + 1j * rng.standard_normal((count, r, cols))
+    return (left @ right) * rng.choice(scales, size=count)[:, None, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=10**6))
+def test_norm_bound_is_at_least_the_exact_value(count, rows, cols, rank, seed):
+    """On square, tall, wide, zero-size, rank-deficient and all-zero slices,
+    each scaled by 1, 1e-200 or 1e150, the value a slice gets from its bound
+    (an infinite threshold decides every slice by it) is at least its exact
+    value, for one operator and for a pair."""
+    rng = np.random.default_rng(seed)
+    a = _slices(rng, count, rows, cols, rank, SLICE_SCALES)
+    b = _slices(rng, count, rows, cols, rank, SLICE_SCALES)
+    for x, y in zip(a, b):
+        bound = numerics_mod._clause_max(x[None], np.inf)
+        exact = numerics_mod._clause_max(x[None])
+        assert bound >= exact * (1.0 - 4.0 * EPS), (x.shape, bound, exact)
+        bound = residual(x, y, np.inf)
+        exact = residual(x, y)
+        assert bound >= exact * (1.0 - 4.0 * EPS), (x.shape, bound, exact)
+        if x.size:
+            assert isinstance(bound, numerics_mod.UpperBound)
+
+
+def test_norm_bound_denominator_is_range_safe():
+    # column norms of these operands overflow (16 entries of 1e155 square to
+    # 1.6e311); the entry maxima do not, so the bound stays above the exact
+    # value instead of collapsing to 0
+    a = np.full((16, 16), 1e155, dtype=complex)
+    b = a.copy()
+    b[0, 0] *= 1.0 + 1e-3
+    assert residual(a, b, np.inf) >= residual(a, b) > 0.0
+
+
+def test_bound_path_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            residual(np.array([[1.0, 0.0]]), np.array([[bad, 0.0]]), 1e-8)
+        with pytest.raises(ValueError, match="finite"):
+            numerics_mod.basis_sweep(np.array([[[1.0, bad]]]), lambda c: (c,),
+                                     lambda c: c, threshold=1e-8)
+
+
+def test_a_clause_just_above_its_threshold_fails_with_its_exact_value():
+    rng = np.random.default_rng(41)
+    a = np.eye(5) + 1e-6 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    exact = residual(a, np.eye(5))
+    threshold = exact * (1.0 - 1e-6)
+    value = residual(a, np.eye(5), threshold)
+    assert value > threshold and not isinstance(value, numerics_mod.UpperBound)
+    assert value == exact
+    cl = clause("probe", "A = I", value, threshold)
+    assert not cl.passed and not cl.bound and "residual_kind" not in cl.as_dict()
+    # the same slice inside a sweep of passing slices
+    stack = np.stack([np.eye(5), a, np.eye(5) * (1 + 1e-15)])
+    args = (stack, lambda c: (c,), lambda c: (c, np.broadcast_to(np.eye(5), c.shape)))
+    (swept,) = numerics_mod.basis_sweep(*args, threshold=threshold)
+    (plain,) = numerics_mod.basis_sweep(*args)
+    assert swept == plain == exact
+
+
+def test_a_clause_at_its_threshold_passes():
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = a + 1e-9 * rng.standard_normal((4, 4))
+        threshold = residual(a, b)
+        value = residual(a, b, threshold)
+        assert value <= threshold
+        assert clause("probe", "A = B", value, threshold).passed
+
+
+def test_mixed_chunk_runs_the_exact_kernel_on_its_fallback_slices(monkeypatch):
+    """Slices whose bound decides them skip the eigensolves; a max above
+    the threshold is the exact max, and one at or below it is a bound."""
+    rng = np.random.default_rng(47)
+    eye = np.eye(6, dtype=complex)
+    noise = rng.standard_normal((8, 6, 6)) + 1j * rng.standard_normal((8, 6, 6))
+    a = eye + 1e-14 * noise
+    a[2] = eye + 1e-3 * noise[2]      # fails at 1e-6
+    # a unitary has ||U||_F = sqrt(6) ||U||_2: bound above 1e-6, exact below
+    unitary, _ = np.linalg.qr(noise[5])
+    a[5] = eye + 1.5e-6 * unitary
+    b = np.broadcast_to(eye, a.shape)
+    threshold = 1e-6
+    grams = []
+    real_gram = numerics_mod._scaled_gram
+
+    def recording(stack, scale, out=None):
+        grams.append(len(stack))
+        return real_gram(stack, scale, out)
+
+    monkeypatch.setattr(numerics_mod, "_scaled_gram", recording)
+    (value,) = numerics_mod.basis_sweep(a, lambda c: (c,),
+                                        lambda c: (c, np.broadcast_to(eye, c.shape)),
+                                        threshold=threshold)
+    exact = max(residual(x, eye) for x in a)
+    assert value == exact > threshold
+    assert not isinstance(value, numerics_mod.UpperBound)
+    # A - B, A and B of the two fallback slices only
+    assert grams[:3] == [2, 2, 2]
+
+    # without the failing slice: the passing exact slice and the bounds
+    a[2] = a[0]
+    (value,) = numerics_mod.basis_sweep(a, lambda c: (c,),
+                                        lambda c: (c, np.broadcast_to(eye, c.shape)),
+                                        threshold=threshold)
+    exact = max(residual(x, eye) for x in a)
+    assert exact * (1.0 - 4.0 * EPS) <= value <= threshold
+    for x in a:
+        bound = residual(x, eye, np.inf)
+        assert value >= min(bound, residual(x, eye))

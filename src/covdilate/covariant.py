@@ -12,15 +12,18 @@ isometric extension step (a larger representation ``rho`` and an isometry
   conditional expectation onto the range of the dynamics.
 
 Both strategies build their dilations with the Choi/Kraus kernel of
-:mod:`covdilate.cpmaps`.  Both backends (finite-dimensional algebras and the
-graded tensor tower) drive the same engine through a small system protocol:
-``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``, ``coord_blocks``
-and friends.  The engine evaluates on coordinate rows: a chunk of algebra
-elements is an (m, n) array at one basis depth, and a chunk of the basis is
-a row slice of the identity.  Transfer maps act on such chunks too
-(``tau.rows(coords, depth)``, the rows of the values and their depth).
-Finite systems ignore every ``depth`` argument; the tower consumes one depth
-unit per application of the dynamics.
+:mod:`covdilate.cpmaps`, and every step's representation is one
+:class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
+the defect spans, the restrictions to them and the step intertwiners are
+computed in its multiplicity spaces.  Both backends (finite-dimensional
+algebras and the graded tensor tower) drive the same engine through a small
+system protocol: ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``,
+``coord_blocks`` and friends.  The engine evaluates on coordinate rows: a
+chunk of algebra elements is an (m, n) array at one basis depth, and a chunk
+of the basis is a row slice of the identity.  Transfer maps act on such
+chunks too (``tau.rows(coords, depth)``, the rows of the values and their
+depth).  Finite systems ignore every ``depth`` argument; the tower consumes
+one depth unit per application of the dynamics.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ import numpy as np
 from .algebra import (ChunkRep, FiniteDimCStarAlgebra, StarHom,
                       cyclic_summands, unit_residual)
 from .cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
-                     range_defect, unit_image_chois, verify_completely_positive,
-                     verify_transfer)
+                     kraus_direct_sum, kraus_span, range_defect, unit_image_chois,
+                     verify_completely_positive, verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
-                       block_diag, kron_eye, orthonormal_complement,
-                       orthonormal_span, psd_sqrt, residual, spectral_norm,
-                       stack_images)
+                       block_diag, kron_eye, orthonormal_complement, psd_sqrt,
+                       ranked_svds, residual, spectral_norm, stack_images)
 from .report import ClauseReport, clause
 
 
@@ -261,6 +263,28 @@ def basis_images(system, rep, depth, right=None) -> np.ndarray:
     """rep on the basis at ``depth``: the (N, dim, dim) stack, or with
     ``right`` the spanning set [rep(b_1) right, ..., rep(b_N) right]."""
     return stack_images(system.basis_size(depth), lambda c: rep.images(c, depth), right)
+
+
+def span_frame(system, rep, depth, right) -> tuple:
+    """The spanning set [rep(b_1) right, ..., rep(b_N) right] over the basis
+    at ``depth`` as ``(R, frames, sizes)``: R (directsum_b I_{n_b} x Y_b),
+    with R None for the identity.
+
+    A :class:`~covdilate.cpmaps.KrausRep` on the basis of its own algebra
+    gives its Kraus data (see its docstring), with no image evaluated; any
+    other representation gives its spanning set as one frame of size one.
+    """
+    if isinstance(rep, KrausRep) and depth == rep.depth:
+        return rep.rotation, rep.frames(right), rep.block_sizes
+    return None, [basis_images(system, rep, depth, right)], (1,)
+
+
+def frame_rank(frame, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank of a spanning set given by :func:`span_frame`, one singular-value
+    solve per frame."""
+    _, frames, sizes = frame
+    return sum(n * len(s) for n, (_, s, _) in
+               zip(sizes, ranked_svds(frames, tol, compute_uv=False)))
 
 
 def transfer_images(system, rep, tau, depth) -> np.ndarray:
@@ -613,9 +637,8 @@ def _gns_step(system, rep, tau, check_depth, working, tol, rng):
         x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, w_s[:, :1])
         w_rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))
         parts.append(rho_s)
-    rho = DirectSumRep(tuple(parts))
     w = np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex)
-    return rho, w
+    return kraus_direct_sum(system, working, parts, w), w
 
 
 def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
@@ -628,7 +651,7 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
         lambda c: (rho.images(*system.alpha_coords(c, d)), rep.images(c, d)),
         lambda ra, pa: (w.conj().T @ ra @ w, pa),
         lambda ra, pa: (ww @ ra, ra @ ww))
-    _, rank = orthonormal_span(basis_images(system, rho, rho.max_depth, w), tol)
+    rank = frame_rank(span_frame(system, rho, rho.max_depth, w), tol)
     return HBReport(float(ext), float(iso), float(comm), rho.dim, rank, tol.residual_tol)
 
 
@@ -646,7 +669,7 @@ class TwoStepBlock:
     pair: CovariantPair
     defect_basis: np.ndarray      # orthonormal columns inside the dilation space
     d_star: np.ndarray            # defect map back to H, in basis coordinates
-    pi_hat: object                # restriction of rho to the defect space
+    pi_hat: KrausRep              # restriction of rho to the defect space
     block: np.ndarray             # [[T, D*], [0, 0]]
     invariance: float             # max_a ||(I - B B*) rho(a) B||, B the defect basis
     tol: Tolerance
@@ -658,16 +681,21 @@ class TwoStepBlock:
 
 def two_step(pair: CovariantPair, ext: HBExtension,
              tol: Tolerance = DEFAULT_TOL, rng=None) -> TwoStepBlock:
-    """Build the defect space rho(A) W Delta* H and the block partial isometry."""
+    """Build the defect space rho(A) W Delta* H and the block partial isometry.
+
+    The span and the restriction of rho to it come from the Kraus form of
+    rho (:func:`~covdilate.cpmaps.kraus_span`); a generator rotates the
+    basis by a Haar unitary H*, which makes the restriction's rotation H.
+    """
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
-    span_depth = ext.rho.max_depth
-    basis, rank = orthonormal_span(
-        basis_images(pair.system, ext.rho, span_depth, w @ delta_star), tol)
-    if rng is not None and rank:
-        basis = basis @ haar_unitary(rank, rng)
+    rho = ext.rho
+    basis, dil = kraus_span(rho, w @ delta_star, tol)
+    pi_hat, _ = _kraus_rep(pair.system, rho.depth, dil, rng)
+    if pi_hat.rotation is not None:
+        basis = basis @ pi_hat.rotation.conj().T
 
-    inv = invariance_residual(pair.system, span_depth, ext.rho, basis, tol, tol.residual_tol)
+    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
 
@@ -677,8 +705,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     block = np.zeros((h + k, h + k), dtype=complex)
     block[:h, :h] = pair.contraction
     block[:h, h:] = d_star
-    return TwoStepBlock(pair, basis, d_star, RestrictedRep(ext.rho, basis), block,
-                        inv, tol)
+    return TwoStepBlock(pair, basis, d_star, pi_hat, block, inv, tol)
 
 
 def _two_step_clauses(step: TwoStepBlock) -> ClauseReport:

@@ -26,8 +26,8 @@ from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       basis_sweep, orthonormal_span, residual, spectral_norm,
-                       stack_images)
+                       basis_sweep, block_diag, eye_kron, orthonormal_span,
+                       ranked_svds, residual, spectral_norm, stack_images)
 from .report import ClauseReport, clause
 
 
@@ -232,8 +232,9 @@ class KrausDilation:
 
     The dilation space is directsum_b C^{n_b} x C^{r_b}, with r_b the rank of
     the b-th Choi block; rho(x) = directsum_b x_b x I_{r_b} acts there, and
-    row (p, k) of the isometry is the conjugated p-th component of the k-th
-    Kraus vector, so that W* rho(x) W = phi(x).
+    row (p, k) of the dilation map W is the conjugated p-th component of the
+    k-th Kraus vector, so that W* rho(x) W = phi(x).  W is an isometry when
+    phi is unital.
     """
 
     multiplicities: tuple[int, ...]   # r_b
@@ -293,11 +294,38 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
 
 @dataclass(eq=False)
 class KrausRep(ChunkRep):
-    """rho(x) = Q (directsum_b x_b x I_{r_b}) Q* on a Kraus dilation space.
+    """rho(x) = R (directsum_b x_b x I_{r_b}) R* on a Kraus dilation space.
 
+    ``rotation`` is the optional basis unitary R (None: the identity), and
+    ``dilation.multiplicities`` are the r_b; Kraus coordinate (b, p, s),
+    p < n_b and s < r_b, has index offset_b + p r_b + s.
     ``system.coord_blocks(coords, depth, self.depth)`` gives the block stacks
     of the coordinate rows in the dilated algebra (``depth`` is None on
-    finite systems); ``rotation`` is the optional basis unitary Q.
+    finite systems).
+
+    For X : C^h -> K let V = R* X and Y_b the r_b x (n_b h) matrix with
+    Y_b[s, q h + j] = V[(b, q, s), j] (:meth:`frames`).  Three identities
+    put the extension-step constructions in the multiplicity spaces C^{r_b}:
+
+    * Span.  The matrix unit E^b_pq maps column j of V to e_p x Y_b[:, q h
+      + j] inside block b, so over the matrix-unit basis the spanning set
+      [rho(b_1) X, ..., rho(b_N) X] is exactly R (directsum_b I_{n_b} x Y_b),
+      and span rho(A) X = R (directsum_b C^{n_b} x range Y_b).  Its singular
+      values are those of the Y_b, each repeated n_b times, so the rank rule
+      of :func:`~covdilate.numerics.orthonormal_span` on the spanning set is
+      that of :func:`~covdilate.numerics.ranked_svds` on the Y_b.
+    * Restriction.  With U_b orthonormal columns spanning range Y_b and
+      B = R (directsum_b I_{n_b} x U_b), B* rho(x) B = directsum_b x_b x
+      U_b* U_b = directsum_b x_b x I_{rank_b}: the restriction to the span
+      is the KrausRep with multiplicities rank_b, and in the basis B H, H
+      unitary, the one with rotation H* (:func:`kraus_span`).
+    * Intertwiner.  For two such reps of one algebra the spanning sets are
+      x_i = R_i Z_i with Z_i = directsum_b I_{n_b} x Y_{i,b}.  A thin SVD of
+      each Y_{1,b} tensored with I_{n_b} is one of Z_1, with the same
+      singular values, so pinv(Z_1) = directsum_b I_{n_b} x pinv(Y_{1,b})
+      when every cutoff is taken relative to the largest singular value over
+      all blocks, and x_2 pinv(x_1) = R_2 (directsum_b I_{n_b} x Y_{2,b}
+      pinv(Y_{1,b})) R_1*.
     """
 
     system: object
@@ -321,11 +349,25 @@ class KrausRep(ChunkRep):
         (L_b x_b viewed as (dim, r_b n_b)) R_b."""
         out = []
         o = 0
-        for n, r in zip(self.system.algebra_view(self.depth).block_sizes,
-                        self.dilation.multiplicities):
+        for n, r in zip(self.block_sizes, self.dilation.multiplicities):
             q = self.rotation[:, o:o + n * r].reshape(self.dim, n, r).transpose(0, 2, 1)
             q = np.ascontiguousarray(q)
             out.append((q.reshape(self.dim * r, n), q.reshape(self.dim, r * n).conj().T))
+            o += n * r
+        return out
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return self.system.algebra_view(self.depth).block_sizes
+
+    def frames(self, x) -> list[np.ndarray]:
+        """The r_b x (n_b h) matrices Y_b of V = R* X, one per block."""
+        v = x if self.rotation is None else self.rotation.conj().T @ x
+        h = v.shape[1]
+        out = []
+        o = 0
+        for n, r in zip(self.block_sizes, self.dilation.multiplicities):
+            out.append(v[o:o + n * r].reshape(n, r, h).transpose(1, 0, 2).reshape(r, n * h))
             o += n * r
         return out
 
@@ -357,6 +399,67 @@ class KrausRep(ChunkRep):
             else:
                 out += np.matmul(half, right)
         return out if out is not None else np.zeros((m, self.dim, self.dim), dtype=complex)
+
+
+def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Orthonormal basis B of span rep(A) X and the restriction of rep to it.
+
+    B = R (directsum_b I_{n_b} x U_b), U_b the canonically phased left
+    singular vectors that :func:`~covdilate.numerics.ranked_svds` keeps of
+    the frame Y_b (see :class:`KrausRep`).  The restriction B* rep(x) B is
+    directsum_b x_b x I_{rank_b}, returned as its :class:`KrausDilation`,
+    whose dilation map B* X = (directsum_b I_{n_b} x U_b*) V has Kraus
+    coordinates.  Returns ``(B, dilation)``.
+    """
+    dim, rot, h = rep.dim, rep.rotation, x.shape[1]
+    frames = rep.frames(x)
+    cols, rows, ranks = [], [], []
+    o = 0
+    for n, r, y, (u, _, _) in zip(rep.block_sizes, rep.dilation.multiplicities, frames,
+                                  ranked_svds(frames, tol)):
+        u = _canonical_phases(u)
+        k = u.shape[1]
+        if rot is None:
+            col = np.zeros((dim, n * k), dtype=complex)
+            col[o:o + n * r] = eye_kron(n, u)
+        else:
+            # column block b of R, rows (i, p) against U_b
+            col = np.matmul(rot[:, o:o + n * r].reshape(dim * n, r), u).reshape(dim, n * k)
+        cols.append(col)
+        rows.append((u.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
+        ranks.append(k)
+        o += n * r
+    return np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows))
+
+
+def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
+    """The direct sum of the KrausReps ``parts`` (one system and depth) as
+    one KrausRep, with ``isometry`` W : C^h -> directsum_s K_s.
+
+    Summand s acts on its coordinates as Q_s (directsum_b x_b x I_{r_sb})
+    Q_s*.  Taking the copies of each block summand by summand gives
+    multiplicities r_b = sum_s r_sb and rotation R = (directsum_s Q_s) P, P
+    the permutation from these block-major coordinates to the summand-major
+    ones (None when both are identities); the dilation holds R* W.
+    """
+    sizes = system.algebra_view(depth).block_sizes
+    index = []   # per summand and block, the (n_b, r_sb) summand-major indices
+    o = 0
+    for p in parts:
+        index.append([])
+        for n, r in zip(sizes, p.dilation.multiplicities):
+            index[-1].append(o + np.arange(n * r).reshape(n, r))
+            o += n * r
+    # block-major order: block b, row i < n_b, then the summands' copies in turn
+    perm = np.concatenate([np.hstack([np.zeros((n, 0), dtype=int)] + [ix[b] for ix in index])
+                           .reshape(-1) for b, n in enumerate(sizes)])
+    mults = tuple(sum(p.dilation.multiplicities[b] for p in parts) for b in range(len(sizes)))
+    rot = None
+    if not np.array_equal(perm, np.arange(o)) or any(p.rotation is not None for p in parts):
+        rot = block_diag([np.eye(p.dim, dtype=complex) if p.rotation is None else p.rotation
+                          for p in parts])[:, perm]
+    v = isometry if rot is None else rot.conj().T @ isometry
+    return KrausRep(system, depth, KrausDilation(mults, v), rot)
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,

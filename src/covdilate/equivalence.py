@@ -18,13 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import HBExtension, basis_images, usable_depth
+from .covariant import HBExtension, frame_rank, span_frame, usable_depth
 from .cpmaps import unit_image_chois
 from .dilation import DilationRecord, power_orbit
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, basis_sweep, block_diag,
-                       orthonormal_span, residual, spectral_norm)
+                       eye_kron, ranked_svds, residual, spectral_norm, svd_pinv)
 
 EQUIV_THRESHOLD = 1e-7
 DILATION_THRESHOLD = 1e-6
@@ -106,11 +106,39 @@ def _verdict(residuals: dict, threshold: float, intertwiner,
                                           "misses the threshold")
 
 
-def _require_span(x, dim: int, tol: Tolerance, message: str) -> None:
-    """SpanDeficient(message) unless the columns of x span dimension ``dim``."""
-    _, rank = orthonormal_span(x, tol)
+def _require_rank(rank: int, dim: int, message: str) -> None:
+    """SpanDeficient(message) unless a spanning set of rank ``rank`` spans
+    dimension ``dim``."""
     if rank < dim:
         raise SpanDeficient(message.format(rank=rank, dim=dim))
+
+
+def _frame_map(frame1, frame2, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """u = x2 pinv(x1) for two spanning sets given by
+    :func:`~covdilate.covariant.span_frame`, with the rank of x1, from one
+    SVD per frame of x1.
+
+    Over one block layout, u = R2 (directsum_b I_{n_b} x Y2_b pinv(Y1_b))
+    R1* (see :class:`~covdilate.cpmaps.KrausRep`); frames over different
+    layouts are first written out as their spanning sets.
+    """
+    if frame1[2] != frame2[2]:
+        frame1, frame2 = _spanning_set(frame1), _spanning_set(frame2)
+    (r1, ys1, sizes), (r2, ys2, _) = frame1, frame2
+    svds = ranked_svds(ys1, tol)
+    u = block_diag([eye_kron(n, y2 @ svd_pinv(*svd)) for n, y2, svd in zip(sizes, ys2, svds)])
+    if r2 is not None:
+        u = r2 @ u
+    if r1 is not None:
+        u = u @ r1.conj().T
+    return u, sum(n * len(s) for n, (_, s, _) in zip(sizes, svds))
+
+
+def _spanning_set(frame) -> tuple:
+    """A frame written out as its spanning set: one frame of size one."""
+    rot, ys, sizes = frame
+    x = block_diag([eye_kron(n, y) for n, y in zip(sizes, ys)])
+    return None, [x if rot is None else rot @ x], (1,)
 
 
 def _unitarity(u, threshold: float) -> dict:
@@ -181,16 +209,16 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
         return EquivalenceCertificate("inequivalent", threshold,
                                       {"gram_mismatch": mismatch}, None, witness)
 
-    x1 = basis_images(system, ext1.rho, depth, ext1.isometry)
-    x2 = basis_images(system, ext2.rho, depth, ext2.isometry)
-    for x, dim in ((x1, ext1.dilation_dim), (x2, ext2.dilation_dim)):
-        _require_span(x, dim, tol, "span rank {rank} below dilation dimension {dim}")
+    frame1 = span_frame(system, ext1.rho, depth, ext1.isometry)
+    frame2 = span_frame(system, ext2.rho, depth, ext2.isometry)
+    u, rank1 = _frame_map(frame1, frame2, tol)
+    for rank, dim in ((rank1, ext1.dilation_dim), (frame_rank(frame2, tol), ext2.dilation_dim)):
+        _require_rank(rank, dim, "span rank {rank} below dilation dimension {dim}")
     if ext1.dilation_dim != ext2.dilation_dim:
         return EquivalenceCertificate(
             "inconclusive", threshold, {"gram_mismatch": mismatch}, None, None,
             "matching Gram forms but different dilation dimensions")
 
-    u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
     residuals = {"gram_mismatch": mismatch, **_unitarity(u, threshold),
                  "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry)}
     residuals["representation_intertwined"] = _intertwined(system, depth, ext1.rho,
@@ -233,10 +261,10 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
             return EquivalenceCertificate("inequivalent", threshold,
                                           {f"level{k}_gram_mismatch": mismatch},
                                           None, witness, note)
-        x1 = basis_images(system, lv1.ext.rho, depth, lv1.ext.isometry)
-        x2 = basis_images(system, lv2.ext.rho, depth, lv2.ext.isometry @ u_prev)
-        _require_span(x1, lv1.ext.dilation_dim, tol, f"level {k} span deficient")
-        u_k = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
+        u_k, rank1 = _frame_map(span_frame(system, lv1.ext.rho, depth, lv1.ext.isometry),
+                                span_frame(system, lv2.ext.rho, depth,
+                                           lv2.ext.isometry @ u_prev), tol)
+        _require_rank(rank1, lv1.ext.dilation_dim, f"level {k} span deficient")
         u_def = lv2.defect_basis.conj().T @ u_k @ lv1.defect_basis
         residuals[f"level{k}_unitarity"] = residual(
             u_def.conj().T @ u_def, np.eye(u_def.shape[1]), threshold)
@@ -273,13 +301,16 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
 
     x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
               for rec in (rec1, rec2))
-    _require_span(x1, rec1.total_dim, tol, "first record not minimal: rank {rank} of {dim}")
-    _require_span(x2, rec2.total_dim, tol, "second record not minimal: rank {rank} of {dim}")
+    # rank and pseudo-inverse of x1 from one SVD, the rank of x2 from another
+    svd1 = ranked_svds([x1], tol)[0]
+    ((_, sv2, _),) = ranked_svds([x2], tol, compute_uv=False)
+    _require_rank(len(svd1[1]), rec1.total_dim, "first record not minimal: rank {rank} of {dim}")
+    _require_rank(len(sv2), rec2.total_dim, "second record not minimal: rank {rank} of {dim}")
     if rec1.total_dim != rec2.total_dim:
         return EquivalenceCertificate("inconclusive", threshold, {}, None, None,
                                       "minimal records of different dimension")
 
-    u = x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps)
+    u = x2 @ svd_pinv(*svd1)
     residuals = {**_unitarity(u, threshold),
                  "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
                  "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u, threshold)}

@@ -24,6 +24,7 @@ from .covariant import (CovariantPair, DirectSumRep, HBExtension,
                         RestrictedRep, ShiftedRep, defect_roots,
                         extend_representation, invariance_residual,
                         leaves_span, two_step, usable_depth, verify_strategy)
+from .cpmaps import KrausRep
 from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
@@ -43,7 +44,7 @@ class ChainLevel:
     ext: HBExtension
     defect_basis: np.ndarray     # orthonormal columns inside the level's dilation space
     d_star: np.ndarray           # map defect_k -> previous space, in basis coordinates
-    pi_hat: RestrictedRep
+    pi_hat: KrausRep             # restriction of the level's rho to its defect space
     embed_residual: float        # || (I - B B*) W_k ||, isometric embedding of the previous defect
     containment_defect: float    # diagnostic: how far pi_k(A) moves the embedded defect
 

@@ -433,6 +433,31 @@ def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL,
     return _canonical_phases(u[:, :rank]), rank
 
 
+def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True) -> list:
+    """One thin SVD per diagonal block of a block-diagonal matrix, truncated
+    to its kept singular values.
+
+    The rank rule is :func:`orthonormal_span`'s applied to the direct sum:
+    a singular value is kept when it exceeds ``rank_eps`` times the largest
+    over all blocks, which is also the cutoff of ``np.linalg.pinv`` with
+    ``rcond=rank_eps``.  Each entry is ``(u, s, vh)``, with ``u`` and ``vh``
+    None unless ``compute_uv``; ``len(s)`` is the block's rank.
+    """
+    svds = [np.linalg.svd(b, full_matrices=False) if compute_uv
+            else (None, np.linalg.svd(b, compute_uv=False), None) for b in blocks]
+    top = max([float(s[0]) for _, s, _ in svds if s.size] + [0.0])
+    out = []
+    for u, s, vh in svds:
+        k = int(np.sum(s > tol.rank_eps * top)) if top > 0.0 else 0
+        out.append((u, s[:k], vh) if u is None else (u[:, :k], s[:k], vh[:k]))
+    return out
+
+
+def svd_pinv(u, s, vh) -> np.ndarray:
+    """The pseudo-inverse V S^-1 U* from a truncated thin SVD."""
+    return (vh.conj().T / s) @ u.conj().T
+
+
 def orthonormal_complement(basis: np.ndarray, inside_dim: int,
                            tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the complement of ``span(basis)`` in C^inside_dim."""

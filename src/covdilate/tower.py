@@ -210,7 +210,7 @@ class TowerTransfer:
         """Depth-fixed finite view A_depth -> A_{depth-1}."""
         if depth < 1:
             raise DepthZero("transfer view needs depth >= 1")
-        return _stage_map(CPMap, self.tower, depth, depth - 1, self)
+        return _stage_map(CPMap, self.tower, depth, self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,22 +230,24 @@ class TowerExpectation:
     def as_cpmap(self, depth: int) -> CPMap:
         if depth < 1:
             raise DepthZero("expectation view needs depth >= 1")
-        return _stage_map(CPMap, self.tower, depth, depth, self)
+        return _stage_map(CPMap, self.tower, depth, self.rows)
 
 
 def alpha_hom(tower: ShiftTower, depth: int) -> StarHom:
     """Depth-fixed view of the shift as a map A_depth -> A_{depth+1}."""
     if depth + 1 > tower.d_max:
         raise DepthExceeded(f"shift view from depth {depth} exceeds d_max")
-    return _stage_map(StarHom, tower, depth, depth + 1, shift_alpha)
+    return _stage_map(StarHom, tower, depth, TowerSystem(tower).alpha_coords)
 
 
-def _stage_map(kind, tower: ShiftTower, src_depth: int, dst_depth: int, fn):
-    """A graded map as a ``kind`` (CPMap or StarHom) between two stages,
-    from the images of the stage basis."""
-    dst = tower.stage(dst_depth)
-    cols = [dst.element([fn(b).mat]).coords for b in tower.basis(src_depth)]
-    return kind(tower.stage(src_depth), dst, np.column_stack(cols))
+def _stage_map(kind, tower: ShiftTower, depth: int, rows):
+    """A graded map as a ``kind`` (CPMap or StarHom) from stage ``depth``,
+    given on coordinate rows (``rows(coords, depth)`` returns the rows of
+    the values and their depth): its coordinate matrix is the transpose of
+    the rows of the stage basis, I_N, taken in one call."""
+    src = tower.stage(depth)
+    out, dst_depth = rows(np.eye(src.dim, dtype=complex), depth)
+    return kind(src, tower.stage(dst_depth), np.ascontiguousarray(out.T))
 
 
 @dataclass(frozen=True, eq=False)

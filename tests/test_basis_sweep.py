@@ -17,12 +17,13 @@ from covdilate.covariant import (FiniteDimSystem, GnsStrategy,
                                  extend_representation, haar_unitary,
                                  invariance_residual, resolve_transfer,
                                  transfer_images, two_step, usable_depth)
-from covdilate.cpmaps import CPMap, KrausDilation, KrausRep, stinespring_minimal
+from covdilate.cpmaps import (CPMap, KrausDilation, KrausRep, kraus_span,
+                              stinespring_minimal)
 from covdilate.errors import (DimensionMismatch, InvarianceViolation, NotCP,
                               RangeNotInImage)
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag,
-                                orthonormal_span, residual, spectral_norm)
+from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, residual,
+                                spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import (ShiftTower, TowerRep, TowerSystem, alpha_hom,
                              shift_alpha)
@@ -170,12 +171,14 @@ def test_complement_form_on_proper_subspaces():
 
 
 def _dropping_span(real_span):
-    """orthonormal_span that loses the last basis vector of a full span, so
-    the span it reports is a proper, generically non-invariant subspace."""
+    """kraus_span that loses the last column of the defect basis it returns,
+    so the span it reports is a proper, generically non-invariant subspace.
+    (Dropping a vector of range Y_b instead would leave a rho-invariant
+    subspace, which no invariance gate can reject.)"""
 
-    def span(vectors, tol=DEFAULT_TOL, scale=None):
-        basis, rank = real_span(vectors, tol, scale)
-        return basis[:, :rank - 1], rank - 1
+    def span(rep, x, tol=DEFAULT_TOL):
+        basis, dil = real_span(rep, x, tol)
+        return basis[:, :-1], dil
 
     return span
 
@@ -184,8 +187,7 @@ def test_two_step_rejects_a_drifting_defect_space(corpus, monkeypatch):
     case = next(c for c in corpus if c.backend == "tower")
     ext = extend_representation(case.pair.system, case.pair.rep, case.strategy,
                                 case.pair.depth)
-    monkeypatch.setattr(covariant_mod, "orthonormal_span",
-                        _dropping_span(orthonormal_span))
+    monkeypatch.setattr(covariant_mod, "kraus_span", _dropping_span(kraus_span))
     with pytest.raises(InvarianceViolation, match="defect space drifts"):
         two_step(case.pair, ext)
 
@@ -200,8 +202,7 @@ def test_chain_rejects_a_drifting_level_defect_space(corpus, monkeypatch):
     def dropping_at_level_one(pair, ext, tol, rng):
         steps.append(pair)
         if len(steps) == 2:
-            monkeypatch.setattr(covariant_mod, "orthonormal_span",
-                                _dropping_span(orthonormal_span))
+            monkeypatch.setattr(covariant_mod, "kraus_span", _dropping_span(kraus_span))
         return real_two_step(pair, ext, tol, rng)
 
     monkeypatch.setattr(extension_mod, "two_step", dropping_at_level_one)
@@ -213,19 +214,18 @@ def test_chain_rejects_a_drifting_level_defect_space(corpus, monkeypatch):
 def test_each_level_spans_its_step_set_once(corpus, monkeypatch):
     case = next(c for c in corpus if c.backend == "tower" and c.levels >= 2)
     calls = []
-    real_images = covariant_mod.basis_images
 
-    def recording(system, rep, depth, right=None):
-        calls.append((rep, right))
-        return real_images(system, rep, depth, right)
+    def recording(rep, x, tol=DEFAULT_TOL):
+        calls.append(rep)
+        return kraus_span(rep, x, tol)
 
     for mod in (covariant_mod, extension_mod):
-        monkeypatch.setattr(mod, "basis_images", recording, raising=False)
+        monkeypatch.setattr(mod, "kraus_span", recording, raising=False)
     chain = coisometric_extend(case.pair, case.levels, case.strategy)
     assert chain.n_levels >= 2
     for level in chain.levels:
         ext = level.ext
-        assert sum(rep is ext.rho and right is not None for rep, right in calls) == 1
+        assert sum(rep is ext.rho for rep in calls) == 1
 
 
 # ---------------------------------------------------------------------------

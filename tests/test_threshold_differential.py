@@ -19,8 +19,9 @@ import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
 from covdilate.cli import render_report, run
 from covdilate.covariant import FiniteDimSystem, extend_representation, two_step
+from covdilate.cpmaps import kraus_span
 from covdilate.errors import InvarianceViolation, NotHermitian, RangeNotInImage
-from covdilate.numerics import DEFAULT_TOL, orthonormal_span, psd_sqrt
+from covdilate.numerics import DEFAULT_TOL, psd_sqrt
 from covdilate.scenario import DEMO_NAMES, Scenario, build_scenario, demo_fixture
 
 from test_basis_sweep import _dropping_span
@@ -129,7 +130,7 @@ def test_rejections_agree_with_exact_values(corpus, monkeypatch):
 
     def drifting():
         with monkeypatch.context() as m:
-            m.setattr(covariant_mod, "orthonormal_span", _dropping_span(orthonormal_span))
+            m.setattr(covariant_mod, "kraus_span", _dropping_span(kraus_span))
             two_step(case.pair, ext)
 
     aware, exact = _twice(monkeypatch, lambda: _raised(drifting))

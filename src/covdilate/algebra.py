@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
                      ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
                        block_diag, block_offsets, kron_eye, orthonormal_span,
-                       residual, spectral_norm, stack_images)
+                       residual, spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
 
@@ -190,8 +190,7 @@ class StarHom:
     def inverse(self, tol: Tolerance = DEFAULT_TOL) -> "StarHom":
         if self.source.dim != self.target.dim:
             raise NotInjective("only square coordinate maps can be inverted")
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0 or s[-1] <= tol.rank_eps * s[0]:
+        if svd_rank(self.matrix, tol) < self.source.dim:
             raise NotInjective("coordinate map is singular")
         return StarHom(self.target, self.source, np.linalg.inv(self.matrix))
 
@@ -302,8 +301,7 @@ def verify_endomorphism(alpha: StarHom, tol: Tolerance = DEFAULT_TOL) -> Endomor
     if alpha.source.block_sizes != alpha.target.block_sizes:
         raise ShapeMismatch("endomorphism requires source = target")
     hom = verify_star_hom(alpha, tol)
-    s = np.linalg.svd(alpha.matrix, compute_uv=False)
-    rank = int(np.sum(s > tol.rank_eps * s[0])) if s.size and s[0] > 0 else 0
+    rank = svd_rank(alpha.matrix, tol)
     injective = rank == alpha.source.dim
     note = ("injective + unital on a finite-dimensional algebra forces surjectivity; "
             "non-surjective dynamics require the tower backend")
@@ -474,8 +472,7 @@ def gns(algebra: FiniteDimCStarAlgebra, omega: State,
     orbit = stack_images(algebra.dim, rep.images, cyclic[:, None])
     # <rho(b_i) xi, xi> against omega(b_i), the i-th coordinate of omega
     vec_res = np.max(np.abs(cyclic.conj() @ orbit - omega.vector))
-    _, span_rank = orthonormal_span(orbit, tol)
-    return GnsData(rep, cyclic, dil.dim, float(vec_res), span_rank)
+    return GnsData(rep, cyclic, dil.dim, float(vec_res), svd_rank(orbit, tol))
 
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:

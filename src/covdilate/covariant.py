@@ -44,7 +44,7 @@ from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
                        block_diag, kron_eye, orthonormal_complement, psd_sqrt,
-                       ranked_svds, residual, spectral_norm, stack_images)
+                       ranked_svds, residual, spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -194,12 +194,7 @@ class DirectSumRep(ChunkRep):
         return min(depths) if depths else None
 
     def images(self, coords, depth) -> np.ndarray:
-        out = np.zeros((len(coords), self.dim, self.dim), dtype=complex)
-        o = 0
-        for p in self.parts:
-            out[:, o:o + p.dim, o:o + p.dim] = p.images(coords, depth)
-            o += p.dim
-        return out
+        return block_diag([p.images(coords, depth) for p in self.parts])
 
 
 @dataclass(eq=False)
@@ -303,7 +298,7 @@ def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
     spectral norm equals ||(I - B B*) x B||.  None when B is empty or spans
     the whole space, where that norm is exactly 0.
     """
-    comp = orthonormal_complement(basis, basis.shape[0], tol)
+    comp = orthonormal_complement(basis, tol)
     if comp.shape[1] == 0 or basis.shape[1] == 0:
         return None
     comp_h = comp.conj().T
@@ -635,7 +630,7 @@ def _gns_step(system, rep, tau, check_depth, working, tol, rng):
         rho_s, w_s = _kraus_rep(system, working, dil, rng)
         x1 = (images @ xi).T
         x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, w_s[:, :1])
-        w_rows.append(x2 @ np.linalg.pinv(x1, rcond=tol.rank_eps))
+        w_rows.append(x2 @ svd_pinv(*ranked_svds([x1], tol)[0]))
         parts.append(rho_s)
     w = np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex)
     return kraus_direct_sum(system, working, parts, w), w

@@ -26,8 +26,8 @@ from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       basis_sweep, block_diag, eye_kron, orthonormal_span,
-                       ranked_svds, residual, spectral_norm, stack_images)
+                       basis_sweep, block_diag, eye_kron, ranked_svds,
+                       residual, spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
 
@@ -212,8 +212,7 @@ def transfer_from_expectation(alpha: StarHom, e: CPMap,
     if e.source.block_sizes != alpha.target.block_sizes \
             or e.target.block_sizes != alpha.target.block_sizes:
         raise ShapeMismatch("E must act on the target algebra of alpha")
-    s = np.linalg.svd(alpha.matrix, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol.rank_eps * s[0]:
+    if svd_rank(alpha.matrix, tol) < alpha.source.dim:
         raise NotInjective("alpha has a singular coordinate map")
     sol, _, _, _ = np.linalg.lstsq(alpha.matrix, e.matrix, rcond=None)
     off = spectral_norm(alpha.matrix @ sol - e.matrix)
@@ -531,5 +530,5 @@ def stinespring_minimal(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
                              lambda c: (w.conj().T @ rho.images(c) @ w,
                                         (c @ phi.matrix.T).reshape(len(c), h, h)))
     span_cols = stack_images(src.dim, rho.images, w) if rank else w
-    _, span_rank = orthonormal_span(span_cols, tol)
-    return StinespringData(rho, w, rank, float(iso_res), float(dil_res), span_rank)
+    return StinespringData(rho, w, rank, float(iso_res), float(dil_res),
+                           svd_rank(span_cols, tol))

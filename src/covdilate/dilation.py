@@ -26,7 +26,7 @@ from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_offsets,
-                       orthonormal_span, residual, spectral_norm)
+                       orthonormal_span, residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -163,7 +163,7 @@ def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
                    tol.residual_tol))
 
     orbit = power_orbit(rec.w, rec.source_embed, rec.copies)
-    _, rank = orthonormal_span(np.hstack(orbit), tol)
+    rank = svd_rank(np.hstack(orbit), tol)
     rep.add(clause("dilation/minimal", "span{W^n H} = K",
                    0.0 if rank == total else 1.0, 0.5,
                    note=f"rank {rank} of {total}"))
@@ -363,7 +363,7 @@ def _matricial_clauses(rec: DilationRecord, dd,
                        tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
     rep = ClauseReport()
     rep.notes.append(BOUNDARY_NOTE)
-    rep.extend(dd.report, prefix="")
+    rep.extend(dd.report)
     chain = rec.chain
     pair = chain.pair
     u = rec.w

@@ -24,7 +24,8 @@ from .dilation import DilationRecord, power_orbit
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, basis_sweep, block_diag,
-                       eye_kron, ranked_svds, residual, spectral_norm, svd_pinv)
+                       eye_kron, ranked_svds, residual, spectral_norm, svd_pinv,
+                       svd_rank)
 
 EQUIV_THRESHOLD = 1e-7
 DILATION_THRESHOLD = 1e-6
@@ -80,7 +81,13 @@ class EquivalenceCertificate:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        """The largest residual; an :class:`UpperBound` when any residual is
+        one, since a max over exact values and upper bounds bounds the exact
+        max."""
+        worst = max(self.residuals.values(), default=0.0)
+        if any(isinstance(v, UpperBound) for v in self.residuals.values()):
+            return UpperBound(worst)
+        return worst
 
     def as_dict(self) -> dict:
         d = {"verdict": self.verdict, "threshold": self.threshold,
@@ -303,9 +310,9 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
               for rec in (rec1, rec2))
     # rank and pseudo-inverse of x1 from one SVD, the rank of x2 from another
     svd1 = ranked_svds([x1], tol)[0]
-    ((_, sv2, _),) = ranked_svds([x2], tol, compute_uv=False)
     _require_rank(len(svd1[1]), rec1.total_dim, "first record not minimal: rank {rank} of {dim}")
-    _require_rank(len(sv2), rec2.total_dim, "second record not minimal: rank {rank} of {dim}")
+    _require_rank(svd_rank(x2, tol), rec2.total_dim,
+                  "second record not minimal: rank {rank} of {dim}")
     if rec1.total_dim != rec2.total_dim:
         return EquivalenceCertificate("inconclusive", threshold, {}, None, None,
                                       "minimal records of different dimension")

@@ -29,7 +29,7 @@ from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
                        block_offsets, orthonormal_complement, orthonormal_span,
-                       residual, spectral_norm)
+                       residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -45,8 +45,6 @@ class ChainLevel:
     defect_basis: np.ndarray     # orthonormal columns inside the level's dilation space
     d_star: np.ndarray           # map defect_k -> previous space, in basis coordinates
     pi_hat: KrausRep             # restriction of the level's rho to its defect space
-    embed_residual: float        # || (I - B B*) W_k ||, isometric embedding of the previous defect
-    containment_defect: float    # diagnostic: how far pi_k(A) moves the embedded defect
 
     @property
     def dim(self) -> int:
@@ -130,17 +128,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:
             raise InvarianceViolation(f"level {k} {exc}") from exc
-        embed_res = containment = 0.0
-        if k:
-            w = ext.isometry
-            basis = step.defect_basis
-            embed_res = spectral_norm(w - basis @ (basis.conj().T @ w))
-            # how far the full algebra action moves the embedded previous
-            # defect: only alpha(A) is guaranteed to preserve it
-            check_d = usable_depth(system, [ext.rho], 0, pair.depth)
-            containment = invariance_residual(system, check_d, ext.rho, w, tol)
-        levels.append(ChainLevel(ext, step.defect_basis, step.d_star, step.pi_hat,
-                                 float(embed_res), float(containment)))
+        levels.append(ChainLevel(ext, step.defect_basis, step.d_star, step.pi_hat))
         rep, t = step.pi_hat, np.zeros((step.pi_hat.dim,) * 2, dtype=complex)
 
     return _assemble(pair, strategies, levels, basis_seed)
@@ -201,15 +189,17 @@ def verify_coisometric_extension(chain: ExtensionChain,
                             tol.residual_tol),
                    tol.residual_tol))
 
-    for k, lv in enumerate(chain.levels):
-        if k == 0:
-            continue
+    for k, lv in enumerate(chain.levels[1:], start=1):
+        w, basis = lv.ext.isometry, lv.defect_basis
         rep.add(clause(f"chain/level-{k}/defect-embeds", "W_k defect_(k-1) in defect_k",
-                       lv.embed_residual, tol.residual_tol))
+                       spectral_norm(w - basis @ (basis.conj().T @ w)), tol.residual_tol))
+        # how far the full algebra action moves the embedded previous
+        # defect: only alpha(A) is guaranteed to preserve it
+        check_d = usable_depth(system, [lv.ext.rho], 0, pair.depth)
+        containment = invariance_residual(system, check_d, lv.ext.rho, w, tol)
         rep.notes.append(
             f"level {k}: full algebra action moves the embedded previous defect by "
-            f"{lv.containment_defect:.3e} (diagnostic; only the dynamics' image "
-            "preserves it)")
+            f"{containment:.3e} (diagnostic; only the dynamics' image preserves it)")
     return rep
 
 
@@ -258,7 +248,7 @@ def defect_decomposition(chain: ExtensionChain,
     for k, lv in enumerate(chain.levels):
         seed = w0 @ delta_star if k == 0 else lv.ext.isometry
         f, f_rank = orthonormal_span(lv.defect_basis.conj().T @ seed, tol)
-        q = orthonormal_complement(f, lv.dim, tol)
+        q = orthonormal_complement(f, tol)
         if f_rank + q.shape[1] != lv.dim:
             raise DecompositionMismatch(
                 f"defect-{k} does not split: {f_rank} + {q.shape[1]} != {lv.dim}")
@@ -291,7 +281,7 @@ def defect_decomposition(chain: ExtensionChain,
     gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v,
                         tol.residual_tol)
     rep.add(clause("defect/row-gram", "row* row = I - V* V", gram_res, tol.residual_tol))
-    _, row_rank = orthonormal_span(row_map.conj().T, tol)
+    row_rank = svd_rank(row_map, tol)
     rep.add(clause("defect/row-onto", "defect row maps onto D_V",
                    0.0 if row_rank == dv_dim else 1.0, 0.5,
                    note=f"rank {row_rank} of {dv_dim}"))

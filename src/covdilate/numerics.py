@@ -405,14 +405,11 @@ def _stack_columns(vectors) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL,
-                     scale: float | None = None) -> tuple[np.ndarray, int]:
+def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the span of the given column vectors.
 
     Accepts either a 2-D array whose columns are the vectors or a sequence
-    of 1-D vectors.  Rank is decided at the relative singular-value cutoff
-    ``rank_eps``, referenced to ``max(sigma_max, scale)`` so callers with a
-    known operator scale are not fooled by all-noise inputs.  The returned
+    of 1-D vectors.  Rank is decided by :func:`ranked_svds`.  The returned
     basis is an SVD basis with canonical column phases, hence deterministic
     for a given input.  A wide set (more vectors than their dimension) is
     first reduced to the triangular factor R of ``cols* = Q R``: ``R*`` has
@@ -420,37 +417,40 @@ def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL,
     does not build the long right factor.
     """
     cols = _stack_columns(vectors)
-    dim = cols.shape[0]
-    if dim == 0 or cols.shape[1] == 0:
-        return np.zeros((dim, 0), dtype=complex), 0
-    if cols.shape[1] > dim:
+    if cols.shape[1] > cols.shape[0]:
         cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    ref = max(float(s[0]), scale or 0.0)
-    if ref <= 0.0:
-        return np.zeros((dim, 0), dtype=complex), 0
-    rank = int(np.sum(s > tol.rank_eps * ref))
-    return _canonical_phases(u[:, :rank]), rank
+    ((u, s, _),) = ranked_svds([cols], tol)
+    return _canonical_phases(u), len(s)
 
 
-def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True) -> list:
-    """One thin SVD per diagonal block of a block-diagonal matrix, truncated
-    to its kept singular values.
+def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True,
+                full_matrices: bool = False) -> list:
+    """One SVD per diagonal block of a block-diagonal matrix, truncated to
+    its kept singular values: the package's one singular-value rank rule.
 
-    The rank rule is :func:`orthonormal_span`'s applied to the direct sum:
-    a singular value is kept when it exceeds ``rank_eps`` times the largest
+    A singular value is kept when it exceeds ``rank_eps`` times the largest
     over all blocks, which is also the cutoff of ``np.linalg.pinv`` with
     ``rcond=rank_eps``.  Each entry is ``(u, s, vh)``, with ``u`` and ``vh``
-    None unless ``compute_uv``; ``len(s)`` is the block's rank.
+    None unless ``compute_uv``; ``len(s)`` is the block's rank.  With
+    ``full_matrices`` ``u`` keeps all its columns, and those past the rank
+    span the orthogonal complement of the block's range.
     """
-    svds = [np.linalg.svd(b, full_matrices=False) if compute_uv
+    svds = [np.linalg.svd(b, full_matrices=full_matrices) if compute_uv
             else (None, np.linalg.svd(b, compute_uv=False), None) for b in blocks]
     top = max([float(s[0]) for _, s, _ in svds if s.size] + [0.0])
     out = []
     for u, s, vh in svds:
-        k = int(np.sum(s > tol.rank_eps * top)) if top > 0.0 else 0
-        out.append((u, s[:k], vh) if u is None else (u[:, :k], s[:k], vh[:k]))
+        k = np.count_nonzero(s > tol.rank_eps * top) if top > 0.0 else 0
+        out.append((u, s[:k], vh) if u is None
+                   else (u if full_matrices else u[:, :k], s[:k], vh[:k]))
     return out
+
+
+def svd_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank of a matrix under :func:`ranked_svds`, from its singular values
+    alone."""
+    ((_, s, _),) = ranked_svds([mat], tol, compute_uv=False)
+    return len(s)
 
 
 def svd_pinv(u, s, vh) -> np.ndarray:
@@ -458,17 +458,12 @@ def svd_pinv(u, s, vh) -> np.ndarray:
     return (vh.conj().T / s) @ u.conj().T
 
 
-def orthonormal_complement(basis: np.ndarray, inside_dim: int,
-                           tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the complement of ``span(basis)`` in C^inside_dim."""
-    if basis.shape[1] == 0:
-        return np.eye(inside_dim, dtype=complex)
-    if basis.shape[1] == inside_dim:
-        return np.zeros((inside_dim, 0), dtype=complex)
-    proj = np.eye(inside_dim, dtype=complex) - basis @ basis.conj().T
-    # projector singular values are 0 or 1; the unit scale keeps pure noise out
-    comp, _ = orthonormal_span(proj, tol, scale=1.0)
-    return comp
+def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of ``span(basis)``: the left
+    singular vectors of the basis beyond its rank, from one full SVD of the
+    D x k basis, with canonical column phases."""
+    ((u, s, _),) = ranked_svds([basis], tol, full_matrices=True)
+    return _canonical_phases(u[:, len(s):])
 
 
 def gram_quotient(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,

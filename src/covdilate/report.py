@@ -10,7 +10,6 @@ it, which its entry labels ``"residual_kind": "bound"``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .numerics import UpperBound
@@ -70,10 +69,8 @@ class ClauseReport:
         self.clauses.append(cl)
         return cl
 
-    def extend(self, other: "ClauseReport", prefix: str = "") -> None:
-        for cl in other.clauses:
-            name = f"{prefix}{cl.name}" if prefix else cl.name
-            self.clauses.append(dataclasses.replace(cl, name=name))
+    def extend(self, other: "ClauseReport") -> None:
+        self.clauses.extend(other.clauses)
         self.notes.extend(other.notes)
 
     @property

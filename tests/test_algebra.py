@@ -6,7 +6,7 @@ from covdilate.algebra import (FiniteDimCStarAlgebra, Representation, StarHom,
                                range_subalgebra_basis, verify_endomorphism,
                                verify_star_hom, verify_state)
 from covdilate.covariant import haar_unitary
-from covdilate.errors import NotState
+from covdilate.errors import NotInjective, NotState
 from covdilate.numerics import spectral_norm
 
 M2 = FiniteDimCStarAlgebra((2,))
@@ -198,3 +198,14 @@ def test_representation_from_images_roundtrip():
     u = haar_unitary(2, rng)
     pi = Representation.from_images(M2, [u @ b.blocks[0] @ u.conj().T for b in M2.basis()])
     assert pi.verify().passed
+
+
+def test_singular_coordinate_map_is_not_injective():
+    # a -> tr(a) I / 2 on M2: a unital map of coordinate rank 1
+    unit = M2.unit().coords
+    trace = StarHom(M2, M2, np.outer(unit, unit) / 2.0)
+    with pytest.raises(NotInjective, match="singular"):
+        trace.inverse()
+    report = verify_endomorphism(trace)
+    assert not report.injective and report.coordinate_rank == 1
+    assert StarHom.identity(M2).inverse().matrix.shape == (4, 4)

@@ -8,7 +8,8 @@ from covdilate.cpmaps import (CPMap, choi_blocks, compose_rep,
                               expectation_from_transfer, stinespring_minimal,
                               transfer_from_expectation,
                               verify_completely_positive, verify_transfer)
-from covdilate.errors import NotUnital, RangeNotInImage, TransferInvalid
+from covdilate.errors import (NotInjective, NotUnital, RangeNotInImage,
+                              TransferInvalid)
 from covdilate.numerics import spectral_norm
 
 M2 = FiniteDimCStarAlgebra((2,))
@@ -168,3 +169,10 @@ def test_stinespring_tower_view_compression():
         comm = max(comm, spectral_norm(ww @ img - img @ ww))
     assert worst <= 1e-9
     assert comm <= 1e-8
+
+
+def test_transfer_from_expectation_rejects_a_singular_alpha():
+    unit = M2.unit().coords
+    alpha = StarHom(M2, M2, np.outer(unit, unit) / 2.0)
+    with pytest.raises(NotInjective, match="singular"):
+        transfer_from_expectation(alpha, CPMap.identity(M2))

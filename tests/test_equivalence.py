@@ -8,12 +8,14 @@ from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem
 from covdilate.cpmaps import CPMap, stinespring_gram
 from covdilate.dilation import (DilationRecord, explicit_matricial_unitary,
                                 schaffer_dilate)
-from covdilate.equivalence import (GramWitness, _gram_mismatch_witness,
+from covdilate.equivalence import (EquivalenceCertificate, GramWitness,
+                                   _gram_mismatch_witness,
                                    chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import LevelMismatch, SpanDeficient
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import DEFAULT_TOL, block_diag, spectral_norm
+from covdilate.numerics import DEFAULT_TOL, UpperBound, block_diag, spectral_norm
+from covdilate.report import clause
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer,
                              shift_down_pair, state_density)
@@ -293,3 +295,16 @@ def test_witness_tie_is_not_ordered_by_round_off():
     assert mismatch > tied.mismatch
     assert tied.element == witness.element == "adjoint(basis[0]) * basis[0]"
     assert (witness.left_vector, witness.right_vector) == (0, 0)
+
+
+def test_max_residual_is_a_bound_when_any_residual_is_one():
+    """An exact residual above a bound one still gives an UpperBound: the
+    max over exact values and bounds only bounds the exact max."""
+    cert = EquivalenceCertificate("equivalent", 1e-7,
+                                  {"exact": 3e-15, "bounded": UpperBound(1e-15)})
+    worst = cert.max_residual
+    assert isinstance(worst, UpperBound) and worst == 3e-15
+    assert clause("c", "x = y", worst, cert.threshold).as_dict()["residual_kind"] == "bound"
+    exact = EquivalenceCertificate("equivalent", 1e-7, {"a": 3e-15, "b": 1e-15})
+    assert type(exact.max_residual) is float
+    assert type(EquivalenceCertificate("equivalent", 1e-7).max_residual) is float

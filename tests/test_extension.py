@@ -8,7 +8,7 @@ from covdilate.cli import run
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  extend_representation, haar_unitary, two_step)
 from covdilate.cpmaps import CPMap
-from covdilate.errors import DepthExceeded, StrategyInvalid
+from covdilate.errors import DecompositionMismatch, DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, restrict_chain,
                                  verify_coisometric_extension)
@@ -320,3 +320,15 @@ def test_levels_above_the_first_take_no_square_root(corpus, built_chains, monkey
                 assert np.array_equal(lv.d_star, ref_lv.d_star)
                 assert np.array_equal(lv.ext.isometry, ref_lv.ext.isometry)
     assert deep > 0
+
+
+def test_defect_split_gate_fires_on_a_short_complement(built_chains, monkeypatch):
+    """A complement one column short of its level leaves f + q below the
+    level's dimension, which the split gate must reject."""
+    chain = next(c for c in built_chains.values()
+                 if any(q.shape[1] for q in defect_decomposition(c).q_bases))
+    real = extension_mod.orthonormal_complement
+    monkeypatch.setattr(extension_mod, "orthonormal_complement",
+                        lambda basis, tol=DEFAULT_TOL: real(basis, tol)[:, 1:])
+    with pytest.raises(DecompositionMismatch, match="does not split"):
+        defect_decomposition(chain)

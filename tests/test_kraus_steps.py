@@ -66,7 +66,7 @@ def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None
         ext = extend_representation(system, rep, strategy, pair.depth, tol, rng)
         basis, d_star, pi_hat = dense_two_step(CovariantPair(system, rep, t, pair.depth),
                                                ext, tol, rng)
-        levels.append(ChainLevel(ext, basis, d_star, pi_hat, 0.0, 0.0))
+        levels.append(ChainLevel(ext, basis, d_star, pi_hat))
         rep, t = pi_hat, np.zeros((pi_hat.dim,) * 2, dtype=complex)
     return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
 

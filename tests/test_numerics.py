@@ -13,7 +13,7 @@ from covdilate.errors import DimensionMismatch, NotHermitian, NotPositive
 from covdilate.extension import coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms,
                                 orthonormal_complement, orthonormal_span,
-                                psd_sqrt, residual, spectral_norm)
+                                psd_sqrt, residual, spectral_norm, svd_rank)
 from covdilate.report import clause
 
 
@@ -147,7 +147,7 @@ def test_orthonormal_span_deterministic():
 
 def test_orthonormal_complement_of_full_span_is_empty():
     basis, _ = orthonormal_span(np.eye(3))
-    comp = orthonormal_complement(basis, 3)
+    comp = orthonormal_complement(basis)
     assert comp.shape == (3, 0)
 
 
@@ -155,7 +155,7 @@ def test_orthonormal_complement_splits():
     rng = np.random.default_rng(13)
     cols = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     basis, rank = orthonormal_span(cols)
-    comp = orthonormal_complement(basis, 5)
+    comp = orthonormal_complement(basis)
     assert rank + comp.shape[1] == 5
     assert spectral_norm(basis.conj().T @ comp) < 1e-12
 
@@ -205,14 +205,14 @@ def test_spectral_norm_rejects_non_finite_entries():
             residual(np.array([[1.0, 0.0]]), np.array([[bad, 0.0]]))
 
 
-def direct_svd_span(vectors, tol=DEFAULT_TOL, scale=None):
+def direct_svd_span(vectors, tol=DEFAULT_TOL):
     """orthonormal_span without the QR step: one SVD of the whole set."""
     cols = numerics_mod._stack_columns(vectors)
     dim = cols.shape[0]
     if dim == 0 or cols.shape[1] == 0:
         return np.zeros((dim, 0), dtype=complex), 0
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    ref = max(float(s[0]), scale or 0.0)
+    ref = float(s[0])
     if ref <= 0.0:
         return np.zeros((dim, 0), dtype=complex), 0
     rank = int(np.sum(s > tol.rank_eps * ref))
@@ -269,6 +269,60 @@ def test_chain_through_direct_svd_span_is_equivalent(corpus, built_chains, monke
         ref = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL)
         cert = chain_intertwiner(ref, built_chains[case.name])
         assert cert.verdict == "equivalent", (case.name, cert.residuals)
+
+
+# ---------------------------------------------------------------------------
+# the one singular-value rank rule: the complement from the basis's own SVD
+# against the projector route, and the rank-only route against the span
+# ---------------------------------------------------------------------------
+
+def projector_complement(basis, tol=DEFAULT_TOL):
+    """The complement as the span of the D x D projector I - B B*, whose
+    singular values are 0 or 1, cut at rank_eps relative to a unit scale."""
+    dim = basis.shape[0]
+    if basis.shape[1] == 0:
+        return np.eye(dim, dtype=complex)
+    u, s, _ = np.linalg.svd(np.eye(dim) - basis @ basis.conj().T)
+    return u[:, :int(np.sum(s > tol.rank_eps * max(float(s[0]), 1.0)))]
+
+
+def _random_orthonormal(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))
+    return q
+
+
+def _assert_same_complement(basis):
+    comp = orthonormal_complement(basis)
+    ref = projector_complement(basis)
+    assert comp.shape == ref.shape
+    assert spectral_norm(comp @ comp.conj().T - ref @ ref.conj().T) <= 1e-12
+    assert spectral_norm(comp.conj().T @ basis) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,k", [(6, 0), (6, 6), (40, 3), (12, 11), (64, 16), (1, 1)])
+def test_complement_matches_projector_route_on_random_bases(dim, k):
+    """k = 0, k = D, tall and near-square orthonormal bases."""
+    _assert_same_complement(_random_orthonormal(dim, k, 31 * dim + k))
+
+
+def test_complement_matches_projector_route_on_corpus_defect_bases(corpus, built_chains):
+    count = 0
+    for case in corpus:
+        for level in built_chains[case.name].levels:
+            _assert_same_complement(level.defect_basis)
+            count += 1
+    assert count >= len(corpus)
+
+
+def test_rank_only_route_matches_the_span():
+    """dilation/minimal, stinespring_minimal and gns take svd_rank of a
+    spanning set, defect/row-onto of the adjoint of one; each gives the rank
+    orthonormal_span gives the set."""
+    for cols in _clustered_sets():
+        _, rank = orthonormal_span(cols)
+        assert svd_rank(cols) == rank
+        assert svd_rank(cols.conj().T) == rank
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
                      ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
-                       block_diag, block_offsets, kron_eye, orthonormal_span,
+                       block_diag, block_slices, kron_eye, orthonormal_span,
                        residual, spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
@@ -40,12 +40,13 @@ class FiniteDimCStarAlgebra:
     def dim(self) -> int:
         return sum(n * n for n in self.block_sizes)
 
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        return tuple(block_offsets(n * n for n in self.block_sizes))
+    @functools.cached_property
+    def coord_slices(self) -> tuple[slice, ...]:
+        """The coordinate range of each block."""
+        return tuple(block_slices(n * n for n in self.block_sizes))
 
     def unit_index(self, block: int, p: int, q: int) -> int:
-        return self.block_offsets[block] + p * self.block_sizes[block] + q
+        return self.coord_slices[block].start + p * self.block_sizes[block] + q
 
     def element(self, blocks) -> "AlgebraElement":
         mats = tuple(as_matrix(b) for b in blocks)
@@ -60,16 +61,14 @@ class FiniteDimCStarAlgebra:
         v = np.asarray(coords, dtype=complex).reshape(-1)
         if v.size != self.dim:
             raise DimensionMismatch(f"coordinate vector of size {v.size}, expected {self.dim}")
-        blocks = []
-        for n, off in zip(self.block_sizes, self.block_offsets):
-            blocks.append(v[off:off + n * n].reshape(n, n))
-        return AlgebraElement(self, tuple(blocks))
+        return AlgebraElement(self, tuple(v[s].reshape(n, n)
+                                          for n, s in zip(self.block_sizes, self.coord_slices)))
 
     def split(self, coords) -> tuple[np.ndarray, ...]:
         """Coordinate rows (m, dim) as one (m, n_b, n_b) stack per block."""
         c = np.asarray(coords)
-        return tuple(c[:, off:off + n * n].reshape(len(c), n, n)
-                     for n, off in zip(self.block_sizes, self.block_offsets))
+        return tuple(c[:, s].reshape(len(c), n, n)
+                     for n, s in zip(self.block_sizes, self.coord_slices))
 
     def join(self, blocks) -> np.ndarray:
         """Inverse of :meth:`split`: per-block stacks back to coordinate rows."""
@@ -327,40 +326,26 @@ class State:
     @staticmethod
     def normalized_trace(algebra: FiniteDimCStarAlgebra) -> "State":
         total = sum(algebra.block_sizes)
-        coords = np.zeros(algebra.dim, dtype=complex)
-        for b, (n, off) in enumerate(zip(algebra.block_sizes, algebra.block_offsets)):
-            for p in range(n):
-                coords[off + p * n + p] = 1.0 / total
-        return State(algebra, coords)
+        return State(algebra, algebra.join([np.eye(n, dtype=complex)[None] / total
+                                            for n in algebra.block_sizes])[0])
 
     @staticmethod
     def from_densities(algebra: FiniteDimCStarAlgebra, densities) -> "State":
         """omega(a) = sum_b tr(rho_b a_b) for PSD blocks rho_b with total trace 1."""
-        coords = np.zeros(algebra.dim, dtype=complex)
-        for b, (n, off) in enumerate(zip(algebra.block_sizes, algebra.block_offsets)):
+        blocks = []
+        for b, n in enumerate(algebra.block_sizes):
             rho = as_matrix(densities[b])
             if rho.shape != (n, n):
                 raise ShapeMismatch("density block of wrong shape")
             # tr(rho E_pq) = rho[q, p]
-            for p in range(n):
-                for q in range(n):
-                    coords[off + p * n + q] = rho[q, p]
-        return State(algebra, coords)
-
-    @staticmethod
-    def vector_state(algebra: FiniteDimCStarAlgebra, block: int, vec) -> "State":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        densities = [np.zeros((n, n), dtype=complex) for n in algebra.block_sizes]
-        densities[block] = np.outer(v, v.conj())
-        return State.from_densities(algebra, densities)
+            blocks.append(rho.T[None])
+        return State(algebra, algebra.join(blocks)[0])
 
 
 def _state_chois(omega: State) -> list[np.ndarray]:
     """Per-block Choi matrices [omega(e_pq)]_{pq}, the transposed densities."""
     alg = omega.algebra
-    return [omega.vector[off:off + n * n].reshape(n, n)
-            for n, off in zip(alg.block_sizes, alg.block_offsets)]
+    return [omega.vector[s].reshape(n, n) for n, s in zip(alg.block_sizes, alg.coord_slices)]
 
 
 def verify_state(omega: State, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:

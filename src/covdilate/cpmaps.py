@@ -26,8 +26,9 @@ from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       basis_sweep, block_diag, eye_kron, ranked_svds,
-                       residual, spectral_norm, stack_images, svd_rank)
+                       basis_sweep, block_diag, block_slices, eye_kron,
+                       hermitian_residual, ranked_svds, residual,
+                       spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
 
@@ -97,8 +98,8 @@ def unit_image_chois(source: FiniteDimCStarAlgebra, unit_images,
     """
     h = inner_dim
     out = []
-    for n, off in zip(source.block_sizes, source.block_offsets):
-        units = np.asarray(unit_images[off:off + n * n], dtype=complex)
+    for n, s in zip(source.block_sizes, source.coord_slices):
+        units = np.asarray(unit_images[s], dtype=complex)
         out.append(units.reshape(n, n, h, h).transpose(0, 2, 1, 3).reshape(n * h, n * h))
     return out
 
@@ -266,10 +267,10 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
     sizes = source.block_sizes
     mats = [as_matrix(c) for c in chois]
     h = mats[0].shape[0] // sizes[0]
-    skew = max(spectral_norm(c - c.conj().T) for c in mats)
-    herm_res = skew / (1.0 + max(spectral_norm(c) for c in mats))
-    if herm_res > tol.residual_tol:
-        raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
+    for c in mats:
+        herm_res = hermitian_residual(c, tol.residual_tol)
+        if herm_res > tol.residual_tol:
+            raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
     if spectra is None:
         spectra = choi_spectra(mats)
     top = max([float(vals[-1]) for vals, _ in spectra if vals.size] + [0.0])
@@ -347,28 +348,29 @@ class KrausRep(ChunkRep):
         and as R_b = Q_b* with rows (s, q).  Then Q_b (x_b (x) I_r) Q_b* is
         (L_b x_b viewed as (dim, r_b n_b)) R_b."""
         out = []
-        o = 0
-        for n, r in zip(self.block_sizes, self.dilation.multiplicities):
-            q = self.rotation[:, o:o + n * r].reshape(self.dim, n, r).transpose(0, 2, 1)
+        for n, r, s in self.layout:
+            q = self.rotation[:, s].reshape(self.dim, n, r).transpose(0, 2, 1)
             q = np.ascontiguousarray(q)
             out.append((q.reshape(self.dim * r, n), q.reshape(self.dim, r * n).conj().T))
-            o += n * r
         return out
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return self.system.algebra_view(self.depth).block_sizes
 
+    @cached_property
+    def layout(self) -> list:
+        """Per block b the triple (n_b, r_b, range of the Kraus coordinates
+        (b, p, s))."""
+        sizes, mults = self.block_sizes, self.dilation.multiplicities
+        return list(zip(sizes, mults, block_slices(n * r for n, r in zip(sizes, mults))))
+
     def frames(self, x) -> list[np.ndarray]:
         """The r_b x (n_b h) matrices Y_b of V = R* X, one per block."""
         v = x if self.rotation is None else self.rotation.conj().T @ x
         h = v.shape[1]
-        out = []
-        o = 0
-        for n, r in zip(self.block_sizes, self.dilation.multiplicities):
-            out.append(v[o:o + n * r].reshape(n, r, h).transpose(1, 0, 2).reshape(r, n * h))
-            o += n * r
-        return out
+        return [v[s].reshape(n, r, h).transpose(1, 0, 2).reshape(r, n * h)
+                for n, r, s in self.layout]
 
     def images(self, coords, depth) -> np.ndarray:
         m = len(coords)
@@ -376,15 +378,12 @@ class KrausRep(ChunkRep):
         if self.rotation is not None:
             return self._rotated_images(m, blocks)
         out = np.zeros((m, self.dim, self.dim), dtype=complex)
-        o = 0
-        for b, r in zip(blocks, self.dilation.multiplicities):
-            n = b.shape[-1]
+        for b, (n, r, s) in zip(blocks, self.layout):
             # the diagonal block of x_b (x) I_r, viewed as (m, n, r, n, r): a
             # view, since reshaping only splits axes
-            block = out[:, o:o + n * r, o:o + n * r].reshape(m, n, r, n, r)
+            block = out[:, s, s].reshape(m, n, r, n, r)
             idx = np.arange(r)
             block[:, :, idx, :, idx] = b
-            o += n * r
         return out
 
     def _rotated_images(self, m, blocks) -> np.ndarray:
@@ -413,21 +412,18 @@ def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
     dim, rot, h = rep.dim, rep.rotation, x.shape[1]
     frames = rep.frames(x)
     cols, rows, ranks = [], [], []
-    o = 0
-    for n, r, y, (u, _, _) in zip(rep.block_sizes, rep.dilation.multiplicities, frames,
-                                  ranked_svds(frames, tol)):
+    for (n, r, s), y, (u, _, _) in zip(rep.layout, frames, ranked_svds(frames, tol)):
         u = _canonical_phases(u)
         k = u.shape[1]
         if rot is None:
             col = np.zeros((dim, n * k), dtype=complex)
-            col[o:o + n * r] = eye_kron(n, u)
+            col[s] = eye_kron(n, u)
         else:
             # column block b of R, rows (i, p) against U_b
-            col = np.matmul(rot[:, o:o + n * r].reshape(dim * n, r), u).reshape(dim, n * k)
+            col = np.matmul(rot[:, s].reshape(dim * n, r), u).reshape(dim, n * k)
         cols.append(col)
         rows.append((u.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
         ranks.append(k)
-        o += n * r
     return np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows))
 
 
@@ -442,19 +438,15 @@ def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
     ones (None when both are identities); the dilation holds R* W.
     """
     sizes = system.algebra_view(depth).block_sizes
-    index = []   # per summand and block, the (n_b, r_sb) summand-major indices
-    o = 0
-    for p in parts:
-        index.append([])
-        for n, r in zip(sizes, p.dilation.multiplicities):
-            index[-1].append(o + np.arange(n * r).reshape(n, r))
-            o += n * r
+    # per summand and block, the (n_b, r_sb) summand-major indices
+    index = [[np.arange(part.start, part.stop)[s].reshape(n, r) for n, r, s in p.layout]
+             for p, part in zip(parts, block_slices(p.dim for p in parts))]
     # block-major order: block b, row i < n_b, then the summands' copies in turn
     perm = np.concatenate([np.hstack([np.zeros((n, 0), dtype=int)] + [ix[b] for ix in index])
                            .reshape(-1) for b, n in enumerate(sizes)])
     mults = tuple(sum(p.dilation.multiplicities[b] for p in parts) for b in range(len(sizes)))
     rot = None
-    if not np.array_equal(perm, np.arange(o)) or any(p.rotation is not None for p in parts):
+    if not np.array_equal(perm, np.arange(perm.size)) or any(p.rotation is not None for p in parts):
         rot = block_diag([np.eye(p.dim, dtype=complex) if p.rotation is None else p.rotation
                           for p in parts])[:, perm]
     v = isometry if rot is None else rot.conj().T @ isometry

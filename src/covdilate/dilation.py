@@ -13,7 +13,7 @@ module can compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
                      StrategyInvalid)
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
-from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_offsets,
+from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_slices,
                        orthonormal_span, residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
@@ -66,14 +66,15 @@ class DilationRecord:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
-    def block_offsets(self) -> list[int]:
-        return block_offsets(self.block_dims)
+    @property
+    def block_ranges(self) -> dict[str, slice]:
+        """The index range of each named block."""
+        return dict(zip(self.block_names, block_slices(self.block_dims)))
 
     def index_table(self) -> list[dict]:
-        offs = self.block_offsets()
-        return [{"name": n, "index": i, "dim": d, "offset": o}
-                for n, i, d, o in zip(self.block_names, self.block_index,
-                                      self.block_dims, offs)]
+        return [{"name": n, "index": i, "dim": d, "offset": s.start}
+                for (n, s), i, d in zip(self.block_ranges.items(), self.block_index,
+                                        self.block_dims)]
 
 
 def schaffer_dilate(pair: CovariantPair, copies: int,
@@ -95,14 +96,13 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     basis, r = orthonormal_span(delta, tol)
     h = pair.space_dim
     dims = [h] + [r] * copies
-    total = h + copies * r
+    at = block_slices(dims)
+    total = sum(dims)
     w = np.zeros((total, total), dtype=complex)
-    w[:h, :h] = pair.contraction
-    if r:
-        w[h:h + r, :h] = basis.conj().T @ delta
-        for j in range(1, copies):
-            lo = h + j * r
-            w[lo:lo + r, lo - r:lo] = np.eye(r, dtype=complex)
+    w[at[0], at[0]] = pair.contraction
+    w[at[1], at[0]] = basis.conj().T @ delta
+    for j in range(1, copies):
+        w[at[j + 1], at[j]] = np.eye(r, dtype=complex)
 
     parts = [pair.rep] + [RestrictedRep(ShiftedRep(pair.rep, system, n), basis)
                           for n in range(1, copies + 1)]
@@ -110,7 +110,7 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     embed = np.eye(total, h, dtype=complex)
     names = ["H"] + [f"copy-{j}" for j in range(1, copies + 1)]
     index = list(range(0, copies + 1))
-    last = np.arange(total - r, total) if r else np.zeros(0, dtype=int)
+    last = np.arange(at[-1].start, at[-1].stop)
     return DilationRecord("isometric", names, dims, index, eta, w, pair, embed,
                           copies, origin_pair=pair, origin_embed=embed,
                           boundary_rows=np.zeros(0, dtype=int), boundary_cols=last)
@@ -255,18 +255,11 @@ def compose_unitary(chain: ExtensionChain, copies: int,
     cpair = chain.as_pair()
     rec = schaffer_dilate(cpair, copies, tol)
 
-    h = pair.space_dim
-    total = rec.total_dim
-    origin_embed = np.eye(total, h, dtype=complex)
     # boundary blocks: the truncated last chain block (rows) and the last copy (cols)
-    chain_last_off = chain.block_offsets[-1]
-    chain_last_dim = chain.block_dims[-1]
-    rows = np.arange(chain_last_off, chain_last_off + chain_last_dim)
-    rec2 = DilationRecord("unitary-composed", rec.block_names, rec.block_dims,
-                          rec.block_index, rec.eta, rec.w, cpair, rec.source_embed,
-                          copies, origin_pair=pair, origin_embed=origin_embed,
-                          chain=chain, boundary_rows=rows,
-                          boundary_cols=rec.boundary_cols)
+    last = chain.block_ranges[chain.block_names[-1]]
+    rec2 = replace(rec, kind="unitary-composed", origin_pair=pair,
+                   origin_embed=np.eye(rec.total_dim, pair.space_dim, dtype=complex),
+                   chain=chain, boundary_rows=np.arange(last.start, last.stop))
     rec2.report = _unitary_clauses(rec2, chain.n_levels, tol)
     return rec2
 
@@ -317,39 +310,28 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
     dims = [chain.block_dims[k + 1] for k in range(n - 1, -1, -1)] + [h] + [dv] * copies
     index = list(range(-n, 0)) + [0] + list(range(1, copies + 1))
     total = sum(dims)
-    offs = block_offsets(dims)
-
-    def blk(name):
-        i = names.index(name)
-        return offs[i], dims[i]
+    at = dict(zip(names, block_slices(dims)))
 
     # the chain space inside the ambient one, its defect blocks reversed
     src_embed = np.zeros((total, chain.total_dim), dtype=complex)
-    for name, src, cd in zip(chain.block_names, chain.block_offsets, chain.block_dims):
-        co, _ = blk(name)
-        src_embed[co:co + cd, src:src + cd] = np.eye(cd)
+    for (name, src), cd in zip(chain.block_ranges.items(), chain.block_dims):
+        src_embed[at[name], src] = np.eye(cd)
     # V carried over (T in the corner, D_{k*} in the row of the previous
     # space and the column of defect-k), the defect row below H, and the
     # identities down the copies
     u = src_embed @ chain.v @ src_embed.T
-    c1o, _ = blk("copy-1")
-    u[c1o:c1o + dv] = dd.row_map @ src_embed.T
+    u[at["copy-1"]] = dd.row_map @ src_embed.T
     for j in range(1, copies):
-        ro, _ = blk(f"copy-{j + 1}")
-        co, _ = blk(f"copy-{j}")
-        u[ro:ro + dv, co:co + dv] = np.eye(dv, dtype=complex)
+        u[at[f"copy-{j + 1}"], at[f"copy-{j}"]] = np.eye(dv, dtype=complex)
 
     sigma = DirectSumRep(tuple([chain.levels[k].pi_hat for k in range(n - 1, -1, -1)]
                                + [pair.rep]
                                + [ShiftedRep(dd.rho1, system, j) if j else dd.rho1
                                   for j in range(copies)]))
-    ho, _ = blk("H")
-    origin_embed = np.eye(total, h, -ho, dtype=complex)
-
-    bro, brd = blk(f"defect-{n - 1}") if n else (ho, 0)
-    rows = np.arange(bro, bro + brd)
-    cols_off, _ = blk(f"copy-{copies}")
-    cols = np.arange(cols_off, cols_off + dv) if dv else np.zeros(0, dtype=int)
+    origin_embed = np.eye(total, h, -at["H"].start, dtype=complex)
+    first, last = at[f"defect-{n - 1}"], at[f"copy-{copies}"]
+    rows = np.arange(first.start, first.stop)
+    cols = np.arange(last.start, last.stop)
 
     rec = DilationRecord("unitary-explicit", names, dims, index, sigma, u,
                          chain.as_pair(), src_embed, copies, origin_pair=pair,

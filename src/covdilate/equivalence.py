@@ -185,7 +185,7 @@ def _gram_mismatch_witness(view, depth, units_a, units_b, h: int, level: int,
     i, j = np.unravel_index(int(np.argmax(diffs[blk] >= near)), diffs[blk].shape)
     qi, p = divmod(int(i), h)
     qj, q = divmod(int(j), h)
-    off = view.block_offsets[blk]
+    off = view.coord_slices[blk].start
     bi, bj = off + qi, off + qj
     element = f"adjoint(basis[{bi}]) * basis[{bj}] at working depth {depth}" \
         if depth is not None else f"adjoint(basis[{bi}]) * basis[{bj}]"

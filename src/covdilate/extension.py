@@ -28,7 +28,7 @@ from .cpmaps import KrausRep
 from .errors import (DecompositionMismatch, DepthExceeded,
                      InvarianceViolation, LevelMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
-                       block_offsets, orthonormal_complement, orthonormal_span,
+                       block_slices, orthonormal_complement, orthonormal_span,
                        residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
@@ -71,14 +71,15 @@ class ExtensionChain:
         return sum(self.block_dims)
 
     @property
-    def block_offsets(self) -> list[int]:
-        return block_offsets(self.block_dims)
+    def block_ranges(self) -> dict[str, slice]:
+        """The index range of each named block."""
+        return dict(zip(self.block_names, block_slices(self.block_dims)))
 
     def kept_projection(self) -> np.ndarray:
         """Projection onto every block except the truncated last one."""
         p = np.eye(self.total_dim, dtype=complex)
-        lo = self.block_offsets[-1]
-        p[lo:, lo:] = 0.0
+        last = self.block_ranges[self.block_names[-1]]
+        p[last, last] = 0.0
         return p
 
     def as_pair(self) -> CovariantPair:
@@ -139,11 +140,11 @@ def _assemble(pair: CovariantPair, strategies, levels, basis_seed) -> ExtensionC
     the row of the previous block, and the row of the last block zero."""
     block_dims = [pair.space_dim] + [lv.dim for lv in levels]
     total = sum(block_dims)
-    offs = block_offsets(block_dims)
+    at = block_slices(block_dims)
     v = np.zeros((total, total), dtype=complex)
-    v[:pair.space_dim, :pair.space_dim] = pair.contraction
+    v[at[0], at[0]] = pair.contraction
     for k, lv in enumerate(levels):
-        v[offs[k]:offs[k] + block_dims[k], offs[k + 1]:offs[k + 1] + lv.dim] = lv.d_star
+        v[at[k], at[k + 1]] = lv.d_star
     rho = DirectSumRep(tuple([pair.rep] + [lv.pi_hat for lv in levels]))
     return ExtensionChain(pair, strategies, levels, rho, v,
                           ["H"] + [f"defect-{k}" for k in range(len(levels))],
@@ -234,7 +235,6 @@ def defect_decomposition(chain: ExtensionChain,
     """
     pair = chain.pair
     system = pair.system
-    h = pair.space_dim
     delta, delta_star = defect_roots(pair, tol)
     rep = ClauseReport()
 
@@ -256,8 +256,9 @@ def defect_decomposition(chain: ExtensionChain,
         q_bases.append(q)
     f0, q0 = f_bases[0], q_bases[0]
 
-    offs = chain.block_offsets
+    at = chain.block_ranges
     summand_dims = [r_delta] + [q.shape[1] for q in q_bases]
+    dv_at = block_slices(summand_dims)
     dv_dim = sum(summand_dims)
     dv_basis = block_diag([delta_h_basis] + q_bases)
 
@@ -266,8 +267,8 @@ def defect_decomposition(chain: ExtensionChain,
     x_map = np.zeros((dv_dim, level0.dim), dtype=complex)
     upper = delta_h_basis.conj().T @ (-t.conj().T) @ w0.conj().T \
         @ level0.defect_basis @ (f0 @ f0.conj().T)
-    x_map[:r_delta, :] = upper
-    x_map[r_delta:r_delta + q0.shape[1], :] = q0.conj().T
+    x_map[dv_at[0]] = upper
+    x_map[dv_at[1]] = q0.conj().T
 
     # T delta = delta_star T (used implicitly by X mapping into delta H)
     rep.add(clause("defect/intertwine", "T (I-T*T)^1/2 = (I-TT*)^1/2 T",
@@ -275,7 +276,7 @@ def defect_decomposition(chain: ExtensionChain,
 
     # defect row of the two-sided form, one column block per chain block
     row_map = block_diag([delta_h_basis.conj().T @ delta] + [q.conj().T for q in q_bases])
-    row_map[:, offs[1]:offs[1] + level0.dim] = x_map
+    row_map[:, at["defect-0"]] = x_map
 
     eye = np.eye(chain.total_dim, dtype=complex)
     gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v,
@@ -297,10 +298,11 @@ def defect_decomposition(chain: ExtensionChain,
         # rho1 must agree with the block-diagonal compressions onto the
         # summands; rho(alpha(a)) carries pi(alpha(a)) and each level's
         # pi_hat(alpha(a)) as its diagonal blocks
-        parts = [delta_h_basis.conj().T @ x[..., :h, :h] @ delta_h_basis]
+        hs = at["H"]
+        parts = [delta_h_basis.conj().T @ x[..., hs, hs] @ delta_h_basis]
         for k, q in enumerate(q_bases):
-            lo, nk = offs[k + 1], chain.block_dims[k + 1]
-            parts.append(q.conj().T @ x[..., lo:lo + nk, lo:lo + nk] @ q)
+            ks = at[f"defect-{k}"]
+            parts.append(q.conj().T @ x[..., ks, ks] @ q)
         return dv_basis.conj().T @ x @ dv_basis, block_diag(parts)
 
     off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((len(x), 0, 0)))

@@ -8,6 +8,7 @@ which the report layer relies on for byte-identical reruns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -337,14 +338,10 @@ def eye_kron(k: int, x) -> np.ndarray:
     return out.reshape(*lead, k * rows, k * cols)
 
 
-def block_offsets(dims) -> list[int]:
-    """Start index of each summand of a direct sum with the given dimensions."""
-    offs = []
-    o = 0
-    for d in dims:
-        offs.append(o)
-        o += d
-    return offs
+def block_slices(dims) -> list[slice]:
+    """Index range of each summand of a direct sum with the given dimensions."""
+    ends = list(itertools.accumulate(dims, initial=0))
+    return list(map(slice, ends, ends[1:]))
 
 
 def hermitian_residual(a, threshold: float | None = None) -> float:
@@ -506,14 +503,11 @@ def block_diag(mats) -> np.ndarray:
     """Direct sum over the last two axes of complex matrices or equal-length
     stacks of them (zero-size blocks allowed)."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    lead = mats[0].shape[:-2] if mats else ()
-    n = sum(m.shape[-2] for m in mats)
-    c = sum(m.shape[-1] for m in mats)
-    out = np.zeros(lead + (n, c), dtype=complex)
-    r = 0
-    s = 0
-    for m in mats:
-        out[..., r:r + m.shape[-2], s:s + m.shape[-1]] = m
-        r += m.shape[-2]
-        s += m.shape[-1]
+    if not mats:
+        return np.zeros((0, 0), dtype=complex)
+    rows = block_slices([m.shape[-2] for m in mats])
+    cols = block_slices([m.shape[-1] for m in mats])
+    out = np.zeros(mats[0].shape[:-2] + (rows[-1].stop, cols[-1].stop), dtype=complex)
+    for m, r, c in zip(mats, rows, cols):
+        out[..., r, c] = m
     return out

@@ -58,10 +58,6 @@ def parse_matrix(data) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
 def parse_vector(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioParseError("vector must be a non-empty array")
@@ -282,6 +278,10 @@ def _build_tower(data, tol, levels, copies):
     if depth + copies > d_max:
         raise ScenarioValidationError(
             "depth budget", f"check depth {depth} + copies {copies} exceeds d_max {d_max}")
+    if copies > depth:
+        # dilate, unitary and matricial all need check depth >= copies
+        raise ScenarioValidationError(
+            "depth budget", f"copies {copies} exceed check depth {depth}")
 
     pair_spec = data.get("pair")
     if not isinstance(pair_spec, dict):

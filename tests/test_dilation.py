@@ -210,22 +210,21 @@ def test_matricial_scalar_row_norm():
     assert rec.report.passed
     # ambient order: defect-0, H, copy-1, copy-2; the defect row holds X and delta
     u = rec.w
-    names = rec.block_names
-    offs = rec.block_offsets()
-    row = offs[names.index("copy-1")]
-    x_entry = u[row, offs[names.index("defect-0")]]
-    d_entry = u[row, offs[names.index("H")]]
+    offs = {name: s.start for name, s in rec.block_ranges.items()}
+    row = offs["copy-1"]
+    x_entry = u[row, offs["defect-0"]]
+    d_entry = u[row, offs["H"]]
     # X acts on the unit vector W delta* h / ||delta* h||; against the raw
     # H-coordinate h it is -delta T* = -0.48, so the entry is -0.48 / 0.8
     assert abs(abs(x_entry) - 0.6) < 1e-12
     assert abs(abs(x_entry) * 0.8 - 0.48) < 1e-12
     assert abs(abs(d_entry) - 0.8) < 1e-12
     # interior columns are isometric: the defect-0 column holds (0.8, -0.6)
-    col = offs[names.index("defect-0")]
+    col = offs["defect-0"]
     assert abs(np.linalg.norm(u[:, col]) - 1.0) < 1e-12
     # two steps on H spread it as (0.36, 0.48, 0.8): squares sum to one
     e_h = np.zeros(rec.total_dim)
-    e_h[offs[names.index("H")]] = 1.0
+    e_h[offs["H"]] = 1.0
     spread = np.linalg.matrix_power(u, 2) @ e_h
     expected = {0.36, 0.48, 0.8}
     got = sorted(abs(v) for v in spread if abs(v) > 1e-13)

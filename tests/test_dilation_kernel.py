@@ -182,6 +182,10 @@ def test_kernel_rejects_non_cp_and_non_hermitian():
         kraus_dilation(M2, choi_blocks(compose_rep(pi, transpose_map())))
     with pytest.raises(NotCP, match="hermitian"):
         kraus_dilation(M2, [np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])
+    # a large block must not dilute the hermiticity residual of a small one
+    with pytest.raises(NotCP, match="hermitian"):
+        kraus_dilation(FiniteDimCStarAlgebra((1, 1)),
+                       [np.array([[1e9]], dtype=complex), np.array([[1 + 1e-3j]])])
 
 
 def test_extension_step_rejects_non_cp_transfer():

@@ -48,6 +48,18 @@ def test_depth_budget_gate(tmp_path):
     assert err.value.gate == "depth budget"
 
 
+def test_copies_beyond_check_depth_gate(tmp_path):
+    # d_max leaves room for the copies, but the check depth rep_depth - 1 = 1
+    # does not: the dilations would fail only after building the chain
+    data = demo_fixture("tower")
+    data.update(levels=1, copies=2)
+    path = write(tmp_path, "copies.json", data)
+    with pytest.raises(ScenarioValidationError, match="check depth") as err:
+        load_scenario(path)
+    assert err.value.gate == "depth budget"
+    assert main(["dilate", "--scenario", path, "--out", str(tmp_path / "r.json")]) == 2
+
+
 def test_covariance_gate():
     data = demo_fixture("automorphism")
     data["T"] = [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]

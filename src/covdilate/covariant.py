@@ -656,27 +656,26 @@ def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
 
 @dataclass(eq=False)
 class TwoStepBlock:
-    """One block coisometric step on H + defect space.
+    """One block coisometric step on H + defect space, and one chain level.
 
-    ``report`` (the block's clauses) is built on first read.
+    The block is M = [[T, D*], [0, 0]] on H + defect space; a one-level
+    chain's ``v`` is M, and the chain's clauses certify it.
     """
 
-    pair: CovariantPair
+    ext: HBExtension
     defect_basis: np.ndarray      # orthonormal columns inside the dilation space
     d_star: np.ndarray            # defect map back to H, in basis coordinates
     pi_hat: KrausRep              # restriction of rho to the defect space
-    block: np.ndarray             # [[T, D*], [0, 0]]
     invariance: float             # max_a ||(I - B B*) rho(a) B||, B the defect basis
-    tol: Tolerance
 
-    @cached_property
-    def report(self) -> ClauseReport:
-        return _two_step_clauses(self)
+    @property
+    def dim(self) -> int:
+        return self.defect_basis.shape[1]
 
 
 def two_step(pair: CovariantPair, ext: HBExtension,
              tol: Tolerance = DEFAULT_TOL, rng=None) -> TwoStepBlock:
-    """Build the defect space rho(A) W Delta* H and the block partial isometry.
+    """Build the defect space rho(A) W Delta* H and the map D* back to H.
 
     The span and the restriction of rho to it come from the Kraus form of
     rho (:func:`~covdilate.cpmaps.kraus_span`); a generator rotates the
@@ -693,36 +692,4 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
-
-    d_star = delta_star @ w.conj().T @ basis
-    h = pair.space_dim
-    k = basis.shape[1]
-    block = np.zeros((h + k, h + k), dtype=complex)
-    block[:h, :h] = pair.contraction
-    block[:h, h:] = d_star
-    return TwoStepBlock(pair, basis, d_star, pi_hat, block, inv, tol)
-
-
-def _two_step_clauses(step: TwoStepBlock) -> ClauseReport:
-    """Partial isometry, covariance and invariance clauses of a two-step block."""
-    pair, block, tol = step.pair, step.block, step.tol
-    h = pair.space_dim
-    k = step.defect_basis.shape[1]
-    rep = ClauseReport()
-    target = block_diag([np.eye(h, dtype=complex), np.zeros((k, k), dtype=complex)])
-    rep.add(clause("two-step/partial-isometry", "M M* = I_H + 0",
-                   residual(block @ block.conj().T, target, tol.residual_tol),
-                   tol.residual_tol))
-    rep.add(clause("two-step/partial-isometry-idem", "M M* M = M",
-                   residual(block @ block.conj().T @ block, block, tol.residual_tol),
-                   tol.residual_tol))
-    d = usable_depth(pair.system, [pair.rep, step.pi_hat], 1, pair.depth)
-    sigma = DirectSumRep((pair.rep, step.pi_hat))
-    (cov,) = basis_sweep(pair.system.basis_size(d), rep_and_shifted(pair.system, sigma, d),
-                         lambda sa, saa: (block @ saa, sa @ block),
-                         threshold=tol.residual_tol)
-    rep.add(clause("two-step/covariance", "M diag(pi, pi^)(alpha(a)) = diag(pi, pi^)(a) M",
-                   cov, tol.residual_tol))
-    rep.add(clause("two-step/invariance", "rho(A) preserves the defect space",
-                   step.invariance, tol.residual_tol))
-    return rep
+    return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv)

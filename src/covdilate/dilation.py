@@ -21,8 +21,7 @@ import numpy as np
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
                         ShiftedRep, defect_roots, invariance_residual,
                         rep_and_shifted, usable_depth)
-from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
-                     StrategyInvalid)
+from .errors import DepthExceeded, NotContraction, StrategyInvalid
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_slices,
@@ -116,19 +115,11 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
                           boundary_rows=np.zeros(0, dtype=int), boundary_cols=last)
 
 
-def verify_isometric_dilation(rec: DilationRecord, source: CovariantPair = None,
+def verify_isometric_dilation(rec: DilationRecord,
                               tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
     """Covariance, truncated isometry, dilation identity, minimality and
-    coisometry inheritance for an isometric record.
-
-    ``source`` defaults to the record's own provenance; passing it checks the
-    record against an externally held pair.
-    """
-    pair = rec.source_pair if source is None else source
-    if pair.space_dim != rec.source_pair.space_dim or \
-            residual(pair.contraction, rec.source_pair.contraction,
-                     tol.residual_tol) > tol.residual_tol:
-        raise ShapeMismatch("supplied source pair does not match the record")
+    coisometry inheritance for an isometric record, against its source pair."""
+    pair = rec.source_pair
     system = pair.system
     rep = ClauseReport()
     rep.notes.append(MINIMALITY_NOTE)

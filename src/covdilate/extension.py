@@ -3,14 +3,18 @@
 ``coisometric_extend(pair, n_levels, ...)`` builds every level with
 :func:`~covdilate.covariant.two_step`: level 0 on ``(pi, T)``, level k on
 ``(pi_hat_(k-1), 0)``, whose defect ``Delta* = I`` makes its defect space
-the one generated by ``W_k defect_(k-1)``.  The assembled pair ``(rho, V)``
-lives on
+the one generated by ``W_k defect_(k-1)``.  The chain keeps the
+:class:`~covdilate.covariant.TwoStepBlock` of each level as its level
+record.  The assembled pair ``(rho, V)`` lives on
 
     H + defect_0 + defect_1 + ... + defect_{n_levels-1}
 
 with ``V`` superdiagonal and the row of the last block zero by truncation.
 Consequently ``V V*`` equals the projection onto all blocks except the last
-one exactly, which is how the coisometry clause is stated throughout.
+one exactly, which is how the coisometry clause is stated throughout.  The
+chain with the first n levels is the leading ``sum(block_dims[:n + 1])``
+square of ``V``: truncation zeroes the row of the last kept block, and
+``D*_n`` lies outside that square.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import (CovariantPair, DirectSumRep, HBExtension,
-                        RestrictedRep, ShiftedRep, defect_roots,
-                        extend_representation, invariance_residual,
-                        leaves_span, two_step, usable_depth, verify_strategy)
-from .cpmaps import KrausRep
-from .errors import (DecompositionMismatch, DepthExceeded,
-                     InvarianceViolation, LevelMismatch, StrategyInvalid)
+from .covariant import (CovariantPair, DirectSumRep, RestrictedRep, ShiftedRep,
+                        TwoStepBlock, defect_roots, extend_representation,
+                        invariance_residual, leaves_span, two_step, usable_depth,
+                        verify_strategy)
+from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
+                     StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
                        block_slices, orthonormal_complement, orthonormal_span,
                        residual, spectral_norm, svd_rank)
@@ -40,22 +43,10 @@ LEVEL_SPACE_NOTE = ("the defect space of level k is built, and lives, inside the
 
 
 @dataclass(eq=False)
-class ChainLevel:
-    ext: HBExtension
-    defect_basis: np.ndarray     # orthonormal columns inside the level's dilation space
-    d_star: np.ndarray           # map defect_k -> previous space, in basis coordinates
-    pi_hat: KrausRep             # restriction of the level's rho to its defect space
-
-    @property
-    def dim(self) -> int:
-        return self.defect_basis.shape[1]
-
-
-@dataclass(eq=False)
 class ExtensionChain:
     pair: CovariantPair
     strategies: tuple
-    levels: list[ChainLevel]
+    levels: list[TwoStepBlock]
     rho: DirectSumRep
     v: np.ndarray
     block_names: list[str]
@@ -119,7 +110,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
             seen.append(strat)
 
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
-    levels: list[ChainLevel] = []
+    levels: list[TwoStepBlock] = []
     # level 0 extends (pi, T); level k extends (pi_hat_(k-1), 0), whose
     # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
     rep, t = pair.rep, pair.contraction
@@ -129,7 +120,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:
             raise InvarianceViolation(f"level {k} {exc}") from exc
-        levels.append(ChainLevel(ext, step.defect_basis, step.d_star, step.pi_hat))
+        levels.append(step)
         rep, t = step.pi_hat, np.zeros((step.pi_hat.dim,) * 2, dtype=complex)
 
     return _assemble(pair, strategies, levels, basis_seed)
@@ -319,11 +310,3 @@ def defect_decomposition(chain: ExtensionChain,
                                     "defect space of V")
     return DefectDecomposition(chain, delta, delta_h_basis, q_bases, dv_basis,
                                summand_dims, x_map, row_map, rho1, rep)
-
-
-def restrict_chain(chain: ExtensionChain, n_levels: int) -> ExtensionChain:
-    """The chain truncated to its first ``n_levels`` blocks (for consistency tests)."""
-    if n_levels < 1 or n_levels > chain.n_levels:
-        raise LevelMismatch(f"cannot restrict to {n_levels} levels")
-    return _assemble(chain.pair, chain.strategies[:n_levels], chain.levels[:n_levels],
-                     chain.basis_seed)

@@ -463,8 +463,8 @@ def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> n
     return _canonical_phases(u[:, len(s):])
 
 
-def gram_quotient(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                  floor_scale: float | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def gram_quotient(gram: np.ndarray,
+                  tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, int]:
     """Coordinates for the Hilbert-space quotient defined by a PSD Gram form.
 
     Returns ``(cmap, lift, rank)`` with ``cmap.conj().T @ cmap`` recovering
@@ -486,7 +486,7 @@ def gram_quotient(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     vals, vecs = np.linalg.eigh(herm)
     top = max(vals[-1], 0.0)
     # Large Gram forms accumulate eigenvalue noise proportional to their norm.
-    floor = tol.psd_floor * (1.0 + (floor_scale if floor_scale is not None else top))
+    floor = tol.psd_floor * (1.0 + top)
     if vals[0] < -floor:
         raise NotPositive(f"Gram eigenvalue {vals[0]:.3e} below -{floor:.3e}")
     keep = vals > tol.rank_eps * max(top, tol.rank_eps)

@@ -107,12 +107,16 @@ def build_scenario(data, tol_override: Optional[float] = None) -> Scenario:
         raise ScenarioValidationError("schema", f"unknown backend {backend!r}")
 
     tol = _parse_tolerances(data.get("tolerances"), tol_override)
-    levels = int(data.get("levels", 1))
-    copies = int(data.get("copies", 1))
+    try:
+        levels = int(data.get("levels", 1))
+        copies = int(data.get("copies", 1))
+        seed = data.get("seed")
+        seed = int(seed) if seed is not None else None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError("schema",
+                                      "levels, copies and seed must be integers") from exc
     if levels < 1 or copies < 1:
         raise ScenarioValidationError("schema", "levels and copies must be >= 1")
-    seed = data.get("seed")
-    seed = int(seed) if seed is not None else None
 
     if backend == "finite-dim":
         system, pair, strategy = _build_finite(data, tol)
@@ -152,7 +156,10 @@ def _build_finite(data, tol):
     blocks = data.get("blocks")
     if not isinstance(blocks, list) or not blocks:
         raise ScenarioValidationError("schema", "finite-dim scenarios need 'blocks'")
-    algebra = FiniteDimCStarAlgebra(tuple(int(b) for b in blocks))
+    try:
+        algebra = FiniteDimCStarAlgebra(tuple(int(b) for b in blocks))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError("schema", f"bad 'blocks' {blocks!r}: {exc}") from exc
 
     alpha = _parse_alpha(data.get("alpha", "identity"), algebra)
     from .algebra import verify_endomorphism
@@ -258,10 +265,11 @@ def _build_tower(data, tol, levels, copies):
         d_max = int(data.get("d_max"))
         rep_depth = int(data.get("rep_depth"))
         mult = int(data.get("multiplicity", 1))
+        cap = int(data.get("size_cap", 256))
     except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError("schema",
-                                      "tower scenarios need k, d_max, rep_depth") from exc
-    cap = int(data.get("size_cap", 256))
+        raise ScenarioValidationError(
+            "schema", "tower scenarios need integer k, d_max, rep_depth, "
+                      "multiplicity and size_cap") from exc
     try:
         tower = ShiftTower(k, d_max, cap)
     except WorkbenchError as exc:
@@ -286,7 +294,10 @@ def _build_tower(data, tol, levels, copies):
     pair_spec = data.get("pair")
     if not isinstance(pair_spec, dict):
         raise ScenarioValidationError("schema", "tower scenarios need 'pair'")
-    scale = float(pair_spec.get("scale", 1.0))
+    try:
+        scale = float(pair_spec.get("scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError("schema", "the pair's scale must be a number") from exc
     u = parse_vector(pair_spec.get("u", [1] + [0] * (k - 1)))
     v = parse_vector(pair_spec.get("v", [1] + [0] * (k - 1)))
     try:

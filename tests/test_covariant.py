@@ -4,10 +4,10 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  GnsStrategy, covariant_pair, defect_operators,
-                                 haar_unitary, hb_extend, two_step,
-                                 verify_covariance)
+                                 haar_unitary, hb_extend, verify_covariance)
 from covdilate.cpmaps import CPMap
 from covdilate.errors import NotContraction, StrategyInvalid
+from covdilate.extension import coisometric_extend, verify_coisometric_extension
 from covdilate.numerics import spectral_norm
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
@@ -149,6 +149,13 @@ def test_gns_strategy_matches_adapted_scalar():
     assert ext_g.report.passed
 
 
+def one_level_block(pair, strategy):
+    """The two-step block M = [[T, D*], [0, 0]] as a one-level chain's V,
+    with the chain's clause report."""
+    chain = coisometric_extend(pair, 1, strategy)
+    return chain, verify_coisometric_extension(chain)
+
+
 def test_two_step_unitary_contraction_degenerates():
     rng = np.random.default_rng(9)
     algebra = FiniteDimCStarAlgebra((2,))
@@ -157,34 +164,31 @@ def test_two_step_unitary_contraction_degenerates():
     pi = Representation.from_multiplicities(algebra, [1])
     system = FiniteDimSystem(algebra, alpha)
     pair = CovariantPair(system, pi, pi(u).conj().T)
-    ext = hb_extend(pair, AdaptedStrategy(CPMap.from_hom(alpha.inverse())))
-    block = two_step(pair, ext)
-    assert block.defect_basis.shape[1] == 0
-    assert block.block.shape == (2, 2)
-    assert spectral_norm(block.block - pair.contraction) <= 1e-12
-    assert block.report.passed
+    chain, report = one_level_block(pair, AdaptedStrategy(CPMap.from_hom(alpha.inverse())))
+    assert chain.levels[0].defect_basis.shape[1] == 0
+    assert chain.v.shape == (2, 2)
+    assert spectral_norm(chain.v - pair.contraction) <= 1e-12
+    assert report.passed
 
 
 def test_two_step_scalar_block():
     pair = scalar_pair(0.6)
-    ext = hb_extend(pair, AdaptedStrategy(CPMap.identity(SCALARS)))
-    block = two_step(pair, ext)
-    assert np.allclose(block.block, [[0.6, 0.8], [0.0, 0.0]])
+    chain, report = one_level_block(pair, AdaptedStrategy(CPMap.identity(SCALARS)))
+    assert np.allclose(chain.v, [[0.6, 0.8], [0.0, 0.0]])
     # 0.36 + 0.64 = 1: the first row has unit norm
-    assert abs(np.linalg.norm(block.block[0]) - 1.0) < 1e-12
-    assert block.report.passed
+    assert abs(np.linalg.norm(chain.v[0]) - 1.0) < 1e-12
+    assert report.passed
 
 
 def test_two_step_partial_isometry_tower():
     tower = ShiftTower(2, 4)
     pair = shift_down_pair(tower, 2, 1, 0.9, [1, 0], [0, 1])
     tau = TowerTransfer(tower, state_density(tower, "trace"))
-    ext = hb_extend(pair, AdaptedStrategy(tau))
-    block = two_step(pair, ext)
-    m = block.block
+    chain, report = one_level_block(pair, AdaptedStrategy(tau))
+    m = chain.v
     h = pair.space_dim
     target = np.zeros_like(m)
     target[:h, :h] = np.eye(h)
     assert spectral_norm(m @ m.conj().T - target) <= 1e-8
     assert spectral_norm(m @ m.conj().T @ m - m) <= 1e-8
-    assert block.report.passed
+    assert report.passed

@@ -92,15 +92,6 @@ def test_isometry_input_degenerates():
     assert any(c.name == "dilation/coisometry-inherited" for c in rep.clauses)
 
 
-def test_verify_against_external_source_pair():
-    from covdilate.errors import ShapeMismatch
-    pair = scalar_pair(0.6)
-    rec = schaffer_dilate(pair, 2)
-    assert verify_isometric_dilation(rec, source=pair).passed
-    with pytest.raises(ShapeMismatch):
-        verify_isometric_dilation(rec, source=scalar_pair(0.3))
-
-
 def test_schaffer_rejects_expansion():
     pi = Representation.from_multiplicities(SCALARS, [1])
     system = FiniteDimSystem(SCALARS, StarHom.identity(SCALARS))

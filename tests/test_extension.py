@@ -10,9 +10,9 @@ from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem
 from covdilate.cpmaps import CPMap
 from covdilate.errors import DecompositionMismatch, DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
-                                 defect_decomposition, restrict_chain,
-                                 verify_coisometric_extension)
-from covdilate.numerics import DEFAULT_TOL, Tolerance, orthonormal_span, spectral_norm
+                                 defect_decomposition, verify_coisometric_extension)
+from covdilate.numerics import (DEFAULT_TOL, Tolerance, orthonormal_span, residual,
+                                spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
@@ -95,15 +95,21 @@ def test_perturbed_last_row_fails_coisometry():
     assert "chain/coisometry" in failed
 
 
+def first_levels(chain, n_levels):
+    """V of the chain's first ``n_levels`` levels: its leading square over
+    H + defect_0 + ... + defect_(n-1), where truncation zeroes the last row."""
+    m = sum(chain.block_dims[:n_levels + 1])
+    return chain.v[:m, :m]
+
+
 def test_monotone_consistency():
     pair = scalar_pair(0.77)
     strat = scalar_strategy()
     big = coisometric_extend(pair, 4, strat)
     for n in (1, 2, 3):
         small = coisometric_extend(pair, n, strat)
-        cut = restrict_chain(big, n)
-        assert cut.block_dims == small.block_dims
-        assert spectral_norm(cut.v - small.v) <= 1e-10
+        assert big.block_dims[:n + 1] == small.block_dims
+        assert spectral_norm(first_levels(big, n) - small.v) <= 1e-10
 
 
 def test_monotone_consistency_matrix_case():
@@ -118,8 +124,8 @@ def test_monotone_consistency_matrix_case():
     strat = AdaptedStrategy(CPMap.from_hom(alpha.inverse()))
     big = coisometric_extend(pair, 3, strat)
     small = coisometric_extend(pair, 2, strat)
-    cut = restrict_chain(big, 2)
-    assert spectral_norm(cut.v - small.v) <= 1e-10
+    assert big.block_dims[:3] == small.block_dims
+    assert spectral_norm(first_levels(big, 2) - small.v) <= 1e-10
     rep = verify_coisometric_extension(big)
     assert rep.passed and rep.max_residual() <= 1e-8
 
@@ -231,9 +237,18 @@ def test_one_level_chain_is_the_two_step_block(corpus, basis_seed):
         rng = None if basis_seed is None else np.random.default_rng(basis_seed)
         ext = extend_representation(pair.system, pair.rep, case.strategy, pair.depth,
                                     DEFAULT_TOL, rng)
-        block = two_step(pair, ext, DEFAULT_TOL, rng).block
+        step = two_step(pair, ext, DEFAULT_TOL, rng)
         chain = coisometric_extend(pair, 1, case.strategy, DEFAULT_TOL, basis_seed)
-        assert np.array_equal(chain.v, block), case.name
+        # V = M = [[T, D*], [0, 0]]
+        h = pair.space_dim
+        m = chain.v
+        assert m.shape == (h + step.dim,) * 2, case.name
+        assert np.array_equal(m[:h, :h], pair.contraction), case.name
+        assert np.array_equal(m[:h, h:], step.d_star), case.name
+        assert not m[h:].any(), case.name
+        # M M* M = M, the one block identity no chain clause states
+        tol = DEFAULT_TOL.residual_tol
+        assert residual(m @ m.conj().T @ m, m, tol) <= tol, case.name
 
 
 def _refuse(*args, **kwargs):
@@ -251,22 +266,17 @@ def test_reports_never_build_step_certificates(monkeypatch):
 
     want = reports()
     monkeypatch.setattr(covariant_mod, "_certify_step", _refuse)
-    monkeypatch.setattr(covariant_mod, "_two_step_clauses", _refuse)
     assert reports() == want
 
     # read later, the certificates are those of a direct build
     sc = scenarios["tower"]
-    pair = sc.pair
-    chain = coisometric_extend(pair, sc.levels, sc.strategy, sc.tol, sc.seed)
-    step = two_step(pair, chain.levels[0].ext, sc.tol)
+    chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
     monkeypatch.undo()
     for level in chain.levels:
         ext = level.ext
         assert ext.report == covariant_mod._certify_step(
             ext.system, ext.base_rep, ext.rho, ext.isometry, ext.check_depth, sc.tol)
         assert ext.report.passed
-    assert step.report.as_dict() == covariant_mod._two_step_clauses(step).as_dict()
-    assert step.report.passed
 
 
 def _defect_roots_by_square_root(pair, tol=DEFAULT_TOL):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import covdilate.covariant as covariant_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom, cyclic_summands
 from covdilate.covariant import (CovariantPair, DirectSumRep, FiniteDimSystem,
-                                 RestrictedRep, basis_images, defect_roots,
+                                 RestrictedRep, TwoStepBlock, basis_images, defect_roots,
                                  extend_representation, frame_rank, haar_unitary,
                                  invariance_residual, resolve_transfer, span_frame,
                                  transfer_images)
@@ -26,7 +26,7 @@ from covdilate.dilation import explicit_matricial_unitary, power_orbit, schaffer
 from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import InvarianceViolation
-from covdilate.extension import ChainLevel, _assemble, coisometric_extend
+from covdilate.extension import _assemble, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, orthonormal_span, spectral_norm
 from covdilate.scenario import build_scenario
 
@@ -42,7 +42,7 @@ from test_stacked_images import PROPER_DEFECT
 def dense_two_step(pair, ext, tol=DEFAULT_TOL, rng=None):
     """A chain level the way it was built from evaluated images: the
     orthonormal_span of the spanning set, a Haar rotation, the invariance
-    gate, and the restriction B* rho(x) B."""
+    gate, and the restriction B* rho(x) B as its ``pi_hat``."""
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     depth = ext.rho.max_depth
@@ -53,7 +53,8 @@ def dense_two_step(pair, ext, tol=DEFAULT_TOL, rng=None):
     inv = invariance_residual(pair.system, depth, ext.rho, basis, tol, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
-    return basis, delta_star @ w.conj().T @ basis, RestrictedRep(ext.rho, basis)
+    return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis,
+                        RestrictedRep(ext.rho, basis), inv)
 
 
 def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
@@ -64,10 +65,9 @@ def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None
     rep, t = pair.rep, pair.contraction
     for _ in range(n_levels):
         ext = extend_representation(system, rep, strategy, pair.depth, tol, rng)
-        basis, d_star, pi_hat = dense_two_step(CovariantPair(system, rep, t, pair.depth),
-                                               ext, tol, rng)
-        levels.append(ChainLevel(ext, basis, d_star, pi_hat))
-        rep, t = pi_hat, np.zeros((pi_hat.dim,) * 2, dtype=complex)
+        step = dense_two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
+        levels.append(step)
+        rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
     return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
 
 

@@ -174,6 +174,25 @@ def test_cli_invalid_tol_override_is_validation_error(tmp_path):
     assert main(["check", "--scenario", good, "--tol", "1e-12"]) == 2
 
 
+@pytest.mark.parametrize("fixture, field, value", [
+    ("scalar", "levels", "two"),
+    ("scalar", "copies", None),
+    ("scalar", "seed", "x"),
+    ("scalar", "blocks", ["a"]),
+    ("scalar", "blocks", [0]),
+    ("tower", "size_cap", "big"),
+    ("tower", "pair", {"scale": "x"}),
+])
+def test_malformed_field_is_schema_error(tmp_path, fixture, field, value):
+    data = demo_fixture(fixture)
+    data[field] = value
+    path = write(tmp_path, "bad.json", data)
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.gate == "schema"
+    assert main(["check", "--scenario", path]) == 2
+
+
 def test_cli_byte_identical_reports(tmp_path):
     good = write(tmp_path, "good.json", demo_fixture("tower"))
     out1 = tmp_path / "r1.json"

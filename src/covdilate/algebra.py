@@ -87,15 +87,6 @@ class FiniteDimCStarAlgebra:
     def basis(self) -> tuple["AlgebraElement", ...]:
         return _matrix_unit_basis(self)
 
-    def random_element(self, rng, hermitian: bool = False) -> "AlgebraElement":
-        blocks = []
-        for n in self.block_sizes:
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if hermitian:
-                m = (m + m.conj().T) / 2.0
-            blocks.append(m)
-        return self.element(blocks)
-
 
 @functools.lru_cache(maxsize=None)
 def _matrix_unit_basis(algebra: FiniteDimCStarAlgebra):
@@ -364,10 +355,10 @@ class ChunkRep:
     """What every representation shares: ``images(coords, depth)`` maps an
     (m, n) array of coordinate rows at basis depth ``depth`` (None on finite
     algebras) to the (m, dim, dim) stack of their images, and rep(x) is its
-    one-row case."""
+    one-row case, as a dense matrix."""
 
     def __call__(self, x) -> np.ndarray:
-        return self.images(x.coords[None], x.depth)[0]
+        return np.asarray(self.images(x.coords[None], x.depth))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,9 +42,10 @@ from .cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
-                       block_diag, kron_eye, orthonormal_complement, psd_sqrt,
-                       ranked_svds, residual, spectral_norm, stack_images, svd_pinv)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_matrix,
+                       basis_sweep, block_diag, kron_eye, orthonormal_complement,
+                       psd_sqrt, ranked_svds, residual, spectral_norm, stack_images,
+                       svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -182,6 +183,11 @@ class ShiftedRep(ChunkRep):
 
 @dataclass(eq=False)
 class DirectSumRep(ChunkRep):
+    """The direct sum of ``parts``; its images are block-diagonal
+    :class:`~covdilate.numerics.BlockOperator` stacks, one diagonal block per
+    part (a part whose images are block operators themselves enters as its
+    dense stack)."""
+
     parts: tuple
 
     @property
@@ -193,8 +199,9 @@ class DirectSumRep(ChunkRep):
         depths = [p.max_depth for p in self.parts if p.max_depth is not None]
         return min(depths) if depths else None
 
-    def images(self, coords, depth) -> np.ndarray:
-        return block_diag([p.images(coords, depth) for p in self.parts])
+    def images(self, coords, depth) -> BlockOperator:
+        return BlockOperator.diagonal([np.asarray(p.images(coords, depth))
+                                       for p in self.parts])
 
 
 @dataclass(eq=False)
@@ -230,6 +237,13 @@ class QuotientRep(ChunkRep):
 
     # in the class namespace, where perfbench/tracer.py looks it up by name
     __call__ = ChunkRep.__call__
+
+
+def shifted_restrictions(system, parts, bases, shifts: int) -> list:
+    """The parts of a direct sum, each shifted ``shifts`` times and
+    restricted to the columns of its basis: the summands of the direct sum
+    restricted to a block-diagonal subspace."""
+    return [RestrictedRep(ShiftedRep(p, system, shifts), b) for p, b in zip(parts, bases)]
 
 
 def usable_depth(system, reps, shifts: int, requested: Optional[int]) -> Optional[int]:
@@ -342,11 +356,12 @@ class CovariantPair:
 
     system: object
     rep: object
-    contraction: np.ndarray
+    contraction: np.ndarray       # or, for an assembled chain, its BlockOperator V
     depth: Optional[int] = None
 
     def __post_init__(self):
-        t = as_matrix(self.contraction)
+        t = self.contraction if isinstance(self.contraction, BlockOperator) \
+            else as_matrix(self.contraction)
         if t.shape != (self.rep.dim, self.rep.dim):
             raise ShapeMismatch(f"contraction of shape {t.shape} on a space of "
                                 f"dimension {self.rep.dim}")
@@ -412,11 +427,15 @@ def defect_roots(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
     if nrm > 1.0 + tol.rank_eps:
         raise NotContraction(f"||T|| = {nrm:.12f} exceeds 1")
     eye = np.eye(pair.space_dim, dtype=complex)
-    # ||T|| may sit within rank_eps above 1, pushing eigenvalues of the
-    # defect slightly below zero; widen the clamp floor accordingly.
-    floor = Tolerance(tol.rank_eps, tol.residual_tol,
-                      max(tol.psd_floor, 4.0 * tol.rank_eps))
+    floor = defect_floor(tol)
     return psd_sqrt(eye - t.conj().T @ t, floor), psd_sqrt(eye - t @ t.conj().T, floor)
+
+
+def defect_floor(tol: Tolerance) -> Tolerance:
+    """The tolerance a defect root is taken at: ||T|| may sit within
+    rank_eps above 1, pushing eigenvalues of the defect slightly below zero,
+    so the clamp floor is widened accordingly."""
+    return Tolerance(tol.rank_eps, tol.residual_tol, max(tol.psd_floor, 4.0 * tol.rank_eps))
 
 
 def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> DefectData:

@@ -9,6 +9,39 @@ the interior of the truncation window (``unitary_dilate``), and
 ``explicit_matricial_unitary`` assembles the same object directly from the
 two-sided block form, giving an independent construction the equivalence
 module can compare against.
+
+Block layout.  Both dilation operators are
+:class:`~covdilate.numerics.BlockOperator` s that store only their nonzero
+blocks, on a finer layout than the named blocks of the record.  For
+``schaffer_dilate`` the source blocks are those of ``T`` (one block for a
+plain matrix, the chain blocks for an assembled chain).  The defect
+(I - T*T)^(1/2) is block-diagonal over the groups of source blocks that
+share a row block of T (for a chain: {H, d_0}, then each d_k), so every
+copy of the defect space splits into one block D_c per group, with
+orthonormal basis B_c of ran Delta_c; one singular-value cutoff over all
+groups keeps the total rank that of the dense defect::
+
+             src blocks      copy-1    copy-2   ...
+    src    [ T                                    ]
+    copy-1 [ B_c* Delta_c                         ]   (group c's columns)
+    copy-2 [                 I (per D_c)          ]
+    ...                                  ...
+
+``explicit_matricial_unitary`` orders the chain blocks d_(n-1), ..., d_0, H
+and splits every copy into the summands of D_V = delta(H) + q_0 + ...; U
+carries V's blocks, the defect row's blocks below them and an identity per
+summand down the copies.  The representations (``eta``, ``sigma``) are
+direct sums over the same fine blocks.
+
+The covariance, isometry and interior-unitarity clauses reduce per
+connected component of the block pattern (exact, see BlockOperator): the
+components of W are {src rows of group c and its copy-1 block; group c's
+columns} and {copy-(j+1) part c; copy-j part c}, so no clause forms an
+operator of the total side.  The compressions act on the source space
+through the embedding, and the minimality rank, the boundary notes and
+the intertwiners of :mod:`covdilate.equivalence` stay dense: the first
+two are one total-side rank and two small boundary blocks, and an
+intertwiner built by least squares has no block pattern to read.
 """
 
 from __future__ import annotations
@@ -19,13 +52,15 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                        ShiftedRep, defect_roots, invariance_residual,
-                        rep_and_shifted, usable_depth)
-from .errors import DepthExceeded, NotContraction, StrategyInvalid
+                        ShiftedRep, defect_floor, leaves_span, rep_and_shifted,
+                        shifted_restrictions, usable_depth)
+from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
+                     StrategyInvalid)
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
-from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_slices,
-                       orthonormal_span, residual, spectral_norm, svd_rank)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_blocks,
+                       basis_sweep, block_slices, orthonormal_spans, psd_sqrt,
+                       residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -49,8 +84,8 @@ class DilationRecord:
     block_names: list[str]
     block_dims: list[int]
     block_index: list[int]
-    eta: object                     # block-diagonal representation on the ambient space
-    w: np.ndarray                   # the dilation operator
+    eta: object                     # direct sum over w's blocks
+    w: BlockOperator                # the dilation operator, on the fine block layout
     source_pair: CovariantPair
     source_embed: np.ndarray        # ambient x source_dim, isometric
     copies: int
@@ -78,7 +113,8 @@ class DilationRecord:
 
 def schaffer_dilate(pair: CovariantPair, copies: int,
                     tol: Tolerance = DEFAULT_TOL) -> DilationRecord:
-    """Truncated minimal isometric dilation of a covariant pair."""
+    """Truncated minimal isometric dilation of a covariant pair, on the block
+    layout of its contraction (see the module docstring)."""
     if copies < 1:
         raise StrategyInvalid("at least one defect copy required")
     system = pair.system
@@ -91,28 +127,67 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     if pair.norm() > 1.0 + tol.rank_eps:
         raise NotContraction(f"||T|| = {pair.norm():.12f} exceeds 1")
 
-    delta, _ = defect_roots(pair, tol)
-    basis, r = orthonormal_span(delta, tol)
-    h = pair.space_dim
-    dims = [h] + [r] * copies
-    at = block_slices(dims)
-    total = sum(dims)
-    w = np.zeros((total, total), dtype=complex)
-    w[at[0], at[0]] = pair.contraction
-    w[at[1], at[0]] = basis.conj().T @ delta
-    for j in range(1, copies):
-        w[at[j + 1], at[j]] = np.eye(r, dtype=complex)
+    t = as_blocks(pair.contraction)
+    # one source summand per block of T
+    src = pair.rep.parts if len(t.cols) > 1 else (pair.rep,)
+    if [p.dim for p in src] != list(t.cols):
+        raise ShapeMismatch("representation summands do not match the blocks of T")
+    groups = _defect_groups(t)
+    floor = defect_floor(tol)
+    deltas = []
+    for g in groups:
+        tg = t.select(cols=g)
+        n = sum(tg.cols)
+        deltas.append(psd_sqrt(np.eye(n, dtype=complex) - (tg.adjoint() @ tg).dense(), floor))
+    kept = [(g, b, dl) for g, b, dl in zip(groups, orthonormal_spans(deltas, tol), deltas)
+            if b.shape[1]]
 
-    parts = [pair.rep] + [RestrictedRep(ShiftedRep(pair.rep, system, n), basis)
-                          for n in range(1, copies + 1)]
+    n_src, n_kept = len(t.cols), len(kept)
+    ranks = [b.shape[1] for _, b, _ in kept]
+    blocks = dict(t.blocks)
+    for c, (g, b, dl) in enumerate(kept):
+        head = b.conj().T @ dl
+        for j, cols in zip(g, block_slices([t.cols[j] for j in g])):
+            blocks[n_src + c, j] = head[:, cols]
+        for n in range(1, copies):
+            blocks[n_src + n * n_kept + c, n_src + (n - 1) * n_kept + c] = \
+                np.eye(ranks[c], dtype=complex)
+    fine = list(t.cols) + ranks * copies
+    w = BlockOperator(fine, fine, blocks)
+
+    def group_rep(g):
+        return src[g[0]] if len(g) == 1 else DirectSumRep(tuple(src[j] for j in g))
+
+    parts = list(src) + [RestrictedRep(ShiftedRep(group_rep(g), system, n), b)
+                         for n in range(1, copies + 1) for g, b, _ in kept]
     eta = DirectSumRep(tuple(parts))
-    embed = np.eye(total, h, dtype=complex)
+    h = pair.space_dim
+    dims = [h] + [sum(ranks)] * copies
+    at = block_slices(dims)
+    embed = np.eye(sum(dims), h, dtype=complex)
     names = ["H"] + [f"copy-{j}" for j in range(1, copies + 1)]
     index = list(range(0, copies + 1))
     last = np.arange(at[-1].start, at[-1].stop)
     return DilationRecord("isometric", names, dims, index, eta, w, pair, embed,
                           copies, origin_pair=pair, origin_embed=embed,
                           boundary_rows=np.zeros(0, dtype=int), boundary_cols=last)
+
+
+def _defect_groups(t: BlockOperator) -> list:
+    """The column blocks of T grouped by shared row blocks: the components
+    of T's pattern, and a group of its own for each zero column block.
+    (I - T*T) is block-diagonal over these groups."""
+    groups = [cols for _, cols in t.components()]
+    seen = {j for g in groups for j in g}
+    groups += [[j] for j in range(len(t.cols)) if j not in seen]
+    return sorted(groups)
+
+
+def _blocks_within(dims, index) -> set:
+    """The blocks of the layout ``dims`` whose indices all lie in ``index``."""
+    inside = np.zeros(sum(dims), dtype=bool)
+    inside[index] = True
+    return {k for k, sl in enumerate(block_slices(dims)) if inside[sl].all()}
 
 
 def verify_isometric_dilation(rec: DilationRecord,
@@ -124,29 +199,38 @@ def verify_isometric_dilation(rec: DilationRecord,
     rep = ClauseReport()
     rep.notes.append(MINIMALITY_NOTE)
     t = pair.contraction
+    tb = as_blocks(t)
     h = pair.space_dim
     total = rec.total_dim
 
     d = _covariance_clause(rep, rec, pair, "dilation/covariance",
                            "W eta(alpha(a)) = eta(a) W", tol)
 
-    # defect-space invariance under pi o alpha^n, needed for eta's diagonal
-    copy_dim = rec.block_dims[1] if len(rec.block_dims) > 1 else 0
-    if copy_dim and h:
-        bd = rec.eta.parts[1].basis
+    # defect-space invariance under pi o alpha^n, needed for eta's diagonal:
+    # the first copy's summands (after the source ones) are the groups'
+    # sources restricted to B_c, and every copy shifts the same groups
+    copy_parts = rec.eta.parts[len(tb.cols):]
+    if copy_parts and h:
         inv = 0.0
-        for n in range(1, rec.copies + 1):
-            dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-            inv = max(inv, invariance_residual(system, dd, ShiftedRep(pair.rep, system, n),
-                                               bd, tol, tol.residual_tol))
+        for part in copy_parts[:len(copy_parts) // rec.copies]:
+            off = leaves_span(part.basis, tol)
+            if off is None:
+                continue
+            for n in range(1, rec.copies + 1):
+                shifted = ShiftedRep(part.inner.inner, system, n)
+                dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
+                (val,) = basis_sweep(system.basis_size(dd),
+                                     lambda c: (shifted.images(c, dd),), off,
+                                     threshold=tol.residual_tol)
+                inv = max(inv, val)
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))
 
-    keep = np.eye(total, dtype=complex)
-    keep[rec.boundary_cols, rec.boundary_cols] = 0.0
+    w = rec.w
+    keep = BlockOperator.identity(w.cols, skip=_blocks_within(w.cols, rec.boundary_cols))
     rep.add(clause("dilation/isometry", "W* W = P(all copies but the truncated last)",
-                   residual(rec.w.conj().T @ rec.w, keep, tol.residual_tol),
+                   residual(w.adjoint() @ w, keep, tol.residual_tol),
                    tol.residual_tol))
 
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
@@ -159,9 +243,9 @@ def verify_isometric_dilation(rec: DilationRecord,
                    0.0 if rank == total else 1.0, 0.5,
                    note=f"rank {rank} of {total}"))
 
-    coiso_cond = spectral_norm(np.eye(h) - t @ t.conj().T)
+    coiso_cond = spectral_norm(BlockOperator.identity(tb.rows) - tb @ tb.adjoint())
     if coiso_cond <= tol.residual_tol:
-        res = spectral_norm((np.eye(total) - rec.w @ rec.w.conj().T) @ keep)
+        res = spectral_norm((BlockOperator.identity(w.rows) - w @ w.adjoint()) @ keep)
         rep.add(clause("dilation/coisometry-inherited",
                        "(I - W W*) P(kept) = 0 when T is a coisometry",
                        res, tol.residual_tol))
@@ -206,24 +290,22 @@ def _compression(u, embed, t, steps: int, threshold: Optional[float] = None) -> 
     return worst
 
 
-def _interior_clauses(rec: DilationRecord, prefix: str,
-                      tol: Tolerance) -> tuple[ClauseReport, np.ndarray, np.ndarray]:
-    """Isometry and coisometry of U on the interior window, with the Gram
-    defects U* U - I and U U* - I they are read from."""
+def _interior_clauses(rec: DilationRecord, prefix: str, tol: Tolerance) -> ClauseReport:
+    """Isometry and coisometry of U on the interior window: the Gram defects
+    U* U - I and U U* - I without their boundary columns."""
     u = rec.w
-    eye = np.eye(rec.total_dim, dtype=complex)
-    iso_def = u.conj().T @ u - eye
-    coiso_def = u @ u.conj().T - eye
-    # zeroing the boundary columns is the product with the interior projection
-    boundary = np.concatenate([rec.boundary_rows, rec.boundary_cols]).astype(int)
+    boundary = _blocks_within(u.cols, np.concatenate([rec.boundary_rows,
+                                                       rec.boundary_cols]).astype(int))
+    interior = [j for j in range(len(u.cols)) if j not in boundary]
+    eye = BlockOperator.identity(u.cols)
     rep = ClauseReport()
-    for name, formula, gram_def in (("isometric-interior", "(U* U - I) P_int = 0", iso_def),
-                                    ("coisometric-interior", "(U U* - I) P_int = 0",
-                                     coiso_def)):
-        masked = gram_def.copy()
-        masked[:, boundary] = 0.0
-        rep.add(clause(f"{prefix}/{name}", formula, spectral_norm(masked), tol.residual_tol))
-    return rep, iso_def, coiso_def
+    for name, formula, gram in (("isometric-interior", "(U* U - I) P_int = 0",
+                                 u.adjoint() @ u),
+                                ("coisometric-interior", "(U U* - I) P_int = 0",
+                                 u @ u.adjoint())):
+        rep.add(clause(f"{prefix}/{name}", formula,
+                       spectral_norm((gram - eye).select(cols=interior)), tol.residual_tol))
+    return rep
 
 
 def unitary_dilate(pair: CovariantPair, n_levels: int, copies: int, strategy,
@@ -264,12 +346,14 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
                        tol.residual_tol)
     rep.add(clause("unitary/compression", "P_H U^n |H = T^n (0 <= n <= min(levels, copies))",
                    dil, tol.residual_tol))
-    interior, iso_def, coiso_def = _interior_clauses(rec, "unitary", tol)
-    rep.extend(interior)
+    rep.extend(_interior_clauses(rec, "unitary", tol))
 
-    rows, cols = rec.boundary_rows, rec.boundary_cols
-    row_b = spectral_norm(coiso_def[rows][:, rows]) if rows.size else 0.0
-    col_b = spectral_norm(iso_def[cols][:, cols]) if cols.size else 0.0
+    # the boundary blocks of U U* - I and U* U - I, from the dense U
+    u = rec.w.dense()
+    rows, cols = u[rec.boundary_rows], u[:, rec.boundary_cols]
+    row_b = spectral_norm(rows @ rows.conj().T - np.eye(len(rows))) if len(rows) else 0.0
+    col_b = spectral_norm(cols.conj().T @ cols - np.eye(cols.shape[1])) \
+        if cols.shape[1] else 0.0
     rep.notes.append(f"boundary residuals (expected order 1 by truncation): "
                      f"rows {row_b:.3e}, columns {col_b:.3e}")
     return rep
@@ -307,18 +391,30 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
     src_embed = np.zeros((total, chain.total_dim), dtype=complex)
     for (name, src), cd in zip(chain.block_ranges.items(), chain.block_dims):
         src_embed[at[name], src] = np.eye(cd)
-    # V carried over (T in the corner, D_{k*} in the row of the previous
-    # space and the column of defect-k), the defect row below H, and the
-    # identities down the copies
-    u = src_embed @ chain.v @ src_embed.T
-    u[at["copy-1"]] = dd.row_map @ src_embed.T
-    for j in range(1, copies):
-        u[at[f"copy-{j + 1}"], at[f"copy-{j}"]] = np.eye(dv, dtype=complex)
 
-    sigma = DirectSumRep(tuple([chain.levels[k].pi_hat for k in range(n - 1, -1, -1)]
-                               + [pair.rep]
-                               + [ShiftedRep(dd.rho1, system, j) if j else dd.rho1
-                                  for j in range(copies)]))
+    # fine blocks: the chain blocks in ambient order, then every copy split
+    # into the summands of D_V.  V carried over (T in the corner, D_{k*} in
+    # the row of the previous space and the column of defect-k), the defect
+    # row below H, and an identity per summand down the copies
+    order = list(range(n, 0, -1)) + [0]
+    amb = {j: pos for pos, j in enumerate(order)}
+    sdims = dd.summand_dims
+
+    def copy_block(j, s):
+        return n + 1 + (j - 1) * len(sdims) + s
+
+    blocks = {(amb[i], amb[j]): b for (i, j), b in chain.v.blocks.items()}
+    blocks.update({(copy_block(1, s), amb[j]): b for (s, j), b in dd.row_map.blocks.items()})
+    for j in range(1, copies):
+        for s, sd in enumerate(sdims):
+            blocks[copy_block(j + 1, s), copy_block(j, s)] = np.eye(sd, dtype=complex)
+    fine = [chain.v.rows[j] for j in order] + sdims * copies
+    u = BlockOperator(fine, fine, blocks)
+
+    parts = [chain.rho.parts[j] for j in order]
+    for j in range(1, copies + 1):
+        parts += shifted_restrictions(system, chain.rho.parts, dd.summand_bases, j)
+    sigma = DirectSumRep(tuple(parts))
     origin_embed = np.eye(total, h, -at["H"].start, dtype=complex)
     first, last = at[f"defect-{n - 1}"], at[f"copy-{copies}"]
     rows = np.arange(first.start, first.stop)
@@ -343,7 +439,7 @@ def _matricial_clauses(rec: DilationRecord, dd,
 
     _covariance_clause(rep, rec, pair, "matricial/covariance",
                        "U sigma(alpha(a)) = sigma(a) U", tol)
-    rep.extend(_interior_clauses(rec, "matricial", tol)[0])
+    rep.extend(_interior_clauses(rec, "matricial", tol))
 
     # compressions: to the chain pair and to the original corner
     res_v = _compression(u, rec.source_embed, chain.v, rec.copies, tol.residual_tol)

@@ -156,8 +156,10 @@ def _unitarity(u, threshold: float) -> dict:
 def _intertwined(system, depth, rep1, rep2, u, threshold: float) -> float:
     """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u),
     decided against ``threshold``."""
+    # u comes from least squares and has no block pattern: dense images
     (rel,) = basis_sweep(system.basis_size(depth),
-                         lambda c: (rep1.images(c, depth), rep2.images(c, depth)),
+                         lambda c: (np.asarray(rep1.images(c, depth)),
+                                    np.asarray(rep2.images(c, depth))),
                          lambda r1, r2: (u @ r1, r2 @ u), threshold=threshold)
     return rel
 

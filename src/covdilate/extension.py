@@ -15,6 +15,35 @@ one exactly, which is how the coisometry clause is stated throughout.  The
 chain with the first n levels is the leading ``sum(block_dims[:n + 1])``
 square of ``V``: truncation zeroes the row of the last kept block, and
 ``D*_n`` lies outside that square.
+
+Block layout.  ``rho`` is the direct sum of ``pi`` and the levels' ``pi_hat``
+and ``V`` is a :class:`~covdilate.numerics.BlockOperator` over the chain
+blocks that stores only its nonzero blocks::
+
+          H     d_0    d_1   ...  d_(n-1)
+    H   [ T     D_0*                     ]
+    d_0 [              D_1*              ]
+    ...                     ...
+    d_(n-2)                      D_(n-1)*
+    d_(n-1)                              ]   (zero row: truncation)
+
+The defect decomposition keeps the same layout: ``dv_basis`` is the
+block-diagonal embedding of D_V = delta(H) + q_0 + ... + q_(n-1) (the block
+delta(H) in H, q_k in defect-k), the complement of D_V is block-diagonal
+too (the complement of delta(H) in H, and f_k, the complement of q_k in
+defect-k), and the defect row has the blocks
+
+          H            d_0         d_k (k >= 1)
+    dH  [ dH* delta    X_upper                  ]
+    q_0 [              q_0*                     ]
+    q_k [                          q_k*         ]
+
+Every whole-chain clause is reduced per connected component of its block
+pattern (see :class:`~covdilate.numerics.BlockOperator`), which gives the
+value of the dense operator exactly while never forming it: V rho(alpha(a))
+and rho(a) V have the components {H; H, d_0} and {d_(k-1); d_k}, V V* and
+V* V are block-diagonal over the same groups, and rank(row) is the sum of
+the ranks of the row's components under one global singular-value cutoff.
 """
 
 from __future__ import annotations
@@ -24,15 +53,15 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import (CovariantPair, DirectSumRep, RestrictedRep, ShiftedRep,
-                        TwoStepBlock, defect_roots, extend_representation,
-                        invariance_residual, leaves_span, two_step, usable_depth,
+from .covariant import (CovariantPair, DirectSumRep, ShiftedRep, TwoStepBlock,
+                        defect_roots, extend_representation, invariance_residual,
+                        shifted_restrictions, two_step, usable_depth,
                         verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, basis_sweep, block_diag,
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, basis_sweep,
                        block_slices, orthonormal_complement, orthonormal_span,
-                       residual, spectral_norm, svd_rank)
+                       ranked_svds, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -48,7 +77,7 @@ class ExtensionChain:
     strategies: tuple
     levels: list[TwoStepBlock]
     rho: DirectSumRep
-    v: np.ndarray
+    v: BlockOperator              # over the chain blocks, see the module docstring
     block_names: list[str]
     block_dims: list[int]
     basis_seed: Optional[int]
@@ -65,13 +94,6 @@ class ExtensionChain:
     def block_ranges(self) -> dict[str, slice]:
         """The index range of each named block."""
         return dict(zip(self.block_names, block_slices(self.block_dims)))
-
-    def kept_projection(self) -> np.ndarray:
-        """Projection onto every block except the truncated last one."""
-        p = np.eye(self.total_dim, dtype=complex)
-        last = self.block_ranges[self.block_names[-1]]
-        p[last, last] = 0.0
-        return p
 
     def as_pair(self) -> CovariantPair:
         return CovariantPair(self.pair.system, self.rho, self.v, self.pair.depth)
@@ -130,12 +152,9 @@ def _assemble(pair: CovariantPair, strategies, levels, basis_seed) -> ExtensionC
     """(rho, V) on H + defect_0 + ...: T in the corner, each level's D_{k*} in
     the row of the previous block, and the row of the last block zero."""
     block_dims = [pair.space_dim] + [lv.dim for lv in levels]
-    total = sum(block_dims)
-    at = block_slices(block_dims)
-    v = np.zeros((total, total), dtype=complex)
-    v[at[0], at[0]] = pair.contraction
-    for k, lv in enumerate(levels):
-        v[at[k], at[k + 1]] = lv.d_star
+    blocks = {(0, 0): pair.contraction}
+    blocks.update({(k, k + 1): lv.d_star for k, lv in enumerate(levels)})
+    v = BlockOperator(block_dims, block_dims, blocks)
     rho = DirectSumRep(tuple([pair.rep] + [lv.pi_hat for lv in levels]))
     return ExtensionChain(pair, strategies, levels, rho, v,
                           ["H"] + [f"defect-{k}" for k in range(len(levels))],
@@ -153,32 +172,33 @@ def verify_coisometric_extension(chain: ExtensionChain,
     rep.notes.append(LEVEL_SPACE_NOTE)
 
     d = usable_depth(system, [pair.rep, chain.rho], 1, pair.depth)
+    v = chain.v
+    dims = v.rows
 
     def in_h(m):
-        # operators on H as maps H -> chain space landing in H
-        col = np.zeros(m.shape[:-2] + (chain.total_dim, h), dtype=complex)
-        col[..., :h, :] = m
-        return col
+        # an operator on H as a map H -> chain space landing in H
+        return BlockOperator(dims, (h,), {(0, 0): m})
 
     restr, cov = basis_sweep(
         system.basis_size(d),
         lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
                    pair.rep.images(c, d)),
-        lambda ra, raa, pa: (ra[..., :h], in_h(pa)),
-        lambda ra, raa, pa: (chain.v @ raa, ra @ chain.v), threshold=tol.residual_tol)
+        lambda ra, raa, pa: (ra.select(cols=[0]), in_h(pa)),
+        lambda ra, raa, pa: (v @ raa, ra @ v), threshold=tol.residual_tol)
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
     rep.add(clause("chain/contraction-restricts", "V|H = T, V H in H",
-                   residual(chain.v[:, :h], in_h(pair.contraction), tol.residual_tol),
+                   residual(v.select(cols=[0]), in_h(pair.contraction), tol.residual_tol),
                    tol.residual_tol))
 
     rep.add(clause("chain/covariance", "V rho(alpha(a)) = rho(a) V",
                    cov, tol.residual_tol))
 
+    # the projection onto every block but the truncated last one
+    kept = BlockOperator.identity(dims, skip=(len(dims) - 1,))
     rep.add(clause("chain/coisometry", "V V* = P(all blocks but the truncated last)",
-                   residual(chain.v @ chain.v.conj().T, chain.kept_projection(),
-                            tol.residual_tol),
+                   residual(v @ v.adjoint(), kept, tol.residual_tol),
                    tol.residual_tol))
 
     for k, lv in enumerate(chain.levels[1:], start=1):
@@ -203,16 +223,21 @@ class DefectDecomposition:
     delta: np.ndarray                 # (I - T*T)^(1/2) on H
     delta_h_basis: np.ndarray         # orthonormal basis of (delta H) inside H
     q_bases: list[np.ndarray]         # q_k basis inside defect-k coordinates
-    dv_basis: np.ndarray              # ambient embedding of D_V (total x dv_dim)
+    dv_basis: BlockOperator           # embedding of D_V: chain blocks x summands
     summand_dims: list[int]
     x_map: np.ndarray                 # defect-0 coords -> D_V coords
-    row_map: np.ndarray               # K_V -> D_V coords (the defect row of U)
-    rho1: RestrictedRep               # restriction of rho o alpha to D_V
+    row_map: BlockOperator            # K_V -> D_V coords (the defect row of U)
+    rho1: DirectSumRep                # restriction of rho o alpha to D_V, per summand
     report: ClauseReport
 
     @property
     def dv_dim(self) -> int:
-        return self.dv_basis.shape[1]
+        return sum(self.summand_dims)
+
+    @property
+    def summand_bases(self) -> list[np.ndarray]:
+        """The basis of each summand of D_V inside its chain block."""
+        return [self.delta_h_basis] + self.q_bases
 
 
 def defect_decomposition(chain: ExtensionChain,
@@ -222,14 +247,15 @@ def defect_decomposition(chain: ExtensionChain,
     The direct sum delta(H) + q_0(defect_0) + ... is not the defect subspace
     of V literally; the defect row [.. q_1 X delta] identifies the two
     canonically, which is certified by checking row* row = I - V* V and that
-    the row is onto.
+    the row is onto.  Every operator here keeps the chain's block layout
+    (see the module docstring).
     """
     pair = chain.pair
     system = pair.system
     delta, delta_star = defect_roots(pair, tol)
     rep = ClauseReport()
 
-    delta_h_basis, r_delta = orthonormal_span(delta, tol)
+    delta_h_basis, _ = orthonormal_span(delta, tol)
 
     level0 = chain.levels[0]
     w0 = level0.ext.isometry
@@ -247,17 +273,20 @@ def defect_decomposition(chain: ExtensionChain,
         q_bases.append(q)
     f0, q0 = f_bases[0], q_bases[0]
 
-    at = chain.block_ranges
-    summand_dims = [r_delta] + [q.shape[1] for q in q_bases]
-    dv_at = block_slices(summand_dims)
-    dv_dim = sum(summand_dims)
-    dv_basis = block_diag([delta_h_basis] + q_bases)
+    dims = chain.v.rows
+    bases = [delta_h_basis] + q_bases
+    summand_dims = [b.shape[1] for b in bases]
+    dv_basis = BlockOperator.diagonal(bases)
+    # the complement of D_V, block by block: of delta(H) in H, f_k in defect-k
+    complement = BlockOperator.diagonal([orthonormal_complement(delta_h_basis, tol)]
+                                        + f_bases)
 
     # X = (-T* W*|span(W delta* H)) + q_0, mapping defect-0 into D_V
     t = pair.contraction
-    x_map = np.zeros((dv_dim, level0.dim), dtype=complex)
     upper = delta_h_basis.conj().T @ (-t.conj().T) @ w0.conj().T \
         @ level0.defect_basis @ (f0 @ f0.conj().T)
+    dv_at = block_slices(summand_dims)
+    x_map = np.zeros((sum(summand_dims), level0.dim), dtype=complex)
     x_map[dv_at[0]] = upper
     x_map[dv_at[1]] = q0.conj().T
 
@@ -265,15 +294,20 @@ def defect_decomposition(chain: ExtensionChain,
     rep.add(clause("defect/intertwine", "T (I-T*T)^1/2 = (I-TT*)^1/2 T",
                    residual(t @ delta, delta_star @ t, tol.residual_tol), tol.residual_tol))
 
-    # defect row of the two-sided form, one column block per chain block
-    row_map = block_diag([delta_h_basis.conj().T @ delta] + [q.conj().T for q in q_bases])
-    row_map[:, at["defect-0"]] = x_map
+    # defect row of the two-sided form: the summands' adjoints on the
+    # diagonal, with X in the column of defect-0
+    row = BlockOperator.diagonal([delta_h_basis.conj().T @ delta]
+                                 + [q.conj().T for q in q_bases])
+    row_map = BlockOperator(row.rows, row.cols, {**row.blocks, (0, 1): upper})
 
-    eye = np.eye(chain.total_dim, dtype=complex)
-    gram_res = residual(row_map.conj().T @ row_map, eye - chain.v.conj().T @ chain.v,
-                        tol.residual_tol)
+    v = chain.v
+    gram_res = residual(row_map.adjoint() @ row_map,
+                        BlockOperator.identity(dims) - v.adjoint() @ v, tol.residual_tol)
     rep.add(clause("defect/row-gram", "row* row = I - V* V", gram_res, tol.residual_tol))
-    row_rank = svd_rank(row_map, tol)
+    # one cutoff over the row's components: the rank of the whole row
+    row_rank = sum(len(s) for _, s, _ in
+                   ranked_svds(row_map.component_blocks(), tol, compute_uv=False))
+    dv_dim = sum(summand_dims)
     rep.add(clause("defect/row-onto", "defect row maps onto D_V",
                    0.0 if row_rank == dv_dim else 1.0, 0.5,
                    note=f"rank {row_rank} of {dv_dim}"))
@@ -283,22 +317,21 @@ def defect_decomposition(chain: ExtensionChain,
 
     shifted = ShiftedRep(chain.rho, system, 1)
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    rho1 = RestrictedRep(shifted, dv_basis)
+    rho1 = DirectSumRep(tuple(shifted_restrictions(system, chain.rho.parts, bases, 1)))
+    dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
 
-    def diagonal(x):
+    def diagonal(x_dv):
         # rho1 must agree with the block-diagonal compressions onto the
-        # summands; rho(alpha(a)) carries pi(alpha(a)) and each level's
-        # pi_hat(alpha(a)) as its diagonal blocks
-        hs = at["H"]
-        parts = [delta_h_basis.conj().T @ x[..., hs, hs] @ delta_h_basis]
-        for k, q in enumerate(q_bases):
-            ks = at[f"defect-{k}"]
-            parts.append(q.conj().T @ x[..., ks, ks] @ q)
-        return dv_basis.conj().T @ x @ dv_basis, block_diag(parts)
+        # summands, the diagonal blocks of dv* x dv: rho(alpha(a)) carries
+        # pi(alpha(a)) and each level's pi_hat(alpha(a)) as its diagonal
+        # blocks, and an off-diagonal block of x enters dv* x dv
+        compressed = dv_h @ x_dv
+        parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
+        return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
 
-    off = leaves_span(dv_basis, tol) or (lambda x: np.zeros((len(x), 0, 0)))
     inv, block_res = basis_sweep(system.basis_size(d),
-                                 lambda c: (shifted.images(c, d),), off, diagonal,
+                                 lambda c: (shifted.images(c, d) @ dv_basis,),
+                                 lambda x_dv: comp_h @ x_dv, diagonal,
                                  threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
                    inv, tol.residual_tol))
@@ -310,3 +343,4 @@ def defect_decomposition(chain: ExtensionChain,
                                     "defect space of V")
     return DefectDecomposition(chain, delta, delta_h_basis, q_bases, dv_basis,
                                summand_dims, x_map, row_map, rho1, rep)
+

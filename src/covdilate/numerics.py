@@ -1,13 +1,17 @@
-"""Dense complex-matrix kernels used by every construction in the package.
+"""Complex-matrix kernels used by every construction in the package.
 
 All Hilbert spaces in scope are finite dimensional, so operator identities
 are checked in the spectral norm and subspace closures are plain linear
-spans.  Everything here is a pure function of its inputs and deterministic,
-which the report layer relies on for byte-identical reruns.
+spans.  Operators on a direct sum may be kept as their nonzero blocks
+(:class:`BlockOperator`); the clause kernel values them per component of
+their block pattern, with the dense values.  Everything here is a pure
+function of its inputs and deterministic, which the report layer relies on
+for byte-identical reruns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,7 +61,10 @@ def as_matrix(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value; zero for empty matrices."""
+    """Largest singular value; zero for empty matrices.  A
+    :class:`BlockOperator` is valued per component of its pattern."""
+    if isinstance(a, BlockOperator):
+        return float(_clause_max(a))
     return float(_spectral_norms(np.asarray(a, dtype=complex)))
 
 
@@ -125,6 +132,8 @@ def residual(aop, bop, threshold: float | None = None) -> float:
     when it is not.  The entry maximum of A - B is the finiteness check of
     both operands (ValueError).
     """
+    if isinstance(aop, BlockOperator):
+        return _clause_max((aop, bop), threshold)
     a, b = (np.asarray(x, dtype=complex) for x in (aop, bop))
     if a.ndim != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
@@ -151,6 +160,8 @@ def _row_slice(rows, lo: int, hi: int) -> np.ndarray:
 def _nbytes(obj) -> int:
     if isinstance(obj, (tuple, list)):
         return sum(_nbytes(o) for o in obj)
+    if isinstance(obj, BlockOperator):
+        return sum(b.nbytes for b in obj.blocks.values())
     return np.asarray(obj).nbytes
 
 
@@ -187,6 +198,8 @@ def basis_sweep(rows, images, *clauses, threshold: float | None = None) -> list[
     ``images(chunk)`` returns the stacks the clauses share, one slice per
     row; a clause maps them to a pair of stacks ``(A, B)``, each slice valued
     :func:`residual` ``(A_i, B_i)``, or to one stack valued by spectral norms.
+    A stack may be a :class:`BlockOperator` of stacked blocks, reduced per
+    component of its pattern (see :func:`_clause_max`).
     A chunk holds about ``SWEEP_STACK_BYTES`` (or one row) and nothing
     outlives the call.  0.0 over an empty family.
 
@@ -222,38 +235,73 @@ def _clause_max(term, threshold: float | None = None) -> float:
     entry of A or B makes A - B non-finite, which raises first.  With a
     ``threshold``, slices whose norm bound is at or below it are valued by
     the bound and skip both eigensolves (see :func:`basis_sweep`).
+
+    Block operators (:class:`BlockOperator`) are valued component by
+    component of their joint pattern, all components in one padded stack:
+    per slice the norm, the squared Frobenius bound and the entry maxima
+    are the maximum, the sum and the maximum over the components, which
+    are exact (see the class docstring).  A plain stack is one component.
     """
+    ops = term if isinstance(term, tuple) else (term,)
+    stacks = _component_stacks(ops) if isinstance(ops[0], BlockOperator) \
+        else [np.asarray(op, dtype=complex)[None] for op in ops]
     a = b = None
-    if isinstance(term, tuple):
-        a, b = (np.asarray(t, dtype=complex) for t in term)
+    if len(stacks) == 2:
+        a, b = stacks
         if a.shape != b.shape:
-            raise DimensionMismatch(f"shape {a.shape[1:]} vs {b.shape[1:]}")
+            raise DimensionMismatch(f"shape {a.shape[2:]} vs {b.shape[2:]}")
         diff = a - b
     else:
-        diff = np.asarray(term, dtype=complex)
-    rows, cols = diff.shape[-2:]
-    if rows * cols == 0:
+        (diff,) = stacks
+    if diff.size == 0:
         return 0.0
-    scale = _finite_scale(diff)
+    scale = _slice_scale(diff)
+    if not math.isfinite(scale.max()):
+        raise ValueError("matrix entries must be finite")
     top = 0.0
     if threshold is not None:
-        bounds = _frobenius_norms(diff, scale)
+        bounds = _slice_frobenius(diff, scale)
         if a is not None:
-            bounds /= 1.0 + np.maximum(_entry_scale(a), _entry_scale(b))
+            bounds /= 1.0 + np.maximum(_slice_scale(a), _slice_scale(b))
         over = bounds > threshold
         top = float(bounds.max(initial=0.0, where=~over))
         if not over.any():
             return UpperBound(top)
         if not over.all():
-            diff, scale = diff[over], scale[over]
+            diff, scale = diff[:, over], scale[over]
             if a is not None:
-                a, b = a[over], b[over]
-    values = _top_norms(_scaled_gram(diff, scale), scale)
+                a, b = a[:, over], b[:, over]
+    # each component scaled by its slice's scale: a tiny component may lose
+    # its Gram to underflow, but never the largest, which sets the max
+    parts = len(diff)
+    scale = np.tile(scale, parts)
+    values = _top_norms(_scaled_gram(_flat(diff), scale), scale)
     del diff
+    values = values.reshape(parts, -1).max(axis=0)
     if a is not None:
-        values /= 1.0 + _pair_norms(a, b)
+        values /= 1.0 + _pair_norms(_flat(a), _flat(b)).reshape(parts, -1).max(axis=0)
     worst = float(values.max())
     return UpperBound(top) if worst < top else worst
+
+
+def _flat(stack) -> np.ndarray:
+    # (K, m, r, s) component stacks as one (K m, r, s) stack
+    return stack.reshape((math.prod(stack.shape[:-2]),) + stack.shape[-2:])
+
+
+def _slice_scale(stack) -> np.ndarray:
+    """The largest entry modulus of each slice of a (K, m, r, s) component
+    stack, over its components (the smallest normal float for zero)."""
+    return np.maximum(np.abs(stack).max(axis=(0, 2, 3)), _TINY)
+
+
+def _slice_frobenius(stack, scale) -> np.ndarray:
+    """s ||X / s||_F of each slice of a (K, m, r, s) component stack over its
+    components, s its entry scale: every entry of X / s is at most 1 in
+    modulus, so the sum of squares stays in range."""
+    flat = np.divide(stack, scale[:, None, None], order="C").view(float)
+    np.multiply(flat, flat, out=flat)
+    return np.sqrt(flat.sum(axis=(0, 2, 3))) * scale
 
 
 def _finite_scale(stack) -> np.ndarray:
@@ -275,15 +323,6 @@ def _pair_norms(a, b) -> np.ndarray:
     _scaled_gram(b, scales[m:], grams[m:])
     norms = _top_norms(grams, scales)
     return np.maximum(norms[:m], norms[m:])
-
-
-def _frobenius_norms(stack, scale) -> np.ndarray:
-    """s ||X / s||_F of each slice, s its entry scale: every entry of X / s
-    is at most 1 in modulus, so the sum of squares stays in range."""
-    flat = np.divide(stack, scale[:, None, None], order="C").view(float)
-    flat = flat.reshape(len(stack), -1)
-    np.multiply(flat, flat, out=flat)
-    return np.sqrt(flat.sum(axis=1)) * scale
 
 
 def stack_images(rows, images, right=None) -> np.ndarray:
@@ -338,10 +377,16 @@ def eye_kron(k: int, x) -> np.ndarray:
     return out.reshape(*lead, k * rows, k * cols)
 
 
-def block_slices(dims) -> list[slice]:
+def block_slices(dims) -> tuple:
     """Index range of each summand of a direct sum with the given dimensions."""
+    return _block_slices(dims if type(dims) is tuple else tuple(map(int, dims)))
+
+
+# a report reuses a handful of layouts and block patterns, chunk after chunk
+@functools.lru_cache(maxsize=64)
+def _block_slices(dims: tuple) -> tuple:
     ends = list(itertools.accumulate(dims, initial=0))
-    return list(map(slice, ends, ends[1:]))
+    return tuple(map(slice, ends, ends[1:]))
 
 
 def hermitian_residual(a, threshold: float | None = None) -> float:
@@ -416,8 +461,16 @@ def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray,
     cols = _stack_columns(vectors)
     if cols.shape[1] > cols.shape[0]:
         cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
-    ((u, s, _),) = ranked_svds([cols], tol)
-    return _canonical_phases(u), len(s)
+    (basis,) = orthonormal_spans([cols], tol)
+    return basis, basis.shape[1]
+
+
+def orthonormal_spans(mats, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Orthonormal bases of the column spans of the diagonal blocks of a
+    block-diagonal matrix, from one :func:`ranked_svds` over the blocks (so
+    the ranks add up to the rank of the whole matrix), with canonical
+    column phases."""
+    return [_canonical_phases(u) for u, _, _ in ranked_svds(mats, tol)]
 
 
 def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True,
@@ -497,6 +550,220 @@ def gram_quotient(gram: np.ndarray,
     cmap = sq[:, None] * kept_vecs.conj().T
     lift = kept_vecs / sq[None, :]
     return cmap, lift, rank
+
+
+class BlockOperator:
+    """An operator between two direct sums, stored as its nonzero blocks.
+
+    ``rows`` and ``cols`` are the summand dimensions of the target and the
+    source (the layout of :func:`block_slices`); ``blocks`` maps a block
+    index ``(i, j)`` to the block, a ``(rows[i], cols[j])`` matrix or an
+    equal-length stack of them.  A block that is not stored is zero, and a
+    zero-size block is never stored.  Differences and products keep the
+    layout and store only the blocks they reach; a product with a plain
+    array is a dense array, and numpy converts the operator to its dense
+    array (``np.asarray``) wherever it meets one as an array operand.
+
+    The clause kernel reduces block operators per connected component of
+    their block pattern, the bipartite graph joining row block i to column
+    block j for every stored block (i, j).  Two components share no row
+    block and no column block, so after a permutation of rows and columns X
+    is the direct sum of its components X_c, and
+
+    * ||X|| = max_c ||X_c|| (the singular values of a direct sum are the
+      union of those of its summands),
+    * ||X||_F^2 = sum_c ||X_c||_F^2 and max_ij |x_ij| = max_c of the
+      components' entry maxima,
+
+    all exact.  For a pair the pattern is the union of both patterns, so
+    A, B and A - B are all direct sums over the same components, and the
+    denominator 1 + max(||A||, ||B||) of a residual is the maximum over the
+    components as well.  The pattern is read from the stored blocks: a
+    misplaced block joins the pattern and enters every value.
+    """
+
+    __slots__ = ("rows", "cols", "blocks", "lead")
+
+    def __init__(self, rows, cols, blocks):
+        rows, cols = tuple(map(int, rows)), tuple(map(int, cols))
+        kept = {}
+        for (i, j), b in blocks.items():
+            b = np.asarray(b, dtype=complex)
+            if b.shape[-2:] != (rows[i], cols[j]):
+                raise DimensionMismatch(f"block {(i, j)} of shape {b.shape[-2:]}, "
+                                        f"layout {(rows[i], cols[j])}")
+            if rows[i] and cols[j]:
+                kept[i, j] = b
+        # the stack axes: those of the blocks with the most axes
+        lead = max((b.shape[:-2] for b in kept.values()), key=len, default=())
+        self.rows, self.cols, self.blocks, self.lead = rows, cols, kept, lead
+
+    @classmethod
+    def _of(cls, rows, cols, blocks, lead) -> "BlockOperator":
+        # unchecked: the blocks of an operation on checked operators
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.blocks, out.lead = rows, cols, blocks, lead
+        return out
+
+    @classmethod
+    def diagonal(cls, mats) -> "BlockOperator":
+        """The direct sum of complex matrices (or equal-length stacks of
+        them)."""
+        rows = tuple(m.shape[-2] for m in mats)
+        cols = tuple(m.shape[-1] for m in mats)
+        return cls._of(rows, cols, {(k, k): m for k, m in enumerate(mats)
+                                    if rows[k] and cols[k]}, mats[0].shape[:-2] if mats else ())
+
+    @classmethod
+    def identity(cls, dims, skip=()) -> "BlockOperator":
+        """The identity on the direct sum, with the blocks in ``skip`` zero."""
+        dims = tuple(map(int, dims))
+        return cls._of(dims, dims, {(k, k): np.eye(d, dtype=complex)
+                                    for k, d in enumerate(dims) if d and k not in skip}, ())
+
+    def __repr__(self) -> str:
+        return f"BlockOperator(rows={self.rows}, cols={self.cols}, blocks={sorted(self.blocks)})"
+
+    @property
+    def shape(self) -> tuple:
+        return self.lead + (sum(self.rows), sum(self.cols))
+
+    def dense(self) -> np.ndarray:
+        """The operator as one array, the zero blocks filled in."""
+        rs, cs = block_slices(self.rows), block_slices(self.cols)
+        out = np.zeros(self.shape, dtype=complex)
+        for (i, j), b in self.blocks.items():
+            out[..., rs[i], cs[j]] = b
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        d = self.dense()
+        return d if dtype is None else d.astype(dtype, copy=False)
+
+    def adjoint(self) -> "BlockOperator":
+        return BlockOperator._of(self.cols, self.rows,
+                                 {(j, i): np.conj(b).swapaxes(-1, -2)
+                                  for (i, j), b in self.blocks.items()}, self.lead)
+
+    def select(self, rows=None, cols=None) -> "BlockOperator":
+        """The operator restricted to the given row and column blocks
+        (all when None), renumbered in the order given."""
+        rows = range(len(self.rows)) if rows is None else rows
+        cols = range(len(self.cols)) if cols is None else cols
+        ri = {i: n for n, i in enumerate(rows)}
+        ci = {j: n for n, j in enumerate(cols)}
+        return BlockOperator._of(tuple(self.rows[i] for i in rows),
+                                 tuple(self.cols[j] for j in cols),
+                                 {(ri[i], ci[j]): b for (i, j), b in self.blocks.items()
+                                  if i in ri and j in ci}, self.lead)
+
+    def __sub__(self, other):
+        if not isinstance(other, BlockOperator):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("block layouts differ")
+        out = dict(self.blocks)
+        for key, b in other.blocks.items():
+            out[key] = out[key] - b if key in out else -b
+        return BlockOperator._of(self.rows, self.cols, out, max(self.lead, other.lead, key=len))
+
+    def __matmul__(self, other):
+        if isinstance(other, BlockOperator):
+            if self.cols != other.rows:
+                raise DimensionMismatch("block layouts do not compose")
+            by_row: dict = {}
+            for (k, j), b in other.blocks.items():
+                by_row.setdefault(k, []).append((j, b))
+            out: dict = {}
+            for (i, k), a in self.blocks.items():
+                for j, b in by_row.get(k, ()):
+                    out[i, j] = out[i, j] + a @ b if (i, j) in out else a @ b
+            return BlockOperator._of(self.rows, other.cols, out,
+                                     max(self.lead, other.lead, key=len))
+        x = np.asarray(other)
+        rs, cs = block_slices(self.rows), block_slices(self.cols)
+        lead = max(self.lead, x.shape[:-2], key=len)
+        out = np.zeros(lead + (sum(self.rows), x.shape[-1]), dtype=complex)
+        for (i, j), b in self.blocks.items():
+            out[..., rs[i], :] += b @ x[..., cs[j], :]
+        return out
+
+    def components(self) -> list:
+        """The connected components of the block pattern, as (row blocks,
+        column blocks) pairs, each sorted, ordered by their first row block."""
+        return _plan(self.rows, self.cols, frozenset(self.blocks))[0]
+
+    def component_blocks(self) -> list:
+        """The dense matrix of each component, rows and columns in block
+        order."""
+        return _component_stacks((self,), pad=False)[0]
+
+
+def as_blocks(x) -> BlockOperator:
+    """A block operator as given; a plain matrix as the one-block operator."""
+    if isinstance(x, BlockOperator):
+        return x
+    x = as_matrix(x)
+    return BlockOperator((x.shape[0],), (x.shape[1],), {(0, 0): x})
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(rows: tuple, cols: tuple, keys: frozenset) -> tuple:
+    """The components of the pattern ``keys`` (see
+    :meth:`BlockOperator.components`), each component's shape, and where
+    each block sits in its component: key -> (c, row slice, column slice)."""
+    # union-find over row nodes ("r", i) and column nodes ("c", j)
+    parent: dict = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for i, j in keys:
+        a, b = find(("r", i)), find(("c", j))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict = {}
+    for node in list(parent):
+        groups.setdefault(find(node), ([], []))[node[0] == "c"].append(node[1])
+    comps = sorted((sorted(r), sorted(c)) for r, c in groups.values())
+    at_row, at_col, shapes = {}, {}, []
+    for c, (rs, cs) in enumerate(comps):
+        shape = []
+        for at, idx, dims in ((at_row, rs, rows), (at_col, cs, cols)):
+            local = block_slices([dims[i] for i in idx])
+            at.update((i, (c, sl)) for i, sl in zip(idx, local))
+            shape.append(local[-1].stop)
+        shapes.append(tuple(shape))
+    place = {(i, j): (at_row[i][0], at_row[i][1], at_col[j][1]) for i, j in keys}
+    return comps, shapes, place
+
+
+def _component_stacks(ops, pad: bool = True) -> list:
+    """One block operator or a pair of one layout, each split along the
+    components of their joint pattern.  With ``pad`` each becomes a (K, m, r, s) array,
+    component c zero-padded to the largest component's shape (which changes
+    none of its norms or entry maxima); without it, a list of the
+    components' dense matrices.
+    """
+    first, last = ops[0], ops[-1]
+    if not isinstance(last, BlockOperator) or (first.rows, first.cols) != (last.rows, last.cols):
+        raise DimensionMismatch("block layouts differ")
+    comps, shapes, place = _plan(first.rows, first.cols,
+                                 frozenset(first.blocks.keys() | last.blocks.keys()))
+    lead = max(first.lead, last.lead, key=len)
+    if pad:
+        shape = tuple(max((sh[n] for sh in shapes), default=0) for n in (0, 1))
+        out = [np.zeros((len(comps),) + (lead or (1,)) + shape, dtype=complex) for _ in ops]
+    else:
+        out = [[np.zeros(lead + sh, dtype=complex) for sh in shapes] for _ in ops]
+    for st, op in zip(out, ops):
+        for key, b in op.blocks.items():
+            c, rs, cs = place[key]
+            st[c][..., rs, cs] = b
+    return out
 
 
 def block_diag(mats) -> np.ndarray:

@@ -64,6 +64,17 @@ def parse_vector(data) -> np.ndarray:
     return np.array([parse_scalar(v) for v in data], dtype=complex)
 
 
+def parse_integer(value, name: str) -> int:
+    """An integer field: an int, or a float with an integral value such as
+    2.0.  Booleans, fractions and non-numbers fail gate ``schema``; nothing
+    is truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ScenarioValidationError("schema", f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # scenario objects
 # ---------------------------------------------------------------------------
@@ -107,14 +118,10 @@ def build_scenario(data, tol_override: Optional[float] = None) -> Scenario:
         raise ScenarioValidationError("schema", f"unknown backend {backend!r}")
 
     tol = _parse_tolerances(data.get("tolerances"), tol_override)
-    try:
-        levels = int(data.get("levels", 1))
-        copies = int(data.get("copies", 1))
-        seed = data.get("seed")
-        seed = int(seed) if seed is not None else None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError("schema",
-                                      "levels, copies and seed must be integers") from exc
+    levels = parse_integer(data.get("levels", 1), "levels")
+    copies = parse_integer(data.get("copies", 1), "copies")
+    seed = data.get("seed")
+    seed = parse_integer(seed, "seed") if seed is not None else None
     if levels < 1 or copies < 1:
         raise ScenarioValidationError("schema", "levels and copies must be >= 1")
 
@@ -157,7 +164,7 @@ def _build_finite(data, tol):
     if not isinstance(blocks, list) or not blocks:
         raise ScenarioValidationError("schema", "finite-dim scenarios need 'blocks'")
     try:
-        algebra = FiniteDimCStarAlgebra(tuple(int(b) for b in blocks))
+        algebra = FiniteDimCStarAlgebra(tuple(parse_integer(b, "blocks") for b in blocks))
     except (TypeError, ValueError) as exc:
         raise ScenarioValidationError("schema", f"bad 'blocks' {blocks!r}: {exc}") from exc
 
@@ -220,7 +227,7 @@ def _parse_pi(spec, algebra) -> Representation:
     if "multiplicities" in spec:
         unitary = spec.get("unitary")
         return Representation.from_multiplicities(
-            algebra, [int(m) for m in spec["multiplicities"]],
+            algebra, [parse_integer(m, "multiplicities") for m in spec["multiplicities"]],
             parse_matrix(unitary) if unitary is not None else None)
     if "images" in spec:
         images = [parse_matrix(m) for m in spec["images"]]
@@ -260,16 +267,11 @@ def _parse_finite_strategy(spec, algebra, alpha):
 
 
 def _build_tower(data, tol, levels, copies):
-    try:
-        k = int(data.get("k", 2))
-        d_max = int(data.get("d_max"))
-        rep_depth = int(data.get("rep_depth"))
-        mult = int(data.get("multiplicity", 1))
-        cap = int(data.get("size_cap", 256))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError(
-            "schema", "tower scenarios need integer k, d_max, rep_depth, "
-                      "multiplicity and size_cap") from exc
+    k = parse_integer(data.get("k", 2), "k")
+    d_max = parse_integer(data.get("d_max"), "d_max")
+    rep_depth = parse_integer(data.get("rep_depth"), "rep_depth")
+    mult = parse_integer(data.get("multiplicity", 1), "multiplicity")
+    cap = parse_integer(data.get("size_cap", 256), "size_cap")
     try:
         tower = ShiftTower(k, d_max, cap)
     except WorkbenchError as exc:

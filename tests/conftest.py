@@ -22,6 +22,12 @@ from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
                              state_density)
 
 
+def random_element(algebra, rng):
+    """An element of the algebra with standard complex Gaussian entries."""
+    return algebra.element([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                            for n in algebra.block_sizes])
+
+
 def random_covariant_contraction(system, rep, rng, norm: float) -> np.ndarray:
     """Random solution of T pi(alpha(a)) = pi(a) T with ||T|| = norm.
 

@@ -1,0 +1,165 @@
+"""The dense clause code the block operators replaced, kept as a test oracle.
+
+The package evaluates every whole-chain and whole-dilation clause per
+connected component of the operators' block patterns.  This module is the
+route it replaced: it densifies the chain's V, the defect row, D_V's
+embedding, the dilation operators and the direct-sum images, and evaluates
+the same clauses on total-side matrices with exact values (no threshold).
+Each clause gives ``(value, scale)``, ``scale`` the largest norm of an
+operand, so that a block value can be held to |block - dense| <=
+eps (1 + scale).  ``dense_schaffer_dilate`` is the dense isometric dilation
+of a chain pair, for certifying the block construction unitarily
+equivalent to it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from covdilate.covariant import (CovariantPair, DirectSumRep, RestrictedRep,
+                                 ShiftedRep, defect_roots, usable_depth)
+from covdilate.dilation import DilationRecord
+from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, block_slices,
+                                orthonormal_complement, orthonormal_span, residual,
+                                spectral_norm, svd_rank)
+
+
+def _dense_images(rep, c, d):
+    return np.asarray(rep.images(c, d))
+
+
+def _operand(clause, k):
+    # operand k of a pair clause; a one-stack clause is its own operand
+    def pick(*imgs):
+        term = clause(*imgs)
+        return term[k] if isinstance(term, tuple) else term
+    return pick
+
+
+def _sweep_values(n, images, *clauses) -> list:
+    """(exact value, largest operand norm) of each clause over the sweep."""
+    values = basis_sweep(n, images, *clauses)
+    norms = basis_sweep(n, images, *[_operand(c, k) for c in clauses for k in (0, 1)])
+    return [(v, max(norms[2 * k], norms[2 * k + 1])) for k, v in enumerate(values)]
+
+
+def _pair(a, b):
+    return residual(a, b), max(spectral_norm(a), spectral_norm(b))
+
+
+def chain_values(chain, tol=DEFAULT_TOL) -> dict:
+    """The chain clauses of ``verify_coisometric_extension``, dense."""
+    pair = chain.pair
+    system = pair.system
+    h = pair.space_dim
+    total = chain.total_dim
+    v = np.asarray(chain.v)
+    d = usable_depth(system, [pair.rep, chain.rho], 1, pair.depth)
+
+    def in_h(m):
+        col = np.zeros(m.shape[:-2] + (total, h), dtype=complex)
+        col[..., :h, :] = m
+        return col
+
+    restr, cov = _sweep_values(
+        system.basis_size(d),
+        lambda c: (_dense_images(chain.rho, c, d),
+                   _dense_images(chain.rho, *system.alpha_coords(c, d)),
+                   pair.rep.images(c, d)),
+        lambda ra, raa, pa: (ra[..., :h], in_h(pa)),
+        lambda ra, raa, pa: (v @ raa, ra @ v))
+    kept = np.eye(total, dtype=complex)
+    last = block_slices(chain.block_dims)[-1]
+    kept[last, last] = 0.0
+    return {"chain/representation-restricts": restr,
+            "chain/contraction-restricts": _pair(v[:, :h], in_h(pair.contraction)),
+            "chain/covariance": cov,
+            "chain/coisometry": _pair(v @ v.conj().T, kept)}
+
+
+def defect_values(chain, dd, tol=DEFAULT_TOL) -> tuple:
+    """The defect clauses of ``defect_decomposition`` with a total-side
+    complement of D_V, and the rank of the dense defect row."""
+    pair = chain.pair
+    system = pair.system
+    v = np.asarray(chain.v)
+    dv_basis = np.asarray(dd.dv_basis)
+    row_map = np.asarray(dd.row_map)
+    eye = np.eye(chain.total_dim, dtype=complex)
+    out = {"defect/row-gram": _pair(row_map.conj().T @ row_map, eye - v.conj().T @ v)}
+    rank = svd_rank(row_map, tol)
+    out["defect/row-onto"] = (0.0 if rank == dd.dv_dim else 1.0, 0.0)
+
+    comp = orthonormal_complement(dv_basis, tol)
+    at = block_slices(chain.block_dims)
+
+    def off(x):
+        if comp.shape[1] == 0 or dv_basis.shape[1] == 0:
+            return np.zeros((len(x), 0, 0))
+        return comp.conj().T @ x @ dv_basis
+
+    def diagonal(x):
+        parts = [b.conj().T @ x[..., s, s] @ b for b, s in zip(dd.summand_bases, at)]
+        return dv_basis.conj().T @ x @ dv_basis, block_diag(parts)
+
+    shifted = ShiftedRep(chain.rho, system, 1)
+    d = usable_depth(system, [chain.rho], 1, pair.depth)
+    inv, diag = _sweep_values(system.basis_size(d),
+                              lambda c: (_dense_images(shifted, c, d),), off, diagonal)
+    out["defect/invariant"] = inv
+    out["defect/diagonal-form"] = diag
+    return out, rank
+
+
+def dilation_values(rec, prefix: str, tol=DEFAULT_TOL) -> dict:
+    """Covariance, isometry (isometric records) and interior unitarity of a
+    dilation record, on its dense operator."""
+    pair = rec.source_pair
+    system = pair.system
+    w = np.asarray(rec.w)
+    total = rec.total_dim
+    d = usable_depth(system, [rec.eta], 1, pair.depth)
+    (cov,) = _sweep_values(system.basis_size(d),
+                           lambda c: (_dense_images(rec.eta, c, d),
+                                      _dense_images(rec.eta, *system.alpha_coords(c, d))),
+                           lambda ea, eaa: (w @ eaa, ea @ w))
+    name = "dilation" if prefix == "unitary" else prefix
+    out = {f"{name}/covariance": cov}
+    if prefix == "unitary":
+        keep = np.eye(total, dtype=complex)
+        keep[rec.boundary_cols, rec.boundary_cols] = 0.0
+        out["dilation/isometry"] = _pair(w.conj().T @ w, keep)
+    eye = np.eye(total, dtype=complex)
+    boundary = np.concatenate([rec.boundary_rows, rec.boundary_cols]).astype(int)
+    for clause, gram in (("isometric-interior", w.conj().T @ w - eye),
+                         ("coisometric-interior", w @ w.conj().T - eye)):
+        masked = gram.copy()
+        masked[:, boundary] = 0.0
+        out[f"{prefix}/{clause}"] = (spectral_norm(masked), spectral_norm(w) ** 2)
+    return out
+
+
+def dense_schaffer_dilate(pair: CovariantPair, copies: int, tol=DEFAULT_TOL) -> DilationRecord:
+    """The isometric dilation built on the dense contraction: one defect
+    root and one defect basis over the whole space."""
+    t = np.asarray(pair.contraction)
+    dense_pair = CovariantPair(pair.system, pair.rep, t, pair.depth)
+    delta, _ = defect_roots(dense_pair, tol)
+    basis, r = orthonormal_span(delta, tol)
+    h = pair.space_dim
+    dims = [h] + [r] * copies
+    at = block_slices(dims)
+    w = np.zeros((sum(dims),) * 2, dtype=complex)
+    w[at[0], at[0]] = t
+    w[at[1], at[0]] = basis.conj().T @ delta
+    for j in range(1, copies):
+        w[at[j + 1], at[j]] = np.eye(r)
+    eta = DirectSumRep(tuple([pair.rep] + [RestrictedRep(ShiftedRep(pair.rep, pair.system, n),
+                                                         basis)
+                                           for n in range(1, copies + 1)]))
+    embed = np.eye(sum(dims), h, dtype=complex)
+    names = ["H"] + [f"copy-{j}" for j in range(1, copies + 1)]
+    return DilationRecord("isometric", names, dims, list(range(copies + 1)), eta, w,
+                          dense_pair, embed, copies, origin_pair=dense_pair,
+                          origin_embed=embed,
+                          boundary_cols=np.arange(at[-1].start, at[-1].stop))

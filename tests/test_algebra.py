@@ -9,6 +9,8 @@ from covdilate.covariant import haar_unitary
 from covdilate.errors import NotInjective, NotState
 from covdilate.numerics import spectral_norm
 
+from conftest import random_element
+
 M2 = FiniteDimCStarAlgebra((2,))
 C2 = FiniteDimCStarAlgebra((1, 1))
 
@@ -34,8 +36,8 @@ def test_algebra_basics():
 
 def test_element_operations():
     rng = np.random.default_rng(0)
-    a = M2.random_element(rng)
-    b = M2.random_element(rng)
+    a = random_element(M2, rng)
+    b = random_element(M2, rng)
     assert np.allclose((a * b).blocks[0], a.blocks[0] @ b.blocks[0])
     assert np.allclose(a.adjoint().blocks[0], a.blocks[0].conj().T)
     assert np.allclose((2.0 * a).blocks[0], 2.0 * a.blocks[0])

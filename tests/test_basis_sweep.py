@@ -28,6 +28,7 @@ from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import (ShiftTower, TowerRep, TowerSystem, alpha_hom,
                              shift_alpha)
 
+from conftest import random_element
 from test_cpmaps import transpose_map
 
 
@@ -41,7 +42,8 @@ def _loop_max(elements, fn):
 
 def _chain_images(system, chain, pair, d):
     """Chunk callback: the chain's images, their shifts and pi's images."""
-    return lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
+    return lambda c: (chain.rho.images(c, d).dense(),
+                      chain.rho.images(*system.alpha_coords(c, d)).dense(),
                       pair.rep.images(c, d))
 
 
@@ -61,7 +63,7 @@ def test_sweep_matches_per_element_loop_on_corpus(corpus, built_chains):
         system = case.pair.system
         d = usable_depth(system, [case.pair.rep, chain.rho], 1, case.pair.depth)
         basis = system.basis(d)
-        v = chain.v
+        v = chain.v.dense()
         h = case.pair.space_dim
 
         def cov(a):
@@ -322,7 +324,7 @@ def test_kraus_rep_matches_kron_block_diag(blocks, mults):
     system = FiniteDimSystem(alg, StarHom.identity(alg))
     rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, 1), dtype=complex)))
     for _ in range(3):
-        x = alg.random_element(rng)
+        x = random_element(alg, rng)
         want = block_diag([np.kron(b, np.eye(r)) for b, r in zip(x.blocks, mults) if r])
         assert np.array_equal(rep(x), want)
 

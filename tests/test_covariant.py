@@ -176,7 +176,7 @@ def test_two_step_scalar_block():
     chain, report = one_level_block(pair, AdaptedStrategy(CPMap.identity(SCALARS)))
     assert np.allclose(chain.v, [[0.6, 0.8], [0.0, 0.0]])
     # 0.36 + 0.64 = 1: the first row has unit norm
-    assert abs(np.linalg.norm(chain.v[0]) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(chain.v.dense()[0]) - 1.0) < 1e-12
     assert report.passed
 
 
@@ -185,7 +185,7 @@ def test_two_step_partial_isometry_tower():
     pair = shift_down_pair(tower, 2, 1, 0.9, [1, 0], [0, 1])
     tau = TowerTransfer(tower, state_density(tower, "trace"))
     chain, report = one_level_block(pair, AdaptedStrategy(tau))
-    m = chain.v
+    m = chain.v.dense()
     h = pair.space_dim
     target = np.zeros_like(m)
     target[:h, :h] = np.eye(h)

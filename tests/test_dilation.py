@@ -145,7 +145,7 @@ def test_coisometry_inheritance_from_extension_output():
     chain = coisometric_extend(pair, 2, AdaptedStrategy(CPMap.from_hom(alpha.inverse())))
     cpair = chain.as_pair()
     assert spectral_norm(np.eye(cpair.space_dim)
-                         - cpair.contraction @ cpair.contraction.conj().T) <= 1e-10
+                         - cpair.contraction @ cpair.contraction.dense().conj().T) <= 1e-10
     rec = schaffer_dilate(cpair, 2)
     rep = verify_isometric_dilation(rec)
     inherited = next(c for c in rep.clauses
@@ -157,7 +157,7 @@ def test_unitary_dilate_scalar_powers():
     pair = scalar_pair(0.6)
     rec = unitary_dilate(pair, 3, 3, AdaptedStrategy(CPMap.identity(SCALARS)))
     assert rec.report.passed
-    u = rec.w
+    u = rec.w.dense()
     for n in range(4):
         comp = np.linalg.matrix_power(u, n)[0, 0]
         assert abs(comp - 0.6 ** n) < 1e-12
@@ -200,7 +200,7 @@ def test_matricial_scalar_row_norm():
     rec = explicit_matricial_unitary(chain, 2)
     assert rec.report.passed
     # ambient order: defect-0, H, copy-1, copy-2; the defect row holds X and delta
-    u = rec.w
+    u = rec.w.dense()
     offs = {name: s.start for name, s in rec.block_ranges.items()}
     row = offs["copy-1"]
     x_entry = u[row, offs["defect-0"]]
@@ -246,7 +246,7 @@ def test_matricial_unitary_contraction_degenerates():
     chain = coisometric_extend(pair, 1, AdaptedStrategy(CPMap.from_hom(alpha.inverse())))
     rec = explicit_matricial_unitary(chain, 1)
     assert rec.total_dim == 2
-    assert spectral_norm(rec.w[:2, :2] - pair.contraction) <= 1e-12
+    assert spectral_norm(rec.w.dense()[:2, :2] - pair.contraction) <= 1e-12
 
 
 def test_compression_sweep_matches_per_power_residuals():

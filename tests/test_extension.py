@@ -11,7 +11,7 @@ from covdilate.cpmaps import CPMap
 from covdilate.errors import DecompositionMismatch, DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, verify_coisometric_extension)
-from covdilate.numerics import (DEFAULT_TOL, Tolerance, orthonormal_span, residual,
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, Tolerance, orthonormal_span, residual,
                                 spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
@@ -45,16 +45,18 @@ def test_unitary_contraction_gives_trivial_chain():
     pair, strat = unitary_pair()
     chain = coisometric_extend(pair, 2, strat)
     assert chain.block_dims == [2, 0, 0]
-    assert spectral_norm(chain.v[:2, :2] - pair.contraction) <= 1e-12
+    v = chain.v.dense()
+    assert spectral_norm(v[:2, :2] - pair.contraction) <= 1e-12
     # VV* equals the identity because the truncated block is empty
-    assert spectral_norm(chain.v @ chain.v.conj().T - np.eye(2)) <= 1e-10
+    assert spectral_norm(v @ v.conj().T - np.eye(2)) <= 1e-10
     assert verify_coisometric_extension(chain).passed
 
 
 def test_scalar_chain_row_projection():
     chain = coisometric_extend(scalar_pair(0.6), 3, scalar_strategy())
     assert chain.block_dims == [1, 1, 1, 1]
-    vvs = (chain.v @ chain.v.conj().T).real
+    v = chain.v.dense()
+    vvs = (v @ v.conj().T).real
     assert np.allclose(np.diag(vvs), [1, 1, 1, 0], atol=1e-12)
     assert np.allclose(vvs, np.diag(np.diag(vvs)), atol=1e-12)
     rep = verify_coisometric_extension(chain)
@@ -86,8 +88,12 @@ def test_tower_depth_budget():
 
 def test_perturbed_last_row_fails_coisometry():
     chain = coisometric_extend(scalar_pair(0.6), 2, scalar_strategy())
-    v2 = chain.v.copy()
-    v2[-1, 0] = 0.5
+    # an entry in the truncated last row: a block off the pattern of V
+    v = chain.v
+    last = len(v.rows) - 1
+    extra = np.zeros((v.rows[last], v.cols[0]))
+    extra[-1, 0] = 0.5
+    v2 = BlockOperator(v.rows, v.cols, {**v.blocks, (last, 0): extra})
     broken = ExtensionChain(chain.pair, chain.strategies, chain.levels, chain.rho,
                             v2, chain.block_names, chain.block_dims, None)
     rep = verify_coisometric_extension(broken)
@@ -99,7 +105,7 @@ def first_levels(chain, n_levels):
     """V of the chain's first ``n_levels`` levels: its leading square over
     H + defect_0 + ... + defect_(n-1), where truncation zeroes the last row."""
     m = sum(chain.block_dims[:n_levels + 1])
-    return chain.v[:m, :m]
+    return chain.v.dense()[:m, :m]
 
 
 def test_monotone_consistency():
@@ -151,7 +157,8 @@ def test_defect_decomposition_scalar_rank_two_ways():
     dd = defect_decomposition(chain)
     # oracle: rank of I - V*V directly
     eye = np.eye(chain.total_dim)
-    defect = eye - chain.v.conj().T @ chain.v
+    v = chain.v.dense()
+    defect = eye - v.conj().T @ v
     rank = int(np.sum(np.linalg.eigvalsh(defect) > 1e-10))
     assert dd.dv_dim == rank == 1
     assert dd.report.passed
@@ -241,7 +248,7 @@ def test_one_level_chain_is_the_two_step_block(corpus, basis_seed):
         chain = coisometric_extend(pair, 1, case.strategy, DEFAULT_TOL, basis_seed)
         # V = M = [[T, D*], [0, 0]]
         h = pair.space_dim
-        m = chain.v
+        m = chain.v.dense()
         assert m.shape == (h + step.dim,) * 2, case.name
         assert np.array_equal(m[:h, :h], pair.contraction), case.name
         assert np.array_equal(m[:h, h:], step.d_star), case.name

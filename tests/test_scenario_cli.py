@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,50 @@ def test_malformed_field_is_schema_error(tmp_path, fixture, field, value):
         load_scenario(path)
     assert err.value.gate == "schema"
     assert main(["check", "--scenario", path]) == 2
+
+
+INTEGER_FIELDS = [
+    ("scalar", ("levels",)), ("scalar", ("copies",)), ("scalar", ("seed",)),
+    ("scalar", ("blocks", 0)), ("scalar", ("pi", "multiplicities", 0)),
+    ("tower", ("k",)), ("tower", ("d_max",)), ("tower", ("rep_depth",)),
+    ("tower", ("multiplicity",)), ("tower", ("size_cap",)),
+]
+
+
+def _with_field(fixture, path, value):
+    data = demo_fixture(fixture)
+    if fixture == "tower":
+        data.setdefault("size_cap", 256)    # the default, spelled out to vary it
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    old = target[last]
+    target[last] = value(old)
+    return data
+
+
+@pytest.mark.parametrize("fixture, path", INTEGER_FIELDS)
+def test_integer_fields_reject_booleans_and_fractions(fixture, path):
+    # int() would have read 3.5 as 3, True as 1 and "3" as 3
+    for bad in (lambda v: v + 0.5, lambda v: True, lambda v: str(v)):
+        with pytest.raises(ScenarioValidationError) as err:
+            build_scenario(_with_field(fixture, path, bad))
+        assert err.value.gate == "schema", (path, err.value)
+    # an integral float is the integer, never a truncation of anything
+    exact = build_scenario(_with_field(fixture, path, int))
+    floated = build_scenario(_with_field(fixture, path, float))
+    assert (floated.levels, floated.copies, floated.seed) == \
+        (exact.levels, exact.copies, exact.seed)
+    assert floated.pair.space_dim == exact.pair.space_dim
+    assert np.array_equal(floated.pair.contraction, exact.pair.contraction)
+
+
+def test_levels_smoke_fixture_passes_its_gates():
+    # the three-level tower the CI smoke step extends
+    path = Path(__file__).parent / "fixtures" / "tower-levels.json"
+    sc = load_scenario(str(path))
+    assert (sc.levels, sc.copies, sc.pair.space_dim) == (3, 2, 8)
 
 
 def test_cli_byte_identical_reports(tmp_path):

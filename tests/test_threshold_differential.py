@@ -2,7 +2,10 @@
 
 Every command runs twice: as shipped, where each clause value is decided
 against its threshold by a norm bound, and with ``numerics._clause_max``
-patched to ignore the threshold, so that every value is exact.  Both runs
+patched to ignore the threshold, so that every value is exact.  The patch
+sits where block operators are reduced per component too, so the
+whole-chain and whole-dilation clauses are compared as well; the last test
+shows that none of those reductions receives a stack of the total side.  Both runs
 must give the same dimensions, clause names, pass flags, verdicts,
 witnesses, notes and rejections; a passing value is at least its exact
 value (4 eps relative), and a failing one, or one not labelled a bound, is
@@ -15,27 +18,40 @@ import numpy as np
 import pytest
 
 import covdilate.covariant as covariant_mod
+import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
 from covdilate.cli import render_report, run
 from covdilate.covariant import FiniteDimSystem, extend_representation, two_step
 from covdilate.cpmaps import kraus_span
+from covdilate.dilation import compose_unitary, verify_isometric_dilation
 from covdilate.errors import InvarianceViolation, NotHermitian, RangeNotInImage
-from covdilate.numerics import DEFAULT_TOL, psd_sqrt
+from covdilate.extension import (coisometric_extend, defect_decomposition,
+                                 verify_coisometric_extension)
+from covdilate.numerics import DEFAULT_TOL, BlockOperator, psd_sqrt
 from covdilate.scenario import DEMO_NAMES, Scenario, build_scenario, demo_fixture
 
+from conftest import make_tower_case
 from test_basis_sweep import _dropping_span
 
 EPS = np.finfo(float).eps
 COMMANDS = ("check", "extend", "dilate", "unitary", "matricial")
 
 
-def _twice(monkeypatch, fn):
-    """(fn() as shipped, fn() with every clause value exact)."""
+def _twice(monkeypatch, fn, block_terms=None):
+    """(fn() as shipped, fn() with every clause value exact); the exact run
+    appends to ``block_terms`` whether each reduced term is a block operator."""
     aware = fn()
     real = numerics_mod._clause_max
+
+    def exact(term, threshold=None):
+        if block_terms is not None:
+            first = term[0] if isinstance(term, tuple) else term
+            block_terms.append(isinstance(first, BlockOperator))
+        return real(term)
+
     with monkeypatch.context() as m:
-        m.setattr(numerics_mod, "_clause_max", lambda term, threshold=None: real(term))
+        m.setattr(numerics_mod, "_clause_max", exact)
         exact = fn()
     return aware, exact
 
@@ -100,9 +116,12 @@ def test_corpus_reports_agree_with_exact_values(corpus, monkeypatch):
         commands = ("extend",) if case.levels > 2 and case.backend == "tower" \
             else ("extend", "unitary", "matricial")
         for command in commands:
-            aware, exact = _twice(monkeypatch, lambda: run(scenario, command))
+            block_terms = []
+            aware, exact = _twice(monkeypatch, lambda: run(scenario, command), block_terms)
             _compare_reports(aware, exact, f"{case.name}-{command}")
             bounds += sum(c.get("residual_kind") == "bound" for c in aware["clauses"])
+            # the block clauses went through the patched reduction
+            assert any(block_terms), (case.name, command)
     assert bounds > 0
 
 
@@ -148,3 +167,37 @@ def test_rejections_agree_with_exact_values(corpus, monkeypatch):
     rows = np.array([[2.0, 2.0], [1.0, 1.0 + 1e-3]])
     aware, exact = _twice(monkeypatch, lambda: _raised(lambda: system.solve_alpha_rows(rows)))
     assert aware == exact and aware[0] is RangeNotInImage
+
+
+def test_no_clause_reduces_a_total_side_stack(monkeypatch):
+    """On the k = 2, rep_depth = 3 tower (blocks 8 / 32 / 128) every stack a
+    chain, defect or dilation clause reduces is smaller than the total side."""
+    case = make_tower_case(np.random.default_rng(7), 90, rep_depth=3, n_levels=2)
+    chain = coisometric_extend(case.pair, case.levels, case.strategy)
+    sides = []
+    real = numerics_mod._clause_max
+
+    def recording(term, threshold=None):
+        ops = term if isinstance(term, tuple) else (term,)
+        if isinstance(ops[0], BlockOperator):
+            ops = numerics_mod._component_stacks(ops)
+        sides.extend(max(np.shape(op)[-2:]) for op in ops)
+        return real(term, threshold)
+
+    def unrecorded(*args):
+        # the level-space containment diagnostic is a note, not a clause
+        with monkeypatch.context() as m:
+            m.setattr(numerics_mod, "_clause_max", real)
+            return invariance_residual(*args)
+
+    invariance_residual = extension_mod.invariance_residual
+    monkeypatch.setattr(extension_mod, "invariance_residual", unrecorded)
+    monkeypatch.setattr(numerics_mod, "_clause_max", recording)
+    verify_coisometric_extension(chain)
+    defect_decomposition(chain)
+    assert sides and max(sides) < chain.total_dim, (max(sides), chain.total_dim)
+
+    sides.clear()
+    rec = compose_unitary(chain, case.copies)
+    verify_isometric_dilation(rec)
+    assert sides and max(sides) < rec.total_dim, (max(sides), rec.total_dim)

@@ -12,7 +12,7 @@ isometric extension step (a larger representation ``rho`` and an isometry
   conditional expectation onto the range of the dynamics.
 
 Both strategies build their dilations with the Choi/Kraus kernel of
-:mod:`covdilate.cpmaps`, and every step's representation is one
+:mod:`covdilate.cpmaps`, and every step's representation is one unrotated
 :class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
 computed in its multiplicity spaces.  Both backends (finite-dimensional
@@ -276,22 +276,22 @@ def basis_images(system, rep, depth, right=None) -> np.ndarray:
 
 def span_frame(system, rep, depth, right) -> tuple:
     """The spanning set [rep(b_1) right, ..., rep(b_N) right] over the basis
-    at ``depth`` as ``(R, frames, sizes)``: R (directsum_b I_{n_b} x Y_b),
-    with R None for the identity.
+    at ``depth`` as ``(frames, sizes)``: directsum_b I_{n_b} x Y_b.
 
-    A :class:`~covdilate.cpmaps.KrausRep` on the basis of its own algebra
-    gives its Kraus data (see its docstring), with no image evaluated; any
-    other representation gives its spanning set as one frame of size one.
+    An unrotated :class:`~covdilate.cpmaps.KrausRep` on the basis of its own
+    algebra (every extension step's representation) gives its Kraus frames
+    (see its docstring), with no image evaluated; any other representation,
+    a rotated one included, gives its spanning set as one frame of size one.
     """
-    if isinstance(rep, KrausRep) and depth == rep.depth:
-        return rep.rotation, rep.frames(right), rep.block_sizes
-    return None, [basis_images(system, rep, depth, right)], (1,)
+    if isinstance(rep, KrausRep) and rep.rotation is None and depth == rep.depth:
+        return rep.frames(right), rep.block_sizes
+    return [basis_images(system, rep, depth, right)], (1,)
 
 
 def frame_rank(frame, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a spanning set given by :func:`span_frame`, one singular-value
     solve per frame."""
-    _, frames, sizes = frame
+    frames, sizes = frame
     return sum(n * len(s) for n, (_, s, _) in
                zip(sizes, ranked_svds(frames, tol, compute_uv=False)))
 
@@ -591,15 +591,14 @@ class HBExtension:
                                self.working_depth)
 
 
-def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL,
-              rng=None) -> HBExtension:
+def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL) -> HBExtension:
     """One extension step for the pair's representation (T plays no role here)."""
     verify_strategy(pair.system, strategy, pair.system.stinespring_depth(pair.depth), tol)
-    return extend_representation(pair.system, pair.rep, strategy, pair.depth, tol, rng)
+    return extend_representation(pair.system, pair.rep, strategy, pair.depth, tol)
 
 
 def extend_representation(system, rep, strategy, check_depth,
-                          tol: Tolerance = DEFAULT_TOL, rng=None) -> HBExtension:
+                          tol: Tolerance = DEFAULT_TOL) -> HBExtension:
     """Extension step for a bare representation; used level by level in chains.
 
     Strategy data is assumed verified by the caller (chains verify once).
@@ -609,32 +608,23 @@ def extend_representation(system, rep, strategy, check_depth,
         raise DepthExceeded(f"working depth {working} exceeds d_max {system.d_max}")
     tau = resolve_transfer(system, strategy, tol)
     if isinstance(strategy, AdaptedStrategy):
-        rho, w = _stinespring_step(system, rep, tau, working, tol, rng)
+        rho, w = _stinespring_step(system, rep, tau, working, tol)
     elif isinstance(strategy, GnsStrategy):
-        rho, w = _gns_step(system, rep, tau, check_depth, working, tol, rng)
+        rho, w = _gns_step(system, rep, tau, check_depth, working, tol)
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
     return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol)
 
 
-def _stinespring_step(system, rep, tau, working, tol, rng):
+def _stinespring_step(system, rep, tau, working, tol):
     view = system.algebra_view(working)
     phi_units = transfer_images(system, rep, tau, working)
     dil = kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
-    return _kraus_rep(system, working, dil, rng)
+    return KrausRep(system, working, dil), dil.isometry
 
 
-def _kraus_rep(system, working, dil, rng):
-    """The dilation's representation and isometry, in a Haar-rotated basis
-    when a generator is given."""
-    if rng is None:
-        return KrausRep(system, working, dil), dil.isometry
-    q = haar_unitary(dil.dim, rng)
-    return KrausRep(system, working, dil, q), q @ dil.isometry
-
-
-def _gns_step(system, rep, tau, check_depth, working, tol, rng):
+def _gns_step(system, rep, tau, check_depth, working, tol):
     view = system.algebra_view(working)
     images = basis_images(system, rep, check_depth)
     summands = cyclic_summands(images, rep.dim, tol)
@@ -646,13 +636,14 @@ def _gns_step(system, rep, tau, check_depth, working, tol, rng):
             raise NullCyclicVector("cyclic vector collapsed")
         omega_units = (phi_units @ xi) @ xi.conj()
         dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
-        rho_s, w_s = _kraus_rep(system, working, dil, rng)
+        rho_s = KrausRep(system, working, dil)
         x1 = (images @ xi).T
-        x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, w_s[:, :1])
+        x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, dil.isometry[:, :1])
         w_rows.append(x2 @ svd_pinv(*ranked_svds([x1], tol)[0]))
         parts.append(rho_s)
     w = np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex)
-    return kraus_direct_sum(system, working, parts, w), w
+    rho = kraus_direct_sum(system, working, parts, w)
+    return rho, rho.dilation.isometry
 
 
 def _certify_step(system, rep, rho, w, check_depth, tol) -> HBReport:
@@ -699,14 +690,17 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     The span and the restriction of rho to it come from the Kraus form of
     rho (:func:`~covdilate.cpmaps.kraus_span`); a generator rotates the
     basis by a Haar unitary H*, which makes the restriction's rotation H.
+    The step stays unrotated: a rotation Q of its space (B -> QB, W -> QW)
+    cancels from d* = Delta* W* B and pi_hat = B* rho B.
     """
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     rho = ext.rho
     basis, dil = kraus_span(rho, w @ delta_star, tol)
-    pi_hat, _ = _kraus_rep(pair.system, rho.depth, dil, rng)
-    if pi_hat.rotation is not None:
-        basis = basis @ pi_hat.rotation.conj().T
+    rotation = None if rng is None else haar_unitary(dil.dim, rng)
+    pi_hat = KrausRep(pair.system, rho.depth, dil, rotation)
+    if rotation is not None:
+        basis = basis @ rotation.conj().T
 
     inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol)
     if inv > tol.residual_tol:

@@ -26,7 +26,7 @@ from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
-                       basis_sweep, block_diag, block_slices, eye_kron,
+                       basis_sweep, block_slices, eye_kron,
                        hermitian_residual, ranked_svds, residual,
                        spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
@@ -319,13 +319,13 @@ class KrausRep(ChunkRep):
       U_b* U_b = directsum_b x_b x I_{rank_b}: the restriction to the span
       is the KrausRep with multiplicities rank_b, and in the basis B H, H
       unitary, the one with rotation H* (:func:`kraus_span`).
-    * Intertwiner.  For two such reps of one algebra the spanning sets are
-      x_i = R_i Z_i with Z_i = directsum_b I_{n_b} x Y_{i,b}.  A thin SVD of
-      each Y_{1,b} tensored with I_{n_b} is one of Z_1, with the same
-      singular values, so pinv(Z_1) = directsum_b I_{n_b} x pinv(Y_{1,b})
-      when every cutoff is taken relative to the largest singular value over
-      all blocks, and x_2 pinv(x_1) = R_2 (directsum_b I_{n_b} x Y_{2,b}
-      pinv(Y_{1,b})) R_1*.
+    * Intertwiner.  For two unrotated such reps of one algebra (every
+      extension step's rep) the spanning sets are Z_i = directsum_b I_{n_b}
+      x Y_{i,b}.  A thin SVD of each Y_{1,b} tensored with I_{n_b} is one of
+      Z_1, with the same singular values, so pinv(Z_1) = directsum_b I_{n_b}
+      x pinv(Y_{1,b}) when every cutoff is taken relative to the largest
+      singular value over all blocks, and Z_2 pinv(Z_1) = directsum_b
+      I_{n_b} x Y_{2,b} pinv(Y_{1,b}).
     """
 
     system: object
@@ -428,14 +428,13 @@ def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
 
 def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
-    """The direct sum of the KrausReps ``parts`` (one system and depth) as
-    one KrausRep, with ``isometry`` W : C^h -> directsum_s K_s.
+    """The direct sum of the KrausReps ``parts`` (one system and depth; each
+    unrotated, as the GNS step builds them) as one unrotated KrausRep, with
+    ``isometry`` W : C^h -> directsum_s K_s in summand-major coordinates.
 
-    Summand s acts on its coordinates as Q_s (directsum_b x_b x I_{r_sb})
-    Q_s*.  Taking the copies of each block summand by summand gives
-    multiplicities r_b = sum_s r_sb and rotation R = (directsum_s Q_s) P, P
-    the permutation from these block-major coordinates to the summand-major
-    ones (None when both are identities); the dilation holds R* W.
+    Taking the copies of each block summand by summand gives multiplicities
+    r_b = sum_s r_sb, and the dilation map is W with its rows permuted into
+    these block-major coordinates.
     """
     sizes = system.algebra_view(depth).block_sizes
     # per summand and block, the (n_b, r_sb) summand-major indices
@@ -445,12 +444,7 @@ def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
     perm = np.concatenate([np.hstack([np.zeros((n, 0), dtype=int)] + [ix[b] for ix in index])
                            .reshape(-1) for b, n in enumerate(sizes)])
     mults = tuple(sum(p.dilation.multiplicities[b] for p in parts) for b in range(len(sizes)))
-    rot = None
-    if not np.array_equal(perm, np.arange(perm.size)) or any(p.rotation is not None for p in parts):
-        rot = block_diag([np.eye(p.dim, dtype=complex) if p.rotation is None else p.rotation
-                          for p in parts])[:, perm]
-    v = isometry if rot is None else rot.conj().T @ isometry
-    return KrausRep(system, depth, KrausDilation(mults, v), rot)
+    return KrausRep(system, depth, KrausDilation(mults, isometry[perm]))
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,

@@ -47,6 +47,7 @@ intertwiner built by least squares has no block pattern to read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -104,6 +105,11 @@ class DilationRecord:
     def block_ranges(self) -> dict[str, slice]:
         """The index range of each named block."""
         return dict(zip(self.block_names, block_slices(self.block_dims)))
+
+    @cached_property
+    def source_orbit(self) -> list:
+        """[W^n E for 0 <= n <= copies], E the source embedding; built once."""
+        return power_orbit(self.w, self.source_embed, self.copies)
 
     def index_table(self) -> list[dict]:
         return [{"name": n, "index": i, "dim": d, "offset": s.start}
@@ -234,11 +240,9 @@ def verify_isometric_dilation(rec: DilationRecord,
                    tol.residual_tol))
 
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
-                   _compression(rec.w, rec.source_embed, t, rec.copies, tol.residual_tol),
-                   tol.residual_tol))
+                   _compression(rec.source_orbit, t, tol.residual_tol), tol.residual_tol))
 
-    orbit = power_orbit(rec.w, rec.source_embed, rec.copies)
-    rank = svd_rank(np.hstack(orbit), tol)
+    rank = svd_rank(np.hstack(rec.source_orbit), tol)
     rep.add(clause("dilation/minimal", "span{W^n H} = K",
                    0.0 if rank == total else 1.0, 0.5,
                    note=f"rank {rank} of {total}"))
@@ -280,10 +284,12 @@ def power_orbit(w, embed, steps: int) -> list:
     return orbit
 
 
-def _compression(u, embed, t, steps: int, threshold: Optional[float] = None) -> float:
-    """max over 0 <= n <= steps of residual(E* U^n E, T^n), as one sweep
-    over the powers, decided against ``threshold`` when one is given."""
-    compressed = embed.conj().T @ np.stack(power_orbit(u, embed, steps))
+def _compression(orbit, t, threshold: Optional[float] = None) -> float:
+    """max over 0 <= n <= steps of residual(E* U^n E, T^n) for the orbit
+    [U^n E for 0 <= n <= steps] (see :func:`power_orbit`), as one sweep over
+    the powers, decided against ``threshold`` when one is given."""
+    steps = len(orbit) - 1
+    compressed = orbit[0].conj().T @ np.stack(orbit)
     t_powers = np.stack(power_orbit(t, np.eye(t.shape[0], dtype=complex), steps))
     (worst,) = basis_sweep(np.arange(steps + 1), lambda n: (compressed[n], t_powers[n]),
                            lambda c, tn: (c, tn), threshold=threshold)
@@ -342,8 +348,8 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
     rep = ClauseReport()
     rep.notes.append(BOUNDARY_NOTE)
     window = min(n_levels, rec.copies)
-    dil = _compression(rec.w, rec.origin_embed, rec.origin_pair.contraction, window,
-                       tol.residual_tol)
+    dil = _compression(power_orbit(rec.w, rec.origin_embed, window),
+                       rec.origin_pair.contraction, tol.residual_tol)
     rep.add(clause("unitary/compression", "P_H U^n |H = T^n (0 <= n <= min(levels, copies))",
                    dil, tol.residual_tol))
     rep.extend(_interior_clauses(rec, "unitary", tol))
@@ -442,10 +448,10 @@ def _matricial_clauses(rec: DilationRecord, dd,
     rep.extend(_interior_clauses(rec, "matricial", tol))
 
     # compressions: to the chain pair and to the original corner
-    res_v = _compression(u, rec.source_embed, chain.v, rec.copies, tol.residual_tol)
+    res_v = _compression(rec.source_orbit, chain.v, tol.residual_tol)
     rep.add(clause("matricial/restricts-to-extension", "P_KV U^n |KV = V^n",
                    res_v, tol.residual_tol))
-    res_t = _compression(u, rec.origin_embed, pair.contraction, rec.copies,
+    res_t = _compression(power_orbit(u, rec.origin_embed, rec.copies), pair.contraction,
                          tol.residual_tol)
     rep.add(clause("matricial/compression", "P_H U^n |H = T^n",
                    res_t, tol.residual_tol))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .covariant import HBExtension, frame_rank, span_frame, usable_depth
 from .cpmaps import unit_image_chois
-from .dilation import DilationRecord, power_orbit
+from .dilation import DilationRecord
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, basis_sweep, block_diag,
@@ -125,27 +125,22 @@ def _frame_map(frame1, frame2, tol: Tolerance) -> tuple[np.ndarray, int]:
     :func:`~covdilate.covariant.span_frame`, with the rank of x1, from one
     SVD per frame of x1.
 
-    Over one block layout, u = R2 (directsum_b I_{n_b} x Y2_b pinv(Y1_b))
-    R1* (see :class:`~covdilate.cpmaps.KrausRep`); frames over different
-    layouts are first written out as their spanning sets.
+    Over one block layout, u = directsum_b I_{n_b} x Y2_b pinv(Y1_b) (see
+    :class:`~covdilate.cpmaps.KrausRep`); frames over different layouts are
+    first written out as their spanning sets.
     """
-    if frame1[2] != frame2[2]:
+    if frame1[1] != frame2[1]:
         frame1, frame2 = _spanning_set(frame1), _spanning_set(frame2)
-    (r1, ys1, sizes), (r2, ys2, _) = frame1, frame2
+    (ys1, sizes), (ys2, _) = frame1, frame2
     svds = ranked_svds(ys1, tol)
     u = block_diag([eye_kron(n, y2 @ svd_pinv(*svd)) for n, y2, svd in zip(sizes, ys2, svds)])
-    if r2 is not None:
-        u = r2 @ u
-    if r1 is not None:
-        u = u @ r1.conj().T
     return u, sum(n * len(s) for n, (_, s, _) in zip(sizes, svds))
 
 
 def _spanning_set(frame) -> tuple:
     """A frame written out as its spanning set: one frame of size one."""
-    rot, ys, sizes = frame
-    x = block_diag([eye_kron(n, y) for n, y in zip(sizes, ys)])
-    return None, [x if rot is None else rot @ x], (1,)
+    ys, sizes = frame
+    return [block_diag([eye_kron(n, y) for n, y in zip(sizes, ys)])], (1,)
 
 
 def _unitarity(u, threshold: float) -> dict:
@@ -308,8 +303,7 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
     if residual(s1.contraction, s2.contraction, tol.residual_tol) > tol.residual_tol:
         raise LevelMismatch("records over different source contractions")
 
-    x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
-              for rec in (rec1, rec2))
+    x1, x2 = (np.hstack(rec.source_orbit) for rec in (rec1, rec2))
     # rank and pseudo-inverse of x1 from one SVD, the rank of x2 from another
     svd1 = ranked_svds([x1], tol)[0]
     _require_rank(len(svd1[1]), rec1.total_dim, "first record not minimal: rank {rank} of {dim}")

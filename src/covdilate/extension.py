@@ -55,8 +55,7 @@ import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, ShiftedRep, TwoStepBlock,
                         defect_roots, extend_representation, invariance_residual,
-                        shifted_restrictions, two_step, usable_depth,
-                        verify_strategy)
+                        two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, basis_sweep,
@@ -106,7 +105,8 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
 
     ``level_strategies`` optionally overrides the strategy per level; mixed
     chains realize the non-uniqueness of the construction and are only built
-    when explicitly requested this way.
+    when explicitly requested this way.  ``basis_seed`` seeds the Haar
+    rotations of the levels' defect bases (:func:`~covdilate.covariant.two_step`).
     """
     if n_levels < 1:
         raise StrategyInvalid(
@@ -137,7 +137,7 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
     # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
     rep, t = pair.rep, pair.contraction
     for k, strat in enumerate(strategies):
-        ext = extend_representation(system, rep, strat, pair.depth, tol, rng)
+        ext = extend_representation(system, rep, strat, pair.depth, tol)
         try:
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:
@@ -219,15 +219,11 @@ def verify_coisometric_extension(chain: ExtensionChain,
 class DefectDecomposition:
     """The defect-space bookkeeping behind the two-sided matricial form."""
 
-    chain: ExtensionChain
-    delta: np.ndarray                 # (I - T*T)^(1/2) on H
     delta_h_basis: np.ndarray         # orthonormal basis of (delta H) inside H
     q_bases: list[np.ndarray]         # q_k basis inside defect-k coordinates
     dv_basis: BlockOperator           # embedding of D_V: chain blocks x summands
     summand_dims: list[int]
-    x_map: np.ndarray                 # defect-0 coords -> D_V coords
     row_map: BlockOperator            # K_V -> D_V coords (the defect row of U)
-    rho1: DirectSumRep                # restriction of rho o alpha to D_V, per summand
     report: ClauseReport
 
     @property
@@ -271,7 +267,7 @@ def defect_decomposition(chain: ExtensionChain,
                 f"defect-{k} does not split: {f_rank} + {q.shape[1]} != {lv.dim}")
         f_bases.append(f)
         q_bases.append(q)
-    f0, q0 = f_bases[0], q_bases[0]
+    f0 = f_bases[0]
 
     dims = chain.v.rows
     bases = [delta_h_basis] + q_bases
@@ -285,10 +281,6 @@ def defect_decomposition(chain: ExtensionChain,
     t = pair.contraction
     upper = delta_h_basis.conj().T @ (-t.conj().T) @ w0.conj().T \
         @ level0.defect_basis @ (f0 @ f0.conj().T)
-    dv_at = block_slices(summand_dims)
-    x_map = np.zeros((sum(summand_dims), level0.dim), dtype=complex)
-    x_map[dv_at[0]] = upper
-    x_map[dv_at[1]] = q0.conj().T
 
     # T delta = delta_star T (used implicitly by X mapping into delta H)
     rep.add(clause("defect/intertwine", "T (I-T*T)^1/2 = (I-TT*)^1/2 T",
@@ -317,14 +309,11 @@ def defect_decomposition(chain: ExtensionChain,
 
     shifted = ShiftedRep(chain.rho, system, 1)
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    rho1 = DirectSumRep(tuple(shifted_restrictions(system, chain.rho.parts, bases, 1)))
     dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
 
     def diagonal(x_dv):
-        # rho1 must agree with the block-diagonal compressions onto the
-        # summands, the diagonal blocks of dv* x dv: rho(alpha(a)) carries
-        # pi(alpha(a)) and each level's pi_hat(alpha(a)) as its diagonal
-        # blocks, and an off-diagonal block of x enters dv* x dv
+        # the off-diagonal blocks of the compression dv* x dv over the
+        # summands of D_V vanish: dv* x dv equals its own diagonal blocks
         compressed = dv_h @ x_dv
         parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
         return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
@@ -341,6 +330,5 @@ def defect_decomposition(chain: ExtensionChain,
     if not rep.clauses[1].passed or not rep.clauses[2].passed:
         raise DecompositionMismatch("defect row fails to identify D_V with the "
                                     "defect space of V")
-    return DefectDecomposition(chain, delta, delta_h_basis, q_bases, dv_basis,
-                               summand_dims, x_map, row_map, rho1, rep)
+    return DefectDecomposition(delta_h_basis, q_bases, dv_basis, summand_dims, row_map, rep)
 

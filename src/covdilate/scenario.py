@@ -11,6 +11,7 @@ them.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +23,7 @@ from .covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                         GnsStrategy, verify_covariance, verify_strategy)
 from .cpmaps import CPMap
 from .errors import (NotInjective, ScenarioParseError, ScenarioValidationError,
-                     StrategyInvalid, WorkbenchError)
+                     SizeCap, StrategyInvalid, WorkbenchError)
 from .numerics import DEFAULT_TOL, Tolerance, UpperBound, spectral_norm
 from .tower import (ShiftTower, TowerExpectation, TowerSystem, TowerTransfer,
                     shift_down_pair, state_density)
@@ -36,11 +37,16 @@ COMMANDS = ("check", "extend", "dilate", "unitary", "matricial", "compare", "dem
 # ---------------------------------------------------------------------------
 
 def parse_scalar(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ScenarioParseError(f"expected a number or [re, im] pair, got {v!r}")
+    """A finite number or [re, im] pair; booleans are not numbers here."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        try:
+            z = complex(*parts)
+        except OverflowError:   # an integer beyond the float range
+            z = complex("nan")
+        if cmath.isfinite(z):
+            return z
+    raise ScenarioParseError(f"expected a finite number or [re, im] pair, got {v!r}")
 
 
 def parse_matrix(data) -> np.ndarray:
@@ -271,6 +277,8 @@ def _build_tower(data, tol, levels, copies):
     d_max = parse_integer(data.get("d_max"), "d_max")
     rep_depth = parse_integer(data.get("rep_depth"), "rep_depth")
     mult = parse_integer(data.get("multiplicity", 1), "multiplicity")
+    if mult < 1:
+        raise ScenarioValidationError("schema", "multiplicity must be >= 1")
     cap = parse_integer(data.get("size_cap", 256), "size_cap")
     try:
         tower = ShiftTower(k, d_max, cap)
@@ -300,13 +308,14 @@ def _build_tower(data, tol, levels, copies):
         scale = float(pair_spec.get("scale", 1.0))
     except (TypeError, ValueError) as exc:
         raise ScenarioValidationError("schema", "the pair's scale must be a number") from exc
-    u = parse_vector(pair_spec.get("u", [1] + [0] * (k - 1)))
-    v = parse_vector(pair_spec.get("v", [1] + [0] * (k - 1)))
+    u = _local_vector(pair_spec.get("u", [1] + [0] * (k - 1)), k, "u")
+    v = _local_vector(pair_spec.get("v", [1] + [0] * (k - 1)), k, "v")
     try:
         pair = shift_down_pair(tower, rep_depth, mult, scale, u, v, tol)
+    except SizeCap as exc:
+        raise ScenarioValidationError("size cap", str(exc)) from exc
     except WorkbenchError as exc:
-        gate = "size cap" if "cap" in str(exc) else "contraction"
-        raise ScenarioValidationError(gate, str(exc)) from exc
+        raise ScenarioValidationError("contraction", str(exc)) from exc
 
     strat_spec = data.get("strategy", {"kind": "adapted", "phi": "trace"})
     if not isinstance(strat_spec, dict):
@@ -314,7 +323,7 @@ def _build_tower(data, tol, levels, copies):
     phi = strat_spec.get("phi", "trace")
     if isinstance(phi, dict):
         if "vector" in phi:
-            phi = parse_vector(phi["vector"])
+            phi = _local_vector(phi["vector"], k, "phi vector")
         elif "density" in phi:
             phi = parse_matrix(phi["density"])
         else:
@@ -331,6 +340,14 @@ def _build_tower(data, tol, levels, copies):
     else:
         raise ScenarioValidationError("schema", f"unknown strategy kind {kind!r}")
     return TowerSystem(tower), pair, strategy
+
+
+def _local_vector(data, k: int, name: str) -> np.ndarray:
+    """A nonzero vector of C^k (normalized where it is used)."""
+    vec = parse_vector(data)
+    if vec.size != k or not vec.any():
+        raise ScenarioValidationError("schema", f"{name} must be a nonzero vector in C^{k}")
+    return vec
 
 
 # ---------------------------------------------------------------------------

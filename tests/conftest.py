@@ -7,7 +7,7 @@ for the pair's dynamics, never by projection tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
-from covdilate.cpmaps import CPMap
+from covdilate.cpmaps import CPMap, KrausRep
 from covdilate.extension import ExtensionChain, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, spectral_norm
 from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
@@ -26,6 +26,15 @@ def random_element(algebra, rng):
     """An element of the algebra with standard complex Gaussian entries."""
     return algebra.element([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                             for n in algebra.block_sizes])
+
+
+def rotated_step(ext, rng):
+    """The extension step in the basis Q K of its dilation space, Q a Haar
+    draw of the dilation dimension: rho becomes Q rho Q* and W becomes Q W."""
+    q = haar_unitary(ext.dilation_dim, rng)
+    rho = ext.rho
+    return replace(ext, rho=KrausRep(rho.system, rho.depth, rho.dilation, q),
+                   isometry=q @ ext.isometry)
 
 
 def random_covariant_contraction(system, rep, rng, norm: float) -> np.ndarray:

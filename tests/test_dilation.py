@@ -259,4 +259,4 @@ def test_compression_sweep_matches_per_power_residuals():
         want = max(residual(embed.conj().T @ x, tn) for x, tn in
                    zip(power_orbit(u, embed, steps),
                        power_orbit(t, np.eye(2, dtype=complex), steps)))
-        assert abs(_compression(u, embed, t, steps) - want) <= 1e-15
+        assert abs(_compression(power_orbit(u, embed, steps), t) - want) <= 1e-15

@@ -96,11 +96,10 @@ def test_choi_route_equivalent_to_gram_route(corpus, built_chains, kind, seeded)
         if case.levels > 1 and pi_hat.dim:
             reps.append(pi_hat)
         for i, rep in enumerate(reps):
-            rngs = [np.random.default_rng(31 + i) if seeded else None for _ in range(2)]
+            rng = np.random.default_rng(31 + i) if seeded else None
             ref = gram_route_extension(pair.system, rep, strategy, pair.depth,
-                                       DEFAULT_TOL, rngs[0])
-            new = extend_representation(pair.system, rep, strategy, pair.depth,
-                                        DEFAULT_TOL, rngs[1])
+                                       DEFAULT_TOL, rng)
+            new = extend_representation(pair.system, rep, strategy, pair.depth, DEFAULT_TOL)
             assert new.dilation_dim == ref.dilation_dim, case.name
             cert = stinespring_intertwiner(ref, new)
             assert cert.verdict == "equivalent", (case.name, cert.residuals)

@@ -20,7 +20,7 @@ from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer,
                              shift_down_pair, state_density)
 
-from conftest import random_covariant_contraction
+from conftest import random_covariant_contraction, rotated_step
 
 SCALARS = FiniteDimCStarAlgebra((1,))
 
@@ -53,7 +53,7 @@ def test_stinespring_intertwiner_identical_inputs():
 def test_stinespring_intertwiner_rotated_run():
     pair, strat = finite_pair(2)
     ext1 = hb_extend(pair, strat)
-    ext2 = hb_extend(pair, strat, rng=np.random.default_rng(99))
+    ext2 = rotated_step(hb_extend(pair, strat), np.random.default_rng(99))
     cert = stinespring_intertwiner(ext1, ext2)
     assert cert.verdict == "equivalent"
     assert cert.max_residual <= 1e-7

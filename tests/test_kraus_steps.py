@@ -5,7 +5,9 @@ spaces of a KrausRep (see its docstring).  The dense routes kept here
 rebuild them from evaluated images: the spanning set
 [rho(b_1) X, ..., rho(b_N) X] and its orthonormal_span, the RestrictedRep
 B* rho(x) B of every chain level, x2 pinv(x1), and the GNS step's direct sum
-of per-summand KrausReps.
+of per-summand KrausReps.  Every step stays in the Kraus coordinates of its
+own dilation; the chain whose step spaces are rotated by Haar draws as well
+(:func:`rotated_route_chain`) is certified equivalent to it.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from covdilate.covariant import (CovariantPair, DirectSumRep, FiniteDimSystem,
                                  RestrictedRep, TwoStepBlock, basis_images, defect_roots,
                                  extend_representation, frame_rank, haar_unitary,
                                  invariance_residual, resolve_transfer, span_frame,
-                                 transfer_images)
+                                 transfer_images, two_step)
 from covdilate.cpmaps import (KrausDilation, KrausRep, kraus_dilation, kraus_span,
                               unit_image_chois)
 from covdilate.dilation import explicit_matricial_unitary, power_orbit, schaffer_dilate
@@ -30,6 +32,7 @@ from covdilate.extension import _assemble, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, orthonormal_span, spectral_norm
 from covdilate.scenario import build_scenario
 
+from conftest import rotated_step
 from test_dilation_kernel import gns_strategy
 from test_equivalence import finite_pair
 from test_stacked_images import PROPER_DEFECT
@@ -64,16 +67,35 @@ def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None
     levels = []
     rep, t = pair.rep, pair.contraction
     for _ in range(n_levels):
-        ext = extend_representation(system, rep, strategy, pair.depth, tol, rng)
+        ext = extend_representation(system, rep, strategy, pair.depth, tol)
         step = dense_two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         levels.append(step)
         rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
     return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
 
 
-def direct_sum_gns_rep(system, rep, strategy, check_depth, tol=DEFAULT_TOL, rng=None):
+def rotated_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
+    """coisometric_extend with every step space rotated: with a seed, each
+    step is rotated by a Haar draw of its dilation dimension
+    (:func:`conftest.rotated_step`) before two_step draws the defect
+    rotation, on the same generator."""
+    system = pair.system
+    rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
+    levels = []
+    rep, t = pair.rep, pair.contraction
+    for _ in range(n_levels):
+        ext = extend_representation(system, rep, strategy, pair.depth, tol)
+        if rng is not None:
+            ext = rotated_step(ext, rng)
+        step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
+        levels.append(step)
+        rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
+    return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
+
+
+def direct_sum_gns_rep(system, rep, strategy, check_depth, tol=DEFAULT_TOL):
     """The GNS step's representation as the direct sum of its per-summand
-    KrausReps, with the Haar draws of the package's step."""
+    KrausReps, in summand-major coordinates."""
     working = system.stinespring_depth(check_depth)
     view = system.algebra_view(working)
     tau = resolve_transfer(system, strategy, tol)
@@ -83,8 +105,21 @@ def direct_sum_gns_rep(system, rep, strategy, check_depth, tol=DEFAULT_TOL, rng=
     for xi, _ in summands:
         omega_units = (phi_units @ xi) @ xi.conj()
         dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
-        parts.append(covariant_mod._kraus_rep(system, working, dil, rng)[0])
+        parts.append(KrausRep(system, working, dil))
     return DirectSumRep(tuple(parts))
+
+
+def block_major_order(parts, sizes):
+    """The summand-major index of each block-major coordinate of the merged
+    representation: block b, row i < n_b, then each summand's copies."""
+    starts = np.cumsum([0] + [p.dim for p in parts])
+    order = []
+    for b, n in enumerate(sizes):
+        for i in range(n):
+            for p, start in zip(parts, starts):
+                _, r, s = p.layout[b]
+                order.extend(start + s.start + i * r + np.arange(r))
+    return np.array(order, dtype=int)
 
 
 def _level_seeds(case_pair, chain):
@@ -153,6 +188,35 @@ def test_dense_route_chain_is_equivalent_to_the_kraus_chain(corpus_chains):
         assert cert.verdict == "equivalent", (name, cert.residuals)
 
 
+@pytest.mark.parametrize("basis_seed", [None, 17])
+def test_rotated_step_route_chain_is_equivalent_to_the_kraus_chain(corpus, built_chains,
+                                                                   basis_seed):
+    for case in corpus:
+        chain = built_chains[case.name] if basis_seed is None else coisometric_extend(
+            case.pair, case.levels, case.strategy, DEFAULT_TOL, basis_seed)
+        rotated = rotated_route_chain(case.pair, case.levels, case.strategy, DEFAULT_TOL,
+                                      basis_seed)
+        assert rotated.block_dims == chain.block_dims, case.name
+        cert = chain_intertwiner(rotated, chain)
+        assert cert.verdict == "equivalent", (case.name, cert.residuals)
+
+
+def test_the_basis_seed_rotates_only_the_defect_bases(corpus):
+    # every extension step stays unrotated; the generator's draws are the
+    # defect rotations, one per level, in level order
+    seed = 41
+    checked = 0
+    for case in corpus:
+        for strategy in (case.strategy, gns_strategy(case)):
+            chain = coisometric_extend(case.pair, case.levels, strategy, DEFAULT_TOL, seed)
+            rng = np.random.default_rng(seed)
+            for lv in chain.levels:
+                assert lv.ext.rho.rotation is None, case.name
+                assert np.array_equal(lv.pi_hat.rotation, haar_unitary(lv.dim, rng)), case.name
+                checked += 1
+    assert checked > 2 * len(corpus)
+
+
 # ---------------------------------------------------------------------------
 # intertwiners
 # ---------------------------------------------------------------------------
@@ -188,8 +252,8 @@ def test_kraus_space_intertwiner_is_x2_pinv_x1(corpus, kind):
         system = pair.system
         ext1 = extend_representation(system, pair.rep, case.strategy, pair.depth)
         strategy = case.strategy if kind == "adapted" else gns_strategy(case)
-        ext2 = extend_representation(system, pair.rep, strategy, pair.depth,
-                                     DEFAULT_TOL, np.random.default_rng(23))
+        ext2 = rotated_step(extend_representation(system, pair.rep, strategy, pair.depth),
+                            np.random.default_rng(23))
         cert = stinespring_intertwiner(ext1, ext2)
         assert cert.verdict == "equivalent", case.name
         want = _dense_map(system, ext1.working_depth, ext1, ext2)
@@ -225,24 +289,22 @@ def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
 # the merged GNS representation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", [None, 29])
-def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
+def test_merged_gns_rep_matches_the_direct_sum(corpus):
     merged = 0
     for case in corpus:
         pair = case.pair
         system = pair.system
         strategy = gns_strategy(case)
-        rngs = [np.random.default_rng(seed) if seed is not None else None for _ in range(2)]
-        ext = extend_representation(system, pair.rep, strategy, pair.depth, DEFAULT_TOL,
-                                    rngs[0])
-        old = direct_sum_gns_rep(system, pair.rep, strategy, pair.depth, DEFAULT_TOL, rngs[1])
-        assert isinstance(ext.rho, KrausRep)
+        ext = extend_representation(system, pair.rep, strategy, pair.depth)
+        old = direct_sum_gns_rep(system, pair.rep, strategy, pair.depth)
+        assert isinstance(ext.rho, KrausRep) and ext.rho.rotation is None
         depth = ext.working_depth
         rows = np.eye(system.basis_size(depth))
         got = ext.rho.images(rows, depth)
-        want = old.images(rows, depth)
+        order = block_major_order(old.parts, ext.rho.block_sizes)
+        want = np.asarray(old.images(rows, depth))[:, order][:, :, order]
         assert np.abs(got - want).max() <= 1e-13, case.name
-        merged += len(old.parts) > 1 and ext.rho.rotation is not None
+        merged += len(old.parts) > 1 and not np.array_equal(order, np.arange(order.size))
     assert merged > 0
 
 

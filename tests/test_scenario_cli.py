@@ -194,6 +194,49 @@ def test_malformed_field_is_schema_error(tmp_path, fixture, field, value):
     assert main(["check", "--scenario", path]) == 2
 
 
+def _tower_pair_field(key, value):
+    data = demo_fixture("tower")
+    data["pair"] = {**data["pair"], key: value}
+    return data
+
+
+def _tower_phi(vector):
+    data = demo_fixture("tower")
+    data["strategy"] = {"kind": "adapted", "phi": {"vector": vector}}
+    return data
+
+
+@pytest.mark.parametrize("data, gate", [
+    ({**demo_fixture("scalar"), "T": [[[float("nan"), 0]]]}, None),
+    ({**demo_fixture("scalar"), "T": [[[float("inf"), 0]]]}, None),
+    ({**demo_fixture("scalar"), "T": [[[True, 0]]]}, None),
+    ({**demo_fixture("scalar"), "T": [[10 ** 400]]}, None),
+    (_tower_pair_field("u", [[0, 0], [0, 0]]), "schema"),
+    (_tower_pair_field("v", [0, 0]), "schema"),
+    (_tower_pair_field("u", [[1, 0], [0, 0], [0, 0]]), "schema"),
+    (_tower_pair_field("v", [1]), "schema"),
+    (_tower_phi([0, 0]), "schema"),
+    (_tower_phi([1, 0, 0]), "schema"),
+    ({**demo_fixture("tower"), "multiplicity": 0}, "schema"),
+    ({**demo_fixture("tower"), "multiplicity": 200}, "size cap"),
+    (_tower_pair_field("scale", 1.5), "contraction"),
+], ids=["nan", "infinity", "boolean", "huge-integer", "zero-u", "zero-v", "long-u",
+        "short-v", "zero-phi", "long-phi", "multiplicity-0", "size-cap", "scale"])
+def test_malformed_numbers_exit_2_with_their_gate(tmp_path, data, gate):
+    # non-finite and boolean entries fail to parse, zero or wrong-length
+    # vectors and a multiplicity below 1 fail gate schema; a size cap and a
+    # scale outside [0, 1] keep their own gates
+    path = write(tmp_path, "bad.json", data)
+    if gate is None:
+        with pytest.raises(ScenarioParseError):
+            load_scenario(path)
+    else:
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(path)
+        assert err.value.gate == gate
+    assert main(["check", "--scenario", path]) == 2
+
+
 INTEGER_FIELDS = [
     ("scalar", ("levels",)), ("scalar", ("copies",)), ("scalar", ("seed",)),
     ("scalar", ("blocks", 0)), ("scalar", ("pi", "multiplicities", 0)),
@@ -232,10 +275,15 @@ def test_integer_fields_reject_booleans_and_fractions(fixture, path):
 
 
 def test_levels_smoke_fixture_passes_its_gates():
-    # the three-level tower the CI smoke step extends
-    path = Path(__file__).parent / "fixtures" / "tower-levels.json"
-    sc = load_scenario(str(path))
-    assert (sc.levels, sc.copies, sc.pair.space_dim) == (3, 2, 8)
+    # the three-level tower the CI smoke step extends, and its reseeded copy
+    # that the CI compare step certifies equivalent to it
+    fixtures = Path(__file__).parent / "fixtures"
+    for name, seed in (("tower-levels.json", 0), ("tower-levels-reseeded.json", 1)):
+        sc = load_scenario(str(fixtures / name))
+        assert (sc.levels, sc.copies, sc.pair.space_dim, sc.seed) == (3, 2, 8, seed)
+    raw = [json.loads((fixtures / name).read_text())
+           for name in ("tower-levels.json", "tower-levels-reseeded.json")]
+    assert {**raw[1], "seed": 0} == raw[0]
 
 
 def test_cli_byte_identical_reports(tmp_path):

@@ -289,18 +289,24 @@ def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
 # the merged GNS representation
 # ---------------------------------------------------------------------------
 
-def test_merged_gns_rep_matches_the_direct_sum(corpus):
+@pytest.mark.parametrize("seed", [None, 29])
+def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
+    """The merged GNS step is the direct sum in block-major order; a basis
+    seed leaves it unrotated, since the seed only rotates defect bases."""
     merged = 0
     for case in corpus:
         pair = case.pair
         system = pair.system
         strategy = gns_strategy(case)
-        ext = extend_representation(system, pair.rep, strategy, pair.depth)
+        ext = coisometric_extend(pair, 1, strategy, DEFAULT_TOL, seed).levels[0].ext
         old = direct_sum_gns_rep(system, pair.rep, strategy, pair.depth)
         assert isinstance(ext.rho, KrausRep) and ext.rho.rotation is None
         depth = ext.working_depth
         rows = np.eye(system.basis_size(depth))
         got = ext.rho.images(rows, depth)
+        direct = extend_representation(system, pair.rep, strategy, pair.depth)
+        assert np.array_equal(got, direct.rho.images(rows, depth)), case.name
+        assert np.array_equal(ext.isometry, direct.isometry), case.name
         order = block_major_order(old.parts, ext.rho.block_sizes)
         want = np.asarray(old.images(rows, depth))[:, order][:, :, order]
         assert np.abs(got - want).max() <= 1e-13, case.name

@@ -31,6 +31,7 @@ from .errors import (ScenarioParseError, ScenarioValidationError,
                      WorkbenchError)
 from .extension import (coisometric_extend, defect_decomposition,
                         verify_coisometric_extension)
+from .numerics import keep_sweep_memory
 from .report import ClauseReport, clause
 from .scenario import (DEMO_NAMES, Scenario, build_scenario, demo_fixture,
                        load_scenario)
@@ -86,6 +87,7 @@ def _check_clauses(scenario: Scenario) -> ClauseReport:
 def run(scenario: Scenario, command: str, other: Scenario | None = None,
         with_timing: bool = False) -> dict:
     """Execute one command pipeline and return the report dictionary."""
+    keep_sweep_memory()
     t0 = time.perf_counter()
     report = _base_report(scenario, command)
     clauses = ClauseReport()

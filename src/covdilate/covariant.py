@@ -15,7 +15,10 @@ Both strategies build their dilations with the Choi/Kraus kernel of
 :mod:`covdilate.cpmaps`, and every step's representation is one unrotated
 :class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
-computed in its multiplicity spaces.  Both backends (finite-dimensional
+computed in its multiplicity spaces.  The adapted step of a ``KrausRep``
+(every chain level above the first) is composed from the Kraus form of the
+transfer (:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi
+blocks of rep o tau.  Both backends (finite-dimensional
 algebras and the graded tensor tower) drive the same engine through a small
 system protocol: ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``,
 ``coord_blocks`` and friends.  The engine evaluates on coordinate rows: a
@@ -36,9 +39,10 @@ import numpy as np
 
 from .algebra import (ChunkRep, FiniteDimCStarAlgebra, StarHom,
                       cyclic_summands, unit_residual)
-from .cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
-                     kraus_direct_sum, kraus_span, range_defect, unit_image_chois,
-                     verify_completely_positive, verify_transfer)
+from .cpmaps import (CPMap, KrausRep, KrausTransfer, idempotency_residual,
+                     kraus_dilation, kraus_direct_sum, kraus_span, range_defect,
+                     transfer_kraus, unit_image_chois, verify_completely_positive,
+                     verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
@@ -305,14 +309,15 @@ def transfer_images(system, rep, tau, depth) -> np.ndarray:
     return stack_images(system.basis_size(depth), lambda c: rep.images(*tau.rows(c, depth)))
 
 
-def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
+def leaves_span(basis, tol: Tolerance = DEFAULT_TOL, complement=None):
     """Clause x -> C* x B for the orthonormal columns B of a subspace.
 
-    C is an orthonormal basis of the complement of span B, so the clause's
-    spectral norm equals ||(I - B B*) x B||.  None when B is empty or spans
-    the whole space, where that norm is exactly 0.
+    C is an orthonormal basis of the complement of span B (``complement``
+    when the caller has one, else :func:`orthonormal_complement`), so the
+    clause's spectral norm equals ||(I - B B*) x B||.  None when B is empty
+    or spans the whole space, where that norm is exactly 0.
     """
-    comp = orthonormal_complement(basis, tol)
+    comp = orthonormal_complement(basis, tol) if complement is None else complement
     if comp.shape[1] == 0 or basis.shape[1] == 0:
         return None
     comp_h = comp.conj().T
@@ -320,11 +325,12 @@ def leaves_span(basis, tol: Tolerance = DEFAULT_TOL):
 
 
 def invariance_residual(system, depth, rep, basis, tol: Tolerance = DEFAULT_TOL,
-                        threshold: Optional[float] = None) -> float:
+                        threshold: Optional[float] = None, complement=None) -> float:
     """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
     orthonormal columns, decided against ``threshold`` when one is given
-    (see :func:`~covdilate.numerics.basis_sweep`)."""
-    off = leaves_span(basis, tol)
+    (see :func:`~covdilate.numerics.basis_sweep`); ``complement`` as in
+    :func:`leaves_span`."""
+    off = leaves_span(basis, tol, complement)
     if off is None:
         return 0.0
     (inv,) = basis_sweep(system.basis_size(depth), lambda c: (rep.images(c, depth),), off,
@@ -568,6 +574,7 @@ class HBExtension:
     check_depth: Optional[int]
     working_depth: Optional[int]
     tol: Tolerance
+    kraus: Optional[KrausTransfer] = None   # the transfer's Kraus form, when composed
 
     @cached_property
     def report(self) -> HBReport:
@@ -598,30 +605,45 @@ def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL) -> HB
 
 
 def extend_representation(system, rep, strategy, check_depth,
-                          tol: Tolerance = DEFAULT_TOL) -> HBExtension:
+                          tol: Tolerance = DEFAULT_TOL,
+                          kraus: Optional[KrausTransfer] = None) -> HBExtension:
     """Extension step for a bare representation; used level by level in chains.
 
     Strategy data is assumed verified by the caller (chains verify once).
+    The adapted step on a :class:`~covdilate.cpmaps.KrausRep` (every chain
+    level above the first) is composed from the Kraus form of the transfer
+    (:class:`~covdilate.cpmaps.KrausTransfer`); ``kraus`` passes in that
+    form when the caller already has it, and the step returns the form it
+    used as ``HBExtension.kraus``.
     """
     working = system.stinespring_depth(check_depth)
     if system.is_tower and working > system.d_max:
         raise DepthExceeded(f"working depth {working} exceeds d_max {system.d_max}")
     tau = resolve_transfer(system, strategy, tol)
     if isinstance(strategy, AdaptedStrategy):
-        rho, w = _stinespring_step(system, rep, tau, working, tol)
+        dil, kraus = _stinespring_step(system, rep, tau, working, tol, kraus)
+        rho, w = KrausRep(system, working, dil), dil.isometry
     elif isinstance(strategy, GnsStrategy):
         rho, w = _gns_step(system, rep, tau, check_depth, working, tol)
+        kraus = None
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
-    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol)
+    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol,
+                       kraus)
 
 
-def _stinespring_step(system, rep, tau, working, tol):
+def _stinespring_step(system, rep, tau, working, tol, kraus):
+    """The minimal dilation of rep o tau and the transfer's Kraus form (None
+    on the Choi route): composed for a KrausRep, else from the Choi blocks
+    of rep o tau."""
+    if isinstance(rep, KrausRep):
+        if kraus is None:
+            kraus = transfer_kraus(system, tau, working, rep.depth, tol)
+        return kraus.compose(rep), kraus
     view = system.algebra_view(working)
     phi_units = transfer_images(system, rep, tau, working)
-    dil = kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
-    return KrausRep(system, working, dil), dil.isometry
+    return kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol), None
 
 
 def _gns_step(system, rep, tau, check_depth, working, tol):
@@ -691,18 +713,21 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     rho (:func:`~covdilate.cpmaps.kraus_span`); a generator rotates the
     basis by a Haar unitary H*, which makes the restriction's rotation H.
     The step stays unrotated: a rotation Q of its space (B -> QB, W -> QW)
-    cancels from d* = Delta* W* B and pi_hat = B* rho B.
+    cancels from d* = Delta* W* B and pi_hat = B* rho B.  The invariance
+    gate takes the complement of the span from the same frames (the
+    rotation of the basis leaves its span, and so the complement, as it is).
     """
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     rho = ext.rho
-    basis, dil = kraus_span(rho, w @ delta_star, tol)
+    basis, dil, complement = kraus_span(rho, w @ delta_star, tol)
     rotation = None if rng is None else haar_unitary(dil.dim, rng)
     pi_hat = KrausRep(pair.system, rho.depth, dil, rotation)
     if rotation is not None:
         basis = basis @ rotation.conj().T
 
-    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol)
+    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol,
+                              complement)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
     return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv)

@@ -268,28 +268,43 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
     mats = [as_matrix(c) for c in chois]
     h = mats[0].shape[0] // sizes[0]
     for c in mats:
-        herm_res = hermitian_residual(c, tol.residual_tol)
-        if herm_res > tol.residual_tol:
-            raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
+        _hermiticity_gate(hermitian_residual(c, tol.residual_tol), tol)
     if spectra is None:
         spectra = choi_spectra(mats)
+    cut = choi_cut(spectra, tol)
+    rows = [kraus_block(n, h, vals, vecs, cut) for n, (vals, vecs) in zip(sizes, spectra)]
+    return KrausDilation(tuple(r.shape[1] for r in rows),
+                         np.vstack([r.reshape(n * r.shape[1], h) for n, r in zip(sizes, rows)]))
+
+
+def _hermiticity_gate(herm_res: float, tol: Tolerance) -> None:
+    if herm_res > tol.residual_tol:
+        raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
+
+
+def choi_cut(spectra, tol: Tolerance = DEFAULT_TOL) -> float:
+    """The positivity gate and the eigenvalue cutoff of :func:`kraus_dilation`
+    over the Choi spectra ``spectra`` (pairs from :func:`choi_spectra`):
+    raises :class:`NotCP` on an eigenvalue below ``-psd_floor (1 + top)``
+    and returns ``rank_eps max(top, rank_eps)``."""
     top = max([float(vals[-1]) for vals, _ in spectra if vals.size] + [0.0])
     # large Choi blocks accumulate eigenvalue noise proportional to their norm
     floor = tol.psd_floor * (1.0 + top)
     low = min([float(vals[0]) for vals, _ in spectra if vals.size] + [0.0])
     if low < -floor:
         raise NotCP(f"Choi eigenvalue {low:.3e} below -{floor:.3e}")
-    cut = tol.rank_eps * max(top, tol.rank_eps)
-    rows = []
-    mults = []
-    for n, (vals, vecs) in zip(sizes, spectra):
-        keep = vals > cut
-        kept = vals[keep][::-1]
-        kraus = _canonical_phases(vecs[:, keep][:, ::-1]) * np.sqrt(kept)
-        r = kept.size
-        rows.append(kraus.conj().reshape(n, h, r).transpose(0, 2, 1).reshape(n * r, h))
-        mults.append(r)
-    return KrausDilation(tuple(mults), np.vstack(rows))
+    return tol.rank_eps * max(top, tol.rank_eps)
+
+
+def kraus_block(n: int, h: int, vals, vecs, cut: float) -> np.ndarray:
+    """The (n, r, h) rows of W for one Choi block of side n h with spectrum
+    ``(vals, vecs)``: entry (p, s, j) is the conjugated component (p, j) of
+    the s-th Kraus vector, the eigenvectors above ``cut`` in decreasing
+    eigenvalue order, canonically phased and scaled by sqrt(lambda)."""
+    keep = vals > cut
+    kept = vals[keep][::-1]
+    kraus = _canonical_phases(vecs[:, keep][:, ::-1]) * np.sqrt(kept)
+    return kraus.conj().reshape(n, h, kept.size).transpose(0, 2, 1)
 
 
 @dataclass(eq=False)
@@ -400,31 +415,44 @@ class KrausRep(ChunkRep):
 
 
 def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Orthonormal basis B of span rep(A) X and the restriction of rep to it.
+    """Orthonormal bases of span rep(A) X and of its complement, and the
+    restriction of rep to the span.
 
     B = R (directsum_b I_{n_b} x U_b), U_b the canonically phased left
     singular vectors that :func:`~covdilate.numerics.ranked_svds` keeps of
     the frame Y_b (see :class:`KrausRep`).  The restriction B* rep(x) B is
     directsum_b x_b x I_{rank_b}, returned as its :class:`KrausDilation`,
     whose dilation map B* X = (directsum_b I_{n_b} x U_b*) V has Kraus
-    coordinates.  Returns ``(B, dilation)``.
+    coordinates.  The columns of U_b past its rank, U_b^perp, span the
+    complement of range Y_b in C^{r_b}, so C = R (directsum_b I_{n_b} x
+    U_b^perp) spans the complement of span B: its columns are orthonormal,
+    orthogonal to B, and n_b (rank_b + dim U_b^perp) = n_b r_b counts every
+    Kraus coordinate.  Returns ``(B, dilation, C)``.
     """
-    dim, rot, h = rep.dim, rep.rotation, x.shape[1]
+    h = x.shape[1]
     frames = rep.frames(x)
-    cols, rows, ranks = [], [], []
-    for (n, r, s), y, (u, _, _) in zip(rep.layout, frames, ranked_svds(frames, tol)):
-        u = _canonical_phases(u)
-        k = u.shape[1]
-        if rot is None:
-            col = np.zeros((dim, n * k), dtype=complex)
-            col[s] = eye_kron(n, u)
-        else:
-            # column block b of R, rows (i, p) against U_b
-            col = np.matmul(rot[:, s].reshape(dim * n, r), u).reshape(dim, n * k)
-        cols.append(col)
-        rows.append((u.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
+    cols, comps, rows, ranks = [], [], [], []
+    svds = ranked_svds(frames, tol, full_matrices=True)
+    for (n, r, s), y, (u, sv, _) in zip(rep.layout, frames, svds):
+        k = len(sv)
+        kept, perp = _canonical_phases(u[:, :k]), _canonical_phases(u[:, k:])
+        cols.append(_kraus_columns(rep, n, s, kept))
+        comps.append(_kraus_columns(rep, n, s, perp))
+        rows.append((kept.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
         ranks.append(k)
-    return np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows))
+    return (np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows)),
+            np.hstack(comps))
+
+
+def _kraus_columns(rep: KrausRep, n: int, s: slice, u) -> np.ndarray:
+    """R (I_{n_b} x U) on the Kraus coordinates ``s`` of block b."""
+    dim, k = rep.dim, u.shape[1]
+    if rep.rotation is None:
+        col = np.zeros((dim, n * k), dtype=complex)
+        col[s] = eye_kron(n, u)
+        return col
+    # column block b of R, rows (i, p) against U
+    return np.matmul(rep.rotation[:, s].reshape(dim * n, u.shape[0]), u).reshape(dim, n * k)
 
 
 def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
@@ -445,6 +473,112 @@ def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
                            .reshape(-1) for b, n in enumerate(sizes)])
     mults = tuple(sum(p.dilation.multiplicities[b] for p in parts) for b in range(len(sizes)))
     return KrausRep(system, depth, KrausDilation(mults, isometry[perm]))
+
+
+@dataclass(frozen=True, eq=False)
+class KrausTransfer:
+    """The Kraus form of a CP map psi: A = directsum_b M_{n_b} -> directsum_c
+    M_{n_c}, from which the minimal dilation of pi_hat o psi is composed for
+    any :class:`KrausRep` pi_hat of the target (:meth:`compose`).
+
+    Each component psi_c: A -> M_{n_c} has the Choi blocks C_bc =
+    [psi_c(E^b_pq)]_pq of side n_b n_c.  They are gated and eigendecomposed
+    once (``hermiticity`` and ``spectra``, indexed [c][b]); a chain dilates
+    phi_k = pi_hat_(k-1) o psi at every level k >= 1 with the same psi
+    (the transfer tau, followed on the tower by the embedding into the
+    level's stage), so one eigensolve of side n_b n_c serves every level.
+
+    Composition rule.  Let pi_hat(y) = R (directsum_c y_c x I_{r_c}) R*, R
+    unitary on C^h, h = sum_c n_c r_c, and let W_c: C^{n_c} -> directsum_b
+    C^{n_b} x C^{m_bc} be the Kraus dilation of psi_c (:func:`kraus_block`
+    of its spectra, under the cutoff below), rho_c(x) = directsum_b x_b x
+    I_{m_bc}.  Then psi_c(x) x I_{r_c} = (W_c x I)* (rho_c(x) x I) (W_c x I),
+    so with V = directsum_c W_c x I_{r_c} and P the permutation of the rows
+    ((c, b, p, s), t) to the block-major Kraus coordinates (b, p, (c, s, t)),
+
+        phi(x) = pi_hat(psi(x)) = W* rho(x) W,   W = P V R*,
+        rho(x) = directsum_b x_b x I_{m_b},    m_b = sum_c m_bc r_c.
+
+    * Choi blocks and gates.  Choi_b(phi) = [phi(E^b_pq)]_pq is (I_{n_b} x
+      R) (directsum_c C_bc x I_{r_c}) (I_{n_b} x R*) up to a permutation of
+      its rows and columns, a unitary similarity of side n_b h.  Hence its
+      spectrum is that of the C_bc with r_c > 0, each value repeated r_c
+      times: :func:`choi_cut` on those spectra is the positivity gate and
+      the cutoff of :func:`kraus_dilation` on Choi_b(phi), the same decision
+      up to eigenvalue round-off.  In particular the global top is the top
+      over the components with r_c > 0 (a component holding a larger value
+      but r_c = 0 does not enter), so the keep set, every m_b and the
+      dilation dimension are those of the Choi route.  The spectral norm is
+      unitarily invariant and takes the max over a direct sum, so
+      ||Choi_b(phi) - Choi_b(phi)*|| / (1 + ||Choi_b(phi)||) = max_c ||C_bc -
+      C_bc*|| / (1 + max_c ||C_bc||) <= max_c hermitian_residual(C_bc) over
+      r_c > 0: gating each such C_bc passes every level's hermiticity gate.
+      Both gates therefore rest on psi's Choi blocks and the unitarity of
+      R alone, and are decided once per chain and component.  For a
+      transfer that ``verify_strategy`` certified, the positivity gate
+      cannot fire at any level: the embedding is a unital *-homomorphism
+      (x -> x (x) 1 on the tower), so the C_bc together have the spectrum
+      of Choi(tau) (on the tower each value k times), which that check
+      holds above ``-psd_floor``, inside the level's ``-psd_floor (1 +
+      top)``.  Hermiticity is not part of ``verify_strategy``; the gate
+      above checks it.
+    * Minimality.  W_c is minimal: its m_bc Kraus vectors are orthogonal
+      eigenvectors, so each frame Y^c_b of W_c (see :class:`KrausRep`) has
+      full row rank m_bc.  The frame of block b of P V is directsum_c Y^c_b
+      x I_{r_c} up to permutations (row (c, s, t) meets only the columns
+      (q, (c, i, t))), of rank sum_c m_bc r_c = m_b, and R* acts on the
+      columns of the frames by the unitary I_{n_b} x R*, which keeps their
+      ranks.  By the span identity of :class:`KrausRep`, span rho(A) W is
+      the whole dilation space.
+    """
+
+    source: FiniteDimCStarAlgebra
+    target_sizes: tuple[int, ...]
+    hermiticity: tuple     # [c][b]: hermitian residual of C_bc
+    spectra: tuple         # [c][b]: choi_spectra of C_bc
+    tol: Tolerance
+
+    def compose(self, rep: KrausRep) -> KrausDilation:
+        """The minimal dilation of rep o psi by the composition rule, in
+        block-major Kraus coordinates ordered (c, s, t) within each block."""
+        if tuple(rep.block_sizes) != self.target_sizes:
+            raise ShapeMismatch(f"representation of blocks {rep.block_sizes} for a map "
+                                f"into blocks {self.target_sizes}")
+        h = rep.dim
+        live = [(c, n_c, r_c, s) for c, (n_c, r_c, s) in enumerate(rep.layout) if r_c]
+        for c, *_ in live:
+            for herm_res in self.hermiticity[c]:
+                _hermiticity_gate(herm_res, self.tol)
+        cut = choi_cut([sp for c, *_ in live for sp in self.spectra[c]], self.tol)
+        r_star = np.eye(h, dtype=complex) if rep.rotation is None else rep.rotation.conj().T
+        rows, mults = [], []
+        for b, n in enumerate(self.source.block_sizes):
+            parts = [np.zeros((n, 0, h), dtype=complex)]
+            for c, n_c, r_c, s in live:
+                # (W_c x I_{r_c}) R* on block b: rows (p, s, t)
+                w_c = kraus_block(n, n_c, *self.spectra[c][b], cut)
+                m = w_c.shape[1]
+                part = w_c.reshape(n * m, n_c) @ r_star[s].reshape(n_c, r_c * h)
+                parts.append(part.reshape(n, m * r_c, h))
+            block = np.concatenate(parts, axis=1)
+            mults.append(block.shape[1])
+            rows.append(block.reshape(n * block.shape[1], h))
+        return KrausDilation(tuple(mults), np.vstack(rows))
+
+
+def transfer_kraus(system, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
+    """The :class:`KrausTransfer` of psi: tau on the basis at ``depth``,
+    its values taken as elements of the algebra at depth ``at`` (the
+    system's embedding on the tower).  ``tau.rows`` gives the values on the
+    matrix units and ``system.coord_blocks`` their block stacks."""
+    source = system.algebra_view(depth)
+    values, value_depth = tau.rows(np.eye(source.dim, dtype=complex), depth)
+    blocks = system.coord_blocks(values, value_depth, at)
+    chois = [unit_image_chois(source, stack, stack.shape[-1]) for stack in blocks]
+    return KrausTransfer(source, tuple(stack.shape[-1] for stack in blocks),
+                         tuple(tuple(hermitian_residual(c, tol.residual_tol) for c in cs)
+                               for cs in chois),
+                         tuple(tuple(choi_spectra(cs)) for cs in chois), tol)
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,

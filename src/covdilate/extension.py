@@ -136,8 +136,12 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
     # level 0 extends (pi, T); level k extends (pi_hat_(k-1), 0), whose
     # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
     rep, t = pair.rep, pair.contraction
+    # per strategy, the transfer's Kraus form: one eigensolve serves the levels
+    forms = {}
     for k, strat in enumerate(strategies):
-        ext = extend_representation(system, rep, strat, pair.depth, tol)
+        ext = extend_representation(system, rep, strat, pair.depth, tol, forms.get(id(strat)))
+        if ext.kraus is not None:
+            forms[id(strat)] = ext.kraus
         try:
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:

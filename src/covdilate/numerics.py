@@ -6,11 +6,13 @@ spans.  Operators on a direct sum may be kept as their nonzero blocks
 (:class:`BlockOperator`); the clause kernel values them per component of
 their block pattern, with the dense values.  Everything here is a pure
 function of its inputs and deterministic, which the report layer relies on
-for byte-identical reruns.
+for byte-identical reruns; :func:`keep_sweep_memory` only sets how the C
+heap keeps freed memory, which changes no value.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -143,6 +145,35 @@ def residual(aop, bop, threshold: float | None = None) -> float:
 # byte cap on what one chunk of a basis sweep holds: its coordinate rows,
 # their images and the clause operators built from them
 SWEEP_STACK_BYTES = 1 << 19
+
+# glibc's malloc thresholds (mallopt parameters M_TRIM_THRESHOLD = -1 and
+# M_MMAP_THRESHOLD = -3), fixed at the ceiling its adaptive rule reaches on
+# 64-bit systems
+_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES = -1, 1 << 26
+_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES = -3, 1 << 25
+
+
+def keep_sweep_memory() -> None:
+    """Let the C heap keep the memory that sweeps free (glibc only).
+
+    A sweep frees its whole chunk before it builds the next.  glibc returns
+    the top of its heap to the kernel once more than its trim threshold is
+    free there, and adapts that threshold to twice the largest block it has
+    unmapped so far.  A process that has freed no large block therefore
+    gives the memory of every chunk back and page-faults it in again for
+    the next one: on the k = 2, rep_depth = 3 tower about 12000 minor faults
+    per ``extend``, about a third of its time.  Fixing both thresholds at the
+    adaptive rule's ceiling makes the cost of a sweep independent of what
+    the process freed before it.  Without glibc's ``mallopt`` this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):   # no glibc in this process
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES)
 
 
 def _row_count(rows) -> int:
@@ -483,9 +514,12 @@ def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True,
     ``rcond=rank_eps``.  Each entry is ``(u, s, vh)``, with ``u`` and ``vh``
     None unless ``compute_uv``; ``len(s)`` is the block's rank.  With
     ``full_matrices`` ``u`` keeps all its columns, and those past the rank
-    span the orthogonal complement of the block's range.
+    span the orthogonal complement of the block's range (a block with no
+    more rows than columns already has a square ``u`` in its thin SVD, whose
+    long right factor is then not built).
     """
-    svds = [np.linalg.svd(b, full_matrices=full_matrices) if compute_uv
+    svds = [np.linalg.svd(b, full_matrices=full_matrices and b.shape[0] > b.shape[1])
+            if compute_uv
             else (None, np.linalg.svd(b, compute_uv=False), None) for b in blocks]
     top = max([float(s[0]) for _, s, _ in svds if s.size] + [0.0])
     out = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,6 +69,19 @@ def parse_vector(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioParseError("vector must be a non-empty array")
     return np.array([parse_scalar(v) for v in data], dtype=complex)
+
+
+def parse_real(value, name: str) -> float:
+    """A real field: a finite int or float.  Booleans, infinities, NaN and
+    non-numbers fail gate ``schema``, as they do in :func:`parse_scalar`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:   # an integer beyond the float range
+            x = float("nan")
+        if math.isfinite(x):
+            return x
+    raise ScenarioValidationError("schema", f"{name} must be a finite number, got {value!r}")
 
 
 def parse_integer(value, name: str) -> int:
@@ -155,13 +169,14 @@ def _parse_tolerances(data, tol_override) -> Tolerance:
     if data is not None and not isinstance(data, dict):
         raise ScenarioValidationError("schema", "tolerances must be an object")
     data = data or {}
+    residual_tol = tol_override if tol_override is not None \
+        else data.get("residual_tol", base.residual_tol)
     try:
         return Tolerance(
-            rank_eps=float(data.get("rank_eps", base.rank_eps)),
-            residual_tol=float(tol_override) if tol_override is not None
-            else float(data.get("residual_tol", base.residual_tol)),
-            psd_floor=float(data.get("psd_floor", base.psd_floor)))
-    except (TypeError, ValueError) as exc:
+            rank_eps=parse_real(data.get("rank_eps", base.rank_eps), "rank_eps"),
+            residual_tol=parse_real(residual_tol, "residual_tol"),
+            psd_floor=parse_real(data.get("psd_floor", base.psd_floor), "psd_floor"))
+    except ValueError as exc:
         raise ScenarioValidationError("schema", str(exc)) from exc
 
 
@@ -282,8 +297,10 @@ def _build_tower(data, tol, levels, copies):
     cap = parse_integer(data.get("size_cap", 256), "size_cap")
     try:
         tower = ShiftTower(k, d_max, cap)
-    except WorkbenchError as exc:
+    except SizeCap as exc:
         raise ScenarioValidationError("size cap", str(exc)) from exc
+    except WorkbenchError as exc:   # k < 2 or d_max < 1
+        raise ScenarioValidationError("schema", str(exc)) from exc
 
     depth = rep_depth - 1
     if depth + 1 > d_max:
@@ -304,10 +321,7 @@ def _build_tower(data, tol, levels, copies):
     pair_spec = data.get("pair")
     if not isinstance(pair_spec, dict):
         raise ScenarioValidationError("schema", "tower scenarios need 'pair'")
-    try:
-        scale = float(pair_spec.get("scale", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError("schema", "the pair's scale must be a number") from exc
+    scale = parse_real(pair_spec.get("scale", 1.0), "the pair's scale")
     u = _local_vector(pair_spec.get("u", [1] + [0] * (k - 1)), k, "u")
     v = _local_vector(pair_spec.get("v", [1] + [0] * (k - 1)), k, "v")
     try:

@@ -10,15 +10,24 @@ operand, so that a block value can be held to |block - dense| <=
 eps (1 + scale).  ``dense_schaffer_dilate`` is the dense isometric dilation
 of a chain pair, for certifying the block construction unitarily
 equivalent to it.
+
+``choi_route_chain`` builds every adapted level the way the package builds
+level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
+blocks of phi_k (side n_b dim rep_k), where the package composes the levels
+above the first from the transfer's Kraus form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from covdilate.covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                                 ShiftedRep, defect_roots, usable_depth)
+from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
+                                 RestrictedRep, ShiftedRep, defect_roots,
+                                 resolve_transfer, transfer_images, two_step,
+                                 usable_depth)
+from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
 from covdilate.dilation import DilationRecord
+from covdilate.extension import _assemble
 from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, block_slices,
                                 orthonormal_complement, orthonormal_span, residual,
                                 spectral_norm, svd_rank)
@@ -163,3 +172,30 @@ def dense_schaffer_dilate(pair: CovariantPair, copies: int, tol=DEFAULT_TOL) -> 
                           dense_pair, embed, copies, origin_pair=dense_pair,
                           origin_embed=embed,
                           boundary_cols=np.arange(at[-1].start, at[-1].stop))
+
+
+def choi_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBExtension:
+    """The adapted extension step of ``rep`` from the Choi blocks of
+    phi = rep o tau, whatever ``rep`` is."""
+    working = system.stinespring_depth(check_depth)
+    tau = resolve_transfer(system, strategy, tol)
+    view = system.algebra_view(working)
+    units = transfer_images(system, rep, tau, working)
+    dil = kraus_dilation(view, unit_image_chois(view, units, rep.dim), tol)
+    return HBExtension(KrausRep(system, working, dil), dil.isometry, strategy.kind, tau,
+                       rep, system, check_depth, working, tol)
+
+
+def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
+    """coisometric_extend with every level's step from :func:`choi_route_step`;
+    the defect rotations are drawn as the package draws them."""
+    system = pair.system
+    rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
+    levels = []
+    rep, t = pair.rep, pair.contraction
+    for _ in range(n_levels):
+        ext = choi_route_step(system, rep, strategy, pair.depth, tol)
+        step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
+        levels.append(step)
+        rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
+    return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)

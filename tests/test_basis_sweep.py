@@ -173,14 +173,15 @@ def test_complement_form_on_proper_subspaces():
 
 
 def _dropping_span(real_span):
-    """kraus_span that loses the last column of the defect basis it returns,
-    so the span it reports is a proper, generically non-invariant subspace.
-    (Dropping a vector of range Y_b instead would leave a rho-invariant
-    subspace, which no invariance gate can reject.)"""
+    """kraus_span that loses the last column of the defect basis it returns
+    to the complement, so the span it reports is a proper, generically
+    non-invariant subspace with its true complement.  (Dropping a vector of
+    range Y_b instead would leave a rho-invariant subspace, which no
+    invariance gate can reject.)"""
 
     def span(rep, x, tol=DEFAULT_TOL):
-        basis, dil = real_span(rep, x, tol)
-        return basis[:, :-1], dil
+        basis, dil, comp = real_span(rep, x, tol)
+        return basis[:, :-1], dil, np.hstack([comp, basis[:, -1:]])
 
     return span
 

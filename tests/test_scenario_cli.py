@@ -220,12 +220,20 @@ def _tower_phi(vector):
     ({**demo_fixture("tower"), "multiplicity": 0}, "schema"),
     ({**demo_fixture("tower"), "multiplicity": 200}, "size cap"),
     (_tower_pair_field("scale", 1.5), "contraction"),
+    ({**demo_fixture("scalar"), "tolerances": {"residual_tol": float("inf")}}, "schema"),
+    ({**demo_fixture("scalar"), "tolerances": {"residual_tol": True}}, "schema"),
+    ({**demo_fixture("scalar"), "tolerances": {"rank_eps": float("nan")}}, "schema"),
+    (_tower_pair_field("scale", True), "schema"),
+    (_tower_pair_field("scale", float("inf")), "schema"),
 ], ids=["nan", "infinity", "boolean", "huge-integer", "zero-u", "zero-v", "long-u",
-        "short-v", "zero-phi", "long-phi", "multiplicity-0", "size-cap", "scale"])
+        "short-v", "zero-phi", "long-phi", "multiplicity-0", "size-cap", "scale",
+        "infinite-residual-tol", "boolean-residual-tol", "nan-rank-eps", "boolean-scale",
+        "infinite-scale"])
 def test_malformed_numbers_exit_2_with_their_gate(tmp_path, data, gate):
     # non-finite and boolean entries fail to parse, zero or wrong-length
-    # vectors and a multiplicity below 1 fail gate schema; a size cap and a
-    # scale outside [0, 1] keep their own gates
+    # vectors, a multiplicity below 1 and a tolerance or scale that is not a
+    # finite number fail gate schema; a size cap and a scale outside [0, 1]
+    # keep their own gates
     path = write(tmp_path, "bad.json", data)
     if gate is None:
         with pytest.raises(ScenarioParseError):
@@ -235,6 +243,27 @@ def test_malformed_numbers_exit_2_with_their_gate(tmp_path, data, gate):
             load_scenario(path)
         assert err.value.gate == gate
     assert main(["check", "--scenario", path]) == 2
+
+
+@pytest.mark.parametrize("field, value, gate", [
+    ("k", 1, "schema"), ("d_max", 0, "schema"), ("d_max", 9, "size cap"),
+], ids=["k-1", "d_max-0", "over-size-cap"])
+def test_tower_construction_errors_keep_their_gates(tmp_path, field, value, gate):
+    # k < 2 and d_max < 1 are schema errors of the tower itself; only
+    # k^d_max above the size cap is the size-cap gate
+    path = write(tmp_path, "bad.json", {**demo_fixture("tower"), field: value})
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.gate == gate
+    assert main(["check", "--scenario", path]) == 2
+
+
+def test_command_line_tolerance_must_be_finite(tmp_path):
+    path = write(tmp_path, "scalar.json", demo_fixture("scalar"))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path, float("inf"))
+    assert err.value.gate == "schema"
+    assert main(["check", "--scenario", path, "--tol", "inf"]) == 2
 
 
 INTEGER_FIELDS = [

@@ -47,9 +47,8 @@ from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_matrix,
-                       basis_sweep, block_diag, kron_eye, orthonormal_complement,
-                       psd_sqrt, ranked_svds, residual, spectral_norm, stack_images,
-                       svd_pinv)
+                       basis_sweep, block_diag, kron_eye, psd_sqrt, ranked_svds,
+                       residual, spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -207,6 +206,26 @@ class DirectSumRep(ChunkRep):
         return BlockOperator.diagonal([np.asarray(p.images(coords, depth))
                                        for p in self.parts])
 
+    def act(self, coords, depth, frame: BlockOperator, right: bool = False) -> BlockOperator:
+        """rho(a) X, or X rho(a) with ``right``, for a block operator X whose
+        row (column) blocks are the parts: the stacked block operator on X's
+        pattern.  A :class:`~covdilate.cpmaps.KrausRep` part acts through
+        its frame kernel (:meth:`~covdilate.cpmaps.KrausRep.act`) and never
+        forms its images; any other part's images are evaluated once."""
+        dense = {}
+
+        def apply(k, x):
+            part = self.parts[k]
+            if isinstance(part, KrausRep):
+                return part.act(coords, depth, x, right)
+            if k not in dense:
+                dense[k] = np.asarray(part.images(coords, depth))
+            return x @ dense[k] if right else dense[k] @ x
+
+        return BlockOperator._of(frame.rows, frame.cols,
+                                 {(i, j): apply(j if right else i, x)
+                                  for (i, j), x in frame.blocks.items()}, (len(coords),))
+
 
 @dataclass(eq=False)
 class QuotientRep(ChunkRep):
@@ -309,32 +328,34 @@ def transfer_images(system, rep, tau, depth) -> np.ndarray:
     return stack_images(system.basis_size(depth), lambda c: rep.images(*tau.rows(c, depth)))
 
 
-def leaves_span(basis, tol: Tolerance = DEFAULT_TOL, complement=None):
-    """Clause x -> C* x B for the orthonormal columns B of a subspace.
-
-    C is an orthonormal basis of the complement of span B (``complement``
-    when the caller has one, else :func:`orthonormal_complement`), so the
-    clause's spectral norm equals ||(I - B B*) x B||.  None when B is empty
-    or spans the whole space, where that norm is exactly 0.
-    """
-    comp = orthonormal_complement(basis, tol) if complement is None else complement
-    if comp.shape[1] == 0 or basis.shape[1] == 0:
-        return None
-    comp_h = comp.conj().T
-    return lambda x: comp_h @ (x @ basis)
-
-
-def invariance_residual(system, depth, rep, basis, tol: Tolerance = DEFAULT_TOL,
-                        threshold: Optional[float] = None, complement=None) -> float:
+def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = None,
+                        complement=None) -> float:
     """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
     orthonormal columns, decided against ``threshold`` when one is given
-    (see :func:`~covdilate.numerics.basis_sweep`); ``complement`` as in
-    :func:`leaves_span`."""
-    off = leaves_span(basis, tol, complement)
-    if off is None:
+    (see :func:`~covdilate.numerics.basis_sweep`).
+
+    With ``complement``, orthonormal columns C spanning the complement of
+    span B, each value is ||C* rep(a) B||; without, ||Y - B (B* Y)|| for
+    Y = rep(a) B.  The two are equal, since I - B B* = C C* and C is an
+    isometry, and the second needs no complement.  A
+    :class:`~covdilate.cpmaps.KrausRep` gives Y from its frame kernel
+    (:meth:`~covdilate.cpmaps.KrausRep.act`), without its images.  0.0 when
+    B is empty or spans the whole space.
+    """
+    k = basis.shape[1]
+    if k in (0, basis.shape[0]) or (complement is not None and complement.shape[1] == 0):
         return 0.0
-    (inv,) = basis_sweep(system.basis_size(depth), lambda c: (rep.images(c, depth),), off,
-                         threshold=threshold)
+    if isinstance(rep, KrausRep):
+        images = lambda c: (rep.act(c, depth, basis),)
+    else:
+        images = lambda c: (rep.images(c, depth) @ basis,)
+    if complement is None:
+        basis_h = basis.conj().T
+        off = lambda y: y - basis @ (basis_h @ y)
+    else:
+        comp_h = complement.conj().T
+        off = lambda y: comp_h @ y
+    (inv,) = basis_sweep(system.basis_size(depth), images, off, threshold=threshold)
     return inv
 
 
@@ -726,7 +747,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     if rotation is not None:
         basis = basis @ rotation.conj().T
 
-    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol, tol.residual_tol,
+    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol.residual_tol,
                               complement)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")

@@ -341,6 +341,12 @@ class KrausRep(ChunkRep):
       x pinv(Y_{1,b}) when every cutoff is taken relative to the largest
       singular value over all blocks, and Z_2 pinv(Z_1) = directsum_b
       I_{n_b} x Y_{2,b} pinv(Y_{1,b}).
+
+    A clause that applies rho(a) to a fixed frame needs no image:
+    :meth:`act` (the frame kernel) gives rho(a) X and X rho(a) by
+    contracting x_b against the Kraus rows of X block by block.  The chain
+    sweeps, the extension step's invariance gate and the level containment
+    note go through it.
     """
 
     system: object
@@ -400,6 +406,35 @@ class KrausRep(ChunkRep):
             idx = np.arange(r)
             block[:, :, idx, :, idx] = b
         return out
+
+    def act(self, coords, depth, frame, right: bool = False) -> np.ndarray:
+        """rho(a) X, or X rho(a) with ``right``, for the coordinate rows a and
+        a fixed frame X: the (m, dim, c) (or (m, c, dim)) stack, without the
+        dim x dim images.
+
+        On the Kraus rows s_b of X, viewed as the (n_b, r_b c) matrix X_b,
+        the unrotated image acts as a_b X_b, since a_b x I_{r_b} moves only
+        the index p of row (p, s); X rho(a) is (rho(a)^T X^T)^T, the same
+        contraction with a_b^T.  That costs sum_b n_b^2 r_b c per row
+        against dim^2 c for the image and its product.  A rotated rep
+        contracts R* X (X R) and maps the result back with R (R*).
+        """
+        x = np.asarray(frame, dtype=complex)
+        rot = self.rotation
+        if right:
+            x = x.T if rot is None else (x @ rot).T
+        elif rot is not None:
+            x = rot.conj().T @ x
+        m, c = len(coords), x.shape[1]
+        blocks = self.system.coord_blocks(coords, depth, self.depth)
+        out = np.empty((m, self.dim, c), dtype=complex)
+        for b, (n, r, s) in zip(blocks, self.layout):
+            b = b.swapaxes(-1, -2) if right else b
+            out[:, s] = np.matmul(b, x[s].reshape(n, r * c)).reshape(m, n * r, c)
+        if right:
+            out = out.swapaxes(-1, -2)
+            return out if rot is None else out @ rot.conj().T
+        return out if rot is None else rot @ out
 
     def _rotated_images(self, m, blocks) -> np.ndarray:
         # sum over b of Q_b (x_b (x) I_r) Q_b*: x_b against Q's column block

@@ -53,8 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                        ShiftedRep, defect_floor, leaves_span, rep_and_shifted,
-                        shifted_restrictions, usable_depth)
+                        ShiftedRep, defect_floor, invariance_residual,
+                        rep_and_shifted, shifted_restrictions, usable_depth)
 from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
                      StrategyInvalid)
 from .extension import (ExtensionChain, coisometric_extend,
@@ -219,16 +219,11 @@ def verify_isometric_dilation(rec: DilationRecord,
     if copy_parts and h:
         inv = 0.0
         for part in copy_parts[:len(copy_parts) // rec.copies]:
-            off = leaves_span(part.basis, tol)
-            if off is None:
-                continue
             for n in range(1, rec.copies + 1):
                 shifted = ShiftedRep(part.inner.inner, system, n)
                 dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-                (val,) = basis_sweep(system.basis_size(dd),
-                                     lambda c: (shifted.images(c, dd),), off,
-                                     threshold=tol.residual_tol)
-                inv = max(inv, val)
+                inv = max(inv, invariance_residual(system, dd, shifted, part.basis,
+                                                   tol.residual_tol))
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))

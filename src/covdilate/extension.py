@@ -44,16 +44,40 @@ value of the dense operator exactly while never forming it: V rho(alpha(a))
 and rho(a) V have the components {H; H, d_0} and {d_(k-1); d_k}, V V* and
 V* V are block-diagonal over the same groups, and rank(row) is the sum of
 the ranks of the row's components under one global singular-value cutoff.
+
+Kraus coordinates.  Each level's ``pi_hat_k`` is Q_k K_k Q_k*, K_k the
+unrotated :class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x)
+I_(r_b)) and Q_k the level's basis-seed rotation (the identity without a
+seed), so rho = Qd rho' Qd* with Qd = diag(I_H, Q_0, ..., Q_(n-1)) and
+rho' = pi + K_0 + ... + K_(n-1) (:func:`kraus_coordinates`).  Both
+whole-chain sweeps are evaluated there: V' = Qd* V Qd, D_V' = Qd* D_V and
+C' = Qd* C (C the complement of D_V) are formed once per report, with the
+blocks of V, and K_k acts on them through its frame kernel
+(:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is formed.
+Each clause value is unchanged:
+
+* ``chain/covariance``: V' rho'(alpha(a)) - rho'(a) V' = Qd* (V
+  rho(alpha(a)) - rho(a) V) Qd, and likewise each operand, so every
+  spectral norm is the same; Qd is block-diagonal, so V' keeps V's block
+  pattern and its components.  Only the Frobenius bound's denominator
+  (entry maxima, not unitarily invariant) can move, and with it a
+  ``bound`` value, never an exact value or a pass flag.
+* ``chain/representation-restricts``: rho'(a) restricted to H is rho(a)
+  restricted to H with the rows of each level rotated by Q_k*, and its
+  only block is pi(a) in both.
+* ``defect/invariant`` and ``defect/diagonal-form``: C'* rho'(alpha(a))
+  D_V' = C* rho(alpha(a)) D_V and D_V'* rho'(alpha(a)) D_V' = D_V*
+  rho(alpha(a)) D_V, the identical operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .covariant import (CovariantPair, DirectSumRep, ShiftedRep, TwoStepBlock,
+from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock,
                         defect_roots, extend_representation, invariance_residual,
                         two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
@@ -165,6 +189,28 @@ def _assemble(pair: CovariantPair, strategies, levels, basis_seed) -> ExtensionC
                           block_dims, basis_seed)
 
 
+def kraus_coordinates(chain: ExtensionChain) -> tuple:
+    """The chain's rho in its levels' Kraus coordinates: ``(rho', rotations)``
+    with rho' = pi + K_0 + ... + K_(n-1), K_k the level's ``pi_hat`` without
+    its rotation, and ``rotations`` the diagonal blocks of Qd = diag(I_H,
+    Q_0, ..., Q_(n-1)) (None for an identity block), so that rho = Qd rho' Qd*."""
+    pi, *levels = chain.rho.parts
+    return (DirectSumRep(tuple([pi] + [replace(p, rotation=None) for p in levels])),
+            [None] + [p.rotation for p in levels])
+
+
+def _rotated(x: BlockOperator, rows, cols=None) -> BlockOperator:
+    """Qr* X (Qr* X Qc with ``cols``) for block-diagonal unitaries given by
+    their diagonal blocks (None for an identity block)."""
+    def block(i, j, b):
+        if rows[i] is not None:
+            b = rows[i].conj().T @ b
+        return b if cols is None or cols[j] is None else b @ cols[j]
+
+    return BlockOperator._of(x.rows, x.cols, {(i, j): block(i, j, b)
+                                              for (i, j), b in x.blocks.items()}, x.lead)
+
+
 def verify_coisometric_extension(chain: ExtensionChain,
                                  tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
     """Extension, covariance and truncated-coisometry clauses for the chain."""
@@ -183,12 +229,16 @@ def verify_coisometric_extension(chain: ExtensionChain,
         # an operator on H as a map H -> chain space landing in H
         return BlockOperator(dims, (h,), {(0, 0): m})
 
+    # both sweeps in the levels' Kraus coordinates: V' = Qd* V Qd against
+    # rho' = Qd* rho Qd (see the module docstring)
+    rho, rotations = kraus_coordinates(chain)
+    vk = _rotated(v, rotations, rotations)
+    embed_h = in_h(np.eye(h, dtype=complex))
     restr, cov = basis_sweep(
-        system.basis_size(d),
-        lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
-                   pair.rep.images(c, d)),
-        lambda ra, raa, pa: (ra.select(cols=[0]), in_h(pa)),
-        lambda ra, raa, pa: (v @ raa, ra @ v), threshold=tol.residual_tol)
+        system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
+        lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))),
+        lambda c, ac, ad: (rho.act(ac, ad, vk, right=True), rho.act(c, d, vk)),
+        threshold=tol.residual_tol)
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
@@ -212,7 +262,7 @@ def verify_coisometric_extension(chain: ExtensionChain,
         # how far the full algebra action moves the embedded previous
         # defect: only alpha(A) is guaranteed to preserve it
         check_d = usable_depth(system, [lv.ext.rho], 0, pair.depth)
-        containment = invariance_residual(system, check_d, lv.ext.rho, w, tol)
+        containment = invariance_residual(system, check_d, lv.ext.rho, w)
         rep.notes.append(
             f"level {k}: full algebra action moves the embedded previous defect by "
             f"{containment:.3e} (diagnostic; only the dynamics' image preserves it)")
@@ -311,9 +361,11 @@ def defect_decomposition(chain: ExtensionChain,
                      "polar part of the defect row; the two subspaces of the chain "
                      "space differ in general")
 
-    shifted = ShiftedRep(chain.rho, system, 1)
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
+    # D_V' = Qd* D_V and C' = Qd* C against rho' (see the module docstring)
+    rho, rotations = kraus_coordinates(chain)
+    dv_k = _rotated(dv_basis, rotations)
+    dv_h, comp_h = dv_k.adjoint(), _rotated(complement, rotations).adjoint()
 
     def diagonal(x_dv):
         # the off-diagonal blocks of the compression dv* x dv over the
@@ -323,7 +375,7 @@ def defect_decomposition(chain: ExtensionChain,
         return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
 
     inv, block_res = basis_sweep(system.basis_size(d),
-                                 lambda c: (shifted.images(c, d) @ dv_basis,),
+                                 lambda c: (rho.act(*system.alpha_coords(c, d), dv_k),),
                                  lambda x_dv: comp_h @ x_dv, diagonal,
                                  threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",

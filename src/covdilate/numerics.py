@@ -272,10 +272,17 @@ def _clause_max(term, threshold: float | None = None) -> float:
     per slice the norm, the squared Frobenius bound and the entry maxima
     are the maximum, the sum and the maximum over the components, which
     are exact (see the class docstring).  A plain stack is one component.
+    With a ``threshold`` the bounds come from the stored blocks alone
+    (:func:`_block_entries`), and the padded stack is assembled only for
+    the slices whose bound is above it.
     """
     ops = term if isinstance(term, tuple) else (term,)
-    stacks = _component_stacks(ops) if isinstance(ops[0], BlockOperator) \
-        else [np.asarray(op, dtype=complex)[None] for op in ops]
+    blocked = isinstance(ops[0], BlockOperator)
+    if blocked and threshold is not None:
+        stacks = _block_entries(ops)
+    else:
+        stacks = _component_stacks(ops) if blocked \
+            else [np.asarray(op, dtype=complex)[None] for op in ops]
     a = b = None
     if len(stacks) == 2:
         a, b = stacks
@@ -298,7 +305,12 @@ def _clause_max(term, threshold: float | None = None) -> float:
         top = float(bounds.max(initial=0.0, where=~over))
         if not over.any():
             return UpperBound(top)
-        if not over.all():
+        if blocked:
+            stacks = _component_stacks(ops, slices=None if over.all() else over)
+            a, b = stacks if len(stacks) == 2 else (None, None)
+            diff = a - b if a is not None else stacks[0]
+            scale = scale[over]
+        elif not over.all():
             diff, scale = diff[:, over], scale[over]
             if a is not None:
                 a, b = a[:, over], b[:, over]
@@ -775,11 +787,41 @@ def _plan(rows: tuple, cols: tuple, keys: frozenset) -> tuple:
     return comps, shapes, place
 
 
-def _component_stacks(ops, pad: bool = True) -> list:
+def _block_entries(ops) -> list:
+    """The stored blocks of one block operator, or of a pair of one layout
+    over the union of their patterns, as one (1, m, 1, E) array each: per
+    slice the entries of every block side by side, a block missing from one
+    operand of a pair as zeros there.  The zero blocks add nothing to a sum
+    of squares or an entry maximum, so the slice values of
+    :func:`_slice_scale` and :func:`_slice_frobenius` are those of the
+    padded component stacks up to summation order."""
+    first, last = ops[0], ops[-1]
+    if not isinstance(last, BlockOperator) or (first.rows, first.cols) != (last.rows, last.cols):
+        raise DimensionMismatch("block layouts differ")
+    lead = max(first.lead, last.lead, key=len) or (1,)
+    keys = sorted(first.blocks.keys() | last.blocks.keys())
+    out = []
+    for op in ops:
+        parts = []
+        for i, j in keys:
+            b = op.blocks.get((i, j))
+            shape = lead + (op.rows[i] * op.cols[j],)
+            if b is None:
+                b = np.zeros(shape, dtype=complex)
+            elif b.size != math.prod(shape):     # one matrix in a stacked operator
+                b = np.broadcast_to(b, lead + b.shape[-2:])
+            parts.append(b.reshape(shape))
+        flat = np.concatenate(parts, axis=-1) if parts else np.zeros(lead + (0,), dtype=complex)
+        out.append(flat[None, :, None, :])
+    return out
+
+
+def _component_stacks(ops, pad: bool = True, slices=None) -> list:
     """One block operator or a pair of one layout, each split along the
     components of their joint pattern.  With ``pad`` each becomes a (K, m, r, s) array,
     component c zero-padded to the largest component's shape (which changes
-    none of its norms or entry maxima); without it, a list of the
+    none of its norms or entry maxima), of the stack slices selected by the
+    boolean mask ``slices`` (all when None); without it, a list of the
     components' dense matrices.
     """
     first, last = ops[0], ops[-1]
@@ -788,6 +830,8 @@ def _component_stacks(ops, pad: bool = True) -> list:
     comps, shapes, place = _plan(first.rows, first.cols,
                                  frozenset(first.blocks.keys() | last.blocks.keys()))
     lead = max(first.lead, last.lead, key=len)
+    if slices is not None:
+        lead = (int(np.count_nonzero(slices)),)
     if pad:
         shape = tuple(max((sh[n] for sh in shapes), default=0) for n in (0, 1))
         out = [np.zeros((len(comps),) + (lead or (1,)) + shape, dtype=complex) for _ in ops]
@@ -796,7 +840,7 @@ def _component_stacks(ops, pad: bool = True) -> list:
     for st, op in zip(out, ops):
         for key, b in op.blocks.items():
             c, rs, cs = place[key]
-            st[c][..., rs, cs] = b
+            st[c][..., rs, cs] = b if slices is None or b.ndim == 2 else b[slices]
     return out
 
 

@@ -11,6 +11,14 @@ eps (1 + scale).  ``dense_schaffer_dilate`` is the dense isometric dilation
 of a chain pair, for certifying the block construction unitarily
 equivalent to it.
 
+``chain_coordinate_values`` is the route the whole-chain sweeps took
+before they moved into the levels' Kraus coordinates: V, D_V and its
+complement against the images of the chain's rho itself, whose level parts
+are the rotated ``pi_hat`` s, as block operators.  ``complement_invariance``
+values an invariance clause with a dense complement and dense images, the
+form of the extension step's gate and of the level containment note before
+the frame kernel.
+
 ``choi_route_chain`` builds every adapted level the way the package builds
 level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
@@ -28,9 +36,9 @@ from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
 from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
 from covdilate.dilation import DilationRecord
 from covdilate.extension import _assemble
-from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, block_slices,
-                                orthonormal_complement, orthonormal_span, residual,
-                                spectral_norm, svd_rank)
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, basis_sweep, block_diag,
+                                block_slices, orthonormal_complement, orthonormal_span,
+                                residual, spectral_norm, svd_rank)
 
 
 def _dense_images(rep, c, d):
@@ -118,6 +126,61 @@ def defect_values(chain, dd, tol=DEFAULT_TOL) -> tuple:
     out["defect/invariant"] = inv
     out["defect/diagonal-form"] = diag
     return out, rank
+
+
+def chain_coordinate_values(chain, dd) -> dict:
+    """The whole-chain sweeps of ``verify_coisometric_extension`` and
+    ``defect_decomposition`` in the chain's own coordinates, exact: V and
+    D_V against the block images of ``chain.rho``.  The complement of D_V is
+    taken block by block with :func:`orthonormal_complement`; the clause
+    value does not depend on which orthonormal complement is used."""
+    pair = chain.pair
+    system = pair.system
+    h = pair.space_dim
+    v = chain.v
+    dims = v.rows
+
+    def in_h(m):
+        return BlockOperator(dims, (h,), {(0, 0): m})
+
+    d = usable_depth(system, [pair.rep, chain.rho], 1, pair.depth)
+    restr, cov = _sweep_values(
+        system.basis_size(d),
+        lambda c: (chain.rho.images(c, d), chain.rho.images(*system.alpha_coords(c, d)),
+                   pair.rep.images(c, d)),
+        lambda ra, raa, pa: (ra.select(cols=[0]), in_h(pa)),
+        lambda ra, raa, pa: (v @ raa, ra @ v))
+
+    dv_basis = dd.dv_basis
+    complement = BlockOperator.diagonal([orthonormal_complement(b) for b in dd.summand_bases])
+    dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
+
+    def diagonal(x_dv):
+        compressed = dv_h @ x_dv
+        parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
+        return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
+
+    shifted = ShiftedRep(chain.rho, system, 1)
+    d = usable_depth(system, [chain.rho], 1, pair.depth)
+    inv, diag = _sweep_values(system.basis_size(d),
+                              lambda c: (shifted.images(c, d) @ dv_basis,),
+                              lambda x_dv: comp_h @ x_dv, diagonal)
+    return {"chain/representation-restricts": restr, "chain/covariance": cov,
+            "defect/invariant": inv, "defect/diagonal-form": diag}
+
+
+def complement_invariance(system, depth, rep, basis, complement=None) -> tuple:
+    """(max over the basis at ``depth`` of ||C* rep(a) B||, the largest
+    ||rep(a) B||), with dense images and C the given complement of span B
+    or :func:`orthonormal_complement` of B."""
+    comp = orthonormal_complement(basis) if complement is None else complement
+    if comp.shape[1] == 0 or basis.shape[1] == 0:
+        return 0.0, 0.0
+    comp_h = comp.conj().T
+    value, scale = basis_sweep(system.basis_size(depth),
+                               lambda c: (_dense_images(rep, c, depth) @ basis,),
+                               lambda y: comp_h @ y, lambda y: y)
+    return value, scale
 
 
 def dilation_values(rec, prefix: str, tol=DEFAULT_TOL) -> dict:

@@ -7,12 +7,14 @@ clause is recomputed by the dense code in ``dense_oracle`` on the same
 objects: exact values agree to 1e-13 (1 + operator scale), pass flags and
 dimensions are equal, and the isometric dilation of a chain is certified
 unitarily equivalent to the dense one.  The component lemma itself is
-checked against ``np.linalg.norm`` on random block patterns, and a block
-off V's pattern must fail the chain clauses with the dense value.
+checked against ``np.linalg.norm`` on random block patterns, a thresholded
+clause value (bounds from the stored blocks, exact values of the slices
+above the threshold) against the per-slice dense values, and a block off
+V's pattern must fail the chain clauses with the dense value.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import covdilate.numerics as numerics_mod
@@ -147,6 +149,42 @@ def test_component_values_are_the_dense_values(rows, cols, seed):
     assert abs(residual(a, b) - want) <= 1e-12
     bound = residual(a, b, threshold=np.inf)
     assert bound >= want * (1.0 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
+def test_thresholded_values_match_the_per_slice_dense_values(rows, cols, m, seed):
+    """With a threshold the bounds come from the stored blocks, and only the
+    slices above it are padded and valued exactly: per slice the value is
+    the dense residual when the dense Frobenius bound is above the threshold,
+    else that bound.  A stacked pair (some blocks shared by every slice, some
+    missing from one operand)."""
+    rng = np.random.default_rng(seed)
+    keys = [(i, j) for i in range(len(rows)) for j in range(len(cols)) if rng.random() < 0.5]
+
+    def block(i, j):
+        shape = (m, rows[i], cols[j]) if rng.random() < 0.7 else (rows[i], cols[j])
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = BlockOperator(rows, cols, {k: block(*k) for k in keys if rng.random() < 0.8})
+    b = BlockOperator(rows, cols, {k: block(*k) for k in keys if rng.random() < 0.8})
+    dense_a = np.broadcast_to(np.asarray(a), (m, sum(rows), sum(cols)))
+    dense_b = np.broadcast_to(np.asarray(b), (m, sum(rows), sum(cols)))
+    bounds = [np.linalg.norm(x - y) / (1.0 + max(np.abs(x).max(initial=0.0),
+                                                   np.abs(y).max(initial=0.0)))
+              for x, y in zip(dense_a, dense_b)]
+    # a threshold between two slices' bounds (or past either end), away from
+    # every bound, so that round-off cannot move a slice across it
+    ends = sorted([0.0] + bounds + [2.0 * max(bounds) + 1.0])
+    k = int(rng.integers(len(ends) - 1))
+    threshold = 0.5 * (ends[k] + ends[k + 1])
+    assume(min(abs(bound - threshold) for bound in bounds) > 1e-9 * (1.0 + threshold))
+    want = max([residual(x, y) if bound > threshold else bound
+                for x, y, bound in zip(dense_a, dense_b, bounds)] + [0.0])
+    got = numerics_mod._clause_max((a, b), threshold)
+    assert abs(got - want) <= 1e-12 * (1.0 + want), (got, want)
 
 
 def test_differences_products_and_adjoints_are_dense_ones():

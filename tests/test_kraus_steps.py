@@ -54,7 +54,7 @@ def dense_two_step(pair, ext, tol=DEFAULT_TOL, rng=None):
                                                 w @ delta_star), tol)
     if rng is not None and rank:
         basis = basis @ haar_unitary(rank, rng)
-    inv = invariance_residual(pair.system, depth, ext.rho, basis, tol, tol.residual_tol)
+    inv = invariance_residual(pair.system, depth, ext.rho, basis, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
     return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis,

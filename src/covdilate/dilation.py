@@ -37,11 +37,46 @@ The covariance, isometry and interior-unitarity clauses reduce per
 connected component of the block pattern (exact, see BlockOperator): the
 components of W are {src rows of group c and its copy-1 block; group c's
 columns} and {copy-(j+1) part c; copy-j part c}, so no clause forms an
-operator of the total side.  The compressions act on the source space
-through the embedding, and the minimality rank, the boundary notes and
-the intertwiners of :mod:`covdilate.equivalence` stay dense: the first
-two are one total-side rank and two small boundary blocks, and an
-intertwiner built by least squares has no block pattern to read.
+operator of the total side.  The embeddings of the source space and of the
+original space are block operators too, one identity block per source
+block, so the compressions and both boundary notes act on stored blocks.
+
+Block-echelon power orbits.  Both records are in Schaffer form over their
+source: E places every source block on one fine block (the rows E_s), W
+maps the source blocks to themselves (T, with E* W E = T) and to the parts
+of the first copy, copy j to copy j + 1 part by part by identities, and the
+last copy to nothing.  Let P, the pivot, be the copy-1 rows of W E (the
+copy-1 parts x the source blocks).  By induction on n the column block
+W^n E of the orbit X = [E, W E, ..., W^N E] is::
+
+    source rows   E_s T^n
+    copy j        P T^(n-j)   (j <= n),   0   (j > n)
+
+since the source rows of W^(n+1) E are W's source block times E_s T^n,
+which is E_s T^(n+1), copy 1 receives P T^n, and copy j + 1 receives copy
+j.  So X is block upper-triangular over (source, copy 1, ..., copy N) x
+(n = 0, ..., N) with the pivots E_s, P, ..., P on its diagonal.  E_s is a
+permutation of identities.  If P is onto, y* X = 0 gives y_src = 0 from
+column 0 and then y_j* P = 0, so y_j = 0, from column j: X is onto (the
+record is minimal), of rank dim(source) + N rank(P).  If P is not onto, a
+y in ker P* on copy N alone is orthogonal to X.  :class:`Echelon` reads E,
+P and the copies off the stored blocks (None when they are not of this
+form), and ``dilation/minimal`` takes the pivot ranks under one
+singular-value cutoff (E_s adds singular values 1); when a pivot falls
+short, the rank in its note is the dense rank of X.
+
+The anchored intertwiner.  Let two such records share the source pair and
+the source blocks.  W is isometric on the source columns, so P* P = I -
+T* T in both and P1, P2 have one kernel.  Then u W1^n E1 = W2^n E2 for
+all n <= N holds for u = E2 E1* on the source blocks and u_c = P2 pinv(P1)
+on every copy: the source rows ask u_s E1_s = E2_s, and the copy rows ask
+u_c P1 T^(n-j) = P2 T^(n-j), where u_c P1 = P2 pinv(P1) P1 = P2 because
+pinv(P1) P1 projects onto the orthogonal complement of ker P1 = ker P2.
+When X1 is onto, this u is the only solution of u X1 = X2, the dense
+least-squares u = X2 pinv(X1); u_c maps ran P1 isometrically onto ran P2,
+so u is unitary when both pivots are onto.
+:func:`~covdilate.equivalence.dilation_intertwiner` builds u this way,
+as a block operator on the two fine layouts.
 """
 
 from __future__ import annotations
@@ -61,7 +96,7 @@ from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_blocks,
                        basis_sweep, block_slices, orthonormal_spans, psd_sqrt,
-                       residual, spectral_norm, svd_rank)
+                       ranked_svds, residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -88,10 +123,10 @@ class DilationRecord:
     eta: object                     # direct sum over w's blocks
     w: BlockOperator                # the dilation operator, on the fine block layout
     source_pair: CovariantPair
-    source_embed: np.ndarray        # ambient x source_dim, isometric
+    source_embed: BlockOperator     # ambient x source, isometric (fine x source blocks)
     copies: int
     origin_pair: Optional[CovariantPair] = None   # the original (pi, T) when composed
-    origin_embed: Optional[np.ndarray] = None
+    origin_embed: Optional[BlockOperator] = None
     chain: Optional[ExtensionChain] = None
     report: Optional[ClauseReport] = None
     boundary_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
@@ -111,10 +146,93 @@ class DilationRecord:
         """[W^n E for 0 <= n <= copies], E the source embedding; built once."""
         return power_orbit(self.w, self.source_embed, self.copies)
 
+    @cached_property
+    def echelon(self) -> Optional["Echelon"]:
+        """The record's Schaffer form over its source, read off the stored
+        blocks of W and E (module docstring); None when they are not in it."""
+        return _read_echelon(self.w, self.source_embed, self.copies)
+
     def index_table(self) -> list[dict]:
         return [{"name": n, "index": i, "dim": d, "offset": s.start}
                 for (n, s), i, d in zip(self.block_ranges.items(), self.block_index,
                                         self.block_dims)]
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """A power orbit in block-echelon form (see the module docstring).
+
+    ``pivot`` is the copy-1 rows of W E (the copy-1 parts x the source
+    blocks), and ``parts[j]`` the fine blocks of copy j + 1, one per part,
+    in the order of the pivot's rows.
+    """
+
+    pivot: BlockOperator
+    parts: tuple
+
+    def pivot_svds(self, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = False) -> list:
+        """:func:`~covdilate.numerics.ranked_svds` of the pivot's
+        components, under the cutoff they share with E_s (singular values 1)."""
+        return ranked_svds(self.pivot.component_blocks(), tol, compute_uv, top=1.0)
+
+    def spans(self, svds, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether every pivot is onto under that cutoff (``svds`` from
+        :meth:`pivot_svds`), so that the orbit spans the whole space."""
+        kept = [s for _, s, _ in svds]
+        top = max([1.0] + [float(s[0]) for s in kept if s.size])
+        return 1.0 > tol.rank_eps * top and sum(map(len, kept)) == sum(self.pivot.rows)
+
+
+def _is_identity(b) -> bool:
+    return b.ndim == 2 and b.shape[0] == b.shape[1] \
+        and np.count_nonzero(b) == b.shape[0] and bool((b.diagonal() == 1).all())
+
+
+def _read_echelon(w, embed, copies: int) -> Optional[Echelon]:
+    """The Schaffer form of W over E: E one identity block per source block,
+    and besides W's blocks among the source blocks only the pivot (source
+    blocks to copy-1 parts) and one identity from each part of copy j to the
+    same part of copy j + 1.  The fine blocks outside the source, in order,
+    are the parts of copy 1, then of copy 2, and so on."""
+    if not (isinstance(w, BlockOperator) and isinstance(embed, BlockOperator)):
+        return None
+    source = {}                              # fine block -> source block
+    for (i, k), b in embed.blocks.items():
+        if i in source or k in source.values() or not _is_identity(b):
+            return None
+        source[i] = k
+    if len(source) != sum(1 for d in embed.cols if d):
+        return None
+    rest = [i for i, d in enumerate(w.rows) if d and i not in source]
+    m, extra = divmod(len(rest), copies)
+    if extra:
+        return None
+    parts = tuple(tuple(rest[j * m:(j + 1) * m]) for j in range(copies))
+    where = {i: (j, a) for j, ps in enumerate(parts) for a, i in enumerate(ps)}
+    pivot, steps = {}, 0
+    for (i, j), b in w.blocks.items():
+        if i in source and j in source:
+            continue
+        if j in source and where.get(i, (None,))[0] == 0:
+            pivot[where[i][1], source[j]] = b
+        elif i in where and j in where and where[i] == (where[j][0] + 1, where[j][1]) \
+                and _is_identity(b):
+            steps += 1
+        else:
+            return None
+    if steps != (copies - 1) * m:
+        return None
+    return Echelon(BlockOperator([w.rows[i] for i in parts[0]], embed.cols, pivot), parts)
+
+
+def orbit_rank(rec: DilationRecord, tol: Tolerance = DEFAULT_TOL) -> int:
+    """The rank of the power orbit [E, W E, ..., W^N E]: the whole space when
+    the record is in Schaffer form and its pivots are onto, else the dense
+    rank of the orbit (so that a shortfall is exact)."""
+    ech = rec.echelon
+    if ech is not None and ech.spans(ech.pivot_svds(tol), tol):
+        return rec.total_dim
+    return svd_rank(np.hstack(rec.source_orbit), tol)
 
 
 def schaffer_dilate(pair: CovariantPair, copies: int,
@@ -160,6 +278,8 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
                 np.eye(ranks[c], dtype=complex)
     fine = list(t.cols) + ranks * copies
     w = BlockOperator(fine, fine, blocks)
+    embed = BlockOperator(fine, t.cols, {(k, k): np.eye(d, dtype=complex)
+                                         for k, d in enumerate(t.cols)})
 
     def group_rep(g):
         return src[g[0]] if len(g) == 1 else DirectSumRep(tuple(src[j] for j in g))
@@ -170,7 +290,6 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     h = pair.space_dim
     dims = [h] + [sum(ranks)] * copies
     at = block_slices(dims)
-    embed = np.eye(sum(dims), h, dtype=complex)
     names = ["H"] + [f"copy-{j}" for j in range(1, copies + 1)]
     index = list(range(0, copies + 1))
     last = np.arange(at[-1].start, at[-1].stop)
@@ -237,7 +356,7 @@ def verify_isometric_dilation(rec: DilationRecord,
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
                    _compression(rec.source_orbit, t, tol.residual_tol), tol.residual_tol))
 
-    rank = svd_rank(np.hstack(rec.source_orbit), tol)
+    rank = orbit_rank(rec, tol)
     rep.add(clause("dilation/minimal", "span{W^n H} = K",
                    0.0 if rank == total else 1.0, 0.5,
                    note=f"rank {rank} of {total}"))
@@ -282,10 +401,16 @@ def power_orbit(w, embed, steps: int) -> list:
 def _compression(orbit, t, threshold: Optional[float] = None) -> float:
     """max over 0 <= n <= steps of residual(E* U^n E, T^n) for the orbit
     [U^n E for 0 <= n <= steps] (see :func:`power_orbit`), as one sweep over
-    the powers, decided against ``threshold`` when one is given."""
+    the powers, decided against ``threshold`` when one is given.  A block
+    orbit is compressed block by block, to matrices of the source side, and
+    T^n is taken by the same block products as the orbit's source rows."""
     steps = len(orbit) - 1
-    compressed = orbit[0].conj().T @ np.stack(orbit)
-    t_powers = np.stack(power_orbit(t, np.eye(t.shape[0], dtype=complex), steps))
+    head = orbit[0]
+    e_h = head.adjoint() if isinstance(head, BlockOperator) else np.conj(head).T
+    compressed = np.stack([np.asarray(e_h @ x) for x in orbit])
+    tb = as_blocks(t)
+    t_powers = np.stack([np.asarray(x) for x in
+                         power_orbit(tb, BlockOperator.identity(tb.cols), steps)])
     (worst,) = basis_sweep(np.arange(steps + 1), lambda n: (compressed[n], t_powers[n]),
                            lambda c, tn: (c, tn), threshold=threshold)
     return worst
@@ -331,8 +456,10 @@ def compose_unitary(chain: ExtensionChain, copies: int,
 
     # boundary blocks: the truncated last chain block (rows) and the last copy (cols)
     last = chain.block_ranges[chain.block_names[-1]]
-    rec2 = replace(rec, kind="unitary-composed", origin_pair=pair,
-                   origin_embed=np.eye(rec.total_dim, pair.space_dim, dtype=complex),
+    # H is the first source block, the first fine block
+    h = pair.space_dim
+    origin = BlockOperator(rec.w.rows, (h,), {(0, 0): np.eye(h, dtype=complex)})
+    rec2 = replace(rec, kind="unitary-composed", origin_pair=pair, origin_embed=origin,
                    chain=chain, boundary_rows=np.arange(last.start, last.stop))
     rec2.report = _unitary_clauses(rec2, chain.n_levels, tol)
     return rec2
@@ -349,12 +476,12 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
                    dil, tol.residual_tol))
     rep.extend(_interior_clauses(rec, "unitary", tol))
 
-    # the boundary blocks of U U* - I and U* U - I, from the dense U
-    u = rec.w.dense()
-    rows, cols = u[rec.boundary_rows], u[:, rec.boundary_cols]
-    row_b = spectral_norm(rows @ rows.conj().T - np.eye(len(rows))) if len(rows) else 0.0
-    col_b = spectral_norm(cols.conj().T @ cols - np.eye(cols.shape[1])) \
-        if cols.shape[1] else 0.0
+    # the boundary blocks of U U* - I and U* U - I, from U's stored blocks
+    u = rec.w
+    rows = u.select(rows=sorted(_blocks_within(u.rows, rec.boundary_rows)))
+    cols = u.select(cols=sorted(_blocks_within(u.cols, rec.boundary_cols)))
+    row_b = spectral_norm(rows @ rows.adjoint() - BlockOperator.identity(rows.rows))
+    col_b = spectral_norm(cols.adjoint() @ cols - BlockOperator.identity(cols.cols))
     rep.notes.append(f"boundary residuals (expected order 1 by truncation): "
                      f"rows {row_b:.3e}, columns {col_b:.3e}")
     return rep
@@ -385,13 +512,7 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
         + [f"copy-{j}" for j in range(1, copies + 1)]
     dims = [chain.block_dims[k + 1] for k in range(n - 1, -1, -1)] + [h] + [dv] * copies
     index = list(range(-n, 0)) + [0] + list(range(1, copies + 1))
-    total = sum(dims)
     at = dict(zip(names, block_slices(dims)))
-
-    # the chain space inside the ambient one, its defect blocks reversed
-    src_embed = np.zeros((total, chain.total_dim), dtype=complex)
-    for (name, src), cd in zip(chain.block_ranges.items(), chain.block_dims):
-        src_embed[at[name], src] = np.eye(cd)
 
     # fine blocks: the chain blocks in ambient order, then every copy split
     # into the summands of D_V.  V carried over (T in the corner, D_{k*} in
@@ -411,12 +532,16 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
             blocks[copy_block(j + 1, s), copy_block(j, s)] = np.eye(sd, dtype=complex)
     fine = [chain.v.rows[j] for j in order] + sdims * copies
     u = BlockOperator(fine, fine, blocks)
+    # the chain space and H inside the ambient one, the defect blocks reversed
+    src_embed = BlockOperator(fine, chain.block_dims,
+                              {(amb[j], j): np.eye(d, dtype=complex)
+                               for j, d in enumerate(chain.block_dims)})
+    origin_embed = BlockOperator(fine, (h,), {(amb[0], 0): np.eye(h, dtype=complex)})
 
     parts = [chain.rho.parts[j] for j in order]
     for j in range(1, copies + 1):
         parts += shifted_restrictions(system, chain.rho.parts, dd.summand_bases, j)
     sigma = DirectSumRep(tuple(parts))
-    origin_embed = np.eye(total, h, -at["H"].start, dtype=complex)
     first, last = at[f"defect-{n - 1}"], at[f"copy-{copies}"]
     rows = np.arange(first.start, first.stop)
     cols = np.arange(last.start, last.stop)

@@ -9,6 +9,15 @@ failure witness recomputed from the defining data rather than from the
 constructed spaces.  Unanchored equivalence is never searched for; when the
 construction succeeds but a relation misses the threshold the verdict is
 ``inconclusive``.
+
+The step and chain intertwiners are least squares in the Kraus
+multiplicity spaces.  The dilation intertwiner of two records in Schaffer
+form is forced copy by copy (the uniqueness of minimal isometric
+dilations, proved in :mod:`covdilate.dilation`): u = E2 E1* on the source
+blocks and P2 pinv(P1) on every copy, a block operator read off the pivots
+of the two power orbits, whose relations are each reduced per component of
+their block pattern.  Least squares on the dense orbits remains for
+records whose stored blocks are not in that form.
 """
 
 from __future__ import annotations
@@ -23,9 +32,9 @@ from .cpmaps import unit_image_chois
 from .dilation import DilationRecord
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
-from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, basis_sweep, block_diag,
-                       eye_kron, ranked_svds, residual, spectral_norm, svd_pinv,
-                       svd_rank)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, basis_sweep,
+                       block_diag, block_pinv, eye_kron, ranked_svds, residual,
+                       spectral_norm, svd_pinv, svd_rank)
 
 EQUIV_THRESHOLD = 1e-7
 DILATION_THRESHOLD = 1e-6
@@ -75,7 +84,7 @@ class EquivalenceCertificate:
     verdict: str                      # equivalent | inequivalent | inconclusive
     threshold: float
     residuals: dict = field(default_factory=dict)
-    intertwiner: Optional[np.ndarray] = None
+    intertwiner: Optional[np.ndarray] = None      # a BlockOperator for block records
     witness: Optional[GramWitness] = None
     note: str = ""
 
@@ -144,17 +153,27 @@ def _spanning_set(frame) -> tuple:
 
 
 def _unitarity(u, threshold: float) -> dict:
+    if isinstance(u, BlockOperator):
+        return {"unitarity_left": residual(u.adjoint() @ u, BlockOperator.identity(u.cols),
+                                           threshold),
+                "unitarity_right": residual(u @ u.adjoint(), BlockOperator.identity(u.rows),
+                                            threshold)}
     return {"unitarity_left": residual(u.conj().T @ u, np.eye(u.shape[1]), threshold),
             "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]), threshold)}
 
 
 def _intertwined(system, depth, rep1, rep2, u, threshold: float) -> float:
     """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u),
-    decided against ``threshold``."""
-    # u comes from least squares and has no block pattern: dense images
-    (rel,) = basis_sweep(system.basis_size(depth),
-                         lambda c: (np.asarray(rep1.images(c, depth)),
-                                    np.asarray(rep2.images(c, depth))),
+    decided against ``threshold``.  A block u meets the block images of
+    direct sums on its layouts; a dense u, from least squares, the dense
+    images."""
+    if isinstance(u, BlockOperator):
+        def images(c):
+            return rep1.images(c, depth), rep2.images(c, depth)
+    else:
+        def images(c):
+            return np.asarray(rep1.images(c, depth)), np.asarray(rep2.images(c, depth))
+    (rel,) = basis_sweep(system.basis_size(depth), images,
                          lambda r1, r2: (u @ r1, r2 @ u), threshold=threshold)
     return rel
 
@@ -291,9 +310,12 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
                          threshold: float = DILATION_THRESHOLD) -> EquivalenceCertificate:
     """Intertwiner between two minimal dilations of the same source pair.
 
-    u is defined by u(W1^n k) = W2^n k on the source space and extended by
-    least squares; minimality of both records is a precondition and its
-    failure is an error, not an inequivalence verdict.
+    u is defined by u(W1^n k) = W2^n k on the source space; minimality of
+    both records is a precondition and its failure is an error, not an
+    inequivalence verdict.  Two records in Schaffer form over the same
+    source blocks give u block by block from their pivots (see
+    :mod:`covdilate.dilation`); any other pair, or a pivot that falls
+    short, gives u by least squares on the dense power orbits.
     """
     s1, s2 = rec1.source_pair, rec2.source_pair
     if rec1.copies != rec2.copies:
@@ -303,17 +325,13 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
     if residual(s1.contraction, s2.contraction, tol.residual_tol) > tol.residual_tol:
         raise LevelMismatch("records over different source contractions")
 
-    x1, x2 = (np.hstack(rec.source_orbit) for rec in (rec1, rec2))
-    # rank and pseudo-inverse of x1 from one SVD, the rank of x2 from another
-    svd1 = ranked_svds([x1], tol)[0]
-    _require_rank(len(svd1[1]), rec1.total_dim, "first record not minimal: rank {rank} of {dim}")
-    _require_rank(svd_rank(x2, tol), rec2.total_dim,
-                  "second record not minimal: rank {rank} of {dim}")
+    u = _echelon_map(rec1, rec2, tol)
+    if u is None:
+        u = _least_squares_map(rec1, rec2, tol)
     if rec1.total_dim != rec2.total_dim:
         return EquivalenceCertificate("inconclusive", threshold, {}, None, None,
                                       "minimal records of different dimension")
 
-    u = x2 @ svd_pinv(*svd1)
     residuals = {**_unitarity(u, threshold),
                  "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
                  "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u, threshold)}
@@ -322,3 +340,35 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
     residuals["representation_intertwined"] = _intertwined(system, d, rec1.eta,
                                                            rec2.eta, u, threshold)
     return _verdict(residuals, threshold, u)
+
+
+def _echelon_map(rec1: DilationRecord, rec2: DilationRecord, tol: Tolerance):
+    """u = E2 E1* on the source blocks and P2 pinv(P1) on every copy, a block
+    operator from the rows of ``rec2`` to the columns of ``rec1``, with the
+    rank and the pseudo-inverse of P1 from one SVD per component and the
+    rank of P2 from its singular values; None unless both records are in
+    Schaffer form over the same source blocks and every pivot is onto."""
+    ech1, ech2 = rec1.echelon, rec2.echelon
+    if ech1 is None or ech2 is None or ech1.pivot.cols != ech2.pivot.cols:
+        return None
+    svds1 = ech1.pivot_svds(tol, compute_uv=True)
+    if not (ech1.spans(svds1, tol) and ech2.spans(ech2.pivot_svds(tol), tol)):
+        return None
+    u_c = ech2.pivot @ block_pinv(ech1.pivot, svds1)
+    blocks = dict((rec2.source_embed @ rec1.source_embed.adjoint()).blocks)
+    for parts1, parts2 in zip(ech1.parts, ech2.parts):
+        blocks.update({(parts2[a], parts1[b]): x for (a, b), x in u_c.blocks.items()})
+    return BlockOperator(rec2.w.rows, rec1.w.rows, blocks)
+
+
+def _least_squares_map(rec1: DilationRecord, rec2: DilationRecord,
+                       tol: Tolerance) -> np.ndarray:
+    """u = x2 pinv(x1) for the dense power orbits x1, x2, with the rank and
+    the pseudo-inverse of x1 from one SVD and the rank of x2 from another;
+    SpanDeficient when either record is not minimal."""
+    x1, x2 = (np.hstack(rec.source_orbit) for rec in (rec1, rec2))
+    svd1 = ranked_svds([x1], tol)[0]
+    _require_rank(len(svd1[1]), rec1.total_dim, "first record not minimal: rank {rank} of {dim}")
+    _require_rank(svd_rank(x2, tol), rec2.total_dim,
+                  "second record not minimal: rank {rank} of {dim}")
+    return x2 @ svd_pinv(*svd1)

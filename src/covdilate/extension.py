@@ -42,8 +42,12 @@ Every whole-chain clause is reduced per connected component of its block
 pattern (see :class:`~covdilate.numerics.BlockOperator`), which gives the
 value of the dense operator exactly while never forming it: V rho(alpha(a))
 and rho(a) V have the components {H; H, d_0} and {d_(k-1); d_k}, V V* and
-V* V are block-diagonal over the same groups, and rank(row) is the sum of
-the ranks of the row's components under one global singular-value cutoff.
+V* V are block-diagonal over the same groups.  The row is block
+upper-triangular, with the pivots dH* delta and q_k* on its diagonal, so
+it is onto D_V when every pivot is; ``defect/row-onto`` certifies that
+from the pivots (the q_k* by orthonormality, with no SVD), and otherwise
+takes rank(row) as the sum of the ranks of the row's components under one
+global singular-value cutoff.
 
 Kraus coordinates.  Each level's ``pi_hat_k`` is Q_k K_k Q_k*, K_k the
 unrotated :class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x)
@@ -72,6 +76,7 @@ Each clause value is unchanged:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -290,6 +295,31 @@ class DefectDecomposition:
         return [self.delta_h_basis] + self.q_bases
 
 
+def _row_onto(head, q_bases, tol: Tolerance) -> bool:
+    """Whether the defect row is onto D_V, read off its pivots.
+
+    The row is block upper-triangular with the pivots ``head`` = dH* delta
+    and the q_k* on its diagonal (module docstring), so it is onto when
+    every pivot is: y* row = 0 gives y_dH = 0 from the column of H, then
+    y_q0 = 0 from that of defect-0, and so on.  q_k has orthonormal columns,
+    so r_k = ||q_k* q_k - I||_F < 1 puts the squares of its singular values
+    in [1 - r_k, 1 + r_k], with no SVD.  The cutoff is the one singular-value
+    rule over the pivots, with sqrt(1 + max r_k) standing in for the q_k's
+    largest singular value: an upper bound, so a pivot kept here is kept
+    under the exact cutoff over the pivots too.  True certifies the rank;
+    False leaves it to the dense components of the row.
+    """
+    resid = [float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+             for q in q_bases if q.shape[1]]
+    top = math.sqrt(1.0 + max(resid, default=0.0))
+    if head is not None:
+        ((_, s, _),) = ranked_svds([head], tol, compute_uv=False, top=top)
+        if len(s) < head.shape[0]:
+            return False
+        top = max(top, float(s[0]))
+    return all(1.0 - r > (tol.rank_eps * top) ** 2 for r in resid)
+
+
 def defect_decomposition(chain: ExtensionChain,
                          tol: Tolerance = DEFAULT_TOL) -> DefectDecomposition:
     """Split the defect space of V into delta(H) and the per-level complements.
@@ -350,10 +380,10 @@ def defect_decomposition(chain: ExtensionChain,
     gram_res = residual(row_map.adjoint() @ row_map,
                         BlockOperator.identity(dims) - v.adjoint() @ v, tol.residual_tol)
     rep.add(clause("defect/row-gram", "row* row = I - V* V", gram_res, tol.residual_tol))
-    # one cutoff over the row's components: the rank of the whole row
-    row_rank = sum(len(s) for _, s, _ in
-                   ranked_svds(row_map.component_blocks(), tol, compute_uv=False))
     dv_dim = sum(summand_dims)
+    row_rank = dv_dim if _row_onto(row.blocks.get((0, 0)), q_bases, tol) else \
+        sum(len(s) for _, s, _ in ranked_svds(row_map.component_blocks(), tol,
+                                               compute_uv=False))
     rep.add(clause("defect/row-onto", "defect row maps onto D_V",
                    0.0 if row_rank == dv_dim else 1.0, 0.5,
                    note=f"rank {row_rank} of {dv_dim}"))

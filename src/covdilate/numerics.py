@@ -517,23 +517,25 @@ def orthonormal_spans(mats, tol: Tolerance = DEFAULT_TOL) -> list:
 
 
 def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True,
-                full_matrices: bool = False) -> list:
+                full_matrices: bool = False, top: float = 0.0) -> list:
     """One SVD per diagonal block of a block-diagonal matrix, truncated to
     its kept singular values: the package's one singular-value rank rule.
 
     A singular value is kept when it exceeds ``rank_eps`` times the largest
     over all blocks, which is also the cutoff of ``np.linalg.pinv`` with
-    ``rcond=rank_eps``.  Each entry is ``(u, s, vh)``, with ``u`` and ``vh``
-    None unless ``compute_uv``; ``len(s)`` is the block's rank.  With
-    ``full_matrices`` ``u`` keeps all its columns, and those past the rank
-    span the orthogonal complement of the block's range (a block with no
-    more rows than columns already has a square ``u`` in its thin SVD, whose
-    long right factor is then not built).
+    ``rcond=rank_eps``.  ``top`` is a singular value of the matrix known
+    without an SVD, from a block not passed (an identity block has 1); the
+    largest is then taken over it too.  Each entry is ``(u, s, vh)``, with
+    ``u`` and ``vh`` None unless ``compute_uv``; ``len(s)`` is the block's
+    rank.  With ``full_matrices`` ``u`` keeps all its columns, and those
+    past the rank span the orthogonal complement of the block's range (a
+    block with no more rows than columns already has a square ``u`` in its
+    thin SVD, whose long right factor is then not built).
     """
     svds = [np.linalg.svd(b, full_matrices=full_matrices and b.shape[0] > b.shape[1])
             if compute_uv
             else (None, np.linalg.svd(b, compute_uv=False), None) for b in blocks]
-    top = max([float(s[0]) for _, s, _ in svds if s.size] + [0.0])
+    top = max([float(s[0]) for _, s, _ in svds if s.size] + [float(top)])
     out = []
     for u, s, vh in svds:
         k = np.count_nonzero(s > tol.rank_eps * top) if top > 0.0 else 0
@@ -552,6 +554,21 @@ def svd_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:
 def svd_pinv(u, s, vh) -> np.ndarray:
     """The pseudo-inverse V S^-1 U* from a truncated thin SVD."""
     return (vh.conj().T / s) @ u.conj().T
+
+
+def block_pinv(op: "BlockOperator", svds) -> "BlockOperator":
+    """The pseudo-inverse of a block operator from the truncated SVDs of the
+    components of its pattern (in :meth:`BlockOperator.components` order,
+    as :func:`ranked_svds` returns them for ``op.component_blocks()``): the
+    direct sum of the components' pseudo-inverses, on the transposed
+    layout."""
+    blocks = {}
+    for (rows, cols), svd in zip(op.components(), svds):
+        inv = svd_pinv(*svd)
+        rs = block_slices([op.rows[i] for i in rows])
+        cs = block_slices([op.cols[j] for j in cols])
+        blocks.update({(j, i): inv[c, r] for j, c in zip(cols, cs) for i, r in zip(rows, rs)})
+    return BlockOperator(op.cols, op.rows, blocks)
 
 
 def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -19,6 +19,12 @@ values an invariance clause with a dense complement and dense images, the
 form of the extension step's gate and of the level containment note before
 the frame kernel.
 
+``dense_orbit_rank`` is the rank ``dilation/minimal`` took before it read
+the pivots of a record's block-echelon power orbit: the singular-value rank
+of the dense orbit.  ``densified`` writes a record's W and E out as dense
+matrices, so that ``dilation_intertwiner`` builds its u by least squares on
+the dense orbits, the route it took before the pivot blocks.
+
 ``choi_route_chain`` builds every adapted level the way the package builds
 level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
@@ -27,6 +33,8 @@ above the first from the transfer's Kraus form.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
@@ -34,7 +42,7 @@ from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
                                  resolve_transfer, transfer_images, two_step,
                                  usable_depth)
 from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
-from covdilate.dilation import DilationRecord
+from covdilate.dilation import DilationRecord, power_orbit
 from covdilate.extension import _assemble
 from covdilate.numerics import (DEFAULT_TOL, BlockOperator, basis_sweep, block_diag,
                                 block_slices, orthonormal_complement, orthonormal_span,
@@ -209,6 +217,17 @@ def dilation_values(rec, prefix: str, tol=DEFAULT_TOL) -> dict:
         masked[:, boundary] = 0.0
         out[f"{prefix}/{clause}"] = (spectral_norm(masked), spectral_norm(w) ** 2)
     return out
+
+
+def dense_orbit_rank(rec, tol=DEFAULT_TOL) -> int:
+    """The rank of the dense power orbit [E, W E, ..., W^N E]."""
+    orbit = power_orbit(np.asarray(rec.w), np.asarray(rec.source_embed), rec.copies)
+    return svd_rank(np.hstack(orbit), tol)
+
+
+def densified(rec) -> DilationRecord:
+    """The record with W and E as dense matrices: no block pattern to read."""
+    return replace(rec, w=np.asarray(rec.w), source_embed=np.asarray(rec.source_embed))
 
 
 def dense_schaffer_dilate(pair: CovariantPair, copies: int, tol=DEFAULT_TOL) -> DilationRecord:

@@ -265,8 +265,9 @@ def test_kraus_space_intertwiner_is_x2_pinv_x1(corpus, kind):
 
 
 def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
-    # one SVD of x1 gives its rank and its pseudo-inverse, one more the rank
-    # of x2; nothing else in the certificate runs an SVD
+    # both records are in Schaffer form: one SVD per component of the first
+    # pivot gives its rank and its pseudo-inverse, one per component of the
+    # second its rank; no SVD has a side of the power orbit
     pair, strat = finite_pair(7)
     chain = coisometric_extend(pair, 2, strat)
     rec1 = schaffer_dilate(chain.as_pair(), 2)
@@ -282,9 +283,11 @@ def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
         m.setattr(np.linalg, "svd", counting)
         cert = dilation_intertwiner(rec1, rec2)
     assert cert.verdict == "equivalent"
+    pivots = [b.shape for rec in (rec1, rec2) for b in rec.echelon.pivot.component_blocks()]
+    assert pivots and shapes == pivots
     x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
               for rec in (rec1, rec2))
-    assert shapes == [x1.shape, x2.shape]
+    assert all(side < min(x1.shape) for shape in shapes for side in shape)
     want = x2 @ np.linalg.pinv(x1, rcond=DEFAULT_TOL.rank_eps)
     assert spectral_norm(cert.intertwiner - want) <= 1e-10
 

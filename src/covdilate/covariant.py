@@ -12,7 +12,7 @@ isometric extension step (a larger representation ``rho`` and an isometry
   conditional expectation onto the range of the dynamics.
 
 Both strategies build their dilations with the Choi/Kraus kernel of
-:mod:`covdilate.cpmaps`, and every step's representation is one unrotated
+:mod:`covdilate.cpmaps`, and every step's representation is one
 :class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
 computed in its multiplicity spaces.  The adapted step of a ``KrausRep``
@@ -39,10 +39,10 @@ import numpy as np
 
 from .algebra import (ChunkRep, FiniteDimCStarAlgebra, StarHom,
                       cyclic_summands, unit_residual)
-from .cpmaps import (CPMap, KrausRep, KrausTransfer, idempotency_residual,
-                     kraus_dilation, kraus_direct_sum, kraus_span, range_defect,
-                     transfer_kraus, unit_image_chois, verify_completely_positive,
-                     verify_transfer)
+from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
+                     idempotency_residual, kraus_dilation, kraus_direct_sum, kraus_span,
+                     range_defect, transfer_kraus, unit_image_chois,
+                     verify_completely_positive, verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
@@ -301,12 +301,12 @@ def span_frame(system, rep, depth, right) -> tuple:
     """The spanning set [rep(b_1) right, ..., rep(b_N) right] over the basis
     at ``depth`` as ``(frames, sizes)``: directsum_b I_{n_b} x Y_b.
 
-    An unrotated :class:`~covdilate.cpmaps.KrausRep` on the basis of its own
-    algebra (every extension step's representation) gives its Kraus frames
-    (see its docstring), with no image evaluated; any other representation,
-    a rotated one included, gives its spanning set as one frame of size one.
+    A :class:`~covdilate.cpmaps.KrausRep` on the basis of its own algebra
+    (every extension step's representation) gives its Kraus frames (see its
+    docstring), with no image evaluated; any other representation gives its
+    spanning set as one frame of size one.
     """
-    if isinstance(rep, KrausRep) and rep.rotation is None and depth == rep.depth:
+    if isinstance(rep, KrausRep) and depth == rep.depth:
         return rep.frames(right), rep.block_sizes
     return [basis_images(system, rep, depth, right)], (1,)
 
@@ -730,22 +730,30 @@ def two_step(pair: CovariantPair, ext: HBExtension,
              tol: Tolerance = DEFAULT_TOL, rng=None) -> TwoStepBlock:
     """Build the defect space rho(A) W Delta* H and the map D* back to H.
 
-    The span and the restriction of rho to it come from the Kraus form of
-    rho (:func:`~covdilate.cpmaps.kraus_span`); a generator rotates the
-    basis by a Haar unitary H*, which makes the restriction's rotation H.
-    The step stays unrotated: a rotation Q of its space (B -> QB, W -> QW)
-    cancels from d* = Delta* W* B and pi_hat = B* rho B.  The invariance
-    gate takes the complement of the span from the same frames (the
-    rotation of the basis leaves its span, and so the complement, as it is).
+    The span and the restriction K = B* rho B of rho to it come from the
+    Kraus form of rho (:func:`~covdilate.cpmaps.kraus_span`), and K is the
+    level's ``pi_hat``.  A generator draws G = directsum_b I_{n_b} x U_b,
+    one Haar U_b on U(r_b) per block of K's layout in block order, and
+    moves the basis to B G*.  G is a unitary of K's commutant, so
+    (B G*)* rho (B G*) = G K G* = K: ``pi_hat`` stays K, its dilation map
+    becomes G B* X = (B G*)* X, and of the level only the basis and d* =
+    Delta* W* B G* change.  The invariance gate takes the complement of
+    the span from the same frames (B G* spans what B spans).
     """
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     rho = ext.rho
     basis, dil, complement = kraus_span(rho, w @ delta_star, tol)
-    rotation = None if rng is None else haar_unitary(dil.dim, rng)
-    pi_hat = KrausRep(pair.system, rho.depth, dil, rotation)
-    if rotation is not None:
-        basis = basis @ rotation.conj().T
+    pi_hat = KrausRep(pair.system, rho.depth, dil)
+    if rng is not None:
+        # G on the Kraus coordinates (b, p, s): U_b on the index s
+        iso = dil.isometry.copy()
+        dim, h = basis.shape[0], iso.shape[1]
+        for n, r, s in pi_hat.layout:
+            u = haar_unitary(r, rng)
+            basis[:, s] = (basis[:, s].reshape(dim, n, r) @ u.conj().T).reshape(dim, n * r)
+            iso[s] = np.matmul(u, iso[s].reshape(n, r, h)).reshape(n * r, h)
+        pi_hat = KrausRep(pair.system, rho.depth, KrausDilation(dil.multiplicities, iso))
 
     inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol.residual_tol,
                               complement)

@@ -27,7 +27,7 @@ from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
                        basis_sweep, block_slices, eye_kron,
-                       hermitian_residual, ranked_svds, residual,
+                       hermitian_residual, kron_eye, ranked_svds, residual,
                        spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
@@ -309,34 +309,37 @@ def kraus_block(n: int, h: int, vals, vecs, cut: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class KrausRep(ChunkRep):
-    """rho(x) = R (directsum_b x_b x I_{r_b}) R* on a Kraus dilation space.
+    """rho(x) = directsum_b x_b x I_{r_b} on a Kraus dilation space.
 
-    ``rotation`` is the optional basis unitary R (None: the identity), and
     ``dilation.multiplicities`` are the r_b; Kraus coordinate (b, p, s),
     p < n_b and s < r_b, has index offset_b + p r_b + s.
     ``system.coord_blocks(coords, depth, self.depth)`` gives the block stacks
     of the coordinate rows in the dilated algebra (``depth`` is None on
-    finite systems).
+    finite systems).  The commutant of rho is directsum_b I_{n_b} x M_{r_b}:
+    a basis seed moves a level only by unitaries of that form (see
+    :func:`~covdilate.covariant.two_step`), so every rep the package builds
+    is in these coordinates.
 
-    For X : C^h -> K let V = R* X and Y_b the r_b x (n_b h) matrix with
-    Y_b[s, q h + j] = V[(b, q, s), j] (:meth:`frames`).  Three identities
-    put the extension-step constructions in the multiplicity spaces C^{r_b}:
+    For X : C^h -> K let Y_b be the r_b x (n_b h) matrix with Y_b[s, q h +
+    j] = X[(b, q, s), j] (:meth:`frames`).  Three identities put the
+    extension-step constructions in the multiplicity spaces C^{r_b}:
 
-    * Span.  The matrix unit E^b_pq maps column j of V to e_p x Y_b[:, q h
+    * Span.  The matrix unit E^b_pq maps column j of X to e_p x Y_b[:, q h
       + j] inside block b, so over the matrix-unit basis the spanning set
-      [rho(b_1) X, ..., rho(b_N) X] is exactly R (directsum_b I_{n_b} x Y_b),
-      and span rho(A) X = R (directsum_b C^{n_b} x range Y_b).  Its singular
+      [rho(b_1) X, ..., rho(b_N) X] is exactly directsum_b I_{n_b} x Y_b,
+      and span rho(A) X = directsum_b C^{n_b} x range Y_b.  Its singular
       values are those of the Y_b, each repeated n_b times, so the rank rule
       of :func:`~covdilate.numerics.orthonormal_span` on the spanning set is
       that of :func:`~covdilate.numerics.ranked_svds` on the Y_b.
     * Restriction.  With U_b orthonormal columns spanning range Y_b and
-      B = R (directsum_b I_{n_b} x U_b), B* rho(x) B = directsum_b x_b x
-      U_b* U_b = directsum_b x_b x I_{rank_b}: the restriction to the span
-      is the KrausRep with multiplicities rank_b, and in the basis B H, H
-      unitary, the one with rotation H* (:func:`kraus_span`).
-    * Intertwiner.  For two unrotated such reps of one algebra (every
-      extension step's rep) the spanning sets are Z_i = directsum_b I_{n_b}
-      x Y_{i,b}.  A thin SVD of each Y_{1,b} tensored with I_{n_b} is one of
+      B = directsum_b I_{n_b} x U_b, B* rho(x) B = directsum_b x_b x U_b*
+      U_b = directsum_b x_b x I_{rank_b}: the restriction to the span is
+      the KrausRep with multiplicities rank_b (:func:`kraus_span`), and so
+      is the restriction in the basis B G* for any unitary G = directsum_b
+      I_{n_b} x H_b of its commutant.
+    * Intertwiner.  For two such reps of one algebra (every extension
+      step's rep) the spanning sets are Z_i = directsum_b I_{n_b} x
+      Y_{i,b}.  A thin SVD of each Y_{1,b} tensored with I_{n_b} is one of
       Z_1, with the same singular values, so pinv(Z_1) = directsum_b I_{n_b}
       x pinv(Y_{1,b}) when every cutoff is taken relative to the largest
       singular value over all blocks, and Z_2 pinv(Z_1) = directsum_b
@@ -352,7 +355,6 @@ class KrausRep(ChunkRep):
     system: object
     depth: Optional[int]
     dilation: KrausDilation
-    rotation: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -361,19 +363,6 @@ class KrausRep(ChunkRep):
     @property
     def max_depth(self):
         return self.depth
-
-    @cached_property
-    def _kraus_blocks(self) -> list:
-        """Per block b, Q's column block Q_b (columns (p, s), p < n_b and
-        s < r_b) twice: as the (dim r_b, n_b) matrix L_b with rows (i, s),
-        and as R_b = Q_b* with rows (s, q).  Then Q_b (x_b (x) I_r) Q_b* is
-        (L_b x_b viewed as (dim, r_b n_b)) R_b."""
-        out = []
-        for n, r, s in self.layout:
-            q = self.rotation[:, s].reshape(self.dim, n, r).transpose(0, 2, 1)
-            q = np.ascontiguousarray(q)
-            out.append((q.reshape(self.dim * r, n), q.reshape(self.dim, r * n).conj().T))
-        return out
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -387,17 +376,14 @@ class KrausRep(ChunkRep):
         return list(zip(sizes, mults, block_slices(n * r for n, r in zip(sizes, mults))))
 
     def frames(self, x) -> list[np.ndarray]:
-        """The r_b x (n_b h) matrices Y_b of V = R* X, one per block."""
-        v = x if self.rotation is None else self.rotation.conj().T @ x
-        h = v.shape[1]
-        return [v[s].reshape(n, r, h).transpose(1, 0, 2).reshape(r, n * h)
+        """The r_b x (n_b h) matrices Y_b of X, one per block."""
+        h = x.shape[1]
+        return [x[s].reshape(n, r, h).transpose(1, 0, 2).reshape(r, n * h)
                 for n, r, s in self.layout]
 
     def images(self, coords, depth) -> np.ndarray:
         m = len(coords)
         blocks = self.system.coord_blocks(coords, depth, self.depth)
-        if self.rotation is not None:
-            return self._rotated_images(m, blocks)
         out = np.zeros((m, self.dim, self.dim), dtype=complex)
         for b, (n, r, s) in zip(blocks, self.layout):
             # the diagonal block of x_b (x) I_r, viewed as (m, n, r, n, r): a
@@ -413,54 +399,35 @@ class KrausRep(ChunkRep):
         dim x dim images.
 
         On the Kraus rows s_b of X, viewed as the (n_b, r_b c) matrix X_b,
-        the unrotated image acts as a_b X_b, since a_b x I_{r_b} moves only
-        the index p of row (p, s); X rho(a) is (rho(a)^T X^T)^T, the same
-        contraction with a_b^T.  That costs sum_b n_b^2 r_b c per row
-        against dim^2 c for the image and its product.  A rotated rep
-        contracts R* X (X R) and maps the result back with R (R*).
+        the image acts as a_b X_b, since a_b x I_{r_b} moves only the index
+        p of row (p, s); X rho(a) is (rho(a)^T X^T)^T, the same contraction
+        with a_b^T.  That costs sum_b n_b^2 r_b c per row against dim^2 c
+        for the image and its product.
         """
         x = np.asarray(frame, dtype=complex)
-        rot = self.rotation
         if right:
-            x = x.T if rot is None else (x @ rot).T
-        elif rot is not None:
-            x = rot.conj().T @ x
+            x = x.T
         m, c = len(coords), x.shape[1]
         blocks = self.system.coord_blocks(coords, depth, self.depth)
         out = np.empty((m, self.dim, c), dtype=complex)
         for b, (n, r, s) in zip(blocks, self.layout):
             b = b.swapaxes(-1, -2) if right else b
             out[:, s] = np.matmul(b, x[s].reshape(n, r * c)).reshape(m, n * r, c)
-        if right:
-            out = out.swapaxes(-1, -2)
-            return out if rot is None else out @ rot.conj().T
-        return out if rot is None else rot @ out
-
-    def _rotated_images(self, m, blocks) -> np.ndarray:
-        # sum over b of Q_b (x_b (x) I_r) Q_b*: x_b against Q's column block
-        # in one batched product, then one product with Q_b*
-        out = None
-        for b, (left, right) in zip(blocks, self._kraus_blocks):
-            half = np.matmul(left, b).reshape(m, self.dim, right.shape[0])
-            if out is None:
-                out = np.matmul(half, right)
-            else:
-                out += np.matmul(half, right)
-        return out if out is not None else np.zeros((m, self.dim, self.dim), dtype=complex)
+        return out.swapaxes(-1, -2) if right else out
 
 
 def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Orthonormal bases of span rep(A) X and of its complement, and the
     restriction of rep to the span.
 
-    B = R (directsum_b I_{n_b} x U_b), U_b the canonically phased left
-    singular vectors that :func:`~covdilate.numerics.ranked_svds` keeps of
-    the frame Y_b (see :class:`KrausRep`).  The restriction B* rep(x) B is
+    B = directsum_b I_{n_b} x U_b, U_b the canonically phased left singular
+    vectors that :func:`~covdilate.numerics.ranked_svds` keeps of the frame
+    Y_b (see :class:`KrausRep`).  The restriction B* rep(x) B is
     directsum_b x_b x I_{rank_b}, returned as its :class:`KrausDilation`,
-    whose dilation map B* X = (directsum_b I_{n_b} x U_b*) V has Kraus
+    whose dilation map B* X = (directsum_b I_{n_b} x U_b*) X has Kraus
     coordinates.  The columns of U_b past its rank, U_b^perp, span the
-    complement of range Y_b in C^{r_b}, so C = R (directsum_b I_{n_b} x
-    U_b^perp) spans the complement of span B: its columns are orthonormal,
+    complement of range Y_b in C^{r_b}, so C = directsum_b I_{n_b} x
+    U_b^perp spans the complement of span B: its columns are orthonormal,
     orthogonal to B, and n_b (rank_b + dim U_b^perp) = n_b r_b counts every
     Kraus coordinate.  Returns ``(B, dilation, C)``.
     """
@@ -471,28 +438,24 @@ def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
     for (n, r, s), y, (u, sv, _) in zip(rep.layout, frames, svds):
         k = len(sv)
         kept, perp = _canonical_phases(u[:, :k]), _canonical_phases(u[:, k:])
-        cols.append(_kraus_columns(rep, n, s, kept))
-        comps.append(_kraus_columns(rep, n, s, perp))
+        cols.append(_kraus_columns(rep.dim, n, s, kept))
+        comps.append(_kraus_columns(rep.dim, n, s, perp))
         rows.append((kept.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
         ranks.append(k)
     return (np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows)),
             np.hstack(comps))
 
 
-def _kraus_columns(rep: KrausRep, n: int, s: slice, u) -> np.ndarray:
-    """R (I_{n_b} x U) on the Kraus coordinates ``s`` of block b."""
-    dim, k = rep.dim, u.shape[1]
-    if rep.rotation is None:
-        col = np.zeros((dim, n * k), dtype=complex)
-        col[s] = eye_kron(n, u)
-        return col
-    # column block b of R, rows (i, p) against U
-    return np.matmul(rep.rotation[:, s].reshape(dim * n, u.shape[0]), u).reshape(dim, n * k)
+def _kraus_columns(dim: int, n: int, s: slice, u) -> np.ndarray:
+    """I_{n_b} x U on the Kraus coordinates ``s`` of block b."""
+    col = np.zeros((dim, n * u.shape[1]), dtype=complex)
+    col[s] = eye_kron(n, u)
+    return col
 
 
 def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
-    """The direct sum of the KrausReps ``parts`` (one system and depth; each
-    unrotated, as the GNS step builds them) as one unrotated KrausRep, with
+    """The direct sum of the KrausReps ``parts`` (one system and depth, as
+    the GNS step builds them) as one KrausRep, with
     ``isometry`` W : C^h -> directsum_s K_s in summand-major coordinates.
 
     Taking the copies of each block summand by summand gives multiplicities
@@ -523,20 +486,20 @@ class KrausTransfer:
     (the transfer tau, followed on the tower by the embedding into the
     level's stage), so one eigensolve of side n_b n_c serves every level.
 
-    Composition rule.  Let pi_hat(y) = R (directsum_c y_c x I_{r_c}) R*, R
-    unitary on C^h, h = sum_c n_c r_c, and let W_c: C^{n_c} -> directsum_b
+    Composition rule.  Let pi_hat(y) = directsum_c y_c x I_{r_c} on C^h,
+    h = sum_c n_c r_c, and let W_c: C^{n_c} -> directsum_b
     C^{n_b} x C^{m_bc} be the Kraus dilation of psi_c (:func:`kraus_block`
     of its spectra, under the cutoff below), rho_c(x) = directsum_b x_b x
     I_{m_bc}.  Then psi_c(x) x I_{r_c} = (W_c x I)* (rho_c(x) x I) (W_c x I),
     so with V = directsum_c W_c x I_{r_c} and P the permutation of the rows
     ((c, b, p, s), t) to the block-major Kraus coordinates (b, p, (c, s, t)),
 
-        phi(x) = pi_hat(psi(x)) = W* rho(x) W,   W = P V R*,
+        phi(x) = pi_hat(psi(x)) = W* rho(x) W,   W = P V,
         rho(x) = directsum_b x_b x I_{m_b},    m_b = sum_c m_bc r_c.
 
-    * Choi blocks and gates.  Choi_b(phi) = [phi(E^b_pq)]_pq is (I_{n_b} x
-      R) (directsum_c C_bc x I_{r_c}) (I_{n_b} x R*) up to a permutation of
-      its rows and columns, a unitary similarity of side n_b h.  Hence its
+    * Choi blocks and gates.  Choi_b(phi) = [phi(E^b_pq)]_pq is
+      directsum_c C_bc x I_{r_c} up to a permutation of its rows and
+      columns, a unitary similarity of side n_b h.  Hence its
       spectrum is that of the C_bc with r_c > 0, each value repeated r_c
       times: :func:`choi_cut` on those spectra is the positivity gate and
       the cutoff of :func:`kraus_dilation` on Choi_b(phi), the same decision
@@ -548,8 +511,8 @@ class KrausTransfer:
       ||Choi_b(phi) - Choi_b(phi)*|| / (1 + ||Choi_b(phi)||) = max_c ||C_bc -
       C_bc*|| / (1 + max_c ||C_bc||) <= max_c hermitian_residual(C_bc) over
       r_c > 0: gating each such C_bc passes every level's hermiticity gate.
-      Both gates therefore rest on psi's Choi blocks and the unitarity of
-      R alone, and are decided once per chain and component.  For a
+      Both gates therefore rest on psi's Choi blocks alone, and are
+      decided once per chain and component.  For a
       transfer that ``verify_strategy`` certified, the positivity gate
       cannot fire at any level: the embedding is a unital *-homomorphism
       (x -> x (x) 1 on the tower), so the C_bc together have the spectrum
@@ -561,10 +524,8 @@ class KrausTransfer:
       eigenvectors, so each frame Y^c_b of W_c (see :class:`KrausRep`) has
       full row rank m_bc.  The frame of block b of P V is directsum_c Y^c_b
       x I_{r_c} up to permutations (row (c, s, t) meets only the columns
-      (q, (c, i, t))), of rank sum_c m_bc r_c = m_b, and R* acts on the
-      columns of the frames by the unitary I_{n_b} x R*, which keeps their
-      ranks.  By the span identity of :class:`KrausRep`, span rho(A) W is
-      the whole dilation space.
+      (q, (c, i, t))), of rank sum_c m_bc r_c = m_b.  By the span identity
+      of :class:`KrausRep`, span rho(A) W is the whole dilation space.
     """
 
     source: FiniteDimCStarAlgebra
@@ -585,15 +546,16 @@ class KrausTransfer:
             for herm_res in self.hermiticity[c]:
                 _hermiticity_gate(herm_res, self.tol)
         cut = choi_cut([sp for c, *_ in live for sp in self.spectra[c]], self.tol)
-        r_star = np.eye(h, dtype=complex) if rep.rotation is None else rep.rotation.conj().T
         rows, mults = [], []
         for b, n in enumerate(self.source.block_sizes):
             parts = [np.zeros((n, 0, h), dtype=complex)]
             for c, n_c, r_c, s in live:
-                # (W_c x I_{r_c}) R* on block b: rows (p, s, t)
+                # W_c x I_{r_c} on block b, rows (p, s, t), scattered into
+                # the Kraus coordinates s of component c
                 w_c = kraus_block(n, n_c, *self.spectra[c][b], cut)
                 m = w_c.shape[1]
-                part = w_c.reshape(n * m, n_c) @ r_star[s].reshape(n_c, r_c * h)
+                part = np.zeros((n * m * r_c, h), dtype=complex)
+                part[:, s] = kron_eye(w_c.reshape(n * m, n_c), r_c)
                 parts.append(part.reshape(n, m * r_c, h))
             block = np.concatenate(parts, axis=1)
             mults.append(block.shape[1])

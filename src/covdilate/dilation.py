@@ -418,7 +418,8 @@ def _compression(orbit, t, threshold: Optional[float] = None) -> float:
 
 def _interior_clauses(rec: DilationRecord, prefix: str, tol: Tolerance) -> ClauseReport:
     """Isometry and coisometry of U on the interior window: the Gram defects
-    U* U - I and U U* - I without their boundary columns."""
+    U* U - I and U U* - I without their boundary columns, decided against
+    the residual threshold (a passing value may be a Frobenius bound)."""
     u = rec.w
     boundary = _blocks_within(u.cols, np.concatenate([rec.boundary_rows,
                                                        rec.boundary_cols]).astype(int))
@@ -430,7 +431,8 @@ def _interior_clauses(rec: DilationRecord, prefix: str, tol: Tolerance) -> Claus
                                 ("coisometric-interior", "(U U* - I) P_int = 0",
                                  u @ u.adjoint())):
         rep.add(clause(f"{prefix}/{name}", formula,
-                       spectral_norm((gram - eye).select(cols=interior)), tol.residual_tol))
+                       spectral_norm((gram - eye).select(cols=interior), tol.residual_tol),
+                       tol.residual_tol))
     return rep
 
 

@@ -49,35 +49,21 @@ from the pivots (the q_k* by orthonormality, with no SVD), and otherwise
 takes rank(row) as the sum of the ranks of the row's components under one
 global singular-value cutoff.
 
-Kraus coordinates.  Each level's ``pi_hat_k`` is Q_k K_k Q_k*, K_k the
-unrotated :class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x)
-I_(r_b)) and Q_k the level's basis-seed rotation (the identity without a
-seed), so rho = Qd rho' Qd* with Qd = diag(I_H, Q_0, ..., Q_(n-1)) and
-rho' = pi + K_0 + ... + K_(n-1) (:func:`kraus_coordinates`).  Both
-whole-chain sweeps are evaluated there: V' = Qd* V Qd, D_V' = Qd* D_V and
-C' = Qd* C (C the complement of D_V) are formed once per report, with the
-blocks of V, and K_k acts on them through its frame kernel
-(:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is formed.
-Each clause value is unchanged:
-
-* ``chain/covariance``: V' rho'(alpha(a)) - rho'(a) V' = Qd* (V
-  rho(alpha(a)) - rho(a) V) Qd, and likewise each operand, so every
-  spectral norm is the same; Qd is block-diagonal, so V' keeps V's block
-  pattern and its components.  Only the Frobenius bound's denominator
-  (entry maxima, not unitarily invariant) can move, and with it a
-  ``bound`` value, never an exact value or a pass flag.
-* ``chain/representation-restricts``: rho'(a) restricted to H is rho(a)
-  restricted to H with the rows of each level rotated by Q_k*, and its
-  only block is pi(a) in both.
-* ``defect/invariant`` and ``defect/diagonal-form``: C'* rho'(alpha(a))
-  D_V' = C* rho(alpha(a)) D_V and D_V'* rho'(alpha(a)) D_V' = D_V*
-  rho(alpha(a)) D_V, the identical operators.
+Kraus form.  Each level's ``pi_hat_k`` is a
+:class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x) I_(r_b)), with or
+without a basis seed: the seed moves only the level's defect basis, its
+D_k* and the dilation map of ``pi_hat_k``, by a unitary of the commutant
+of ``pi_hat_k`` (:func:`~covdilate.covariant.two_step`).  Both
+whole-chain sweeps apply rho = pi + pi_hat_0 + ... + pi_hat_(n-1) to the
+blocks of V, D_V and the complement of D_V through the levels' frame
+kernels (:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is
+formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,8 +120,13 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
 
     ``level_strategies`` optionally overrides the strategy per level; mixed
     chains realize the non-uniqueness of the construction and are only built
-    when explicitly requested this way.  ``basis_seed`` seeds the Haar
-    rotations of the levels' defect bases (:func:`~covdilate.covariant.two_step`).
+    when explicitly requested this way.  ``basis_seed`` seeds one generator
+    for the whole chain, from which each level in turn draws a Haar unitary
+    of its ``pi_hat``'s commutant, one U(r_b) factor per block, that moves
+    its defect basis (:func:`~covdilate.covariant.two_step`).  Two seeds give
+    chains that are unitarily equivalent, with the same ``rho``, but not
+    equal: the freedom in (rho, V) that fixes H and every level's
+    representation.
     """
     if n_levels < 1:
         raise StrategyInvalid(
@@ -194,28 +185,6 @@ def _assemble(pair: CovariantPair, strategies, levels, basis_seed) -> ExtensionC
                           block_dims, basis_seed)
 
 
-def kraus_coordinates(chain: ExtensionChain) -> tuple:
-    """The chain's rho in its levels' Kraus coordinates: ``(rho', rotations)``
-    with rho' = pi + K_0 + ... + K_(n-1), K_k the level's ``pi_hat`` without
-    its rotation, and ``rotations`` the diagonal blocks of Qd = diag(I_H,
-    Q_0, ..., Q_(n-1)) (None for an identity block), so that rho = Qd rho' Qd*."""
-    pi, *levels = chain.rho.parts
-    return (DirectSumRep(tuple([pi] + [replace(p, rotation=None) for p in levels])),
-            [None] + [p.rotation for p in levels])
-
-
-def _rotated(x: BlockOperator, rows, cols=None) -> BlockOperator:
-    """Qr* X (Qr* X Qc with ``cols``) for block-diagonal unitaries given by
-    their diagonal blocks (None for an identity block)."""
-    def block(i, j, b):
-        if rows[i] is not None:
-            b = rows[i].conj().T @ b
-        return b if cols is None or cols[j] is None else b @ cols[j]
-
-    return BlockOperator._of(x.rows, x.cols, {(i, j): block(i, j, b)
-                                              for (i, j), b in x.blocks.items()}, x.lead)
-
-
 def verify_coisometric_extension(chain: ExtensionChain,
                                  tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
     """Extension, covariance and truncated-coisometry clauses for the chain."""
@@ -234,15 +203,12 @@ def verify_coisometric_extension(chain: ExtensionChain,
         # an operator on H as a map H -> chain space landing in H
         return BlockOperator(dims, (h,), {(0, 0): m})
 
-    # both sweeps in the levels' Kraus coordinates: V' = Qd* V Qd against
-    # rho' = Qd* rho Qd (see the module docstring)
-    rho, rotations = kraus_coordinates(chain)
-    vk = _rotated(v, rotations, rotations)
+    rho = chain.rho
     embed_h = in_h(np.eye(h, dtype=complex))
     restr, cov = basis_sweep(
         system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
         lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))),
-        lambda c, ac, ad: (rho.act(ac, ad, vk, right=True), rho.act(c, d, vk)),
+        lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v)),
         threshold=tol.residual_tol)
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
@@ -392,10 +358,8 @@ def defect_decomposition(chain: ExtensionChain,
                      "space differ in general")
 
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    # D_V' = Qd* D_V and C' = Qd* C against rho' (see the module docstring)
-    rho, rotations = kraus_coordinates(chain)
-    dv_k = _rotated(dv_basis, rotations)
-    dv_h, comp_h = dv_k.adjoint(), _rotated(complement, rotations).adjoint()
+    rho = chain.rho
+    dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
 
     def diagonal(x_dv):
         # the off-diagonal blocks of the compression dv* x dv over the
@@ -405,7 +369,7 @@ def defect_decomposition(chain: ExtensionChain,
         return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
 
     inv, block_res = basis_sweep(system.basis_size(d),
-                                 lambda c: (rho.act(*system.alpha_coords(c, d), dv_k),),
+                                 lambda c: (rho.act(*system.alpha_coords(c, d), dv_basis),),
                                  lambda x_dv: comp_h @ x_dv, diagonal,
                                  threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",

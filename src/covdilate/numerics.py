@@ -62,11 +62,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def spectral_norm(a) -> float:
+def spectral_norm(a, threshold: float | None = None) -> float:
     """Largest singular value; zero for empty matrices.  A
-    :class:`BlockOperator` is valued per component of its pattern."""
+    :class:`BlockOperator` is valued per component of its pattern.
+
+    With a ``threshold`` the value is decided as in :func:`basis_sweep`:
+    exact above it, and at or below it possibly an :class:`UpperBound`
+    (the Frobenius norm), which is returned as such."""
     if isinstance(a, BlockOperator):
-        return float(_clause_max(a))
+        return _clause_max(a, threshold)
+    if threshold is not None:
+        return _clause_max(np.asarray(a, dtype=complex)[None], threshold)
     return float(_spectral_norms(np.asarray(a, dtype=complex)))
 
 

@@ -15,11 +15,13 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
-from covdilate.cpmaps import CPMap, KrausRep
+from covdilate.cpmaps import CPMap
 from covdilate.extension import ExtensionChain, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, spectral_norm
 from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
                              state_density)
+
+from dense_oracle import RotatedRep
 
 
 def random_element(algebra, rng):
@@ -30,11 +32,10 @@ def random_element(algebra, rng):
 
 def rotated_step(ext, rng):
     """The extension step in the basis Q K of its dilation space, Q a Haar
-    draw of the dilation dimension: rho becomes Q rho Q* and W becomes Q W."""
+    draw of the dilation dimension: rho becomes the
+    :class:`dense_oracle.RotatedRep` Q rho Q* and W becomes Q W."""
     q = haar_unitary(ext.dilation_dim, rng)
-    rho = ext.rho
-    return replace(ext, rho=KrausRep(rho.system, rho.depth, rho.dilation, q),
-                   isometry=q @ ext.isometry)
+    return replace(ext, rho=RotatedRep(ext.rho, q), isometry=q @ ext.isometry)
 
 
 def random_covariant_contraction(system, rep, rng, norm: float) -> np.ndarray:

@@ -12,9 +12,9 @@ of a chain pair, for certifying the block construction unitarily
 equivalent to it.
 
 ``chain_coordinate_values`` is the route the whole-chain sweeps took
-before they moved into the levels' Kraus coordinates: V, D_V and its
-complement against the images of the chain's rho itself, whose level parts
-are the rotated ``pi_hat`` s, as block operators.  ``complement_invariance``
+before the frame kernel: V, D_V and its complement against the block images
+of the chain's rho, whose level parts are the ``pi_hat`` s.
+``complement_invariance``
 values an invariance clause with a dense complement and dense images, the
 form of the extension step's gate and of the level containment note before
 the frame kernel.
@@ -29,14 +29,19 @@ the dense orbits, the route it took before the pivot blocks.
 level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
 above the first from the transfer's Kraus form.
+
+``RotatedRep`` is a representation in a rotated basis, Q K(x) Q*: the
+package builds every representation in Kraus coordinates, so a rotated one
+exists only here, to drive the routes that take any representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from covdilate.algebra import ChunkRep
 from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
                                  RestrictedRep, ShiftedRep, defect_roots,
                                  resolve_transfer, transfer_images, two_step,
@@ -47,6 +52,26 @@ from covdilate.extension import _assemble
 from covdilate.numerics import (DEFAULT_TOL, BlockOperator, basis_sweep, block_diag,
                                 block_slices, orthonormal_complement, orthonormal_span,
                                 residual, spectral_norm, svd_rank)
+
+
+@dataclass(eq=False)
+class RotatedRep(ChunkRep):
+    """x -> Q K(x) Q* for a representation K and a unitary Q, image by
+    image: a plain representation with no Kraus form to read."""
+
+    inner: object
+    q: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    @property
+    def max_depth(self):
+        return self.inner.max_depth
+
+    def images(self, coords, depth) -> np.ndarray:
+        return self.q @ np.asarray(self.inner.images(coords, depth)) @ self.q.conj().T
 
 
 def _dense_images(rep, c, d):
@@ -270,7 +295,7 @@ def choi_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBEx
 
 def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
     """coisometric_extend with every level's step from :func:`choi_route_step`;
-    the defect rotations are drawn as the package draws them."""
+    the seed's defect-basis unitaries are drawn as the package draws them."""
     system = pair.system
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels = []

@@ -9,18 +9,22 @@ dimensions are equal, and the isometric dilation of a chain is certified
 unitarily equivalent to the dense one.  The component lemma itself is
 checked against ``np.linalg.norm`` on random block patterns, a thresholded
 clause value (bounds from the stored blocks, exact values of the slices
-above the threshold) against the per-slice dense values, and a block off
-V's pattern must fail the chain clauses with the dense value.
+above the threshold) against the per-slice dense values, a block off V's
+pattern must fail the chain clauses with the dense value, and a perturbed
+interior block of U the interior unitarity clause.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import covdilate.numerics as numerics_mod
-from covdilate.dilation import (_matricial_clauses, _unitary_clauses,
-                                compose_unitary, explicit_matricial_unitary,
-                                schaffer_dilate, verify_isometric_dilation)
+from covdilate.dilation import (_blocks_within, _interior_clauses, _matricial_clauses,
+                                _unitary_clauses, compose_unitary,
+                                explicit_matricial_unitary, schaffer_dilate,
+                                verify_isometric_dilation)
 from covdilate.equivalence import dilation_intertwiner
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, verify_coisometric_extension)
@@ -229,3 +233,27 @@ def test_misplaced_block_fails_with_the_dense_value():
         value, scale = dense[name]
         assert value > got[name].threshold
         assert abs(got[name].residual - value) <= AGREE * (1.0 + scale), name
+
+
+def test_perturbed_interior_block_fails_isometric_interior_with_the_dense_value():
+    """The interior clauses are decided against the threshold: the composed
+    unitary passes them by a bound, and a perturbed interior block of U
+    fails ``isometric-interior`` with the exact dense value."""
+    sc = build_scenario(demo_fixture("automorphism"))
+    chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+    rec = compose_unitary(chain, sc.copies, sc.tol)
+    name = "unitary/isometric-interior"
+    healthy = {c.name: c for c in _interior_clauses(rec, "unitary", sc.tol).clauses}
+    assert healthy[name].passed and healthy[name].bound
+    # T, the block from H into H: column H is interior
+    u = rec.w
+    assert 0 not in _blocks_within(u.cols, np.concatenate(
+        [rec.boundary_rows, rec.boundary_cols]).astype(int))
+    rng = np.random.default_rng(13)
+    noise = 0.3 * rng.standard_normal(u.blocks[(0, 0)].shape)
+    broken = replace(rec, w=BlockOperator(u.rows, u.cols,
+                                          {**u.blocks, (0, 0): u.blocks[(0, 0)] + noise}))
+    got = {c.name: c for c in _interior_clauses(broken, "unitary", sc.tol).clauses}[name]
+    value, scale = dense_oracle.dilation_values(broken, "unitary", sc.tol)[name]
+    assert not got.passed and not got.bound and value > got.threshold
+    assert abs(got.residual - value) <= AGREE * (1.0 + scale), (got.residual, value)

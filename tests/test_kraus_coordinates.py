@@ -1,12 +1,12 @@
-"""Whole-chain sweeps in the levels' Kraus coordinates against the chain's own.
+"""Whole-chain sweeps through the levels' frame kernels against block images.
 
-Each chain level's representation is pi_hat_k = Q_k K_k Q_k*, K_k the
-unrotated Kraus representation and Q_k the Haar rotation a basis seed draws.
-``verify_coisometric_extension`` and ``defect_decomposition`` value their
-sweeps against rho' = pi + K_0 + ... with V, D_V and the complement of D_V
-rotated once by Qd = diag(I_H, Q_0, ...), and apply every K_k to those
-frames through ``KrausRep.act`` without forming an image.  Here the exact
-values are compared with the route in the chain's coordinates
+Each chain level's representation pi_hat_k is a Kraus representation
+K_k = directsum_b x_b (x) I_(r_b), seeded or not (a basis seed moves the
+level's defect basis by a unitary of K_k's commutant, never K_k itself).
+``verify_coisometric_extension`` and ``defect_decomposition`` apply every
+K_k to the blocks of V, D_V and the complement of D_V through
+``KrausRep.act`` without forming an image.  Here the exact values are
+compared with the route through the images of the chain's rho
 (``dense_oracle.chain_coordinate_values``), the extension step's gate and
 the level containment note with dense complements, and the frame kernel
 with ``images``; a structural test holds the two sweeps to no image of a
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
-from covdilate.covariant import (FiniteDimSystem, defect_roots, haar_unitary,
-                                 invariance_residual, usable_depth)
+from covdilate.covariant import (FiniteDimSystem, defect_roots, invariance_residual,
+                                 usable_depth)
 from covdilate.cpmaps import KrausDilation, KrausRep, kraus_span
 from covdilate.extension import (ExtensionChain, coisometric_extend, defect_decomposition,
                                  verify_coisometric_extension)
@@ -72,7 +72,7 @@ def _chains(corpus):
 
 
 def test_sweeps_match_the_chain_coordinate_route(corpus, monkeypatch):
-    rotated = gns = 0
+    seeded = gns = 0
     for name, chain in _chains(corpus):
         shipped = verify_coisometric_extension(chain)
         dd = defect_decomposition(chain)
@@ -87,9 +87,9 @@ def test_sweeps_match_the_chain_coordinate_route(corpus, monkeypatch):
             assert abs(got[clause].residual - value) <= AGREE * (1.0 + scale), \
                 (name, clause, got[clause].residual, value)
             assert flags[clause].passed == (value <= flags[clause].threshold), (name, clause)
-        rotated += any(lv.pi_hat.rotation is not None for lv in chain.levels)
+        seeded += chain.basis_seed is not None
         gns += chain.strategies[0].kind == "gns"
-    assert rotated > 50 and gns > 5
+    assert seeded > 50 and gns > 5
 
 
 def test_step_gate_and_containment_note_match_dense_complements(corpus, monkeypatch):
@@ -101,7 +101,7 @@ def test_step_gate_and_containment_note_match_dense_complements(corpus, monkeypa
         for k, level in enumerate(chain.levels):
             rho, w = level.ext.rho, level.ext.isometry
             # the gate as two_step values it: the frames' complement of the
-            # (rotated) defect basis
+            # (seeded) defect basis
             _, _, comp = kraus_span(rho, w @ delta_star if k == 0 else w)
             basis = level.defect_basis
             got = _exact(monkeypatch, lambda: invariance_residual(
@@ -134,11 +134,10 @@ def _broken(chain, key, block):
 @pytest.mark.parametrize("key", [(1, 2), (2, 1)], ids=["on-pattern", "off-pattern"])
 def test_broken_v_fails_covariance_with_the_oracle_value(key):
     """A perturbed D_1* (row defect-0, column defect-1) and a block from
-    defect-0 into defect-1: both rotated levels act on each, one from either
-    side."""
+    defect-0 into defect-1 of a seeded chain: both levels act on each, one
+    from either side."""
     case = _deep_case()
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
-    assert all(lv.pi_hat.rotation is not None for lv in chain.levels)
     rng = np.random.default_rng(12)
     shape = (chain.v.rows[key[0]], chain.v.cols[key[1]])
     noise = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -156,20 +155,18 @@ def test_broken_v_fails_covariance_with_the_oracle_value(key):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
-@example(layout=[(2, 0), (1, 2)], cols=2, rows=1, rotated=False, seed=0)
-@example(layout=[(3, 0)], cols=1, rows=2, rotated=True, seed=1)
+@example(layout=[(2, 0), (1, 2)], cols=2, rows=1, seed=0)
+@example(layout=[(3, 0)], cols=1, rows=2, seed=1)
 @given(layout=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1,
                        max_size=3),
-       cols=st.integers(0, 3), rows=st.integers(1, 3), rotated=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-def test_frame_kernel_is_the_image_product(layout, cols, rows, rotated, seed):
+       cols=st.integers(0, 3), rows=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_frame_kernel_is_the_image_product(layout, cols, rows, seed):
     rng = np.random.default_rng(seed)
     algebra = FiniteDimCStarAlgebra(tuple(n for n, _ in layout))
     system = FiniteDimSystem(algebra, StarHom.identity(algebra))
     mults = tuple(r for _, r in layout)
     dim = sum(n * r for n, r in layout)
-    rotation = haar_unitary(dim, rng) if rotated else None
-    rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, 1))), rotation)
+    rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, 1))))
 
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -183,8 +180,9 @@ def test_frame_kernel_is_the_image_product(layout, cols, rows, rotated, seed):
 
 
 def test_frame_kernel_on_the_tower_levels():
-    """Every level rep of the rep_depth = 3 tower, rotated or not, at its own
-    depth and one below (the coordinate rows embedded into its stage)."""
+    """Every level rep of the seeded rep_depth = 3 tower, the step's and the
+    restriction's, at its own depth and one below (the coordinate rows
+    embedded into its stage)."""
     case = _deep_case()
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
     system = chain.pair.system
@@ -200,14 +198,15 @@ def test_frame_kernel_on_the_tower_levels():
                 y = x.T.conj()
                 assert np.abs(rep.act(coords, depth, y, right=True)
                               - y @ images).max() <= 1e-13
-                checked += rep.rotation is not None
-    assert checked == 4
+                checked += 1
+    assert checked == 8
 
 
 def test_chain_sweeps_form_no_level_image_and_no_level_complement(monkeypatch):
     """On the seeded rep_depth = 3 tower the two sweeps evaluate no
-    KrausRep image (rotated or not), and the only complements taken are
-    those of f_k inside defect-k coordinates and of delta(H) inside H."""
+    KrausRep image, and the only complements taken are those of f_k inside
+    defect-k coordinates and of delta(H) inside H.  A KrausRep has no other
+    route to an image: it carries no rotation."""
     case = _deep_case()
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
     images, complements = [], []
@@ -222,7 +221,8 @@ def test_chain_sweeps_form_no_level_image_and_no_level_complement(monkeypatch):
 
     real_images, real_complement = KrausRep.images, numerics_mod.orthonormal_complement
     monkeypatch.setattr(KrausRep, "images", recording_images)
-    monkeypatch.setattr(KrausRep, "_rotated_images", None)
+    assert not hasattr(KrausRep, "rotation")
+    assert not any(hasattr(lv.pi_hat, "rotation") for lv in chain.levels)
     for module in (numerics_mod, extension_mod):
         monkeypatch.setattr(module, "orthonormal_complement", recording_complement)
 

@@ -6,9 +6,13 @@ rebuild them from evaluated images: the spanning set
 [rho(b_1) X, ..., rho(b_N) X] and its orthonormal_span, the RestrictedRep
 B* rho(x) B of every chain level, x2 pinv(x1), and the GNS step's direct sum
 of per-summand KrausReps.  Every step stays in the Kraus coordinates of its
-own dilation; the chain whose step spaces are rotated by Haar draws as well
-(:func:`rotated_route_chain`) is certified equivalent to it.
+own dilation; the chain whose step spaces are rotated by Haar draws
+(:func:`rotated_route_chain`) is certified equivalent to it.  A basis seed
+moves each level by a Haar unitary of its ``pi_hat``'s commutant, drawn
+block by block.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,14 +33,16 @@ from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import InvarianceViolation
 from covdilate.extension import _assemble, coisometric_extend
-from covdilate.numerics import (DEFAULT_TOL, orthonormal_complement, orthonormal_span,
-                                spectral_norm)
-from covdilate.scenario import build_scenario
+from covdilate.numerics import (DEFAULT_TOL, block_diag, eye_kron, orthonormal_complement,
+                                orthonormal_span, spectral_norm)
+from covdilate.scenario import build_scenario, load_scenario
 
 from conftest import rotated_step
 from test_dilation_kernel import gns_strategy
 from test_equivalence import finite_pair
 from test_stacked_images import PROPER_DEFECT
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +84,20 @@ def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None
 def rotated_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
     """coisometric_extend with every step space rotated: with a seed, each
     step is rotated by a Haar draw of its dilation dimension
-    (:func:`conftest.rotated_step`) before two_step draws the defect
-    rotation, on the same generator."""
+    (:func:`conftest.rotated_step`), a representation with no Kraus form,
+    and :func:`dense_two_step` builds its level from the evaluated images,
+    drawing the defect rotation on the same generator."""
     system = pair.system
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels = []
     rep, t = pair.rep, pair.contraction
     for _ in range(n_levels):
         ext = extend_representation(system, rep, strategy, pair.depth, tol)
-        if rng is not None:
-            ext = rotated_step(ext, rng)
-        step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
+        level_pair = CovariantPair(system, rep, t, pair.depth)
+        if rng is None:
+            step = two_step(level_pair, ext, tol)
+        else:
+            step = dense_two_step(level_pair, rotated_step(ext, rng), tol, rng)
         levels.append(step)
         rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
     return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
@@ -205,20 +214,106 @@ def test_rotated_step_route_chain_is_equivalent_to_the_kraus_chain(corpus, built
         assert cert.verdict == "equivalent", (case.name, cert.residuals)
 
 
-def test_the_basis_seed_rotates_only_the_defect_bases(corpus):
-    # every extension step stays unrotated; the generator's draws are the
-    # defect rotations, one per level, in level order
-    seed = 41
-    checked = 0
+# ---------------------------------------------------------------------------
+# the basis seed: a unitary of each level's commutant
+# ---------------------------------------------------------------------------
+
+def _seed_pairs(corpus):
+    """(name, unseeded chain, chain at seed 41) for the corpus, adapted and
+    GNS, and for the proper-defect scenario."""
     for case in corpus:
         for strategy in (case.strategy, gns_strategy(case)):
-            chain = coisometric_extend(case.pair, case.levels, strategy, DEFAULT_TOL, seed)
-            rng = np.random.default_rng(seed)
-            for lv in chain.levels:
-                assert lv.ext.rho.rotation is None, case.name
-                assert np.array_equal(lv.pi_hat.rotation, haar_unitary(lv.dim, rng)), case.name
-                checked += 1
+            yield (f"{case.name}-{strategy.kind}",
+                   coisometric_extend(case.pair, case.levels, strategy, DEFAULT_TOL),
+                   coisometric_extend(case.pair, case.levels, strategy, DEFAULT_TOL, 41))
+    proper = build_scenario(PROPER_DEFECT)
+    yield ("proper-defect",
+           coisometric_extend(proper.pair, proper.levels, proper.strategy, proper.tol),
+           coisometric_extend(proper.pair, proper.levels, proper.strategy, proper.tol, 41))
+
+
+def _commutant_unitary(layout, rng):
+    """G = directsum_b I_{n_b} (x) U_b, one haar_unitary(r_b) per block."""
+    return block_diag([eye_kron(n, haar_unitary(r, rng)) for n, r, _ in layout])
+
+
+def test_the_basis_seed_draws_one_haar_unitary_per_block_of_each_level(corpus):
+    # level by level, then block by block of pi_hat's layout: the seeded
+    # level's basis is the unseeded one times G*; no extension step moves
+    checked = 0
+    for name, plain, seeded in _seed_pairs(corpus):
+        rng = np.random.default_rng(41)
+        for lv0, lv in zip(plain.levels, seeded.levels):
+            g = _commutant_unitary(lv.pi_hat.layout, rng)
+            assert np.array_equal(lv.ext.isometry, lv0.ext.isometry), name
+            assert np.abs(lv.defect_basis - lv0.defect_basis @ g.conj().T).max(
+                initial=0.0) <= 1e-14, name
+            checked += 1
     assert checked > 2 * len(corpus)
+
+
+def test_a_seeded_pi_hat_is_the_unseeded_pi_hat(corpus):
+    """Same multiplicities and the same images over the basis; only the
+    defect basis and d* move, by G* with G unitary and commuting with K."""
+    moved = 0
+    for name, plain, seeded in _seed_pairs(corpus):
+        system = plain.pair.system
+        for lv0, lv in zip(plain.levels, seeded.levels):
+            k0, k = lv0.pi_hat, lv.pi_hat
+            assert isinstance(k, KrausRep) and not hasattr(k, "rotation"), name
+            assert k.dilation.multiplicities == k0.dilation.multiplicities, name
+            rows = np.eye(system.basis_size(k.depth))
+            images = k0.images(rows, k.depth)
+            assert np.array_equal(k.images(rows, k.depth), images), name
+            # G = B* B0, the seed's unitary read off the two bases
+            g = lv.defect_basis.conj().T @ lv0.defect_basis
+            assert spectral_norm(g @ g.conj().T - np.eye(lv.dim)) <= 1e-13, name
+            assert np.abs(g @ images - images @ g).max(initial=0.0) <= 1e-13, name
+            assert spectral_norm(lv.d_star - lv0.d_star @ g.conj().T) <= 1e-13, name
+            if lv.dim and np.abs(lv.d_star).max() > 1e-8:
+                assert not np.allclose(lv.defect_basis, lv0.defect_basis), name
+                assert not np.allclose(lv.d_star, lv0.d_star), name
+                moved += 1
+    assert moved > len(corpus)
+
+
+def test_the_seed_draws_no_unitary_above_a_block_multiplicity(monkeypatch):
+    """On the seeded levels fixture the only Haar draws are the per-block
+    factors U_b: no side above the largest r_b of a level's pi_hat, and no
+    QR of a level's side."""
+    scenario = load_scenario(str(FIXTURES / "tower-levels.json"))
+    sides, qr_shapes = [], []
+    real_haar, real_qr = covariant_mod.haar_unitary, np.linalg.qr
+
+    def recording_haar(n, rng):
+        sides.append(n)
+        return real_haar(n, rng)
+
+    def recording_qr(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(covariant_mod, "haar_unitary", recording_haar)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    chain = coisometric_extend(scenario.pair, scenario.levels, scenario.strategy,
+                               scenario.tol, scenario.seed)
+    mults = [r for lv in chain.levels for r in lv.pi_hat.dilation.multiplicities]
+    assert sides == mults
+    assert max(max(shape) for shape in qr_shapes) <= max(mults)
+    # each level's factors are smaller than the level: here r_b = dim / 8
+    assert all(max(lv.pi_hat.dilation.multiplicities) < lv.dim for lv in chain.levels)
+
+
+def test_reseeded_levels_chains_are_equivalent_by_a_nontrivial_unitary():
+    first, second = (load_scenario(str(FIXTURES / name))
+                     for name in ("tower-levels.json", "tower-levels-reseeded.json"))
+    assert first.seed != second.seed
+    chains = [coisometric_extend(s.pair, s.levels, s.strategy, s.tol, s.seed)
+              for s in (first, second)]
+    cert = chain_intertwiner(*chains)
+    assert cert.verdict == "equivalent", cert.residuals
+    assert cert.residuals["representation_intertwined"] == 0.0
+    assert spectral_norm(cert.intertwiner - np.eye(chains[0].total_dim)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +394,7 @@ def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
 @pytest.mark.parametrize("seed", [None, 29])
 def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
     """The merged GNS step is the direct sum in block-major order; a basis
-    seed leaves it unrotated, since the seed only rotates defect bases."""
+    seed leaves it as it is, since the seed moves only defect bases."""
     merged = 0
     for case in corpus:
         pair = case.pair
@@ -307,7 +402,7 @@ def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
         strategy = gns_strategy(case)
         ext = coisometric_extend(pair, 1, strategy, DEFAULT_TOL, seed).levels[0].ext
         old = direct_sum_gns_rep(system, pair.rep, strategy, pair.depth)
-        assert isinstance(ext.rho, KrausRep) and ext.rho.rotation is None
+        assert isinstance(ext.rho, KrausRep)
         depth = ext.working_depth
         rows = np.eye(system.basis_size(depth))
         got = ext.rho.images(rows, depth)
@@ -328,11 +423,9 @@ def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
 @settings(max_examples=60, deadline=None)
 @given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1,
                        max_size=3).filter(lambda bs: any(r for _, r in bs)),
-       h=st.integers(1, 3), rank=st.integers(0, 3), rotated=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-@example(blocks=[(2, 2), (1, 3)], h=2, rank=0, rotated=True, seed=0)
-def test_spanning_set_singular_values_are_the_frames_repeated(blocks, h, rank, rotated,
-                                                             seed):
+       h=st.integers(1, 3), rank=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+@example(blocks=[(2, 2), (1, 3)], h=2, rank=0, seed=0)
+def test_spanning_set_singular_values_are_the_frames_repeated(blocks, h, rank, seed):
     rng = np.random.default_rng(seed)
     sizes = tuple(n for n, _ in blocks)
     mults = tuple(r for _, r in blocks)
@@ -342,8 +435,7 @@ def test_spanning_set_singular_values_are_the_frames_repeated(blocks, h, rank, r
     # X of rank at most ``rank``; rank 0 is the zero W
     left = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     x = left @ (rng.standard_normal((rank, h)) + 1j * rng.standard_normal((rank, h)))
-    rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, h), dtype=complex)),
-                   haar_unitary(dim, rng) if rotated else None)
+    rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, h), dtype=complex)))
 
     dense = basis_images(system, rep, None, x)
     want = np.linalg.svd(dense, compute_uv=False)

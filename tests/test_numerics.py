@@ -349,7 +349,7 @@ def test_norm_bound_is_at_least_the_exact_value(count, rows, cols, rank, seed):
     """On square, tall, wide, zero-size, rank-deficient and all-zero slices,
     each scaled by 1, 1e-200 or 1e150, the value a slice gets from its bound
     (an infinite threshold decides every slice by it) is at least its exact
-    value, for one operator and for a pair."""
+    value, for one operator (through ``spectral_norm`` too) and for a pair."""
     rng = np.random.default_rng(seed)
     a = _slices(rng, count, rows, cols, rank, SLICE_SCALES)
     b = _slices(rng, count, rows, cols, rank, SLICE_SCALES)
@@ -357,6 +357,9 @@ def test_norm_bound_is_at_least_the_exact_value(count, rows, cols, rank, seed):
         bound = numerics_mod._clause_max(x[None], np.inf)
         exact = numerics_mod._clause_max(x[None])
         assert bound >= exact * (1.0 - 4.0 * EPS), (x.shape, bound, exact)
+        assert spectral_norm(x, np.inf) == bound
+        if x.size:
+            assert isinstance(spectral_norm(x, np.inf), numerics_mod.UpperBound)
         bound = residual(x, y, np.inf)
         exact = residual(x, y)
         assert bound >= exact * (1.0 - 4.0 * EPS), (x.shape, bound, exact)

@@ -30,6 +30,7 @@ from covdilate.numerics import block_diag
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import GradedElement, ShiftTower, TowerRep, alpha_hom
 
+from dense_oracle import RotatedRep
 from test_basis_sweep import _projector_invariance
 from test_dilation_kernel import gns_strategy, gram_route_extension
 
@@ -86,10 +87,10 @@ def oracle(rep, x):
         return np.kron(np.kron(x.mat, np.eye(pad)), np.eye(rep.multiplicity))
     if isinstance(rep, KrausRep):
         blocks = _dilated_blocks(rep.system, x, rep.depth)
-        core = block_diag([np.kron(b, np.eye(r))
+        return block_diag([np.kron(b, np.eye(r))
                            for b, r in zip(blocks, rep.dilation.multiplicities)])
-        q = rep.rotation
-        return core if q is None else q @ core @ q.conj().T
+    if isinstance(rep, RotatedRep):
+        return rep.q @ oracle(rep.inner, x) @ rep.q.conj().T
     if isinstance(rep, RestrictedRep):
         return rep.basis.conj().T @ oracle(rep.inner, x) @ rep.basis
     if isinstance(rep, ShiftedRep):
@@ -125,11 +126,9 @@ def _assert_images_match(system, rep, rng, depth_cap=None):
 def _reps_of(case_pair, chain, rng):
     """Every representation class a chain and its dilations are made of."""
     ext = chain.levels[0].ext
-    rotated = KrausRep(ext.rho.system, ext.rho.depth, ext.rho.dilation,
-                       haar_unitary(ext.rho.dim, rng))
-    yield chain.rho                                  # DirectSum of pi and RestrictedRep
-    yield ext.rho                                    # KrausRep, no rotation
-    yield rotated                                    # KrausRep, rotated
+    yield chain.rho                                  # DirectSum of pi and KrausReps
+    yield ext.rho                                    # KrausRep
+    yield RotatedRep(ext.rho, haar_unitary(ext.rho.dim, rng))   # KrausRep, rotated
     yield schaffer_dilate(case_pair, 1).eta          # ShiftedRep inside RestrictedRep
 
 
@@ -145,8 +144,8 @@ def test_images_match_per_element_reference(corpus, built_chains, proper_defect)
             kinds |= _classes(rep)
         if pair.system.is_tower:
             _assert_images_match(pair.system, pair.rep, rng)   # TowerRep
-    assert {"Representation", "TowerRep", "KrausRep", "RestrictedRep", "ShiftedRep",
-            "DirectSumRep"} <= kinds
+    assert {"Representation", "TowerRep", "KrausRep", "RotatedRep", "RestrictedRep",
+            "ShiftedRep", "DirectSumRep"} <= kinds
 
 
 def _classes(rep):
@@ -235,8 +234,8 @@ CAP = 64 << 10
 
 def _charge(row, *stacks):
     """What a sweep charges one element: its coordinate row plus twice its
-    images and clause operators (a rotated KrausRep builds its images through
-    intermediate stacks of their own size)."""
+    images and clause operators (an image may be built through intermediate
+    stacks of its own size)."""
     return 16 * (row + 2 * sum(r * c for r, c in stacks))
 
 
@@ -253,7 +252,7 @@ def _peak_above_baseline(fn):
 
 
 def test_sweeps_stay_within_the_byte_cap(monkeypatch):
-    scenario = build_scenario(demo_fixture("tower"))   # seeded: rotated KrausReps
+    scenario = build_scenario(demo_fixture("tower"))   # seeded
     pair, system = scenario.pair, scenario.pair.system
     chain = coisometric_extend(pair, scenario.levels, scenario.strategy, scenario.tol,
                                scenario.seed)

@@ -46,9 +46,9 @@ from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_matrix,
-                       basis_sweep, block_diag, kron_eye, psd_sqrt, ranked_svds,
-                       residual, spectral_norm, stack_images, svd_pinv)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, as_matrix,
+                       basis_sweep, block_diag, commutant_bound, kron_eye, psd_sqrt,
+                       ranked_svds, residual, spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -88,6 +88,11 @@ class FiniteDimSystem:
         for _ in range(n):
             coords = coords @ self.alpha.matrix.T
         return coords, None
+
+    def shift_factors(self, rep, depth=None, n: int = 1):
+        """None: alpha is any endomorphism, with no commutant of rep(alpha^n(A))
+        to read off, so the invariance clauses sweep (``TowerSystem.shift_factors``)."""
+        return None
 
     def alpha_apply(self, x, n: int = 1):
         coords, _ = self.alpha_coords(x.coords[None], None, n)
@@ -334,6 +339,12 @@ def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = 
     orthonormal columns, decided against ``threshold`` when one is given
     (see :func:`~covdilate.numerics.basis_sweep`).
 
+    With a threshold, a :class:`~covdilate.cpmaps.KrausRep` on its own
+    algebra is first valued by the bound of its commutant directsum_b
+    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`; the
+    basis is of matrix units, of norm 1): at or below the threshold that
+    ``UpperBound`` is the value, with no sweep.
+
     With ``complement``, orthonormal columns C spanning the complement of
     span B, each value is ||C* rep(a) B||; without, ||Y - B (B* Y)|| for
     Y = rep(a) B.  The two are equal, since I - B B* = C C* and C is an
@@ -345,6 +356,10 @@ def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = 
     k = basis.shape[1]
     if k in (0, basis.shape[0]) or (complement is not None and complement.shape[1] == 0):
         return 0.0
+    if threshold is not None and isinstance(rep, KrausRep) and depth == rep.depth:
+        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout])
+        if bound <= threshold:
+            return UpperBound(bound)
     if isinstance(rep, KrausRep):
         images = lambda c: (rep.act(c, depth, basis),)
     else:
@@ -719,7 +734,7 @@ class TwoStepBlock:
     defect_basis: np.ndarray      # orthonormal columns inside the dilation space
     d_star: np.ndarray            # defect map back to H, in basis coordinates
     pi_hat: KrausRep              # restriction of rho to the defect space
-    invariance: float             # max_a ||(I - B B*) rho(a) B||, B the defect basis
+    invariance: float             # max_a ||(I - B B*) rho(a) B|| or its commutant bound
 
     @property
     def dim(self) -> int:
@@ -738,7 +753,8 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     (B G*)* rho (B G*) = G K G* = K: ``pi_hat`` stays K, its dilation map
     becomes G B* X = (B G*)* X, and of the level only the basis and d* =
     Delta* W* B G* change.  The invariance gate takes the complement of
-    the span from the same frames (B G* spans what B spans).
+    the span from the same frames (B G* spans what B spans); the commutant
+    bound of rho (directsum_b I_{n_b} x M_{r_b}) decides it, about 1e-16 here.
     """
     _, delta_star = defect_roots(pair, tol)
     w = ext.isometry

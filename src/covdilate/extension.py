@@ -58,6 +58,25 @@ whole-chain sweeps apply rho = pi + pi_hat_0 + ... + pi_hat_(n-1) to the
 blocks of V, D_V and the complement of D_V through the levels' frame
 kernels (:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is
 formed.
+
+Defect clauses from structure.  ``chain/representation-restricts`` is
+exactly 0.0 when rho is a direct sum with pi itself first, and
+``defect/diagonal-form`` when no chain block meets two summands of D_V
+(rho(alpha(a)) is block-diagonal); each sweeps only off that structure.
+``defect/invariant`` is max_i ||C_i* rho_i(alpha(b)) B_i|| over the chain
+blocks i and matrix units b, B_i the block of D_V and C_i of its
+complement.  With P = B_i B_i* and E the conditional expectation onto the
+commutant of rho_i(alpha(A)), E(P) commutes with rho_i(alpha(b)), C_i* P
+= 0 and P B_i = B_i, so
+
+    C_i* rho_i(alpha(b)) B_i = C_i* [rho_i(alpha(b)), P] B_i
+                             = C_i* [rho_i(alpha(b)), P - E(P)] B_i,
+
+of norm at most 2 ||P - E(P)||_F.  On the tower rho_i(alpha(a)) = I_k (x)
+a (x) I_R (``TowerSystem.shift_factors``), E averages over the middle
+factor (:func:`~covdilate.numerics.commutant_bound`), and the bound is the
+value when it is at or below the threshold, labelled a bound; otherwise,
+and on the finite backend, the basis sweep gives the exact value.
 """
 
 from __future__ import annotations
@@ -73,9 +92,9 @@ from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock,
                         two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, basis_sweep,
-                       block_slices, orthonormal_complement, orthonormal_span,
-                       ranked_svds, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, basis_sweep,
+                       block_slices, commutant_bound, orthonormal_complement,
+                       orthonormal_span, ranked_svds, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -205,11 +224,13 @@ def verify_coisometric_extension(chain: ExtensionChain,
 
     rho = chain.rho
     embed_h = in_h(np.eye(h, dtype=complex))
-    restr, cov = basis_sweep(
-        system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
-        lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))),
-        lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v)),
-        threshold=tol.residual_tol)
+    clauses = [lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v))]
+    # rho(a) is block-diagonal with rho(a)|H = parts[0](a): pi itself restricts exactly
+    if not (isinstance(rho, DirectSumRep) and rho.parts[0] is pair.rep):
+        clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
+    cov, *restr = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
+                              *clauses, threshold=tol.residual_tol)
+    restr = restr[0] if restr else 0.0
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
@@ -286,6 +307,23 @@ def _row_onto(head, q_bases, tol: Tolerance) -> bool:
     return all(1.0 - r > (tol.rank_eps * top) ** 2 for r in resid)
 
 
+def _defect_invariance(system, depth, rho, bases, comps, tol: Tolerance) -> float:
+    """``defect/invariant`` for D_V = directsum_i span B_i with the complement
+    directsum_i span C_i: the largest commutant bound over the chain blocks
+    when it is at or below the threshold, else the sweep of C* rho(alpha(a)) B
+    (module docstring)."""
+    factors = [system.shift_factors(part, depth) for part in rho.parts]
+    if None not in factors:
+        bound = max(commutant_bound(b, [f]) for b, f in zip(bases, factors))
+        if bound <= tol.residual_tol:
+            return UpperBound(bound)
+    dv_basis, comp_h = BlockOperator.diagonal(bases), BlockOperator.diagonal(comps).adjoint()
+    (inv,) = basis_sweep(system.basis_size(depth),
+                         lambda c: (rho.act(*system.alpha_coords(c, depth), dv_basis),),
+                         lambda x_dv: comp_h @ x_dv, threshold=tol.residual_tol)
+    return inv
+
+
 def defect_decomposition(chain: ExtensionChain,
                          tol: Tolerance = DEFAULT_TOL) -> DefectDecomposition:
     """Split the defect space of V into delta(H) and the per-level complements.
@@ -324,8 +362,7 @@ def defect_decomposition(chain: ExtensionChain,
     summand_dims = [b.shape[1] for b in bases]
     dv_basis = BlockOperator.diagonal(bases)
     # the complement of D_V, block by block: of delta(H) in H, f_k in defect-k
-    complement = BlockOperator.diagonal([orthonormal_complement(delta_h_basis, tol)]
-                                        + f_bases)
+    comps = [orthonormal_complement(delta_h_basis, tol)] + f_bases
 
     # X = (-T* W*|span(W delta* H)) + q_0, mapping defect-0 into D_V
     t = pair.contraction
@@ -359,19 +396,22 @@ def defect_decomposition(chain: ExtensionChain,
 
     d = usable_depth(system, [chain.rho], 1, pair.depth)
     rho = chain.rho
-    dv_h, comp_h = dv_basis.adjoint(), complement.adjoint()
+    inv = _defect_invariance(system, d, rho, bases, comps, tol)
 
-    def diagonal(x_dv):
-        # the off-diagonal blocks of the compression dv* x dv over the
-        # summands of D_V vanish: dv* x dv equals its own diagonal blocks
-        compressed = dv_h @ x_dv
-        parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
-        return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
+    # defect/diagonal-form: dv* rho(alpha(a)) dv has a block (i, k) off the
+    # diagonal only where one chain block meets the summands i and k of dv
+    block_res = 0.0
+    if any(i != k for j, i in dv_basis.blocks for l, k in dv_basis.blocks if j == l):
+        dv_h = dv_basis.adjoint()
 
-    inv, block_res = basis_sweep(system.basis_size(d),
-                                 lambda c: (rho.act(*system.alpha_coords(c, d), dv_basis),),
-                                 lambda x_dv: comp_h @ x_dv, diagonal,
-                                 threshold=tol.residual_tol)
+        def diagonal(x_dv):
+            compressed = dv_h @ x_dv
+            parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
+            return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
+
+        (block_res,) = basis_sweep(
+            system.basis_size(d), lambda c: (rho.act(*system.alpha_coords(c, d), dv_basis),),
+            diagonal, threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
                    inv, tol.residual_tol))
     rep.add(clause("defect/diagonal-form", "rho1 = diag of summand compressions",

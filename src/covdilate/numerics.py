@@ -585,6 +585,24 @@ def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> n
     return _canonical_phases(u[:, len(s):])
 
 
+def commutant_bound(basis: np.ndarray, layout) -> float:
+    """2 ||P - E(P)||_F for P = B B*, ``basis`` B with orthonormal columns:
+    a bound on ||(I - P) x B|| for every x of norm <= 1 in the algebra
+    directsum_b 1_(m_b) (x) M_(n_b) (x) 1_(r_b) given by ``layout``, the
+    (m_b, n_b, r_b) of its diagonal blocks (proof in :mod:`~covdilate.extension`).
+    E projects onto the commutant: on block b it averages P over the middle
+    factor, E(P)[a,i,c,a',j,c'] = delta_ij (1/n_b) sum_l P[a,l,c,a',l,c'],
+    and it is zero off the diagonal blocks.
+    """
+    p = basis @ basis.conj().T
+    for (m, n, r), s in zip(layout, block_slices([m * n * r for m, n, r in layout])):
+        # a view of p: reshaping a basic slice only splits its axes
+        block = p[s, s].reshape(m, n, r, m, n, r)
+        diag = np.arange(n)
+        block[:, diag, :, :, diag, :] -= np.trace(block, axis1=1, axis2=4) / n
+    return 2.0 * float(np.linalg.norm(p))
+
+
 def gram_quotient(gram: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, int]:
     """Coordinates for the Hilbert-space quotient defined by a PSD Gram form.

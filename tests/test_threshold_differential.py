@@ -2,7 +2,8 @@
 
 Every command runs twice: as shipped, where each clause value is decided
 against its threshold by a norm bound, and with ``numerics._clause_max``
-patched to ignore the threshold, so that every value is exact.  The patch
+patched to ignore the threshold and with the commutant bound of the
+invariance clauses turned off, so that every value is exact.  The patch
 sits where block operators are reduced per component too, so the
 whole-chain and whole-dilation clauses are compared as well; the last test
 shows that none of those reductions receives a stack of the total side.  Both runs
@@ -12,6 +13,7 @@ value (4 eps relative), and a failing one, or one not labelled a bound, is
 bit-equal to it.
 """
 
+import math
 import re
 
 import numpy as np
@@ -40,7 +42,9 @@ COMMANDS = ("check", "extend", "dilate", "unitary", "matricial")
 
 def _twice(monkeypatch, fn, block_terms=None):
     """(fn() as shipped, fn() with every clause value exact); the exact run
-    appends to ``block_terms`` whether each reduced term is a block operator."""
+    appends to ``block_terms`` whether each reduced term is a block operator.
+    It also turns off the commutant bound of the invariance clauses, which
+    decides a value without a sweep, so that every one of them is swept."""
     aware = fn()
     real = numerics_mod._clause_max
 
@@ -52,6 +56,8 @@ def _twice(monkeypatch, fn, block_terms=None):
 
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", exact)
+        for mod in (covariant_mod, extension_mod):
+            m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
         exact = fn()
     return aware, exact
 

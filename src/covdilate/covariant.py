@@ -89,8 +89,8 @@ class FiniteDimSystem:
             coords = coords @ self.alpha.matrix.T
         return coords, None
 
-    def shift_factors(self, rep, depth=None, n: int = 1):
-        """None: alpha is any endomorphism, with no commutant of rep(alpha^n(A))
+    def shift_factors(self, rep, depth=None):
+        """None: alpha is any endomorphism, with no commutant of rep(alpha(A))
         to read off, so the invariance clauses sweep (``TowerSystem.shift_factors``)."""
         return None
 

@@ -60,9 +60,10 @@ kernels (:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is
 formed.
 
 Defect clauses from structure.  ``chain/representation-restricts`` is
-exactly 0.0 when rho is a direct sum with pi itself first, and
-``defect/diagonal-form`` when no chain block meets two summands of D_V
-(rho(alpha(a)) is block-diagonal); each sweeps only off that structure.
+exactly 0.0 when rho's first part is pi itself, and is swept otherwise.
+``defect/diagonal-form`` is exactly 0.0 with no fallback: D_V's embedding
+and rho(alpha(a)) are both block-diagonal over the chain blocks, so the
+compression of rho(alpha(a)) to D_V has no off-diagonal block.
 ``defect/invariant`` is max_i ||C_i* rho_i(alpha(b)) B_i|| over the chain
 blocks i and matrix units b, B_i the block of D_V and C_i of its
 complement.  With P = B_i B_i* and E the conditional expectation onto the
@@ -226,7 +227,7 @@ def verify_coisometric_extension(chain: ExtensionChain,
     embed_h = in_h(np.eye(h, dtype=complex))
     clauses = [lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v))]
     # rho(a) is block-diagonal with rho(a)|H = parts[0](a): pi itself restricts exactly
-    if not (isinstance(rho, DirectSumRep) and rho.parts[0] is pair.rep):
+    if rho.parts[0] is not pair.rep:
         clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
     cov, *restr = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
                               *clauses, threshold=tol.residual_tol)
@@ -398,20 +399,9 @@ def defect_decomposition(chain: ExtensionChain,
     rho = chain.rho
     inv = _defect_invariance(system, d, rho, bases, comps, tol)
 
-    # defect/diagonal-form: dv* rho(alpha(a)) dv has a block (i, k) off the
-    # diagonal only where one chain block meets the summands i and k of dv
+    # dv and rho(alpha(a)) are both block-diagonal over the chain blocks, so
+    # the compression dv* rho(alpha(a)) dv has no off-diagonal block
     block_res = 0.0
-    if any(i != k for j, i in dv_basis.blocks for l, k in dv_basis.blocks if j == l):
-        dv_h = dv_basis.adjoint()
-
-        def diagonal(x_dv):
-            compressed = dv_h @ x_dv
-            parts = {key: b for key, b in compressed.blocks.items() if key[0] == key[1]}
-            return compressed, BlockOperator(compressed.rows, compressed.cols, parts)
-
-        (block_res,) = basis_sweep(
-            system.basis_size(d), lambda c: (rho.act(*system.alpha_coords(c, d), dv_basis),),
-            diagonal, threshold=tol.residual_tol)
     rep.add(clause("defect/invariant", "rho(alpha(a)) preserves D_V",
                    inv, tol.residual_tol))
     rep.add(clause("defect/diagonal-form", "rho1 = diag of summand compressions",

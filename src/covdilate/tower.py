@@ -324,16 +324,15 @@ class TowerSystem:
         out = eye_kron(self.tower.k ** n, np.asarray(coords).reshape(len(coords), s, s))
         return out.reshape(len(coords), -1), depth + n
 
-    def shift_factors(self, rep, depth: int, n: int = 1):
-        """(k^n, k^depth, R = rep.dim / k^(n + depth)): rep(alpha^n(a)) =
-        I_(k^n) (x) a (x) I_R for a at ``depth``, since a ``TowerRep`` ((x (x)
-        1) (x) I_m) and a ``KrausRep`` (x (x) I_r) put the stage index first.
-        None for any other rep, or past its depth."""
-        if not (isinstance(rep, TowerRep) or isinstance(rep, KrausRep) and rep.system.is_tower) \
-                or depth + n > rep.max_depth:
+    def shift_factors(self, rep, depth: int):
+        """(k, k^depth, R = rep.dim / k^(depth + 1)): rep(alpha(a)) = I_k (x) a
+        (x) I_R for a at ``depth``, since a ``TowerRep`` ((x (x) 1) (x) I_m)
+        and a ``KrausRep`` (x (x) I_r) put the stage index first.  None for
+        any other rep, or past its depth."""
+        if not isinstance(rep, (TowerRep, KrausRep)) or depth + 1 > rep.max_depth:
             return None
         k = self.tower.k
-        return k ** n, k ** depth, rep.dim // k ** (n + depth)
+        return k, k ** depth, rep.dim // k ** (depth + 1)
 
     def alpha_apply(self, x: GradedElement, n: int = 1) -> GradedElement:
         coords, depth = self.alpha_coords(x.coords[None], x.depth, n)

@@ -94,6 +94,11 @@ class FiniteDimSystem:
         to read off, so the invariance clauses sweep (``TowerSystem.shift_factors``)."""
         return None
 
+    def local_units(self, depth=None):
+        """None: no tensor factors to split the matrix units into, so
+        ``chain/covariance`` sweeps the basis (``TowerSystem.local_units``)."""
+        return None
+
     def alpha_apply(self, x, n: int = 1):
         coords, _ = self.alpha_coords(x.coords[None], None, n)
         return self.algebra.from_coords(coords[0])

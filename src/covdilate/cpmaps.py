@@ -348,8 +348,7 @@ class KrausRep(ChunkRep):
     A clause that applies rho(a) to a fixed frame needs no image:
     :meth:`act` (the frame kernel) gives rho(a) X and X rho(a) by
     contracting x_b against the Kraus rows of X block by block.  The chain
-    sweeps, the extension step's invariance gate and the level containment
-    note go through it.
+    sweeps and the extension step's invariance gate go through it.
     """
 
     system: object

@@ -78,6 +78,25 @@ a (x) I_R (``TowerSystem.shift_factors``), E averages over the middle
 factor (:func:`~covdilate.numerics.commutant_bound`), and the bound is the
 value when it is at or below the threshold, labelled a bound; otherwise,
 and on the finite backend, the basis sweep gives the exact value.
+
+Covariance from the local units.  L(a) = V sigma(a) - tau(a) V, sigma = rho
+o alpha and tau = rho *-homomorphisms, obeys L(ab) = L(a) sigma(b) + tau(a)
+L(b), so ||L(ab)|| <= ||L(a)|| ||b|| + ||a|| ||L(b)||.  A tower matrix unit
+at depth d is a product of d local units I (x) e_ij (x) I of norm 1
+(``TowerSystem.local_units``), so the relative ``chain/covariance`` is at
+most d max_u ||L(u)|| over the d k^2 of them.  For d >= 2, every part of
+rho a ``TowerRep`` or ``KrausRep`` (``shift_factors``) and pi restricting
+exactly, that bound is the value when at or below the threshold, labelled
+a bound; otherwise the basis sweep gives the exact value.
+
+Level containment note.  A unit e_ij at the check depth d acts on the
+level space as e_ij (x) I_m, m = dim / k^d (x embeds as x (x) 1, stage
+index first; on the finite backend e^b_pq is e_pq (x) I_(r_b) in block b).
+So with W_i the i-th group of m rows of W, (I - W W*) rho(e_ij) W = F_i W_j
+for F_i = E_i - W W_i*, the group's columns of I - W W*, and with F_i =
+Q_i R_i its norm is ||R_i W_j||: exact, from one QR and one stack over j
+per group i, where the Gram form ||W_j* (I - W_i W_i*) W_j||^(1/2) would
+lose half the digits near 0.
 """
 
 from __future__ import annotations
@@ -88,14 +107,14 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock,
-                        defect_roots, extend_representation, invariance_residual,
-                        two_step, usable_depth, verify_strategy)
+from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock, defect_roots,
+                        extend_representation, two_step, usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, basis_sweep,
-                       block_slices, commutant_bound, orthonormal_complement,
-                       orthonormal_span, ranked_svds, residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, _canonical_phases,
+                       _spectral_norms, basis_sweep, block_slices, commutant_bound,
+                       orthonormal_complement, orthonormal_span, ranked_svds, residual,
+                       spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -225,12 +244,16 @@ def verify_coisometric_extension(chain: ExtensionChain,
 
     rho = chain.rho
     embed_h = in_h(np.eye(h, dtype=complex))
-    clauses = [lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v))]
     # rho(a) is block-diagonal with rho(a)|H = parts[0](a): pi itself restricts exactly
-    if rho.parts[0] is not pair.rep:
-        clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
-    cov, *restr = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
-                              *clauses, threshold=tol.residual_tol)
+    restricts = rho.parts[0] is pair.rep
+    cov = _covariance_bound(system, d, rho, v, tol) if restricts else None
+    restr = []
+    if cov is None:
+        clauses = [lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v))]
+        if not restricts:
+            clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
+        cov, *restr = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
+                                  *clauses, threshold=tol.residual_tol)
     restr = restr[0] if restr else 0.0
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
@@ -251,15 +274,45 @@ def verify_coisometric_extension(chain: ExtensionChain,
     for k, lv in enumerate(chain.levels[1:], start=1):
         w, basis = lv.ext.isometry, lv.defect_basis
         rep.add(clause(f"chain/level-{k}/defect-embeds", "W_k defect_(k-1) in defect_k",
-                       spectral_norm(w - basis @ (basis.conj().T @ w)), tol.residual_tol))
+                       spectral_norm(w - basis @ (basis.conj().T @ w), tol.residual_tol),
+                       tol.residual_tol))
         # how far the full algebra action moves the embedded previous
         # defect: only alpha(A) is guaranteed to preserve it
         check_d = usable_depth(system, [lv.ext.rho], 0, pair.depth)
-        containment = invariance_residual(system, check_d, lv.ext.rho, w)
+        containment = _containment(system, check_d, lv.ext.rho, w)
         rep.notes.append(
             f"level {k}: full algebra action moves the embedded previous defect by "
             f"{containment:.3e} (diagnostic; only the dynamics' image preserves it)")
     return rep
+
+
+def _covariance_bound(system, d, rho, v, tol: Tolerance) -> Optional[UpperBound]:
+    """``chain/covariance`` by its Leibniz bound over the local units when that
+    applies and is at or below the threshold, else None (module docstring)."""
+    units = system.local_units(d)
+    if units is None or any(system.shift_factors(p, d) is None for p in rho.parts):
+        return None
+    (local,) = basis_sweep(units, lambda c: (c, *system.alpha_coords(c, d)),
+                           lambda c, ac, ad: rho.act(ac, ad, v, right=True) - rho.act(c, d, v),
+                           threshold=tol.residual_tol)
+    return UpperBound(d * local) if d * local <= tol.residual_tol else None
+
+
+def _containment(system, depth, rep, w) -> float:
+    """max over the matrix units a at ``depth`` of ||(I - W W*) rep(a) W||,
+    exactly, from the row groups of W (module docstring)."""
+    dim, h = w.shape
+    if h in (0, dim):
+        return 0.0
+    worst = 0.0
+    for side, (n, r, s) in zip(system.algebra_view(depth).block_sizes, rep.layout):
+        m = n // side * r           # rows per group; e_ij maps group j onto group i
+        groups = w[s].reshape(side, m, h)
+        for i, wi in enumerate(groups):
+            # R_i of F_i = E_i - W W_i*, E_i the columns of I on group i
+            tri = np.linalg.qr(np.eye(dim, m, -s.start - i * m) - w @ wi.conj().T, mode="r")
+            worst = max(worst, float(_spectral_norms(tri @ groups).max()))
+    return worst
 
 
 @dataclass(eq=False)
@@ -345,17 +398,20 @@ def defect_decomposition(chain: ExtensionChain,
     level0 = chain.levels[0]
     w0 = level0.ext.isometry
     # q_k: the complement, in defect-k coordinates, of what the previous
-    # space embeds there (W delta* H at level 0, W_k defect_(k-1) above)
+    # space embeds there (W delta* H at level 0, W_k defect_(k-1) above):
+    # the left singular vectors past the rank, f_k those up to it
     f_bases, q_bases = [], []
     for k, lv in enumerate(chain.levels):
         seed = w0 @ delta_star if k == 0 else lv.ext.isometry
-        f, f_rank = orthonormal_span(lv.defect_basis.conj().T @ seed, tol)
-        q = orthonormal_complement(f, tol)
+        ((u, s, _),) = ranked_svds([lv.defect_basis.conj().T @ seed], tol, full_matrices=True)
+        f_rank = len(s)
+        f, q = _canonical_phases(u[:, :f_rank]), _canonical_phases(u[:, f_rank:])
         if f_rank + q.shape[1] != lv.dim:
             raise DecompositionMismatch(
                 f"defect-{k} does not split: {f_rank} + {q.shape[1]} != {lv.dim}")
         f_bases.append(f)
         q_bases.append(q)
+    del u                   # the last level's full U, held no longer than its split
     f0 = f_bases[0]
 
     dims = chain.v.rows

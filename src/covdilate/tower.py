@@ -334,6 +334,17 @@ class TowerSystem:
         k = self.tower.k
         return k, k ** depth, rep.dim // k ** (depth + 1)
 
+    def local_units(self, depth: int):
+        """Coordinate rows at ``depth`` = d of the d k^2 local units I_(k^t)
+        (x) e_ij (x) I_(k^(d-t-1)): every matrix unit is a product of d of
+        them.  None below depth 2, where they are the basis or nothing."""
+        if depth < 2:
+            return None
+        k = self.tower.k
+        units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+        return np.concatenate([eye_kron(k ** t, kron_eye(units, k ** (depth - t - 1)))
+                               .reshape(k * k, -1) for t in range(depth)])
+
     def alpha_apply(self, x: GradedElement, n: int = 1) -> GradedElement:
         coords, depth = self.alpha_coords(x.coords[None], x.depth, n)
         return self.element_from_coords(coords[0], depth)

@@ -341,11 +341,17 @@ def test_levels_above_the_first_take_no_square_root(corpus, built_chains, monkey
 
 def test_defect_split_gate_fires_on_a_short_complement(built_chains, monkeypatch):
     """A complement one column short of its level leaves f + q below the
-    level's dimension, which the split gate must reject."""
+    level's dimension, which the split gate must reject.  f and q are the
+    left singular vectors of one full SVD per level, so the fault drops the
+    last of them, a column of q."""
     chain = next(c for c in built_chains.values()
                  if any(q.shape[1] for q in defect_decomposition(c).q_bases))
-    real = extension_mod.orthonormal_complement
-    monkeypatch.setattr(extension_mod, "orthonormal_complement",
-                        lambda basis, tol=DEFAULT_TOL: real(basis, tol)[:, 1:])
+    real = extension_mod.ranked_svds
+
+    def short(blocks, tol=DEFAULT_TOL, **kwargs):
+        out = real(blocks, tol, **kwargs)
+        return [(u[:, :-1], s, vh) for u, s, vh in out] if kwargs.get("full_matrices") else out
+
+    monkeypatch.setattr(extension_mod, "ranked_svds", short)
     with pytest.raises(DecompositionMismatch, match="does not split"):
         defect_decomposition(chain)

@@ -124,6 +124,50 @@ def test_step_gate_and_containment_note_match_dense_complements(corpus, monkeypa
     assert proper > 0
 
 
+def _isometry(rng, dim, h):
+    z = rng.standard_normal((dim, h)) + 1j * rng.standard_normal((dim, h))
+    return np.linalg.qr(z)[0] if h else z
+
+
+def test_containment_note_on_a_multi_block_finite_krausrep():
+    """Random isometries, invariant under no unit, on Kraus representations
+    of M_2 + M_1 + M_3, one with an empty block."""
+    algebra = FiniteDimCStarAlgebra((2, 1, 3))
+    system = FiniteDimSystem(algebra, StarHom.identity(algebra))
+    rng = np.random.default_rng(11)
+    moved = 0
+    for mults in ((3, 2, 1), (2, 0, 2)):
+        dim = sum(n * r for n, r in zip(algebra.block_sizes, mults))
+        rep = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, 1))))
+        for h in (0, 1, 3, dim - 1, dim):
+            w = _isometry(rng, dim, h)
+            got = extension_mod._containment(system, None, rep, w)
+            value, scale = dense_oracle.complement_invariance(system, None, rep, w)
+            assert abs(got - value) <= AGREE * (1.0 + scale), (mults, h, got, value)
+            moved += value > 0.1
+    assert moved >= 6
+
+
+def test_containment_note_below_the_rep_depth():
+    """Every level rep of the seeded rep_depth = 3 tower at each depth up to
+    its own, on its W and on a random isometry: a unit at depth d acts as
+    e_ij (x) I_m with m = dim / k^d."""
+    case = _deep_case()
+    chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
+    system = chain.pair.system
+    rng = np.random.default_rng(13)
+    checked = 0
+    for level in chain.levels:
+        rho = level.ext.rho
+        for w in (level.ext.isometry, _isometry(rng, rho.dim, 5)):
+            for depth in range(rho.depth + 1):
+                got = extension_mod._containment(system, depth, rho, w)
+                value, scale = dense_oracle.complement_invariance(system, depth, rho, w)
+                assert abs(got - value) <= AGREE * (1.0 + scale), (depth, got, value)
+                checked += depth < rho.depth
+    assert checked >= 8
+
+
 def _broken(chain, key, block):
     v = chain.v
     return ExtensionChain(chain.pair, chain.strategies, chain.levels, chain.rho,
@@ -204,9 +248,9 @@ def test_frame_kernel_on_the_tower_levels():
 
 def test_chain_sweeps_form_no_level_image_and_no_level_complement(monkeypatch):
     """On the seeded rep_depth = 3 tower the two sweeps evaluate no
-    KrausRep image, and the only complements taken are those of f_k inside
-    defect-k coordinates and of delta(H) inside H.  A KrausRep has no other
-    route to an image: it carries no rotation."""
+    KrausRep image, and the only complement taken is that of delta(H)
+    inside H: f_k and q_k come from one SVD per level.  A KrausRep has no
+    other route to an image: it carries no rotation."""
     case = _deep_case()
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
     images, complements = [], []
@@ -230,8 +274,7 @@ def test_chain_sweeps_form_no_level_image_and_no_level_complement(monkeypatch):
     assert complements == []
     assert defect_decomposition(chain).report.passed
     assert images == []
-    assert [b.shape[0] for b in complements] \
-        == [lv.dim for lv in chain.levels] + [chain.pair.space_dim]
+    assert [b.shape[0] for b in complements] == [chain.pair.space_dim]
     for basis in complements:
         for level in chain.levels:
             w = level.ext.isometry

@@ -2,8 +2,9 @@
 
 Every command runs twice: as shipped, where each clause value is decided
 against its threshold by a norm bound, and with ``numerics._clause_max``
-patched to ignore the threshold and with the commutant bound of the
-invariance clauses turned off, so that every value is exact.  The patch
+patched to ignore the threshold, with the commutant bound of the
+invariance clauses and the Leibniz bound of ``chain/covariance`` turned
+off, so that every value is exact.  The patch
 sits where block operators are reduced per component too, so the
 whole-chain and whole-dilation clauses are compared as well; the last test
 shows that none of those reductions receives a stack of the total side.  Both runs
@@ -44,7 +45,9 @@ def _twice(monkeypatch, fn, block_terms=None):
     """(fn() as shipped, fn() with every clause value exact); the exact run
     appends to ``block_terms`` whether each reduced term is a block operator.
     It also turns off the commutant bound of the invariance clauses, which
-    decides a value without a sweep, so that every one of them is swept."""
+    decides a value without a sweep, and the Leibniz bound of
+    ``chain/covariance``, which sweeps only the local units, so that every
+    one of them is swept over the basis."""
     aware = fn()
     real = numerics_mod._clause_max
 
@@ -58,6 +61,7 @@ def _twice(monkeypatch, fn, block_terms=None):
         m.setattr(numerics_mod, "_clause_max", exact)
         for mod in (covariant_mod, extension_mod):
             m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
+        m.setattr(extension_mod, "_covariance_bound", lambda *args: None)
         exact = fn()
     return aware, exact
 
@@ -190,14 +194,6 @@ def test_no_clause_reduces_a_total_side_stack(monkeypatch):
         sides.extend(max(np.shape(op)[-2:]) for op in ops)
         return real(term, threshold)
 
-    def unrecorded(*args):
-        # the level-space containment diagnostic is a note, not a clause
-        with monkeypatch.context() as m:
-            m.setattr(numerics_mod, "_clause_max", real)
-            return invariance_residual(*args)
-
-    invariance_residual = extension_mod.invariance_residual
-    monkeypatch.setattr(extension_mod, "invariance_residual", unrecorded)
     monkeypatch.setattr(numerics_mod, "_clause_max", recording)
     verify_coisometric_extension(chain)
     defect_decomposition(chain)

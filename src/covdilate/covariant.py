@@ -46,9 +46,10 @@ from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, as_matrix,
-                       basis_sweep, block_diag, commutant_bound, kron_eye, psd_sqrt,
-                       ranked_svds, residual, spectral_norm, stack_images, svd_pinv)
+from .numerics import (DEFAULT_TOL, BlockOperator, Leaf, Tolerance, UpperBound, as_matrix,
+                       basis_sweep, block_diag, block_slices, commutant_bound,
+                       intertwiner_bound, kron_eye, psd_sqrt, ranked_svds, residual,
+                       spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -89,14 +90,10 @@ class FiniteDimSystem:
             coords = coords @ self.alpha.matrix.T
         return coords, None
 
-    def shift_factors(self, rep, depth=None):
-        """None: alpha is any endomorphism, with no commutant of rep(alpha(A))
-        to read off, so the invariance clauses sweep (``TowerSystem.shift_factors``)."""
-        return None
-
-    def local_units(self, depth=None):
-        """None: no tensor factors to split the matrix units into, so
-        ``chain/covariance`` sweeps the basis (``TowerSystem.local_units``)."""
+    def shift_factors(self, rep, depth=None, n: int = 1):
+        """None: alpha is any endomorphism, with no factor form of
+        rep(alpha^n(A)) to read off, so the invariance, covariance and
+        intertwining clauses sweep (``TowerSystem.shift_factors``)."""
         return None
 
     def alpha_apply(self, x, n: int = 1):
@@ -293,6 +290,61 @@ def usable_depth(system, reps, shifts: int, requested: Optional[int]) -> Optiona
     if d < 0:
         raise DepthExceeded(f"no admissible basis depth (cap {d})")
     return d
+
+
+def factor_form(system, rep, depth, shifts: int = 0) -> Optional[tuple]:
+    """The factor form of a -> rep(alpha^shifts(a)) for a at ``depth``: the
+    :class:`~covdilate.numerics.Leaf` s of rep(alpha^shifts(a)) = B* F(a) B
+    (see :func:`~covdilate.numerics.intertwiner_bound`), or None when a part
+    has none.  A rep the system reads (``system.shift_factors``: a
+    ``TowerRep`` or ``KrausRep`` on the tower) is one leaf with B = I; a
+    ``ShiftedRep`` adds its shifts, a ``RestrictedRep`` composes B with its
+    basis, and a ``DirectSumRep`` sets its parts' leaves side by side."""
+    if isinstance(rep, ShiftedRep):
+        return factor_form(system, rep.inner, depth, shifts + rep.shifts)
+    if isinstance(rep, RestrictedRep):
+        inner = factor_form(system, rep.inner, depth, shifts)
+        if inner is None:
+            return None
+        isos = [rep.basis[leaf.span] if leaf.iso is None else leaf.iso @ rep.basis[leaf.span]
+                for leaf in inner]
+        gram = sum(iso.conj().T @ iso for iso in isos)
+        defect = float(np.linalg.norm(gram - np.eye(rep.dim)))
+        return tuple(leaf._replace(span=slice(0, rep.dim), iso=iso, defect=defect)
+                     for leaf, iso in zip(inner, isos))
+    if isinstance(rep, DirectSumRep):
+        leaves = []
+        for part, at in zip(rep.parts, block_slices([p.dim for p in rep.parts])):
+            form = factor_form(system, part, depth, shifts)
+            if form is None:
+                return None
+            leaves += [leaf._replace(span=slice(at.start + leaf.span.start,
+                                                at.start + leaf.span.stop)) for leaf in form]
+        return tuple(leaves)
+    factors = system.shift_factors(rep, depth, shifts)
+    return None if factors is None else (Leaf(*factors, slice(0, rep.dim)),)
+
+
+def relation_bound(system, depth, x, tau, sigma, threshold: float,
+                   shifts: int = 0) -> Optional[UpperBound]:
+    """The clause X sigma(alpha^shifts(a)) = tau(a) X over the basis at
+    ``depth`` valued by :func:`~covdilate.numerics.intertwiner_bound`, when
+    tau and sigma have factor forms there (for a block operator X, direct
+    sums whose parts are its row and column blocks) and the bound is at or
+    below ``threshold``; else None, and the caller sweeps the basis.  The
+    bound holds for the absolute norm of every matrix unit's term, so it
+    also bounds the relative value of a residual."""
+    if isinstance(x, BlockOperator):
+        rows = [factor_form(system, p, depth) for p in tau.parts]
+        cols = [factor_form(system, p, depth, shifts) for p in sigma.parts]
+        forms = rows + cols
+    else:
+        rows, cols = factor_form(system, tau, depth), factor_form(system, sigma, depth, shifts)
+        forms = [rows, cols]
+    if any(form is None for form in forms):
+        return None
+    bound = intertwiner_bound(x, rows, cols)
+    return UpperBound(bound) if bound <= threshold else None
 
 
 def rep_and_shifted(system, rep, depth):
@@ -565,7 +617,7 @@ def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> Cl
     if isinstance(strategy, GnsStrategy):
         e_cp, alpha_hom = system.expectation_check_data(strategy.expectation, depth)
         cp = verify_completely_positive(e_cp, tol)
-        off = range_defect(alpha_hom, e_cp.matrix, tol)
+        off = range_defect(alpha_hom, e_cp.matrix, tol, threshold=tol.residual_tol)
         rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
                        idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
         rep.add(clause("expectation/unital", "E(1) = 1",

@@ -25,7 +25,7 @@ from .algebra import (AlgebraElement, ChunkRep, FiniteDimCStarAlgebra,
                       range_subalgebra_basis, unit_residual)
 from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, _canonical_phases, as_matrix,
+from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, _canonical_phases, as_matrix,
                        basis_sweep, block_slices, eye_kron,
                        hermitian_residual, kron_eye, ranked_svds, residual,
                        spectral_norm, stack_images, svd_rank)
@@ -178,10 +178,22 @@ def idempotency_residual(e: CPMap, threshold: Optional[float] = None) -> float:
     return idem
 
 
-def range_defect(alpha: StarHom, m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
-    """||M - P M|| / (1 + ||M||), P the projection onto the coordinates of ran alpha."""
+def range_defect(alpha: StarHom, m: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+                 threshold: Optional[float] = None) -> float:
+    """||M - P M|| / (1 + ||M||), P the projection onto the coordinates of ran alpha.
+
+    With a ``threshold`` it is first valued by ||M - P M||_F / (1 + the
+    largest column norm of M), at least the value since ||X||_F >= ||X|| and
+    no column of M is longer than ||M||; at or below the threshold that
+    :class:`~covdilate.numerics.UpperBound` is the value, and above it the
+    value is exact."""
     rng_basis = range_subalgebra_basis(alpha, tol)
-    return spectral_norm(m - rng_basis @ (rng_basis.conj().T @ m)) / (1.0 + spectral_norm(m))
+    off = m - rng_basis @ (rng_basis.conj().T @ m)
+    if threshold is not None:
+        bound = np.linalg.norm(off) / (1.0 + np.linalg.norm(m, axis=0).max(initial=0.0))
+        if bound <= threshold:
+            return UpperBound(bound)
+    return spectral_norm(off) / (1.0 + spectral_norm(m))
 
 
 def expectation_from_transfer(alpha: StarHom, tau: CPMap,
@@ -200,7 +212,7 @@ def expectation_from_transfer(alpha: StarHom, tau: CPMap,
     idem = idempotency_residual(e, tol.residual_tol)
     if idem > tol.residual_tol:
         raise TransferInvalid(f"E = alpha o tau fails idempotency by {idem:.3e}")
-    off_range = range_defect(alpha, e.matrix, tol)
+    off_range = range_defect(alpha, e.matrix, tol, threshold=tol.residual_tol)
     if off_range > tol.residual_tol:
         raise TransferInvalid(f"range of E leaves the image of alpha by {off_range:.3e} "
                               "(relative)")

@@ -33,11 +33,19 @@ carries V's blocks, the defect row's blocks below them and an identity per
 summand down the copies.  The representations (``eta``, ``sigma``) are
 direct sums over the same fine blocks.
 
-The covariance, isometry and interior-unitarity clauses reduce per
-connected component of the block pattern (exact, see BlockOperator): the
-components of W are {src rows of group c and its copy-1 block; group c's
-columns} and {copy-(j+1) part c; copy-j part c}, so no clause forms an
-operator of the total side.  The embeddings of the source space and of the
+The covariance clause and ``dilation/defect-invariant`` take the
+projection bound of :mod:`~covdilate.extension` when every part of the
+representation has a factor form.  A copy part is its source group
+shifted n times and restricted to the copy basis B_c, so its factor form
+is the group's with n more shifts and B_c for its lift: the bound reads
+W's stored blocks leaf pair by leaf pair, B_c B_c* on a copy identity, and
+needs no invariance of span B_c, which ``dilation/defect-invariant`` itself
+bounds.  Otherwise those two clauses are swept.  The sweeps and the
+isometry and interior-unitarity clauses reduce per connected component of
+the block pattern (exact, see BlockOperator): the components of W are
+{src rows of group c and its copy-1 block; group c's columns} and
+{copy-(j+1) part c; copy-j part c}, so no clause forms an operator of the
+total side.  The embeddings of the source space and of the
 original space are block operators too, one identity block per source
 block, so the compressions and both boundary notes act on stored blocks.
 
@@ -88,7 +96,7 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                        ShiftedRep, defect_floor, invariance_residual,
+                        ShiftedRep, defect_floor, invariance_residual, relation_bound,
                         rep_and_shifted, shifted_restrictions, usable_depth)
 from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
                      StrategyInvalid)
@@ -320,29 +328,17 @@ def verify_isometric_dilation(rec: DilationRecord,
     """Covariance, truncated isometry, dilation identity, minimality and
     coisometry inheritance for an isometric record, against its source pair."""
     pair = rec.source_pair
-    system = pair.system
     rep = ClauseReport()
     rep.notes.append(MINIMALITY_NOTE)
     t = pair.contraction
     tb = as_blocks(t)
-    h = pair.space_dim
     total = rec.total_dim
 
     d = _covariance_clause(rep, rec, pair, "dilation/covariance",
                            "W eta(alpha(a)) = eta(a) W", tol)
 
-    # defect-space invariance under pi o alpha^n, needed for eta's diagonal:
-    # the first copy's summands (after the source ones) are the groups'
-    # sources restricted to B_c, and every copy shifts the same groups
-    copy_parts = rec.eta.parts[len(tb.cols):]
-    if copy_parts and h:
-        inv = 0.0
-        for part in copy_parts[:len(copy_parts) // rec.copies]:
-            for n in range(1, rec.copies + 1):
-                shifted = ShiftedRep(part.inner.inner, system, n)
-                dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-                inv = max(inv, invariance_residual(system, dd, shifted, part.basis,
-                                                   tol.residual_tol))
+    inv = _copy_invariance(rec, d, tol)
+    if inv is not None:
         rep.add(clause("dilation/defect-invariant",
                        "pi(alpha^n(a)) preserves the defect space",
                        inv, tol.residual_tol))
@@ -373,6 +369,32 @@ def verify_isometric_dilation(rec: DilationRecord,
     return rep
 
 
+def _copy_invariance(rec: DilationRecord, d, tol: Tolerance) -> Optional[float]:
+    """``dilation/defect-invariant``: the invariance of each copy basis B_c
+    under pi o alpha^n, needed for eta's diagonal, with d the covariance
+    depth; None when there is no copy part or H is zero.  The first copy's
+    summands (after the source ones) are the groups' sources restricted to
+    B_c, and every copy shifts the same groups.  B_c K(a) - g(a) B_c = -(I -
+    B_c B_c*) g(a) B_c for K the restriction of g = pi o alpha^n to B_c, so
+    the projection bound values it."""
+    pair = rec.source_pair
+    system = pair.system
+    copy_parts = rec.eta.parts[len(as_blocks(pair.contraction).cols):]
+    if not copy_parts or not pair.space_dim:
+        return None
+    inv = 0.0
+    for part in copy_parts[:len(copy_parts) // rec.copies]:
+        for n in range(1, rec.copies + 1):
+            shifted = ShiftedRep(part.inner.inner, system, n)
+            dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
+            value = relation_bound(system, dd, part.basis, shifted,
+                                   RestrictedRep(shifted, part.basis), tol.residual_tol)
+            if value is None:
+                value = invariance_residual(system, dd, shifted, part.basis, tol.residual_tol)
+            inv = max(inv, value)
+    return inv
+
+
 def _covariance_clause(rep: ClauseReport, rec: DilationRecord, pair: CovariantPair,
                        name: str, formula: str, tol: Tolerance) -> Optional[int]:
     """Add the clause W eta(alpha(a)) = eta(a) W for the record's operator and
@@ -382,9 +404,11 @@ def _covariance_clause(rep: ClauseReport, rec: DilationRecord, pair: CovariantPa
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
-                         lambda ea, eaa: (rec.w @ eaa, ea @ rec.w),
-                         threshold=tol.residual_tol)
+    cov = relation_bound(system, d, rec.w, rec.eta, rec.eta, tol.residual_tol, shifts=1)
+    if cov is None:
+        (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
+                             lambda ea, eaa: (rec.w @ eaa, ea @ rec.w),
+                             threshold=tol.residual_tol)
     rep.add(clause(name, formula, cov, tol.residual_tol))
     return d
 

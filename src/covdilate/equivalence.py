@@ -11,13 +11,21 @@ construction succeeds but a relation misses the threshold the verdict is
 ``inconclusive``.
 
 The step and chain intertwiners are least squares in the Kraus
-multiplicity spaces.  The dilation intertwiner of two records in Schaffer
-form is forced copy by copy (the uniqueness of minimal isometric
-dilations, proved in :mod:`covdilate.dilation`): u = E2 E1* on the source
-blocks and P2 pinv(P1) on every copy, a block operator read off the pivots
-of the two power orbits, whose relations are each reduced per component of
-their block pattern.  Least squares on the dense orbits remains for
-records whose stored blocks are not in that form.
+multiplicity spaces; the chain intertwiner is the block operator of its
+level maps over the chain blocks.  The dilation intertwiner of two records
+in Schaffer form is forced copy by copy (the uniqueness of minimal
+isometric dilations, proved in :mod:`covdilate.dilation`): u = E2 E1* on
+the source blocks and P2 pinv(P1) on every copy, a block operator read off
+the pivots of the two power orbits, whose relations are each reduced per
+component of their block pattern.  Least squares on the dense orbits
+remains for records whose stored blocks are not in that form.
+
+Every ``representation_intertwined`` relation, u rep1(a) = rep2(a) u, is
+the projection bound of :mod:`covdilate.extension` on u's stored blocks
+when both reps have factor forms (on the tower: the Kraus reps of the
+steps and chains, and the source, shifted and restricted parts of the
+dilation records), labelled a bound at or below the threshold; otherwise,
+and above the threshold, a basis sweep gives its exact value.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import HBExtension, frame_rank, span_frame, usable_depth
+from .covariant import HBExtension, frame_rank, relation_bound, span_frame, usable_depth
 from .cpmaps import unit_image_chois
 from .dilation import DilationRecord
 from .errors import LevelMismatch, SpanDeficient
@@ -129,21 +137,34 @@ def _require_rank(rank: int, dim: int, message: str) -> None:
         raise SpanDeficient(message.format(rank=rank, dim=dim))
 
 
-def _frame_map(frame1, frame2, tol: Tolerance) -> tuple[np.ndarray, int]:
+def _frame_map(frame1, frame2, tol: Tolerance) -> tuple[list, tuple, int]:
     """u = x2 pinv(x1) for two spanning sets given by
-    :func:`~covdilate.covariant.span_frame`, with the rank of x1, from one
-    SVD per frame of x1.
+    :func:`~covdilate.covariant.span_frame`, as its factors, with the rank
+    of x1, from one SVD per frame of x1.
 
-    Over one block layout, u = directsum_b I_{n_b} x Y2_b pinv(Y1_b) (see
-    :class:`~covdilate.cpmaps.KrausRep`); frames over different layouts are
-    first written out as their spanning sets.
+    Over one block layout, u = directsum_b I_{n_b} x Z_b with Z_b = Y2_b
+    pinv(Y1_b) (see :class:`~covdilate.cpmaps.KrausRep`), returned as
+    ``([Z_b], sizes)``; frames over different layouts are first written out
+    as their spanning sets, one factor of size one.
     """
     if frame1[1] != frame2[1]:
         frame1, frame2 = _spanning_set(frame1), _spanning_set(frame2)
     (ys1, sizes), (ys2, _) = frame1, frame2
     svds = ranked_svds(ys1, tol)
-    u = block_diag([eye_kron(n, y2 @ svd_pinv(*svd)) for n, y2, svd in zip(sizes, ys2, svds)])
-    return u, sum(n * len(s) for n, (_, s, _) in zip(sizes, svds))
+    maps = [y2 @ svd_pinv(*svd) for y2, svd in zip(ys2, svds)]
+    return maps, sizes, sum(n * len(s) for n, (_, s, _) in zip(sizes, svds))
+
+
+def _apply_frame_map(maps, sizes, x) -> np.ndarray:
+    """(directsum_b I_{n_b} x Z_b) X, block by block on the Kraus rows of X,
+    without the dense map."""
+    out, at = [], 0
+    for n, z in zip(sizes, maps):
+        rows = n * z.shape[1]
+        out.append(np.matmul(z, x[at:at + rows].reshape(n, z.shape[1], x.shape[1]))
+                   .reshape(n * z.shape[0], x.shape[1]))
+        at += rows
+    return np.vstack(out)
 
 
 def _spanning_set(frame) -> tuple:
@@ -164,9 +185,13 @@ def _unitarity(u, threshold: float) -> dict:
 
 def _intertwined(system, depth, rep1, rep2, u, threshold: float) -> float:
     """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u),
-    decided against ``threshold``.  A block u meets the block images of
-    direct sums on its layouts; a dense u, from least squares, the dense
-    images."""
+    decided against ``threshold``: by the projection bound when both reps
+    have factor forms (:func:`~covdilate.covariant.relation_bound`), else by
+    a sweep.  There a block u meets the block images of direct sums on its
+    layouts; a dense u, from least squares, the dense images."""
+    bound = relation_bound(system, depth, u, rep2, rep1, threshold)
+    if bound is not None:
+        return bound
     if isinstance(u, BlockOperator):
         def images(c):
             return rep1.images(c, depth), rep2.images(c, depth)
@@ -234,7 +259,8 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
 
     frame1 = span_frame(system, ext1.rho, depth, ext1.isometry)
     frame2 = span_frame(system, ext2.rho, depth, ext2.isometry)
-    u, rank1 = _frame_map(frame1, frame2, tol)
+    maps, sizes, rank1 = _frame_map(frame1, frame2, tol)
+    u = block_diag([eye_kron(n, z) for n, z in zip(sizes, maps)])
     for rank, dim in ((rank1, ext1.dilation_dim), (frame_rank(frame2, tol), ext2.dilation_dim)):
         _require_rank(rank, dim, "span rank {rank} below dilation dimension {dim}")
     if ext1.dilation_dim != ext2.dilation_dim:
@@ -284,20 +310,21 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
             return EquivalenceCertificate("inequivalent", threshold,
                                           {f"level{k}_gram_mismatch": mismatch},
                                           None, witness, note)
-        u_k, rank1 = _frame_map(span_frame(system, lv1.ext.rho, depth, lv1.ext.isometry),
-                                span_frame(system, lv2.ext.rho, depth,
-                                           lv2.ext.isometry @ u_prev), tol)
+        maps, sizes, rank1 = _frame_map(
+            span_frame(system, lv1.ext.rho, depth, lv1.ext.isometry),
+            span_frame(system, lv2.ext.rho, depth, lv2.ext.isometry @ u_prev), tol)
         _require_rank(rank1, lv1.ext.dilation_dim, f"level {k} span deficient")
-        u_def = lv2.defect_basis.conj().T @ u_k @ lv1.defect_basis
+        u_def = lv2.defect_basis.conj().T @ _apply_frame_map(maps, sizes, lv1.defect_basis)
         residuals[f"level{k}_unitarity"] = residual(
             u_def.conj().T @ u_def, np.eye(u_def.shape[1]), threshold)
         blocks.append(u_def)
         u_prev = u_def
 
-    u = block_diag(blocks)
+    # block-diagonal over the chain blocks: I on H, then each level's map
+    u = BlockOperator(chain2.block_dims, chain1.block_dims,
+                      {(k, k): b for k, b in enumerate(blocks)})
     residuals.update(_unitarity(u, threshold))
-    residuals["fixes_H"] = spectral_norm(
-        u[:p1.space_dim, :p1.space_dim] - np.eye(p1.space_dim))
+    residuals["fixes_H"] = spectral_norm(u.blocks[0, 0] - np.eye(p1.space_dim))
     residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u, threshold)
     d = usable_depth(system, [chain1.rho, chain2.rho], 0, p1.depth)
     residuals["representation_intertwined"] = _intertwined(system, d, chain1.rho,

@@ -53,11 +53,11 @@ Kraus form.  Each level's ``pi_hat_k`` is a
 :class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x) I_(r_b)), with or
 without a basis seed: the seed moves only the level's defect basis, its
 D_k* and the dilation map of ``pi_hat_k``, by a unitary of the commutant
-of ``pi_hat_k`` (:func:`~covdilate.covariant.two_step`).  Both
-whole-chain sweeps apply rho = pi + pi_hat_0 + ... + pi_hat_(n-1) to the
-blocks of V, D_V and the complement of D_V through the levels' frame
-kernels (:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is
-formed.
+of ``pi_hat_k`` (:func:`~covdilate.covariant.two_step`).  Where a
+whole-chain sweep runs (see the bounds below), it applies rho = pi +
+pi_hat_0 + ... + pi_hat_(n-1) to the blocks of V, D_V and the complement
+of D_V through the levels' frame kernels
+(:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is formed.
 
 Defect clauses from structure.  ``chain/representation-restricts`` is
 exactly 0.0 when rho's first part is pi itself, and is swept otherwise.
@@ -79,15 +79,42 @@ factor (:func:`~covdilate.numerics.commutant_bound`), and the bound is the
 value when it is at or below the threshold, labelled a bound; otherwise,
 and on the finite backend, the basis sweep gives the exact value.
 
-Covariance from the local units.  L(a) = V sigma(a) - tau(a) V, sigma = rho
-o alpha and tau = rho *-homomorphisms, obeys L(ab) = L(a) sigma(b) + tau(a)
-L(b), so ||L(ab)|| <= ||L(a)|| ||b|| + ||a|| ||L(b)||.  A tower matrix unit
-at depth d is a product of d local units I (x) e_ij (x) I of norm 1
-(``TowerSystem.local_units``), so the relative ``chain/covariance`` is at
-most d max_u ||L(u)|| over the d k^2 of them.  For d >= 2, every part of
-rho a ``TowerRep`` or ``KrausRep`` (``shift_factors``) and pi restricting
-exactly, that bound is the value when at or below the threshold, labelled
-a bound; otherwise the basis sweep gives the exact value.
+Covariance and intertwining from a projection bound.  Let L(a) = X sigma(a)
+- tau(a) X, sigma and tau *-homomorphisms, and E the Frobenius-orthogonal
+projection onto the intertwiners {Y : Y sigma(a) = tau(a) Y for all a}.
+Then L(a) = (X - E(X)) sigma(a) - tau(a) (X - E(X)), so ||L(a)|| <= 2 ||X
+- E(X)||_F for ||a|| <= 1 (:func:`~covdilate.numerics.intertwiner_bound`);
+the commutant bound above is its case X = P, sigma = tau.  On the tower
+every rep the package builds has a factor form at depth d
+(:func:`~covdilate.covariant.factor_form`): rep(alpha^n(a)) = B* F(a) B
+with F(a) = directsum_l I_(m_l) (x) a (x) I_(R_l) and B an isometry.  A
+``TowerRep`` or ``KrausRep`` is one leaf with B = I and (m, R) = (k^n,
+dim / k^(d + n)) (``TowerSystem.shift_factors``), a ``ShiftedRep`` adds its
+shifts, a ``RestrictedRep`` to the columns b composes B with b, and a
+direct sum sets its parts' leaves side by side.  For such sigma and tau,
+with X' = B_tau X B_sigma*,
+
+    X sigma(a) - tau(a) X = B_tau* (X' F_sigma(a) - F_tau(a) X') B_sigma,
+
+since B_tau* X' = X B_sigma* and X' B_sigma = B_tau X.  This is exact and
+asks no invariance of the ranges of B, so the clause is at most 2 ||X' -
+E(X')||_F, E now projecting onto the intertwiners of F_sigma and F_tau.
+Every leaf carries the same a, so E averages over the middle factor on
+every leaf pair, not only on the diagonal ones.  ``chain/covariance`` (X =
+V, sigma = rho o alpha, tau = rho), ``dilation/covariance`` and
+``matricial/covariance`` (X = W, U), ``dilation/defect-invariant`` (X = b,
+since b K(a) - g(a) b = -(I - b b*) g(a) b for K the restriction of g = pi
+o alpha^n to the copy basis b) and the ``representation_intertwined``
+relations of the intertwiners take this bound, labelled a bound, when it
+is at or below the threshold (:func:`~covdilate.covariant.relation_bound`).
+Otherwise, and when a part has no factor form (the finite backend, dense
+or rotated reps), the basis sweep gives the exact value.  A computed basis
+b is an isometry only up to round-off.  With G = B* B the right side above
+is G_tau X sigma(a) - tau(a) X G_sigma, so L(a) exceeds it by (I - G_tau)
+X sigma(a) - tau(a) X (I - G_sigma), and with e = ||G - I||_F and ||B||^2
+<= 1 + e the bound scales its first term by ((1 + e_tau)(1 + e_sigma))^(1/2)
+and adds ||X||_F (e_tau (1 + e_sigma) + (1 + e_tau) e_sigma); at depth 0,
+where E is the identity, the added term is all of it.
 
 Level containment note.  A unit e_ij at the check depth d acts on the
 level space as e_ij (x) I_m, m = dim / k^d (x embeds as x (x) 1, stage
@@ -108,7 +135,8 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock, defect_roots,
-                        extend_representation, two_step, usable_depth, verify_strategy)
+                        extend_representation, relation_bound, two_step, usable_depth,
+                        verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, _canonical_phases,
@@ -246,15 +274,17 @@ def verify_coisometric_extension(chain: ExtensionChain,
     embed_h = in_h(np.eye(h, dtype=complex))
     # rho(a) is block-diagonal with rho(a)|H = parts[0](a): pi itself restricts exactly
     restricts = rho.parts[0] is pair.rep
-    cov = _covariance_bound(system, d, rho, v, tol) if restricts else None
-    restr = []
+    cov = relation_bound(system, d, v, rho, rho, tol.residual_tol, shifts=1)
+    clauses = []
     if cov is None:
-        clauses = [lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v))]
-        if not restricts:
-            clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
-        cov, *restr = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
-                                  *clauses, threshold=tol.residual_tol)
-    restr = restr[0] if restr else 0.0
+        clauses.append(lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v)))
+    if not restricts:
+        clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
+    swept = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
+                        *clauses, threshold=tol.residual_tol) if clauses else []
+    if cov is None:
+        cov, *swept = swept
+    restr = swept[0] if swept else 0.0
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 
@@ -284,18 +314,6 @@ def verify_coisometric_extension(chain: ExtensionChain,
             f"level {k}: full algebra action moves the embedded previous defect by "
             f"{containment:.3e} (diagnostic; only the dynamics' image preserves it)")
     return rep
-
-
-def _covariance_bound(system, d, rho, v, tol: Tolerance) -> Optional[UpperBound]:
-    """``chain/covariance`` by its Leibniz bound over the local units when that
-    applies and is at or below the threshold, else None (module docstring)."""
-    units = system.local_units(d)
-    if units is None or any(system.shift_factors(p, d) is None for p in rho.parts):
-        return None
-    (local,) = basis_sweep(units, lambda c: (c, *system.alpha_coords(c, d)),
-                           lambda c, ac, ad: rho.act(ac, ad, v, right=True) - rho.act(c, d, v),
-                           threshold=tol.residual_tol)
-    return UpperBound(d * local) if d * local <= tol.residual_tol else None
 
 
 def _containment(system, depth, rep, w) -> float:

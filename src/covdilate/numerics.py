@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -585,22 +586,93 @@ def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> n
     return _canonical_phases(u[:, len(s):])
 
 
+class Leaf(NamedTuple):
+    """One summand 1_m (x) a_block (x) 1_r of a factor form (see
+    :func:`intertwiner_bound`), a in the summand ``block`` of the algebra, of
+    side n, and the rows of the lift B on it: ``iso`` on the coordinates
+    ``span`` of the representation's space (None: the identity there).
+    ``defect`` is ||B_span* B_span - I||_F for the rows B_span of B on the
+    span, which round-off keeps from being exactly 0 for a computed basis."""
+
+    m: int
+    n: int
+    r: int
+    span: slice
+    iso: Optional[np.ndarray] = None
+    block: int = 0
+    defect: float = 0.0
+
+
+def intertwiner_bound(x, rows, cols) -> float:
+    """2 ||X' - E(X')||_F: a bound on ||X sigma(a) - tau(a) X|| for every a
+    of norm <= 1 (proof in :mod:`~covdilate.extension`), widened by the
+    lifts' isometry defects when they are not 0.
+
+    ``rows`` and ``cols`` are the factor forms of tau and sigma, tuples of
+    :class:`Leaf`: tau(a) = B* F(a) B, F(a) the direct sum over the leaves
+    of 1_m (x) a_block (x) 1_r and B the isometry whose rows on a leaf are
+    its ``iso`` on its ``span``.  X' = B_tau X B_sigma*, and E is the
+    Frobenius projection onto the intertwiners of F_sigma and F_tau: on the
+    block Y of a leaf pair over one summand of the algebra the average over
+    the middle factor, E(Y)[a,i,c,a',j,c'] = delta_ij (1/n) sum_l
+    Y[a,l,c,a',l,c'], and zero on a pair over two summands.  A
+    :class:`BlockOperator` X takes one factor form per row block in ``rows``
+    and per column block in ``cols``, and only its stored blocks enter.
+
+    E(Y) is subtracted, never expanded into ||Y||^2 - ||E(Y)||^2, which
+    would cancel every digit of a value near 0.  The diagonal blocks are
+    centred on the first before they are averaged, Y_ll - mean_l Y_ll =
+    (Y_ll - Y_00) - mean_l (Y_ll - Y_00), so that a Y that is 1 (x) Z
+    entry for entry gives exactly 0.
+
+    With G = B* B, e = max ||G - I||_F over the spans of a form and ||B||^2
+    = ||G|| <= 1 + e, the lifted clause is G_tau X sigma(a) - tau(a) X
+    G_sigma, so ||X sigma(a) - tau(a) X|| <= (1 + e_tau)^(1/2) (1 +
+    e_sigma)^(1/2) 2 ||X' - E(X')||_F + ||X||_F (e_tau (1 + e_sigma) + (1 +
+    e_tau) e_sigma), the value returned.
+    """
+    if not isinstance(x, BlockOperator):
+        x, rows, cols = as_blocks(x), (rows,), (cols,)
+    norms = []
+    for (i, j), block in x.blocks.items():
+        for q in rows[i]:
+            for p in cols[j]:
+                y = block[q.span, p.span]
+                if q.iso is None and p.iso is None:
+                    y = y.copy()
+                if q.iso is not None:
+                    y = q.iso @ y
+                if p.iso is not None:
+                    y = y @ p.iso.conj().T
+                if q.block == p.block:
+                    y = y.reshape(q.m, q.n, q.r, p.m, p.n, p.r)
+                    idx = np.arange(q.n)
+                    diag = y[:, idx, :, :, idx, :]
+                    diag = diag - diag[0]
+                    y[:, idx, :, :, idx, :] = diag - diag.mean(axis=0)
+                norms.append(np.linalg.norm(y))
+    bound = 2.0 * math.hypot(*norms)
+    e_t, e_s = (max((leaf.defect for form in forms for leaf in form), default=0.0)
+                for forms in (rows, cols))
+    if e_t or e_s:
+        size = math.hypot(*(np.linalg.norm(b) for b in x.blocks.values()))
+        bound = math.sqrt((1.0 + e_t) * (1.0 + e_s)) * bound \
+            + size * (e_t * (1.0 + e_s) + (1.0 + e_t) * e_s)
+    return bound
+
+
 def commutant_bound(basis: np.ndarray, layout) -> float:
     """2 ||P - E(P)||_F for P = B B*, ``basis`` B with orthonormal columns:
     a bound on ||(I - P) x B|| for every x of norm <= 1 in the algebra
     directsum_b 1_(m_b) (x) M_(n_b) (x) 1_(r_b) given by ``layout``, the
     (m_b, n_b, r_b) of its diagonal blocks (proof in :mod:`~covdilate.extension`).
-    E projects onto the commutant: on block b it averages P over the middle
-    factor, E(P)[a,i,c,a',j,c'] = delta_ij (1/n_b) sum_l P[a,l,c,a',l,c'],
-    and it is zero off the diagonal blocks.
+    It is the X = P case of :func:`intertwiner_bound`, block b its own
+    summand of the algebra: E averages P over the middle factor on each
+    diagonal block and is zero off them.
     """
-    p = basis @ basis.conj().T
-    for (m, n, r), s in zip(layout, block_slices([m * n * r for m, n, r in layout])):
-        # a view of p: reshaping a basic slice only splits its axes
-        block = p[s, s].reshape(m, n, r, m, n, r)
-        diag = np.arange(n)
-        block[:, diag, :, :, diag, :] -= np.trace(block, axis1=1, axis2=4) / n
-    return 2.0 * float(np.linalg.norm(p))
+    form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
+                 enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
+    return intertwiner_bound(basis @ basis.conj().T, form, form)
 
 
 def gram_quotient(gram: np.ndarray,

@@ -324,26 +324,15 @@ class TowerSystem:
         out = eye_kron(self.tower.k ** n, np.asarray(coords).reshape(len(coords), s, s))
         return out.reshape(len(coords), -1), depth + n
 
-    def shift_factors(self, rep, depth: int):
-        """(k, k^depth, R = rep.dim / k^(depth + 1)): rep(alpha(a)) = I_k (x) a
-        (x) I_R for a at ``depth``, since a ``TowerRep`` ((x (x) 1) (x) I_m)
-        and a ``KrausRep`` (x (x) I_r) put the stage index first.  None for
-        any other rep, or past its depth."""
-        if not isinstance(rep, (TowerRep, KrausRep)) or depth + 1 > rep.max_depth:
+    def shift_factors(self, rep, depth: int, n: int = 1):
+        """(k^n, k^depth, R = rep.dim / k^(depth + n)): rep(alpha^n(a)) =
+        I_(k^n) (x) a (x) I_R for a at ``depth``, since a ``TowerRep`` ((x (x)
+        1) (x) I_m) and a ``KrausRep`` (x (x) I_r) put the stage index first.
+        None for any other rep, or past its depth."""
+        if not isinstance(rep, (TowerRep, KrausRep)) or depth + n > rep.max_depth:
             return None
         k = self.tower.k
-        return k, k ** depth, rep.dim // k ** (depth + 1)
-
-    def local_units(self, depth: int):
-        """Coordinate rows at ``depth`` = d of the d k^2 local units I_(k^t)
-        (x) e_ij (x) I_(k^(d-t-1)): every matrix unit is a product of d of
-        them.  None below depth 2, where they are the basis or nothing."""
-        if depth < 2:
-            return None
-        k = self.tower.k
-        units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-        return np.concatenate([eye_kron(k ** t, kron_eye(units, k ** (depth - t - 1)))
-                               .reshape(k * k, -1) for t in range(depth)])
+        return k ** n, k ** depth, rep.dim // k ** (depth + n)
 
     def alpha_apply(self, x: GradedElement, n: int = 1) -> GradedElement:
         coords, depth = self.alpha_coords(x.coords[None], x.depth, n)

@@ -14,12 +14,14 @@ pattern must fail the chain clauses with the dense value, and a perturbed
 interior block of U the interior unitarity clause.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import covdilate.covariant as covariant_mod
 import covdilate.numerics as numerics_mod
 from covdilate.dilation import (_blocks_within, _interior_clauses, _matricial_clauses,
                                 _unitary_clauses, compose_unitary,
@@ -39,10 +41,13 @@ AGREE = 1e-13
 
 
 def _exact(monkeypatch, fn):
-    """fn() with every clause value exact (the threshold ignored)."""
+    """fn() with every clause value exact: the threshold ignored and the
+    projection bound of the covariance clauses turned off, so that they are
+    swept."""
     real = numerics_mod._clause_max
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", lambda term, threshold=None: real(term))
+        m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
         return fn()
 
 

@@ -1,19 +1,19 @@
-"""``chain/covariance`` by the Leibniz bound over the local units, against the
-full basis sweep.
+"""``chain/covariance`` by the projection bound, against the full basis sweep.
 
-On the tower at depth d >= 2, where every part of the chain's rho is a
-``TowerRep`` or a ``KrausRep`` and pi restricts exactly, the clause is d
-times the largest ||V rho(alpha(u)) - rho(u) V|| over the d k^2 local units
-u, labelled a bound, when that is at or below the threshold (proof in the
-``extension`` module docstring).  Here the local units multiply to the
-matrix units, the bound is at least the exact absolute maximum over the
-basis with the pass flags of the exact sweep, d = 1 and finite chains keep
-the full sweep, and a passing ``extend`` sweeps nothing inside
-``verify_coisometric_extension`` but the local units.
+The clause once took a Leibniz bound over the local units; it now takes
+2 ||V - E(V)||_F, E the Frobenius projection onto the intertwiners of the
+factor forms of rho o alpha and rho (``numerics.intertwiner_bound``, proof
+in the ``extension`` module docstring), labelled a bound, when every part
+of the chain's rho has a factor form and the bound is at or below the
+threshold.  Here the factor forms reproduce the images they stand for, the
+bound is at least the exact absolute maximum over the basis with the pass
+flags of the exact sweep, finite chains keep the full sweep, and a passing
+``extend`` sweeps nothing inside ``verify_coisometric_extension``.
 """
 
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -22,14 +22,17 @@ import covdilate.cli as cli_mod
 import covdilate.covariant as covariant_mod
 import covdilate.extension as extension_mod
 from covdilate.cli import run
-from covdilate.covariant import usable_depth
+from covdilate.covariant import (DirectSumRep, RestrictedRep, ShiftedRep, factor_form,
+                                 haar_unitary, usable_depth)
+from covdilate.cpmaps import KrausDilation, KrausRep
 from covdilate.extension import coisometric_extend, verify_coisometric_extension
-from covdilate.numerics import DEFAULT_TOL, basis_sweep
+from covdilate.numerics import DEFAULT_TOL, basis_sweep, block_slices
 from covdilate.scenario import build_scenario
-from covdilate.tower import ShiftTower, TowerSystem
+from covdilate.tower import ShiftTower, TowerRep, TowerSystem
 
 from test_commutant_bound import FIXTURES, TOWER_DEEP
 from test_kraus_coordinates import _deep_case
+
 
 
 def _levels_fixture():
@@ -43,12 +46,12 @@ def _depth(chain):
 
 
 def _covariance(chain, monkeypatch=None):
-    """The clause as shipped, or with the Leibniz bound turned off."""
+    """The clause as shipped, or with the projection bound turned off."""
     if monkeypatch is None:
         report = verify_coisometric_extension(chain)
     else:
         with monkeypatch.context() as m:
-            m.setattr(extension_mod, "_covariance_bound", lambda *args: None)
+            m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
             report = verify_coisometric_extension(chain)
     return next(c for c in report.clauses if c.name == "chain/covariance")
 
@@ -74,20 +77,49 @@ def _chains(corpus):
         yield name, coisometric_extend(s.pair, s.levels, s.strategy, s.tol, s.seed)
 
 
-def test_local_units_multiply_to_the_matrix_units():
+def _lift(form, dim):
+    """B and F(a) of a factor form as dense matrices: B stacks the leaves'
+    rows, and F(a) is the direct sum of their 1_m (x) a (x) 1_r."""
+    rows = [leaf.m * leaf.n * leaf.r for leaf in form]
+    b = np.zeros((sum(rows), dim), dtype=complex)
+    for leaf, at in zip(form, block_slices(rows)):
+        b[at, leaf.span] = np.eye(at.stop - at.start) if leaf.iso is None else leaf.iso
+
+    def f(a):
+        out = np.zeros((sum(rows),) * 2, dtype=complex)
+        for leaf, at in zip(form, block_slices(rows)):
+            out[at, at] = np.kron(np.kron(np.eye(leaf.m), a), np.eye(leaf.r))
+        return out
+    return b, f
+
+
+def test_factor_forms_give_the_images():
+    """rep(alpha^n(a)) = B* F(a) B over the matrix units a at depth d, for a
+    TowerRep, a KrausRep, their shifts, a restriction of a direct sum and a
+    direct sum holding a restriction; None past a rep's depth."""
+    rng = np.random.default_rng(5)
     for k, d in ((2, 2), (2, 3), (3, 2)):
-        system = TowerSystem(ShiftTower(k, d + 1))
+        tower = ShiftTower(k, d + 2)
+        system = TowerSystem(tower)
+        tower_rep = TowerRep(tower, d + 1, 2)
+        kraus = KrausRep(system, d + 2, KrausDilation((3,), np.zeros((k ** (d + 2) * 3, 1))))
+        both = DirectSumRep((tower_rep, kraus))
+        basis = haar_unitary(both.dim, rng)[:, :7]
+        reps = [(tower_rep, 0), (tower_rep, 1), (kraus, 1), (ShiftedRep(kraus, system, 1), 0),
+                (RestrictedRep(ShiftedRep(both, system, 1), basis), 0),
+                (DirectSumRep((kraus, RestrictedRep(both, basis))), 1)]
         s = k ** d
-        units = system.local_units(d).reshape(d, k, k, s, s)
-        for big_i, big_j in itertools.product(range(s), repeat=2):
-            digits = zip(np.unravel_index(big_i, (k,) * d), np.unravel_index(big_j, (k,) * d))
-            product = np.eye(s)
-            for t, (i, j) in enumerate(digits):
-                product = product @ units[t, i, j]
-            want = np.zeros((s, s))
-            want[big_i, big_j] = 1.0
-            assert np.array_equal(product, want), (k, d, big_i, big_j)
-    assert TowerSystem(ShiftTower(2, 3)).local_units(1) is None
+        for rep, n in reps:
+            form = factor_form(system, rep, d, n)
+            b, f = _lift(form, rep.dim)
+            for i, j in itertools.product(range(s), repeat=2):
+                a = np.zeros((s, s))
+                a[i, j] = 1.0
+                coords, at = system.alpha_coords(a.reshape(1, -1), d, n)
+                want = np.asarray(rep.images(coords, at))[0]
+                assert np.allclose(b.conj().T @ f(a) @ b, want, atol=1e-13), (k, d, rep, n)
+        assert factor_form(system, tower_rep, d + 1, 1) is None
+        assert factor_form(system, both, d + 1, 1) is None
 
 
 def test_bound_covers_the_full_basis_max(corpus, monkeypatch):
@@ -95,17 +127,13 @@ def test_bound_covers_the_full_basis_max(corpus, monkeypatch):
     for name, chain in _chains(corpus):
         got, want = _covariance(chain), _covariance(chain, monkeypatch)
         assert got.passed == want.passed, name
-        if _depth(chain) < 2:
-            # the full sweep, as with the bound turned off
-            assert got.residual == want.residual, name
-            continue
         assert got.bound and got.passed, name
         assert got.residual >= _full_basis_max(chain), name
         bounded += 1
-    assert bounded >= 8
+    assert bounded >= 20
 
 
-def test_depth_one_and_finite_chains_keep_the_full_sweep(corpus, monkeypatch):
+def test_finite_chains_keep_the_full_sweep(corpus, monkeypatch):
     real = extension_mod.basis_sweep
     swept = []
 
@@ -114,24 +142,24 @@ def test_depth_one_and_finite_chains_keep_the_full_sweep(corpus, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(extension_mod, "basis_sweep", sweep)
-    kinds = set()
+    finite = 0
     for case in corpus:
-        chain = coisometric_extend(case.pair, case.levels, case.strategy)
-        d = _depth(chain)
-        if d is not None and d >= 2:
+        if case.backend != "finite-dim":
             continue
-        assert case.pair.system.local_units(d) is None, case.name
+        chain = coisometric_extend(case.pair, case.levels, case.strategy)
+        assert all(factor_form(case.pair.system, p, None, n) is None
+                   for p in chain.rho.parts for n in (0, 1)), case.name
         swept.clear()
         verify_coisometric_extension(chain)
-        assert swept == [case.pair.system.basis_size(d)], case.name
-        kinds.add(case.backend)
-    assert kinds == {"finite-dim", "tower"}
+        assert swept == [case.pair.system.basis_size(None)], case.name
+        finite += 1
+    assert finite >= 30
 
 
-def test_passing_extend_sweeps_only_the_local_units(monkeypatch):
-    """Inside ``verify_coisometric_extension`` the one sweep is that of the
-    local units: the containment notes come from the frame row blocks and
-    restriction is exact."""
+def test_passing_extend_sweeps_nothing_in_the_chain_clauses(monkeypatch):
+    """Inside ``verify_coisometric_extension`` nothing is swept: covariance
+    is the projection bound, the containment notes come from the frame row
+    blocks and restriction is exact."""
     real_verify = extension_mod.verify_coisometric_extension
     real_sweeps = {mod: mod.basis_sweep for mod in (extension_mod, covariant_mod)}
     inside, swept = [], []
@@ -158,9 +186,7 @@ def test_passing_extend_sweeps_only_the_local_units(monkeypatch):
         swept.clear()
         report = run(scenario, "extend")
         assert report["passed"]
-        d = usable_depth(scenario.pair.system, [scenario.pair.rep], 1, scenario.pair.depth)
-        assert len(swept) == 1
-        assert np.array_equal(swept[0], scenario.pair.system.local_units(d))
+        assert swept == []
         clauses = {c["name"]: c for c in report["clauses"]}
         assert clauses["chain/covariance"]["residual_kind"] == "bound"
         levels = [n for n in report["notes"] if n.startswith("level ")]

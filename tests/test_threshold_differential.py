@@ -3,8 +3,9 @@
 Every command runs twice: as shipped, where each clause value is decided
 against its threshold by a norm bound, and with ``numerics._clause_max``
 patched to ignore the threshold, with the commutant bound of the
-invariance clauses and the Leibniz bound of ``chain/covariance`` turned
-off, so that every value is exact.  The patch
+invariance clauses, the projection bound of the covariance and
+intertwining clauses and the Frobenius bound of ``expectation/range``
+turned off, so that every value is exact.  The patch
 sits where block operators are reduced per component too, so the
 whole-chain and whole-dilation clauses are compared as well; the last test
 shows that none of those reductions receives a stack of the total side.  Both runs
@@ -44,12 +45,13 @@ COMMANDS = ("check", "extend", "dilate", "unitary", "matricial")
 def _twice(monkeypatch, fn, block_terms=None):
     """(fn() as shipped, fn() with every clause value exact); the exact run
     appends to ``block_terms`` whether each reduced term is a block operator.
-    It also turns off the commutant bound of the invariance clauses, which
-    decides a value without a sweep, and the Leibniz bound of
-    ``chain/covariance``, which sweeps only the local units, so that every
-    one of them is swept over the basis."""
+    It also turns off the commutant bound of the invariance clauses and
+    the projection bound of the covariance and intertwining clauses, which
+    decide a value without a sweep, so that every one of them is swept over
+    the basis, and the Frobenius bound of ``expectation/range``."""
     aware = fn()
     real = numerics_mod._clause_max
+    real_range = covariant_mod.range_defect
 
     def exact(term, threshold=None):
         if block_terms is not None:
@@ -61,7 +63,9 @@ def _twice(monkeypatch, fn, block_terms=None):
         m.setattr(numerics_mod, "_clause_max", exact)
         for mod in (covariant_mod, extension_mod):
             m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
-        m.setattr(extension_mod, "_covariance_bound", lambda *args: None)
+        m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
+        m.setattr(covariant_mod, "range_defect",
+                  lambda alpha, mat, tol, threshold=None: real_range(alpha, mat, tol))
         exact = fn()
     return aware, exact
 

@@ -637,6 +637,8 @@ def intertwiner_bound(x, rows, cols) -> float:
     for (i, j), block in x.blocks.items():
         for q in rows[i]:
             for p in cols[j]:
+                if q.block == p.block and q.n == 1:
+                    continue        # a is a scalar there, and every Y intertwines
                 y = block[q.span, p.span]
                 if q.iso is None and p.iso is None:
                     y = y.copy()

@@ -18,8 +18,9 @@ import numpy as np
 from .errors import (DimensionMismatch, NotCP, NotInjective, NotState,
                      ShapeMismatch)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, basis_sweep,
-                       block_diag, block_slices, kron_eye, orthonormal_span,
-                       residual, spectral_norm, stack_images, svd_rank)
+                       block_diag, block_slices, certified, kron_eye,
+                       orthonormal_span, read_only, residual, spectral_norm, stack_images,
+                       svd_rank)
 from .report import ClauseReport, clause
 
 
@@ -156,7 +157,8 @@ class StarHom:
     """Linear map between algebras, stored by its action on coordinates.
 
     Nothing is assumed at construction time; multiplicativity, adjoint
-    preservation and unitality are certified by :func:`verify_star_hom`.
+    preservation and unitality are certified by :func:`verify_star_hom`,
+    which ``matrix``, read-only from construction, lets the map hold.
     """
 
     source: FiniteDimCStarAlgebra
@@ -167,7 +169,7 @@ class StarHom:
         m = as_matrix(self.matrix)
         if m.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch(f"coordinate matrix of shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.from_coords(self.matrix @ x.coords)
@@ -213,8 +215,13 @@ def verify_star_hom(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> "StarHomReport"
     """Certify multiplicativity, star preservation and unitality on basis pairs.
 
     The pairs (b_i, b_j) run in chunks of index rows; both sides are formed
-    by batched block products of coordinate stacks.
+    by batched block products of coordinate stacks.  The report is computed
+    once per tolerance and held by ``h`` (:func:`~covdilate.numerics.certified`).
     """
+    return certified(h, ("star-hom", tol), lambda: _star_hom_report(h, tol))
+
+
+def _star_hom_report(h: StarHom, tol: Tolerance) -> "StarHomReport":
     src, dst = h.source, h.target
     units = np.eye(src.dim, dtype=complex)
     images = h.matrix.T  # row i: the coordinates of h(b_i)
@@ -286,10 +293,15 @@ def verify_endomorphism(alpha: StarHom, tol: Tolerance = DEFAULT_TOL) -> Endomor
 
     On a finite-dimensional algebra a unital injective endomorphism is
     automatically surjective, so the automorphism flag equals injectivity;
-    genuine non-surjectivity needs the graded tower backend.
+    genuine non-surjectivity needs the graded tower backend.  The report is
+    held by ``alpha``, once per tolerance, as in :func:`verify_star_hom`.
     """
     if alpha.source.block_sizes != alpha.target.block_sizes:
         raise ShapeMismatch("endomorphism requires source = target")
+    return certified(alpha, ("endomorphism", tol), lambda: _endomorphism_report(alpha, tol))
+
+
+def _endomorphism_report(alpha: StarHom, tol: Tolerance) -> EndomorphismReport:
     hom = verify_star_hom(alpha, tol)
     rank = svd_rank(alpha.matrix, tol)
     injective = rank == alpha.source.dim

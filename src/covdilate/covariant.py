@@ -47,9 +47,9 @@ from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Leaf, Tolerance, UpperBound, as_matrix,
-                       basis_sweep, block_diag, block_slices, commutant_bound,
-                       intertwiner_bound, kron_eye, psd_sqrt, ranked_svds, residual,
-                       spectral_norm, stack_images, svd_pinv)
+                       basis_sweep, block_diag, block_slices, certified, commutant_bound,
+                       intertwiner_bound, kron_eye, psd_sqrt, ranked_svds, read_only,
+                       residual, spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
 
@@ -450,7 +450,9 @@ class CovariantPair:
 
     ``depth`` is the basis depth used for verification on the tower backend
     (ignored by finite systems); the representation must accept one more
-    dynamics step than that.
+    dynamics step than that.  The contraction (each stored block of a block
+    operator) is read-only from construction, so that the pair can hold its
+    covariance certificate (:func:`verify_covariance`).
     """
 
     system: object
@@ -464,6 +466,8 @@ class CovariantPair:
         if t.shape != (self.rep.dim, self.rep.dim):
             raise ShapeMismatch(f"contraction of shape {t.shape} on a space of "
                                 f"dimension {self.rep.dim}")
+        for block in t.blocks.values() if isinstance(t, BlockOperator) else (t,):
+            read_only(block)
         object.__setattr__(self, "contraction", t)
 
     @property
@@ -491,14 +495,25 @@ def covariant_pair(system, rep, contraction, depth=None,
 
 
 def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> float:
-    """max over basis a of residual(T pi(alpha(a)), pi(a) T)."""
+    """max over basis a of residual(T pi(alpha(a)), pi(a) T), computed once
+    per tolerance and held by the pair (:func:`~covdilate.numerics.certified`).
+
+    Valued by :func:`relation_bound` (T with sigma = pi o alpha and tau =
+    pi) when pi has a factor form and the bound is at or below the
+    threshold; otherwise, and on the finite backend, by the basis sweep."""
     if pair.system.is_tower:
         if pair.depth is None or pair.depth + 1 > pair.system.d_max:
             raise DepthExceeded("covariance check needs depth + 1 <= d_max")
-    d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
-    t = pair.contraction
-    (worst,) = basis_sweep(pair.system.basis_size(d),
-                           rep_and_shifted(pair.system, pair.rep, d),
+    return certified(pair, ("covariance", tol), lambda: _covariance(pair, tol))
+
+
+def _covariance(pair: CovariantPair, tol: Tolerance) -> float:
+    system, rep, t = pair.system, pair.rep, pair.contraction
+    d = usable_depth(system, [rep], 1, pair.depth)
+    bound = relation_bound(system, d, t, rep, rep, tol.residual_tol, shifts=1)
+    if bound is not None:
+        return bound
+    (worst,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rep, d),
                            lambda pa, paa: (t @ paa, pa @ t), threshold=tol.residual_tol)
     return worst
 
@@ -542,14 +557,23 @@ def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> Defec
 
     Covariance makes ``delta_star`` commute with the representation and
     ``delta`` with its composition with the dynamics; both facts are
-    measured rather than assumed.
+    measured rather than assumed.  Each commutator is valued by
+    :func:`relation_bound` (sigma = tau = pi, and sigma = tau = pi o alpha)
+    when it has a factor form there and the bound is at or below the
+    threshold, and swept over the basis otherwise.
     """
     delta, delta_star = defect_roots(pair, tol)
-    d = usable_depth(pair.system, [pair.rep], 1, pair.depth)
-    comm, comm_alpha = basis_sweep(
-        pair.system.basis_size(d), rep_and_shifted(pair.system, pair.rep, d),
-        lambda pa, paa: (delta_star @ pa, pa @ delta_star),
-        lambda pa, paa: (delta @ paa, paa @ delta), threshold=tol.residual_tol)
+    system, rep = pair.system, pair.rep
+    d = usable_depth(system, [rep], 1, pair.depth)
+    shifted = ShiftedRep(rep, system, 1)
+    bounds = (relation_bound(system, d, delta_star, rep, rep, tol.residual_tol),
+              relation_bound(system, d, delta, shifted, shifted, tol.residual_tol))
+    clauses = (lambda pa, paa: (delta_star @ pa, pa @ delta_star),
+               lambda pa, paa: (delta @ paa, paa @ delta))
+    swept = [c for c, bound in zip(clauses, bounds) if bound is None]
+    values = iter(basis_sweep(system.basis_size(d), rep_and_shifted(system, rep, d), *swept,
+                              threshold=tol.residual_tol) if swept else [])
+    comm, comm_alpha = (next(values) if bound is None else bound for bound in bounds)
     return DefectData(delta, delta_star, comm, comm_alpha)
 
 
@@ -605,7 +629,21 @@ def resolve_transfer(system, strategy, tol: Tolerance = DEFAULT_TOL) -> Callable
 
 
 def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
-    """Gate the strategy data before any construction uses it."""
+    """Gate the strategy data before any construction uses it.
+
+    The report is computed once per (system, depth, tolerance) and held by
+    the strategy (:func:`~covdilate.numerics.certified`); a failing one
+    raises and is not held, and each caller gets its own copy of the held
+    clause list.  The transfer's and the expectation's coordinate matrices
+    are read-only (``CPMap``, ``TowerTransfer``, ``TowerExpectation``)."""
+    if not isinstance(strategy, (AdaptedStrategy, GnsStrategy)):
+        raise StrategyInvalid(f"unknown strategy {strategy!r}")
+    held = certified(strategy, ("strategy", system, depth, tol),
+                     lambda: _strategy_report(system, strategy, depth, tol))
+    return ClauseReport(list(held.clauses))
+
+
+def _strategy_report(system, strategy, depth, tol: Tolerance) -> ClauseReport:
     rep = ClauseReport()
     if isinstance(strategy, AdaptedStrategy):
         tau_cp, alpha_hom = system.transfer_check_data(strategy.transfer, depth)
@@ -614,21 +652,19 @@ def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> Cl
         if not rep.passed:
             raise StrategyInvalid("transfer operator fails its checks")
         return rep
-    if isinstance(strategy, GnsStrategy):
-        e_cp, alpha_hom = system.expectation_check_data(strategy.expectation, depth)
-        cp = verify_completely_positive(e_cp, tol)
-        off = range_defect(alpha_hom, e_cp.matrix, tol, threshold=tol.residual_tol)
-        rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
-                       idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
-        rep.add(clause("expectation/unital", "E(1) = 1",
-                       unit_residual(e_cp, tol.residual_tol), tol.residual_tol))
-        rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
-                       max(0.0, -cp.min_eig), tol.psd_floor))
-        rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
-        if not rep.passed:
-            raise StrategyInvalid("conditional expectation fails its checks")
-        return rep
-    raise StrategyInvalid(f"unknown strategy {strategy!r}")
+    e_cp, alpha_hom = system.expectation_check_data(strategy.expectation, depth)
+    cp = verify_completely_positive(e_cp, tol)
+    off = range_defect(alpha_hom, e_cp.matrix, tol, threshold=tol.residual_tol)
+    rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
+                   idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
+    rep.add(clause("expectation/unital", "E(1) = 1",
+                   unit_residual(e_cp, tol.residual_tol), tol.residual_tol))
+    rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
+                   max(0.0, -cp.min_eig), tol.psd_floor))
+    rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
+    if not rep.passed:
+        raise StrategyInvalid("conditional expectation fails its checks")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +828,7 @@ class TwoStepBlock:
     d_star: np.ndarray            # defect map back to H, in basis coordinates
     pi_hat: KrausRep              # restriction of rho to the defect space
     invariance: float             # max_a ||(I - B B*) rho(a) B|| or its commutant bound
+    roots: Optional[tuple] = None  # (delta, delta_star), kept for a nonzero T (level 0)
 
     @property
     def dim(self) -> int:
@@ -812,8 +849,10 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     Delta* W* B G* change.  The invariance gate takes the complement of
     the span from the same frames (B G* spans what B spans); the commutant
     bound of rho (directsum_b I_{n_b} x M_{r_b}) decides it, about 1e-16 here.
+    The block keeps the defect roots when T is nonzero (level 0 of a chain),
+    for the defect decomposition; for T = 0 they are exact identities.
     """
-    _, delta_star = defect_roots(pair, tol)
+    delta, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     rho = ext.rho
     basis, dil, complement = kraus_span(rho, w @ delta_star, tol)
@@ -832,4 +871,5 @@ def two_step(pair: CovariantPair, ext: HBExtension,
                               complement)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
-    return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv)
+    return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv,
+                        (delta, delta_star) if pair.contraction.any() else None)

@@ -27,14 +27,16 @@ from .errors import (NotCP, NotInjective, NotUnital, RangeNotInImage,
                      ShapeMismatch, TransferInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, _canonical_phases, as_matrix,
                        basis_sweep, block_slices, eye_kron,
-                       hermitian_residual, kron_eye, ranked_svds, residual,
+                       hermitian_residual, kron_eye, ranked_svds, read_only, residual,
                        spectral_norm, stack_images, svd_rank)
 from .report import ClauseReport, clause
 
 
 @dataclass(frozen=True, eq=False)
 class CPMap:
-    """Linear map between algebras given by its action on coordinates."""
+    """Linear map between algebras given by its action on coordinates;
+    ``matrix`` is read-only from construction, so that a strategy can hold
+    the certificate of its transfer or expectation."""
 
     source: FiniteDimCStarAlgebra
     target: FiniteDimCStarAlgebra
@@ -44,7 +46,7 @@ class CPMap:
         m = as_matrix(self.matrix)
         if m.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch(f"coordinate matrix of shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.from_coords(self.matrix @ x.coords)

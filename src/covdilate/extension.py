@@ -73,11 +73,23 @@ commutant of rho_i(alpha(A)), E(P) commutes with rho_i(alpha(b)), C_i* P
     C_i* rho_i(alpha(b)) B_i = C_i* [rho_i(alpha(b)), P] B_i
                              = C_i* [rho_i(alpha(b)), P - E(P)] B_i,
 
-of norm at most 2 ||P - E(P)||_F.  On the tower rho_i(alpha(a)) = I_k (x)
-a (x) I_R (``TowerSystem.shift_factors``), E averages over the middle
-factor (:func:`~covdilate.numerics.commutant_bound`), and the bound is the
-value when it is at or below the threshold, labelled a bound; otherwise,
-and on the finite backend, the basis sweep gives the exact value.
+of norm at most 2 ||P - E(P)||_F.  A computed B_i is orthonormal only up
+to round-off: with G = B_i* B_i, e = ||G - I||_F and x = rho_i(alpha(b)),
+P B_i = B_i G and (I - P) P = B_i (I - G) B_i*, so
+
+    (I - P) x B_i = (I - P) [x, P - E(P)] B_i + B_i (I - G) B_i* x B_i
+                    + (I - P) x B_i (I - G),
+
+and since ||B_i||^2 <= 1 + e and ||I - P|| <= 1 for e <= 1, its norm is at
+most (1 + e)^(1/2) (2 ||P - E(P)||_F + e (2 + e)), the value
+:func:`~covdilate.numerics.commutant_bound` returns.  At depth 0, where a
+is a scalar and E the identity, the e term is all of it.  (With an exact
+complement C_i and e = 0, ||C_i* x B_i|| is the same value; a computed C_i
+adds its own round-off to the swept value.)  On the tower rho_i(alpha(a))
+= I_k (x) a (x) I_R (``TowerSystem.shift_factors``), E averages over the
+middle factor, and the bound is the value when it is at or below the
+threshold, labelled a bound; otherwise, and on the finite backend, the
+basis sweep gives the exact value.
 
 Covariance and intertwining from a projection bound.  Let L(a) = X sigma(a)
 - tau(a) X, sigma and tau *-homomorphisms, and E the Frobenius-orthogonal
@@ -212,11 +224,8 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
         raise StrategyInvalid("one strategy per level required")
 
     t_depth = system.stinespring_depth(pair.depth)
-    seen = []
     for strat in strategies:
-        if not any(strat is s for s in seen):
-            verify_strategy(system, strat, t_depth, tol)
-            seen.append(strat)
+        verify_strategy(system, strat, t_depth, tol)
 
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels: list[TwoStepBlock] = []
@@ -408,12 +417,12 @@ def defect_decomposition(chain: ExtensionChain,
     """
     pair = chain.pair
     system = pair.system
-    delta, delta_star = defect_roots(pair, tol)
+    level0 = chain.levels[0]
+    delta, delta_star = level0.roots or defect_roots(pair, tol)
     rep = ClauseReport()
 
     delta_h_basis, _ = orthonormal_span(delta, tol)
 
-    level0 = chain.levels[0]
     w0 = level0.ext.isometry
     # q_k: the complement, in defect-k coordinates, of what the previous
     # space embeds there (W delta* H at level 0, W_k defect_(k-1) above):

@@ -54,6 +54,24 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def certified(obj, key, compute):
+    """The certificate ``compute()`` of ``obj`` under ``key`` (a tolerance,
+    with whatever else the report depends on): computed on the first request
+    and held by ``obj`` for every later one.  The arrays a certificate covers
+    are read-only from the moment ``obj`` is built (:func:`read_only`), so an
+    in-place write raises instead of leaving a held report stale."""
+    held = vars(obj).setdefault("_certificates", {})
+    if key not in held:
+        held[key] = compute()
+    return held[key]
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -670,11 +688,15 @@ def commutant_bound(basis: np.ndarray, layout) -> float:
     (m_b, n_b, r_b) of its diagonal blocks (proof in :mod:`~covdilate.extension`).
     It is the X = P case of :func:`intertwiner_bound`, block b its own
     summand of the algebra: E averages P over the middle factor on each
-    diagonal block and is zero off them.
+    diagonal block and is zero off them.  With e = ||B* B - I||_F, the
+    round-off of B's orthonormality, it is widened to (1 + e)^(1/2) (2 ||P
+    - E(P)||_F + e (2 + e)), which at depth 0 (E the identity) is all of it.
     """
     form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
                  enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
-    return intertwiner_bound(basis @ basis.conj().T, form, form)
+    e = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
+    bound = intertwiner_bound(basis @ basis.conj().T, form, form)
+    return math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
 
 
 def gram_quotient(gram: np.ndarray,

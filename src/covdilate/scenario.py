@@ -7,6 +7,14 @@ scalars are ``[re, im]`` pairs, matrices are row-major nested arrays, and
 every dimension is explicit.  Loading runs the named validation gates in
 order; nothing is constructed from a scenario that has not passed all of
 them.
+
+The gates compute these certificates, each held by the object it certifies
+(:func:`~covdilate.numerics.certified`): on the finite backend alpha's
+``verify_endomorphism`` and ``verify_star_hom`` and pi's ``verify`` (held by
+the ``StarHom`` s), and on both backends the pair's ``verify_covariance``
+and the strategy's ``verify_strategy`` (keyed also by the system and the
+depth).  Every command run on the loaded scenario reuses them; the arrays
+they cover are read-only, so an in-place write raises.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from .cpmaps import CPMap
 from .errors import (NotInjective, ScenarioParseError, ScenarioValidationError,
                      SizeCap, StrategyInvalid, WorkbenchError)
 from .numerics import DEFAULT_TOL, Tolerance, UpperBound, spectral_norm
-from .tower import (ShiftTower, TowerExpectation, TowerSystem, TowerTransfer,
-                    shift_down_pair, state_density)
+from .tower import (ShiftTower, TowerExpectation, TowerTransfer, shift_down_pair,
+                    state_density)
 
 SCHEMA_VERSION = 1
 COMMANDS = ("check", "extend", "dilate", "unitary", "matricial", "compare", "demo")
@@ -353,7 +361,8 @@ def _build_tower(data, tol, levels, copies):
         strategy = GnsStrategy(TowerExpectation(tower, density))
     else:
         raise ScenarioValidationError("schema", f"unknown strategy kind {kind!r}")
-    return TowerSystem(tower), pair, strategy
+    # the pair's own system: the strategy's certificate is keyed by it
+    return pair.system, pair, strategy
 
 
 def _local_vector(data, k: int, name: str) -> np.ndarray:

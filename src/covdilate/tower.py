@@ -25,7 +25,7 @@ from .cpmaps import CPMap, KrausRep
 from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
                      SizeCap, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye,
-                       stack_images)
+                       read_only, stack_images)
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,14 @@ def transfer_phi(tower: ShiftTower, phi, y: GradedElement) -> GradedElement:
 
 @dataclass(frozen=True, eq=False)
 class TowerTransfer:
-    """The transfer operator tau_phi as a graded callable."""
+    """The transfer operator tau_phi as a graded callable; ``density`` is
+    read-only, so that a strategy can hold its certificate."""
 
     tower: ShiftTower
     density: np.ndarray
+
+    def __post_init__(self):
+        read_only(self.density)
 
     def __call__(self, y: GradedElement) -> GradedElement:
         (row,), depth = self.rows(y.coords[None], y.depth)
@@ -215,10 +219,14 @@ class TowerTransfer:
 
 @dataclass(frozen=True, eq=False)
 class TowerExpectation:
-    """E_phi = shift o tau_phi, the induced conditional expectation."""
+    """E_phi = shift o tau_phi, the induced conditional expectation;
+    ``density`` is read-only, as in :class:`TowerTransfer`."""
 
     tower: ShiftTower
     density: np.ndarray
+
+    def __post_init__(self):
+        read_only(self.density)
 
     def __call__(self, y: GradedElement) -> GradedElement:
         return shift_alpha(TowerTransfer(self.tower, self.density)(y))

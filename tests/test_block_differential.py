@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import covdilate.algebra as algebra_mod
 import covdilate.covariant as covariant_mod
 import covdilate.numerics as numerics_mod
 from covdilate.dilation import (_blocks_within, _interior_clauses, _matricial_clauses,
@@ -43,11 +44,14 @@ AGREE = 1e-13
 def _exact(monkeypatch, fn):
     """fn() with every clause value exact: the threshold ignored and the
     projection bound of the covariance clauses turned off, so that they are
-    swept."""
+    swept.  No certificate held by a scenario's objects is reused: each one
+    fn() asks for is computed in the exact run."""
     real = numerics_mod._clause_max
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", lambda term, threshold=None: real(term))
         m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
+        for mod in (algebra_mod, covariant_mod):
+            m.setattr(mod, "certified", lambda obj, key, compute: compute())
         return fn()
 
 

@@ -14,7 +14,9 @@ and the levels fixture; perturbed operators and bases get the exact
 failing value, bit for bit, and a passing one is a bound on it; the
 bound covers random operators between direct sums of unequal leaves; and a
 passing tower run sweeps the basis only for the clauses that have no factor
-form, while the finite backend still sweeps.
+form, while the finite backend still sweeps.  The pair clauses of ``check``
+(``pair/covariance`` and the two defect commutators) take the same bound on
+the tower, checked the same way.
 """
 
 import json
@@ -36,8 +38,8 @@ import covdilate.equivalence as equivalence_mod
 import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.cli import run
-from covdilate.covariant import (DirectSumRep, RestrictedRep, ShiftedRep, factor_form,
-                                 haar_unitary, usable_depth)
+from covdilate.covariant import (DirectSumRep, RestrictedRep, ShiftedRep, defect_operators,
+                                 factor_form, haar_unitary, usable_depth, verify_covariance)
 from covdilate.dilation import compose_unitary, explicit_matricial_unitary, schaffer_dilate
 from covdilate.equivalence import (_intertwined, chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
@@ -195,9 +197,59 @@ def test_moved_clauses_cover_their_exact_absolute_values(corpus, monkeypatch):
                             "step representation_intertwined"}, bounded
 
 
+def _pair_values(pair):
+    """name -> thunk of each pair clause of ``check``, on a copy of the pair
+    made inside the thunk: the copy holds no covariance certificate, so an
+    exact run computes its own."""
+    return {"pair/covariance": lambda: verify_covariance(replace(pair)),
+            "pair/defect-star-commutes": lambda: defect_operators(pair).pi_commutation,
+            "pair/defect-commutes": lambda: defect_operators(pair).pi_alpha_commutation}
+
+
+def test_pair_clauses_cover_their_exact_absolute_values(corpus, monkeypatch):
+    """``pair/covariance`` (T with pi o alpha and pi) and the defect
+    commutators ([delta*, pi(a)], and [delta, pi(alpha(a))] with both sides
+    pi o alpha) take the projection bound on the tower."""
+    bounded, seen = {}, set()
+    for name, first, _ in _scenarios(corpus):
+        if id(first.pair) in seen:
+            continue
+        seen.add(id(first.pair))
+        for clause, value in _pair_values(first.pair).items():
+            got, want = value(), _exact(monkeypatch, value, absolute=True)
+            where = (name, clause, got, want)
+            assert not isinstance(want, UpperBound), where
+            assert (got <= TOL) == (want <= TOL), where
+            assert isinstance(got, UpperBound), where
+            assert got >= want - first.pair.space_dim * EPS, where
+            bounded[clause] = bounded.get(clause, 0) + 1
+    assert set(bounded) == {"pair/covariance", "pair/defect-star-commutes",
+                            "pair/defect-commutes"}, bounded
+
+
 # ---------------------------------------------------------------------------
 # perturbed operators and bases: the exact failing value
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("drift", [1e-9, 1e-6, 1e-3])
+def test_perturbed_pairs_get_the_exact_failing_value(drift, monkeypatch):
+    """T of the tower-deep shape (scale 0.7, dim H = 8) perturbed by
+    ``drift`` times a Gaussian."""
+    pair = build_scenario(TOWER_DEEP).pair
+    noisy = replace(pair, contraction=_noisy(pair.contraction, drift,
+                                             np.random.default_rng(37)))
+    failing = set()
+    for name, value in _pair_values(noisy).items():
+        got, want = value(), _exact(monkeypatch, value)
+        assert not isinstance(want, UpperBound), name
+        if want > TOL:
+            failing.add(name)
+            assert got == want and not isinstance(got, UpperBound), (name, got, want)
+        else:
+            assert want <= got <= TOL, (name, got, want)
+    if drift >= 1e-6:
+        assert len(failing) == 3, failing
+
 
 def _noisy(x, drift, rng):
     return x + drift * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))

@@ -158,7 +158,8 @@ class StarHom:
 
     Nothing is assumed at construction time; multiplicativity, adjoint
     preservation and unitality are certified by :func:`verify_star_hom`,
-    which ``matrix``, read-only from construction, lets the map hold.
+    which the map can hold since ``matrix`` is a read-only copy of the
+    given coordinates (the caller's array stays its own).
     """
 
     source: FiniteDimCStarAlgebra

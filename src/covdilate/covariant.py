@@ -398,9 +398,9 @@ def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = 
 
     With a threshold, a :class:`~covdilate.cpmaps.KrausRep` on its own
     algebra is first valued by the bound of its commutant directsum_b
-    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`; the
-    basis is of matrix units, of norm 1): at or below the threshold that
-    ``UpperBound`` is the value, with no sweep.
+    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`, of the
+    form swept below; the basis is of matrix units, of norm 1): at or
+    below the threshold that ``UpperBound`` is the value, with no sweep.
 
     With ``complement``, orthonormal columns C spanning the complement of
     span B, each value is ||C* rep(a) B||; without, ||Y - B (B* Y)|| for
@@ -414,7 +414,7 @@ def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = 
     if k in (0, basis.shape[0]) or (complement is not None and complement.shape[1] == 0):
         return 0.0
     if threshold is not None and isinstance(rep, KrausRep) and depth == rep.depth:
-        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout])
+        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout], complement)
         if bound <= threshold:
             return UpperBound(bound)
     if isinstance(rep, KrausRep):
@@ -450,9 +450,10 @@ class CovariantPair:
 
     ``depth`` is the basis depth used for verification on the tower backend
     (ignored by finite systems); the representation must accept one more
-    dynamics step than that.  The contraction (each stored block of a block
-    operator) is read-only from construction, so that the pair can hold its
-    covariance certificate (:func:`verify_covariance`).
+    dynamics step than that.  The pair holds a read-only copy of the
+    contraction (of each stored block of a block operator), so that it can
+    hold its covariance certificate (:func:`verify_covariance`); the
+    caller's array stays its own.
     """
 
     system: object
@@ -466,8 +467,8 @@ class CovariantPair:
         if t.shape != (self.rep.dim, self.rep.dim):
             raise ShapeMismatch(f"contraction of shape {t.shape} on a space of "
                                 f"dimension {self.rep.dim}")
-        for block in t.blocks.values() if isinstance(t, BlockOperator) else (t,):
-            read_only(block)
+        t = BlockOperator(t.rows, t.cols, {ij: read_only(b) for ij, b in t.blocks.items()}) \
+            if isinstance(t, BlockOperator) else read_only(t)
         object.__setattr__(self, "contraction", t)
 
     @property
@@ -828,7 +829,11 @@ class TwoStepBlock:
     d_star: np.ndarray            # defect map back to H, in basis coordinates
     pi_hat: KrausRep              # restriction of rho to the defect space
     invariance: float             # max_a ||(I - B B*) rho(a) B|| or its commutant bound
-    roots: Optional[tuple] = None  # (delta, delta_star), kept for a nonzero T (level 0)
+    # (tol, delta, delta_star) for the defect decomposition, kept only for a
+    # nonzero T (level 0): for T = 0 (every level above) the roots are
+    # identities that defect_roots returns with no eigensolve, so no level
+    # holds a pair of identity matrices
+    roots: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -849,8 +854,9 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     Delta* W* B G* change.  The invariance gate takes the complement of
     the span from the same frames (B G* spans what B spans); the commutant
     bound of rho (directsum_b I_{n_b} x M_{r_b}) decides it, about 1e-16 here.
-    The block keeps the defect roots when T is nonzero (level 0 of a chain),
-    for the defect decomposition; for T = 0 they are exact identities.
+    The block keeps the defect roots and their tolerance when T is nonzero
+    (level 0 of a chain), for the defect decomposition; for T = 0 they are
+    exact identities.
     """
     delta, delta_star = defect_roots(pair, tol)
     w = ext.isometry
@@ -872,4 +878,4 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
     return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv,
-                        (delta, delta_star) if pair.contraction.any() else None)
+                        (tol, delta, delta_star) if pair.contraction.any() else None)

@@ -35,8 +35,8 @@ from .report import ClauseReport, clause
 @dataclass(frozen=True, eq=False)
 class CPMap:
     """Linear map between algebras given by its action on coordinates;
-    ``matrix`` is read-only from construction, so that a strategy can hold
-    the certificate of its transfer or expectation."""
+    ``matrix`` is a read-only copy of the given coordinates, so that a
+    strategy can hold the certificate of its transfer or expectation."""
 
     source: FiniteDimCStarAlgebra
     target: FiniteDimCStarAlgebra

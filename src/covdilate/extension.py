@@ -83,9 +83,12 @@ P B_i = B_i G and (I - P) P = B_i (I - G) B_i*, so
 and since ||B_i||^2 <= 1 + e and ||I - P|| <= 1 for e <= 1, its norm is at
 most (1 + e)^(1/2) (2 ||P - E(P)||_F + e (2 + e)), the value
 :func:`~covdilate.numerics.commutant_bound` returns.  At depth 0, where a
-is a scalar and E the identity, the e term is all of it.  (With an exact
-complement C_i and e = 0, ||C_i* x B_i|| is the same value; a computed C_i
-adds its own round-off to the swept value.)  On the tower rho_i(alpha(a))
+is a scalar and E the identity, the e term is all of it.  The clause
+sweeps ||C_i* x B_i||, which for a computed complement C_i is not exactly
+||(I - P) x B_i||: with f = ||C_i* C_i - I||_F and c = ||C_i* B_i||_F,
+C_i* x B_i = C_i* (I - P) x B_i + (C_i* B_i)(B_i* x B_i), so ||C_i* x B_i||
+is at most (1 + f)^(1/2) times the bound above plus (1 + e) c, the value
+returned when the complement is given.  On the tower rho_i(alpha(a))
 = I_k (x) a (x) I_R (``TowerSystem.shift_factors``), E averages over the
 middle factor, and the bound is the value when it is at or below the
 threshold, labelled a bound; otherwise, and on the finite backend, the
@@ -395,7 +398,7 @@ def _defect_invariance(system, depth, rho, bases, comps, tol: Tolerance) -> floa
     (module docstring)."""
     factors = [system.shift_factors(part, depth) for part in rho.parts]
     if None not in factors:
-        bound = max(commutant_bound(b, [f]) for b, f in zip(bases, factors))
+        bound = max(commutant_bound(b, [f], c) for b, f, c in zip(bases, factors, comps))
         if bound <= tol.residual_tol:
             return UpperBound(bound)
     dv_basis, comp_h = BlockOperator.diagonal(bases), BlockOperator.diagonal(comps).adjoint()
@@ -418,7 +421,9 @@ def defect_decomposition(chain: ExtensionChain,
     pair = chain.pair
     system = pair.system
     level0 = chain.levels[0]
-    delta, delta_star = level0.roots or defect_roots(pair, tol)
+    # the roots two_step took, when it took them at this tolerance
+    roots = level0.roots
+    delta, delta_star = roots[1:] if roots and roots[0] == tol else defect_roots(pair, tol)
     rep = ClauseReport()
 
     delta_h_basis, _ = orthonormal_span(delta, tol)

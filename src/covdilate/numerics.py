@@ -57,9 +57,10 @@ DEFAULT_TOL = Tolerance()
 def certified(obj, key, compute):
     """The certificate ``compute()`` of ``obj`` under ``key`` (a tolerance,
     with whatever else the report depends on): computed on the first request
-    and held by ``obj`` for every later one.  The arrays a certificate covers
-    are read-only from the moment ``obj`` is built (:func:`read_only`), so an
-    in-place write raises instead of leaving a held report stale."""
+    and held by ``obj`` for every later one.  ``obj`` holds read-only copies
+    of the arrays a certificate covers from the moment it is built
+    (:func:`read_only`), so an in-place write raises instead of leaving a
+    held report stale."""
     held = vars(obj).setdefault("_certificates", {})
     if key not in held:
         held[key] = compute()
@@ -67,7 +68,10 @@ def certified(obj, key, compute):
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only in place."""
+    """A read-only copy of ``a``.  The copy owns its data, so neither the
+    caller's array nor the base of a view can change it later, and a write
+    through it raises ``ValueError``."""
+    a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
 
@@ -681,7 +685,7 @@ def intertwiner_bound(x, rows, cols) -> float:
     return bound
 
 
-def commutant_bound(basis: np.ndarray, layout) -> float:
+def commutant_bound(basis: np.ndarray, layout, complement=None) -> float:
     """2 ||P - E(P)||_F for P = B B*, ``basis`` B with orthonormal columns:
     a bound on ||(I - P) x B|| for every x of norm <= 1 in the algebra
     directsum_b 1_(m_b) (x) M_(n_b) (x) 1_(r_b) given by ``layout``, the
@@ -691,12 +695,24 @@ def commutant_bound(basis: np.ndarray, layout) -> float:
     diagonal block and is zero off them.  With e = ||B* B - I||_F, the
     round-off of B's orthonormality, it is widened to (1 + e)^(1/2) (2 ||P
     - E(P)||_F + e (2 + e)), which at depth 0 (E the identity) is all of it.
+
+    With ``complement``, columns C spanning the complement of span B, it
+    bounds the complement form ||C* x B|| instead: with f = ||C* C - I||_F
+    and c = ||C* B||_F, the round-off of the computed C, that is at most
+    (1 + f)^(1/2) times the bound above plus (1 + e) c.
     """
     form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
                  enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
-    e = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
+    k = basis.shape[1]
+    frame = basis if complement is None else np.hstack([basis, complement])
+    gram = frame.conj().T @ frame - np.eye(frame.shape[1])
+    e = float(np.linalg.norm(gram[:k, :k]))
     bound = intertwiner_bound(basis @ basis.conj().T, form, form)
-    return math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
+    bound = math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
+    if complement is not None:
+        f, c = (float(np.linalg.norm(g)) for g in (gram[k:, k:], gram[k:, :k]))
+        bound = math.sqrt(1.0 + f) * bound + (1.0 + e) * c
+    return bound
 
 
 def gram_quotient(gram: np.ndarray,

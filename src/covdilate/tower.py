@@ -187,14 +187,14 @@ def transfer_phi(tower: ShiftTower, phi, y: GradedElement) -> GradedElement:
 
 @dataclass(frozen=True, eq=False)
 class TowerTransfer:
-    """The transfer operator tau_phi as a graded callable; ``density`` is
-    read-only, so that a strategy can hold its certificate."""
+    """The transfer operator tau_phi as a graded callable; ``density`` is a
+    read-only copy, so that a strategy can hold its certificate."""
 
     tower: ShiftTower
     density: np.ndarray
 
     def __post_init__(self):
-        read_only(self.density)
+        object.__setattr__(self, "density", read_only(self.density))
 
     def __call__(self, y: GradedElement) -> GradedElement:
         (row,), depth = self.rows(y.coords[None], y.depth)
@@ -220,13 +220,13 @@ class TowerTransfer:
 @dataclass(frozen=True, eq=False)
 class TowerExpectation:
     """E_phi = shift o tau_phi, the induced conditional expectation;
-    ``density`` is read-only, as in :class:`TowerTransfer`."""
+    ``density`` is a read-only copy, as in :class:`TowerTransfer`."""
 
     tower: ShiftTower
     density: np.ndarray
 
     def __post_init__(self):
-        read_only(self.density)
+        object.__setattr__(self, "density", read_only(self.density))
 
     def __call__(self, y: GradedElement) -> GradedElement:
         return shift_alpha(TowerTransfer(self.tower, self.density)(y))

@@ -6,16 +6,17 @@ pair's covariance and the strategy on both.  Each report is held by the
 object it certifies, keyed by the tolerance (and, for the strategy, by the
 system and the depth).  Here no command run on a loaded scenario computes
 any of them again, a different key or a rebuilt scenario does, and a write
-to a certified array raises.
+to a certified array raises while the caller's own array stays its own.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import covdilate.algebra as algebra_mod
 import covdilate.covariant as covariant_mod
-from covdilate.algebra import verify_endomorphism, verify_star_hom
+from covdilate.algebra import StarHom, verify_endomorphism, verify_star_hom
 from covdilate.cli import run
 from covdilate.covariant import (CovariantPair, FiniteDimSystem, verify_covariance,
                                  verify_strategy)
@@ -147,3 +148,29 @@ def test_writes_to_certified_arrays_raise():
     copy[0, 2] = 0.5
     moved = CovariantPair(finite.system, finite.pair.rep, copy)
     assert verify_covariance(moved, DEFAULT_TOL) > DEFAULT_TOL.residual_tol
+
+
+def test_certified_objects_hold_their_own_copies():
+    """The caller's array stays writable, and neither a write to it nor to
+    the base of a view it passed reaches the held copy."""
+    finite = build_scenario(demo_fixture("automorphism"))
+    alpha = finite.system.alpha
+    mine = alpha.matrix.copy()
+    hom = StarHom(alpha.source, alpha.target, mine)
+    assert verify_star_hom(hom, DEFAULT_TOL).passed
+    mine *= 2.0
+    assert mine.flags.writeable and not np.array_equal(hom.matrix, mine)
+    assert verify_star_hom(hom, DEFAULT_TOL).passed
+    assert verify_star_hom(StarHom(alpha.source, alpha.target, mine), DEFAULT_TOL).passed \
+        is False
+
+    t = finite.pair.contraction.copy()
+    base = np.zeros((2,) + t.shape, dtype=complex)
+    base[0] = t
+    pair = CovariantPair(finite.system, finite.pair.rep, base[0])
+    assert verify_covariance(pair, DEFAULT_TOL) <= DEFAULT_TOL.residual_tol
+    base[0, 0, 2] = 0.5
+    assert np.array_equal(pair.contraction, t) and pair.contraction.base is None
+    assert verify_covariance(pair, DEFAULT_TOL) <= DEFAULT_TOL.residual_tol
+    assert verify_covariance(CovariantPair(finite.system, finite.pair.rep, base[0]),
+                             DEFAULT_TOL) > DEFAULT_TOL.residual_tol

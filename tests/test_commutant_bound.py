@@ -60,7 +60,7 @@ def _exact(monkeypatch, fn):
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", lambda term, threshold=None: real(term))
         for mod in (covariant_mod, extension_mod):
-            m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
+            m.setattr(mod, "commutant_bound", lambda *args: math.inf)
         return fn()
 
 
@@ -132,7 +132,7 @@ def test_drifted_defect_spans_get_the_exact_failing_value(drift, monkeypatch):
     comps = [orthonormal_complement(b) for b in bases]
     for part, basis, comp in zip(chain.rho.parts, bases, comps):
         exact = invariance_residual(system, d, ShiftedRep(part, system, 1), basis, None, comp)
-        assert commutant_bound(basis, [system.shift_factors(part, d)]) >= exact
+        assert commutant_bound(basis, [system.shift_factors(part, d)], comp) >= exact
     got = _defect_invariance(system, d, chain.rho, bases, comps, DEFAULT_TOL)
     want = _exact(monkeypatch,
                   lambda: _defect_invariance(system, d, chain.rho, bases, comps, DEFAULT_TOL))
@@ -157,7 +157,7 @@ def test_drifted_step_spans_get_the_exact_failing_value(drift):
         comp = orthonormal_complement(basis)
         exact = invariance_residual(system, rho.max_depth, rho, basis, None, comp)
         got = invariance_residual(system, rho.max_depth, rho, basis, TOL, comp)
-        assert commutant_bound(basis, layout) >= exact
+        assert commutant_bound(basis, layout, comp) >= exact
         if exact > TOL:
             failing += 1
             assert got == exact and not isinstance(got, UpperBound)
@@ -185,14 +185,10 @@ def test_bound_covers_the_exact_value_on_random_tower_subspaces(k, top, mult, kr
         basis = _drifted(_invariant_span([factors], rng, rng.uniform(0.2, 0.8)), rng, drift)
         if basis.shape[1] == dim:
             continue
-        # ||(I - B B*) x B||, the value the bound is proven to cover (the
-        # ``extension`` docstring); at d = 0 it is the round-off of B* B - I,
-        # which the bound's isometry-defect term covers.  The complement
-        # form ||C* x B|| would add the round-off of a computed C, which no
-        # bound on B alone can see.
-        exact = invariance_residual(system, d, ShiftedRep(rep, system, 1), basis)
+        comp = orthonormal_complement(basis)
+        exact = invariance_residual(system, d, ShiftedRep(rep, system, 1), basis, None, comp)
         # on an invariant span both values are round-off, of no fixed order
-        assert commutant_bound(basis, [factors]) >= exact - dim * EPS, (d, exact)
+        assert commutant_bound(basis, [factors], comp) >= exact - dim * EPS, (d, exact)
 
 
 def test_finite_parts_keep_the_exact_sweep(corpus):

@@ -296,6 +296,26 @@ def _defect_roots_by_square_root(pair, tol=DEFAULT_TOL):
             covariant_mod.psd_sqrt(eye - t @ t.conj().T, floor))
 
 
+def test_defect_decomposition_reuses_the_level0_roots_at_their_tolerance(corpus, monkeypatch):
+    """The decomposition reads the roots two_step kept only when it is asked
+    at the tolerance they were taken at; at another it takes them afresh."""
+    case = next(c for c in corpus if c.pair.contraction.any())
+    chain = coisometric_extend(case.pair, case.levels, case.strategy)
+    calls, real = [], extension_mod.defect_roots
+
+    def roots(pair, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return real(pair, tol)
+
+    monkeypatch.setattr(extension_mod, "defect_roots", roots)
+    kept = defect_decomposition(chain)
+    assert calls == []
+    other = Tolerance(psd_floor=2.0 * DEFAULT_TOL.psd_floor)
+    fresh = defect_decomposition(chain, other)
+    assert calls == [other]
+    assert kept.report.passed and fresh.report.passed
+
+
 def test_levels_above_the_first_take_no_square_root(corpus, built_chains, monkeypatch):
     """Level k >= 1 extends (pi_hat_(k-1), 0), whose defects are exactly I
     without an eigensolve, and the chain equals the one built through

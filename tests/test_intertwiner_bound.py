@@ -89,7 +89,7 @@ def _exact(monkeypatch, fn, absolute=False):
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", exact)
         for mod in (covariant_mod, extension_mod):
-            m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
+            m.setattr(mod, "commutant_bound", lambda *args: math.inf)
         m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
         return fn()
 

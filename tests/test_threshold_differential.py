@@ -63,7 +63,7 @@ def _twice(monkeypatch, fn, block_terms=None):
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", exact)
         for mod in (covariant_mod, extension_mod):
-            m.setattr(mod, "commutant_bound", lambda basis, layout: math.inf)
+            m.setattr(mod, "commutant_bound", lambda *args: math.inf)
         m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
         m.setattr(covariant_mod, "range_defect",
                   lambda alpha, mat, tol, threshold=None: real_range(alpha, mat, tol))

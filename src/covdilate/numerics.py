@@ -703,16 +703,20 @@ def commutant_bound(basis: np.ndarray, layout, complement=None) -> float:
     """
     form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
                  enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
-    k = basis.shape[1]
-    frame = basis if complement is None else np.hstack([basis, complement])
-    gram = frame.conj().T @ frame - np.eye(frame.shape[1])
-    e = float(np.linalg.norm(gram[:k, :k]))
+    e = _isometry_defect(basis)
     bound = intertwiner_bound(basis @ basis.conj().T, form, form)
     bound = math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
     if complement is not None:
-        f, c = (float(np.linalg.norm(g)) for g in (gram[k:, k:], gram[k:, :k]))
-        bound = math.sqrt(1.0 + f) * bound + (1.0 + e) * c
+        c = float(np.linalg.norm(complement.conj().T @ basis))
+        bound = math.sqrt(1.0 + _isometry_defect(complement)) * bound + (1.0 + e) * c
     return bound
+
+
+def _isometry_defect(a: np.ndarray) -> float:
+    """||A* A - I||_F."""
+    gram = a.conj().T @ a
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.linalg.norm(gram))
 
 
 def gram_quotient(gram: np.ndarray,

@@ -390,44 +390,35 @@ def transfer_images(system, rep, tau, depth) -> np.ndarray:
     return stack_images(system.basis_size(depth), lambda c: rep.images(*tau.rows(c, depth)))
 
 
-def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = None,
-                        complement=None) -> float:
+def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = None) -> float:
     """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
     orthonormal columns, decided against ``threshold`` when one is given
     (see :func:`~covdilate.numerics.basis_sweep`).
 
     With a threshold, a :class:`~covdilate.cpmaps.KrausRep` on its own
     algebra is first valued by the bound of its commutant directsum_b
-    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`, of the
-    form swept below; the basis is of matrix units, of norm 1): at or
-    below the threshold that ``UpperBound`` is the value, with no sweep.
+    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`; the
+    basis is of matrix units, of norm 1): at or below the threshold that
+    ``UpperBound`` is the value, with no sweep.
 
-    With ``complement``, orthonormal columns C spanning the complement of
-    span B, each value is ||C* rep(a) B||; without, ||Y - B (B* Y)|| for
-    Y = rep(a) B.  The two are equal, since I - B B* = C C* and C is an
-    isometry, and the second needs no complement.  A
-    :class:`~covdilate.cpmaps.KrausRep` gives Y from its frame kernel
-    (:meth:`~covdilate.cpmaps.KrausRep.act`), without its images.  0.0 when
-    B is empty or spans the whole space.
+    Each swept value is ||Y - B (B* Y)|| for Y = rep(a) B, with no
+    complement of span B built; a :class:`~covdilate.cpmaps.KrausRep` gives
+    Y from its frame kernel (:meth:`~covdilate.cpmaps.KrausRep.act`),
+    without its images.  0.0 when B is empty or spans the whole space.
     """
-    k = basis.shape[1]
-    if k in (0, basis.shape[0]) or (complement is not None and complement.shape[1] == 0):
+    if basis.shape[1] in (0, basis.shape[0]):
         return 0.0
     if threshold is not None and isinstance(rep, KrausRep) and depth == rep.depth:
-        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout], complement)
+        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout])
         if bound <= threshold:
             return UpperBound(bound)
     if isinstance(rep, KrausRep):
         images = lambda c: (rep.act(c, depth, basis),)
     else:
         images = lambda c: (rep.images(c, depth) @ basis,)
-    if complement is None:
-        basis_h = basis.conj().T
-        off = lambda y: y - basis @ (basis_h @ y)
-    else:
-        comp_h = complement.conj().T
-        off = lambda y: comp_h @ y
-    (inv,) = basis_sweep(system.basis_size(depth), images, off, threshold=threshold)
+    basis_h = basis.conj().T
+    (inv,) = basis_sweep(system.basis_size(depth), images,
+                         lambda y: y - basis @ (basis_h @ y), threshold=threshold)
     return inv
 
 
@@ -851,9 +842,10 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     moves the basis to B G*.  G is a unitary of K's commutant, so
     (B G*)* rho (B G*) = G K G* = K: ``pi_hat`` stays K, its dilation map
     becomes G B* X = (B G*)* X, and of the level only the basis and d* =
-    Delta* W* B G* change.  The invariance gate takes the complement of
-    the span from the same frames (B G* spans what B spans); the commutant
-    bound of rho (directsum_b I_{n_b} x M_{r_b}) decides it, about 1e-16 here.
+    Delta* W* B G* change.  The invariance gate values ||(I - P) rho(a) B
+    G*|| for P the projection onto the span (B G* spans what B spans); the
+    commutant bound of rho (directsum_b I_{n_b} x M_{r_b}) decides it,
+    about 1e-16 here.
     The block keeps the defect roots and their tolerance when T is nonzero
     (level 0 of a chain), for the defect decomposition; for T = 0 they are
     exact identities.
@@ -861,7 +853,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
     delta, delta_star = defect_roots(pair, tol)
     w = ext.isometry
     rho = ext.rho
-    basis, dil, complement = kraus_span(rho, w @ delta_star, tol)
+    basis, dil = kraus_span(rho, w @ delta_star, tol)
     pi_hat = KrausRep(pair.system, rho.depth, dil)
     if rng is not None:
         # G on the Kraus coordinates (b, p, s): U_b on the index s
@@ -873,8 +865,7 @@ def two_step(pair: CovariantPair, ext: HBExtension,
             iso[s] = np.matmul(u, iso[s].reshape(n, r, h)).reshape(n * r, h)
         pi_hat = KrausRep(pair.system, rho.depth, KrausDilation(dil.multiplicities, iso))
 
-    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol.residual_tol,
-                              complement)
+    inv = invariance_residual(pair.system, rho.max_depth, rho, basis, tol.residual_tol)
     if inv > tol.residual_tol:
         raise InvarianceViolation(f"defect space drifts under rho by {inv:.3e}")
     return TwoStepBlock(ext, basis, delta_star @ w.conj().T @ basis, pi_hat, inv,

@@ -430,40 +430,28 @@ class KrausRep(ChunkRep):
 
 
 def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Orthonormal bases of span rep(A) X and of its complement, and the
-    restriction of rep to the span.
+    """An orthonormal basis of span rep(A) X and the restriction of rep to
+    the span.
 
     B = directsum_b I_{n_b} x U_b, U_b the canonically phased left singular
     vectors that :func:`~covdilate.numerics.ranked_svds` keeps of the frame
     Y_b (see :class:`KrausRep`).  The restriction B* rep(x) B is
     directsum_b x_b x I_{rank_b}, returned as its :class:`KrausDilation`,
     whose dilation map B* X = (directsum_b I_{n_b} x U_b*) X has Kraus
-    coordinates.  The columns of U_b past its rank, U_b^perp, span the
-    complement of range Y_b in C^{r_b}, so C = directsum_b I_{n_b} x
-    U_b^perp spans the complement of span B: its columns are orthonormal,
-    orthogonal to B, and n_b (rank_b + dim U_b^perp) = n_b r_b counts every
-    Kraus coordinate.  Returns ``(B, dilation, C)``.
+    coordinates.  Returns ``(B, dilation)``.
     """
     h = x.shape[1]
     frames = rep.frames(x)
-    cols, comps, rows, ranks = [], [], [], []
-    svds = ranked_svds(frames, tol, full_matrices=True)
-    for (n, r, s), y, (u, sv, _) in zip(rep.layout, frames, svds):
+    cols, rows, ranks = [], [], []
+    for (n, r, s), y, (u, sv, _) in zip(rep.layout, frames, ranked_svds(frames, tol)):
         k = len(sv)
-        kept, perp = _canonical_phases(u[:, :k]), _canonical_phases(u[:, k:])
-        cols.append(_kraus_columns(rep.dim, n, s, kept))
-        comps.append(_kraus_columns(rep.dim, n, s, perp))
-        rows.append((kept.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
+        u = _canonical_phases(u)
+        col = np.zeros((rep.dim, n * k), dtype=complex)
+        col[s] = eye_kron(n, u)          # I_{n_b} x U_b on the Kraus coordinates of b
+        cols.append(col)
+        rows.append((u.conj().T @ y).reshape(k, n, h).transpose(1, 0, 2).reshape(n * k, h))
         ranks.append(k)
-    return (np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows)),
-            np.hstack(comps))
-
-
-def _kraus_columns(dim: int, n: int, s: slice, u) -> np.ndarray:
-    """I_{n_b} x U on the Kraus coordinates ``s`` of block b."""
-    col = np.zeros((dim, n * u.shape[1]), dtype=complex)
-    col[s] = eye_kron(n, u)
-    return col
+    return np.hstack(cols), KrausDilation(tuple(ranks), np.vstack(rows))
 
 
 def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:

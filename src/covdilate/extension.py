@@ -29,9 +29,7 @@ blocks that stores only its nonzero blocks::
 
 The defect decomposition keeps the same layout: ``dv_basis`` is the
 block-diagonal embedding of D_V = delta(H) + q_0 + ... + q_(n-1) (the block
-delta(H) in H, q_k in defect-k), the complement of D_V is block-diagonal
-too (the complement of delta(H) in H, and f_k, the complement of q_k in
-defect-k), and the defect row has the blocks
+delta(H) in H, q_k in defect-k), and the defect row has the blocks
 
           H            d_0         d_k (k >= 1)
     dH  [ dH* delta    X_upper                  ]
@@ -55,8 +53,8 @@ without a basis seed: the seed moves only the level's defect basis, its
 D_k* and the dilation map of ``pi_hat_k``, by a unitary of the commutant
 of ``pi_hat_k`` (:func:`~covdilate.covariant.two_step`).  Where a
 whole-chain sweep runs (see the bounds below), it applies rho = pi +
-pi_hat_0 + ... + pi_hat_(n-1) to the blocks of V, D_V and the complement
-of D_V through the levels' frame kernels
+pi_hat_0 + ... + pi_hat_(n-1) to the blocks of V and D_V through the
+levels' frame kernels
 (:meth:`~covdilate.cpmaps.KrausRep.act`), so no level image is formed.
 
 Defect clauses from structure.  ``chain/representation-restricts`` is
@@ -64,14 +62,13 @@ exactly 0.0 when rho's first part is pi itself, and is swept otherwise.
 ``defect/diagonal-form`` is exactly 0.0 with no fallback: D_V's embedding
 and rho(alpha(a)) are both block-diagonal over the chain blocks, so the
 compression of rho(alpha(a)) to D_V has no off-diagonal block.
-``defect/invariant`` is max_i ||C_i* rho_i(alpha(b)) B_i|| over the chain
-blocks i and matrix units b, B_i the block of D_V and C_i of its
-complement.  With P = B_i B_i* and E the conditional expectation onto the
-commutant of rho_i(alpha(A)), E(P) commutes with rho_i(alpha(b)), C_i* P
-= 0 and P B_i = B_i, so
+``defect/invariant`` is max_i ||(I - P) rho_i(alpha(b)) B_i|| over the
+chain blocks i and matrix units b, B_i the block of D_V and P = B_i B_i*.
+With E the conditional expectation onto the commutant of rho_i(alpha(A)),
+E(P) commutes with rho_i(alpha(b)), (I - P) P = 0 and P B_i = B_i, so
 
-    C_i* rho_i(alpha(b)) B_i = C_i* [rho_i(alpha(b)), P] B_i
-                             = C_i* [rho_i(alpha(b)), P - E(P)] B_i,
+    (I - P) rho_i(alpha(b)) B_i = (I - P) [rho_i(alpha(b)), P] B_i
+                                = (I - P) [rho_i(alpha(b)), P - E(P)] B_i,
 
 of norm at most 2 ||P - E(P)||_F.  A computed B_i is orthonormal only up
 to round-off: with G = B_i* B_i, e = ||G - I||_F and x = rho_i(alpha(b)),
@@ -83,12 +80,9 @@ P B_i = B_i G and (I - P) P = B_i (I - G) B_i*, so
 and since ||B_i||^2 <= 1 + e and ||I - P|| <= 1 for e <= 1, its norm is at
 most (1 + e)^(1/2) (2 ||P - E(P)||_F + e (2 + e)), the value
 :func:`~covdilate.numerics.commutant_bound` returns.  At depth 0, where a
-is a scalar and E the identity, the e term is all of it.  The clause
-sweeps ||C_i* x B_i||, which for a computed complement C_i is not exactly
-||(I - P) x B_i||: with f = ||C_i* C_i - I||_F and c = ||C_i* B_i||_F,
-C_i* x B_i = C_i* (I - P) x B_i + (C_i* B_i)(B_i* x B_i), so ||C_i* x B_i||
-is at most (1 + f)^(1/2) times the bound above plus (1 + e) c, the value
-returned when the complement is given.  On the tower rho_i(alpha(a))
+is a scalar and E the identity, the e term is all of it.  The sweep
+values the same ||(I - P) x B_i||, as ||x B_i - B_i (B_i* x B_i)||, so no
+complement of D_V is built.  On the tower rho_i(alpha(a))
 = I_k (x) a (x) I_R (``TowerSystem.shift_factors``), E averages over the
 middle factor, and the bound is the value when it is at or below the
 threshold, labelled a bound; otherwise, and on the finite backend, the
@@ -155,8 +149,8 @@ from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock, defect_roots,
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, _canonical_phases,
-                       _spectral_norms, basis_sweep, block_slices, commutant_bound,
-                       orthonormal_complement, orthonormal_span, ranked_svds, residual,
+                       _isometry_defect, _spectral_norms, basis_sweep, block_slices,
+                       commutant_bound, orthonormal_span, ranked_svds, residual,
                        spectral_norm)
 from .report import ClauseReport, clause
 
@@ -380,8 +374,7 @@ def _row_onto(head, q_bases, tol: Tolerance) -> bool:
     under the exact cutoff over the pivots too.  True certifies the rank;
     False leaves it to the dense components of the row.
     """
-    resid = [float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
-             for q in q_bases if q.shape[1]]
+    resid = [_isometry_defect(q) for q in q_bases if q.shape[1]]
     top = math.sqrt(1.0 + max(resid, default=0.0))
     if head is not None:
         ((_, s, _),) = ranked_svds([head], tol, compute_uv=False, top=top)
@@ -391,20 +384,21 @@ def _row_onto(head, q_bases, tol: Tolerance) -> bool:
     return all(1.0 - r > (tol.rank_eps * top) ** 2 for r in resid)
 
 
-def _defect_invariance(system, depth, rho, bases, comps, tol: Tolerance) -> float:
-    """``defect/invariant`` for D_V = directsum_i span B_i with the complement
-    directsum_i span C_i: the largest commutant bound over the chain blocks
-    when it is at or below the threshold, else the sweep of C* rho(alpha(a)) B
-    (module docstring)."""
+def _defect_invariance(system, depth, rho, bases, tol: Tolerance) -> float:
+    """``defect/invariant`` for D_V = directsum_i span B_i: the largest
+    commutant bound over the chain blocks when it is at or below the
+    threshold, else the sweep of (I - P) rho(alpha(a)) B (module docstring)."""
     factors = [system.shift_factors(part, depth) for part in rho.parts]
     if None not in factors:
-        bound = max(commutant_bound(b, [f], c) for b, f, c in zip(bases, factors, comps))
+        bound = max(commutant_bound(b, [f]) for b, f in zip(bases, factors))
         if bound <= tol.residual_tol:
             return UpperBound(bound)
-    dv_basis, comp_h = BlockOperator.diagonal(bases), BlockOperator.diagonal(comps).adjoint()
+    # a chain block that D_V fills is invariant outright: left out, as empty
+    dv = BlockOperator.diagonal([b[:, :0] if b.shape[1] == b.shape[0] else b for b in bases])
+    dv_h = dv.adjoint()
     (inv,) = basis_sweep(system.basis_size(depth),
-                         lambda c: (rho.act(*system.alpha_coords(c, depth), dv_basis),),
-                         lambda x_dv: comp_h @ x_dv, threshold=tol.residual_tol)
+                         lambda c: (rho.act(*system.alpha_coords(c, depth), dv),),
+                         lambda y: y - dv @ (dv_h @ y), threshold=tol.residual_tol)
     return inv
 
 
@@ -431,27 +425,26 @@ def defect_decomposition(chain: ExtensionChain,
     w0 = level0.ext.isometry
     # q_k: the complement, in defect-k coordinates, of what the previous
     # space embeds there (W delta* H at level 0, W_k defect_(k-1) above):
-    # the left singular vectors past the rank, f_k those up to it
-    f_bases, q_bases = [], []
+    # the left singular vectors past the rank; f_0, those up to it at level
+    # 0, spans W delta* H for X below
+    q_bases = []
     for k, lv in enumerate(chain.levels):
         seed = w0 @ delta_star if k == 0 else lv.ext.isometry
         ((u, s, _),) = ranked_svds([lv.defect_basis.conj().T @ seed], tol, full_matrices=True)
         f_rank = len(s)
-        f, q = _canonical_phases(u[:, :f_rank]), _canonical_phases(u[:, f_rank:])
+        q = _canonical_phases(u[:, f_rank:])
         if f_rank + q.shape[1] != lv.dim:
             raise DecompositionMismatch(
                 f"defect-{k} does not split: {f_rank} + {q.shape[1]} != {lv.dim}")
-        f_bases.append(f)
+        if k == 0:
+            f0 = _canonical_phases(u[:, :f_rank])
         q_bases.append(q)
     del u                   # the last level's full U, held no longer than its split
-    f0 = f_bases[0]
 
     dims = chain.v.rows
     bases = [delta_h_basis] + q_bases
     summand_dims = [b.shape[1] for b in bases]
     dv_basis = BlockOperator.diagonal(bases)
-    # the complement of D_V, block by block: of delta(H) in H, f_k in defect-k
-    comps = [orthonormal_complement(delta_h_basis, tol)] + f_bases
 
     # X = (-T* W*|span(W delta* H)) + q_0, mapping defect-0 into D_V
     t = pair.contraction
@@ -485,7 +478,7 @@ def defect_decomposition(chain: ExtensionChain,
 
     d = usable_depth(system, [chain.rho], 1, pair.depth)
     rho = chain.rho
-    inv = _defect_invariance(system, d, rho, bases, comps, tol)
+    inv = _defect_invariance(system, d, rho, bases, tol)
 
     # dv and rho(alpha(a)) are both block-diagonal over the chain blocks, so
     # the compression dv* rho(alpha(a)) dv has no off-diagonal block

@@ -600,14 +600,6 @@ def block_pinv(op: "BlockOperator", svds) -> "BlockOperator":
     return BlockOperator(op.cols, op.rows, blocks)
 
 
-def orthonormal_complement(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the complement of ``span(basis)``: the left
-    singular vectors of the basis beyond its rank, from one full SVD of the
-    D x k basis, with canonical column phases."""
-    ((u, s, _),) = ranked_svds([basis], tol, full_matrices=True)
-    return _canonical_phases(u[:, len(s):])
-
-
 class Leaf(NamedTuple):
     """One summand 1_m (x) a_block (x) 1_r of a factor form (see
     :func:`intertwiner_bound`), a in the summand ``block`` of the algebra, of
@@ -685,7 +677,7 @@ def intertwiner_bound(x, rows, cols) -> float:
     return bound
 
 
-def commutant_bound(basis: np.ndarray, layout, complement=None) -> float:
+def commutant_bound(basis: np.ndarray, layout) -> float:
     """2 ||P - E(P)||_F for P = B B*, ``basis`` B with orthonormal columns:
     a bound on ||(I - P) x B|| for every x of norm <= 1 in the algebra
     directsum_b 1_(m_b) (x) M_(n_b) (x) 1_(r_b) given by ``layout``, the
@@ -695,21 +687,12 @@ def commutant_bound(basis: np.ndarray, layout, complement=None) -> float:
     diagonal block and is zero off them.  With e = ||B* B - I||_F, the
     round-off of B's orthonormality, it is widened to (1 + e)^(1/2) (2 ||P
     - E(P)||_F + e (2 + e)), which at depth 0 (E the identity) is all of it.
-
-    With ``complement``, columns C spanning the complement of span B, it
-    bounds the complement form ||C* x B|| instead: with f = ||C* C - I||_F
-    and c = ||C* B||_F, the round-off of the computed C, that is at most
-    (1 + f)^(1/2) times the bound above plus (1 + e) c.
     """
     form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
                  enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
     e = _isometry_defect(basis)
     bound = intertwiner_bound(basis @ basis.conj().T, form, form)
-    bound = math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
-    if complement is not None:
-        c = float(np.linalg.norm(complement.conj().T @ basis))
-        bound = math.sqrt(1.0 + _isometry_defect(complement)) * bound + (1.0 + e) * c
-    return bound
+    return math.sqrt(1.0 + e) * (bound + e * (2.0 + e))
 
 
 def _isometry_defect(a: np.ndarray) -> float:
@@ -931,9 +914,9 @@ def _plan(rows: tuple, cols: tuple, keys: frozenset) -> tuple:
     groups: dict = {}
     for node in list(parent):
         groups.setdefault(find(node), ([], []))[node[0] == "c"].append(node[1])
-    comps = sorted((sorted(r), sorted(c)) for r, c in groups.values())
+    parts = sorted((sorted(r), sorted(c)) for r, c in groups.values())
     at_row, at_col, shapes = {}, {}, []
-    for c, (rs, cs) in enumerate(comps):
+    for c, (rs, cs) in enumerate(parts):
         shape = []
         for at, idx, dims in ((at_row, rs, rows), (at_col, cs, cols)):
             local = block_slices([dims[i] for i in idx])
@@ -941,7 +924,7 @@ def _plan(rows: tuple, cols: tuple, keys: frozenset) -> tuple:
             shape.append(local[-1].stop)
         shapes.append(tuple(shape))
     place = {(i, j): (at_row[i][0], at_row[i][1], at_col[j][1]) for i, j in keys}
-    return comps, shapes, place
+    return parts, shapes, place
 
 
 def _block_entries(ops) -> list:
@@ -984,14 +967,14 @@ def _component_stacks(ops, pad: bool = True, slices=None) -> list:
     first, last = ops[0], ops[-1]
     if not isinstance(last, BlockOperator) or (first.rows, first.cols) != (last.rows, last.cols):
         raise DimensionMismatch("block layouts differ")
-    comps, shapes, place = _plan(first.rows, first.cols,
+    parts, shapes, place = _plan(first.rows, first.cols,
                                  frozenset(first.blocks.keys() | last.blocks.keys()))
     lead = max(first.lead, last.lead, key=len)
     if slices is not None:
         lead = (int(np.count_nonzero(slices)),)
     if pad:
         shape = tuple(max((sh[n] for sh in shapes), default=0) for n in (0, 1))
-        out = [np.zeros((len(comps),) + (lead or (1,)) + shape, dtype=complex) for _ in ops]
+        out = [np.zeros((len(parts),) + (lead or (1,)) + shape, dtype=complex) for _ in ops]
     else:
         out = [[np.zeros(lead + sh, dtype=complex) for sh in shapes] for _ in ops]
     for st, op in zip(out, ops):

@@ -17,7 +17,8 @@ of the chain's rho, whose level parts are the ``pi_hat`` s.
 ``complement_invariance``
 values an invariance clause with a dense complement and dense images, the
 form of the extension step's gate and of the level containment note before
-the frame kernel.
+the frame kernel.  ``orthonormal_complement`` is the complement the package
+took before it valued every invariance clause in the projector form.
 
 ``dense_orbit_rank`` is the rank ``dilation/minimal`` took before it read
 the pivots of a record's block-echelon power orbit: the singular-value rank
@@ -49,9 +50,17 @@ from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
 from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
 from covdilate.dilation import DilationRecord, power_orbit
 from covdilate.extension import _assemble
-from covdilate.numerics import (DEFAULT_TOL, BlockOperator, basis_sweep, block_diag,
-                                block_slices, orthonormal_complement, orthonormal_span,
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _canonical_phases, basis_sweep,
+                                block_diag, block_slices, orthonormal_span, ranked_svds,
                                 residual, spectral_norm, svd_rank)
+
+
+def orthonormal_complement(basis: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of ``span(basis)``: the left
+    singular vectors of the basis beyond its rank, from one full SVD of the
+    D x k basis, with canonical column phases."""
+    ((u, s, _),) = ranked_svds([basis], tol, full_matrices=True)
+    return _canonical_phases(u[:, len(s):])
 
 
 @dataclass(eq=False)
@@ -202,11 +211,11 @@ def chain_coordinate_values(chain, dd) -> dict:
             "defect/invariant": inv, "defect/diagonal-form": diag}
 
 
-def complement_invariance(system, depth, rep, basis, complement=None) -> tuple:
+def complement_invariance(system, depth, rep, basis) -> tuple:
     """(max over the basis at ``depth`` of ||C* rep(a) B||, the largest
-    ||rep(a) B||), with dense images and C the given complement of span B
-    or :func:`orthonormal_complement` of B."""
-    comp = orthonormal_complement(basis) if complement is None else complement
+    ||rep(a) B||), with dense images and C the :func:`orthonormal_complement`
+    of B."""
+    comp = orthonormal_complement(basis)
     if comp.shape[1] == 0 or basis.shape[1] == 0:
         return 0.0, 0.0
     comp_h = comp.conj().T

@@ -1,4 +1,4 @@
-"""The batched basis sweep, the complement form of invariance, the closed-form
+"""The batched basis sweep, the projector form of invariance, the closed-form
 shift inverse and the strided Kraus representation, each against the
 per-element or dense route it replaces (kept here as test-local references).
 """
@@ -122,7 +122,7 @@ def test_sweep_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# invariance on the complement
+# invariance, ||rep(a) B - B (B* rep(a) B)||, against the dense I - B B*
 # ---------------------------------------------------------------------------
 
 def test_complement_form_matches_projector_form(corpus, built_chains):
@@ -138,7 +138,7 @@ def test_complement_form_matches_projector_form(corpus, built_chains):
         got = invariance_residual(system, span_depth, rho, basis)
         assert abs(got - want) <= 1e-13, case.name
         if basis.shape[1] in (0, rho.dim):
-            # an empty or whole subspace leaves no complement: exactly 0
+            # an empty or whole subspace is invariant outright: exactly 0
             assert got == 0.0
 
 
@@ -173,15 +173,14 @@ def test_complement_form_on_proper_subspaces():
 
 
 def _dropping_span(real_span):
-    """kraus_span that loses the last column of the defect basis it returns
-    to the complement, so the span it reports is a proper, generically
-    non-invariant subspace with its true complement.  (Dropping a vector of
-    range Y_b instead would leave a rho-invariant subspace, which no
-    invariance gate can reject.)"""
+    """kraus_span that loses the last column of the defect basis it returns,
+    so the span it reports is a proper, generically non-invariant subspace.
+    (Dropping a vector of range Y_b instead would leave a rho-invariant
+    subspace, which no invariance gate can reject.)"""
 
     def span(rep, x, tol=DEFAULT_TOL):
-        basis, dil, comp = real_span(rep, x, tol)
-        return basis[:, :-1], dil, np.hstack([comp, basis[:, -1:]])
+        basis, dil = real_span(rep, x, tol)
+        return basis[:, :-1], dil
 
     return span
 

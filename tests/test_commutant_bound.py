@@ -4,9 +4,10 @@ restriction clauses read from structure, against their exact sweeps.
 ``defect/invariant`` and the extension step's invariance gate take the value
 2 ||P - E(P)||_F (``numerics.commutant_bound``) when it is at or below the
 threshold, and the exact sweep otherwise; the proof is in the ``extension``
-module docstring.  Here every bound is at least its exact value on the tower
-corpus, on drifted spans and on random subspaces of small towers, a failing
-value is bit-equal to the exact run, ``chain/representation-restricts``
+module docstring.  Here every bound is at least its exact value, the
+projector form ||(I - B B*) x B|| swept over the basis, on the tower
+corpus, on drifted spans, on random subspaces of small towers and of finite
+multi-block Kraus layouts, a failing value is bit-equal to the exact run, ``chain/representation-restricts``
 still sweeps a chain whose first part is not pi, and a passing ``extend``
 sweeps nothing in ``defect_decomposition``.
 """
@@ -31,8 +32,7 @@ from covdilate.covariant import (DirectSumRep, FiniteDimSystem, ShiftedRep,
 from covdilate.cpmaps import KrausDilation, KrausRep
 from covdilate.extension import (_defect_invariance, coisometric_extend,
                                  defect_decomposition, verify_coisometric_extension)
-from covdilate.numerics import (DEFAULT_TOL, UpperBound, commutant_bound,
-                                orthonormal_complement, residual)
+from covdilate.numerics import DEFAULT_TOL, UpperBound, commutant_bound, residual
 from covdilate.scenario import build_scenario
 from covdilate.tower import ShiftTower, TowerRep, TowerSystem
 
@@ -129,13 +129,12 @@ def test_drifted_defect_spans_get_the_exact_failing_value(drift, monkeypatch):
     d = usable_depth(system, [chain.rho], 1, case.pair.depth)
     rng = np.random.default_rng(3)
     bases = [_drifted(b, rng, drift) for b in defect_decomposition(chain).summand_bases]
-    comps = [orthonormal_complement(b) for b in bases]
-    for part, basis, comp in zip(chain.rho.parts, bases, comps):
-        exact = invariance_residual(system, d, ShiftedRep(part, system, 1), basis, None, comp)
-        assert commutant_bound(basis, [system.shift_factors(part, d)], comp) >= exact
-    got = _defect_invariance(system, d, chain.rho, bases, comps, DEFAULT_TOL)
+    for part, basis in zip(chain.rho.parts, bases):
+        exact = invariance_residual(system, d, ShiftedRep(part, system, 1), basis)
+        assert commutant_bound(basis, [system.shift_factors(part, d)]) >= exact
+    got = _defect_invariance(system, d, chain.rho, bases, DEFAULT_TOL)
     want = _exact(monkeypatch,
-                  lambda: _defect_invariance(system, d, chain.rho, bases, comps, DEFAULT_TOL))
+                  lambda: _defect_invariance(system, d, chain.rho, bases, DEFAULT_TOL))
     assert got > TOL and not isinstance(got, UpperBound)
     assert got == want
 
@@ -154,10 +153,9 @@ def test_drifted_step_spans_get_the_exact_failing_value(drift):
     for system, rho in ((case.pair.system, tower_rho), (finite, finite_rho)):
         layout = [(1, n, r) for n, r, _ in rho.layout]
         basis = _drifted(_invariant_span(layout, rng), rng, drift)
-        comp = orthonormal_complement(basis)
-        exact = invariance_residual(system, rho.max_depth, rho, basis, None, comp)
-        got = invariance_residual(system, rho.max_depth, rho, basis, TOL, comp)
-        assert commutant_bound(basis, layout, comp) >= exact
+        exact = invariance_residual(system, rho.max_depth, rho, basis)
+        got = invariance_residual(system, rho.max_depth, rho, basis, TOL)
+        assert commutant_bound(basis, layout) >= exact
         if exact > TOL:
             failing += 1
             assert got == exact and not isinstance(got, UpperBound)
@@ -185,10 +183,32 @@ def test_bound_covers_the_exact_value_on_random_tower_subspaces(k, top, mult, kr
         basis = _drifted(_invariant_span([factors], rng, rng.uniform(0.2, 0.8)), rng, drift)
         if basis.shape[1] == dim:
             continue
-        comp = orthonormal_complement(basis)
-        exact = invariance_residual(system, d, ShiftedRep(rep, system, 1), basis, None, comp)
+        exact = invariance_residual(system, d, ShiftedRep(rep, system, 1), basis)
         # on an invariant span both values are round-off, of no fixed order
-        assert commutant_bound(basis, [factors], comp) >= exact - dim * EPS, (d, exact)
+        assert commutant_bound(basis, [factors]) >= exact - dim * EPS, (d, exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
+                       max_size=3),
+       drift=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]), seed=st.integers(0, 2**16))
+def test_bound_covers_the_exact_value_on_random_finite_kraus_layouts(blocks, drift, seed):
+    """The step gate's layout directsum_b I_(n_b) (x) M_(r_b) on a finite
+    KrausRep of M_(n_1) + ... + M_(n_B), r_b copies of block b: the bound
+    against the projector form swept over the matrix units."""
+    sizes, mults = zip(*blocks)
+    alg = FiniteDimCStarAlgebra(sizes)
+    system = FiniteDimSystem(alg, StarHom.identity(alg))
+    dim = sum(n * r for n, r in blocks)
+    rho = KrausRep(system, None, KrausDilation(mults, np.zeros((dim, 1))))
+    layout = [(1, n, r) for n, r, _ in rho.layout]
+    rng = np.random.default_rng(seed)
+    basis = _drifted(_invariant_span(layout, rng, rng.uniform(0.2, 0.8)), rng, drift)
+    if basis.shape[1] == dim:
+        return
+    exact = invariance_residual(system, None, rho, basis)
+    # on an invariant span both values are round-off, of no fixed order
+    assert commutant_bound(basis, layout) >= exact - dim * EPS, (blocks, exact)
 
 
 def test_finite_parts_keep_the_exact_sweep(corpus):

@@ -6,8 +6,8 @@ Kraus form of tau (``cpmaps.KrausTransfer``) instead of eigendecomposing the
 Choi blocks of phi_k.  Here the composition rule is checked on random finite
 maps against the dense Choi route, whole chains are certified equivalent to
 the chains of the Choi route (``dense_oracle.choi_route_chain``), the
-invariance gate of every level is recomputed with the dense complement of
-its defect basis, and an adapted tower extend is held to eigensolves no
+invariance gate of every level, ||(I - B B*) rho(a) B|| through the frame
+kernel, is recomputed with the dense complement of its defect basis, and an adapted tower extend is held to eigensolves no
 larger than the Choi matrix of tau.
 """
 
@@ -16,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import (FiniteDimSystem, defect_roots, frame_rank,
+from covdilate.covariant import (FiniteDimSystem, frame_rank,
                                  invariance_residual, span_frame)
 from covdilate.cpmaps import (CPMap, KrausDilation, KrausRep, choi_cut,
-                              kraus_dilation, kraus_span, transfer_kraus,
+                              kraus_dilation, transfer_kraus,
                               unit_image_chois)
 from covdilate.equivalence import chain_intertwiner
 from covdilate.extension import (coisometric_extend, defect_decomposition,
@@ -133,20 +133,17 @@ def test_composed_chains_are_the_choi_route_chains(corpus):
 
 
 def test_frame_complement_gate_is_the_dense_complement_gate(built_chains):
-    # exact values of the two_step gate: the complement read off the frames
-    # against the dense complement of the defect basis
+    # exact values of the two_step gate, in the projector form through the
+    # frame kernel, against the dense complement of the defect basis
     proper = build_scenario(PROPER_DEFECT)
     chains = {**built_chains, "proper-defect": coisometric_extend(
         proper.pair, proper.levels, proper.strategy, proper.tol, proper.seed)}
     checked = 0
     for name, chain in chains.items():
         system = chain.pair.system
-        _, delta_star = defect_roots(chain.pair)
-        for k, level in enumerate(chain.levels):
-            rho, w = level.ext.rho, level.ext.isometry
-            _, _, comp = kraus_span(rho, w @ delta_star if k == 0 else w)
-            basis = level.defect_basis
-            got = invariance_residual(system, rho.max_depth, rho, basis, complement=comp)
+        for level in chain.levels:
+            rho, basis = level.ext.rho, level.defect_basis
+            got = invariance_residual(system, rho.max_depth, rho, basis)
             dense, _ = dense_oracle.complement_invariance(system, rho.max_depth, rho, basis)
             assert abs(got - dense) <= 1e-13, name
             checked += 0 < basis.shape[1] < rho.dim

@@ -4,13 +4,13 @@ Each chain level's representation pi_hat_k is a Kraus representation
 K_k = directsum_b x_b (x) I_(r_b), seeded or not (a basis seed moves the
 level's defect basis by a unitary of K_k's commutant, never K_k itself).
 ``verify_coisometric_extension`` and ``defect_decomposition`` apply every
-K_k to the blocks of V, D_V and the complement of D_V through
-``KrausRep.act`` without forming an image.  Here the exact values are
-compared with the route through the images of the chain's rho
-(``dense_oracle.chain_coordinate_values``), the extension step's gate and
-the level containment note with dense complements, and the frame kernel
-with ``images``; a structural test holds the two sweeps to no image of a
-level and no complement of a level-space basis.
+K_k to the blocks of V and D_V through ``KrausRep.act`` without forming an
+image.  Here the exact values are compared with the route through the
+images of the chain's rho (``dense_oracle.chain_coordinate_values``, which
+takes the complement of D_V), the extension step's gate and the level
+containment note with dense complements, and the frame kernel with
+``images``; a structural test holds the two sweeps to no image of a level
+and no complement at all.
 """
 
 import numpy as np
@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
-from covdilate.covariant import (FiniteDimSystem, defect_roots, invariance_residual,
-                                 usable_depth)
-from covdilate.cpmaps import KrausDilation, KrausRep, kraus_span
+from covdilate.covariant import FiniteDimSystem, invariance_residual, usable_depth
+from covdilate.cpmaps import KrausDilation, KrausRep
 from covdilate.extension import (ExtensionChain, coisometric_extend, defect_decomposition,
                                  verify_coisometric_extension)
 from covdilate.numerics import DEFAULT_TOL, BlockOperator
@@ -96,18 +95,15 @@ def test_step_gate_and_containment_note_match_dense_complements(corpus, monkeypa
     proper = 0
     for name, chain in _chains(corpus):
         system = chain.pair.system
-        _, delta_star = defect_roots(chain.pair)
         notes = verify_coisometric_extension(chain).notes
         for k, level in enumerate(chain.levels):
             rho, w = level.ext.rho, level.ext.isometry
-            # the gate as two_step values it: the frames' complement of the
-            # (seeded) defect basis
-            _, _, comp = kraus_span(rho, w @ delta_star if k == 0 else w)
+            # the gate as two_step values it, on the (seeded) defect basis
             basis = level.defect_basis
             got = _exact(monkeypatch, lambda: invariance_residual(
-                system, rho.max_depth, rho, basis, DEFAULT_TOL.residual_tol, comp))
+                system, rho.max_depth, rho, basis, DEFAULT_TOL.residual_tol))
             value, scale = dense_oracle.complement_invariance(system, rho.max_depth, rho,
-                                                              basis, comp)
+                                                              basis)
             assert abs(got - value) <= AGREE * (1.0 + scale), (name, k, got, value)
             assert (level.invariance <= DEFAULT_TOL.residual_tol) \
                 == (value <= DEFAULT_TOL.residual_tol), (name, k)
@@ -248,34 +244,34 @@ def test_frame_kernel_on_the_tower_levels():
 
 def test_chain_sweeps_form_no_level_image_and_no_level_complement(monkeypatch):
     """On the seeded rep_depth = 3 tower the two sweeps evaluate no
-    KrausRep image, and the only complement taken is that of delta(H)
-    inside H: f_k and q_k come from one SVD per level.  A KrausRep has no
-    other route to an image: it carries no rotation."""
+    KrausRep image and take no complement at all: the package has no
+    complement routine, and the only full SVDs are the splits of each
+    defect-k into f_k and q_k, one per level, of side dim defect-k.  A
+    KrausRep has no other route to an image: it carries no rotation."""
     case = _deep_case()
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
-    images, complements = [], []
+    images, full = [], []
 
     def recording_images(self, coords, depth):
         images.append(self.dim)
         return real_images(self, coords, depth)
 
-    def recording_complement(basis, tol=DEFAULT_TOL):
-        complements.append(basis)
-        return real_complement(basis, tol)
+    def recording_svds(blocks, *args, **kwargs):
+        if kwargs.get("full_matrices"):
+            full.extend(b.shape[0] for b in blocks)
+        return real_svds(blocks, *args, **kwargs)
 
-    real_images, real_complement = KrausRep.images, numerics_mod.orthonormal_complement
+    real_images, real_svds = KrausRep.images, numerics_mod.ranked_svds
     monkeypatch.setattr(KrausRep, "images", recording_images)
     assert not hasattr(KrausRep, "rotation")
     assert not any(hasattr(lv.pi_hat, "rotation") for lv in chain.levels)
+    assert not any(hasattr(module, "orthonormal_complement")
+                   for module in (numerics_mod, extension_mod))
     for module in (numerics_mod, extension_mod):
-        monkeypatch.setattr(module, "orthonormal_complement", recording_complement)
+        monkeypatch.setattr(module, "ranked_svds", recording_svds)
 
     assert verify_coisometric_extension(chain).passed
-    assert complements == []
+    assert full == []
     assert defect_decomposition(chain).report.passed
     assert images == []
-    assert [b.shape[0] for b in complements] == [chain.pair.space_dim]
-    for basis in complements:
-        for level in chain.levels:
-            w = level.ext.isometry
-            assert basis.shape != w.shape or not np.allclose(basis, w)
+    assert full == [level.dim for level in chain.levels]

@@ -33,8 +33,8 @@ from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import InvarianceViolation
 from covdilate.extension import _assemble, coisometric_extend
-from covdilate.numerics import (DEFAULT_TOL, block_diag, eye_kron, orthonormal_complement,
-                                orthonormal_span, spectral_norm)
+from covdilate.numerics import (DEFAULT_TOL, block_diag, eye_kron, orthonormal_span,
+                                spectral_norm)
 from covdilate.scenario import build_scenario, load_scenario
 
 from conftest import rotated_step
@@ -167,11 +167,8 @@ def test_kraus_span_is_the_dense_span_on_every_level(corpus_chains):
         for level, x in _level_seeds(pair, chain):
             rho = level.ext.rho
             dense, rank = orthonormal_span(basis_images(pair.system, rho, rho.max_depth, x))
-            basis, dil, comp = kraus_span(rho, x)
+            basis, dil = kraus_span(rho, x)
             assert basis.shape[1] == rank == level.dim, name
-            assert comp.shape == (rho.dim, rho.dim - rank), name
-            assert spectral_norm(_projector(comp) - _projector(
-                orthonormal_complement(dense))) <= 1e-12, name
             assert sum(n * r for n, r in zip(rho.block_sizes, dil.multiplicities)) == rank
             assert spectral_norm(_projector(basis) - _projector(dense)) <= 1e-12, name
             assert spectral_norm(_projector(level.defect_basis) - _projector(dense)) <= 1e-12
@@ -447,13 +444,8 @@ def test_spanning_set_singular_values_are_the_frames_repeated(blocks, h, rank, s
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, want[0]))
 
     dense_basis, dense_rank = orthonormal_span(dense)
-    basis, dil, comp = kraus_span(rep, x)
+    basis, dil = kraus_span(rep, x)
     assert basis.shape == (dim, dense_rank)
-    # the complement read off the frames is the dense one, orthonormal
-    assert comp.shape == (dim, dim - dense_rank)
-    assert spectral_norm(comp.conj().T @ comp - np.eye(dim - dense_rank)) <= 1e-12
-    assert spectral_norm(_projector(comp)
-                         - _projector(orthonormal_complement(dense_basis))) <= 1e-10
     assert frame_rank(span_frame(system, rep, None, x)) == dense_rank
     assert sum(n * r for n, r in zip(sizes, dil.multiplicities)) == dense_rank
     assert spectral_norm(_projector(basis) - _projector(dense_basis)) <= 1e-10

@@ -11,10 +11,11 @@ from covdilate.covariant import basis_images, defect_roots
 from covdilate.equivalence import chain_intertwiner
 from covdilate.errors import DimensionMismatch, NotHermitian, NotPositive
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms,
-                                orthonormal_complement, orthonormal_span,
+from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms, orthonormal_span,
                                 psd_sqrt, residual, spectral_norm, svd_rank)
 from covdilate.report import clause
+
+from dense_oracle import orthonormal_complement
 
 
 def test_tolerance_validation():

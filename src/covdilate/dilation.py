@@ -27,6 +27,31 @@ groups keeps the total rank that of the dense defect::
     copy-2 [                 I (per D_c)          ]
     ...                                  ...
 
+One eigendecomposition per defect group.  ``numerics.psd_sqrt_eigh``
+gives I - T_g* T_g = V diag(lambda) V* and the root's values s =
+lambda^(1/2), clamped at the floor, so Delta_c = V diag(s) V*.  The
+columns of V with s above the one rank cutoff over all groups
+(``numerics.rank_cutoff``), in descending s and with canonical phases, are
+B_c, and the head is B_c* Delta_c = diag(s_c) B_c*, so no dense root and
+no SVD is formed.  The record keeps (s_c, B_c) (``pivot_factors``), and
+the pivot's component c is diag(s_c) B_c* = I diag(s_c) B_c*, an SVD with
+u = I and vh = B_c*.  :meth:`Echelon.pivot_svds` returns it only after
+certifying it against W's stored blocks, since a record's blocks may have
+been replaced since: each component must equal diag(s_c) B_c* bit for bit.
+Then with e_c = ||B_c* B_c - I||_F < 1 the eigenvalues of B_c* B_c lie in
+[1 - e_c, 1 + e_c], so the singular values of the pivot component lie in
+[s_min (1 - e_c)^(1/2), s_max (1 + e_c)^(1/2)] (diag(s_c) is square and
+invertible).  Its largest is at most the upper end, so the exact cutoff
+over the pivots and E_s (singular values 1) is at most the cutoff over
+the upper ends and 1; when every lower end, and 1, exceeds that, the
+exact rule keeps every singular value of every pivot, which is the rank
+the certificate claims, with no SVD.  Otherwise ``ranked_svds`` of the
+components decides, so a stale or edited block still gets its exact
+dense rank.  The pseudo-inverse of a certified component is taken as
+B_c diag(1/s_c); it differs from the exact B_c (B_c* B_c)^-1 diag(1/s_c)
+by order e_c / s_min, and the intertwiner's clauses measure the u built
+from it.
+
 ``explicit_matricial_unitary`` orders the chain blocks d_(n-1), ..., d_0, H
 and splits every copy into the summands of D_V = delta(H) + q_0 + ...; U
 carries V's blocks, the defect row's blocks below them and an identity per
@@ -89,6 +114,7 @@ as a block operator on the two fine layouts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -102,9 +128,10 @@ from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
                      StrategyInvalid)
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, as_blocks,
-                       basis_sweep, block_slices, orthonormal_spans, psd_sqrt,
-                       ranked_svds, residual, spectral_norm, svd_rank)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, _canonical_phases,
+                       _isometry_defect, as_blocks, basis_sweep, block_slices,
+                       psd_sqrt_eigh, rank_cutoff, ranked_svds, residual,
+                       spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -139,6 +166,8 @@ class DilationRecord:
     report: Optional[ClauseReport] = None
     boundary_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     boundary_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # (s_c, B_c) of each copy-1 part when W's pivot was built as diag(s_c) B_c*
+    pivot_factors: tuple = ()
 
     @property
     def total_dim(self) -> int:
@@ -158,7 +187,7 @@ class DilationRecord:
     def echelon(self) -> Optional["Echelon"]:
         """The record's Schaffer form over its source, read off the stored
         blocks of W and E (module docstring); None when they are not in it."""
-        return _read_echelon(self.w, self.source_embed, self.copies)
+        return _read_echelon(self.w, self.source_embed, self.copies, self.pivot_factors)
 
     def index_table(self) -> list[dict]:
         return [{"name": n, "index": i, "dim": d, "offset": s.start}
@@ -171,24 +200,46 @@ class Echelon:
     """A power orbit in block-echelon form (see the module docstring).
 
     ``pivot`` is the copy-1 rows of W E (the copy-1 parts x the source
-    blocks), and ``parts[j]`` the fine blocks of copy j + 1, one per part,
-    in the order of the pivot's rows.
+    blocks), ``parts[j]`` the fine blocks of copy j + 1, one per part, in
+    the order of the pivot's rows, and ``factors`` the record's
+    ``pivot_factors``.
     """
 
     pivot: BlockOperator
     parts: tuple
+    factors: tuple
 
     def pivot_svds(self, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = False) -> list:
-        """:func:`~covdilate.numerics.ranked_svds` of the pivot's
-        components, under the cutoff they share with E_s (singular values 1)."""
-        return ranked_svds(self.pivot.component_blocks(), tol, compute_uv, top=1.0)
+        """The truncated SVDs of the pivot's components, under the cutoff
+        they share with E_s (singular values 1): the held factors (s_c,
+        B_c) as (I, s_c, B_c*), u None for the identity, when they certify
+        the ranks (module docstring), else
+        :func:`~covdilate.numerics.ranked_svds`."""
+        blocks = self.pivot.component_blocks()
+        if self._certified(blocks, tol):
+            return [(None, s, b.conj().T if compute_uv else None) for s, b in self.factors]
+        return ranked_svds(blocks, tol, compute_uv, top=1.0)
+
+    def _certified(self, blocks, tol: Tolerance) -> bool:
+        """Whether every component block is diag(s_c) B_c*, bit for bit, and
+        s_c with e_c = ||B_c* B_c - I||_F < 1 keeps all its singular values,
+        and E_s its 1s, under the cutoff widened by (1 + e_c)^(1/2)."""
+        if not self.factors or len(blocks) != len(self.factors):
+            return False
+        lows, top = [1.0], 1.0
+        for block, (s, b) in zip(blocks, self.factors):
+            e = _isometry_defect(b)
+            if not (s.size and e < 1.0 and np.array_equal(block, s[:, None] * b.conj().T)):
+                return False
+            lows.append(float(s[-1]) * math.sqrt(1.0 - e))
+            top = max(top, float(s[0]) * math.sqrt(1.0 + e))
+        return min(lows) > rank_cutoff([], tol, top)
 
     def spans(self, svds, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether every pivot is onto under that cutoff (``svds`` from
         :meth:`pivot_svds`), so that the orbit spans the whole space."""
         kept = [s for _, s, _ in svds]
-        top = max([1.0] + [float(s[0]) for s in kept if s.size])
-        return 1.0 > tol.rank_eps * top and sum(map(len, kept)) == sum(self.pivot.rows)
+        return 1.0 > rank_cutoff(kept, tol, 1.0) and sum(map(len, kept)) == sum(self.pivot.rows)
 
 
 def _is_identity(b) -> bool:
@@ -196,12 +247,14 @@ def _is_identity(b) -> bool:
         and np.count_nonzero(b) == b.shape[0] and bool((b.diagonal() == 1).all())
 
 
-def _read_echelon(w, embed, copies: int) -> Optional[Echelon]:
+def _read_echelon(w, embed, copies: int, factors: tuple) -> Optional[Echelon]:
     """The Schaffer form of W over E: E one identity block per source block,
     and besides W's blocks among the source blocks only the pivot (source
     blocks to copy-1 parts) and one identity from each part of copy j to the
     same part of copy j + 1.  The fine blocks outside the source, in order,
-    are the parts of copy 1, then of copy 2, and so on."""
+    are the parts of copy 1, then of copy 2, and so on.  The record's held
+    ``factors`` are passed on unchecked; :meth:`Echelon.pivot_svds`
+    certifies them."""
     if not (isinstance(w, BlockOperator) and isinstance(embed, BlockOperator)):
         return None
     source = {}                              # fine block -> source block
@@ -230,7 +283,8 @@ def _read_echelon(w, embed, copies: int) -> Optional[Echelon]:
             return None
     if steps != (copies - 1) * m:
         return None
-    return Echelon(BlockOperator([w.rows[i] for i in parts[0]], embed.cols, pivot), parts)
+    return Echelon(BlockOperator([w.rows[i] for i in parts[0]], embed.cols, pivot), parts,
+                   factors)
 
 
 def orbit_rank(rec: DilationRecord, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -246,7 +300,10 @@ def orbit_rank(rec: DilationRecord, tol: Tolerance = DEFAULT_TOL) -> int:
 def schaffer_dilate(pair: CovariantPair, copies: int,
                     tol: Tolerance = DEFAULT_TOL) -> DilationRecord:
     """Truncated minimal isometric dilation of a covariant pair, on the block
-    layout of its contraction (see the module docstring)."""
+    layout of its contraction (see the module docstring).  Each group's
+    copy basis B_c and copy-1 head diag(s_c) B_c* come from the one
+    eigendecomposition of I - T_g* T_g that gives its defect root, and the
+    record keeps (s_c, B_c) as the SVD of the pivot."""
     if copies < 1:
         raise StrategyInvalid("at least one defect copy required")
     system = pair.system
@@ -260,25 +317,41 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
         raise NotContraction(f"||T|| = {pair.norm():.12f} exceeds 1")
 
     t = as_blocks(pair.contraction)
+    groups = _defect_groups(t)
+    floor = defect_floor(tol)
+    roots = []
+    for g in groups:
+        tg = t.select(cols=g)
+        n = sum(tg.cols)
+        s, vecs = psd_sqrt_eigh(np.eye(n, dtype=complex) - (tg.adjoint() @ tg).dense(), floor)
+        roots.append((s[::-1], vecs[:, ::-1]))
+    cut = rank_cutoff([s for s, _ in roots], tol)
+    kept, factors = [], []
+    for g, (s, vecs) in zip(groups, roots):
+        k = np.count_nonzero(s > cut)
+        if k:
+            s, b = s[:k].copy(), _canonical_phases(vecs[:, :k])
+            kept.append((g, b, s[:, None] * b.conj().T))
+            factors.append((s, b))
+    return _schaffer_record(pair, copies, kept, tuple(factors))
+
+
+def _schaffer_record(pair: CovariantPair, copies: int, kept: list,
+                     factors: tuple = ()) -> DilationRecord:
+    """The isometric record of :func:`schaffer_dilate` from the kept defect
+    groups, each ``(g, B_c, head)`` with ``head`` the copy-1 rows of group
+    g's columns, and the factors (s_c, B_c) of the heads when they are
+    held."""
+    system = pair.system
+    t = as_blocks(pair.contraction)
     # one source summand per block of T
     src = pair.rep.parts if len(t.cols) > 1 else (pair.rep,)
     if [p.dim for p in src] != list(t.cols):
         raise ShapeMismatch("representation summands do not match the blocks of T")
-    groups = _defect_groups(t)
-    floor = defect_floor(tol)
-    deltas = []
-    for g in groups:
-        tg = t.select(cols=g)
-        n = sum(tg.cols)
-        deltas.append(psd_sqrt(np.eye(n, dtype=complex) - (tg.adjoint() @ tg).dense(), floor))
-    kept = [(g, b, dl) for g, b, dl in zip(groups, orthonormal_spans(deltas, tol), deltas)
-            if b.shape[1]]
-
     n_src, n_kept = len(t.cols), len(kept)
     ranks = [b.shape[1] for _, b, _ in kept]
     blocks = dict(t.blocks)
-    for c, (g, b, dl) in enumerate(kept):
-        head = b.conj().T @ dl
+    for c, (g, b, head) in enumerate(kept):
         for j, cols in zip(g, block_slices([t.cols[j] for j in g])):
             blocks[n_src + c, j] = head[:, cols]
         for n in range(1, copies):
@@ -303,7 +376,8 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
     last = np.arange(at[-1].start, at[-1].stop)
     return DilationRecord("isometric", names, dims, index, eta, w, pair, embed,
                           copies, origin_pair=pair, origin_embed=embed,
-                          boundary_rows=np.zeros(0, dtype=int), boundary_cols=last)
+                          boundary_rows=np.zeros(0, dtype=int), boundary_cols=last,
+                          pivot_factors=factors)
 
 
 def _defect_groups(t: BlockOperator) -> list:

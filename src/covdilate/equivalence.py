@@ -372,9 +372,11 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
 def _echelon_map(rec1: DilationRecord, rec2: DilationRecord, tol: Tolerance):
     """u = E2 E1* on the source blocks and P2 pinv(P1) on every copy, a block
     operator from the rows of ``rec2`` to the columns of ``rec1``, with the
-    rank and the pseudo-inverse of P1 from one SVD per component and the
-    rank of P2 from its singular values; None unless both records are in
-    Schaffer form over the same source blocks and every pivot is onto."""
+    rank and the pseudo-inverse of P1 from :meth:`~covdilate.dilation.Echelon.pivot_svds`
+    (u_c = P2 B_c diag(1/s_c) from the factors a record of ``schaffer_dilate``
+    holds, else one SVD per component) and the rank of P2 from its singular
+    values; None unless both records are in Schaffer form over the same
+    source blocks and every pivot is onto."""
     ech1, ech2 = rec1.echelon, rec2.echelon
     if ech1 is None or ech2 is None or ech1.pivot.cols != ech2.pivot.cols:
         return None
@@ -382,7 +384,10 @@ def _echelon_map(rec1: DilationRecord, rec2: DilationRecord, tol: Tolerance):
     if not (ech1.spans(svds1, tol) and ech2.spans(ech2.pivot_svds(tol), tol)):
         return None
     u_c = ech2.pivot @ block_pinv(ech1.pivot, svds1)
-    blocks = dict((rec2.source_embed @ rec1.source_embed.adjoint()).blocks)
+    # E1 and E2 hold one identity block per source block, so E2 E1* is E2's
+    # identity blocks moved to the columns of E1's
+    at1 = {k: i for i, k in rec1.source_embed.blocks}
+    blocks = {(i, at1[k]): b for (i, k), b in rec2.source_embed.blocks.items()}
     for parts1, parts2 in zip(ech1.parts, ech2.parts):
         blocks.update({(parts2[a], parts1[b]): x for (a, b), x in u_c.blocks.items()})
     return BlockOperator(rec2.w.rows, rec1.w.rows, blocks)

@@ -150,8 +150,8 @@ from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, _canonical_phases,
                        _isometry_defect, _spectral_norms, basis_sweep, block_slices,
-                       commutant_bound, orthonormal_span, ranked_svds, residual,
-                       spectral_norm)
+                       commutant_bound, orthonormal_span, rank_cutoff, ranked_svds,
+                       residual, spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -381,7 +381,7 @@ def _row_onto(head, q_bases, tol: Tolerance) -> bool:
         if len(s) < head.shape[0]:
             return False
         top = max(top, float(s[0]))
-    return all(1.0 - r > (tol.rank_eps * top) ** 2 for r in resid)
+    return all(1.0 - r > rank_cutoff([], tol, top) ** 2 for r in resid)
 
 
 def _defect_invariance(system, depth, rho, bases, tol: Tolerance) -> float:

@@ -468,18 +468,29 @@ def hermitian_residual(a, threshold: float | None = None) -> float:
 
 
 def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian positive square root of a PSD matrix.
+    """Hermitian positive square root of a PSD matrix: V diag(s) V* for the
+    factors (s, V) of :func:`psd_sqrt_eigh`."""
+    s, vecs = psd_sqrt_eigh(mat, tol)
+    root = (vecs * s) @ vecs.conj().T
+    return (root + root.conj().T) / 2.0
+
+
+def psd_sqrt_eigh(mat, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values s of the PSD square root of a Hermitian matrix and
+    its eigenvectors V, in the ascending order of ``np.linalg.eigh``, from
+    one eigendecomposition of the Hermitian part.
 
     Eigenvalues in ``[-psd_floor, psd_floor]`` are clamped to zero (the
     square root amplifies eigenvalue noise at zero to its own square root,
     so numerically-zero eigenvalues must not survive); anything below
-    ``-psd_floor`` raises :class:`NotPositive`.
+    ``-psd_floor`` raises :class:`NotPositive`, and a Hermitian residual
+    above ``residual_tol`` :class:`NotHermitian`.
     """
     m = as_matrix(mat)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got {m.shape}")
     if m.shape[0] == 0:
-        return m.copy()
+        return np.zeros(0), m.copy()
     skew = hermitian_residual(m, tol.residual_tol)
     if skew > tol.residual_tol:
         raise NotHermitian(f"hermitian residual {skew:.3e}")
@@ -488,8 +499,7 @@ def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if vals[0] < -tol.psd_floor:
         raise NotPositive(f"eigenvalue {vals[0]:.3e} below -psd_floor")
     vals = np.where(np.abs(vals) <= tol.psd_floor, 0.0, np.clip(vals, 0.0, None))
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+    return np.sqrt(vals), vecs
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:
@@ -533,41 +543,41 @@ def orthonormal_span(vectors, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray,
     cols = _stack_columns(vectors)
     if cols.shape[1] > cols.shape[0]:
         cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
-    (basis,) = orthonormal_spans([cols], tol)
+    ((u, _, _),) = ranked_svds([cols], tol)
+    basis = _canonical_phases(u)
     return basis, basis.shape[1]
 
 
-def orthonormal_spans(mats, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Orthonormal bases of the column spans of the diagonal blocks of a
-    block-diagonal matrix, from one :func:`ranked_svds` over the blocks (so
-    the ranks add up to the rank of the whole matrix), with canonical
-    column phases."""
-    return [_canonical_phases(u) for u, _, _ in ranked_svds(mats, tol)]
+def rank_cutoff(svals, tol: Tolerance = DEFAULT_TOL, top: float = 0.0) -> float:
+    """The cutoff of the package's one singular-value rank rule: ``rank_eps``
+    times the largest of the descending arrays ``svals`` and of ``top``, a
+    singular value known without an SVD.  A singular value is kept when it
+    exceeds the cutoff."""
+    return tol.rank_eps * max([float(s[0]) for s in svals if s.size] + [float(top)])
 
 
 def ranked_svds(blocks, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = True,
                 full_matrices: bool = False, top: float = 0.0) -> list:
     """One SVD per diagonal block of a block-diagonal matrix, truncated to
-    its kept singular values: the package's one singular-value rank rule.
+    its kept singular values under :func:`rank_cutoff` over all blocks.
 
-    A singular value is kept when it exceeds ``rank_eps`` times the largest
-    over all blocks, which is also the cutoff of ``np.linalg.pinv`` with
-    ``rcond=rank_eps``.  ``top`` is a singular value of the matrix known
-    without an SVD, from a block not passed (an identity block has 1); the
-    largest is then taken over it too.  Each entry is ``(u, s, vh)``, with
-    ``u`` and ``vh`` None unless ``compute_uv``; ``len(s)`` is the block's
-    rank.  With ``full_matrices`` ``u`` keeps all its columns, and those
-    past the rank span the orthogonal complement of the block's range (a
-    block with no more rows than columns already has a square ``u`` in its
-    thin SVD, whose long right factor is then not built).
+    The cutoff is also that of ``np.linalg.pinv`` with ``rcond=rank_eps``.
+    ``top`` is a singular value of the matrix known without an SVD, from a
+    block not passed (an identity block has 1); the largest is then taken
+    over it too.  Each entry is ``(u, s, vh)``, with ``u`` and ``vh`` None
+    unless ``compute_uv``; ``len(s)`` is the block's rank.  With
+    ``full_matrices`` ``u`` keeps all its columns, and those past the rank
+    span the orthogonal complement of the block's range (a block with no
+    more rows than columns already has a square ``u`` in its thin SVD,
+    whose long right factor is then not built).
     """
     svds = [np.linalg.svd(b, full_matrices=full_matrices and b.shape[0] > b.shape[1])
             if compute_uv
             else (None, np.linalg.svd(b, compute_uv=False), None) for b in blocks]
-    top = max([float(s[0]) for _, s, _ in svds if s.size] + [float(top)])
+    cut = rank_cutoff([s for _, s, _ in svds], tol, top)
     out = []
     for u, s, vh in svds:
-        k = np.count_nonzero(s > tol.rank_eps * top) if top > 0.0 else 0
+        k = np.count_nonzero(s > cut)
         out.append((u, s[:k], vh) if u is None
                    else (u if full_matrices else u[:, :k], s[:k], vh[:k]))
     return out
@@ -581,8 +591,10 @@ def svd_rank(mat, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def svd_pinv(u, s, vh) -> np.ndarray:
-    """The pseudo-inverse V S^-1 U* from a truncated thin SVD."""
-    return (vh.conj().T / s) @ u.conj().T
+    """The pseudo-inverse V S^-1 U* from a truncated thin SVD; a ``u`` of
+    None stands for the identity."""
+    inv = vh.conj().T / s
+    return inv if u is None else inv @ u.conj().T
 
 
 def block_pinv(op: "BlockOperator", svds) -> "BlockOperator":

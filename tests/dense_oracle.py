@@ -26,6 +26,12 @@ of the dense orbit.  ``densified`` writes a record's W and E out as dense
 matrices, so that ``dilation_intertwiner`` builds its u by least squares on
 the dense orbits, the route it took before the pivot blocks.
 
+``oracle_schaffer_dilate`` is the isometric dilation as the package built
+it before each defect group's copy basis, head and pivot SVD came from the
+eigendecomposition behind its defect root: the dense root Delta_c by
+``psd_sqrt``, its range B_c from one SVD over the groups, and the head
+B_c* Delta_c.  It holds no pivot factors, so its pivots go through SVDs.
+
 ``choi_route_chain`` builds every adapted level the way the package builds
 level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
@@ -44,15 +50,16 @@ import numpy as np
 
 from covdilate.algebra import ChunkRep
 from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
-                                 RestrictedRep, ShiftedRep, defect_roots,
+                                 RestrictedRep, ShiftedRep, defect_floor, defect_roots,
                                  resolve_transfer, transfer_images, two_step,
                                  usable_depth)
 from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
-from covdilate.dilation import DilationRecord, power_orbit
+from covdilate.dilation import (DilationRecord, _defect_groups, _schaffer_record,
+                                power_orbit)
 from covdilate.extension import _assemble
-from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _canonical_phases, basis_sweep,
-                                block_diag, block_slices, orthonormal_span, ranked_svds,
-                                residual, spectral_norm, svd_rank)
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _canonical_phases, as_blocks,
+                                basis_sweep, block_diag, block_slices, orthonormal_span,
+                                psd_sqrt, ranked_svds, residual, spectral_norm, svd_rank)
 
 
 def orthonormal_complement(basis: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
@@ -288,6 +295,24 @@ def dense_schaffer_dilate(pair: CovariantPair, copies: int, tol=DEFAULT_TOL) -> 
                           dense_pair, embed, copies, origin_pair=dense_pair,
                           origin_embed=embed,
                           boundary_cols=np.arange(at[-1].start, at[-1].stop))
+
+
+def oracle_schaffer_dilate(pair: CovariantPair, copies: int, tol=DEFAULT_TOL) -> DilationRecord:
+    """``schaffer_dilate`` by the dense defect roots: per group Delta_c =
+    (I - T_g* T_g)^(1/2), B_c the canonical-phase range of Delta_c under one
+    rank cutoff over the groups, and the copy-1 head B_c* Delta_c."""
+    t = as_blocks(pair.contraction)
+    groups = _defect_groups(t)
+    floor = defect_floor(tol)
+    deltas = []
+    for g in groups:
+        tg = t.select(cols=g)
+        n = sum(tg.cols)
+        deltas.append(psd_sqrt(np.eye(n, dtype=complex) - (tg.adjoint() @ tg).dense(), floor))
+    bases = [_canonical_phases(u) for u, _, _ in ranked_svds(deltas, tol)]
+    return _schaffer_record(pair, copies, [(g, b, b.conj().T @ dl)
+                                           for g, b, dl in zip(groups, bases, deltas)
+                                           if b.shape[1]])
 
 
 def choi_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBExtension:

@@ -8,27 +8,35 @@ squares route on the dense orbits, within 1e-13 (1 + scale) and with the
 same verdict, on the demo fixtures, the test corpus and the levels
 fixture.  Fault injections check that a rank-deficient pivot fails
 ``dilation/minimal`` with the dense rank in its note, and that a perturbed
-copy block fails ``dilation_intertwined`` on either route.  Neither
-``unitary`` nor ``matricial`` writes out or decomposes a matrix with a
-side of the whole dilation space.
+copy block fails ``dilation_intertwined`` on either route.  The factors
+(s_c, B_c) a ``schaffer_dilate`` record holds stand in for the pivot's SVD,
+so that it and ``verify_isometric_dilation`` take no SVD, only while they
+certify the stored blocks: an edited pivot block, a copy basis off
+orthonormal and a singular value within round-off of the cutoff each go
+to the SVD and the dense rank.  Neither ``unitary`` nor ``matricial``
+writes out or decomposes a matrix with a side of the whole dilation space.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covdilate.dilation as dilation_mod
 from covdilate.cli import run
 from covdilate.dilation import (compose_unitary, explicit_matricial_unitary, orbit_rank,
                                 schaffer_dilate, verify_isometric_dilation)
 from covdilate.equivalence import DILATION_THRESHOLD, dilation_intertwiner
 from covdilate.extension import _row_onto, coisometric_extend
-from covdilate.numerics import DEFAULT_TOL, BlockOperator, spectral_norm, svd_rank
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _isometry_defect, rank_cutoff,
+                                ranked_svds, spectral_norm, svd_rank)
 from covdilate.scenario import DEMO_NAMES, build_scenario, demo_fixture, load_scenario
 
 import dense_oracle
 from test_equivalence import finite_pair
+from test_intertwiner_bound import TOWER_WIDE
 
 AGREE = 1e-13
 FIXTURE = Path(__file__).parent / "fixtures" / "tower-levels.json"
@@ -113,6 +121,7 @@ def _replace_block(rec, key, block):
 def test_rank_deficient_pivot_fails_minimality_with_the_dense_rank():
     pair, _ = finite_pair(11)
     rec = schaffer_dilate(pair, 2)
+    assert rec.pivot_factors      # held, but no longer the stored block below
     ((key, pivot),) = [(k, b) for k, b in rec.w.blocks.items() if k[0] == 1]
     deficient = pivot.copy()
     deficient[-1] = deficient[0]          # two equal rows: the pivot is not onto
@@ -125,6 +134,109 @@ def test_rank_deficient_pivot_fails_minimality_with_the_dense_rank():
                    if c.name == "dilation/minimal")
     assert not minimal.passed
     assert minimal.note == f"rank {rank} of {bad.total_dim}"
+
+
+def _counting_svds(monkeypatch):
+    """Count the calls of the SVD fallback of ``Echelon.pivot_svds``."""
+    calls = []
+    real = dilation_mod.ranked_svds
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dilation_mod, "ranked_svds", counting)
+    return calls
+
+
+def _refactored(rec, s, b):
+    """The record with its one pivot block and its held factors replaced by
+    diag(s) b* and (s, b), so that the block matches the factors bit for bit."""
+    (key,) = [k for k in rec.w.blocks if k[0] == 1]
+    return replace(_replace_block(rec, key, s[:, None] * b.conj().T), pivot_factors=((s, b),))
+
+
+def _minimal(rec):
+    return next(c for c in verify_isometric_dilation(rec).clauses if c.name == "dilation/minimal")
+
+
+def test_held_factors_certify_the_pivot_with_no_svd(monkeypatch):
+    pair, _ = finite_pair(11)
+    rec = schaffer_dilate(pair, 2)
+    calls = _counting_svds(monkeypatch)
+    ((s, b),) = rec.pivot_factors
+    ((u, s_held, vh),) = rec.echelon.pivot_svds(compute_uv=True)
+    assert u is None and s_held is s and np.array_equal(vh, b.conj().T)
+    assert orbit_rank(rec) == rec.total_dim and not calls
+    (pivot,) = rec.echelon.pivot.component_blocks()
+    pinv = np.linalg.pinv(pivot, rcond=DEFAULT_TOL.rank_eps)
+    assert spectral_norm(b / s - pinv) <= 1e-12
+
+
+def test_pivot_off_orthonormal_copy_basis_falls_back_to_the_dense_rank(monkeypatch):
+    pair, _ = finite_pair(11)
+    rec = schaffer_dilate(pair, 2)
+    ((s, b),) = rec.pivot_factors
+    same, skew = s.copy(), b.copy()
+    same[1], skew[:, 1] = s[0], b[:, 0]   # ||B* B - I||_F >= 1, two equal pivot rows
+    bad = _refactored(rec, same, skew)
+    calls = _counting_svds(monkeypatch)
+    assert not bad.echelon.spans(bad.echelon.pivot_svds()) and calls
+    rank = dense_oracle.dense_orbit_rank(bad)
+    assert rank < bad.total_dim
+    assert orbit_rank(bad) == rank
+    minimal = _minimal(bad)
+    assert not minimal.passed and minimal.note == f"rank {rank} of {bad.total_dim}"
+
+
+def test_pivot_singular_value_within_round_off_of_the_cutoff_falls_back(monkeypatch):
+    """A kept s_c above the cutoff by less than the widening by B_c's
+    isometry defect e is not certified: the pivot's SVD decides, and the
+    rank is the dense route's.  One column of B_c is scaled by 1 + 1e-12, so
+    that e is far above the last bits that sqrt(1 - e) resolves."""
+    pair, _ = finite_pair(11)
+    rec = schaffer_dilate(pair, 2)
+    ((s, b),) = rec.pivot_factors
+    b = b.copy()
+    b[:, -1] *= 1.0 + 1e-12
+    e = _isometry_defect(b)
+    assert 1e-12 < e < 1e-11
+    cut = rank_cutoff([], DEFAULT_TOL, max(1.0, s[0] * math.sqrt(1.0 + e)))
+    near = s.copy()
+    near[-1] = cut * (1.0 + e / 4.0)    # kept, but not after the widening
+    assert near[-1] > cut and near[-1] * math.sqrt(1.0 - e) < cut
+    bad = _refactored(rec, near, b)
+    calls = _counting_svds(monkeypatch)
+    svds = bad.echelon.pivot_svds()
+    assert calls
+    dense = ranked_svds(bad.echelon.pivot.component_blocks(), compute_uv=False, top=1.0)
+    assert [len(x) for _, x, _ in svds] == [len(x) for _, x, _ in dense]
+    rank = bad.total_dim if bad.echelon.spans(dense) else dense_oracle.dense_orbit_rank(bad)
+    assert orbit_rank(bad) == rank
+    assert _minimal(bad).note == f"rank {rank} of {bad.total_dim}"
+
+
+@pytest.mark.parametrize("backend", ["finite", "tower", "tower-chain"])
+def test_isometric_dilation_takes_no_svd(monkeypatch, backend):
+    if backend == "finite":
+        pair, copies = finite_pair(7)[0], 2
+    else:
+        sc = build_scenario(TOWER_WIDE)
+        pair, copies = sc.pair, sc.copies
+        if backend == "tower-chain":
+            pair = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol,
+                                      sc.seed).as_pair()
+    shapes = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", counting)
+        report = verify_isometric_dilation(schaffer_dilate(pair, copies))
+    assert report.passed and shapes == []
 
 
 @pytest.mark.parametrize("route", ["least-squares", "pivot"])

@@ -98,6 +98,31 @@ form), and ``dilation/minimal`` takes the pivot ranks under one
 singular-value cutoff (E_s adds singular values 1); when a pivot falls
 short, the rank in its note is the dense rank of X.
 
+The defect row as a pivot.  The pivot of ``explicit_matricial_unitary`` is
+the defect row of :func:`~covdilate.extension.defect_decomposition`
+without its empty summands.  Its component on the columns of H and defect-0
+is C = [[A, X], [0, Q*]], A = dH* delta the head, X the corner and Q = q_0
+(no row when q_0 has no columns), and every other component is a lone
+q_k*.  X ends in f_0 f_0*, and f_0 and q_0 are columns of one SVD, so X Q
+vanishes up to round-off.  With r = ||Q* Q - I||_F and e = ||X Q||_F, C C*
+is diag(A A* + X X*, Q* Q) plus an off-diagonal part of norm at most e,
+and X X* >= 0 with ||X X*|| <= ||X||_F^2, so by Weyl's inequality every
+squared singular value of C lies in [min(s_min(A)^2, 1 - r) - e,
+max(||A||^2 + ||X||_F^2, 1 + r) + e], and those of a lone q_k* in [1 - r_k,
+1 + r_k]; a positive lower end also gives C no more rows than columns.
+``extension._row_bounds`` takes (low, top), the square roots of the
+smallest lower and the largest upper end, from the head's singular values
+and the r_k that ``defect/row-onto`` already took (``_row_onto``), and the
+record holds them with the row (``pivot_row``), whose blocks are
+read-only.  :meth:`Echelon.onto` accepts them only when the pivot is the
+held row block for block and bit for bit, and min(low, 1) exceeds the
+cutoff over max(top, 1): the exact cutoff over the components and E_s is
+at most that, and every singular value, E_s's 1s included, at least
+min(low, 1), so the one rank rule keeps them all and the pivot is onto,
+with no SVD.  Otherwise ``ranked_svds`` of the components decides, so an
+edited block, a head near the cutoff or an inflated X q_0 still gets the
+exact dense rank.
+
 The anchored intertwiner.  Let two such records share the source pair and
 the source blocks.  W is isometric on the source columns, so P* P = I -
 T* T in both and P1, P2 have one kernel.  Then u W1^n E1 = W2^n E2 for
@@ -109,7 +134,8 @@ When X1 is onto, this u is the only solution of u X1 = X2, the dense
 least-squares u = X2 pinv(X1); u_c maps ran P1 isometrically onto ran P2,
 so u is unitary when both pivots are onto.
 :func:`~covdilate.equivalence.dilation_intertwiner` builds u this way,
-as a block operator on the two fine layouts.
+as a block operator on the two fine layouts.  Its source blocks are E2's
+identity blocks in E1's columns, so u E1 = E2 exactly.
 """
 
 from __future__ import annotations
@@ -168,6 +194,8 @@ class DilationRecord:
     boundary_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # (s_c, B_c) of each copy-1 part when W's pivot was built as diag(s_c) B_c*
     pivot_factors: tuple = ()
+    # (row, low, top) when W's pivot is the defect row of defect_decomposition
+    pivot_row: tuple = ()
 
     @property
     def total_dim(self) -> int:
@@ -187,7 +215,8 @@ class DilationRecord:
     def echelon(self) -> Optional["Echelon"]:
         """The record's Schaffer form over its source, read off the stored
         blocks of W and E (module docstring); None when they are not in it."""
-        return _read_echelon(self.w, self.source_embed, self.copies, self.pivot_factors)
+        return _read_echelon(self.w, self.source_embed, self.copies, self.pivot_factors,
+                             self.pivot_row)
 
     def index_table(self) -> list[dict]:
         return [{"name": n, "index": i, "dim": d, "offset": s.start}
@@ -201,13 +230,33 @@ class Echelon:
 
     ``pivot`` is the copy-1 rows of W E (the copy-1 parts x the source
     blocks), ``parts[j]`` the fine blocks of copy j + 1, one per part, in
-    the order of the pivot's rows, and ``factors`` the record's
-    ``pivot_factors``.
+    the order of the pivot's rows, and ``factors`` and ``row`` the record's
+    ``pivot_factors`` and ``pivot_row``.
     """
 
     pivot: BlockOperator
     parts: tuple
     factors: tuple
+    row: tuple
+
+    def onto(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether every pivot is onto, so that the orbit spans the whole
+        space: from the held bounds of the defect row when they certify it
+        (module docstring), else by :meth:`spans` of :meth:`pivot_svds`."""
+        return self._row_certified(tol) or self.spans(self.pivot_svds(tol), tol)
+
+    def _row_certified(self, tol: Tolerance) -> bool:
+        """Whether the pivot is the held defect row without its zero rows,
+        block for block and bit for bit, and its bounds (low, top) keep every
+        singular value, and E_s its 1s, under the cutoff over top and 1."""
+        if not self.row:
+            return False
+        row, low, top = self.row
+        held, p = row.select(rows=[i for i, d in enumerate(row.rows) if d]), self.pivot
+        return (held.rows, held.cols, held.blocks.keys()) == (p.rows, p.cols, p.blocks.keys()) \
+            and all(b is p.blocks[k] or np.array_equal(b, p.blocks[k])
+                    for k, b in held.blocks.items()) \
+            and min(low, 1.0) > rank_cutoff([], tol, max(top, 1.0))
 
     def pivot_svds(self, tol: Tolerance = DEFAULT_TOL, compute_uv: bool = False) -> list:
         """The truncated SVDs of the pivot's components, under the cutoff
@@ -247,14 +296,14 @@ def _is_identity(b) -> bool:
         and np.count_nonzero(b) == b.shape[0] and bool((b.diagonal() == 1).all())
 
 
-def _read_echelon(w, embed, copies: int, factors: tuple) -> Optional[Echelon]:
+def _read_echelon(w, embed, copies: int, factors: tuple, row: tuple) -> Optional[Echelon]:
     """The Schaffer form of W over E: E one identity block per source block,
     and besides W's blocks among the source blocks only the pivot (source
     blocks to copy-1 parts) and one identity from each part of copy j to the
     same part of copy j + 1.  The fine blocks outside the source, in order,
     are the parts of copy 1, then of copy 2, and so on.  The record's held
-    ``factors`` are passed on unchecked; :meth:`Echelon.pivot_svds`
-    certifies them."""
+    ``factors`` and ``row`` are passed on unchecked; :meth:`Echelon.pivot_svds`
+    and :meth:`Echelon.onto` certify them."""
     if not (isinstance(w, BlockOperator) and isinstance(embed, BlockOperator)):
         return None
     source = {}                              # fine block -> source block
@@ -284,7 +333,7 @@ def _read_echelon(w, embed, copies: int, factors: tuple) -> Optional[Echelon]:
     if steps != (copies - 1) * m:
         return None
     return Echelon(BlockOperator([w.rows[i] for i in parts[0]], embed.cols, pivot), parts,
-                   factors)
+                   factors, row)
 
 
 def orbit_rank(rec: DilationRecord, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -292,7 +341,7 @@ def orbit_rank(rec: DilationRecord, tol: Tolerance = DEFAULT_TOL) -> int:
     the record is in Schaffer form and its pivots are onto, else the dense
     rank of the orbit (so that a shortfall is exact)."""
     ech = rec.echelon
-    if ech is not None and ech.spans(ech.pivot_svds(tol), tol):
+    if ech is not None and ech.onto(tol):
         return rec.total_dim
     return svd_rank(np.hstack(rec.source_orbit), tol)
 
@@ -649,7 +698,8 @@ def explicit_matricial_unitary(chain: ExtensionChain, copies: int,
     rec = DilationRecord("unitary-explicit", names, dims, index, sigma, u,
                          chain.as_pair(), src_embed, copies, origin_pair=pair,
                          origin_embed=origin_embed, chain=chain,
-                         boundary_rows=rows, boundary_cols=cols)
+                         boundary_rows=rows, boundary_cols=cols,
+                         pivot_row=(dd.row_map, *dd.row_bounds) if dd.row_bounds else ())
     rec.report = _matricial_clauses(rec, dd, tol)
     return rec
 

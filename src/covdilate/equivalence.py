@@ -17,8 +17,11 @@ in Schaffer form is forced copy by copy (the uniqueness of minimal
 isometric dilations, proved in :mod:`covdilate.dilation`): u = E2 E1* on
 the source blocks and P2 pinv(P1) on every copy, a block operator read off
 the pivots of the two power orbits, whose relations are each reduced per
-component of their block pattern.  Least squares on the dense orbits
-remains for records whose stored blocks are not in that form.
+component of their block pattern.  Its ``fixes_source``, u E1 = E2, is read
+off u's source blocks, E2's identity blocks in E1's columns: exactly 0.0,
+with no product and no norm.  Least squares on the dense orbits remains
+for records whose stored blocks are not in that form, and there
+``fixes_source`` is computed.
 
 Every ``representation_intertwined`` relation, u rep1(a) = rep2(a) u, is
 the projection bound of :mod:`covdilate.extension` on u's stored blocks
@@ -353,14 +356,16 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
         raise LevelMismatch("records over different source contractions")
 
     u = _echelon_map(rec1, rec2, tol)
-    if u is None:
+    pivoted = u is not None
+    if not pivoted:
         u = _least_squares_map(rec1, rec2, tol)
     if rec1.total_dim != rec2.total_dim:
         return EquivalenceCertificate("inconclusive", threshold, {}, None, None,
                                       "minimal records of different dimension")
 
-    residuals = {**_unitarity(u, threshold),
-                 "fixes_source": spectral_norm(u @ rec1.source_embed - rec2.source_embed),
+    # a pivot-built u holds E2's identity blocks in E1's columns, so u E1 = E2 exactly
+    fixes = 0.0 if pivoted else spectral_norm(u @ rec1.source_embed - rec2.source_embed)
+    residuals = {**_unitarity(u, threshold), "fixes_source": fixes,
                  "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u, threshold)}
     system = s1.system
     d = usable_depth(system, [rec1.eta, rec2.eta], 0, s1.depth)
@@ -374,14 +379,16 @@ def _echelon_map(rec1: DilationRecord, rec2: DilationRecord, tol: Tolerance):
     operator from the rows of ``rec2`` to the columns of ``rec1``, with the
     rank and the pseudo-inverse of P1 from :meth:`~covdilate.dilation.Echelon.pivot_svds`
     (u_c = P2 B_c diag(1/s_c) from the factors a record of ``schaffer_dilate``
-    holds, else one SVD per component) and the rank of P2 from its singular
-    values; None unless both records are in Schaffer form over the same
-    source blocks and every pivot is onto."""
+    holds, else one SVD per component) and whether P2 is onto from
+    :meth:`~covdilate.dilation.Echelon.onto` (the bounds an explicit record
+    holds for its defect row, else one SVD per component); None unless both
+    records are in Schaffer form over the same source blocks and every
+    pivot is onto."""
     ech1, ech2 = rec1.echelon, rec2.echelon
     if ech1 is None or ech2 is None or ech1.pivot.cols != ech2.pivot.cols:
         return None
     svds1 = ech1.pivot_svds(tol, compute_uv=True)
-    if not (ech1.spans(svds1, tol) and ech2.spans(ech2.pivot_svds(tol), tol)):
+    if not (ech1.spans(svds1, tol) and ech2.onto(tol)):
         return None
     u_c = ech2.pivot @ block_pinv(ech1.pivot, svds1)
     # E1 and E2 hold one identity block per source block, so E2 E1* is E2's

@@ -45,7 +45,10 @@ upper-triangular, with the pivots dH* delta and q_k* on its diagonal, so
 it is onto D_V when every pivot is; ``defect/row-onto`` certifies that
 from the pivots (the q_k* by orthonormality, with no SVD), and otherwise
 takes rank(row) as the sum of the ranks of the row's components under one
-global singular-value cutoff.
+global singular-value cutoff.  The same pivot values bound the singular
+values of the row's components (``_row_bounds``), which the two-sided
+dilation record holds for its own pivot, this row (see
+:mod:`covdilate.dilation`).
 
 Kraus form.  Each level's ``pi_hat_k`` is a
 :class:`~covdilate.cpmaps.KrausRep` (directsum_b x_b (x) I_(r_b)), with or
@@ -347,8 +350,9 @@ class DefectDecomposition:
     q_bases: list[np.ndarray]         # q_k basis inside defect-k coordinates
     dv_basis: BlockOperator           # embedding of D_V: chain blocks x summands
     summand_dims: list[int]
-    row_map: BlockOperator            # K_V -> D_V coords (the defect row of U)
+    row_map: BlockOperator            # K_V -> D_V coords (the defect row of U), read-only
     report: ClauseReport
+    row_bounds: tuple = ()            # (low, top) of _row_bounds when _row_onto certifies
 
     @property
     def dv_dim(self) -> int:
@@ -360,7 +364,7 @@ class DefectDecomposition:
         return [self.delta_h_basis] + self.q_bases
 
 
-def _row_onto(head, q_bases, tol: Tolerance) -> bool:
+def _row_onto(head, q_bases, tol: Tolerance) -> Optional[tuple]:
     """Whether the defect row is onto D_V, read off its pivots.
 
     The row is block upper-triangular with the pivots ``head`` = dH* delta
@@ -371,17 +375,42 @@ def _row_onto(head, q_bases, tol: Tolerance) -> bool:
     in [1 - r_k, 1 + r_k], with no SVD.  The cutoff is the one singular-value
     rule over the pivots, with sqrt(1 + max r_k) standing in for the q_k's
     largest singular value: an upper bound, so a pivot kept here is kept
-    under the exact cutoff over the pivots too.  True certifies the rank;
-    False leaves it to the dense components of the row.
+    under the exact cutoff over the pivots too.  The head's singular values
+    and the r_k of the q_k with columns certify the rank; None leaves it to
+    the dense components of the row.
     """
     resid = [_isometry_defect(q) for q in q_bases if q.shape[1]]
     top = math.sqrt(1.0 + max(resid, default=0.0))
+    s = np.zeros(0)
     if head is not None:
         ((_, s, _),) = ranked_svds([head], tol, compute_uv=False, top=top)
         if len(s) < head.shape[0]:
-            return False
+            return None
         top = max(top, float(s[0]))
-    return all(1.0 - r > rank_cutoff([], tol, top) ** 2 for r in resid)
+    return (s, resid) if all(1.0 - r > rank_cutoff([], tol, top) ** 2 for r in resid) else None
+
+
+def _row_bounds(row: BlockOperator, s, resid) -> tuple:
+    """(low, top): a lower bound on the smallest and an upper bound on the
+    largest singular value over the components of the defect row, from the
+    head's singular values ``s`` and the r_k of :func:`_row_onto`, with no
+    SVD (proof in the :mod:`covdilate.dilation` module docstring)."""
+    lows, tops, lone = [], [], list(resid)
+    head = row.blocks.get((0, 0))
+    if head is not None:
+        # [[A, X], [0, Q*]], A the head, X the corner and Q = q_0
+        x, q = row.blocks.get((0, 1)), row.blocks.get((1, 1))
+        low, top = float(s[-1]) ** 2, float(s[0]) ** 2
+        if x is not None:
+            top += float(np.linalg.norm(x)) ** 2
+        if q is not None:
+            r, e = lone.pop(0), float(np.linalg.norm(x @ q.conj().T))
+            low, top = min(low, 1.0 - r) - e, max(top, 1.0 + r) + e
+        lows.append(low)
+        tops.append(top)
+    lows += [1.0 - r for r in lone]
+    tops += [1.0 + r for r in lone]
+    return math.sqrt(max(min(lows, default=1.0), 0.0)), math.sqrt(max(tops, default=1.0))
 
 
 def _defect_invariance(system, depth, rho, bases, tol: Tolerance) -> float:
@@ -460,13 +489,16 @@ def defect_decomposition(chain: ExtensionChain,
     row = BlockOperator.diagonal([delta_h_basis.conj().T @ delta]
                                  + [q.conj().T for q in q_bases])
     row_map = BlockOperator(row.rows, row.cols, {**row.blocks, (0, 1): upper})
+    for b in row_map.blocks.values():   # an explicit record's bounds are read off them
+        b.flags.writeable = False
 
     v = chain.v
     gram_res = residual(row_map.adjoint() @ row_map,
                         BlockOperator.identity(dims) - v.adjoint() @ v, tol.residual_tol)
     rep.add(clause("defect/row-gram", "row* row = I - V* V", gram_res, tol.residual_tol))
     dv_dim = sum(summand_dims)
-    row_rank = dv_dim if _row_onto(row.blocks.get((0, 0)), q_bases, tol) else \
+    pivots = _row_onto(row.blocks.get((0, 0)), q_bases, tol)
+    row_rank = dv_dim if pivots else \
         sum(len(s) for _, s, _ in ranked_svds(row_map.component_blocks(), tol,
                                                compute_uv=False))
     rep.add(clause("defect/row-onto", "defect row maps onto D_V",
@@ -491,5 +523,6 @@ def defect_decomposition(chain: ExtensionChain,
     if not rep.clauses[1].passed or not rep.clauses[2].passed:
         raise DecompositionMismatch("defect row fails to identify D_V with the "
                                     "defect space of V")
-    return DefectDecomposition(delta_h_basis, q_bases, dv_basis, summand_dims, row_map, rep)
+    return DefectDecomposition(delta_h_basis, q_bases, dv_basis, summand_dims, row_map, rep,
+                               _row_bounds(row_map, *pivots) if pivots else ())
 

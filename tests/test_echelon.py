@@ -13,8 +13,13 @@ copy block fails ``dilation_intertwined`` on either route.  The factors
 so that it and ``verify_isometric_dilation`` take no SVD, only while they
 certify the stored blocks: an edited pivot block, a copy basis off
 orthonormal and a singular value within round-off of the cutoff each go
-to the SVD and the dense rank.  Neither ``unitary`` nor ``matricial``
-writes out or decomposes a matrix with a side of the whole dilation space.
+to the SVD and the dense rank.  The bounds an ``explicit_matricial_unitary``
+record holds for its pivot, the defect row, decide as that row's SVD
+does and bracket its singular values; an edited row block, a head near the
+cutoff and an inflated X q_0 each go to the SVD and the dense rank.  An
+intertwiner read off the pivots fixes the source exactly, with no norm
+taken.  Neither ``unitary`` nor ``matricial`` writes out or decomposes a
+matrix with a side of the whole dilation space.
 """
 
 import math
@@ -25,11 +30,13 @@ import numpy as np
 import pytest
 
 import covdilate.dilation as dilation_mod
+import covdilate.equivalence as equivalence_mod
+import covdilate.numerics as numerics_mod
 from covdilate.cli import run
 from covdilate.dilation import (compose_unitary, explicit_matricial_unitary, orbit_rank,
                                 schaffer_dilate, verify_isometric_dilation)
 from covdilate.equivalence import DILATION_THRESHOLD, dilation_intertwiner
-from covdilate.extension import _row_onto, coisometric_extend
+from covdilate.extension import _row_bounds, _row_onto, coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _isometry_defect, rank_cutoff,
                                 ranked_svds, spectral_norm, svd_rank)
 from covdilate.scenario import DEMO_NAMES, build_scenario, demo_fixture, load_scenario
@@ -40,6 +47,12 @@ from test_intertwiner_bound import TOWER_WIDE
 
 AGREE = 1e-13
 FIXTURE = Path(__file__).parent / "fixtures" / "tower-levels.json"
+# the tower-wide pair with its defect eigenvalue 1 - s^2 about 2e-11, below
+# the root's clamp, so that X is round-off and the head alone sets the row's
+# least singular value
+NEAR_ISOMETRY = {**TOWER_WIDE, "pair": {**TOWER_WIDE["pair"], "scale": 1.0 - 1e-11}}
+# slack of a bracket of singular values computed by the SVD
+BRACKET = 1e-13
 
 
 def _chains(corpus):
@@ -300,3 +313,196 @@ def test_unitary_and_matricial_form_no_total_side_matrix(monkeypatch):
         total = sum(report["dimensions"]["blocks"].values())
         assert report["passed"] and sides, command
         assert max(sides) < total, (command, max(sides), total)
+
+
+def _explicit_records(corpus):
+    """(name, explicit record, tol) over the test corpus, unseeded and seeded,
+    the tower-wide shape, the near-isometry pair and the levels fixture."""
+    for seed in (None, 17):
+        for case in corpus:
+            chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, seed)
+            yield f"{case.name}/{seed}", explicit_matricial_unitary(chain, case.copies), \
+                DEFAULT_TOL
+    for name, sc in (("tower-wide", build_scenario(TOWER_WIDE)),
+                     ("near-isometry", build_scenario(NEAR_ISOMETRY)),
+                     ("tower-levels", load_scenario(str(FIXTURE)))):
+        chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+        yield name, explicit_matricial_unitary(chain, sc.copies, sc.tol), sc.tol
+
+
+def _svd_onto(ech, tol):
+    return ech.spans(ranked_svds(ech.pivot.component_blocks(), tol, compute_uv=False,
+                                 top=1.0), tol)
+
+
+def _assert_brackets(rec, where):
+    """The held (low, top) bracket the singular values of the pivot's
+    components."""
+    _, low, top = rec.pivot_row
+    svals = [np.linalg.svd(b, compute_uv=False) for b in rec.echelon.pivot.component_blocks()]
+    assert low <= min([s[-1] for s in svals], default=1.0) + BRACKET, where
+    assert max([s[0] for s in svals], default=0.0) <= top + BRACKET, where
+
+
+def test_defect_row_bounds_decide_as_the_pivot_svds(corpus):
+    kinds = set()
+    for name, rec, tol in _explicit_records(corpus):
+        ech = rec.echelon
+        assert rec.pivot_row and ech._row_certified(tol), name
+        assert ech.onto(tol) == _svd_onto(ech, tol), name
+        assert orbit_rank(rec, tol) == dense_oracle.dense_orbit_rank(rec, tol), name
+        _assert_brackets(rec, name)
+        row = rec.pivot_row[0]
+        kinds.add(((0, 0) in row.blocks, (1, 1) in row.blocks))
+    # heads with and without a q_0 below them, and the empty row of a unitary T
+    assert {(True, True), (True, False), (False, False)} <= kinds
+
+
+def _replace_row_blocks(rec, blocks):
+    """The record with the defect-row blocks ``blocks`` ((summand, chain
+    block) -> block) put in W, in the copy-1 part of the summand and the
+    fine block of the chain block."""
+    row, w = rec.pivot_row[0], rec.w
+    parts = dict(zip([i for i, d in enumerate(row.rows) if d], rec.echelon.parts[0]))
+    at = {k: i for (i, k) in rec.source_embed.blocks}
+    return replace(rec, w=BlockOperator(w.rows, w.cols, {
+        **w.blocks, **{(parts[i], at[j]): b for (i, j), b in blocks.items()}}))
+
+
+def _rerowed(rec, blocks, s):
+    """The record with the row blocks ``blocks`` put in both W and the held
+    row, and the bounds held for the new row from the head's singular
+    values ``s``."""
+    row = rec.pivot_row[0]
+    new = BlockOperator(row.rows, row.cols, {**row.blocks, **blocks})
+    resid = [_isometry_defect(b.conj().T) for (i, j), b in sorted(new.blocks.items())
+             if i == j > 0]
+    return replace(_replace_row_blocks(rec, blocks),
+                   pivot_row=(new, *_row_bounds(new, s, resid)))
+
+
+def _assert_falls_back(rec, tol, monkeypatch, where):
+    """The held bounds are refused, the SVD of the pivot decides, and the
+    orbit rank is the dense one when the pivot falls short."""
+    calls = _counting_svds(monkeypatch)
+    assert not rec.echelon._row_certified(tol), where
+    onto = rec.echelon.onto(tol)
+    assert calls and onto == _svd_onto(rec.echelon, tol), where
+    rank = rec.total_dim if onto else dense_oracle.dense_orbit_rank(rec, tol)
+    assert orbit_rank(rec, tol) == rank == dense_oracle.dense_orbit_rank(rec, tol), where
+
+
+def test_edited_defect_row_block_falls_back_to_the_dense_rank(monkeypatch):
+    pair, strat = finite_pair(7)
+    rec = explicit_matricial_unitary(coisometric_extend(pair, 2, strat), 2)
+    row = rec.pivot_row[0]
+    with pytest.raises(ValueError):          # the held row is read-only
+        row.blocks[0, 0][0, 0] = 0.0
+    # the last row of the head and of X made the first: the pivot is not onto
+    bad = {}
+    for j in (0, 1):
+        bad[0, j] = row.blocks[0, j].copy()
+        bad[0, j][-1] = bad[0, j][0]
+    bad = _replace_row_blocks(rec, bad)
+    _assert_falls_back(bad, DEFAULT_TOL, monkeypatch, "edited")
+    assert orbit_rank(bad) < bad.total_dim
+
+
+@pytest.mark.parametrize("spec, factor", [(NEAR_ISOMETRY, 0.5), (TOWER_WIDE, 1.3)])
+def test_defect_row_head_near_the_cutoff_falls_back_to_the_dense_rank(monkeypatch, spec,
+                                                                      factor):
+    """A head whose least singular value is ``factor`` times the cutoff: on
+    the near-isometry pair X is round-off, so the row falls short as the
+    head does; on the tower-wide pair X fills the head's rows to a
+    coisometry, so the row is onto although the head is within the bounds'
+    widening of the cutoff."""
+    sc = build_scenario(spec)
+    chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+    rec = explicit_matricial_unitary(chain, sc.copies, sc.tol)
+    u, s, vh = np.linalg.svd(rec.pivot_row[0].blocks[0, 0], full_matrices=False)
+    s[-1] = factor * rank_cutoff([], sc.tol, 1.0)
+    bad = _rerowed(rec, {(0, 0): (u * s) @ vh}, s)
+    _assert_falls_back(bad, sc.tol, monkeypatch, spec["pair"]["scale"])
+    assert (orbit_rank(bad, sc.tol) == bad.total_dim) == (factor > 1.0)
+    _assert_brackets(bad, factor)
+
+
+def test_inflated_corner_against_q0_falls_back_to_the_dense_rank(monkeypatch):
+    """X + y q_0* moves X q_0 by y (q_0* q_0), about y, past the head's least
+    squared singular value: the bounds no longer certify the row, which the
+    triangular form still keeps onto."""
+    sc = build_scenario(TOWER_WIDE)
+    chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+    rec = explicit_matricial_unitary(chain, sc.copies, sc.tol)
+    row = rec.pivot_row[0]
+    head, x, q_star = row.blocks[0, 0], row.blocks[0, 1], row.blocks[1, 1]
+    y = np.zeros((x.shape[0], q_star.shape[0]), dtype=complex)
+    y[0, 0] = 1.0
+    s = np.linalg.svd(head, compute_uv=False)
+    bad = _rerowed(rec, {(0, 1): x + y @ q_star}, s)
+    assert bad.pivot_row[1] == 0.0
+    _assert_falls_back(bad, sc.tol, monkeypatch, "inflated")
+    assert orbit_rank(bad, sc.tol) == bad.total_dim
+    _assert_brackets(bad, "inflated")
+
+
+def _dilation_chains():
+    pair, strat = finite_pair(7)
+    sc = build_scenario(TOWER_WIDE)
+    yield "finite", coisometric_extend(pair, 2, strat), 2
+    yield "tower-wide", coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol,
+                                           sc.seed), sc.copies
+
+
+def test_pivot_built_intertwiner_fixes_the_source_with_no_norm(monkeypatch):
+    """u E1 - E2 is exactly zero for the u read off the pivots, so
+    ``fixes_source`` is 0.0 with no spectral_norm and no clause kernel run
+    on an operator of the source's columns."""
+    norms, layouts = [], []
+    real_clause_max = numerics_mod._clause_max
+
+    def clause_max(term, *args, **kwargs):
+        op = term[0] if isinstance(term, tuple) else term
+        layouts.append((getattr(op, "rows", None), getattr(op, "cols", None)))
+        return real_clause_max(term, *args, **kwargs)
+
+    monkeypatch.setattr(numerics_mod, "_clause_max", clause_max)
+    monkeypatch.setattr(equivalence_mod, "spectral_norm",
+                        lambda *args, **kwargs: norms.append(args))
+    for name, chain, copies in _dilation_chains():
+        composed = schaffer_dilate(chain.as_pair(), copies)
+        explicit = explicit_matricial_unitary(chain, copies)
+        for rec1, rec2 in ((composed, explicit), (explicit, composed)):
+            layouts.clear()
+            cert = dilation_intertwiner(rec1, rec2)
+            assert cert.verdict == "equivalent" and isinstance(cert.intertwiner, BlockOperator)
+            assert cert.residuals["fixes_source"] == 0.0, name
+            assert layouts and (rec2.w.rows, rec1.source_embed.cols) not in layouts, name
+            u = cert.intertwiner
+            assert not np.asarray(u @ rec1.source_embed - rec2.source_embed).any(), name
+    assert not norms
+
+
+def test_least_squares_intertwiner_computes_fixes_source(monkeypatch):
+    """Records not in Schaffer form keep the computed value, which agrees
+    with the pivot-built certificate."""
+    norms = []
+    real_norm = equivalence_mod.spectral_norm
+
+    def spectral(*args, **kwargs):
+        norms.append(args)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence_mod, "spectral_norm", spectral)
+    for name, chain, copies in _dilation_chains():
+        composed = schaffer_dilate(chain.as_pair(), copies)
+        explicit = explicit_matricial_unitary(chain, copies)
+        rec1, rec2 = dense_oracle.densified(composed), dense_oracle.densified(explicit)
+        assert rec1.echelon is None and rec2.echelon is None
+        norms.clear()
+        dense = dilation_intertwiner(rec1, rec2)
+        assert len(norms) == 1, name
+        u = dense.intertwiner
+        assert dense.residuals["fixes_source"] == real_norm(
+            u @ rec1.source_embed - rec2.source_embed), name
+        _assert_agrees(dilation_intertwiner(composed, explicit), dense, name)

@@ -12,6 +12,7 @@ moves each level by a Haar unitary of its ``pi_hat``'s commutant, drawn
 block by block.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,14 @@ from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.errors import InvarianceViolation
 from covdilate.extension import _assemble, coisometric_extend
-from covdilate.numerics import (DEFAULT_TOL, block_diag, eye_kron, orthonormal_span,
-                                spectral_norm)
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, block_diag, eye_kron,
+                                orthonormal_span, spectral_norm)
 from covdilate.scenario import build_scenario, load_scenario
 
 from conftest import rotated_step
 from test_dilation_kernel import gns_strategy
 from test_equivalence import finite_pair
+from test_intertwiner_bound import TOWER_WIDE
 from test_stacked_images import PROPER_DEFECT
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -358,13 +360,15 @@ def test_kraus_space_intertwiner_is_x2_pinv_x1(corpus, kind):
 
 def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
     # both records are in Schaffer form: the first pivot's rank and
-    # pseudo-inverse come from the factors schaffer_dilate holds, with no
-    # SVD, and one SVD per component of the second pivot gives its rank; no
-    # SVD has a side of the power orbit
+    # pseudo-inverse come from the factors schaffer_dilate holds, and the
+    # second pivot, the defect row, is onto by the bounds the explicit
+    # record holds, so no SVD runs; once a pivot block is changed in its
+    # last bit those bounds are refused and one SVD per component of the
+    # second pivot gives its rank, with no side of the power orbit
+    sc = build_scenario(TOWER_WIDE)
     pair, strat = finite_pair(7)
-    chain = coisometric_extend(pair, 2, strat)
-    rec1 = schaffer_dilate(chain.as_pair(), 2)
-    rec2 = explicit_matricial_unitary(chain, 2)
+    chains = [(coisometric_extend(pair, 2, strat), 2),
+              (coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed), sc.copies)]
     real_svd = np.linalg.svd
     shapes = []
 
@@ -372,17 +376,27 @@ def test_dilation_intertwiner_decomposes_each_power_orbit_once(monkeypatch):
         shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", counting)
-        cert = dilation_intertwiner(rec1, rec2)
-    assert cert.verdict == "equivalent"
-    pivots = [b.shape for b in rec2.echelon.pivot.component_blocks()]
-    assert pivots and shapes == pivots
-    x1, x2 = (np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
-              for rec in (rec1, rec2))
-    assert all(side < min(x1.shape) for shape in shapes for side in shape)
-    want = x2 @ np.linalg.pinv(x1, rcond=DEFAULT_TOL.rank_eps)
-    assert spectral_norm(cert.intertwiner - want) <= 1e-10
+    for chain, copies in chains:
+        rec1 = schaffer_dilate(chain.as_pair(), copies)
+        rec2 = explicit_matricial_unitary(chain, copies)
+        key = next(k for k in rec2.w.blocks if k[0] == rec2.echelon.parts[0][0])
+        block = rec2.w.blocks[key].copy()
+        block.real[0, 0] = np.nextafter(block.real[0, 0], np.inf)
+        edited = replace(rec2, w=BlockOperator(rec2.w.rows, rec2.w.cols,
+                                               {**rec2.w.blocks, key: block}))
+        x1 = np.hstack(power_orbit(rec1.w, rec1.source_embed, rec1.copies))
+        pivots = [b.shape for b in edited.echelon.pivot.component_blocks()]
+        for rec, expected in ((rec2, []), (edited, pivots)):
+            shapes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", counting)
+                cert = dilation_intertwiner(rec1, rec)
+            assert cert.verdict == "equivalent"
+            assert shapes == expected
+            x2 = np.hstack(power_orbit(rec.w, rec.source_embed, rec.copies))
+            assert all(side < min(x1.shape) for shape in shapes for side in shape)
+            want = x2 @ np.linalg.pinv(x1, rcond=DEFAULT_TOL.rank_eps)
+            assert spectral_norm(cert.intertwiner - want) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
                      range_defect, transfer_kraus, unit_image_chois,
                      verify_completely_positive, verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
-                     NullCyclicVector, RangeNotInImage, ShapeMismatch,
+                     NotPositive, NullCyclicVector, RangeNotInImage, ShapeMismatch,
                      StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Leaf, Tolerance, UpperBound, as_matrix,
                        basis_sweep, block_diag, block_slices, certified, commutant_bound,
-                       intertwiner_bound, kron_eye, psd_sqrt, ranked_svds, read_only,
+                       hermitian_root, intertwiner_bound, kron_eye, ranked_svds, read_only,
                        residual, spectral_norm, stack_images, svd_pinv)
 from .report import ClauseReport, clause
 
@@ -521,20 +521,48 @@ class DefectData:
 def defect_roots(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """The defect operators (I - T*T)^(1/2) and (I - TT*)^(1/2) of a contraction.
 
+    Both come from one SVD T = U diag(sigma) V*: I - T*T = V diag(1 -
+    sigma^2) V* and I - TT* = U diag(1 - sigma^2) U*, so the roots are V
+    diag(s) V* and U diag(s) U* with the values s of :func:`defect_values`,
+    and ||T|| = sigma_max gates the contraction (:func:`contraction_svds`).
     For T = 0 (every chain level above the first) both are returned as
-    exact identities, which is what psd_sqrt gives on I, without an
-    eigensolve.
+    exact identities, without an SVD.
     """
     t = pair.contraction
     if not t.any():
         eye = np.eye(pair.space_dim, dtype=complex)
         return eye, eye.copy()
-    nrm = spectral_norm(t)
-    if nrm > 1.0 + tol.rank_eps:
-        raise NotContraction(f"||T|| = {nrm:.12f} exceeds 1")
-    eye = np.eye(pair.space_dim, dtype=complex)
-    floor = defect_floor(tol)
-    return psd_sqrt(eye - t.conj().T @ t, floor), psd_sqrt(eye - t @ t.conj().T, floor)
+    ((u, sigma, vh),) = contraction_svds([t], tol)
+    s = defect_values(sigma, vh.shape[0], tol)
+    return hermitian_root(vh.conj().T, s), hermitian_root(u, s)
+
+
+def contraction_svds(mats, tol: Tolerance = DEFAULT_TOL) -> list:
+    """One SVD (u, sigma, vh) per matrix, ``vh`` square (full when the
+    matrix is wide), after checking that the direct sum of the matrices is
+    a contraction: its norm is the largest sigma over all of them, and one
+    above 1 + rank_eps raises :class:`NotContraction`."""
+    svds = [np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1]) for m in mats]
+    norm = max((float(s[0]) for _, s, _ in svds if s.size), default=0.0)
+    if norm > 1.0 + tol.rank_eps:
+        raise NotContraction(f"||T|| = {norm:.12f} exceeds 1")
+    return svds
+
+
+def defect_values(sigma: np.ndarray, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The values of (I - T*T)^(1/2) on the n columns of V for T = U
+    diag(sigma) V* with n columns: ((1 - sigma)(1 + sigma))^(1/2) on the
+    first len(sigma), then 1 on the rest (T's kernel).  Each (1 - sigma)(1 +
+    sigma), which does not cancel as 1 - sigma^2 does, is clamped at
+    :func:`defect_floor` as ``psd_sqrt_eigh`` clamps an eigenvalue before
+    its root: within the floor of zero it is zero, and below minus the floor
+    it raises :class:`NotPositive`."""
+    lam = (1.0 - sigma) * (1.0 + sigma)
+    floor = defect_floor(tol).psd_floor
+    if lam.size and lam.min() < -floor:
+        raise NotPositive(f"eigenvalue {lam.min():.3e} below -psd_floor")
+    lam = np.where(np.abs(lam) <= floor, 0.0, np.clip(lam, 0.0, None))
+    return np.concatenate([np.sqrt(lam), np.ones(n - lam.size)])
 
 
 def defect_floor(tol: Tolerance) -> Tolerance:

@@ -27,13 +27,20 @@ groups keeps the total rank that of the dense defect::
     copy-2 [                 I (per D_c)          ]
     ...                                  ...
 
-One eigendecomposition per defect group.  ``numerics.psd_sqrt_eigh``
-gives I - T_g* T_g = V diag(lambda) V* and the root's values s =
-lambda^(1/2), clamped at the floor, so Delta_c = V diag(s) V*.  The
-columns of V with s above the one rank cutoff over all groups
-(``numerics.rank_cutoff``), in descending s and with canonical phases, are
-B_c, and the head is B_c* Delta_c = diag(s_c) B_c*, so no dense root and
-no SVD is formed.  The record keeps (s_c, B_c) (``pivot_factors``), and
+One SVD per defect group.  The group's columns T_g, on the row blocks
+they reach, have one full SVD T_g = U diag(sigma) V*, V square
+(``covariant.contraction_svds``).  Then I - T_g* T_g = V diag(1 -
+sigma^2, 1, ..., 1) V*, so Delta_c = V diag(s) V* with s = ((1 - sigma)(1 +
+sigma))^(1/2) on T_g's row space and 1 on its kernel
+(``covariant.defect_values``): each (1 - sigma)(1 + sigma), which does not
+cancel as forming I - T_g* T_g does, is clamped at the defect floor before
+its root, as ``numerics.psd_sqrt_eigh`` clamps an eigenvalue.  T is the
+direct sum of its groups, so ||T|| is the largest sigma over the groups,
+and that value gates the contraction.  The columns of V with s above the
+one rank cutoff over all groups (``numerics.rank_cutoff``), in descending
+s and with canonical phases, are B_c, and the head is B_c* Delta_c =
+diag(s_c) B_c*, so no dense root, no eigendecomposition and no other SVD
+is formed.  The record keeps (s_c, B_c) (``pivot_factors``), and
 the pivot's component c is diag(s_c) B_c* = I diag(s_c) B_c*, an SVD with
 u = I and vh = B_c*.  :meth:`Echelon.pivot_svds` returns it only after
 certifying it against W's stored blocks, since a record's blocks may have
@@ -72,7 +79,27 @@ the block pattern (exact, see BlockOperator): the components of W are
 {copy-(j+1) part c; copy-j part c}, so no clause forms an operator of the
 total side.  The embeddings of the source space and of the
 original space are block operators too, one identity block per source
-block, so the compressions and both boundary notes act on stored blocks.
+block, so both boundary notes act on stored blocks, and the compressions
+are read off them.
+
+Compressions read off the block pattern.  Let E embed the fine blocks S
+by one identity block each, and A = E* X E.  If X stores no block in S's
+rows outside S's columns, then E* X = A E*; if it stores none in S's
+columns outside S's rows, then X E = E A.  Either way E* X^n E = A^n for
+every n.  The closures nest: for E = E_s F, F an embedding of identity
+blocks into the source blocks, E* W^n E = F* A^n F, which is B^n, B = F*
+A F, when F's blocks are closed in A.  A Schaffer record stores only T in
+its source rows (the form above), so its source rows are closed and A =
+T; the chain's V stores only T in column H, since H is invariant, so
+column H is closed in A = V and E_H* U^n E_H = E_H* V^n E_H = T^n for
+both unitary routes.  When the closures hold on the stored blocks and the
+compression stores the compared operator's blocks, the same keys and bit
+for bit, ``dilation/compression``, ``unitary/compression``,
+``matricial/restricts-to-extension`` and ``matricial/compression`` are
+exactly 0.0 and no power orbit is built (``_powers_compress``).  The
+pattern is read from the stored blocks, so a misplaced block or an edited
+T block sends the clause to the sweep over the orbit, exact above its
+threshold.
 
 Block-echelon power orbits.  Both records are in Schaffer form over their
 source: E places every source block on one fine block (the rows E_s), W
@@ -147,17 +174,15 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import (CovariantPair, DirectSumRep, RestrictedRep,
-                        ShiftedRep, defect_floor, invariance_residual, relation_bound,
-                        rep_and_shifted, shifted_restrictions, usable_depth)
-from .errors import (DepthExceeded, NotContraction, ShapeMismatch,
-                     StrategyInvalid)
+from .covariant import (CovariantPair, DirectSumRep, RestrictedRep, ShiftedRep,
+                        contraction_svds, defect_values, invariance_residual,
+                        relation_bound, rep_and_shifted, shifted_restrictions, usable_depth)
+from .errors import DepthExceeded, ShapeMismatch, StrategyInvalid
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
 from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, _canonical_phases,
                        _isometry_defect, as_blocks, basis_sweep, block_slices,
-                       psd_sqrt_eigh, rank_cutoff, ranked_svds, residual,
-                       spectral_norm, svd_rank)
+                       rank_cutoff, ranked_svds, residual, spectral_norm, svd_rank)
 from .report import ClauseReport, clause
 
 BOUNDARY_NOTE = ("unitarity is asserted on the interior window only; the two "
@@ -296,6 +321,20 @@ def _is_identity(b) -> bool:
         and np.count_nonzero(b) == b.shape[0] and bool((b.diagonal() == 1).all())
 
 
+def _identity_places(embed) -> Optional[dict]:
+    """The fine block of each nonzero column block of an embedding stored
+    as one identity block per such column block, in distinct rows, as fine
+    block -> column block; None when ``embed`` is not one."""
+    if not isinstance(embed, BlockOperator):
+        return None
+    place = {}
+    for (i, k), b in embed.blocks.items():
+        if i in place or k in place.values() or not _is_identity(b):
+            return None
+        place[i] = k
+    return place if len(place) == sum(1 for d in embed.cols if d) else None
+
+
 def _read_echelon(w, embed, copies: int, factors: tuple, row: tuple) -> Optional[Echelon]:
     """The Schaffer form of W over E: E one identity block per source block,
     and besides W's blocks among the source blocks only the pivot (source
@@ -304,14 +343,8 @@ def _read_echelon(w, embed, copies: int, factors: tuple, row: tuple) -> Optional
     are the parts of copy 1, then of copy 2, and so on.  The record's held
     ``factors`` and ``row`` are passed on unchecked; :meth:`Echelon.pivot_svds`
     and :meth:`Echelon.onto` certify them."""
-    if not (isinstance(w, BlockOperator) and isinstance(embed, BlockOperator)):
-        return None
-    source = {}                              # fine block -> source block
-    for (i, k), b in embed.blocks.items():
-        if i in source or k in source.values() or not _is_identity(b):
-            return None
-        source[i] = k
-    if len(source) != sum(1 for d in embed.cols if d):
+    source = _identity_places(embed)         # fine block -> source block
+    if not isinstance(w, BlockOperator) or source is None:
         return None
     rest = [i for i, d in enumerate(w.rows) if d and i not in source]
     m, extra = divmod(len(rest), copies)
@@ -350,9 +383,9 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
                     tol: Tolerance = DEFAULT_TOL) -> DilationRecord:
     """Truncated minimal isometric dilation of a covariant pair, on the block
     layout of its contraction (see the module docstring).  Each group's
-    copy basis B_c and copy-1 head diag(s_c) B_c* come from the one
-    eigendecomposition of I - T_g* T_g that gives its defect root, and the
-    record keeps (s_c, B_c) as the SVD of the pivot."""
+    copy basis B_c and copy-1 head diag(s_c) B_c* come from the one SVD of
+    its columns T_g that gives its defect root, and the record keeps (s_c,
+    B_c) as the SVD of the pivot."""
     if copies < 1:
         raise StrategyInvalid("at least one defect copy required")
     system = pair.system
@@ -362,18 +395,17 @@ def schaffer_dilate(pair: CovariantPair, copies: int,
         if pair.depth + copies > system.d_max:
             raise DepthExceeded(
                 f"depth budget {pair.depth} + {copies} exceeds d_max {system.d_max}")
-    if pair.norm() > 1.0 + tol.rank_eps:
-        raise NotContraction(f"||T|| = {pair.norm():.12f} exceeds 1")
 
     t = as_blocks(pair.contraction)
     groups = _defect_groups(t)
-    floor = defect_floor(tol)
+    # T_g on the row blocks it reaches; ||T|| is the largest sigma of any
+    svds = contraction_svds([t.select(rows=sorted({i for i, j in t.blocks if j in g}),
+                                      cols=g).dense() for g in groups], tol)
     roots = []
-    for g in groups:
-        tg = t.select(cols=g)
-        n = sum(tg.cols)
-        s, vecs = psd_sqrt_eigh(np.eye(n, dtype=complex) - (tg.adjoint() @ tg).dense(), floor)
-        roots.append((s[::-1], vecs[:, ::-1]))
+    for _, sigma, vh in svds:
+        s = defect_values(sigma, vh.shape[0], tol)
+        order = np.argsort(-s, kind="stable")
+        roots.append((s[order], vh[order].conj().T))
     cut = rank_cutoff([s for s, _ in roots], tol)
     kept, factors = [], []
     for g, (s, vecs) in zip(groups, roots):
@@ -473,7 +505,8 @@ def verify_isometric_dilation(rec: DilationRecord,
                    tol.residual_tol))
 
     rep.add(clause("dilation/compression", "P_H W^n |H = T^n (0 <= n <= copies)",
-                   _compression(rec.source_orbit, t, tol.residual_tol), tol.residual_tol))
+                   _compression_clause(rec, rec.source_embed, t, rec.copies, tol),
+                   tol.residual_tol))
 
     rank = orbit_rank(rec, tol)
     rep.add(clause("dilation/minimal", "span{W^n H} = K",
@@ -563,6 +596,47 @@ def _compression(orbit, t, threshold: Optional[float] = None) -> float:
     return worst
 
 
+def _compression_clause(rec: DilationRecord, embed, t, steps: int,
+                        tol: Tolerance) -> float:
+    """max over 0 <= n <= steps of residual(E* W^n E, T^n) for E = ``embed``:
+    exactly 0.0 when the stored blocks give E* W^n E = T^n for every n
+    (:func:`_powers_compress`), else the sweep of :func:`_compression` over
+    the power orbit."""
+    if _powers_compress(rec, embed, t):
+        return 0.0
+    return _compression(power_orbit(rec.w, embed, steps), t, tol.residual_tol)
+
+
+def _closed_compression(blocks: dict, place: dict) -> Optional[dict]:
+    """The blocks of A = E* X E, keyed by E's column blocks, for X stored as
+    ``blocks`` and E one identity block per column block (``place``, X's
+    block -> E's column block), when X stores no block in E's rows outside
+    E's columns or none in E's columns outside E's rows, so that E* X^n E =
+    A^n for every n (module docstring); None otherwise."""
+    if not (all(j in place for i, j in blocks if i in place)
+            or all(i in place for i, j in blocks if j in place)):
+        return None
+    return {(place[i], place[j]): b for (i, j), b in blocks.items()
+            if i in place and j in place}
+
+
+def _powers_compress(rec: DilationRecord, embed, t) -> bool:
+    """Whether E* W^n E = T^n for every n follows from the stored blocks, for
+    E = ``embed`` the source embedding E_s or one whose blocks lie in E_s's:
+    the source blocks are closed in W, with compression A, E's blocks are
+    closed in A, and that compression stores T's blocks bit for bit."""
+    w, src, inner, t = rec.w, _identity_places(rec.source_embed), _identity_places(embed), \
+        as_blocks(t)
+    if src is None or inner is None or not inner.keys() <= src.keys() \
+            or not w.rows == w.cols == rec.source_embed.rows == embed.rows \
+            or not t.rows == t.cols == embed.cols:
+        return False
+    a = _closed_compression(w.blocks, src)
+    a = None if a is None else _closed_compression(a, {src[i]: k for i, k in inner.items()})
+    return a is not None and a.keys() == t.blocks.keys() \
+        and all(np.array_equal(b, t.blocks[k]) for k, b in a.items())
+
+
 def _interior_clauses(rec: DilationRecord, prefix: str, tol: Tolerance) -> ClauseReport:
     """Isometry and coisometry of U on the interior window: the Gram defects
     U* U - I and U U* - I without their boundary columns, decided against
@@ -619,8 +693,7 @@ def _unitary_clauses(rec: DilationRecord, n_levels: int,
     rep = ClauseReport()
     rep.notes.append(BOUNDARY_NOTE)
     window = min(n_levels, rec.copies)
-    dil = _compression(power_orbit(rec.w, rec.origin_embed, window),
-                       rec.origin_pair.contraction, tol.residual_tol)
+    dil = _compression_clause(rec, rec.origin_embed, rec.origin_pair.contraction, window, tol)
     rep.add(clause("unitary/compression", "P_H U^n |H = T^n (0 <= n <= min(levels, copies))",
                    dil, tol.residual_tol))
     rep.extend(_interior_clauses(rec, "unitary", tol))
@@ -711,18 +784,16 @@ def _matricial_clauses(rec: DilationRecord, dd,
     rep.extend(dd.report)
     chain = rec.chain
     pair = chain.pair
-    u = rec.w
 
     _covariance_clause(rep, rec, pair, "matricial/covariance",
                        "U sigma(alpha(a)) = sigma(a) U", tol)
     rep.extend(_interior_clauses(rec, "matricial", tol))
 
     # compressions: to the chain pair and to the original corner
-    res_v = _compression(rec.source_orbit, chain.v, tol.residual_tol)
+    res_v = _compression_clause(rec, rec.source_embed, chain.v, rec.copies, tol)
     rep.add(clause("matricial/restricts-to-extension", "P_KV U^n |KV = V^n",
                    res_v, tol.residual_tol))
-    res_t = _compression(power_orbit(u, rec.origin_embed, rec.copies), pair.contraction,
-                         tol.residual_tol)
+    res_t = _compression_clause(rec, rec.origin_embed, pair.contraction, rec.copies, tol)
     rep.add(clause("matricial/compression", "P_H U^n |H = T^n",
                    res_t, tol.residual_tol))
     return rep

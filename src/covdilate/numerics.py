@@ -471,6 +471,11 @@ def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive square root of a PSD matrix: V diag(s) V* for the
     factors (s, V) of :func:`psd_sqrt_eigh`."""
     s, vecs = psd_sqrt_eigh(mat, tol)
+    return hermitian_root(vecs, s)
+
+
+def hermitian_root(vecs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """V diag(s) V*, made exactly Hermitian by averaging with its adjoint."""
     root = (vecs * s) @ vecs.conj().T
     return (root + root.conj().T) / 2.0
 

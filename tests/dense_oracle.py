@@ -28,9 +28,9 @@ the dense orbits, the route it took before the pivot blocks.
 
 ``oracle_schaffer_dilate`` is the isometric dilation as the package built
 it before each defect group's copy basis, head and pivot SVD came from the
-eigendecomposition behind its defect root: the dense root Delta_c by
-``psd_sqrt``, its range B_c from one SVD over the groups, and the head
-B_c* Delta_c.  It holds no pivot factors, so its pivots go through SVDs.
+factorization behind its defect root (now the SVD of the group's columns):
+the dense root Delta_c by ``psd_sqrt``, its range B_c from one SVD over the
+groups, and the head B_c* Delta_c.  It holds no pivot factors, so its pivots go through SVDs.
 
 ``choi_route_chain`` builds every adapted level the way the package builds
 level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi

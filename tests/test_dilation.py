@@ -1,17 +1,30 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import covdilate.dilation as dilation_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
+from covdilate.cli import run
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
 from covdilate.cpmaps import CPMap
-from covdilate.dilation import (_compression, explicit_matricial_unitary,
+from covdilate.dilation import (_compression, compose_unitary, explicit_matricial_unitary,
                                 power_orbit, schaffer_dilate, unitary_dilate,
                                 verify_isometric_dilation)
 from covdilate.errors import DepthExceeded, NotContraction
 from covdilate.extension import coisometric_extend
-from covdilate.numerics import block_diag, orthonormal_span, residual, spectral_norm
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, block_diag, orthonormal_span,
+                                residual, spectral_norm)
+from covdilate.scenario import DEMO_NAMES, build_scenario, demo_fixture, load_scenario
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
+
+from test_commutant_bound import TOWER_DEEP
+from test_equivalence import finite_pair
+from test_intertwiner_bound import TOWER_WIDE
+
+FIXTURE = Path(__file__).parent / "fixtures" / "tower-levels.json"
 
 
 SCALARS = FiniteDimCStarAlgebra((1,))
@@ -260,3 +273,168 @@ def test_compression_sweep_matches_per_power_residuals():
                    zip(power_orbit(u, embed, steps),
                        power_orbit(t, np.eye(2, dtype=complex), steps)))
         assert abs(_compression(power_orbit(u, embed, steps), t) - want) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the four compression clauses, read off the block pattern
+# ---------------------------------------------------------------------------
+
+def _compressions(pair, chain, copies, tol):
+    """(clause, record, E, T, steps) for the four compression clauses of the
+    records built on one chain: the isometric dilation of the source pair
+    and of the chain pair (the composed record), and the two-sided form."""
+    iso = schaffer_dilate(pair, copies, tol)
+    comp = compose_unitary(chain, copies, tol)
+    two = explicit_matricial_unitary(chain, copies, tol)
+    return [("dilation/compression", iso, iso.source_embed, pair.contraction, copies),
+            ("dilation/compression", comp, comp.source_embed, comp.source_pair.contraction,
+             copies),
+            ("unitary/compression", comp, comp.origin_embed, pair.contraction,
+             min(chain.n_levels, copies)),
+            ("matricial/restricts-to-extension", two, two.source_embed, chain.v, copies),
+            ("matricial/compression", two, two.origin_embed, pair.contraction, copies)]
+
+
+def _compression_cases(corpus):
+    """(name, clauses, tol) over the corpus, chains unseeded and seeded, the
+    tower-deep and tower-wide shapes and the levels fixture."""
+    for case in corpus:
+        for seed in (None, 17):
+            chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, seed)
+            yield f"{case.name}/{seed}", \
+                _compressions(case.pair, chain, case.copies, DEFAULT_TOL), DEFAULT_TOL
+    for name, sc in (("tower-deep", build_scenario(TOWER_DEEP)),
+                     ("tower-wide", build_scenario(TOWER_WIDE)),
+                     ("levels", load_scenario(str(FIXTURE)))):
+        chain = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol, sc.seed)
+        yield name, _compressions(sc.pair, chain, sc.copies, sc.tol), sc.tol
+
+
+def _swept(rec, embed, t, steps, tol):
+    return _compression(power_orbit(rec.w, embed, steps), t, tol.residual_tol)
+
+
+def _report_value(rec, name):
+    report = verify_isometric_dilation(rec) if name == "dilation/compression" else rec.report
+    (c,) = [c for c in report.clauses if c.name == name]
+    return c
+
+
+def test_compressions_read_off_the_block_pattern_equal_the_sweep(corpus):
+    """On every package record the stored blocks give E* W^n E = T^n, the
+    clause reads exactly 0.0, and the sweep over the power orbit gives the
+    same value and pass flag."""
+    for name, clauses, tol in _compression_cases(corpus):
+        for clause_name, rec, embed, t, steps in clauses:
+            where = (name, clause_name)
+            assert dilation_mod._powers_compress(rec, embed, t), where
+            read = dilation_mod._compression_clause(rec, embed, t, steps, tol)
+            swept = _swept(rec, embed, t, steps, tol)
+            assert read == swept == 0.0, where
+            assert (read <= tol.residual_tol) == (swept <= tol.residual_tol), where
+        two = clauses[-1][1]
+        for clause_name in ("unitary/compression", "matricial/restricts-to-extension",
+                            "matricial/compression"):
+            rec = two if clause_name.startswith("matricial") else clauses[1][1]
+            c = _report_value(rec, clause_name)
+            assert c.residual == 0.0 and c.passed, (name, clause_name)
+
+
+def _edited(rec, edits):
+    """The record with W's blocks updated by ``edits`` (a fresh record, so
+    nothing cached carries over)."""
+    w = rec.w
+    return replace(rec, w=BlockOperator(w.rows, w.cols, {**w.blocks, **edits}))
+
+
+def _dense_compression(rec, embed, t, steps):
+    """max over n of the exact residual(E* W^n E, T^n) on dense matrices."""
+    w, e, t = np.asarray(rec.w), np.asarray(embed), np.asarray(t)
+    return max(residual(e.conj().T @ np.linalg.matrix_power(w, n) @ e,
+                        np.linalg.matrix_power(t, n)) for n in range(steps + 1))
+
+
+def _records(kind):
+    """(record, E, T, steps, tol) of one clause on a finite pair: the
+    isometric dilation, or the two-sided form of a two-level chain."""
+    pair, strategy = finite_pair(7)
+    if kind == "dilation/compression":
+        rec = schaffer_dilate(pair, 3)
+        return rec, rec.source_embed, pair.contraction, 3, DEFAULT_TOL
+    rec = explicit_matricial_unitary(coisometric_extend(pair, 2, strategy), 3)
+    return rec, rec.origin_embed, pair.contraction, 3, DEFAULT_TOL
+
+
+def _counting_sweeps(monkeypatch):
+    calls, real = [], dilation_mod._compression
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dilation_mod, "_compression", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["dilation/compression", "matricial/compression"])
+def test_a_block_out_of_the_source_rows_falls_back_and_fails_exactly(monkeypatch, kind):
+    """A block X in the source rows outside the source columns (from the
+    first copy to H) opens the source rows, which the pivot P keeps from
+    being closed as columns: the clause is swept and fails with the exact
+    dense value, E* W^2 E = T^2 + X P."""
+    rec, embed, t, steps, tol = _records(kind)
+    (row,) = dilation_mod._identity_places(embed)
+    col = rec.echelon.parts[0][0]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((rec.w.rows[row], rec.w.cols[col])) * 0.5
+    bad = _edited(rec, {(row, col): x.astype(complex)})
+    assert not dilation_mod._powers_compress(bad, embed, t)
+    calls = _counting_sweeps(monkeypatch)
+    value = dilation_mod._compression_clause(bad, embed, t, steps, tol)
+    assert calls and value > tol.residual_tol
+    assert abs(value - _dense_compression(bad, embed, t, steps)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["dilation/compression", "matricial/compression"])
+@pytest.mark.parametrize("size", ["last-bit", "visible"])
+def test_an_edited_source_block_of_w_falls_back_to_the_sweep(monkeypatch, kind, size):
+    """T's block in W edited in the last bit of one entry, or by 1e-6: the
+    blocks no longer equal T's, so the clause is swept.  The last-bit edit
+    is valued at its round-off, no longer 0.0; the visible one fails with
+    the exact value."""
+    rec, embed, t, steps, tol = _records(kind)
+    src = dilation_mod._identity_places(rec.source_embed)
+    h = next(i for i in src if (i, i) in rec.w.blocks and src[i] == 0)
+    block = rec.w.blocks[h, h].copy()
+    block[0, 0] = np.nextafter(block[0, 0].real, 2.0) + 1j * block[0, 0].imag \
+        if size == "last-bit" else block[0, 0] + 1e-6
+    bad = _edited(rec, {(h, h): block})
+    assert not dilation_mod._powers_compress(bad, embed, t)
+    calls = _counting_sweeps(monkeypatch)
+    value = dilation_mod._compression_clause(bad, embed, t, steps, tol)
+    assert calls and value > 0.0
+    assert value == _swept(bad, embed, t, steps, tol)
+    if size == "visible":
+        assert value > tol.residual_tol
+        assert abs(value - _dense_compression(bad, embed, t, steps)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["dilate", "unitary", "matricial"])
+def test_passing_runs_sweep_no_compression_and_build_no_orbit(monkeypatch, command):
+    """A passing package run reads the four compression clauses off the
+    block pattern: no compression sweep and no power orbit."""
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(dilation_mod, "_compression", refuse("_compression"))
+    monkeypatch.setattr(dilation_mod, "power_orbit", refuse("power_orbit"))
+    scenarios = [build_scenario(demo_fixture(name)) for name in DEMO_NAMES]
+    scenarios += [build_scenario(TOWER_WIDE), load_scenario(str(FIXTURE))]
+    for sc in scenarios:
+        report = run(sc, command)
+        assert report["passed"] and calls == [], (sc, command)

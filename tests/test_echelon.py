@@ -10,7 +10,8 @@ fixture.  Fault injections check that a rank-deficient pivot fails
 ``dilation/minimal`` with the dense rank in its note, and that a perturbed
 copy block fails ``dilation_intertwined`` on either route.  The factors
 (s_c, B_c) a ``schaffer_dilate`` record holds stand in for the pivot's SVD,
-so that it and ``verify_isometric_dilation`` take no SVD, only while they
+so that it and ``verify_isometric_dilation`` take no SVD past the one of
+each defect group's columns that builds the record, only while they
 certify the stored blocks: an edited pivot block, a copy basis off
 orthonormal and a singular value within round-off of the cutoff each go
 to the SVD and the dense rank.  The bounds an ``explicit_matricial_unitary``
@@ -230,7 +231,10 @@ def test_pivot_singular_value_within_round_off_of_the_cutoff_falls_back(monkeypa
 
 
 @pytest.mark.parametrize("backend", ["finite", "tower", "tower-chain"])
-def test_isometric_dilation_takes_no_svd(monkeypatch, backend):
+def test_isometric_dilation_takes_one_svd_per_defect_group_and_no_eigh(monkeypatch, backend):
+    """The record and its clauses take exactly one SVD, of T_g, per defect
+    group (T_g: the group's columns of T on the row blocks they reach), and
+    the record takes no eigendecomposition."""
     if backend == "finite":
         pair, copies = finite_pair(7)[0], 2
     else:
@@ -239,17 +243,30 @@ def test_isometric_dilation_takes_no_svd(monkeypatch, backend):
         if backend == "tower-chain":
             pair = coisometric_extend(sc.pair, sc.levels, sc.strategy, sc.tol,
                                       sc.seed).as_pair()
-    shapes = []
-    real = np.linalg.svd
+    t = BlockOperator((pair.space_dim,), (pair.space_dim,), {(0, 0): pair.contraction}) \
+        if isinstance(pair.contraction, np.ndarray) else pair.contraction
+    reached = {j for _, cols in t.components() for j in cols}
+    groups = [(sum(t.rows[i] for i in rows), sum(t.cols[j] for j in cols))
+              for rows, cols in t.components()] \
+        + [(0, d) for j, d in enumerate(t.cols) if j not in reached]
+    shapes, eighs = [], []
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def counting(calls, real):
+        def call(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", counting)
-        report = verify_isometric_dilation(schaffer_dilate(pair, copies))
-    assert report.passed and shapes == []
+        m.setattr(np.linalg, "svd", counting(shapes, np.linalg.svd))
+        for name in ("eigh", "eigvalsh"):
+            m.setattr(np.linalg, name, counting(eighs, getattr(np.linalg, name)))
+        rec = schaffer_dilate(pair, copies)
+        assert eighs == []
+        report = verify_isometric_dilation(rec)
+    assert report.passed and sorted(shapes) == sorted(groups)
+    # the chain's group {H, defect-0} is [T, D_0*], wide
+    assert backend != "tower-chain" or all(m < n for m, n in groups)
 
 
 @pytest.mark.parametrize("route", ["least-squares", "pivot"])

@@ -11,8 +11,8 @@ from covdilate.cpmaps import CPMap
 from covdilate.errors import DecompositionMismatch, DepthExceeded, StrategyInvalid
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  defect_decomposition, verify_coisometric_extension)
-from covdilate.numerics import (DEFAULT_TOL, BlockOperator, Tolerance, orthonormal_span, residual,
-                                spectral_norm)
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, Tolerance, hermitian_root,
+                                orthonormal_span, residual, spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
 from covdilate.tower import ShiftTower, TowerTransfer, shift_down_pair, state_density
 
@@ -286,14 +286,12 @@ def test_reports_never_build_step_certificates(monkeypatch):
         assert ext.report.passed
 
 
-def _defect_roots_by_square_root(pair, tol=DEFAULT_TOL):
+def _defect_roots_by_svd(pair, tol=DEFAULT_TOL):
     """defect_roots without the zero-contraction shortcut: both defects
-    through psd_sqrt, whatever T is."""
-    t = pair.contraction
-    eye = np.eye(pair.space_dim, dtype=complex)
-    floor = Tolerance(tol.rank_eps, tol.residual_tol, max(tol.psd_floor, 4.0 * tol.rank_eps))
-    return (covariant_mod.psd_sqrt(eye - t.conj().T @ t, floor),
-            covariant_mod.psd_sqrt(eye - t @ t.conj().T, floor))
+    from the SVD of T, whatever T is."""
+    ((u, sigma, vh),) = covariant_mod.contraction_svds([pair.contraction], tol)
+    s = covariant_mod.defect_values(sigma, vh.shape[0], tol)
+    return hermitian_root(vh.conj().T, s), hermitian_root(u, s)
 
 
 def test_defect_decomposition_reuses_the_level0_roots_at_their_tolerance(corpus, monkeypatch):
@@ -318,36 +316,36 @@ def test_defect_decomposition_reuses_the_level0_roots_at_their_tolerance(corpus,
 
 def test_levels_above_the_first_take_no_square_root(corpus, built_chains, monkeypatch):
     """Level k >= 1 extends (pi_hat_(k-1), 0), whose defects are exactly I
-    without an eigensolve, and the chain equals the one built through
-    psd_sqrt at every level."""
+    without an SVD, and the chain equals the one built through the SVD of T
+    at every level."""
     levels, roots = [], []
-    real_step, real_sqrt = extension_mod.two_step, covariant_mod.psd_sqrt
+    real_step, real_svds = extension_mod.two_step, covariant_mod.contraction_svds
 
     def step(pair, ext, tol, rng):
         levels.append(pair)
         return real_step(pair, ext, tol, rng)
 
-    def sqrt(mat, tol=DEFAULT_TOL):
+    def svds(mats, tol=DEFAULT_TOL):
         roots.append(len(levels) - 1)
-        return real_sqrt(mat, tol)
+        return real_svds(mats, tol)
 
     monkeypatch.setattr(extension_mod, "two_step", step)
-    monkeypatch.setattr(covariant_mod, "psd_sqrt", sqrt)
+    monkeypatch.setattr(covariant_mod, "contraction_svds", svds)
     deep = 0
     for case in corpus:
         levels.clear()
         roots.clear()
         chain = coisometric_extend(case.pair, case.levels, case.strategy)
         assert len(levels) == case.levels
-        assert roots == ([0, 0] if case.pair.contraction.any() else [])
+        assert roots == ([0] if case.pair.contraction.any() else [])
         deep += case.levels > 1
 
         levels.clear()
         roots.clear()
         with monkeypatch.context() as m:
-            m.setattr(covariant_mod, "defect_roots", _defect_roots_by_square_root)
+            m.setattr(covariant_mod, "defect_roots", _defect_roots_by_svd)
             direct = coisometric_extend(case.pair, case.levels, case.strategy)
-        assert roots == [k for k in range(case.levels) for _ in range(2)]
+        assert roots == list(range(case.levels))
         ref = built_chains[case.name]
         for got in (chain, direct):
             assert got.block_dims == ref.block_dims

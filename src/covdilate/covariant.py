@@ -331,9 +331,9 @@ def relation_bound(system, depth, x, tau, sigma, threshold: float,
     ``depth`` valued by :func:`~covdilate.numerics.intertwiner_bound`, when
     tau and sigma have factor forms there (for a block operator X, direct
     sums whose parts are its row and column blocks) and the bound is at or
-    below ``threshold``; else None, and the caller sweeps the basis.  The
-    bound holds for the absolute norm of every matrix unit's term, so it
-    also bounds the relative value of a residual."""
+    below ``threshold``; else None, and :func:`relation_values` sweeps the
+    basis.  The bound holds for the absolute norm of every matrix unit's
+    term, so it also bounds the relative value of a residual."""
     if isinstance(x, BlockOperator):
         rows = [factor_form(system, p, depth) for p in tau.parts]
         cols = [factor_form(system, p, depth, shifts) for p in sigma.parts]
@@ -347,10 +347,54 @@ def relation_bound(system, depth, x, tau, sigma, threshold: float,
     return UpperBound(bound) if bound <= threshold else None
 
 
-def rep_and_shifted(system, rep, depth):
-    """Coordinate rows c at ``depth`` -> (rep(c), rep(alpha(c))), the image
-    stacks most clauses share."""
-    return lambda c: (rep.images(c, depth), rep.images(*system.alpha_coords(c, depth)))
+def relation_values(system, depth, threshold: float, *relations) -> list:
+    """The clauses X sigma(alpha^s(a)) = tau(a) X over the basis at
+    ``depth``, one per relation ``(X, tau, sigma, s)``, decided against
+    ``threshold``: the one place such a clause is valued.
+
+    A relation whose :func:`relation_bound` is at or below the threshold
+    takes that bound; every other is valued residual(X sigma(alpha^s(a)),
+    tau(a) X) in one shared :func:`~covdilate.numerics.basis_sweep`.  There
+    a :class:`~covdilate.cpmaps.KrausRep` on a dense X, or a
+    :class:`DirectSumRep` whose parts are the row (column) blocks of a
+    block X, acts through its frame kernel (``act``); any other rep's images
+    are evaluated once per chunk for each (rep, s), and shared by every
+    relation of the call."""
+    values = [relation_bound(system, depth, x, tau, sigma, threshold, s)
+              for x, tau, sigma, s in relations]
+    held = {}   # what a chunk holds, in order: rep(alpha^s(a)), or alpha^s(a) for rep None
+
+    def slot(rep, s):
+        return held.setdefault((id(rep), s), (len(held), rep, s))[0]
+
+    def side(x, rep, s, right):
+        # x rep(alpha^s(a)) with ``right``, else rep(alpha^s(a)) x
+        blocks = isinstance(x, BlockOperator)
+        if blocks:
+            acts = isinstance(rep, DirectSumRep) \
+                and tuple(p.dim for p in rep.parts) == (x.cols if right else x.rows)
+        else:
+            acts = isinstance(rep, KrausRep)
+        if acts:
+            k = slot(None, s)
+            return lambda imgs: rep.act(*imgs[k], x, right)
+        k = slot(rep, s)
+        img = (lambda imgs: imgs[k]) if blocks else (lambda imgs: np.asarray(imgs[k]))
+        return (lambda imgs: x @ img(imgs)) if right else (lambda imgs: img(imgs) @ x)
+
+    clauses = [lambda *imgs, lhs=side(x, sigma, s, True), rhs=side(x, tau, 0, False):
+               (lhs(imgs), rhs(imgs))
+               for (x, tau, sigma, s), value in zip(relations, values) if value is None]
+    if not clauses:
+        return values
+
+    def images(c):
+        rows = {s: system.alpha_coords(c, depth, s) if s else (c, depth)
+                for _, _, s in held.values()}
+        return [rows[s] if rep is None else rep.images(*rows[s]) for _, rep, s in held.values()]
+
+    swept = iter(basis_sweep(system.basis_size(depth), images, *clauses, threshold=threshold))
+    return [next(swept) if value is None else value for value in values]
 
 
 def basis_images(system, rep, depth, right=None) -> np.ndarray:
@@ -490,9 +534,9 @@ def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> floa
     """max over basis a of residual(T pi(alpha(a)), pi(a) T), computed once
     per tolerance and held by the pair (:func:`~covdilate.numerics.certified`).
 
-    Valued by :func:`relation_bound` (T with sigma = pi o alpha and tau =
-    pi) when pi has a factor form and the bound is at or below the
-    threshold; otherwise, and on the finite backend, by the basis sweep."""
+    Valued by :func:`relation_values` (T with sigma = pi o alpha and tau =
+    pi): the projection bound when pi has a factor form and the bound is at
+    or below the threshold, else the basis sweep."""
     if pair.system.is_tower:
         if pair.depth is None or pair.depth + 1 > pair.system.d_max:
             raise DepthExceeded("covariance check needs depth + 1 <= d_max")
@@ -502,11 +546,7 @@ def verify_covariance(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> floa
 def _covariance(pair: CovariantPair, tol: Tolerance) -> float:
     system, rep, t = pair.system, pair.rep, pair.contraction
     d = usable_depth(system, [rep], 1, pair.depth)
-    bound = relation_bound(system, d, t, rep, rep, tol.residual_tol, shifts=1)
-    if bound is not None:
-        return bound
-    (worst,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rep, d),
-                           lambda pa, paa: (t @ paa, pa @ t), threshold=tol.residual_tol)
+    (worst,) = relation_values(system, d, tol.residual_tol, (t, rep, rep, 1))
     return worst
 
 
@@ -554,9 +594,9 @@ def defect_values(sigma: np.ndarray, n: int, tol: Tolerance = DEFAULT_TOL) -> np
     diag(sigma) V* with n columns: ((1 - sigma)(1 + sigma))^(1/2) on the
     first len(sigma), then 1 on the rest (T's kernel).  Each (1 - sigma)(1 +
     sigma), which does not cancel as 1 - sigma^2 does, is clamped at
-    :func:`defect_floor` as ``psd_sqrt_eigh`` clamps an eigenvalue before
-    its root: within the floor of zero it is zero, and below minus the floor
-    it raises :class:`NotPositive`."""
+    :func:`defect_floor` as :func:`~covdilate.numerics.psd_sqrt` clamps an
+    eigenvalue before its root: within the floor of zero it is zero, and
+    below minus the floor it raises :class:`NotPositive`."""
     lam = (1.0 - sigma) * (1.0 + sigma)
     floor = defect_floor(tol).psd_floor
     if lam.size and lam.min() < -floor:
@@ -577,23 +617,17 @@ def defect_operators(pair: CovariantPair, tol: Tolerance = DEFAULT_TOL) -> Defec
 
     Covariance makes ``delta_star`` commute with the representation and
     ``delta`` with its composition with the dynamics; both facts are
-    measured rather than assumed.  Each commutator is valued by
-    :func:`relation_bound` (sigma = tau = pi, and sigma = tau = pi o alpha)
-    when it has a factor form there and the bound is at or below the
-    threshold, and swept over the basis otherwise.
+    measured rather than assumed.  Both commutators (sigma = tau = pi, and
+    sigma = tau = pi o alpha) are valued by one :func:`relation_values`
+    call, so those without a bound share one sweep.
     """
     delta, delta_star = defect_roots(pair, tol)
     system, rep = pair.system, pair.rep
     d = usable_depth(system, [rep], 1, pair.depth)
     shifted = ShiftedRep(rep, system, 1)
-    bounds = (relation_bound(system, d, delta_star, rep, rep, tol.residual_tol),
-              relation_bound(system, d, delta, shifted, shifted, tol.residual_tol))
-    clauses = (lambda pa, paa: (delta_star @ pa, pa @ delta_star),
-               lambda pa, paa: (delta @ paa, paa @ delta))
-    swept = [c for c, bound in zip(clauses, bounds) if bound is None]
-    values = iter(basis_sweep(system.basis_size(d), rep_and_shifted(system, rep, d), *swept,
-                              threshold=tol.residual_tol) if swept else [])
-    comm, comm_alpha = (next(values) if bound is None else bound for bound in bounds)
+    comm, comm_alpha = relation_values(system, d, tol.residual_tol,
+                                       (delta_star, rep, rep, 0),
+                                       (delta, shifted, shifted, 0))
     return DefectData(delta, delta_star, comm, comm_alpha)
 
 

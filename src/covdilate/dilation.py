@@ -34,7 +34,7 @@ sigma^2, 1, ..., 1) V*, so Delta_c = V diag(s) V* with s = ((1 - sigma)(1 +
 sigma))^(1/2) on T_g's row space and 1 on its kernel
 (``covariant.defect_values``): each (1 - sigma)(1 + sigma), which does not
 cancel as forming I - T_g* T_g does, is clamped at the defect floor before
-its root, as ``numerics.psd_sqrt_eigh`` clamps an eigenvalue.  T is the
+its root, as ``numerics.psd_sqrt`` clamps an eigenvalue.  T is the
 direct sum of its groups, so ||T|| is the largest sigma over the groups,
 and that value gates the contraction.  The columns of V with s above the
 one rank cutoff over all groups (``numerics.rank_cutoff``), in descending
@@ -176,7 +176,7 @@ import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep, ShiftedRep,
                         contraction_svds, defect_values, invariance_residual,
-                        relation_bound, rep_and_shifted, shifted_restrictions, usable_depth)
+                        relation_bound, relation_values, shifted_restrictions, usable_depth)
 from .errors import DepthExceeded, ShapeMismatch, StrategyInvalid
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
@@ -560,11 +560,7 @@ def _covariance_clause(rep: ClauseReport, rec: DilationRecord, pair: CovariantPa
     if system.is_tower and d == 0:
         rep.notes.append("covariance window reduced to basis depth 0 by the "
                          "truncation budget (scalars only)")
-    cov = relation_bound(system, d, rec.w, rec.eta, rec.eta, tol.residual_tol, shifts=1)
-    if cov is None:
-        (cov,) = basis_sweep(system.basis_size(d), rep_and_shifted(system, rec.eta, d),
-                             lambda ea, eaa: (rec.w @ eaa, ea @ rec.w),
-                             threshold=tol.residual_tol)
+    (cov,) = relation_values(system, d, tol.residual_tol, (rec.w, rec.eta, rec.eta, 1))
     rep.add(clause(name, formula, cov, tol.residual_tol))
     return d
 

@@ -24,11 +24,12 @@ for records whose stored blocks are not in that form, and there
 ``fixes_source`` is computed.
 
 Every ``representation_intertwined`` relation, u rep1(a) = rep2(a) u, is
-the projection bound of :mod:`covdilate.extension` on u's stored blocks
-when both reps have factor forms (on the tower: the Kraus reps of the
-steps and chains, and the source, shifted and restricted parts of the
-dilation records), labelled a bound at or below the threshold; otherwise,
-and above the threshold, a basis sweep gives its exact value.
+valued by :func:`~covdilate.covariant.relation_values`, the one evaluator
+of the relation clauses: the projection bound on u's stored blocks when
+both reps have factor forms (on the tower: the Kraus reps of the steps and
+chains, and the source, shifted and restricted parts of the dilation
+records) and it is at or below the threshold, else the exact value of its
+basis sweep.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from .covariant import HBExtension, frame_rank, relation_bound, span_frame, usable_depth
+from .covariant import HBExtension, frame_rank, relation_values, span_frame, usable_depth
 from .cpmaps import unit_image_chois
 from .dilation import DilationRecord
 from .errors import LevelMismatch, SpanDeficient
 from .extension import ExtensionChain
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, basis_sweep,
-                       block_diag, block_pinv, eye_kron, ranked_svds, residual,
-                       spectral_norm, svd_pinv, svd_rank)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, block_diag,
+                       block_pinv, eye_kron, ranked_svds, residual, spectral_norm, svd_pinv,
+                       svd_rank)
 
 EQUIV_THRESHOLD = 1e-7
 DILATION_THRESHOLD = 1e-6
@@ -186,26 +187,6 @@ def _unitarity(u, threshold: float) -> dict:
             "unitarity_right": residual(u @ u.conj().T, np.eye(u.shape[0]), threshold)}
 
 
-def _intertwined(system, depth, rep1, rep2, u, threshold: float) -> float:
-    """max over the basis at ``depth`` of residual(u rep1(a), rep2(a) u),
-    decided against ``threshold``: by the projection bound when both reps
-    have factor forms (:func:`~covdilate.covariant.relation_bound`), else by
-    a sweep.  There a block u meets the block images of direct sums on its
-    layouts; a dense u, from least squares, the dense images."""
-    bound = relation_bound(system, depth, u, rep2, rep1, threshold)
-    if bound is not None:
-        return bound
-    if isinstance(u, BlockOperator):
-        def images(c):
-            return rep1.images(c, depth), rep2.images(c, depth)
-    else:
-        def images(c):
-            return np.asarray(rep1.images(c, depth)), np.asarray(rep2.images(c, depth))
-    (rel,) = basis_sweep(system.basis_size(depth), images,
-                         lambda r1, r2: (u @ r1, r2 @ u), threshold=threshold)
-    return rel
-
-
 def _gram_mismatch_witness(view, depth, units_a, units_b, h: int, level: int,
                            tol: Tolerance) -> tuple[float, Optional[GramWitness]]:
     """Largest entrywise gap between the reference Gram forms of two maps,
@@ -273,8 +254,8 @@ def stinespring_intertwiner(ext1: HBExtension, ext2: HBExtension,
 
     residuals = {"gram_mismatch": mismatch, **_unitarity(u, threshold),
                  "isometry_intertwined": spectral_norm(u @ ext1.isometry - ext2.isometry)}
-    residuals["representation_intertwined"] = _intertwined(system, depth, ext1.rho,
-                                                           ext2.rho, u, threshold)
+    (residuals["representation_intertwined"],) = relation_values(
+        system, depth, threshold, (u, ext2.rho, ext1.rho, 0))
     return _verdict(residuals, threshold, u)
 
 
@@ -330,8 +311,8 @@ def chain_intertwiner(chain1: ExtensionChain, chain2: ExtensionChain,
     residuals["fixes_H"] = spectral_norm(u.blocks[0, 0] - np.eye(p1.space_dim))
     residuals["contraction_intertwined"] = residual(u @ chain1.v, chain2.v @ u, threshold)
     d = usable_depth(system, [chain1.rho, chain2.rho], 0, p1.depth)
-    residuals["representation_intertwined"] = _intertwined(system, d, chain1.rho,
-                                                           chain2.rho, u, threshold)
+    (residuals["representation_intertwined"],) = relation_values(
+        system, d, threshold, (u, chain2.rho, chain1.rho, 0))
     return _verdict(residuals, threshold, u)
 
 
@@ -369,8 +350,8 @@ def dilation_intertwiner(rec1: DilationRecord, rec2: DilationRecord,
                  "dilation_intertwined": residual(u @ rec1.w, rec2.w @ u, threshold)}
     system = s1.system
     d = usable_depth(system, [rec1.eta, rec2.eta], 0, s1.depth)
-    residuals["representation_intertwined"] = _intertwined(system, d, rec1.eta,
-                                                           rec2.eta, u, threshold)
+    (residuals["representation_intertwined"],) = relation_values(
+        system, d, threshold, (u, rec2.eta, rec1.eta, 0))
     return _verdict(residuals, threshold, u)
 
 

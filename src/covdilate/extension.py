@@ -120,13 +120,16 @@ o alpha^n to the copy basis b) and the ``representation_intertwined``
 relations of the intertwiners take this bound, labelled a bound, when it
 is at or below the threshold (:func:`~covdilate.covariant.relation_bound`).
 Otherwise, and when a part has no factor form (the finite backend, dense
-or rotated reps), the basis sweep gives the exact value.  A computed basis
-b is an isometry only up to round-off.  With G = B* B the right side above
-is G_tau X sigma(a) - tau(a) X G_sigma, so L(a) exceeds it by (I - G_tau)
-X sigma(a) - tau(a) X (I - G_sigma), and with e = ||G - I||_F and ||B||^2
-<= 1 + e the bound scales its first term by ((1 + e_tau)(1 + e_sigma))^(1/2)
-and adds ||X||_F (e_tau (1 + e_sigma) + (1 + e_tau) e_sigma); at depth 0,
-where E is the identity, the added term is all of it.
+or rotated reps), the basis sweep gives the exact value.  Every relation
+but ``dilation/defect-invariant``, whose sweep is the exact invariance
+form, is valued in one place, :func:`~covdilate.covariant.relation_values`.
+A computed basis b is an isometry only up to round-off.  With G = B* B
+the right side above is G_tau X sigma(a) - tau(a) X G_sigma, so L(a)
+exceeds it by (I - G_tau) X sigma(a) - tau(a) X (I - G_sigma), and with
+e = ||G - I||_F and ||B||^2 <= 1 + e the bound scales its first term by
+((1 + e_tau)(1 + e_sigma))^(1/2) and adds ||X||_F (e_tau (1 + e_sigma) +
+(1 + e_tau) e_sigma); at depth 0, where E is the identity, the added term
+is all of it.
 
 Level containment note.  A unit e_ij at the check depth d acts on the
 level space as e_ij (x) I_m, m = dim / k^d (x embeds as x (x) 1, stage
@@ -147,7 +150,7 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock, defect_roots,
-                        extend_representation, relation_bound, two_step, usable_depth,
+                        extend_representation, relation_values, two_step, usable_depth,
                         verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
@@ -280,20 +283,12 @@ def verify_coisometric_extension(chain: ExtensionChain,
         return BlockOperator(dims, (h,), {(0, 0): m})
 
     rho = chain.rho
-    embed_h = in_h(np.eye(h, dtype=complex))
     # rho(a) is block-diagonal with rho(a)|H = parts[0](a): pi itself restricts exactly
-    restricts = rho.parts[0] is pair.rep
-    cov = relation_bound(system, d, v, rho, rho, tol.residual_tol, shifts=1)
-    clauses = []
-    if cov is None:
-        clauses.append(lambda c, ac, ad: (rho.act(ac, ad, v, right=True), rho.act(c, d, v)))
-    if not restricts:
-        clauses.append(lambda c, ac, ad: (rho.act(c, d, embed_h), in_h(pair.rep.images(c, d))))
-    swept = basis_sweep(system.basis_size(d), lambda c: (c, *system.alpha_coords(c, d)),
-                        *clauses, threshold=tol.residual_tol) if clauses else []
-    if cov is None:
-        cov, *swept = swept
-    restr = swept[0] if swept else 0.0
+    relations = [(v, rho, rho, 1)]
+    if rho.parts[0] is not pair.rep:
+        relations.append((in_h(np.eye(h, dtype=complex)), rho, DirectSumRep((pair.rep,)), 0))
+    cov, *restr = relation_values(system, d, tol.residual_tol, *relations)
+    restr = restr[0] if restr else 0.0
     rep.add(clause("chain/representation-restricts", "rho(a)|H = pi(a), rho(a) H in H",
                    restr, tol.residual_tol))
 

@@ -468,22 +468,8 @@ def hermitian_residual(a, threshold: float | None = None) -> float:
 
 
 def psd_sqrt(mat, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian positive square root of a PSD matrix: V diag(s) V* for the
-    factors (s, V) of :func:`psd_sqrt_eigh`."""
-    s, vecs = psd_sqrt_eigh(mat, tol)
-    return hermitian_root(vecs, s)
-
-
-def hermitian_root(vecs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """V diag(s) V*, made exactly Hermitian by averaging with its adjoint."""
-    root = (vecs * s) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
-
-
-def psd_sqrt_eigh(mat, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The singular values s of the PSD square root of a Hermitian matrix and
-    its eigenvectors V, in the ascending order of ``np.linalg.eigh``, from
-    one eigendecomposition of the Hermitian part.
+    """Hermitian positive square root of a PSD matrix, V diag(s) V* from one
+    eigendecomposition of its Hermitian part (:func:`hermitian_root`).
 
     Eigenvalues in ``[-psd_floor, psd_floor]`` are clamped to zero (the
     square root amplifies eigenvalue noise at zero to its own square root,
@@ -495,16 +481,21 @@ def psd_sqrt_eigh(mat, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got {m.shape}")
     if m.shape[0] == 0:
-        return np.zeros(0), m.copy()
+        return m.copy()
     skew = hermitian_residual(m, tol.residual_tol)
     if skew > tol.residual_tol:
         raise NotHermitian(f"hermitian residual {skew:.3e}")
-    herm = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     if vals[0] < -tol.psd_floor:
         raise NotPositive(f"eigenvalue {vals[0]:.3e} below -psd_floor")
     vals = np.where(np.abs(vals) <= tol.psd_floor, 0.0, np.clip(vals, 0.0, None))
-    return np.sqrt(vals), vecs
+    return hermitian_root(vecs, np.sqrt(vals))
+
+
+def hermitian_root(vecs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """V diag(s) V*, made exactly Hermitian by averaging with its adjoint."""
+    root = (vecs * s) @ vecs.conj().T
+    return (root + root.conj().T) / 2.0
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:

@@ -37,6 +37,10 @@ level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
 above the first from the transfer's Kraus form.
 
+``relation_value`` values a relation X sigma(alpha^s(a)) = tau(a) X the
+way each relation site swept before ``covariant.relation_values``: X and
+both images dense, exact, with no threshold and no frame kernel.
+
 ``RotatedRep`` is a representation in a rotated basis, Q K(x) Q*: the
 package builds every representation in Kraus coordinates, so a rotated one
 exists only here, to drive the routes that take any representation.
@@ -92,6 +96,18 @@ class RotatedRep(ChunkRep):
 
 def _dense_images(rep, c, d):
     return np.asarray(rep.images(c, d))
+
+
+def relation_value(system, depth, x, tau, sigma, shifts: int) -> float:
+    """max over the basis at ``depth`` of residual(X sigma(alpha^s(a)),
+    tau(a) X), exact, from dense images and a dense X."""
+    x = np.asarray(x)
+    (value,) = basis_sweep(
+        system.basis_size(depth),
+        lambda c: (_dense_images(sigma, *system.alpha_coords(c, depth, shifts)),
+                   _dense_images(tau, c, depth)),
+        lambda s, t: (x @ s, t @ x))
+    return value
 
 
 def _operand(clause, k):

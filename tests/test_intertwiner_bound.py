@@ -34,14 +34,14 @@ import covdilate.algebra as algebra_mod
 import covdilate.covariant as covariant_mod
 import covdilate.cpmaps as cpmaps_mod
 import covdilate.dilation as dilation_mod
-import covdilate.equivalence as equivalence_mod
 import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.cli import run
 from covdilate.covariant import (DirectSumRep, RestrictedRep, ShiftedRep, defect_operators,
-                                 factor_form, haar_unitary, usable_depth, verify_covariance)
+                                 factor_form, haar_unitary, relation_values, usable_depth,
+                                 verify_covariance)
 from covdilate.dilation import compose_unitary, explicit_matricial_unitary, schaffer_dilate
-from covdilate.equivalence import (_intertwined, chain_intertwiner, dilation_intertwiner,
+from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
 from covdilate.extension import (ExtensionChain, coisometric_extend,
                                  verify_coisometric_extension)
@@ -104,6 +104,13 @@ def _covariance(rec):
     rep = ClauseReport()
     dilation_mod._covariance_clause(rep, rec, rec.source_pair, "covariance", "", DEFAULT_TOL)
     return _clause_value(rep, "covariance")
+
+
+def _intertwined(system, depth, rep1, rep2, u, threshold):
+    """``representation_intertwined`` of an intertwiner u of rep1 and rep2
+    alone, as the certificates value it: the relation (u, rep2, rep1, 0)."""
+    (value,) = relation_values(system, depth, threshold, (u, rep2, rep1, 0))
+    return value
 
 
 def _invariance(rec):
@@ -383,20 +390,25 @@ def test_bound_covers_random_operators_between_unequal_leaves(k, d, rows, cols, 
 # which clauses still sweep the basis
 # ---------------------------------------------------------------------------
 
-SWEEPING = (algebra_mod, covariant_mod, cpmaps_mod, dilation_mod, equivalence_mod,
-            extension_mod)
+SWEEPING = (algebra_mod, covariant_mod, cpmaps_mod, dilation_mod, extension_mod)
 # the clauses with no factor form: transfer/left-inverse (tau(alpha(a)) =
 # a), expectation/idempotent (E(E(a)) = E(a)) and the compressions P_H U^n
 # |H = T^n, whose rows are the powers n
 NO_FACTOR_FORM = {"verify_transfer", "idempotency_residual", "_compression"}
 
 
-def _sweep_callers(monkeypatch, runs):
+def _sweep_callers(monkeypatch, runs, *calls):
+    """The functions that call ``basis_sweep`` in the runs and the calls; a
+    relation clause is named by the site that hands it to
+    ``relation_values``."""
     callers = set()
 
     def recording(real):
         def sweep(*args, **kwargs):
-            callers.add(sys._getframe(1).f_code.co_name)
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "relation_values":
+                frame = frame.f_back
+            callers.add(frame.f_code.co_name)
             return real(*args, **kwargs)
         return sweep
 
@@ -405,6 +417,8 @@ def _sweep_callers(monkeypatch, runs):
             m.setattr(mod, "basis_sweep", recording(mod.basis_sweep))
         for scenario, command, other in runs:
             assert run(scenario, command, other)["passed"], command
+        for call in calls:
+            call()
     return callers
 
 
@@ -419,12 +433,16 @@ def test_passing_tower_runs_sweep_only_clauses_without_a_factor_form(corpus, mon
              (levels, "compare", reseeded)]
     callers = _sweep_callers(monkeypatch, runs)
     assert callers <= NO_FACTOR_FORM, callers
-    # the finite backend still sweeps every one of them
+    # the finite backend still sweeps every relation site
     case = next(c for c in corpus if c.backend == "finite-dim" and c.levels >= 2)
     finite = Scenario({}, "finite-dim", case.pair.system, case.pair, case.strategy,
                       case.levels, case.copies, DEFAULT_TOL, None)
+    ext1, ext2 = (coisometric_extend(case.pair, 1, case.strategy, DEFAULT_TOL, seed)
+                  .levels[0].ext for seed in (None, 5))
     callers = _sweep_callers(monkeypatch, [(finite, c, None)
-                                           for c in ("extend", "unitary", "matricial")]
-                             + [(finite, "compare", replace(finite, seed=5))])
-    assert {"verify_coisometric_extension", "_covariance_clause", "_intertwined",
-            "invariance_residual"} <= callers, callers
+                                           for c in ("check", "extend", "unitary", "matricial")]
+                             + [(finite, "compare", replace(finite, seed=5))],
+                             lambda: stinespring_intertwiner(ext1, ext2))
+    assert {"_covariance", "defect_operators", "verify_coisometric_extension",
+            "_covariance_clause", "stinespring_intertwiner", "chain_intertwiner",
+            "dilation_intertwiner", "invariance_residual"} <= callers, callers

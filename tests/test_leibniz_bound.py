@@ -134,14 +134,16 @@ def test_bound_covers_the_full_basis_max(corpus, monkeypatch):
 
 
 def test_finite_chains_keep_the_full_sweep(corpus, monkeypatch):
-    real = extension_mod.basis_sweep
+    """The chain's relation clauses go through ``covariant.relation_values``,
+    which sweeps them once, at the basis size."""
+    real = covariant_mod.basis_sweep
     swept = []
 
     def sweep(*args, **kwargs):
         swept.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(extension_mod, "basis_sweep", sweep)
+    monkeypatch.setattr(covariant_mod, "basis_sweep", sweep)
     finite = 0
     for case in corpus:
         if case.backend != "finite-dim":

@@ -12,8 +12,8 @@ from covdilate.equivalence import chain_intertwiner
 from covdilate.errors import DimensionMismatch, NotHermitian, NotPositive
 from covdilate.extension import coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, Tolerance, _spectral_norms, orthonormal_span,
-                                psd_sqrt, psd_sqrt_eigh, rank_cutoff, ranked_svds,
-                                residual, spectral_norm, svd_rank)
+                                psd_sqrt, rank_cutoff, ranked_svds, residual, spectral_norm,
+                                svd_rank)
 from covdilate.report import clause
 
 from dense_oracle import orthonormal_complement
@@ -81,32 +81,13 @@ def test_psd_sqrt_property_dim_64():
     assert spectral_norm(s @ s - m) <= 1e-9 * (1.0 + spectral_norm(m))
 
 
-def test_psd_sqrt_eigh_orders_its_factors_and_composes_to_psd_sqrt():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    m = a @ a.conj().T                        # rank 4, two zero eigenvalues
-    s, vecs = psd_sqrt_eigh(m)
-    assert s.shape == (6,) and vecs.shape == (6, 6)
-    assert np.all(np.diff(s) >= 0.0)          # ascending, as eigh returns them
-    assert np.array_equal(s[:2], [0.0, 0.0])  # the null space clamped exactly
-    assert np.allclose(s, np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None)), atol=1e-7)
-    assert spectral_norm(vecs.conj().T @ vecs - np.eye(6)) < 1e-13
-    assert spectral_norm((m @ vecs) - vecs * s ** 2) <= 1e-12 * spectral_norm(m)
-    root = (vecs * s) @ vecs.conj().T
-    assert np.array_equal(psd_sqrt(m), (root + root.conj().T) / 2.0)
-
-
-def test_psd_sqrt_eigh_clamps_and_raises_as_psd_sqrt():
-    s, vecs = psd_sqrt_eigh(np.diag([5e-11, -5e-11, 0.25]))
-    assert np.array_equal(s, [0.0, 0.0, 0.5])
-    assert np.array_equal(np.abs(vecs[:, 2]), [0.0, 0.0, 1.0])
+def test_psd_sqrt_clamps_and_raises():
+    assert np.array_equal(psd_sqrt(np.diag([5e-11, -5e-11, 0.25])), np.diag([0.0, 0.0, 0.5]))
     for bad, err in (([[0.0, 1.0], [0.0, 0.0]], NotHermitian), ([[-1.0]], NotPositive),
                      (np.zeros((2, 3)), DimensionMismatch)):
-        for fn in (psd_sqrt, psd_sqrt_eigh):
-            with pytest.raises(err):
-                fn(np.array(bad))
-    s, vecs = psd_sqrt_eigh(np.zeros((0, 0)))
-    assert s.shape == (0,) and vecs.shape == (0, 0)
+        with pytest.raises(err):
+            psd_sqrt(np.array(bad))
+    assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_ranked_svds_keep_what_rank_cutoff_keeps():

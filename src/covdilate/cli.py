@@ -23,7 +23,7 @@ import time
 
 from . import __version__
 from .algebra import verify_endomorphism, verify_star_hom
-from .covariant import defect_operators, verify_covariance, verify_strategy
+from .covariant import defect_operators, stage_view, verify_covariance, verify_strategy
 from .dilation import (explicit_matricial_unitary, schaffer_dilate,
                        unitary_dilate, verify_isometric_dilation)
 from .equivalence import chain_intertwiner, dilation_intertwiner
@@ -31,7 +31,7 @@ from .errors import (ScenarioParseError, ScenarioValidationError,
                      WorkbenchError)
 from .extension import (coisometric_extend, defect_decomposition,
                         verify_coisometric_extension)
-from .numerics import keep_sweep_memory
+from .numerics import certified, keep_sweep_memory
 from .report import ClauseReport, clause
 from .scenario import (DEMO_NAMES, Scenario, build_scenario, demo_fixture,
                        load_scenario)
@@ -67,10 +67,14 @@ def _check_clauses(scenario: Scenario) -> ClauseReport:
                        note=endo.note))
         rep.extend(pair.rep.verify(tol).clauses("representation"))
     else:
-        view = pair.rep.view(max(pair.depth, 1))
-        rep.extend(view.verify(tol).clauses("representation"))
-        rep.extend(verify_star_hom(alpha_hom(system.tower, t_depth - 1), tol)
-                   .clauses("dynamics"))
+        # certified once, held by the rep and the system
+        depth = max(pair.depth, 1)
+        held = certified(pair.rep, ("stage-view", depth, tol),
+                         lambda: stage_view(system, pair.rep, depth).verify(tol))
+        rep.extend(held.clauses("representation"))
+        held = certified(system, ("stage-map", t_depth - 1, tol),
+                         lambda: verify_star_hom(alpha_hom(system.tower, t_depth - 1), tol))
+        rep.extend(held.clauses("dynamics"))
     rep.extend(verify_strategy(system, scenario.strategy, t_depth, tol))
     rep.add(clause("pair/contraction", "||T|| <= 1",
                    max(0.0, pair.norm() - 1.0), tol.rank_eps))
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
         scenario = _load_with_overrides(args.scenario, args)
         other = None
         if args.command == "compare":
-            other = load_scenario(args.other, getattr(args, "tol", None))
+            other = _load_with_overrides(args.other, args)
         report = run(scenario, args.command, other, with_timing=args.timing)
         _emit(report, args.out)
         return EXIT_PASS if report["passed"] else EXIT_CLAUSE_FAILURE

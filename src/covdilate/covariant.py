@@ -16,9 +16,10 @@ Both strategies build their dilations with the Choi/Kraus kernel of
 :class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
 computed in its multiplicity spaces.  The adapted step of a ``KrausRep``
-(every chain level above the first) is composed from the Kraus form of the
-transfer (:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi
-blocks of rep o tau.  Both backends (finite-dimensional
+(every chain level above the first, and level 0 on the tower, whose
+``standard_rep`` is one) is composed from the Kraus form of the transfer
+(:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi blocks of
+rep o tau.  Both backends (finite-dimensional
 algebras and the graded tensor tower) drive the same engine through a small
 system protocol: ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``,
 ``coord_blocks`` and friends.  The engine evaluates on coordinate rows: a
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (ChunkRep, FiniteDimCStarAlgebra, StarHom,
+from .algebra import (ChunkRep, FiniteDimCStarAlgebra, Representation, StarHom,
                       cyclic_summands, unit_residual)
 from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
                      idempotency_residual, kraus_dilation, kraus_direct_sum, kraus_span,
@@ -297,7 +298,7 @@ def factor_form(system, rep, depth, shifts: int = 0) -> Optional[tuple]:
     :class:`~covdilate.numerics.Leaf` s of rep(alpha^shifts(a)) = B* F(a) B
     (see :func:`~covdilate.numerics.intertwiner_bound`), or None when a part
     has none.  A rep the system reads (``system.shift_factors``: a
-    ``TowerRep`` or ``KrausRep`` on the tower) is one leaf with B = I; a
+    ``KrausRep`` on the tower) is one leaf with B = I; a
     ``ShiftedRep`` adds its shifts, a ``RestrictedRep`` composes B with its
     basis, and a ``DirectSumRep`` sets its parts' leaves side by side."""
     if isinstance(rep, ShiftedRep):
@@ -401,6 +402,13 @@ def basis_images(system, rep, depth, right=None) -> np.ndarray:
     """rep on the basis at ``depth``: the (N, dim, dim) stack, or with
     ``right`` the spanning set [rep(b_1) right, ..., rep(b_N) right]."""
     return stack_images(system.basis_size(depth), lambda c: rep.images(c, depth), right)
+
+
+def stage_view(system, rep, depth) -> Representation:
+    """rep on the algebra at ``depth`` as a finite
+    :class:`~covdilate.algebra.Representation`, for the standard checks."""
+    return Representation.from_images(system.algebra_view(depth),
+                                      basis_images(system, rep, depth))
 
 
 def span_frame(system, rep, depth, right) -> tuple:
@@ -794,10 +802,11 @@ def extend_representation(system, rep, strategy, check_depth,
 
     Strategy data is assumed verified by the caller (chains verify once).
     The adapted step on a :class:`~covdilate.cpmaps.KrausRep` (every chain
-    level above the first) is composed from the Kraus form of the transfer
+    level on the tower, every level above the first on the finite backend)
+    is composed from the Kraus form of the transfer
     (:class:`~covdilate.cpmaps.KrausTransfer`); ``kraus`` passes in that
-    form when the caller already has it, and the step returns the form it
-    used as ``HBExtension.kraus``.
+    form, targeting the stage of ``rep``, when the caller already has it,
+    and the step returns the form it used as ``HBExtension.kraus``.
     """
     working = system.stinespring_depth(check_depth)
     if system.is_tower and working > system.d_max:
@@ -818,8 +827,8 @@ def extend_representation(system, rep, strategy, check_depth,
 
 def _stinespring_step(system, rep, tau, working, tol, kraus):
     """The minimal dilation of rep o tau and the transfer's Kraus form (None
-    on the Choi route): composed for a KrausRep, else from the Choi blocks
-    of rep o tau."""
+    on the Choi route): composed for a KrausRep, else (a finite pi with no
+    Kraus form) from the Choi blocks of rep o tau."""
     if isinstance(rep, KrausRep):
         if kraus is None:
             kraus = transfer_kraus(system, tau, working, rep.depth, tol)

@@ -485,7 +485,9 @@ class KrausTransfer:
     once (``hermiticity`` and ``spectra``, indexed [c][b]); a chain dilates
     phi_k = pi_hat_(k-1) o psi at every level k >= 1 with the same psi
     (the transfer tau, followed on the tower by the embedding into the
-    level's stage), so one eigensolve of side n_b n_c serves every level.
+    level's stage), so one eigensolve of side n_b n_c serves every level,
+    and on the tower level 0 too, whose pi is a KrausRep (a pi deeper than
+    the working stage takes a form of its own).
 
     Composition rule.  Let pi_hat(y) = directsum_c y_c x I_{r_c} on C^h,
     h = sum_c n_c r_c, and let W_c: C^{n_c} -> directsum_b

@@ -100,8 +100,8 @@ the commutant bound above is its case X = P, sigma = tau.  On the tower
 every rep the package builds has a factor form at depth d
 (:func:`~covdilate.covariant.factor_form`): rep(alpha^n(a)) = B* F(a) B
 with F(a) = directsum_l I_(m_l) (x) a (x) I_(R_l) and B an isometry.  A
-``TowerRep`` or ``KrausRep`` is one leaf with B = I and (m, R) = (k^n,
-dim / k^(d + n)) (``TowerSystem.shift_factors``), a ``ShiftedRep`` adds its
+``KrausRep`` is one leaf with B = I and (m, R) = (k^n, dim / k^(d + n))
+(``TowerSystem.shift_factors``), a ``ShiftedRep`` adds its
 shifts, a ``RestrictedRep`` to the columns b composes B with b, and a
 direct sum sets its parts' leaves side by side.  For such sigma and tau,
 with X' = B_tau X B_sigma*,
@@ -235,12 +235,14 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
     # level 0 extends (pi, T); level k extends (pi_hat_(k-1), 0), whose
     # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
     rep, t = pair.rep, pair.contraction
-    # per strategy, the transfer's Kraus form: one eigensolve serves the levels
+    # per strategy and target stage, the transfer's Kraus form: one
+    # eigensolve serves the levels (level 0's pi may sit deeper than theirs)
     forms = {}
     for k, strat in enumerate(strategies):
-        ext = extend_representation(system, rep, strat, pair.depth, tol, forms.get(id(strat)))
+        key = (id(strat), rep.max_depth)
+        ext = extend_representation(system, rep, strat, pair.depth, tol, forms.get(key))
         if ext.kraus is not None:
-            forms[id(strat)] = ext.kraus
+            forms[key] = ext.kraus
         try:
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:

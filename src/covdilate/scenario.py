@@ -152,6 +152,9 @@ def build_scenario(data, tol_override: Optional[float] = None) -> Scenario:
     seed = parse_integer(seed, "seed") if seed is not None else None
     if levels < 1 or copies < 1:
         raise ScenarioValidationError("schema", "levels and copies must be >= 1")
+    if seed is not None and seed < 0:
+        # a basis seed seeds numpy's generator, which takes none below 0
+        raise ScenarioValidationError("schema", f"seed must be >= 0, got {seed}")
 
     if backend == "finite-dim":
         system, pair, strategy = _build_finite(data, tol)

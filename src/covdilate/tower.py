@@ -19,13 +19,13 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import ChunkRep, FiniteDimCStarAlgebra, Representation, StarHom
+from .algebra import FiniteDimCStarAlgebra, StarHom
 from .covariant import CovariantPair, covariant_pair
-from .cpmaps import CPMap, KrausRep
+from .cpmaps import CPMap, KrausDilation, KrausRep
 from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
                      SizeCap, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye,
-                       read_only, stack_images)
+                       read_only)
 
 
 @dataclass(frozen=True)
@@ -258,44 +258,18 @@ def _stage_map(kind, tower: ShiftTower, depth: int, rows):
     return kind(src, tower.stage(dst_depth), np.ascontiguousarray(out.T))
 
 
-@dataclass(frozen=True, eq=False)
-class TowerRep(ChunkRep):
-    """Depth-compatible representation family pi_d(x) = (x tensor 1) tensor I_m."""
-
-    tower: ShiftTower
-    top_depth: int
-    multiplicity: int
-
-    @property
-    def dim(self) -> int:
-        return self.tower.stage_dim(self.top_depth) * self.multiplicity
-
-    @property
-    def max_depth(self) -> int:
-        return self.top_depth
-
-    def images(self, coords, depth: int) -> np.ndarray:
-        full = _embed_coords(self.tower, coords, depth, self.top_depth)
-        if self.multiplicity == 1:
-            return full
-        return kron_eye(full, self.multiplicity)
-
-    def view(self, depth: int) -> Representation:
-        """Finite Representation of the stage algebra, for the standard checks."""
-        alg = self.tower.stage(depth)
-        return Representation.from_images(
-            alg, stack_images(alg.dim, lambda c: self.images(c, depth)))
-
-
-def standard_rep(tower: ShiftTower, depth: int, multiplicity: int = 1) -> TowerRep:
+def standard_rep(tower: ShiftTower, depth: int, multiplicity: int = 1) -> KrausRep:
+    """pi(x) = (x tensor 1) tensor I_m on the stage-``depth`` space: the
+    KrausRep of multiplicity m whose dilation map is the identity."""
     if depth < 1 or depth > tower.d_max:
         raise DepthExceeded(f"representation depth {depth} outside 1..{tower.d_max}")
     if multiplicity < 1:
         raise ShapeMismatch("multiplicity must be positive")
-    if tower.stage_dim(depth) * multiplicity > tower.size_cap:
-        raise SizeCap(f"k^depth * multiplicity = "
-                      f"{tower.stage_dim(depth) * multiplicity} exceeds the size cap")
-    return TowerRep(tower, depth, multiplicity)
+    dim = tower.stage_dim(depth) * multiplicity
+    if dim > tower.size_cap:
+        raise SizeCap(f"k^depth * multiplicity = {dim} exceeds the size cap")
+    return KrausRep(TowerSystem(tower), depth,
+                    KrausDilation((multiplicity,), np.eye(dim, dtype=complex)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,10 +308,10 @@ class TowerSystem:
 
     def shift_factors(self, rep, depth: int, n: int = 1):
         """(k^n, k^depth, R = rep.dim / k^(depth + n)): rep(alpha^n(a)) =
-        I_(k^n) (x) a (x) I_R for a at ``depth``, since a ``TowerRep`` ((x (x)
-        1) (x) I_m) and a ``KrausRep`` (x (x) I_r) put the stage index first.
-        None for any other rep, or past its depth."""
-        if not isinstance(rep, (TowerRep, KrausRep)) or depth + n > rep.max_depth:
+        I_(k^n) (x) a (x) I_R for a at ``depth``, since a ``KrausRep`` (x (x)
+        I_r) puts the stage index first.  None for any other rep, or past
+        its depth."""
+        if not isinstance(rep, KrausRep) or depth + n > rep.max_depth:
             return None
         k = self.tower.k
         return k ** n, k ** depth, rep.dim // k ** (depth + n)
@@ -429,5 +403,4 @@ def shift_down_pair(tower: ShiftTower, depth: int, multiplicity: int,
     r = np.kron(np.eye(rest, dtype=complex), vv.reshape(k, 1)) \
         @ np.kron(uu.conj().reshape(1, k), np.eye(rest, dtype=complex))
     t = scale * np.kron(r, np.eye(multiplicity, dtype=complex))
-    system = TowerSystem(tower)
-    return covariant_pair(system, rep, t, depth=depth - 1, tol=tol)
+    return covariant_pair(rep.system, rep, t, depth=depth - 1, tol=tol)

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import covdilate.cli as cli_mod
 import covdilate.covariant as covariant_mod
 import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
@@ -25,8 +26,8 @@ from covdilate.extension import coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, residual,
                                 spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
-from covdilate.tower import (ShiftTower, TowerRep, TowerSystem, alpha_hom,
-                             shift_alpha)
+from covdilate.tower import (ShiftTower, TowerSystem, alpha_hom, shift_alpha,
+                             standard_rep)
 
 from conftest import random_element
 from test_cpmaps import transpose_map
@@ -334,7 +335,7 @@ def test_tower_rep_and_shift_keep_kron_entries():
     tower = ShiftTower(3, 3)
     x = tower.element(1, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     assert np.array_equal(shift_alpha(x).mat, np.kron(np.eye(3), x.mat))
-    rep = TowerRep(tower, 2, 2)
+    rep = standard_rep(tower, 2, 2)
     assert np.array_equal(rep(x), np.kron(np.kron(x.mat, np.eye(3)), np.eye(2)))
 
 
@@ -352,13 +353,13 @@ def test_check_verifies_tower_representation_at_pair_depth(monkeypatch):
     scenario = build_scenario(data)
     assert scenario.pair.depth == 3
     seen = []
-    real_view = TowerRep.view
+    real_view = cli_mod.stage_view
 
-    def recording_view(self, depth):
+    def recording_view(system, rep, depth):
         seen.append(depth)
-        return real_view(self, depth)
+        return real_view(system, rep, depth)
 
-    monkeypatch.setattr(TowerRep, "view", recording_view)
+    monkeypatch.setattr(cli_mod, "stage_view", recording_view)
     report = run(scenario, "check")
     assert seen == [3]
     assert report["passed"]

@@ -73,13 +73,14 @@ def test_commands_reuse_the_load_certificates(name, monkeypatch):
     finite = scenario.backend == "finite-dim"
     held = {id(scenario.system.alpha), id(scenario.pair.rep.hom)} if finite else set()
     calls = _counting(monkeypatch)
-    for command in COMMANDS:
+    # check runs twice: the second reuses the tower's stage certificates
+    for command in ("check",) + COMMANDS:
         report = run(scenario, command, other if command == "compare" else None)
         assert report["passed"], (name, command)
     assert calls["endomorphism"] == calls["covariance"] == calls["strategy"] == 0, calls
     assert calls["verify_transfer"] == calls["verify_completely_positive"] == 0, calls
-    # the tower's check certifies its stage view of pi and the shift's stage
-    # map afresh: load computes neither
+    # the tower's first check certifies its stage view of pi and the shift's
+    # stage map, held by the rep and the system: load computes neither
     assert not held & {id(h) for h in calls["star-hom"]}, name
     assert len(calls["star-hom"]) == (0 if finite else 2), name
 

@@ -34,7 +34,7 @@ from covdilate.extension import (_defect_invariance, coisometric_extend,
                                  defect_decomposition, verify_coisometric_extension)
 from covdilate.numerics import DEFAULT_TOL, UpperBound, commutant_bound, residual
 from covdilate.scenario import build_scenario
-from covdilate.tower import ShiftTower, TowerRep, TowerSystem
+from covdilate.tower import ShiftTower, TowerSystem, standard_rep
 
 from conftest import make_tower_case
 from dense_oracle import RotatedRep
@@ -175,7 +175,7 @@ def test_bound_covers_the_exact_value_on_random_tower_subspaces(k, top, mult, kr
     system = TowerSystem(tower)
     dim = k ** top * mult
     rep = KrausRep(system, top, KrausDilation((mult,), np.zeros((dim, 1)))) if kraus \
-        else TowerRep(tower, top, mult)
+        else standard_rep(tower, top, mult)
     rng = np.random.default_rng(seed)
     for d in range(top):
         factors = system.shift_factors(rep, d)

@@ -3,7 +3,7 @@
 Every adapted level above the first dilates phi_k = pi_hat_(k-1) o tau with
 the same transfer, and the package composes its minimal dilation from the
 Kraus form of tau (``cpmaps.KrausTransfer``) instead of eigendecomposing the
-Choi blocks of phi_k.  Here the composition rule is checked on random finite
+Choi blocks of phi_k; so does level 0 on the tower, whose pi is a KrausRep.  Here the composition rule is checked on random finite
 maps against the dense Choi route, whole chains are certified equivalent to
 the chains of the Choi route (``dense_oracle.choi_route_chain``), the
 invariance gate of every level, ||(I - B B*) rho(a) B|| through the frame
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import (FiniteDimSystem, frame_rank,
+from covdilate.covariant import (FiniteDimSystem, covariant_pair, frame_rank,
                                  invariance_residual, span_frame)
 from covdilate.cpmaps import (CPMap, KrausDilation, KrausRep, choi_cut,
                               kraus_dilation, transfer_kraus,
@@ -178,13 +178,36 @@ def test_adapted_extend_solves_no_eigenproblem_larger_than_choi_of_tau(monkeypat
 
 
 def test_one_transfer_eigensolve_serves_every_level(monkeypatch):
-    # three levels on the rep_depth = 2 tower: level 0 and the transfer's
-    # Kraus form each solve one Choi matrix of side 4 * 4, the levels above
-    # solve none
+    # three levels on the rep_depth = 2 tower: pi is a KrausRep of the
+    # working stage, so every level, level 0 included, is composed from the
+    # one Kraus form of the transfer, whose Choi matrix of side 4 * 4 is the
+    # chain's only eigensolve of that side
     case = make_tower_case(np.random.default_rng(8), 91, rep_depth=2, n_levels=3)
     stage = case.pair.system.tower.stage_dim(case.pair.depth + 1)
     sides = _eigh_sides(monkeypatch)
     chain = coisometric_extend(case.pair, 3, case.strategy)
-    forms = {id(lv.ext.kraus) for lv in chain.levels[1:]}
-    assert len(forms) == 1 and None not in {lv.ext.kraus for lv in chain.levels[1:]}
-    assert sides.count(stage * stage) == 2, sides
+    forms = {id(lv.ext.kraus) for lv in chain.levels}
+    assert len(forms) == 1 and None not in {lv.ext.kraus for lv in chain.levels}
+    assert sides.count(stage * stage) == 1, sides
+
+
+def test_a_rep_deeper_than_the_working_stage_composes_every_level():
+    """pi at depth 3, re-paired at check depth 1, so the working stage is 2:
+    level 0's Kraus form targets pi's stage and the levels above target the
+    working stage, one form each, and the chain is the Choi route's."""
+    case = make_tower_case(np.random.default_rng(9), 92, rep_depth=3, n_levels=2)
+    deep = covariant_pair(case.pair.system, case.pair.rep, case.pair.contraction, depth=1)
+    assert deep.rep.depth == 3 and deep.system.stinespring_depth(deep.depth) == 2
+    chain = coisometric_extend(deep, 3, case.strategy, DEFAULT_TOL, 5)
+    assert chain.n_levels == 3
+    assert None not in {lv.ext.kraus for lv in chain.levels}
+    level0, *above = [lv.ext.kraus for lv in chain.levels]
+    assert level0.target_sizes == (8,) and {id(k) for k in above} == {id(above[0])}
+    assert above[0].target_sizes == (4,)
+    assert verify_coisometric_extension(chain).passed
+    assert defect_decomposition(chain).report.passed
+    oracle = dense_oracle.choi_route_chain(deep, 3, case.strategy, DEFAULT_TOL, 5)
+    assert chain.block_dims == oracle.block_dims
+    assert _multiplicities(chain) == _multiplicities(oracle)
+    cert = chain_intertwiner(chain, oracle)
+    assert cert.verdict == "equivalent", cert.residuals

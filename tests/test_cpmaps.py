@@ -147,12 +147,13 @@ def test_stinespring_requires_unital():
 def test_stinespring_tower_view_compression():
     # pi o tau on a depth-fixed tower view: the compression along the shift
     # recovers pi, and the range projection commutes with the shifted image
+    from covdilate.covariant import stage_view
     from covdilate.tower import (ShiftTower, TowerTransfer, standard_rep,
                                  state_density)
     tower = ShiftTower(2, 3)
     rep = standard_rep(tower, 2)
     tau = TowerTransfer(tower, state_density(tower, "trace"))
-    pi_view = rep.view(1)
+    pi_view = stage_view(rep.system, rep, 1)
     phi = compose_rep(pi_view, tau.as_cpmap(2))
     data = stinespring_minimal(phi)
     assert data.minimal and data.isometry_residual <= 1e-12

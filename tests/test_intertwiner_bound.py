@@ -49,7 +49,7 @@ from covdilate.numerics import (DEFAULT_TOL, BlockOperator, UpperBound, basis_sw
                                 intertwiner_bound)
 from covdilate.report import ClauseReport
 from covdilate.scenario import Scenario, build_scenario
-from covdilate.tower import ShiftTower, TowerRep, TowerSystem
+from covdilate.tower import ShiftTower, TowerSystem, standard_rep
 
 from conftest import make_tower_case
 from test_commutant_bound import FIXTURES, TOWER_DEEP
@@ -342,7 +342,7 @@ def test_perturbations_get_the_exact_failing_value(drift, monkeypatch):
        seed=st.integers(0, 2 ** 16))
 def test_bound_covers_random_operators_between_unequal_leaves(k, d, rows, cols, restrict,
                                                               drift, seed):
-    """tau and sigma direct sums of TowerReps of multiplicities 1 or 2, each
+    """tau and sigma direct sums of standard reps of multiplicities 1 or 2, each
     part shifted once or not, so the leaves (m, R) differ; sigma restricted
     to a random isometry or not.  X is an intertwiner of the lifted forms
     pulled back, plus ``drift`` times a Gaussian."""
@@ -351,8 +351,8 @@ def test_bound_covers_random_operators_between_unequal_leaves(k, d, rows, cols, 
     rng = np.random.default_rng(seed)
 
     def direct_sum(spec):
-        return DirectSumRep(tuple(ShiftedRep(TowerRep(tower, d + 2, m), system, 1) if shift
-                                  else TowerRep(tower, d + 1, m) for m, shift in spec))
+        return DirectSumRep(tuple(ShiftedRep(standard_rep(tower, d + 2, m), system, 1) if shift
+                                  else standard_rep(tower, d + 1, m) for m, shift in spec))
 
     tau, sigma = direct_sum(rows), direct_sum(cols)
     if restrict:

@@ -28,7 +28,7 @@ from covdilate.cpmaps import KrausDilation, KrausRep
 from covdilate.extension import coisometric_extend, verify_coisometric_extension
 from covdilate.numerics import DEFAULT_TOL, basis_sweep, block_slices
 from covdilate.scenario import build_scenario
-from covdilate.tower import ShiftTower, TowerRep, TowerSystem
+from covdilate.tower import ShiftTower, TowerSystem, standard_rep
 
 from test_commutant_bound import FIXTURES, TOWER_DEEP
 from test_kraus_coordinates import _deep_case
@@ -95,13 +95,13 @@ def _lift(form, dim):
 
 def test_factor_forms_give_the_images():
     """rep(alpha^n(a)) = B* F(a) B over the matrix units a at depth d, for a
-    TowerRep, a KrausRep, their shifts, a restriction of a direct sum and a
+    standard rep, a KrausRep, their shifts, a restriction of a direct sum and a
     direct sum holding a restriction; None past a rep's depth."""
     rng = np.random.default_rng(5)
     for k, d in ((2, 2), (2, 3), (3, 2)):
         tower = ShiftTower(k, d + 2)
         system = TowerSystem(tower)
-        tower_rep = TowerRep(tower, d + 1, 2)
+        tower_rep = standard_rep(tower, d + 1, 2)
         kraus = KrausRep(system, d + 2, KrausDilation((3,), np.zeros((k ** (d + 2) * 3, 1))))
         both = DirectSumRep((tower_rep, kraus))
         basis = haar_unitary(both.dim, rng)[:, :7]

@@ -183,6 +183,8 @@ def test_cli_invalid_tol_override_is_validation_error(tmp_path):
     ("scalar", "blocks", [0]),
     ("tower", "size_cap", "big"),
     ("tower", "pair", {"scale": "x"}),
+    ("scalar", "seed", -1),
+    ("tower", "seed", -3),
 ])
 def test_malformed_field_is_schema_error(tmp_path, fixture, field, value):
     data = demo_fixture(fixture)
@@ -332,6 +334,20 @@ def test_cli_overrides(tmp_path):
     report = json.loads(out.read_text())
     assert report["scenario"]["levels"] == 2
     assert len(report["dimensions"]["blocks"]) == 3
+
+
+def test_cli_overrides_reach_both_compare_scenarios(tmp_path):
+    # --levels applies to --other too, so two three-level fixtures compare
+    # as two-level chains instead of failing on unequal levels
+    fixtures = Path(__file__).parent / "fixtures"
+    out = tmp_path / "r.json"
+    assert main(["compare", "--scenario", str(fixtures / "tower-levels.json"),
+                 "--other", str(fixtures / "tower-levels-reseeded.json"),
+                 "--levels", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["chains"]["verdict"] == "equivalent"
+    assert len(report["dimensions"]["first_blocks"]) == 3
+    assert len(report["dimensions"]["second_blocks"]) == 3
 
 
 def test_every_clause_has_residual_and_nothing_silent():

@@ -28,7 +28,7 @@ from covdilate.extension import (coisometric_extend, defect_decomposition,
                                  verify_coisometric_extension)
 from covdilate.numerics import block_diag
 from covdilate.scenario import build_scenario, demo_fixture
-from covdilate.tower import GradedElement, ShiftTower, TowerRep, alpha_hom
+from covdilate.tower import GradedElement, ShiftTower, alpha_hom
 
 from dense_oracle import RotatedRep
 from test_basis_sweep import _projector_invariance
@@ -82,9 +82,6 @@ def oracle(rep, x):
     """rep(x) for one element, composed from np.kron and block_diag."""
     if isinstance(rep, Representation):
         return rep.hom(x).blocks[0]
-    if isinstance(rep, TowerRep):
-        pad = rep.tower.k ** (rep.top_depth - x.depth)
-        return np.kron(np.kron(x.mat, np.eye(pad)), np.eye(rep.multiplicity))
     if isinstance(rep, KrausRep):
         blocks = _dilated_blocks(rep.system, x, rep.depth)
         return block_diag([np.kron(b, np.eye(r))
@@ -143,8 +140,8 @@ def test_images_match_per_element_reference(corpus, built_chains, proper_defect)
             _assert_images_match(pair.system, rep, rng, pair.depth)
             kinds |= _classes(rep)
         if pair.system.is_tower:
-            _assert_images_match(pair.system, pair.rep, rng)   # TowerRep
-    assert {"Representation", "TowerRep", "KrausRep", "RotatedRep", "RestrictedRep",
+            _assert_images_match(pair.system, pair.rep, rng)   # standard_rep
+    assert {"Representation", "KrausRep", "RotatedRep", "RestrictedRep",
             "ShiftedRep", "DirectSumRep"} <= kinds
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covdilate.algebra import range_subalgebra_basis, verify_star_hom
+from covdilate.covariant import stage_view
 from covdilate.cpmaps import verify_completely_positive, verify_transfer
 from covdilate.errors import DepthExceeded, DepthZero, SizeCap
 from covdilate.numerics import spectral_norm
@@ -104,7 +105,7 @@ def test_standard_rep_compatibility_and_commutant():
     assert rep.dim == 8
     x = rand_elem(1, 5)
     assert np.allclose(rep(x), rep(embed(x, 2)))
-    assert verify_star_hom(rep.view(2).hom).passed
+    assert verify_star_hom(stage_view(rep.system, rep, 2).hom).passed
     # oracle: brute-force commutant of pi(A_2) has dimension m^2
     h = rep.dim
     rows = []

@@ -19,7 +19,9 @@ computed in its multiplicity spaces.  The adapted step of a ``KrausRep``
 (every chain level above the first, and level 0 on the tower, whose
 ``standard_rep`` is one) is composed from the Kraus form of the transfer
 (:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi blocks of
-rep o tau.  Both backends (finite-dimensional
+rep o tau; the system builds that form (``transfer_kraus``), the finite
+backend from the Choi blocks of tau and the tower in closed form from the
+density of its state.  Both backends (finite-dimensional
 algebras and the graded tensor tower) drive the same engine through a small
 system protocol: ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``,
 ``coord_blocks`` and friends.  The engine evaluates on coordinate rows: a
@@ -141,6 +143,11 @@ class FiniteDimSystem:
         if not isinstance(e, CPMap):
             raise StrategyInvalid("finite backend expects the expectation as a CPMap")
         return e, self.alpha
+
+    def transfer_kraus(self, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
+        """The Kraus form of tau, by the Choi route
+        (:func:`~covdilate.cpmaps.transfer_kraus`)."""
+        return transfer_kraus(self, tau, depth, at, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +838,7 @@ def _stinespring_step(system, rep, tau, working, tol, kraus):
     Kraus form) from the Choi blocks of rep o tau."""
     if isinstance(rep, KrausRep):
         if kraus is None:
-            kraus = transfer_kraus(system, tau, working, rep.depth, tol)
+            kraus = system.transfer_kraus(tau, working, rep.depth, tol)
         return kraus.compose(rep), kraus
     view = system.algebra_view(working)
     phi_units = transfer_images(system, rep, tau, working)

@@ -285,7 +285,7 @@ def kraus_dilation(source: FiniteDimCStarAlgebra, chois,
         _hermiticity_gate(hermitian_residual(c, tol.residual_tol), tol)
     if spectra is None:
         spectra = choi_spectra(mats)
-    cut = choi_cut(spectra, tol)
+    cut = choi_cut(choi_edges(spectra), tol)
     rows = [kraus_block(n, h, vals, vecs, cut) for n, (vals, vecs) in zip(sizes, spectra)]
     return KrausDilation(tuple(r.shape[1] for r in rows),
                          np.vstack([r.reshape(n * r.shape[1], h) for n, r in zip(sizes, rows)]))
@@ -296,18 +296,32 @@ def _hermiticity_gate(herm_res: float, tol: Tolerance) -> None:
         raise NotCP(f"Choi matrix is not hermitian (residual {herm_res:.3e})")
 
 
-def choi_cut(spectra, tol: Tolerance = DEFAULT_TOL) -> float:
+def choi_edges(spectra) -> tuple[float, float]:
+    """``(low, top)``: the lowest and the largest eigenvalue over the Choi
+    spectra ``spectra`` (pairs from :func:`choi_spectra`), 0.0 included."""
+    vals = [v for v, _ in spectra if v.size]
+    return (min([float(v[0]) for v in vals] + [0.0]),
+            max([float(v[-1]) for v in vals] + [0.0]))
+
+
+def choi_cut(edges, tol: Tolerance = DEFAULT_TOL) -> float:
     """The positivity gate and the eigenvalue cutoff of :func:`kraus_dilation`
-    over the Choi spectra ``spectra`` (pairs from :func:`choi_spectra`):
-    raises :class:`NotCP` on an eigenvalue below ``-psd_floor (1 + top)``
-    and returns ``rank_eps max(top, rank_eps)``."""
-    top = max([float(vals[-1]) for vals, _ in spectra if vals.size] + [0.0])
+    on the spectral edges ``(low, top)`` of the Choi blocks
+    (:func:`choi_edges`): raises :class:`NotCP` when ``low`` is below
+    ``-psd_floor (1 + top)`` and returns ``rank_eps max(top, rank_eps)``."""
+    low, top = edges
     # large Choi blocks accumulate eigenvalue noise proportional to their norm
     floor = tol.psd_floor * (1.0 + top)
-    low = min([float(vals[0]) for vals, _ in spectra if vals.size] + [0.0])
     if low < -floor:
         raise NotCP(f"Choi eigenvalue {low:.3e} below -{floor:.3e}")
     return tol.rank_eps * max(top, tol.rank_eps)
+
+
+def least_cut(edges, tol: Tolerance = DEFAULT_TOL) -> float:
+    """The least cutoff :meth:`KrausTransfer.compose` can take over
+    components with the spectral edges ``edges``: its top is at least the
+    smallest component top."""
+    return tol.rank_eps * max(min(top for _, top in edges), tol.rank_eps)
 
 
 def kraus_block(n: int, h: int, vals, vecs, cut: float) -> np.ndarray:
@@ -481,18 +495,32 @@ class KrausTransfer:
     any :class:`KrausRep` pi_hat of the target (:meth:`compose`).
 
     Each component psi_c: A -> M_{n_c} has the Choi blocks C_bc =
-    [psi_c(E^b_pq)]_pq of side n_b n_c.  They are gated and eigendecomposed
-    once (``hermiticity`` and ``spectra``, indexed [c][b]); a chain dilates
-    phi_k = pi_hat_(k-1) o psi at every level k >= 1 with the same psi
-    (the transfer tau, followed on the tower by the embedding into the
-    level's stage), so one eigensolve of side n_b n_c serves every level,
-    and on the tower level 0 too, whose pi is a KrausRep (a pi deeper than
-    the working stage takes a form of its own).
+    [psi_c(E^b_pq)]_pq of side n_b n_c.  A chain dilates phi_k = pi_hat_(k-1)
+    o psi at every level k >= 1 with the same psi (the transfer tau,
+    followed on the tower by the embedding into the level's stage), so one
+    Kraus form serves every level, and on the tower level 0 too, whose pi is
+    a KrausRep (a pi deeper than the working stage takes a form of its own).
+    The form holds the gate numbers of the C_bc and their kept Kraus data,
+    not their spectra:
+
+    * ``hermiticity[c][b]``: :func:`~covdilate.numerics.hermitian_residual`
+      of C_bc against ``residual_tol``;
+    * ``edges[c]``: :func:`choi_edges` over the C_bc of component c;
+    * ``kraus[c][b]``: the eigenvalues of C_bc above :func:`least_cut` of
+      all the edges, in decreasing order, with the (n_b, m, n_c) rows of
+      their Kraus vectors (:func:`kraus_block`).  Every cutoff of
+      :meth:`compose` is at least that one, so what it keeps is a prefix.
+
+    :func:`transfer_kraus` reads them off the eigendecomposed Choi blocks
+    (the finite backend); on the tower the Choi block of tau_phi is rho^T
+    (x) n Omega Omega* (x) I_M, and ``TowerSystem.transfer_kraus`` takes all
+    three from one k x k ``eigh`` of the density rho (see :mod:`~covdilate.tower`),
+    with the Choi route kept as its test oracle.
 
     Composition rule.  Let pi_hat(y) = directsum_c y_c x I_{r_c} on C^h,
     h = sum_c n_c r_c, and let W_c: C^{n_c} -> directsum_b
-    C^{n_b} x C^{m_bc} be the Kraus dilation of psi_c (:func:`kraus_block`
-    of its spectra, under the cutoff below), rho_c(x) = directsum_b x_b x
+    C^{n_b} x C^{m_bc} be the Kraus dilation of psi_c (the rows
+    ``kraus[c][b]`` above the cutoff below), rho_c(x) = directsum_b x_b x
     I_{m_bc}.  Then psi_c(x) x I_{r_c} = (W_c x I)* (rho_c(x) x I) (W_c x I),
     so with V = directsum_c W_c x I_{r_c} and P the permutation of the rows
     ((c, b, p, s), t) to the block-major Kraus coordinates (b, p, (c, s, t)),
@@ -504,12 +532,13 @@ class KrausTransfer:
       directsum_c C_bc x I_{r_c} up to a permutation of its rows and
       columns, a unitary similarity of side n_b h.  Hence its
       spectrum is that of the C_bc with r_c > 0, each value repeated r_c
-      times: :func:`choi_cut` on those spectra is the positivity gate and
-      the cutoff of :func:`kraus_dilation` on Choi_b(phi), the same decision
-      up to eigenvalue round-off.  In particular the global top is the top
-      over the components with r_c > 0 (a component holding a larger value
-      but r_c = 0 does not enter), so the keep set, every m_b and the
-      dilation dimension are those of the Choi route.  The spectral norm is
+      times: :func:`choi_cut` on the edges of those components is the
+      positivity gate and the cutoff of :func:`kraus_dilation` on
+      Choi_b(phi), the same decision up to eigenvalue round-off.  In
+      particular the global top is the top over the components with r_c > 0
+      (a component holding a larger value but r_c = 0 does not enter), so
+      the keep set, every m_b and the dilation dimension are those of the
+      Choi route.  The spectral norm is
       unitarily invariant and takes the max over a direct sum, so
       ||Choi_b(phi) - Choi_b(phi)*|| / (1 + ||Choi_b(phi)||) = max_c ||C_bc -
       C_bc*|| / (1 + max_c ||C_bc||) <= max_c hermitian_residual(C_bc) over
@@ -534,7 +563,8 @@ class KrausTransfer:
     source: FiniteDimCStarAlgebra
     target_sizes: tuple[int, ...]
     hermiticity: tuple     # [c][b]: hermitian residual of C_bc
-    spectra: tuple         # [c][b]: choi_spectra of C_bc
+    edges: tuple           # [c]: choi_edges of the C_bc
+    kraus: tuple           # [c][b]: (decreasing eigenvalues, Kraus rows) of C_bc
     tol: Tolerance
 
     def compose(self, rep: KrausRep) -> KrausDilation:
@@ -548,17 +578,19 @@ class KrausTransfer:
         for c, *_ in live:
             for herm_res in self.hermiticity[c]:
                 _hermiticity_gate(herm_res, self.tol)
-        cut = choi_cut([sp for c, *_ in live for sp in self.spectra[c]], self.tol)
+        edges = [self.edges[c] for c, *_ in live]
+        cut = choi_cut((min((low for low, _ in edges), default=0.0),
+                        max((top for _, top in edges), default=0.0)), self.tol)
         rows, mults = [], []
         for b, n in enumerate(self.source.block_sizes):
             parts = [np.zeros((n, 0, h), dtype=complex)]
             for c, n_c, r_c, s in live:
                 # W_c x I_{r_c} on block b, rows (p, s, t), scattered into
                 # the Kraus coordinates s of component c
-                w_c = kraus_block(n, n_c, *self.spectra[c][b], cut)
-                m = w_c.shape[1]
+                vals, w_c = self.kraus[c][b]
+                m = np.count_nonzero(vals > cut)
                 part = np.zeros((n * m * r_c, h), dtype=complex)
-                part[:, s] = kron_eye(w_c.reshape(n * m, n_c), r_c)
+                part[:, s] = kron_eye(w_c[:, :m].reshape(n * m, n_c), r_c)
                 parts.append(part.reshape(n, m * r_c, h))
             block = np.concatenate(parts, axis=1)
             mults.append(block.shape[1])
@@ -567,18 +599,26 @@ class KrausTransfer:
 
 
 def transfer_kraus(system, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
-    """The :class:`KrausTransfer` of psi: tau on the basis at ``depth``,
-    its values taken as elements of the algebra at depth ``at`` (the
-    system's embedding on the tower).  ``tau.rows`` gives the values on the
-    matrix units and ``system.coord_blocks`` their block stacks."""
+    """The :class:`KrausTransfer` of psi by the Choi route: tau on the basis
+    at ``depth``, its values taken as elements of the algebra at depth
+    ``at`` (the system's embedding on the tower), and one ``eigh`` per Choi
+    block.  ``tau.rows`` gives the values on the matrix units and
+    ``system.coord_blocks`` their block stacks.  The finite backend takes
+    this route; on the tower it is the oracle of the closed form."""
     source = system.algebra_view(depth)
     values, value_depth = tau.rows(np.eye(source.dim, dtype=complex), depth)
     blocks = system.coord_blocks(values, value_depth, at)
     chois = [unit_image_chois(source, stack, stack.shape[-1]) for stack in blocks]
-    return KrausTransfer(source, tuple(stack.shape[-1] for stack in blocks),
-                         tuple(tuple(hermitian_residual(c, tol.residual_tol) for c in cs)
-                               for cs in chois),
-                         tuple(tuple(choi_spectra(cs)) for cs in chois), tol)
+    spectra = [choi_spectra(cs) for cs in chois]
+    edges = tuple(choi_edges(sp) for sp in spectra)
+    floor = least_cut(edges, tol)
+    kraus = tuple(tuple((vals[vals > floor][::-1], kraus_block(n, h, vals, vecs, floor))
+                        for n, (vals, vecs) in zip(source.block_sizes, sp))
+                  for sp, h in zip(spectra, (stack.shape[-1] for stack in blocks)))
+    return KrausTransfer(
+        source, tuple(stack.shape[-1] for stack in blocks),
+        tuple(tuple(hermitian_residual(c, tol.residual_tol) for c in cs) for cs in chois),
+        edges, kraus, tol)
 
 
 def stinespring_gram(source: FiniteDimCStarAlgebra, phi_unit_images,

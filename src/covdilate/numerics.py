@@ -182,8 +182,10 @@ _M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES = -1, 1 << 26
 _M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES = -3, 1 << 25
 
 
+@functools.cache
 def keep_sweep_memory() -> None:
-    """Let the C heap keep the memory that sweeps free (glibc only).
+    """Let the C heap keep the memory that sweeps free (glibc only), once
+    per process: later calls return at once, with no new ``CDLL``.
 
     A sweep frees its whole chunk before it builds the next.  glibc returns
     the top of its heap to the kernel once more than its trim threshold is

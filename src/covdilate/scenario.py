@@ -124,16 +124,20 @@ class Scenario:
 
 
 def load_scenario(path: str, tol_override: Optional[float] = None) -> Scenario:
+    return build_scenario(read_scenario(path), tol_override)
+
+
+def read_scenario(path: str):
+    """The parsed JSON of a scenario file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return build_scenario(data, tol_override)
 
 
 def build_scenario(data, tol_override: Optional[float] = None) -> Scenario:

@@ -11,21 +11,62 @@ Every construction engine sees the tower through the same protocol as the
 finite backend, with depth bookkeeping: each application of the dynamics
 consumes one depth unit, and constructors validate their depth budget up
 front.
+
+The transfer's Kraus form in closed form.  Let rho be the k x k density
+of phi, n = k^(depth - 1), and psi = tau_phi from the stage ``depth``
+with its values embedded at the stage ``at``, M = k^(at - depth + 1)
+(:meth:`TowerSystem.transfer_kraus`).  The matrix units of M_k (x) M_n are
+E_(a i)(b j) = e_a e_b^T (x) e_i e_j^T, and
+
+    psi(E_(a i)(b j)) = (phi(e_a e_b^T) e_i e_j^T) (x) I_M
+                      = rho_ba e_i e_j^T (x) I_M.
+
+So the Choi matrix [psi(E_PQ)]_PQ, with row (P, s) = ((a, i), (i', mu)),
+has the entry rho_ba delta_ii' delta_jj' delta_mu nu at ((a, i, i', mu),
+(b, j, j', nu)): in the Kronecker order (a, i, i', mu) of its rows it is
+
+    Choi(psi) = rho^T (x) n Omega Omega* (x) I_M,
+    Omega = n^(-1/2) sum_i e_i (x) e_i,
+
+the fixed permutation being the identity in these coordinates.  Every gate
+of :func:`~covdilate.cpmaps.kraus_dilation` is then a number of rho:
+
+* Spectrum.  For the eigenpairs (lambda_l, w_l) of the Hermitian part of
+  rho (the Choi route eigendecomposes the Hermitian part of Choi(psi),
+  which is that of rho, transposed, in the same product), the eigenvalues
+  are n lambda_l, each M times, with the eigenvectors conj(w_l) (x) Omega
+  (x) e_mu, and 0 for the rest of the side k n^2 M.  The lowest and the
+  largest eigenvalue with 0 included (``choi_edges``) are min(n lambda_min,
+  0) and max(n lambda_max, 0), so the positivity gate (below -psd_floor (1
+  + top)) and the cutoff rank_eps max(top, rank_eps) are decided on them.
+  Scaled by sqrt(n lambda_l), the kept eigenvectors give the Kraus rows
+  (conjugated): entry ((a, i), (l, mu), (i', mu')) is sqrt(lambda_l)
+  w_l[a] delta_ii' delta_mu mu', and W* (x (x) I) W = psi(x) for these rows.
+* Hermiticity.  The entries of Choi(psi) are those of rho and zeros, so
+  its largest entry modulus is that of rho; and ||Choi - Choi*||_F = n
+  sqrt(M) ||rho - rho*||_F, ||Choi - Choi*|| = n ||rho - rho*||, ||Choi|| =
+  n ||rho||.  These are the four numbers of its ``hermitian_residual``.
+
+On the two workloads: rho = I/2 at depth 3 into stage 3 gives the four
+eigenvalues 2 at side 64, and rho = I/3 at depth 2 into stage 2 rank 9 at
+side 81.  The Choi route (``cpmaps.transfer_kraus``) stays the oracle of
+this form in the tests.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteDimCStarAlgebra, StarHom
 from .covariant import CovariantPair, covariant_pair
-from .cpmaps import CPMap, KrausDilation, KrausRep
+from .cpmaps import CPMap, KrausDilation, KrausRep, KrausTransfer, least_cut
 from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
                      SizeCap, StrategyInvalid)
-from .numerics import (DEFAULT_TOL, Tolerance, as_matrix, eye_kron, kron_eye,
-                       read_only)
+from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, _canonical_phases, as_matrix,
+                       eye_kron, kron_eye, read_only, spectral_norm)
 
 
 @dataclass(frozen=True)
@@ -138,13 +179,17 @@ def embed(x: GradedElement, depth: int) -> GradedElement:
 
 def _embed_coords(tower: ShiftTower, coords, depth: int, at: int) -> np.ndarray:
     """Coordinate rows at ``depth`` as the (m, k^at, k^at) stack of x (x) 1."""
+    _check_embedding(tower, depth, at)
+    s = tower.stage_dim(depth)
+    x = np.asarray(coords, dtype=complex).reshape(len(coords), s, s)
+    return x if at == depth else kron_eye(x, tower.k ** (at - depth))
+
+
+def _check_embedding(tower: ShiftTower, depth: int, at: int) -> None:
     if at < depth:
         raise DepthExceeded(f"cannot embed depth {depth} into shallower {at}")
     if at > tower.d_max:
         raise DepthExceeded(f"depth {at} exceeds d_max {tower.d_max}")
-    s = tower.stage_dim(depth)
-    x = np.asarray(coords, dtype=complex).reshape(len(coords), s, s)
-    return x if at == depth else kron_eye(x, tower.k ** (at - depth))
 
 
 def shift_alpha(x: GradedElement) -> GradedElement:
@@ -378,6 +423,42 @@ class TowerSystem:
         if not isinstance(e, TowerExpectation):
             raise StrategyInvalid("tower backend expects a TowerExpectation")
         return e.as_cpmap(depth), alpha_hom(self.tower, depth - 1)
+
+    def transfer_kraus(self, tau, depth: int, at: int,
+                       tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
+        """The Kraus form of tau_phi from the stage ``depth``, its values
+        embedded at the stage ``at``, in closed form from one k x k ``eigh``
+        of the density (module docstring): no Choi matrix is formed."""
+        if not isinstance(tau, TowerTransfer):
+            raise StrategyInvalid("tower backend expects a TowerTransfer")
+        if depth < 1:
+            raise DepthZero("transfer operators are undefined at depth 0")
+        _check_embedding(self.tower, depth - 1, at)
+        k, rho = self.tower.k, tau.density
+        n, m = k ** (depth - 1), k ** (at - depth + 1)
+        vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+        edges = (min(n * float(vals[0]), 0.0), max(n * float(vals[-1]), 0.0))
+        keep = n * vals > least_cut((edges,), tol)
+        lam = vals[keep][::-1]
+        kraus = _canonical_phases(vecs[:, keep][:, ::-1]) * np.sqrt(lam)
+        # rows ((a, i), (l, mu), (i', mu')): sqrt(lambda_l) w_l[a] delta_ii' delta_mu mu'
+        rows = np.einsum("al,ij,uv->ailujv", kraus, np.eye(n), np.eye(m))
+        return KrausTransfer(
+            self.tower.stage(depth), (n * m,),
+            ((_choi_hermiticity(rho, n, m, tol.residual_tol),),), (edges,),
+            (((np.repeat(n * lam, m), rows.reshape(k * n, lam.size * m, n * m)),),), tol)
+
+
+def _choi_hermiticity(rho, n: int, m: int, threshold: float) -> float:
+    """``hermitian_residual(C, threshold)`` of C = rho^T (x) n Omega Omega*
+    (x) I_m from rho alone (module docstring): the Frobenius bound ||C -
+    C*||_F / (1 + the largest entry modulus), and above ``threshold`` the
+    exact ||C - C*|| / (1 + ||C||)."""
+    skew = rho - rho.conj().T
+    bound = n * math.sqrt(m) * float(np.linalg.norm(skew)) / (1.0 + float(np.abs(rho).max()))
+    if bound <= threshold:
+        return UpperBound(bound)
+    return n * spectral_norm(skew) / (1.0 + n * spectral_norm(rho))
 
 
 def shift_down_pair(tower: ShiftTower, depth: int, multiplicity: int,

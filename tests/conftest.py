@@ -116,12 +116,12 @@ def make_finite_case(rng, idx: int, unitary_t: bool = False) -> Case:
 
 
 def make_tower_case(rng, idx: int, rep_depth: int = 2, n_levels: int = 1,
-                    phi="trace", mult: int = 1) -> Case:
+                    phi="trace", mult: int = 1, k: int = 2) -> Case:
     depth = rep_depth - 1
     d_max = depth + n_levels + 1
-    tower = ShiftTower(2, max(d_max, depth + 1 + 1), 256)
-    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    tower = ShiftTower(k, max(d_max, depth + 1 + 1), 256)
+    u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     scale = float(rng.uniform(0.4, 1.0))
     pair = shift_down_pair(tower, rep_depth, mult, scale, u, v)
     tau = TowerTransfer(tower, state_density(tower, phi))

@@ -3,12 +3,14 @@
 Every adapted level above the first dilates phi_k = pi_hat_(k-1) o tau with
 the same transfer, and the package composes its minimal dilation from the
 Kraus form of tau (``cpmaps.KrausTransfer``) instead of eigendecomposing the
-Choi blocks of phi_k; so does level 0 on the tower, whose pi is a KrausRep.  Here the composition rule is checked on random finite
-maps against the dense Choi route, whole chains are certified equivalent to
-the chains of the Choi route (``dense_oracle.choi_route_chain``), the
-invariance gate of every level, ||(I - B B*) rho(a) B|| through the frame
-kernel, is recomputed with the dense complement of its defect basis, and an adapted tower extend is held to eigensolves no
-larger than the Choi matrix of tau.
+Choi blocks of phi_k; so does level 0 on the tower, whose pi is a KrausRep.
+Here the composition rule is checked on random finite maps against the
+dense Choi route, whole chains are certified equivalent to the chains of
+the Choi route (``dense_oracle.choi_route_chain``), the invariance gate of
+every level, ||(I - B B*) rho(a) B|| through the frame kernel, is
+recomputed with the dense complement of its defect basis, and an adapted
+tower extend is held to eigensolves no larger than the Choi matrix of tau,
+with the transfer's one eigensolve that of its k x k density.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def test_composition_rule_is_the_choi_route(blocks, kraus, mults, drop_top, seed
     system = FiniteDimSystem(algebra, StarHom.identity(algebra))
     tau = random_unital_cp(algebra, kraus, rng)
     form = transfer_kraus(system, tau, None, None)
-    tops = [max(vals[-1] for vals, _ in per_block) for per_block in form.spectra]
+    tops = [top for _, top in form.edges]
     mults = list(mults[:len(blocks)])
     top_c = int(np.argmax(tops))
     if drop_top:
@@ -81,7 +83,7 @@ def test_composition_rule_is_the_choi_route(blocks, kraus, mults, drop_top, seed
         # The map is scaled by 10 (CP, not unital), so that every top stays
         # above rank_eps and the cutoff is rank_eps times the top.
         low = min(vals[vals > 1e-6].min(initial=np.inf)
-                  for c in live for vals, _ in form.spectra[c])
+                  for c in live for vals, _ in form.kraus[c])
         eps = low / np.sqrt(live_top * max(tops))
         tol = Tolerance(eps, max(eps, DEFAULT_TOL.residual_tol), DEFAULT_TOL.psd_floor)
         tau = CPMap(algebra, algebra, 10.0 * tau.matrix)
@@ -94,8 +96,9 @@ def test_composition_rule_is_the_choi_route(blocks, kraus, mults, drop_top, seed
     assert composed.multiplicities == dense.multiplicities
     assert composed.dim == dense.dim
     if edge:
-        cut_all = choi_cut([sp for per_block in form.spectra for sp in per_block], tol)
-        kept_all = tuple(sum(r * np.count_nonzero(form.spectra[c][b][0] > cut_all)
+        cut_all = choi_cut((min(low for low, _ in form.edges),
+                            max(top for _, top in form.edges)), tol)
+        kept_all = tuple(sum(r * np.count_nonzero(form.kraus[c][b][0] > cut_all)
                              for c, r in enumerate(mults)) for b in range(len(blocks)))
         assert kept_all != composed.multiplicities
         return
@@ -180,15 +183,17 @@ def test_adapted_extend_solves_no_eigenproblem_larger_than_choi_of_tau(monkeypat
 def test_one_transfer_eigensolve_serves_every_level(monkeypatch):
     # three levels on the rep_depth = 2 tower: pi is a KrausRep of the
     # working stage, so every level, level 0 included, is composed from the
-    # one Kraus form of the transfer, whose Choi matrix of side 4 * 4 is the
-    # chain's only eigensolve of that side
+    # one Kraus form of the transfer, which the tower builds in closed form
+    # from one eigensolve of the k x k density: none has the side 4 * 4 of
+    # Choi(tau)
     case = make_tower_case(np.random.default_rng(8), 91, rep_depth=2, n_levels=3)
     stage = case.pair.system.tower.stage_dim(case.pair.depth + 1)
     sides = _eigh_sides(monkeypatch)
     chain = coisometric_extend(case.pair, 3, case.strategy)
     forms = {id(lv.ext.kraus) for lv in chain.levels}
     assert len(forms) == 1 and None not in {lv.ext.kraus for lv in chain.levels}
-    assert sides.count(stage * stage) == 1, sides
+    assert sides.count(stage * stage) == 0, sides
+    assert sides.count(case.pair.system.tower.k) == 1, sides
 
 
 def test_a_rep_deeper_than_the_working_stage_composes_every_level():

@@ -477,3 +477,20 @@ def test_mixed_chunk_runs_the_exact_kernel_on_its_fallback_slices(monkeypatch):
     for x in a:
         bound = residual(x, eye, np.inf)
         assert value >= min(bound, residual(x, eye))
+
+
+def test_keep_sweep_memory_sets_the_heap_thresholds_once(monkeypatch):
+    # every cli.run calls it; a CDLL (and its function-pointer class) is
+    # built on the first call of the process only
+    built = []
+    real = numerics_mod.ctypes.CDLL
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics_mod.ctypes, "CDLL", counting)
+    numerics_mod.keep_sweep_memory.cache_clear()
+    for _ in range(5):
+        numerics_mod.keep_sweep_memory()
+    assert len(built) == 1

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import covdilate.covariant as covariant
 from covdilate.cli import main, render_report, run
 from covdilate.errors import ScenarioParseError, ScenarioValidationError
 from covdilate.scenario import (DEMO_NAMES, build_scenario, demo_fixture,
@@ -376,3 +379,75 @@ def test_timing_flag_adds_field():
     sc = build_scenario(demo_fixture("scalar"))
     assert "timing_ms" not in run(sc, "check")
     assert "timing_ms" in run(sc, "check", with_timing=True)
+
+
+def test_overrides_build_each_scenario_once(tmp_path, monkeypatch):
+    # the overrides go into the parsed JSON before the one build, so each
+    # scenario's load gates (pair/covariance among them) run once
+    calls = []
+    real = covariant._covariance
+    monkeypatch.setattr(covariant, "_covariance",
+                        lambda *args: calls.append(1) or real(*args))
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["compare", "--scenario", str(fixtures / "tower-levels.json"),
+                 "--other", str(fixtures / "tower-levels-reseeded.json"),
+                 "--levels", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("content, override, message", [
+    ("{not json", ["--levels", "2"], "invalid JSON at line 1, column 2"),
+    ("[1, 2]", ["--levels", "2"], "scenario must be a JSON object"),
+    (None, ["--levels", "0"], "levels and copies must be >= 1"),
+    (None, ["--copies", "2"], "copies 2 exceed check depth 1"),
+    (None, ["--seed", "-2"], "seed must be >= 0, got -2"),
+])
+def test_override_errors_keep_their_class_message_and_exit_code(tmp_path, capsys, content,
+                                                                 override, message):
+    path = tmp_path / "s.json"
+    path.write_text(content if content is not None else json.dumps(demo_fixture("tower")))
+    assert main(["extend", "--scenario", str(path)] + override) == 2
+    assert message in capsys.readouterr().err
+
+
+def _oracle(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(st.characters(codec=None, exclude_categories=())))
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(st.characters(exclude_categories=()), max_size=6), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"": {}, "a": [], "b": [[], {}], "c": [-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                                              1.7976931348623157e308, 1e22, 1e-7, 1e16]})
+@example({"\x00\x1f\x7f": "\u00e9\u2028\ud800\U0001f600\n\t\"\\", "n": [12345678901234567890]})
+@example({"x": [float("nan"), float("inf"), -float("inf")], "y": (1, True, None)})
+@given(report=st.dictionaries(st.text(max_size=6), _REPORTS, max_size=5))
+def test_report_emitter_is_json_dumps_byte_for_byte(report):
+    assert render_report(report) == _oracle(report)
+
+
+@pytest.mark.parametrize("value", [{1: 0}, {(1,): 0}, {"a": {None: 1}}, {"a": {1, 2}},
+                                   {"a": b"x"}, {"a": np.int64(3)}, {"a": object()}])
+def test_report_emitter_rejects_what_json_writes_differently(value):
+    with pytest.raises(TypeError):
+        render_report(value)
+
+
+def test_report_emitter_on_the_demo_and_the_levels_fixture(tmp_path):
+    fixtures = Path(__file__).parent / "fixtures"
+    levels = load_scenario(str(fixtures / "tower-levels.json"))
+    reports = [run(levels, "check"), run(levels, "dilate")]
+    for name in DEMO_NAMES:
+        sc = build_scenario(demo_fixture(name))
+        reports += [run(sc, command, with_timing=True)
+                    for command in ("check", "extend", "dilate", "unitary", "matricial")]
+    for report in reports:
+        assert render_report(report) == _oracle(report)

@@ -441,7 +441,7 @@ def test_report_emitter_rejects_what_json_writes_differently(value):
         render_report(value)
 
 
-def test_report_emitter_on_the_demo_and_the_levels_fixture(tmp_path):
+def test_report_emitter_on_the_demo_and_the_levels_fixture():
     fixtures = Path(__file__).parent / "fixtures"
     levels = load_scenario(str(fixtures / "tower-levels.json"))
     reports = [run(levels, "check"), run(levels, "dilate")]

@@ -333,26 +333,46 @@ def factor_form(system, rep, depth, shifts: int = 0) -> Optional[tuple]:
     return None if factors is None else (Leaf(*factors, slice(0, rep.dim)),)
 
 
-def relation_bound(system, depth, x, tau, sigma, threshold: float,
-                   shifts: int = 0) -> Optional[UpperBound]:
-    """The clause X sigma(alpha^shifts(a)) = tau(a) X over the basis at
-    ``depth`` valued by :func:`~covdilate.numerics.intertwiner_bound`, when
-    tau and sigma have factor forms there (for a block operator X, direct
-    sums whose parts are its row and column blocks) and the bound is at or
-    below ``threshold``; else None, and :func:`relation_values` sweeps the
-    basis.  The bound holds for the absolute norm of every matrix unit's
-    term, so it also bounds the relative value of a residual."""
-    if isinstance(x, BlockOperator):
-        rows = [factor_form(system, p, depth) for p in tau.parts]
-        cols = [factor_form(system, p, depth, shifts) for p in sigma.parts]
-        forms = rows + cols
-    else:
-        rows, cols = factor_form(system, tau, depth), factor_form(system, sigma, depth, shifts)
-        forms = [rows, cols]
-    if any(form is None for form in forms):
-        return None
-    bound = intertwiner_bound(x, rows, cols)
-    return UpperBound(bound) if bound <= threshold else None
+class _ChunkTerms:
+    """The one rule for the terms of clauses over the basis at ``depth``:
+    :meth:`side` gives rep(alpha^s(a)) X, or X rep(alpha^s(a)) with
+    ``right``, through the frame kernel ``act`` of a
+    :class:`~covdilate.cpmaps.KrausRep` on a dense X or of a
+    :class:`DirectSumRep` whose parts are the row (column) blocks of a block
+    X; any other rep's images are evaluated once per chunk for each (rep,
+    s), shared by every clause of one :func:`~covdilate.numerics.basis_sweep`."""
+
+    def __init__(self, system, depth):
+        self.system, self.depth = system, depth
+        self.held = {}  # what a chunk holds, in order: rep(alpha^s(a)), or alpha^s(a) for rep None
+
+    def _slot(self, rep, s):
+        return self.held.setdefault((id(rep), s), (len(self.held), rep, s))[0]
+
+    def side(self, x, rep, s, right=False):
+        blocks = isinstance(x, BlockOperator)
+        if isinstance(rep, DirectSumRep) and blocks \
+                and tuple(p.dim for p in rep.parts) == (x.cols if right else x.rows) \
+                or isinstance(rep, KrausRep) and not blocks:
+            k = self._slot(None, s)
+            return lambda imgs: rep.act(*imgs[k], x, right)
+        k = self._slot(rep, s)
+        img = (lambda imgs: imgs[k]) if blocks else (lambda imgs: np.asarray(imgs[k]))
+        return (lambda imgs: x @ img(imgs)) if right else (lambda imgs: img(imgs) @ x)
+
+    def _images(self, c):
+        rows = {s: self.system.alpha_coords(c, self.depth, s) if s else (c, self.depth)
+                for _, _, s in self.held.values()}
+        return [rows[s] if rep is None else rep.images(*rows[s])
+                for _, rep, s in self.held.values()]
+
+    def sweep(self, values, clauses, threshold) -> list:
+        # each None of ``values``, in order, takes the value of the next clause
+        if not clauses:
+            return values
+        swept = iter(basis_sweep(self.system.basis_size(self.depth), self._images, *clauses,
+                                 threshold=threshold))
+        return [next(swept) if value is None else value for value in values]
 
 
 def relation_values(system, depth, threshold: float, *relations) -> list:
@@ -360,49 +380,80 @@ def relation_values(system, depth, threshold: float, *relations) -> list:
     ``depth``, one per relation ``(X, tau, sigma, s)``, decided against
     ``threshold``: the one place such a clause is valued.
 
-    A relation whose :func:`relation_bound` is at or below the threshold
-    takes that bound; every other is valued residual(X sigma(alpha^s(a)),
-    tau(a) X) in one shared :func:`~covdilate.numerics.basis_sweep`.  There
-    a :class:`~covdilate.cpmaps.KrausRep` on a dense X, or a
-    :class:`DirectSumRep` whose parts are the row (column) blocks of a
-    block X, acts through its frame kernel (``act``); any other rep's images
-    are evaluated once per chunk for each (rep, s), and shared by every
-    relation of the call."""
-    values = [relation_bound(system, depth, x, tau, sigma, threshold, s)
-              for x, tau, sigma, s in relations]
-    held = {}   # what a chunk holds, in order: rep(alpha^s(a)), or alpha^s(a) for rep None
-
-    def slot(rep, s):
-        return held.setdefault((id(rep), s), (len(held), rep, s))[0]
-
-    def side(x, rep, s, right):
-        # x rep(alpha^s(a)) with ``right``, else rep(alpha^s(a)) x
-        blocks = isinstance(x, BlockOperator)
-        if blocks:
-            acts = isinstance(rep, DirectSumRep) \
-                and tuple(p.dim for p in rep.parts) == (x.cols if right else x.rows)
+    When tau and sigma have factor forms (for a block X, direct sums whose
+    parts are its row and column blocks), the value is
+    :func:`~covdilate.numerics.intertwiner_bound`, if at or below the
+    threshold: it bounds the absolute norm of every matrix unit's term, so
+    also the relative value.  The rest are valued residual(X
+    sigma(alpha^s(a)), tau(a) X) in one sweep (:class:`_ChunkTerms`)."""
+    values = []
+    for x, tau, sigma, s in relations:
+        if isinstance(x, BlockOperator):
+            rows = [factor_form(system, p, depth) for p in tau.parts]
+            cols = [factor_form(system, p, depth, s) for p in sigma.parts]
+            forms = rows + cols
         else:
-            acts = isinstance(rep, KrausRep)
-        if acts:
-            k = slot(None, s)
-            return lambda imgs: rep.act(*imgs[k], x, right)
-        k = slot(rep, s)
-        img = (lambda imgs: imgs[k]) if blocks else (lambda imgs: np.asarray(imgs[k]))
-        return (lambda imgs: x @ img(imgs)) if right else (lambda imgs: img(imgs) @ x)
-
-    clauses = [lambda *imgs, lhs=side(x, sigma, s, True), rhs=side(x, tau, 0, False):
+            rows, cols = factor_form(system, tau, depth), factor_form(system, sigma, depth, s)
+            forms = [rows, cols]
+        bound = None if any(f is None for f in forms) else intertwiner_bound(x, rows, cols)
+        values.append(UpperBound(bound) if bound is not None and bound <= threshold else None)
+    terms = _ChunkTerms(system, depth)
+    clauses = [lambda *imgs, lhs=terms.side(x, sigma, s, True), rhs=terms.side(x, tau, 0):
                (lhs(imgs), rhs(imgs))
                for (x, tau, sigma, s), value in zip(relations, values) if value is None]
-    if not clauses:
-        return values
+    return terms.sweep(values, clauses, threshold)
 
-    def images(c):
-        rows = {s: system.alpha_coords(c, depth, s) if s else (c, depth)
-                for _, _, s in held.values()}
-        return [rows[s] if rep is None else rep.images(*rows[s]) for _, rep, s in held.values()]
 
-    swept = iter(basis_sweep(system.basis_size(depth), images, *clauses, threshold=threshold))
-    return [next(swept) if value is None else value for value in values]
+def invariance_values(system, depth, threshold: Optional[float], *invariances) -> list:
+    """max over the basis at ``depth`` of ||(I - B B*) g(alpha^s(a)) B||, one
+    per invariance ``(B, g, s)``, decided against ``threshold`` when one is
+    given: the one place an invariance clause is valued.  B has orthonormal
+    columns (one block), or is block-diagonal over the parts of the
+    :class:`DirectSumRep` g.
+
+    * A block that B fills, or leaves empty, drops out: it is invariant
+      outright.  With no block left the value is 0.0.
+    * With a threshold, when every part left has a factor form with no lift
+      after s shifts (:func:`factor_form`; a
+      :class:`~covdilate.cpmaps.KrausRep` on its own algebra with no shift
+      gives directsum_b 1 x M_(n_b) x 1_(r_b), on either backend), the value
+      is the largest :func:`~covdilate.numerics.commutant_bound` over the
+      blocks left, if at or below the threshold.
+    * Every other invariance is swept as ||Y - B (B* Y)|| for Y =
+      g(alpha^s(a)) B, no complement built, in one sweep (:class:`_ChunkTerms`).
+    """
+    terms = _ChunkTerms(system, depth)
+    values, clauses = [], []
+    for b, g, s in invariances:
+        blocks = isinstance(b, BlockOperator)
+        mats = [b.blocks.get((i, i), np.zeros(rc, dtype=complex))
+                for i, rc in enumerate(zip(b.rows, b.cols))] if blocks else [b]
+        parts = g.parts if blocks else [g]
+        proper = [i for i, m in enumerate(mats) if 0 < m.shape[1] < m.shape[0]]
+        value = None if proper else 0.0
+        if proper and threshold is not None:
+            forms = [_invariance_form(system, parts[i], depth, s) for i in proper]
+            if all(f is not None and all(leaf.iso is None for leaf in f) for f in forms):
+                bound = max(commutant_bound(mats[i], f) for i, f in zip(proper, forms))
+                value = UpperBound(bound) if bound <= threshold else None
+        if value is None:
+            if blocks:
+                b = BlockOperator.diagonal([m if i in proper else m[:, :0]
+                                            for i, m in enumerate(mats)])
+            b_h = b.adjoint() if blocks else b.conj().T
+
+            def clause(*imgs, y=terms.side(b, g, s), b=b, b_h=b_h):
+                y = y(imgs)
+                return y - b @ (b_h @ y)
+            clauses.append(clause)
+        values.append(value)
+    return terms.sweep(values, clauses, threshold)
+
+
+def _invariance_form(system, rep, depth, s):
+    if isinstance(rep, KrausRep) and not s and depth == rep.depth:
+        return tuple(Leaf(1, n, r, sl, block=k) for k, (n, r, sl) in enumerate(rep.layout))
+    return factor_form(system, rep, depth, s)
 
 
 def basis_images(system, rep, depth, right=None) -> np.ndarray:
@@ -451,34 +502,10 @@ def transfer_images(system, rep, tau, depth) -> np.ndarray:
 
 def invariance_residual(system, depth, rep, basis, threshold: Optional[float] = None) -> float:
     """max over the basis at ``depth`` of ||(I - B B*) rep(a) B||, B
-    orthonormal columns, decided against ``threshold`` when one is given
-    (see :func:`~covdilate.numerics.basis_sweep`).
-
-    With a threshold, a :class:`~covdilate.cpmaps.KrausRep` on its own
-    algebra is first valued by the bound of its commutant directsum_b
-    I_{n_b} x M_{r_b} (:func:`~covdilate.numerics.commutant_bound`; the
-    basis is of matrix units, of norm 1): at or below the threshold that
-    ``UpperBound`` is the value, with no sweep.
-
-    Each swept value is ||Y - B (B* Y)|| for Y = rep(a) B, with no
-    complement of span B built; a :class:`~covdilate.cpmaps.KrausRep` gives
-    Y from its frame kernel (:meth:`~covdilate.cpmaps.KrausRep.act`),
-    without its images.  0.0 when B is empty or spans the whole space.
-    """
-    if basis.shape[1] in (0, basis.shape[0]):
-        return 0.0
-    if threshold is not None and isinstance(rep, KrausRep) and depth == rep.depth:
-        bound = commutant_bound(basis, [(1, n, r) for n, r, _ in rep.layout])
-        if bound <= threshold:
-            return UpperBound(bound)
-    if isinstance(rep, KrausRep):
-        images = lambda c: (rep.act(c, depth, basis),)
-    else:
-        images = lambda c: (rep.images(c, depth) @ basis,)
-    basis_h = basis.conj().T
-    (inv,) = basis_sweep(system.basis_size(depth), images,
-                         lambda y: y - basis @ (basis_h @ y), threshold=threshold)
-    return inv
+    orthonormal columns: the one-invariance case of
+    :func:`invariance_values`."""
+    (value,) = invariance_values(system, depth, threshold, (basis, rep, 0))
+    return value
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
@@ -772,7 +799,6 @@ class HBExtension:
     check_depth: Optional[int]
     working_depth: Optional[int]
     tol: Tolerance
-    kraus: Optional[KrausTransfer] = None   # the transfer's Kraus form, when composed
 
     @cached_property
     def report(self) -> HBReport:
@@ -803,46 +829,43 @@ def hb_extend(pair: CovariantPair, strategy, tol: Tolerance = DEFAULT_TOL) -> HB
 
 
 def extend_representation(system, rep, strategy, check_depth,
-                          tol: Tolerance = DEFAULT_TOL,
-                          kraus: Optional[KrausTransfer] = None) -> HBExtension:
+                          tol: Tolerance = DEFAULT_TOL) -> HBExtension:
     """Extension step for a bare representation; used level by level in chains.
 
     Strategy data is assumed verified by the caller (chains verify once).
     The adapted step on a :class:`~covdilate.cpmaps.KrausRep` (every chain
     level on the tower, every level above the first on the finite backend)
     is composed from the Kraus form of the transfer
-    (:class:`~covdilate.cpmaps.KrausTransfer`); ``kraus`` passes in that
-    form, targeting the stage of ``rep``, when the caller already has it,
-    and the step returns the form it used as ``HBExtension.kraus``.
+    (:class:`~covdilate.cpmaps.KrausTransfer`), which the transfer holds
+    once built, one per (system, working depth, stage of ``rep``,
+    tolerance), so that one eigensolve serves every level of a chain.
     """
     working = system.stinespring_depth(check_depth)
     if system.is_tower and working > system.d_max:
         raise DepthExceeded(f"working depth {working} exceeds d_max {system.d_max}")
     tau = resolve_transfer(system, strategy, tol)
     if isinstance(strategy, AdaptedStrategy):
-        dil, kraus = _stinespring_step(system, rep, tau, working, tol, kraus)
+        dil = _stinespring_step(system, rep, tau, working, tol)
         rho, w = KrausRep(system, working, dil), dil.isometry
     elif isinstance(strategy, GnsStrategy):
         rho, w = _gns_step(system, rep, tau, check_depth, working, tol)
-        kraus = None
     else:
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
-    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol,
-                       kraus)
+    return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol)
 
 
-def _stinespring_step(system, rep, tau, working, tol, kraus):
-    """The minimal dilation of rep o tau and the transfer's Kraus form (None
-    on the Choi route): composed for a KrausRep, else (a finite pi with no
-    Kraus form) from the Choi blocks of rep o tau."""
+def _stinespring_step(system, rep, tau, working, tol):
+    """The minimal dilation of rep o tau: composed for a KrausRep from the
+    Kraus form the transfer holds (:func:`~covdilate.numerics.certified`),
+    else (a finite pi with no Kraus form) from the Choi blocks of rep o tau."""
     if isinstance(rep, KrausRep):
-        if kraus is None:
-            kraus = system.transfer_kraus(tau, working, rep.depth, tol)
-        return kraus.compose(rep), kraus
+        kraus = certified(tau, ("kraus", system, working, rep.depth, tol),
+                          lambda: system.transfer_kraus(tau, working, rep.depth, tol))
+        return kraus.compose(rep)
     view = system.algebra_view(working)
     phi_units = transfer_images(system, rep, tau, working)
-    return kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol), None
+    return kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
 
 
 def _gns_step(system, rep, tau, check_depth, working, tol):

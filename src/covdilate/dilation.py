@@ -65,14 +65,17 @@ carries V's blocks, the defect row's blocks below them and an identity per
 summand down the copies.  The representations (``eta``, ``sigma``) are
 direct sums over the same fine blocks.
 
-The covariance clause and ``dilation/defect-invariant`` take the
-projection bound of :mod:`~covdilate.extension` when every part of the
-representation has a factor form.  A copy part is its source group
-shifted n times and restricted to the copy basis B_c, so its factor form
-is the group's with n more shifts and B_c for its lift: the bound reads
-W's stored blocks leaf pair by leaf pair, B_c B_c* on a copy identity, and
-needs no invariance of span B_c, which ``dilation/defect-invariant`` itself
-bounds.  Otherwise those two clauses are swept.  The sweeps and the
+The covariance clause takes the projection bound of
+:mod:`~covdilate.extension` when every part of the representation has a
+factor form.  A copy part is its source group shifted n times and
+restricted to the copy basis B_c, so its factor form is the group's with n
+more shifts and B_c for its lift: the bound reads W's stored blocks leaf
+pair by leaf pair, B_c B_c* on a copy identity, and needs no invariance of
+span B_c.  ``dilation/defect-invariant``, ||(I - B_c B_c*) g(alpha^n(a))
+B_c|| for g the group's source, is :func:`~covdilate.covariant.invariance_values`
+of every (B_c, g, n): 0.0 for a B_c that fills g's space, else the
+commutant bound of g's factor form after n shifts, E averaging over every
+pair of its leaves.  Otherwise both clauses are swept.  The sweeps and the
 isometry and interior-unitarity clauses reduce per connected component of
 the block pattern (exact, see BlockOperator): the components of W are
 {src rows of group c and its copy-1 block; group c's columns} and
@@ -175,8 +178,8 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, RestrictedRep, ShiftedRep,
-                        contraction_svds, defect_values, invariance_residual,
-                        relation_bound, relation_values, shifted_restrictions, usable_depth)
+                        contraction_svds, defect_values, invariance_values, relation_values,
+                        shifted_restrictions, usable_depth)
 from .errors import DepthExceeded, ShapeMismatch, StrategyInvalid
 from .extension import (ExtensionChain, coisometric_extend,
                         defect_decomposition)
@@ -527,27 +530,23 @@ def verify_isometric_dilation(rec: DilationRecord,
 
 def _copy_invariance(rec: DilationRecord, d, tol: Tolerance) -> Optional[float]:
     """``dilation/defect-invariant``: the invariance of each copy basis B_c
-    under pi o alpha^n, needed for eta's diagonal, with d the covariance
-    depth; None when there is no copy part or H is zero.  The first copy's
-    summands (after the source ones) are the groups' sources restricted to
-    B_c, and every copy shifts the same groups.  B_c K(a) - g(a) B_c = -(I -
-    B_c B_c*) g(a) B_c for K the restriction of g = pi o alpha^n to B_c, so
-    the projection bound values it."""
+    under g o alpha^n, g its group's source, needed for eta's diagonal, with
+    d the covariance depth, one call per basis depth; None when there is no
+    copy part or H is zero.  The first copy's summands (after the source
+    ones) are the sources restricted to B_c; every copy shifts them."""
     pair = rec.source_pair
     system = pair.system
     copy_parts = rec.eta.parts[len(as_blocks(pair.contraction).cols):]
     if not copy_parts or not pair.space_dim:
         return None
-    inv = 0.0
+    by_depth = {}
     for part in copy_parts[:len(copy_parts) // rec.copies]:
         for n in range(1, rec.copies + 1):
-            shifted = ShiftedRep(part.inner.inner, system, n)
             dd = usable_depth(system, [pair.rep], n, pair.depth if d is None else d)
-            value = relation_bound(system, dd, part.basis, shifted,
-                                   RestrictedRep(shifted, part.basis), tol.residual_tol)
-            if value is None:
-                value = invariance_residual(system, dd, shifted, part.basis, tol.residual_tol)
-            inv = max(inv, value)
+            by_depth.setdefault(dd, []).append((part.basis, part.inner.inner, n))
+    inv = 0.0
+    for dd, items in by_depth.items():
+        inv = max(inv, *invariance_values(system, dd, tol.residual_tol, *items))
     return inv
 
 

@@ -66,7 +66,9 @@ exactly 0.0 when rho's first part is pi itself, and is swept otherwise.
 and rho(alpha(a)) are both block-diagonal over the chain blocks, so the
 compression of rho(alpha(a)) to D_V has no off-diagonal block.
 ``defect/invariant`` is max_i ||(I - P) rho_i(alpha(b)) B_i|| over the
-chain blocks i and matrix units b, B_i the block of D_V and P = B_i B_i*.
+chain blocks i and matrix units b, B_i the block of D_V and P = B_i B_i*
+(:func:`~covdilate.covariant.invariance_values`); a block that D_V fills
+drops out, so on the finite backend the clause is exactly 0.0.
 With E the conditional expectation onto the commutant of rho_i(alpha(A)),
 E(P) commutes with rho_i(alpha(b)), (I - P) P = 0 and P B_i = B_i, so
 
@@ -87,9 +89,9 @@ is a scalar and E the identity, the e term is all of it.  The sweep
 values the same ||(I - P) x B_i||, as ||x B_i - B_i (B_i* x B_i)||, so no
 complement of D_V is built.  On the tower rho_i(alpha(a))
 = I_k (x) a (x) I_R (``TowerSystem.shift_factors``), E averages over the
-middle factor, and the bound is the value when it is at or below the
-threshold, labelled a bound; otherwise, and on the finite backend, the
-basis sweep gives the exact value.
+middle factor, and the largest bound over the remaining blocks is the value
+when it is at or below the threshold, labelled a bound; otherwise, and on
+the finite backend, the basis sweep gives the exact value.
 
 Covariance and intertwining from a projection bound.  Let L(a) = X sigma(a)
 - tau(a) X, sigma and tau *-homomorphisms, and E the Frobenius-orthogonal
@@ -114,15 +116,14 @@ E(X')||_F, E now projecting onto the intertwiners of F_sigma and F_tau.
 Every leaf carries the same a, so E averages over the middle factor on
 every leaf pair, not only on the diagonal ones.  ``chain/covariance`` (X =
 V, sigma = rho o alpha, tau = rho), ``dilation/covariance`` and
-``matricial/covariance`` (X = W, U), ``dilation/defect-invariant`` (X = b,
-since b K(a) - g(a) b = -(I - b b*) g(a) b for K the restriction of g = pi
-o alpha^n to the copy basis b) and the ``representation_intertwined``
+``matricial/covariance`` (X = W, U) and the ``representation_intertwined``
 relations of the intertwiners take this bound, labelled a bound, when it
-is at or below the threshold (:func:`~covdilate.covariant.relation_bound`).
-Otherwise, and when a part has no factor form (the finite backend, dense
-or rotated reps), the basis sweep gives the exact value.  Every relation
-but ``dilation/defect-invariant``, whose sweep is the exact invariance
-form, is valued in one place, :func:`~covdilate.covariant.relation_values`.
+is at or below the threshold.  Otherwise, and when a part has no factor
+form (the finite backend, dense or rotated reps), the basis sweep gives the
+exact value (:func:`~covdilate.covariant.relation_values`).
+``dilation/defect-invariant``, ||(I - b b*) g(alpha^n(a)) b|| for a copy
+basis b of the source g of its group, takes the commutant bound above, E
+averaging over every leaf pair of g's factor form after n shifts.
 A computed basis b is an isometry only up to round-off.  With G = B* B
 the right side above is G_tau X sigma(a) - tau(a) X G_sigma, so L(a)
 exceeds it by (I - G_tau) X sigma(a) - tau(a) X (I - G_sigma), and with
@@ -150,14 +151,13 @@ from typing import Optional
 import numpy as np
 
 from .covariant import (CovariantPair, DirectSumRep, TwoStepBlock, defect_roots,
-                        extend_representation, relation_values, two_step, usable_depth,
-                        verify_strategy)
+                        extend_representation, invariance_values, relation_values, two_step,
+                        usable_depth, verify_strategy)
 from .errors import (DecompositionMismatch, DepthExceeded, InvarianceViolation,
                      StrategyInvalid)
-from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, UpperBound, _canonical_phases,
-                       _isometry_defect, _spectral_norms, basis_sweep, block_slices,
-                       commutant_bound, orthonormal_span, rank_cutoff, ranked_svds,
-                       residual, spectral_norm)
+from .numerics import (DEFAULT_TOL, BlockOperator, Tolerance, _canonical_phases,
+                       _isometry_defect, _spectral_norms, block_slices, orthonormal_span,
+                       rank_cutoff, ranked_svds, residual, spectral_norm)
 from .report import ClauseReport, clause
 
 TRUNCATION_NOTE = ("truncated construction: the ambient space keeps n_levels defect "
@@ -235,14 +235,8 @@ def coisometric_extend(pair: CovariantPair, n_levels: int, strategy,
     # level 0 extends (pi, T); level k extends (pi_hat_(k-1), 0), whose
     # defect Delta* is exactly I, so its defect space is span rho_k(A) W_k
     rep, t = pair.rep, pair.contraction
-    # per strategy and target stage, the transfer's Kraus form: one
-    # eigensolve serves the levels (level 0's pi may sit deeper than theirs)
-    forms = {}
     for k, strat in enumerate(strategies):
-        key = (id(strat), rep.max_depth)
-        ext = extend_representation(system, rep, strat, pair.depth, tol, forms.get(key))
-        if ext.kraus is not None:
-            forms[key] = ext.kraus
+        ext = extend_representation(system, rep, strat, pair.depth, tol)
         try:
             step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         except InvarianceViolation as exc:
@@ -410,24 +404,6 @@ def _row_bounds(row: BlockOperator, s, resid) -> tuple:
     return math.sqrt(max(min(lows, default=1.0), 0.0)), math.sqrt(max(tops, default=1.0))
 
 
-def _defect_invariance(system, depth, rho, bases, tol: Tolerance) -> float:
-    """``defect/invariant`` for D_V = directsum_i span B_i: the largest
-    commutant bound over the chain blocks when it is at or below the
-    threshold, else the sweep of (I - P) rho(alpha(a)) B (module docstring)."""
-    factors = [system.shift_factors(part, depth) for part in rho.parts]
-    if None not in factors:
-        bound = max(commutant_bound(b, [f]) for b, f in zip(bases, factors))
-        if bound <= tol.residual_tol:
-            return UpperBound(bound)
-    # a chain block that D_V fills is invariant outright: left out, as empty
-    dv = BlockOperator.diagonal([b[:, :0] if b.shape[1] == b.shape[0] else b for b in bases])
-    dv_h = dv.adjoint()
-    (inv,) = basis_sweep(system.basis_size(depth),
-                         lambda c: (rho.act(*system.alpha_coords(c, depth), dv),),
-                         lambda y: y - dv @ (dv_h @ y), threshold=tol.residual_tol)
-    return inv
-
-
 def defect_decomposition(chain: ExtensionChain,
                          tol: Tolerance = DEFAULT_TOL) -> DefectDecomposition:
     """Split the defect space of V into delta(H) and the per-level complements.
@@ -506,8 +482,7 @@ def defect_decomposition(chain: ExtensionChain,
                      "space differ in general")
 
     d = usable_depth(system, [chain.rho], 1, pair.depth)
-    rho = chain.rho
-    inv = _defect_invariance(system, d, rho, bases, tol)
+    (inv,) = invariance_values(system, d, tol.residual_tol, (dv_basis, chain.rho, 1))
 
     # dv and rho(alpha(a)) are both block-diagonal over the chain blocks, so
     # the compression dv* rho(alpha(a)) dv has no off-diagonal block

@@ -687,19 +687,19 @@ def intertwiner_bound(x, rows, cols) -> float:
     return bound
 
 
-def commutant_bound(basis: np.ndarray, layout) -> float:
+def commutant_bound(basis: np.ndarray, form) -> float:
     """2 ||P - E(P)||_F for P = B B*, ``basis`` B with orthonormal columns:
-    a bound on ||(I - P) x B|| for every x of norm <= 1 in the algebra
-    directsum_b 1_(m_b) (x) M_(n_b) (x) 1_(r_b) given by ``layout``, the
-    (m_b, n_b, r_b) of its diagonal blocks (proof in :mod:`~covdilate.extension`).
-    It is the X = P case of :func:`intertwiner_bound`, block b its own
-    summand of the algebra: E averages P over the middle factor on each
-    diagonal block and is zero off them.  With e = ||B* B - I||_F, the
-    round-off of B's orthonormality, it is widened to (1 + e)^(1/2) (2 ||P
-    - E(P)||_F + e (2 + e)), which at depth 0 (E the identity) is all of it.
+    a bound on ||(I - P) F(a) B|| for every a of norm <= 1, F(a) the direct
+    sum over the leaves of the factor form ``form`` (a tuple of
+    :class:`Leaf` with no lift, see :func:`intertwiner_bound`; proof in
+    :mod:`~covdilate.extension`).  It is the X = P case of
+    :func:`intertwiner_bound`: E projects onto the commutant of F(A),
+    averaging P over the middle factor on every pair of leaves over the same
+    summand of the algebra, together, and zero on a pair over two summands.
+    With e = ||B* B - I||_F, the round-off of B's orthonormality, it is
+    widened to (1 + e)^(1/2) (2 ||P - E(P)||_F + e (2 + e)), which at depth
+    0 (E the identity) is all of it.
     """
-    form = tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in
-                 enumerate(zip(layout, block_slices([m * n * r for m, n, r in layout]))))
     e = _isometry_defect(basis)
     bound = intertwiner_bound(basis @ basis.conj().T, form, form)
     return math.sqrt(1.0 + e) * (bound + e * (2.0 + e))

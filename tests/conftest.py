@@ -15,7 +15,7 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
-from covdilate.cpmaps import CPMap
+from covdilate.cpmaps import CPMap, KrausRep
 from covdilate.extension import ExtensionChain, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, spectral_norm
 from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
@@ -71,6 +71,16 @@ class Case:
     levels: int
     copies: int
     unitary_contraction: bool = False
+
+
+def held_kraus_form(ext):
+    """The transfer's Kraus form that an adapted step was composed from, as
+    the transfer holds it; None for a step not composed (on the Choi route,
+    or a GNS step)."""
+    if ext.strategy_kind != "adapted" or not isinstance(ext.base_rep, KrausRep):
+        return None
+    key = ("kraus", ext.system, ext.working_depth, ext.base_rep.depth, ext.tol)
+    return vars(ext.transfer)["_certificates"][key]
 
 
 def make_finite_case(rng, idx: int, unitary_t: bool = False) -> Case:

@@ -40,6 +40,9 @@ above the first from the transfer's Kraus form.
 ``relation_value`` values a relation X sigma(alpha^s(a)) = tau(a) X the
 way each relation site swept before ``covariant.relation_values``: X and
 both images dense, exact, with no threshold and no frame kernel.
+``invariance_value`` values an invariance ||(I - B B*) g(alpha^s(a)) B||
+the same way, B dense and against its dense complement, for
+``covariant.invariance_values``.
 
 ``RotatedRep`` is a representation in a rotated basis, Q K(x) Q*: the
 package builds every representation in Kraus coordinates, so a rotated one
@@ -107,6 +110,21 @@ def relation_value(system, depth, x, tau, sigma, shifts: int) -> float:
         lambda c: (_dense_images(sigma, *system.alpha_coords(c, depth, shifts)),
                    _dense_images(tau, c, depth)),
         lambda s, t: (x @ s, t @ x))
+    return value
+
+
+def invariance_value(system, depth, basis, rep, shifts: int) -> float:
+    """max over the basis at ``depth`` of ||C* rep(alpha^s(a)) B||, exact,
+    from dense images, B dense (a block B densified) and C the
+    :func:`orthonormal_complement` of B."""
+    b = np.asarray(basis)
+    comp_h = orthonormal_complement(b).conj().T
+    if comp_h.shape[0] == 0 or b.shape[1] == 0:
+        return 0.0
+    (value,) = basis_sweep(
+        system.basis_size(depth),
+        lambda c: (_dense_images(rep, *system.alpha_coords(c, depth, shifts)) @ b,),
+        lambda y: comp_h @ y)
     return value
 
 

@@ -1,15 +1,19 @@
 """The invariance clauses decided by a commutant bound, and the defect and
 restriction clauses read from structure, against their exact sweeps.
 
-``defect/invariant`` and the extension step's invariance gate take the value
-2 ||P - E(P)||_F (``numerics.commutant_bound``) when it is at or below the
-threshold, and the exact sweep otherwise; the proof is in the ``extension``
-module docstring.  Here every bound is at least its exact value, the
-projector form ||(I - B B*) x B|| swept over the basis, on the tower
-corpus, on drifted spans, on random subspaces of small towers and of finite
-multi-block Kraus layouts, a failing value is bit-equal to the exact run, ``chain/representation-restricts``
-still sweeps a chain whose first part is not pi, and a passing ``extend``
-sweeps nothing in ``defect_decomposition``.
+``defect/invariant`` and the extension step's invariance gate are valued by
+``covariant.invariance_values``, the one place an invariance clause is
+valued: the value 2 ||P - E(P)||_F (``numerics.commutant_bound`` of a
+factor form, a step rep's own form directsum_b 1 (x) M_(n_b) (x) 1_(r_b)
+on either backend) when it is at or below the threshold, and the exact
+sweep otherwise; the proof is in the ``extension`` module docstring.  Here
+every bound is at least its exact value, the projector form ||(I - B B*) x
+B|| swept over the basis, on the tower corpus, on drifted spans, on random
+subspaces of small towers and of finite multi-block Kraus layouts, a
+failing value is bit-equal to the exact run,
+``chain/representation-restricts`` still sweeps a chain whose first part is
+not pi, and a passing ``extend`` sweeps nothing in
+``defect_decomposition``.
 """
 
 import json
@@ -27,12 +31,14 @@ import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
 from covdilate.cli import run
-from covdilate.covariant import (DirectSumRep, FiniteDimSystem, ShiftedRep,
-                                 haar_unitary, invariance_residual, usable_depth)
+from covdilate.covariant import (DirectSumRep, FiniteDimSystem, ShiftedRep, factor_form,
+                                 haar_unitary, invariance_residual, invariance_values,
+                                 usable_depth)
 from covdilate.cpmaps import KrausDilation, KrausRep
-from covdilate.extension import (_defect_invariance, coisometric_extend,
-                                 defect_decomposition, verify_coisometric_extension)
-from covdilate.numerics import DEFAULT_TOL, UpperBound, commutant_bound, residual
+from covdilate.extension import (coisometric_extend, defect_decomposition,
+                                 verify_coisometric_extension)
+from covdilate.numerics import (DEFAULT_TOL, BlockOperator, Leaf, UpperBound, block_slices,
+                                commutant_bound, residual)
 from covdilate.scenario import build_scenario
 from covdilate.tower import ShiftTower, TowerSystem, standard_rep
 
@@ -59,8 +65,7 @@ def _exact(monkeypatch, fn):
     real = numerics_mod._clause_max
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", lambda term, threshold=None: real(term))
-        for mod in (covariant_mod, extension_mod):
-            m.setattr(mod, "commutant_bound", lambda *args: math.inf)
+        m.setattr(covariant_mod, "commutant_bound", lambda *args: math.inf)
         return fn()
 
 
@@ -72,6 +77,13 @@ def _drifted(basis, rng, drift):
     noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
     q, _ = np.linalg.qr(basis + drift * noise)
     return q
+
+
+def _layout_form(layout):
+    """The factor form of the algebra directsum_b 1_(m_b) (x) M_(n_b) (x)
+    1_(r_b), block b its own summand."""
+    spans = block_slices([m * n * r for m, n, r in layout])
+    return tuple(Leaf(m, n, r, s, block=b) for b, ((m, n, r), s) in enumerate(zip(layout, spans)))
 
 
 def _invariant_span(layout, rng, fraction=0.5):
@@ -131,10 +143,10 @@ def test_drifted_defect_spans_get_the_exact_failing_value(drift, monkeypatch):
     bases = [_drifted(b, rng, drift) for b in defect_decomposition(chain).summand_bases]
     for part, basis in zip(chain.rho.parts, bases):
         exact = invariance_residual(system, d, ShiftedRep(part, system, 1), basis)
-        assert commutant_bound(basis, [system.shift_factors(part, d)]) >= exact
-    got = _defect_invariance(system, d, chain.rho, bases, DEFAULT_TOL)
-    want = _exact(monkeypatch,
-                  lambda: _defect_invariance(system, d, chain.rho, bases, DEFAULT_TOL))
+        assert commutant_bound(basis, factor_form(system, part, d, 1)) >= exact
+    dv = (BlockOperator.diagonal(bases), chain.rho, 1)
+    (got,) = invariance_values(system, d, TOL, dv)
+    (want,) = _exact(monkeypatch, lambda: invariance_values(system, d, TOL, dv))
     assert got > TOL and not isinstance(got, UpperBound)
     assert got == want
 
@@ -155,7 +167,7 @@ def test_drifted_step_spans_get_the_exact_failing_value(drift):
         basis = _drifted(_invariant_span(layout, rng), rng, drift)
         exact = invariance_residual(system, rho.max_depth, rho, basis)
         got = invariance_residual(system, rho.max_depth, rho, basis, TOL)
-        assert commutant_bound(basis, layout) >= exact
+        assert commutant_bound(basis, _layout_form(layout)) >= exact
         if exact > TOL:
             failing += 1
             assert got == exact and not isinstance(got, UpperBound)
@@ -185,7 +197,8 @@ def test_bound_covers_the_exact_value_on_random_tower_subspaces(k, top, mult, kr
             continue
         exact = invariance_residual(system, d, ShiftedRep(rep, system, 1), basis)
         # on an invariant span both values are round-off, of no fixed order
-        assert commutant_bound(basis, [factors]) >= exact - dim * EPS, (d, exact)
+        assert commutant_bound(basis, factor_form(system, rep, d, 1)) >= exact - dim * EPS, \
+            (d, exact)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +221,7 @@ def test_bound_covers_the_exact_value_on_random_finite_kraus_layouts(blocks, dri
         return
     exact = invariance_residual(system, None, rho, basis)
     # on an invariant span both values are round-off, of no fixed order
-    assert commutant_bound(basis, layout) >= exact - dim * EPS, (blocks, exact)
+    assert commutant_bound(basis, _layout_form(layout)) >= exact - dim * EPS, (blocks, exact)
 
 
 def test_finite_parts_keep_the_exact_sweep(corpus):
@@ -245,7 +258,7 @@ def test_passing_extend_sweeps_nothing_in_the_defect_decomposition(monkeypatch):
     with open(os.path.join(FIXTURES, "tower-levels.json"), encoding="utf-8") as fh:
         levels = json.load(fh)
     real_decomposition, real_sweep = extension_mod.defect_decomposition, \
-        extension_mod.basis_sweep
+        covariant_mod.basis_sweep
     inside, swept = [], []
 
     def decomposition(*args, **kwargs):
@@ -261,7 +274,7 @@ def test_passing_extend_sweeps_nothing_in_the_defect_decomposition(monkeypatch):
         return real_sweep(*args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "defect_decomposition", decomposition)
-    monkeypatch.setattr(extension_mod, "basis_sweep", sweep)
+    monkeypatch.setattr(covariant_mod, "basis_sweep", sweep)
     for data in (TOWER_DEEP, levels):
         report = run(build_scenario(data), "extend")
         assert report["passed"] and swept == []

@@ -30,7 +30,7 @@ from covdilate.numerics import DEFAULT_TOL, Tolerance, residual
 from covdilate.scenario import build_scenario
 
 import dense_oracle
-from conftest import make_tower_case
+from conftest import held_kraus_form, make_tower_case
 from test_stacked_images import PROPER_DEFECT
 
 
@@ -131,7 +131,7 @@ def test_composed_chains_are_the_choi_route_chains(corpus):
         assert _multiplicities(chain) == _multiplicities(oracle), name
         cert = chain_intertwiner(chain, oracle)
         assert cert.verdict == "equivalent", (name, cert.residuals)
-        composed_levels += sum(lv.ext.kraus is not None for lv in chain.levels)
+        composed_levels += sum(held_kraus_form(lv.ext) is not None for lv in chain.levels)
     assert composed_levels > 10
 
 
@@ -176,7 +176,7 @@ def test_adapted_extend_solves_no_eigenproblem_larger_than_choi_of_tau(monkeypat
     chain = coisometric_extend(case.pair, case.levels, case.strategy, DEFAULT_TOL, 3)
     assert verify_coisometric_extension(chain).passed
     assert defect_decomposition(chain).report.passed
-    assert chain.levels[1].ext.kraus is not None
+    assert held_kraus_form(chain.levels[1].ext) is not None
     assert sides and max(sides) <= stage * stage, sides
 
 
@@ -190,8 +190,8 @@ def test_one_transfer_eigensolve_serves_every_level(monkeypatch):
     stage = case.pair.system.tower.stage_dim(case.pair.depth + 1)
     sides = _eigh_sides(monkeypatch)
     chain = coisometric_extend(case.pair, 3, case.strategy)
-    forms = {id(lv.ext.kraus) for lv in chain.levels}
-    assert len(forms) == 1 and None not in {lv.ext.kraus for lv in chain.levels}
+    forms = [held_kraus_form(lv.ext) for lv in chain.levels]
+    assert None not in forms and len({id(form) for form in forms}) == 1
     assert sides.count(stage * stage) == 0, sides
     assert sides.count(case.pair.system.tower.k) == 1, sides
 
@@ -205,8 +205,8 @@ def test_a_rep_deeper_than_the_working_stage_composes_every_level():
     assert deep.rep.depth == 3 and deep.system.stinespring_depth(deep.depth) == 2
     chain = coisometric_extend(deep, 3, case.strategy, DEFAULT_TOL, 5)
     assert chain.n_levels == 3
-    assert None not in {lv.ext.kraus for lv in chain.levels}
-    level0, *above = [lv.ext.kraus for lv in chain.levels]
+    level0, *above = forms = [held_kraus_form(lv.ext) for lv in chain.levels]
+    assert None not in forms
     assert level0.target_sizes == (8,) and {id(k) for k in above} == {id(above[0])}
     assert above[0].target_sizes == (4,)
     assert verify_coisometric_extension(chain).passed

@@ -163,7 +163,7 @@ def test_passing_extend_sweeps_nothing_in_the_chain_clauses(monkeypatch):
     is the projection bound, the containment notes come from the frame row
     blocks and restriction is exact."""
     real_verify = extension_mod.verify_coisometric_extension
-    real_sweeps = {mod: mod.basis_sweep for mod in (extension_mod, covariant_mod)}
+    real_sweep = covariant_mod.basis_sweep
     inside, swept = [], []
 
     def verify(*args, **kwargs):
@@ -173,16 +173,13 @@ def test_passing_extend_sweeps_nothing_in_the_chain_clauses(monkeypatch):
         finally:
             inside.pop()
 
-    def recording(mod):
-        def sweep(*args, **kwargs):
-            if inside:
-                swept.append(args[0])
-            return real_sweeps[mod](*args, **kwargs)
-        return sweep
+    def sweep(*args, **kwargs):
+        if inside:
+            swept.append(args[0])
+        return real_sweep(*args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "verify_coisometric_extension", verify)
-    for mod in real_sweeps:
-        monkeypatch.setattr(mod, "basis_sweep", recording(mod))
+    monkeypatch.setattr(covariant_mod, "basis_sweep", sweep)
     for data in (TOWER_DEEP, _levels_fixture()):
         scenario = build_scenario(data)
         swept.clear()

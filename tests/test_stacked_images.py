@@ -8,6 +8,8 @@ with a proper defect subspace must keep its invariance clauses equal to the
 projector form.
 """
 
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -35,19 +37,11 @@ from test_basis_sweep import _projector_invariance
 from test_dilation_kernel import gns_strategy, gram_route_extension
 
 
-def _diag(vals):
-    n = len(vals)
-    return [[[vals[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
-
-
 # blocks (2, 2) with identity dynamics and T = I_2 + 0.5 I_2: the level-0
 # defect space is a proper subspace (dimension 2 of 4) of its dilation space
-PROPER_DEFECT = {
-    "schema": 1, "backend": "finite-dim", "blocks": [2, 2], "alpha": "identity",
-    "pi": {"multiplicities": [1, 1]}, "T": _diag([1.0, 1.0, 0.5, 0.5]),
-    "strategy": {"kind": "adapted", "tau": "alpha-inverse"},
-    "levels": 2, "copies": 2, "seed": 3,
-}
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "finite-proper-defect.json"),
+          encoding="utf-8") as _fh:
+    PROPER_DEFECT = json.load(_fh)
 
 
 @pytest.fixture(scope="module")

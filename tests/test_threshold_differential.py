@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import covdilate.covariant as covariant_mod
-import covdilate.extension as extension_mod
 import covdilate.numerics as numerics_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
 from covdilate.cli import render_report, run
@@ -62,8 +61,7 @@ def _twice(monkeypatch, fn, block_terms=None):
 
     with monkeypatch.context() as m:
         m.setattr(numerics_mod, "_clause_max", exact)
-        for mod in (covariant_mod, extension_mod):
-            m.setattr(mod, "commutant_bound", lambda *args: math.inf)
+        m.setattr(covariant_mod, "commutant_bound", lambda *args: math.inf)
         m.setattr(covariant_mod, "intertwiner_bound", lambda x, rows, cols: math.inf)
         m.setattr(covariant_mod, "range_defect",
                   lambda alpha, mat, tol, threshold=None: real_range(alpha, mat, tol))

@@ -68,7 +68,8 @@ compression of rho(alpha(a)) to D_V has no off-diagonal block.
 ``defect/invariant`` is max_i ||(I - P) rho_i(alpha(b)) B_i|| over the
 chain blocks i and matrix units b, B_i the block of D_V and P = B_i B_i*
 (:func:`~covdilate.covariant.invariance_values`); a block that D_V fills
-drops out, so on the finite backend the clause is exactly 0.0.
+drops out, so the clause is exactly 0.0 when D_V fills every block, and a
+proper block is bounded or swept as below.
 With E the conditional expectation onto the commutant of rho_i(alpha(A)),
 E(P) commutes with rho_i(alpha(b)), (I - P) P = 0 and P B_i = B_i, so
 

@@ -9,15 +9,17 @@ isometric extension step (a larger representation ``rho`` and an isometry
   chosen transfer operator ``tau`` (unique up to unitary equivalence);
 * ``gns``: a cyclic decomposition of ``pi`` followed by one GNS
   construction per summand, with the state extension induced by a chosen
-  conditional expectation onto the range of the dynamics.
+  conditional expectation E onto the range of the dynamics; each GNS
+  construction is a cyclic cut of the adapted step's dilation for tau =
+  alpha^{-1} o E (``_gns_step``).
 
-Both strategies build their dilations with the Choi/Kraus kernel of
+Both strategies build their dilations with the one Choi/Kraus kernel of
 :mod:`covdilate.cpmaps`, and every step's representation is one
 :class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
-computed in its multiplicity spaces.  The adapted step of a ``KrausRep``
-(every chain level above the first, and level 0 on the tower, whose
-``standard_rep`` is one) is composed from the Kraus form of the transfer
+computed in its multiplicity spaces.  The dilation of rep o tau of a
+``KrausRep`` (every chain level above the first, and level 0 on the tower,
+whose ``standard_rep`` is one) is composed from the Kraus form of the transfer
 (:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi blocks of
 rep o tau; the system builds that form (``transfer_kraus``), the finite
 backend from the Choi blocks of tau and the tower in closed form from the
@@ -47,12 +49,11 @@ from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
                      range_defect, transfer_kraus, unit_image_chois,
                      verify_completely_positive, verify_transfer)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
-                     NotPositive, NullCyclicVector, RangeNotInImage, ShapeMismatch,
-                     StrategyInvalid)
+                     NotPositive, RangeNotInImage, ShapeMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Leaf, Tolerance, UpperBound, as_matrix,
                        basis_sweep, block_diag, block_slices, certified, commutant_bound,
                        hermitian_root, intertwiner_bound, kron_eye, ranked_svds, read_only,
-                       residual, spectral_norm, stack_images, svd_pinv)
+                       residual, spectral_norm, stack_images)
 from .report import ClauseReport, clause
 
 
@@ -143,6 +144,10 @@ class FiniteDimSystem:
         if not isinstance(e, CPMap):
             raise StrategyInvalid("finite backend expects the expectation as a CPMap")
         return e, self.alpha
+
+    def gns_transfer(self, e, tol: Tolerance = DEFAULT_TOL) -> "RangeInverse":
+        """alpha^{-1} o E, with the residual gate of ``solve_alpha_rows``."""
+        return RangeInverse(self, e, tol)
 
     def transfer_kraus(self, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
         """The Kraus form of tau, by the Choi route
@@ -714,13 +719,16 @@ class RangeInverse:
 def resolve_transfer(system, strategy, tol: Tolerance = DEFAULT_TOL) -> Callable:
     """The transfer operator the strategy effectively uses.
 
-    For the GNS strategy this inverts the dynamics on the range of the
-    expectation (alpha^{-1} o E), by least squares with a residual gate.
+    For the GNS strategy it is alpha^{-1} o E as the system gives it
+    (``gns_transfer``), held by the strategy once built
+    (:func:`~covdilate.numerics.certified`), so that the Kraus form it holds
+    serves every level of a chain.
     """
     if isinstance(strategy, AdaptedStrategy):
         return strategy.transfer
     if isinstance(strategy, GnsStrategy):
-        return RangeInverse(system, strategy.expectation, tol)
+        return certified(strategy, ("transfer", system, tol),
+                         lambda: system.gns_transfer(strategy.expectation, tol))
     raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
 
@@ -833,9 +841,9 @@ def extend_representation(system, rep, strategy, check_depth,
     """Extension step for a bare representation; used level by level in chains.
 
     Strategy data is assumed verified by the caller (chains verify once).
-    The adapted step on a :class:`~covdilate.cpmaps.KrausRep` (every chain
-    level on the tower, every level above the first on the finite backend)
-    is composed from the Kraus form of the transfer
+    The step on a :class:`~covdilate.cpmaps.KrausRep` (every chain level on
+    the tower, every level above the first on the finite backend), adapted
+    or GNS, is composed from the Kraus form of the transfer
     (:class:`~covdilate.cpmaps.KrausTransfer`), which the transfer holds
     once built, one per (system, working depth, stage of ``rep``,
     tolerance), so that one eigensolve serves every level of a chain.
@@ -869,24 +877,25 @@ def _stinespring_step(system, rep, tau, working, tol):
 
 
 def _gns_step(system, rep, tau, check_depth, working, tol):
-    view = system.algebra_view(working)
-    images = basis_images(system, rep, check_depth)
-    summands = cyclic_summands(images, rep.dim, tol)
-    phi_units = transfer_images(system, rep, tau, working) if summands else None
-    parts = []
-    w_rows = []
-    for xi, _ in summands:
-        if np.linalg.norm(xi) < tol.rank_eps:
-            raise NullCyclicVector("cyclic vector collapsed")
-        omega_units = (phi_units @ xi) @ xi.conj()
-        dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
-        rho_s = KrausRep(system, working, dil)
-        x1 = (images @ xi).T
-        x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth, dil.isometry[:, :1])
-        w_rows.append(x2 @ svd_pinv(*ranked_svds([x1], tol)[0]))
-        parts.append(rho_s)
-    w = np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex)
-    rho = kraus_direct_sum(system, working, parts, w)
+    """The GNS step, a cyclic cut of the composed step.
+
+    With (rho, W) the minimal dilation of rep o tau and (xi_s, H_s) the
+    cyclic summands of rep, omega_s = <xi_s, rep(tau(.)) xi_s> = (W xi_s)*
+    rho(.) W xi_s, so by the uniqueness of the GNS construction its GNS space
+    is [rho(A) W xi_s]: :func:`kraus_span` gives its basis B_s, of the rank
+    that ``ranked_svds`` decides on the frames of W xi_s (no Choi eigenvalue
+    cut of omega_s), and its KrausRep.  W rep(a) = rho(alpha(a)) W (the
+    ``ext`` clause), so W's rows there are B_s* W P_s, P_s = H_s H_s*.
+    """
+    dil = _stinespring_step(system, rep, tau, working, tol)
+    whole, w = KrausRep(system, working, dil), dil.isometry
+    parts, w_rows = [], []
+    for xi, h in cyclic_summands(basis_images(system, rep, check_depth), rep.dim, tol):
+        basis, part = kraus_span(whole, w @ xi[:, None], tol)
+        parts.append(KrausRep(system, working, part))
+        w_rows.append((basis.conj().T @ w @ h) @ h.conj().T)
+    rho = kraus_direct_sum(system, working, parts,
+                           np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex))
     return rho, rho.dilation.isometry
 
 

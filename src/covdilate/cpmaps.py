@@ -469,8 +469,8 @@ def kraus_span(rep: KrausRep, x, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
 
 def kraus_direct_sum(system, depth, parts, isometry) -> KrausRep:
-    """The direct sum of the KrausReps ``parts`` (one system and depth, as
-    the GNS step builds them) as one KrausRep, with
+    """The direct sum of the KrausReps ``parts`` (one system and depth: the
+    GNS step's cyclic cuts of its composed step) as one KrausRep, with
     ``isometry`` W : C^h -> directsum_s K_s in summand-major coordinates.
 
     Taking the copies of each block summand by summand gives multiplicities

@@ -56,10 +56,6 @@ class StrategyInvalid(WorkbenchError):
     pass
 
 
-class NullCyclicVector(WorkbenchError):
-    pass
-
-
 class InvarianceViolation(WorkbenchError):
     pass
 

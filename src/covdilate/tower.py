@@ -47,6 +47,10 @@ of :func:`~covdilate.cpmaps.kraus_dilation` is then a number of rho:
   sqrt(M) ||rho - rho*||_F, ||Choi - Choi*|| = n ||rho - rho*||, ||Choi|| =
   n ||rho||.  These are the four numbers of its ``hermitian_residual``.
 
+The GNS transfer.  E_phi = shift o tau_phi and the shift is injective, so
+alpha^{-1} o E_phi = tau_phi exactly (``TowerSystem.gns_transfer``): GNS
+steps compose from this closed form too, with no inverse of the shift.
+
 On the two workloads: rho = I/2 at depth 3 into stage 3 gives the four
 eigenvalues 2 at side 64, and rho = I/3 at depth 2 into stage 2 rank 9 at
 side 81.  The Choi route (``cpmaps.transfer_kraus``) stays the oracle of
@@ -63,8 +67,7 @@ import numpy as np
 from .algebra import FiniteDimCStarAlgebra, StarHom
 from .covariant import CovariantPair, covariant_pair
 from .cpmaps import CPMap, KrausDilation, KrausRep, KrausTransfer, least_cut
-from .errors import (DepthExceeded, DepthZero, RangeNotInImage, ShapeMismatch,
-                     SizeCap, StrategyInvalid)
+from .errors import DepthExceeded, DepthZero, ShapeMismatch, SizeCap, StrategyInvalid
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, _canonical_phases, as_matrix,
                        eye_kron, kron_eye, read_only, spectral_norm)
 
@@ -390,30 +393,6 @@ class TowerSystem:
             raise DepthExceeded("tower constructions need an explicit check depth")
         return pair_depth + 1
 
-    def solve_alpha(self, y: GradedElement, tol: Tolerance = DEFAULT_TOL) -> GradedElement:
-        """The shift inverted on its range (one element of solve_alpha_rows)."""
-        (row,), depth = self.solve_alpha_rows(y.coords[None], y.depth, tol)
-        return self.element_from_coords(row, depth)
-
-    def solve_alpha_rows(self, coords, depth: int, tol: Tolerance = DEFAULT_TOL):
-        """The shift inverted on its range, row by row: the partial trace of
-        y over the first factor, divided by k, is the x with 1 (x) x closest
-        to y.  Each row is gated on its own residual."""
-        if depth == 0:
-            raise DepthZero("cannot invert the shift below depth 1")
-        k = self.tower.k
-        n = self.tower.stage_dim(depth - 1)
-        y = np.asarray(coords, dtype=complex).reshape(len(coords), k, n, k, n)
-        x = np.trace(y, axis1=1, axis2=3) / k
-        gap = (eye_kron(k, x) - y.reshape(len(coords), k * n, k * n)).reshape(len(coords), -1)
-        off = np.linalg.norm(gap, axis=1)
-        outside = off > tol.residual_tol * (1.0 + np.linalg.norm(y.reshape(len(coords), -1),
-                                                                 axis=1))
-        if outside.any():
-            raise RangeNotInImage(f"element misses the image of the shift by "
-                                  f"{off[np.argmax(outside)]:.3e}")
-        return x.reshape(len(coords), n * n), depth - 1
-
     def transfer_check_data(self, tau, depth: int):
         if not isinstance(tau, TowerTransfer):
             raise StrategyInvalid("tower backend expects a TowerTransfer")
@@ -423,6 +402,12 @@ class TowerSystem:
         if not isinstance(e, TowerExpectation):
             raise StrategyInvalid("tower backend expects a TowerExpectation")
         return e.as_cpmap(depth), alpha_hom(self.tower, depth - 1)
+
+    def gns_transfer(self, e, tol: Tolerance = DEFAULT_TOL) -> TowerTransfer:
+        """alpha^{-1} o E_phi = tau_phi (module docstring)."""
+        if not isinstance(e, TowerExpectation):
+            raise StrategyInvalid("tower backend expects a TowerExpectation")
+        return TowerTransfer(self.tower, e.density)
 
     def transfer_kraus(self, tau, depth: int, at: int,
                        tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:

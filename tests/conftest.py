@@ -74,10 +74,10 @@ class Case:
 
 
 def held_kraus_form(ext):
-    """The transfer's Kraus form that an adapted step was composed from, as
-    the transfer holds it; None for a step not composed (on the Choi route,
-    or a GNS step)."""
-    if ext.strategy_kind != "adapted" or not isinstance(ext.base_rep, KrausRep):
+    """The transfer's Kraus form that a step was composed from, as the
+    transfer holds it (a GNS step is cut from the composed step); None for a
+    step on the Choi route."""
+    if not isinstance(ext.base_rep, KrausRep):
         return None
     key = ("kraus", ext.system, ext.working_depth, ext.base_rep.depth, ext.tol)
     return vars(ext.transfer)["_certificates"][key]

@@ -37,6 +37,13 @@ level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
 blocks of phi_k (side n_b dim rep_k), where the package composes the levels
 above the first from the transfer's Kraus form.
 
+``gns_route_step`` is the GNS extension step as the package built it
+before the step became a cyclic cut of the composed one: per cyclic summand
+xi_s a Choi dilation of omega_s = <xi_s, (rep o tau)(.) xi_s>, the images
+of the shifted summand rep on its cyclic vector, and W's rows by a
+least-squares solve; ``gns_route_parts`` gives its per-summand parts and
+rows.  ``choi_route_chain`` takes it as its ``make_step``.
+
 ``relation_value`` values a relation X sigma(alpha^s(a)) = tau(a) X the
 way each relation site swept before ``covariant.relation_values``: X and
 both images dense, exact, with no threshold and no frame kernel.
@@ -55,18 +62,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from covdilate.algebra import ChunkRep
+from covdilate.algebra import ChunkRep, cyclic_summands
 from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
-                                 RestrictedRep, ShiftedRep, defect_floor, defect_roots,
-                                 resolve_transfer, transfer_images, two_step,
+                                 RestrictedRep, ShiftedRep, basis_images, defect_floor,
+                                 defect_roots, resolve_transfer, transfer_images, two_step,
                                  usable_depth)
-from covdilate.cpmaps import KrausRep, kraus_dilation, unit_image_chois
+from covdilate.cpmaps import KrausRep, kraus_dilation, kraus_direct_sum, unit_image_chois
 from covdilate.dilation import (DilationRecord, _defect_groups, _schaffer_record,
                                 power_orbit)
 from covdilate.extension import _assemble
 from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _canonical_phases, as_blocks,
                                 basis_sweep, block_diag, block_slices, orthonormal_span,
-                                psd_sqrt, ranked_svds, residual, spectral_norm, svd_rank)
+                                psd_sqrt, ranked_svds, residual, spectral_norm, svd_pinv,
+                                svd_rank)
 
 
 def orthonormal_complement(basis: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
@@ -361,15 +369,51 @@ def choi_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBEx
                        rep, system, check_depth, working, tol)
 
 
-def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
-    """coisometric_extend with every level's step from :func:`choi_route_step`;
-    the seed's defect-basis unitaries are drawn as the package draws them."""
+def gns_route_parts(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> tuple:
+    """The per-summand KrausReps of the GNS step, each read off the Choi
+    blocks of its omega_s, and W's rows on them, x2 pinv(x1), in
+    summand-major coordinates."""
+    working = system.stinespring_depth(check_depth)
+    view = system.algebra_view(working)
+    tau = resolve_transfer(system, strategy, tol)
+    images = basis_images(system, rep, check_depth)
+    phi_units = transfer_images(system, rep, tau, working)
+    parts, w_rows = [], []
+    for xi, _ in cyclic_summands(images, rep.dim, tol):
+        omega_units = (phi_units @ xi) @ xi.conj()
+        dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
+        rho_s = KrausRep(system, working, dil)
+        x1 = (images @ xi).T
+        x2 = basis_images(system, ShiftedRep(rho_s, system, 1), check_depth,
+                          dil.isometry[:, :1])
+        w_rows.append(x2 @ svd_pinv(*ranked_svds([x1], tol)[0]))
+        parts.append(rho_s)
+    return parts, w_rows
+
+
+def gns_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBExtension:
+    """The GNS extension step from :func:`gns_route_parts`, merged into one
+    KrausRep as the package merges its parts."""
+    working = system.stinespring_depth(check_depth)
+    parts, w_rows = gns_route_parts(system, rep, strategy, check_depth, tol)
+    w = np.vstack(w_rows) if w_rows else np.zeros((0, rep.dim), dtype=complex)
+    rho = kraus_direct_sum(system, working, parts, w)
+    return HBExtension(rho, rho.dilation.isometry, strategy.kind,
+                       resolve_transfer(system, strategy, tol), rep, system, check_depth,
+                       working, tol)
+
+
+def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None,
+                     make_step=choi_route_step):
+    """coisometric_extend with every level's step from ``make_step``
+    (:func:`choi_route_step` by default); the seed's defect-basis unitaries
+    are drawn as the package draws them."""
     system = pair.system
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels = []
     rep, t = pair.rep, pair.contraction
     for _ in range(n_levels):
-        ext = choi_route_step(system, rep, strategy, pair.depth, tol)
+        ext = make_step(system, rep, strategy, pair.depth, tol)
         step = two_step(CovariantPair(system, rep, t, pair.depth), ext, tol, rng)
         levels.append(step)
         rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)

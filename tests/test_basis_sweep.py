@@ -1,6 +1,7 @@
-"""The batched basis sweep, the projector form of invariance, the closed-form
-shift inverse and the strided Kraus representation, each against the
-per-element or dense route it replaces (kept here as test-local references).
+"""The batched basis sweep, the projector form of invariance, the batched
+inverse of the dynamics and the strided Kraus representation, each against
+the per-element or dense route it replaces (kept here as test-local
+references).
 """
 
 import re
@@ -26,8 +27,7 @@ from covdilate.extension import coisometric_extend
 from covdilate.numerics import (DEFAULT_TOL, basis_sweep, block_diag, residual,
                                 spectral_norm)
 from covdilate.scenario import build_scenario, demo_fixture
-from covdilate.tower import (ShiftTower, TowerSystem, alpha_hom, shift_alpha,
-                             standard_rep)
+from covdilate.tower import ShiftTower, shift_alpha, standard_rep
 
 from conftest import random_element
 from test_cpmaps import transpose_map
@@ -232,44 +232,8 @@ def test_each_level_spans_its_step_set_once(corpus, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the tower backend
+# the GNS inverse of the dynamics on the finite backend
 # ---------------------------------------------------------------------------
-
-def _lstsq_solve_alpha(tower, y, tol=DEFAULT_TOL):
-    """The least-squares inverse of the shift the closed form replaced."""
-    m = alpha_hom(tower, y.depth - 1).matrix
-    rhs = y.coords
-    sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    off = np.linalg.norm(m @ sol - rhs)
-    n = tower.stage_dim(y.depth - 1)
-    return sol.reshape(n, n), off > tol.residual_tol * (1.0 + np.linalg.norm(rhs))
-
-
-@pytest.mark.parametrize("k,d_max", [(2, 5), (3, 3)])
-def test_closed_form_solve_alpha_matches_lstsq(k, d_max):
-    rng = np.random.default_rng(100 + k)
-    tower = ShiftTower(k, d_max)
-    system = TowerSystem(tower)
-    for depth in range(1, d_max + 1):
-        n = tower.stage_dim(depth - 1)
-        x = tower.element(depth - 1, rng.standard_normal((n, n))
-                          + 1j * rng.standard_normal((n, n)))
-        y = shift_alpha(x)
-        ref, outside = _lstsq_solve_alpha(tower, y)
-        assert not outside
-        got = system.solve_alpha(y)
-        assert got.depth == depth - 1
-        assert np.allclose(got.mat, ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(got.mat, x.mat, rtol=0.0, atol=1e-12)
-
-        big = tower.stage_dim(depth)
-        off_range = tower.element(depth, y.mat + 1e-3 * (
-            rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))))
-        _, outside = _lstsq_solve_alpha(tower, off_range)
-        assert outside
-        with pytest.raises(RangeNotInImage):
-            system.solve_alpha(off_range)
-
 
 def _lstsq_alpha_inverse(system, coords, tol=DEFAULT_TOL):
     """The per-element least-squares inverse the batched solve replaced:

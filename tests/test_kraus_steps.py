@@ -5,8 +5,10 @@ spaces of a KrausRep (see its docstring).  The dense routes kept here
 rebuild them from evaluated images: the spanning set
 [rho(b_1) X, ..., rho(b_N) X] and its orthonormal_span, the RestrictedRep
 B* rho(x) B of every chain level, x2 pinv(x1), and the GNS step's direct sum
-of per-summand KrausReps.  Every step stays in the Kraus coordinates of its
-own dilation; the chain whose step spaces are rotated by Haar draws
+of per-summand KrausReps, each read off the Choi blocks of its state
+(``dense_oracle.gns_route_step``), where the package cuts each summand from
+the composed step.  Every step stays in the Kraus coordinates of its own
+dilation; the chain whose step spaces are rotated by Haar draws
 (:func:`rotated_route_chain`) is certified equivalent to it.  A basis seed
 moves each level by a Haar unitary of its ``pi_hat``'s commutant, drawn
 block by block.
@@ -21,14 +23,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covdilate.covariant as covariant_mod
-from covdilate.algebra import FiniteDimCStarAlgebra, StarHom, cyclic_summands
+from covdilate.algebra import FiniteDimCStarAlgebra, StarHom
 from covdilate.covariant import (CovariantPair, DirectSumRep, FiniteDimSystem,
                                  RestrictedRep, TwoStepBlock, basis_images, defect_roots,
                                  extend_representation, frame_rank, haar_unitary,
                                  invariance_residual, resolve_transfer, span_frame,
-                                 transfer_images, two_step)
-from covdilate.cpmaps import (KrausDilation, KrausRep, kraus_dilation, kraus_span,
-                              unit_image_chois)
+                                 two_step)
+from covdilate.cpmaps import KrausDilation, KrausRep, KrausTransfer, kraus_span
 from covdilate.dilation import explicit_matricial_unitary, power_orbit, schaffer_dilate
 from covdilate.equivalence import (chain_intertwiner, dilation_intertwiner,
                                    stinespring_intertwiner)
@@ -38,11 +39,13 @@ from covdilate.numerics import (DEFAULT_TOL, BlockOperator, block_diag, eye_kron
                                 orthonormal_span, spectral_norm)
 from covdilate.scenario import build_scenario, load_scenario
 
+import dense_oracle
 from conftest import rotated_step
 from test_dilation_kernel import gns_strategy
 from test_equivalence import finite_pair
 from test_intertwiner_bound import TOWER_WIDE
 from test_stacked_images import PROPER_DEFECT
+from test_tower_kraus import gns_tower_scenarios
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,18 +109,9 @@ def rotated_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=No
 
 
 def direct_sum_gns_rep(system, rep, strategy, check_depth, tol=DEFAULT_TOL):
-    """The GNS step's representation as the direct sum of its per-summand
-    KrausReps, in summand-major coordinates."""
-    working = system.stinespring_depth(check_depth)
-    view = system.algebra_view(working)
-    tau = resolve_transfer(system, strategy, tol)
-    summands = cyclic_summands(basis_images(system, rep, check_depth), rep.dim, tol)
-    phi_units = transfer_images(system, rep, tau, working)
-    parts = []
-    for xi, _ in summands:
-        omega_units = (phi_units @ xi) @ xi.conj()
-        dil = kraus_dilation(view, unit_image_chois(view, omega_units, 1), tol)
-        parts.append(KrausRep(system, working, dil))
+    """The GNS step's representation as the direct sum of the per-summand
+    KrausReps of the Choi route, in summand-major coordinates."""
+    parts, _ = dense_oracle.gns_route_parts(system, rep, strategy, check_depth, tol)
     return DirectSumRep(tuple(parts))
 
 
@@ -426,6 +420,63 @@ def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
         assert np.abs(got - want).max() <= 1e-13, case.name
         merged += len(old.parts) > 1 and not np.array_equal(order, np.arange(order.size))
     assert merged > 0
+
+
+# ---------------------------------------------------------------------------
+# the GNS step as a cyclic cut of the composed step
+# ---------------------------------------------------------------------------
+
+def _gns_cases(corpus):
+    """(name, pair, GNS strategy, levels) on the corpus and on the tower-wide
+    GNS scenarios, these with two levels."""
+    for case in corpus:
+        yield case.name, case.pair, gns_strategy(case), case.levels
+    for i, data in enumerate(gns_tower_scenarios()):
+        scenario = build_scenario(dict(data, levels=2))
+        yield f"tower-wide-gns-{i}", scenario.pair, scenario.strategy, scenario.levels
+
+
+def _step_dims(chain):
+    return [(lv.ext.dilation_dim, lv.ext.rho.dilation.multiplicities) for lv in chain.levels]
+
+
+@pytest.mark.parametrize("basis_seed", [None, 17])
+def test_gns_cut_chains_are_the_per_summand_route_chains(corpus, basis_seed):
+    """Every level's GNS step, cut from the composed step, against the Choi
+    dilation of each omega_s with W's rows by least squares."""
+    for name, pair, strategy, levels in _gns_cases(corpus):
+        chain = coisometric_extend(pair, levels, strategy, DEFAULT_TOL, basis_seed)
+        oracle = dense_oracle.choi_route_chain(pair, levels, strategy, DEFAULT_TOL, basis_seed,
+                                               dense_oracle.gns_route_step)
+        assert chain.block_dims == oracle.block_dims, name
+        assert _step_dims(chain) == _step_dims(oracle), name
+        cert = chain_intertwiner(oracle, chain)
+        assert cert.verdict == "equivalent", (name, cert.residuals)
+        for level in chain.levels:
+            w = level.ext.isometry
+            assert spectral_norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-12, name
+
+
+def test_a_finite_gns_chain_holds_one_kraus_transfer(corpus, monkeypatch):
+    """Level 0 dilates pi o tau on the Choi route, pi having no Kraus form;
+    every level above is composed from the one Kraus form that the strategy's
+    held transfer alpha^-1 o E holds, one per (working depth, stage)."""
+    case = next(c for c in corpus if c.backend == "finite-dim" and c.pair.contraction.any())
+    strategy = gns_strategy(case)
+    built = []
+    real = FiniteDimSystem.transfer_kraus
+
+    def counting(self, tau, depth, at, tol=DEFAULT_TOL):
+        built.append((depth, at))
+        return real(self, tau, depth, at, tol)
+
+    monkeypatch.setattr(FiniteDimSystem, "transfer_kraus", counting)
+    chain = coisometric_extend(case.pair, 4, strategy)
+    assert chain.n_levels == 4 and all(lv.dim for lv in chain.levels)
+    assert built == [(None, None)]
+    tau = resolve_transfer(case.pair.system, strategy)
+    assert all(lv.ext.transfer is tau for lv in chain.levels)
+    assert [type(form) for form in vars(tau)["_certificates"].values()] == [KrausTransfer]
 
 
 # ---------------------------------------------------------------------------

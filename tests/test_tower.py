@@ -6,8 +6,8 @@ from covdilate.covariant import stage_view
 from covdilate.cpmaps import verify_completely_positive, verify_transfer
 from covdilate.errors import DepthExceeded, DepthZero, SizeCap
 from covdilate.numerics import spectral_norm
-from covdilate.tower import (ShiftTower, TowerExpectation, TowerSystem,
-                             TowerTransfer, alpha_hom, embed, shift_alpha,
+from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer,
+                             alpha_hom, embed, shift_alpha,
                              shift_down_pair, standard_rep, state_density,
                              transfer_phi)
 
@@ -153,11 +153,3 @@ def test_nonuniqueness_witness_on_representation():
     diff = spectral_norm(rep(t1(y)) - rep(t2(y)))
     assert diff > 0.4
 
-
-def test_tower_system_solve_alpha():
-    system = TowerSystem(TOWER)
-    x = rand_elem(2, 6)
-    y = shift_alpha(x)
-    back = system.solve_alpha(y)
-    assert back.depth == 2
-    assert spectral_norm(back.mat - x.mat) <= 1e-10

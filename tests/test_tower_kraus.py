@@ -7,7 +7,7 @@ blocks and is the oracle here.  The kept values and their multiplicities,
 the kept Kraus data and the gate numbers agree; the composed chains are
 certified equivalent to ``dense_oracle.choi_route_chain``; a density that
 is not Hermitian or not PSD raises NotCP exactly where the Choi route does;
-and passing adapted tower runs form no Choi matrix of the transfer.
+and passing adapted and GNS tower runs form no Choi matrix of the transfer.
 """
 
 import json
@@ -30,6 +30,7 @@ from covdilate.tower import ShiftTower, TowerSystem, TowerTransfer, state_densit
 
 import dense_oracle
 from conftest import held_kraus_form, make_tower_case
+from test_intertwiner_bound import GNS_A, TOWER_WIDE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PHIS = ("trace", "vector", "mixed")
@@ -191,14 +192,24 @@ def _adapted_tower_scenarios():
     return [demo_fixture("tower"), wide, mixed, stage4]
 
 
-def test_adapted_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
-    scenarios = [build_scenario(data) for data in _adapted_tower_scenarios()]
+def gns_tower_scenarios():
+    """The tower-wide pair under the GNS strategy, with a vector state and
+    a mixed one."""
+    mixed = {"density": [[[0.5, 0], [0.1, 0.1], [0, 0]], [[0.1, -0.1], [0.3, 0], [0.05, 0]],
+                         [[0, 0], [0.05, 0], [0.2, 0]]]}
+    return [dict(TOWER_WIDE, strategy=GNS_A),
+            dict(TOWER_WIDE, strategy={"kind": "gns", "phi": mixed})]
+
+
+def _assert_no_choi_matrix_of_the_transfer(monkeypatch, scenarios):
+    # the scenarios are built before the patch: their load gates still take
+    # the dense route
     calls = []
 
     def refuse(name):
         def record(*args, **kwargs):
             calls.append(name)
-            raise AssertionError(f"{name} called on an adapted tower run")
+            raise AssertionError(f"{name} called on a tower run")
         return record
 
     for module in (cpmaps, covariant):
@@ -208,3 +219,16 @@ def test_adapted_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
         for command in ("extend", "unitary", "matricial"):
             assert run(scenario, command)["passed"], command
     assert calls == []
+
+
+def test_adapted_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
+    _assert_no_choi_matrix_of_the_transfer(
+        monkeypatch, [build_scenario(data) for data in _adapted_tower_scenarios()])
+
+
+def test_gns_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
+    """A tower GNS step is a cyclic cut of the step composed from the closed
+    form of tau_phi = alpha^-1 o E_phi: neither the transfer nor any omega_s
+    goes through a Choi matrix."""
+    _assert_no_choi_matrix_of_the_transfer(
+        monkeypatch, [build_scenario(data) for data in gns_tower_scenarios()])

@@ -43,11 +43,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (ChunkRep, FiniteDimCStarAlgebra, Representation, StarHom,
-                      cyclic_summands, unit_residual)
-from .cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer,
-                     idempotency_residual, kraus_dilation, kraus_direct_sum, kraus_span,
-                     range_defect, transfer_kraus, unit_image_chois,
-                     verify_completely_positive, verify_transfer)
+                      cyclic_summands)
+from .cpmaps import (CompletePositivityReport, CPMap, KrausDilation, KrausRep,
+                     KrausTransfer, TransferReport, kraus_dilation, kraus_direct_sum,
+                     kraus_span, range_defect, transfer_kraus, unit_image_chois,
+                     verify_completely_positive)
 from .errors import (DepthExceeded, InvarianceViolation, NotContraction,
                      NotPositive, RangeNotInImage, ShapeMismatch, StrategyInvalid)
 from .numerics import (DEFAULT_TOL, BlockOperator, Leaf, Tolerance, UpperBound, as_matrix,
@@ -135,15 +135,13 @@ class FiniteDimSystem:
                                   f"{off[np.argmax(outside)]:.3e}")
         return sol.T, None
 
-    def transfer_check_data(self, tau, depth):
-        if not isinstance(tau, CPMap):
-            raise StrategyInvalid("finite backend expects the transfer as a CPMap")
-        return tau, self.alpha
-
-    def expectation_check_data(self, e, depth):
+    def expectation_gate(self, e, tau, depth, tol: Tolerance = DEFAULT_TOL) -> tuple:
+        """(the lowest Choi eigenvalue of E, its range defect), both on E's
+        own coordinates (``tau`` is not read)."""
         if not isinstance(e, CPMap):
             raise StrategyInvalid("finite backend expects the expectation as a CPMap")
-        return e, self.alpha
+        return (verify_completely_positive(e, tol).min_eig,
+                range_defect(self.alpha, e.matrix, tol, threshold=tol.residual_tol))
 
     def gns_transfer(self, e, tol: Tolerance = DEFAULT_TOL) -> "RangeInverse":
         """alpha^{-1} o E, with the residual gate of ``solve_alpha_rows``."""
@@ -152,6 +150,8 @@ class FiniteDimSystem:
     def transfer_kraus(self, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
         """The Kraus form of tau, by the Choi route
         (:func:`~covdilate.cpmaps.transfer_kraus`)."""
+        if not isinstance(tau, (CPMap, RangeInverse)):
+            raise StrategyInvalid("finite backend expects the transfer as a CPMap")
         return transfer_kraus(self, tau, depth, at, tol)
 
 
@@ -732,14 +732,25 @@ def resolve_transfer(system, strategy, tol: Tolerance = DEFAULT_TOL) -> Callable
     raise StrategyInvalid(f"unknown strategy {strategy!r}")
 
 
-def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
-    """Gate the strategy data before any construction uses it.
+def transfer_form(system, tau, depth, at, tol: Tolerance = DEFAULT_TOL) -> KrausTransfer:
+    """The Kraus form of ``tau`` from the stage ``depth``, its values embedded
+    at the stage ``at`` (``system.transfer_kraus``), held by ``tau`` once
+    built (:func:`~covdilate.numerics.certified`): the strategy gate reads its
+    gate numbers, and every composed step its Kraus rows."""
+    return certified(tau, ("kraus", system, depth, at, tol),
+                     lambda: system.transfer_kraus(tau, depth, at, tol))
 
-    The report is computed once per (system, depth, tolerance) and held by
-    the strategy (:func:`~covdilate.numerics.certified`); a failing one
-    raises and is not held, and each caller gets its own copy of the held
-    clause list.  The transfer's and the expectation's coordinate matrices
-    are read-only (``CPMap``, ``TowerTransfer``, ``TowerExpectation``)."""
+
+def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> ClauseReport:
+    """Gate the strategy data before any construction uses it: the clauses
+    are swept on coordinate rows (``tau.rows``, ``e.rows``,
+    ``system.alpha_coords``), Choi positivity is the low edge of the Kraus
+    form the steps compose from (:func:`transfer_form`; for E,
+    ``system.expectation_gate``, with its range defect), and a form with a
+    Choi block that is not hermitian raises even when they pass.  The report
+    is held by the strategy per (system, depth, tolerance)
+    (:func:`~covdilate.numerics.certified`); a failing one raises and is not
+    held, and each caller gets its own copy of the held clause list."""
     if not isinstance(strategy, (AdaptedStrategy, GnsStrategy)):
         raise StrategyInvalid(f"unknown strategy {strategy!r}")
     held = certified(strategy, ("strategy", system, depth, tol),
@@ -748,26 +759,37 @@ def verify_strategy(system, strategy, depth, tol: Tolerance = DEFAULT_TOL) -> Cl
 
 
 def _strategy_report(system, strategy, depth, tol: Tolerance) -> ClauseReport:
-    rep = ClauseReport()
+    thr, tau = tol.residual_tol, resolve_transfer(system, strategy, tol)
+
+    def full(rows, d):
+        return system.algebra_view(d).full_matrices(rows)
+    unit = system.coords(system.unit(depth), depth)[None]
     if isinstance(strategy, AdaptedStrategy):
-        tau_cp, alpha_hom = system.transfer_check_data(strategy.transfer, depth)
-        tr = verify_transfer(tau_cp, alpha_hom, tol)
-        rep.extend(tr.clauses())
-        if not rep.passed:
-            raise StrategyInvalid("transfer operator fails its checks")
-        return rep
-    e_cp, alpha_hom = system.expectation_check_data(strategy.expectation, depth)
-    cp = verify_completely_positive(e_cp, tol)
-    off = range_defect(alpha_hom, e_cp.matrix, tol, threshold=tol.residual_tol)
-    rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
-                   idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
-    rep.add(clause("expectation/unital", "E(1) = 1",
-                   unit_residual(e_cp, tol.residual_tol), tol.residual_tol))
-    rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
-                   max(0.0, -cp.min_eig), tol.psd_floor))
-    rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
+        low = min(low for low, _ in transfer_form(system, tau, depth, depth, tol).edges)
+        (img, below), what = tau.rows(unit, depth), "transfer operator"
+        (left,) = basis_sweep(system.basis_size(below), lambda c: (c,), lambda c: (
+            full(*tau.rows(*system.alpha_coords(c, below))), full(c, below)), threshold=thr)
+        one = full(system.coords(system.unit(below), below)[None], below)[0]
+        rep = TransferReport(left, residual(full(img, below)[0], one, thr),
+                             CompletePositivityReport((low,), tol.psd_floor), thr).clauses()
+    else:
+        e, what = strategy.expectation, "conditional expectation"
+        low, off = system.expectation_gate(e, tau, depth, tol)
+        (idem,) = basis_sweep(system.basis_size(depth), lambda c: e.rows(c, depth),
+                              lambda ec, d: (full(*e.rows(ec, d)), full(ec, d)), threshold=thr)
+        rep = ClauseReport([
+            clause("expectation/idempotent", "E(E(a)) = E(a)", idem, thr),
+            clause("expectation/unital", "E(1) = 1",
+                   residual(full(*e.rows(unit, depth))[0], full(unit, depth)[0], thr), thr),
+            clause("expectation/completely-positive", "min eig Choi(E) >= 0",
+                   max(0.0, -low), tol.psd_floor),
+            clause("expectation/range", "ran E inside ran alpha", off, thr)])
     if not rep.passed:
-        raise StrategyInvalid("conditional expectation fails its checks")
+        raise StrategyInvalid(f"{what} fails its checks")
+    herm = max(max(hs) for hs in transfer_form(system, tau, depth, depth, tol).hermiticity)
+    if herm > thr:
+        raise StrategyInvalid(f"Choi matrix of the transfer is not hermitian "
+                              f"(residual {herm:.3e})")
     return rep
 
 
@@ -865,12 +887,10 @@ def extend_representation(system, rep, strategy, check_depth,
 
 def _stinespring_step(system, rep, tau, working, tol):
     """The minimal dilation of rep o tau: composed for a KrausRep from the
-    Kraus form the transfer holds (:func:`~covdilate.numerics.certified`),
-    else (a finite pi with no Kraus form) from the Choi blocks of rep o tau."""
+    Kraus form the transfer holds (:func:`transfer_form`), else (a finite pi
+    with no Kraus form) from the Choi blocks of rep o tau."""
     if isinstance(rep, KrausRep):
-        kraus = certified(tau, ("kraus", system, working, rep.depth, tol),
-                          lambda: system.transfer_kraus(tau, working, rep.depth, tol))
-        return kraus.compose(rep)
+        return transfer_form(system, tau, working, rep.depth, tol).compose(rep)
     view = system.algebra_view(working)
     phi_units = transfer_images(system, rep, tau, working)
     return kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)

@@ -544,14 +544,14 @@ class KrausTransfer:
       C_bc*|| / (1 + max_c ||C_bc||) <= max_c hermitian_residual(C_bc) over
       r_c > 0: gating each such C_bc passes every level's hermiticity gate.
       Both gates therefore rest on psi's Choi blocks alone, and are
-      decided once per chain and component.  For a
-      transfer that ``verify_strategy`` certified, the positivity gate
-      cannot fire at any level: the embedding is a unital *-homomorphism
-      (x -> x (x) 1 on the tower), so the C_bc together have the spectrum
-      of Choi(tau) (on the tower each value k times), which that check
-      holds above ``-psd_floor``, inside the level's ``-psd_floor (1 +
-      top)``.  Hermiticity is not part of ``verify_strategy``; the gate
-      above checks it.
+      decided once per chain and component.  ``verify_strategy`` reads
+      both off the transfer's held form (no stage map is formed): its low
+      edge above ``-psd_floor``, inside every level's ``-psd_floor (1 +
+      top)``, and no hermiticity residual above the threshold.  The
+      embedding is a unital *-homomorphism (x -> x (x) 1 on the tower), so
+      the C_bc of any target stage have the spectrum of Choi(tau) (on the
+      tower each value repeated) and the same exact hermiticity residual:
+      neither gate can fire at any level of a certified transfer.
     * Minimality.  W_c is minimal: its m_bc Kraus vectors are orthogonal
       eigenvectors, so each frame Y^c_b of W_c (see :class:`KrausRep`) has
       full row rank m_bc.  The frame of block b of P V is directsum_c Y^c_b

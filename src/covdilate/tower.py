@@ -65,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteDimCStarAlgebra, StarHom
-from .covariant import CovariantPair, covariant_pair
-from .cpmaps import CPMap, KrausDilation, KrausRep, KrausTransfer, least_cut
+from .covariant import CovariantPair, covariant_pair, transfer_form
+from .cpmaps import KrausDilation, KrausRep, KrausTransfer, least_cut
 from .errors import DepthExceeded, DepthZero, ShapeMismatch, SizeCap, StrategyInvalid
 from .numerics import (DEFAULT_TOL, Tolerance, UpperBound, _canonical_phases, as_matrix,
                        eye_kron, kron_eye, read_only, spectral_norm)
@@ -258,12 +258,6 @@ class TowerTransfer:
         out = np.einsum("qp,mpiqj->mij", self.density, y)
         return out.reshape(len(coords), n * n), depth - 1
 
-    def as_cpmap(self, depth: int) -> CPMap:
-        """Depth-fixed finite view A_depth -> A_{depth-1}."""
-        if depth < 1:
-            raise DepthZero("transfer view needs depth >= 1")
-        return _stage_map(CPMap, self.tower, depth, self.rows)
-
 
 @dataclass(frozen=True, eq=False)
 class TowerExpectation:
@@ -283,27 +277,16 @@ class TowerExpectation:
         return TowerSystem(self.tower).alpha_coords(
             *TowerTransfer(self.tower, self.density).rows(coords, depth))
 
-    def as_cpmap(self, depth: int) -> CPMap:
-        if depth < 1:
-            raise DepthZero("expectation view needs depth >= 1")
-        return _stage_map(CPMap, self.tower, depth, self.rows)
-
 
 def alpha_hom(tower: ShiftTower, depth: int) -> StarHom:
-    """Depth-fixed view of the shift as a map A_depth -> A_{depth+1}."""
+    """Depth-fixed view of the shift as a map A_depth -> A_{depth+1}: its
+    coordinate matrix is the transpose of the shifted rows of I_N, taken in
+    one call."""
     if depth + 1 > tower.d_max:
         raise DepthExceeded(f"shift view from depth {depth} exceeds d_max")
-    return _stage_map(StarHom, tower, depth, TowerSystem(tower).alpha_coords)
-
-
-def _stage_map(kind, tower: ShiftTower, depth: int, rows):
-    """A graded map as a ``kind`` (CPMap or StarHom) from stage ``depth``,
-    given on coordinate rows (``rows(coords, depth)`` returns the rows of
-    the values and their depth): its coordinate matrix is the transpose of
-    the rows of the stage basis, I_N, taken in one call."""
     src = tower.stage(depth)
-    out, dst_depth = rows(np.eye(src.dim, dtype=complex), depth)
-    return kind(src, tower.stage(dst_depth), np.ascontiguousarray(out.T))
+    out, _ = TowerSystem(tower).alpha_coords(np.eye(src.dim, dtype=complex), depth)
+    return StarHom(src, tower.stage(depth + 1), np.ascontiguousarray(out.T))
 
 
 def standard_rep(tower: ShiftTower, depth: int, multiplicity: int = 1) -> KrausRep:
@@ -393,15 +376,12 @@ class TowerSystem:
             raise DepthExceeded("tower constructions need an explicit check depth")
         return pair_depth + 1
 
-    def transfer_check_data(self, tau, depth: int):
-        if not isinstance(tau, TowerTransfer):
-            raise StrategyInvalid("tower backend expects a TowerTransfer")
-        return tau.as_cpmap(depth), alpha_hom(self.tower, depth - 1)
-
-    def expectation_check_data(self, e, depth: int):
-        if not isinstance(e, TowerExpectation):
-            raise StrategyInvalid("tower backend expects a TowerExpectation")
-        return e.as_cpmap(depth), alpha_hom(self.tower, depth - 1)
+    def expectation_gate(self, e, tau, depth: int, tol: Tolerance = DEFAULT_TOL) -> tuple:
+        """(E_phi's lowest Choi eigenvalue, its range defect): Choi(E_phi) =
+        (id (x) shift) Choi(tau_phi), so the low edge of ``tau``'s held form;
+        ``e.rows`` is the shift of ``tau.rows``, so the defect is exactly 0.0."""
+        ((low, _),) = transfer_form(self, tau, depth, depth, tol).edges
+        return low, 0.0
 
     def gns_transfer(self, e, tol: Tolerance = DEFAULT_TOL) -> TowerTransfer:
         """alpha^{-1} o E_phi = tau_phi (module docstring)."""

@@ -51,6 +51,13 @@ both images dense, exact, with no threshold and no frame kernel.
 the same way, B dense and against its dense complement, for
 ``covariant.invariance_values``.
 
+``stage_cpmap`` writes a tower transfer or expectation out as the dense
+``CPMap`` of one stage, its coordinate matrix from one call on the rows of
+I_N; ``dense_strategy_report`` is the strategy gate on those maps, the route
+``covariant.verify_strategy`` took before it swept coordinate rows and read
+Choi positivity off the transfer's held Kraus form.  It returns the report
+whether or not it passes.
+
 ``RotatedRep`` is a representation in a rotated basis, Q K(x) Q*: the
 package builds every representation in Kraus coordinates, so a rotated one
 exists only here, to drive the routes that take any representation.
@@ -62,12 +69,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from covdilate.algebra import ChunkRep, cyclic_summands
-from covdilate.covariant import (CovariantPair, DirectSumRep, HBExtension,
-                                 RestrictedRep, ShiftedRep, basis_images, defect_floor,
-                                 defect_roots, resolve_transfer, transfer_images, two_step,
-                                 usable_depth)
-from covdilate.cpmaps import KrausRep, kraus_dilation, kraus_direct_sum, unit_image_chois
+from covdilate.algebra import ChunkRep, cyclic_summands, unit_residual
+from covdilate.covariant import (AdaptedStrategy, CovariantPair, DirectSumRep,
+                                 HBExtension, RestrictedRep, ShiftedRep, basis_images,
+                                 defect_floor, defect_roots, resolve_transfer,
+                                 transfer_images, two_step, usable_depth)
+from covdilate.cpmaps import (CPMap, KrausRep, idempotency_residual, kraus_dilation,
+                              kraus_direct_sum, range_defect, unit_image_chois,
+                              verify_completely_positive, verify_transfer)
 from covdilate.dilation import (DilationRecord, _defect_groups, _schaffer_record,
                                 power_orbit)
 from covdilate.extension import _assemble
@@ -75,6 +84,8 @@ from covdilate.numerics import (DEFAULT_TOL, BlockOperator, _canonical_phases, a
                                 basis_sweep, block_diag, block_slices, orthonormal_span,
                                 psd_sqrt, ranked_svds, residual, spectral_norm, svd_pinv,
                                 svd_rank)
+from covdilate.report import ClauseReport, clause
+from covdilate.tower import alpha_hom
 
 
 def orthonormal_complement(basis: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
@@ -418,3 +429,43 @@ def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None,
         levels.append(step)
         rep, t = step.pi_hat, np.zeros((step.dim,) * 2, dtype=complex)
     return _assemble(pair, (strategy,) * n_levels, levels, basis_seed)
+
+
+def stage_cpmap(f, depth) -> CPMap:
+    """A tower ``TowerTransfer`` (A_depth -> A_(depth-1)) or
+    ``TowerExpectation`` (A_depth -> A_depth) as the CPMap of one stage:
+    its coordinate matrix is the transpose of the rows of the stage basis,
+    I_N, taken in one call."""
+    src = f.tower.stage(depth)
+    out, dst_depth = f.rows(np.eye(src.dim, dtype=complex), depth)
+    return CPMap(src, f.tower.stage(dst_depth), np.ascontiguousarray(out.T))
+
+
+def dense_check_data(system, f, depth) -> tuple:
+    """The strategy map and alpha as the dense maps the gate checked: the
+    stage maps on the tower, the maps themselves on the finite backend."""
+    if system.is_tower:
+        return stage_cpmap(f, depth), alpha_hom(system.tower, depth - 1)
+    return f, system.alpha
+
+
+def dense_strategy_report(system, strategy, depth, tol=DEFAULT_TOL) -> ClauseReport:
+    """The strategy gate on dense maps: ``verify_transfer`` for a transfer,
+    and for an expectation its idempotency sweep, unit residual, Choi
+    eigensolve and range defect; the report is returned, passing or not."""
+    rep = ClauseReport()
+    if isinstance(strategy, AdaptedStrategy):
+        tau_cp, alpha = dense_check_data(system, strategy.transfer, depth)
+        rep.extend(verify_transfer(tau_cp, alpha, tol).clauses())
+        return rep
+    e_cp, alpha = dense_check_data(system, strategy.expectation, depth)
+    cp = verify_completely_positive(e_cp, tol)
+    off = range_defect(alpha, e_cp.matrix, tol, threshold=tol.residual_tol)
+    rep.add(clause("expectation/idempotent", "E(E(a)) = E(a)",
+                   idempotency_residual(e_cp, tol.residual_tol), tol.residual_tol))
+    rep.add(clause("expectation/unital", "E(1) = 1",
+                   unit_residual(e_cp, tol.residual_tol), tol.residual_tol))
+    rep.add(clause("expectation/completely-positive", "min eig Choi(E) >= 0",
+                   max(0.0, -cp.min_eig), tol.psd_floor))
+    rep.add(clause("expectation/range", "ran E inside ran alpha", off, tol.residual_tol))
+    return rep

@@ -23,6 +23,7 @@ from covdilate.scenario import demo_fixture
 from covdilate.tower import (ShiftTower, TowerTransfer, alpha_hom,
                              shift_down_pair, state_density)
 
+from dense_oracle import stage_cpmap
 from test_dilation import classical_schaffer_full, matrix_pair
 
 
@@ -183,7 +184,7 @@ def test_criterion_7_transfer_calculus(corpus):
             alpha = case.pair.system.alpha
         else:
             depth = case.pair.depth + 1
-            tau = strat.transfer.as_cpmap(depth)
+            tau = stage_cpmap(strat.transfer, depth)
             alpha = alpha_hom(case.pair.system.tower, depth - 1)
         rep = verify_transfer(tau, alpha)
         worst_left = max(worst_left, rep.left_inverse_residual)

@@ -2,7 +2,9 @@
 
 Loading a scenario certifies alpha (``verify_endomorphism`` /
 ``verify_star_hom``) and pi (``verify``) on the finite backend, and the
-pair's covariance and the strategy on both.  Each report is held by the
+pair's covariance and the strategy on both; the strategy gate reads Choi
+positivity off the Kraus form of the transfer, which the transfer holds for
+the steps to compose from.  Each report is held by the
 object it certifies, keyed by the tolerance (and, for the strategy, by the
 system and the depth).  Here no command run on a loaded scenario computes
 any of them again, a different key or a rebuilt scenario does, and a write
@@ -16,12 +18,14 @@ import pytest
 
 import covdilate.algebra as algebra_mod
 import covdilate.covariant as covariant_mod
+import covdilate.cpmaps as cpmaps_mod
 from covdilate.algebra import StarHom, verify_endomorphism, verify_star_hom
 from covdilate.cli import run
 from covdilate.covariant import (CovariantPair, FiniteDimSystem, verify_covariance,
                                  verify_strategy)
 from covdilate.numerics import DEFAULT_TOL, Tolerance
 from covdilate.scenario import build_scenario, demo_fixture
+from covdilate.tower import TowerSystem
 
 COMMANDS = ("check", "extend", "unitary", "matricial", "compare")
 OTHER_TOL = Tolerance(residual_tol=2e-8)
@@ -42,9 +46,12 @@ def _scenarios():
 
 def _counting(monkeypatch):
     """Count the computations behind each load-time certificate: the
-    star-hom sweeps by the map they certify, the rest by name."""
+    star-hom sweeps by the map they certify, the rest by name; ``kraus``
+    counts the Kraus forms of a transfer that either system builds, and
+    ``verify_completely_positive`` the dense Choi eigensolves wherever they
+    are called from."""
     calls = {"star-hom": [], "endomorphism": 0, "covariance": 0, "strategy": 0,
-             "verify_transfer": 0, "verify_completely_positive": 0}
+             "kraus": 0, "verify_completely_positive": 0}
 
     def counted(mod, attr, name, key=None):
         real = getattr(mod, attr)
@@ -61,7 +68,9 @@ def _counting(monkeypatch):
     counted(algebra_mod, "_endomorphism_report", "endomorphism")
     counted(covariant_mod, "_covariance", "covariance")
     counted(covariant_mod, "_strategy_report", "strategy")
-    counted(covariant_mod, "verify_transfer", "verify_transfer")
+    counted(FiniteDimSystem, "transfer_kraus", "kraus")
+    counted(TowerSystem, "transfer_kraus", "kraus")
+    counted(cpmaps_mod, "verify_completely_positive", "verify_completely_positive")
     counted(covariant_mod, "verify_completely_positive", "verify_completely_positive")
     return calls
 
@@ -78,7 +87,7 @@ def test_commands_reuse_the_load_certificates(name, monkeypatch):
         report = run(scenario, command, other if command == "compare" else None)
         assert report["passed"], (name, command)
     assert calls["endomorphism"] == calls["covariance"] == calls["strategy"] == 0, calls
-    assert calls["verify_transfer"] == calls["verify_completely_positive"] == 0, calls
+    assert calls["kraus"] == calls["verify_completely_positive"] == 0, calls
     # the tower's first check certifies its stage view of pi and the shift's
     # stage map, held by the rep and the system: load computes neither
     assert not held & {id(h) for h in calls["star-hom"]}, name
@@ -110,7 +119,7 @@ def test_a_different_key_or_a_rebuilt_scenario_recomputes(monkeypatch):
     verify_strategy(tower.system, tower.strategy, t_depth, tower.tol)
     assert calls["strategy"] == 2, calls
     verify_strategy(tower.system, tower.strategy, t_depth + 1, tower.tol)
-    assert calls["strategy"] == 3 and calls["verify_transfer"] == 3, calls
+    assert calls["strategy"] == 3 and calls["kraus"] == 3, calls
 
     # a pair rebuilt from the same data holds no certificate
     verify_covariance(replace(tower.pair), tower.tol)
@@ -121,7 +130,18 @@ def test_a_different_key_or_a_rebuilt_scenario_recomputes(monkeypatch):
         calls[key] = [] if key == "star-hom" else 0
     build_scenario(demo_fixture("automorphism"))
     assert calls["endomorphism"] == calls["covariance"] == calls["strategy"] == 1, calls
-    assert len(calls["star-hom"]) == 2 and calls["verify_transfer"] == 1, calls
+    assert len(calls["star-hom"]) == 2 and calls["kraus"] == 1, calls
+
+
+def test_a_finite_chain_gates_and_composes_from_one_kraus_form(monkeypatch):
+    """Load and a three-level adapted extend build the transfer's Kraus form
+    once: the gate reads its Choi positivity there, the levels above the
+    first compose from it, and no dense Choi eigensolve runs."""
+    calls = _counting(monkeypatch)
+    scenario = build_scenario(dict(demo_fixture("automorphism"), levels=3))
+    assert run(scenario, "extend")["passed"]
+    assert calls["strategy"] == calls["kraus"] == 1, calls
+    assert calls["verify_completely_positive"] == 0, calls
 
 
 def test_writes_to_certified_arrays_raise():

@@ -139,6 +139,9 @@ def test_hb_extend_rejects_bad_strategy():
         hb_extend(pair, AdaptedStrategy(bad))
     with pytest.raises(StrategyInvalid):
         hb_extend(pair, "not a strategy")
+    tower = ShiftTower(2, 2)
+    with pytest.raises(StrategyInvalid, match="expects the transfer as a CPMap"):
+        hb_extend(pair, AdaptedStrategy(TowerTransfer(tower, state_density(tower, "trace"))))
 
 
 def test_gns_strategy_matches_adapted_scalar():

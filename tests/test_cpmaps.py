@@ -150,11 +150,12 @@ def test_stinespring_tower_view_compression():
     from covdilate.covariant import stage_view
     from covdilate.tower import (ShiftTower, TowerTransfer, standard_rep,
                                  state_density)
+    from dense_oracle import stage_cpmap
     tower = ShiftTower(2, 3)
     rep = standard_rep(tower, 2)
     tau = TowerTransfer(tower, state_density(tower, "trace"))
     pi_view = stage_view(rep.system, rep, 1)
-    phi = compose_rep(pi_view, tau.as_cpmap(2))
+    phi = compose_rep(pi_view, stage_cpmap(tau, 2))
     data = stinespring_minimal(phi)
     assert data.minimal and data.isometry_residual <= 1e-12
     w = data.isometry

@@ -1,5 +1,7 @@
 """The tower's depth-fixed stage maps, built from one batched call on the
-rows of I_N, against the element-by-element construction they replace."""
+rows of I_N (the shift's ``alpha_hom``, and the test oracle's
+``stage_cpmap`` of the transfer and the expectation), against the
+element-by-element construction they replace."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from covdilate.algebra import StarHom
 from covdilate.cpmaps import CPMap
 from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer, alpha_hom,
                              shift_alpha, state_density)
+
+from dense_oracle import stage_cpmap
 
 
 def loop_stage_map(kind, tower, src_depth, dst_depth, fn):
@@ -25,8 +29,8 @@ def test_batched_stage_maps_equal_the_element_loop(depth):
     tau = TowerTransfer(tower, density)
     e = TowerExpectation(tower, density)
     for got, want in [
-            (tau.as_cpmap(depth), loop_stage_map(CPMap, tower, depth, depth - 1, tau)),
-            (e.as_cpmap(depth), loop_stage_map(CPMap, tower, depth, depth, e)),
+            (stage_cpmap(tau, depth), loop_stage_map(CPMap, tower, depth, depth - 1, tau)),
+            (stage_cpmap(e, depth), loop_stage_map(CPMap, tower, depth, depth, e)),
             (alpha_hom(tower, depth),
              loop_stage_map(StarHom, tower, depth, depth + 1, shift_alpha))]:
         assert type(got) is type(want)

@@ -11,6 +11,8 @@ from covdilate.tower import (ShiftTower, TowerExpectation, TowerTransfer,
                              shift_down_pair, standard_rep, state_density,
                              transfer_phi)
 
+from dense_oracle import stage_cpmap
+
 TOWER = ShiftTower(2, 5)
 
 
@@ -85,14 +87,14 @@ def test_transfer_views_pass_cp_and_transfer_checks():
     for phi in ("trace", [1, 0], [0.6, 0.8]):
         tau = TowerTransfer(TOWER, state_density(TOWER, phi))
         for depth in (1, 2, 3):
-            rep = verify_transfer(tau.as_cpmap(depth), alpha_hom(TOWER, depth - 1))
+            rep = verify_transfer(stage_cpmap(tau, depth), alpha_hom(TOWER, depth - 1))
             assert rep.passed
             assert rep.left_inverse_residual <= 1e-12
 
 
 def test_expectation_is_idempotent_cp():
     e = TowerExpectation(TOWER, state_density(TOWER, "trace"))
-    view = e.as_cpmap(2)
+    view = stage_cpmap(e, 2)
     cp = verify_completely_positive(view)
     assert cp.passed
     worst = max(spectral_norm(view(view(a)).full_matrix() - view(a).full_matrix())

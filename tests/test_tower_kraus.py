@@ -201,9 +201,9 @@ def gns_tower_scenarios():
             dict(TOWER_WIDE, strategy={"kind": "gns", "phi": mixed})]
 
 
-def _assert_no_choi_matrix_of_the_transfer(monkeypatch, scenarios):
-    # the scenarios are built before the patch: their load gates still take
-    # the dense route
+def _assert_no_choi_matrix_of_the_transfer(monkeypatch, datas):
+    # the scenarios are built under the patch: the load gate reads the
+    # transfer's held Kraus form too
     calls = []
 
     def refuse(name):
@@ -215,20 +215,18 @@ def _assert_no_choi_matrix_of_the_transfer(monkeypatch, scenarios):
     for module in (cpmaps, covariant):
         monkeypatch.setattr(module, "unit_image_chois", refuse("unit_image_chois"))
     monkeypatch.setattr(cpmaps, "choi_spectra", refuse("choi_spectra"))
-    for scenario in scenarios:
+    for scenario in map(build_scenario, datas):
         for command in ("extend", "unitary", "matricial"):
             assert run(scenario, command)["passed"], command
     assert calls == []
 
 
 def test_adapted_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
-    _assert_no_choi_matrix_of_the_transfer(
-        monkeypatch, [build_scenario(data) for data in _adapted_tower_scenarios()])
+    _assert_no_choi_matrix_of_the_transfer(monkeypatch, _adapted_tower_scenarios())
 
 
 def test_gns_tower_runs_form_no_choi_matrix_of_the_transfer(monkeypatch):
     """A tower GNS step is a cyclic cut of the step composed from the closed
     form of tau_phi = alpha^-1 o E_phi: neither the transfer nor any omega_s
     goes through a Choi matrix."""
-    _assert_no_choi_matrix_of_the_transfer(
-        monkeypatch, [build_scenario(data) for data in gns_tower_scenarios()])
+    _assert_no_choi_matrix_of_the_transfer(monkeypatch, gns_tower_scenarios())

@@ -13,17 +13,19 @@ isometric extension step (a larger representation ``rho`` and an isometry
   construction is a cyclic cut of the adapted step's dilation for tau =
   alpha^{-1} o E (``_gns_step``).
 
-Both strategies build their dilations with the one Choi/Kraus kernel of
-:mod:`covdilate.cpmaps`, and every step's representation is one
-:class:`~covdilate.cpmaps.KrausRep` (the GNS summands merged into one), so
+Both strategies build their dilations with one kernel: the dilation of rep
+o tau at every chain level, on both backends, is composed from the Kraus
+form of the transfer (:class:`~covdilate.cpmaps.KrausTransfer`), which the
+transfer holds, and no Choi block of rep o tau is formed.  The system
+builds that form (``transfer_kraus``), the finite backend from the Choi
+blocks of tau and the tower in closed form from the density of its state.
+Every level above the first, and level 0 on the tower (whose
+``standard_rep`` is one), is a :class:`~covdilate.cpmaps.KrausRep` and
+composes as it is; a finite pi enters through its own minimal Stinespring
+dilation, rep = U* K U with U unitary (:func:`kraus_form`).  Every step's
+representation is one ``KrausRep`` (the GNS summands merged into one), so
 the defect spans, the restrictions to them and the step intertwiners are
-computed in its multiplicity spaces.  The dilation of rep o tau of a
-``KrausRep`` (every chain level above the first, and level 0 on the tower,
-whose ``standard_rep`` is one) is composed from the Kraus form of the transfer
-(:class:`~covdilate.cpmaps.KrausTransfer`) instead of the Choi blocks of
-rep o tau; the system builds that form (``transfer_kraus``), the finite
-backend from the Choi blocks of tau and the tower in closed form from the
-density of its state.  Both backends (finite-dimensional
+computed in its multiplicity spaces.  Both backends (finite-dimensional
 algebras and the graded tensor tower) drive the same engine through a small
 system protocol: ``basis(depth)``, ``basis_size(depth)``, ``alpha_coords``,
 ``coord_blocks`` and friends.  The engine evaluates on coordinate rows: a
@@ -497,7 +499,9 @@ def frame_rank(frame, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def transfer_images(system, rep, tau, depth) -> np.ndarray:
-    """rep(tau(b)) for every basis element b at ``depth``, as one stack.
+    """rep(tau(b)) for every basis element b at ``depth``, as one stack: the
+    step's :meth:`HBExtension.phi_units`, which only the Gram-mismatch
+    witness of the equivalence certificates reads (no step forms it).
 
     The transfer acts on coordinate rows, one chunk at a time:
     ``tau.rows(coords, depth)`` returns the rows of the values and their depth.
@@ -863,12 +867,12 @@ def extend_representation(system, rep, strategy, check_depth,
     """Extension step for a bare representation; used level by level in chains.
 
     Strategy data is assumed verified by the caller (chains verify once).
-    The step on a :class:`~covdilate.cpmaps.KrausRep` (every chain level on
-    the tower, every level above the first on the finite backend), adapted
-    or GNS, is composed from the Kraus form of the transfer
-    (:class:`~covdilate.cpmaps.KrausTransfer`), which the transfer holds
-    once built, one per (system, working depth, stage of ``rep``,
-    tolerance), so that one eigensolve serves every level of a chain.
+    Every step, adapted or GNS, on either backend and at every level, is
+    composed from the Kraus form of the transfer
+    (:class:`~covdilate.cpmaps.KrausTransfer`, see :func:`_stinespring_step`),
+    which the transfer holds once built, one per (system, working depth,
+    stage of ``rep``, tolerance), so that one eigensolve serves every level
+    of a chain.  The strategy is one that :func:`resolve_transfer` accepts.
     """
     working = system.stinespring_depth(check_depth)
     if system.is_tower and working > system.d_max:
@@ -877,23 +881,52 @@ def extend_representation(system, rep, strategy, check_depth,
     if isinstance(strategy, AdaptedStrategy):
         dil = _stinespring_step(system, rep, tau, working, tol)
         rho, w = KrausRep(system, working, dil), dil.isometry
-    elif isinstance(strategy, GnsStrategy):
-        rho, w = _gns_step(system, rep, tau, check_depth, working, tol)
     else:
-        raise StrategyInvalid(f"unknown strategy {strategy!r}")
+        rho, w = _gns_step(system, rep, tau, check_depth, working, tol)
 
     return HBExtension(rho, w, strategy.kind, tau, rep, system, check_depth, working, tol)
 
 
-def _stinespring_step(system, rep, tau, working, tol):
-    """The minimal dilation of rep o tau: composed for a KrausRep from the
-    Kraus form the transfer holds (:func:`transfer_form`), else (a finite pi
-    with no Kraus form) from the Choi blocks of rep o tau."""
+def kraus_form(system, rep, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """``(K, U)`` with rep(x) = U* K(x) U for x in the algebra at the stage
+    ``rep.max_depth``, K a :class:`~covdilate.cpmaps.KrausRep` there.
+
+    A KrausRep is its own form (U None).  Any other rep (a finite pi given
+    by multiplicities and a basis unitary, or by images) takes its minimal
+    Stinespring dilation, read off its own Choi blocks by
+    :func:`~covdilate.cpmaps.kraus_dilation` from its images on the rows of
+    the identity, and held by the rep
+    (:func:`~covdilate.numerics.certified`).  U is the dilation map, and it
+    is unitary since rep is a unital *-homomorphism: U* U = rep(1) = I, and
+    ||(I - U U*) K(x) U h||^2 = <(rep(x* x) - rep(x)* rep(x)) h, h> = 0, so
+    the range of U holds K(A) U H, which is all of K's space by
+    minimality."""
     if isinstance(rep, KrausRep):
-        return transfer_form(system, tau, working, rep.depth, tol).compose(rep)
-    view = system.algebra_view(working)
-    phi_units = transfer_images(system, rep, tau, working)
-    return kraus_dilation(view, unit_image_chois(view, phi_units, rep.dim), tol)
+        return rep, None
+    return certified(rep, ("kraus form", system, tol), lambda: _kraus_form(system, rep, tol))
+
+
+def _kraus_form(system, rep, tol):
+    depth = rep.max_depth
+    view = system.algebra_view(depth)
+    units = rep.images(np.eye(view.dim, dtype=complex), depth)
+    dil = kraus_dilation(view, unit_image_chois(view, units, rep.dim), tol)
+    return KrausRep(system, depth, dil), dil.isometry
+
+
+def _stinespring_step(system, rep, tau, working, tol):
+    """The minimal dilation of rep o tau, composed from the Kraus form the
+    transfer holds (:func:`transfer_form`), whatever rep is.
+
+    With rep = U* K U (:func:`kraus_form`) and (rho, W_K) the composed
+    dilation of K o tau, rep o tau = (W_K U)* rho (W_K U), and W_K U is
+    minimal with W_K, since U is unitary: span rho(A) W_K U H is span
+    rho(A) W_K K.  So every level, level 0 of a finite chain included,
+    takes :meth:`~covdilate.cpmaps.KrausTransfer.compose`, and no Choi
+    block of rep o tau is formed."""
+    form, u = kraus_form(system, rep, tol)
+    dil = transfer_form(system, tau, working, form.depth, tol).compose(form)
+    return dil if u is None else KrausDilation(dil.multiplicities, dil.isometry @ u)
 
 
 def _gns_step(system, rep, tau, check_depth, working, tol):

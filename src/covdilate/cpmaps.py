@@ -498,8 +498,12 @@ class KrausTransfer:
     [psi_c(E^b_pq)]_pq of side n_b n_c.  A chain dilates phi_k = pi_hat_(k-1)
     o psi at every level k >= 1 with the same psi (the transfer tau,
     followed on the tower by the embedding into the level's stage), so one
-    Kraus form serves every level, and on the tower level 0 too, whose pi is
-    a KrausRep (a pi deeper than the working stage takes a form of its own).
+    Kraus form serves every level, level 0 too: on the tower pi is a
+    KrausRep, and a finite pi = U* K U enters through its own minimal
+    Stinespring dilation K, the step's isometry being W U
+    (``covariant.kraus_form``); a pi deeper than the working stage takes a
+    form of its own.  Every extension step is composed here; no Choi block
+    of pi o psi is formed.
     The form holds the gate numbers of the C_bc and their kept Kraus data,
     not their spectra:
 

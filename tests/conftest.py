@@ -15,7 +15,7 @@ import pytest
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
 from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
                                  haar_unitary)
-from covdilate.cpmaps import CPMap, KrausRep
+from covdilate.cpmaps import CPMap
 from covdilate.extension import ExtensionChain, coisometric_extend
 from covdilate.numerics import DEFAULT_TOL, spectral_norm
 from covdilate.tower import (ShiftTower, TowerTransfer, shift_down_pair,
@@ -75,12 +75,11 @@ class Case:
 
 def held_kraus_form(ext):
     """The transfer's Kraus form that a step was composed from, as the
-    transfer holds it (a GNS step is cut from the composed step); None for a
-    step on the Choi route."""
-    if not isinstance(ext.base_rep, KrausRep):
-        return None
-    key = ("kraus", ext.system, ext.working_depth, ext.base_rep.depth, ext.tol)
-    return vars(ext.transfer)["_certificates"][key]
+    transfer holds it (a GNS step is cut from the composed step), targeting
+    the stage of the step's representation (``max_depth``: a ``KrausRep``'s
+    depth, None for a finite pi); None when the transfer holds none there."""
+    key = ("kraus", ext.system, ext.working_depth, ext.base_rep.max_depth, ext.tol)
+    return vars(ext.transfer).get("_certificates", {}).get(key)
 
 
 def make_finite_case(rng, idx: int, unitary_t: bool = False) -> Case:

@@ -32,10 +32,12 @@ factorization behind its defect root (now the SVD of the group's columns):
 the dense root Delta_c by ``psd_sqrt``, its range B_c from one SVD over the
 groups, and the head B_c* Delta_c.  It holds no pivot factors, so its pivots go through SVDs.
 
-``choi_route_chain`` builds every adapted level the way the package builds
-level 0: the minimal dilation of phi_k = rep_k o tau read off the Choi
-blocks of phi_k (side n_b dim rep_k), where the package composes the levels
-above the first from the transfer's Kraus form.
+``choi_route_chain`` builds every adapted level the way the package built
+level 0 of a finite chain before every level took the composed route: the
+minimal dilation of phi_k = rep_k o tau read off the Choi blocks of phi_k
+(side n_b dim rep_k), where the package composes every level from the
+transfer's Kraus form (level 0's pi through its own Kraus form, rep = U* K
+U, ``covariant.kraus_form``).
 
 ``gns_route_step`` is the GNS extension step as the package built it
 before the step became a cyclic cut of the composed one: per cyclic summand
@@ -99,7 +101,8 @@ def orthonormal_complement(basis: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
 @dataclass(eq=False)
 class RotatedRep(ChunkRep):
     """x -> Q K(x) Q* for a representation K and a unitary Q, image by
-    image: a plain representation with no Kraus form to read."""
+    image: a plain representation, not a KrausRep, whose Kraus form the
+    package has to read off its images (``covariant.kraus_form``)."""
 
     inner: object
     q: np.ndarray
@@ -417,8 +420,10 @@ def gns_route_step(system, rep, strategy, check_depth, tol=DEFAULT_TOL) -> HBExt
 def choi_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None,
                      make_step=choi_route_step):
     """coisometric_extend with every level's step from ``make_step``
-    (:func:`choi_route_step` by default); the seed's defect-basis unitaries
-    are drawn as the package draws them."""
+    (:func:`choi_route_step` by default: every level, level 0 included, on
+    the Choi blocks of rep o tau, the way the package built level 0 of a
+    finite chain); the seed's defect-basis unitaries are drawn as the
+    package draws them."""
     system = pair.system
     rng = np.random.default_rng(basis_seed) if basis_seed is not None else None
     levels = []

@@ -3,35 +3,51 @@
 Every adapted level above the first dilates phi_k = pi_hat_(k-1) o tau with
 the same transfer, and the package composes its minimal dilation from the
 Kraus form of tau (``cpmaps.KrausTransfer``) instead of eigendecomposing the
-Choi blocks of phi_k; so does level 0 on the tower, whose pi is a KrausRep.
-Here the composition rule is checked on random finite maps against the
-dense Choi route, whole chains are certified equivalent to the chains of
-the Choi route (``dense_oracle.choi_route_chain``), the invariance gate of
+Choi blocks of phi_k; so does level 0, whose pi is a KrausRep on the tower
+and enters through its own Kraus form, pi = U* K U, on the finite backend
+(``covariant.kraus_form``).  Here the composition rule is checked on random
+finite maps against the dense Choi route, whole chains are certified
+equivalent to the chains of the Choi route (``dense_oracle.choi_route_chain``),
+a guard holds every finite step of the CLI commands to one composition from
+the held form and one dilation of each pi, the invariance gate of
 every level, ||(I - B B*) rho(a) B|| through the frame kernel, is
 recomputed with the dense complement of its defect basis, and an adapted
 tower extend is held to eigensolves no larger than the Choi matrix of tau,
 with the transfer's one eigensolve that of its k x k density.
 """
 
+import json
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covdilate.covariant as covariant_mod
 from covdilate.algebra import FiniteDimCStarAlgebra, Representation, StarHom
-from covdilate.covariant import (FiniteDimSystem, covariant_pair, frame_rank,
-                                 invariance_residual, span_frame)
-from covdilate.cpmaps import (CPMap, KrausDilation, KrausRep, choi_cut,
+from covdilate.cli import run
+from covdilate.covariant import (AdaptedStrategy, CovariantPair, FiniteDimSystem,
+                                 GnsStrategy, covariant_pair, frame_rank,
+                                 invariance_residual, kraus_form, span_frame)
+from covdilate.cpmaps import (CPMap, KrausDilation, KrausRep, KrausTransfer, choi_cut,
                               kraus_dilation, transfer_kraus,
                               unit_image_chois)
 from covdilate.equivalence import chain_intertwiner
 from covdilate.extension import (coisometric_extend, defect_decomposition,
                                  verify_coisometric_extension)
 from covdilate.numerics import DEFAULT_TOL, Tolerance, residual
-from covdilate.scenario import build_scenario
+from covdilate.scenario import Scenario, build_scenario
 
 import dense_oracle
 from conftest import held_kraus_form, make_tower_case
 from test_stacked_images import PROPER_DEFECT
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# pi on M_2 with multiplicity 2, given by its images in a Haar-rotated basis
+IMAGES_PI = json.loads((FIXTURES / "finite-images-pi.json").read_text())
+IMAGES_PI_GNS = json.loads((FIXTURES / "finite-images-pi-gns.json").read_text())
 
 
 def random_unital_cp(algebra, kraus: int, rng) -> CPMap:
@@ -123,7 +139,9 @@ def test_composed_chains_are_the_choi_route_chains(corpus):
     deep = make_tower_case(np.random.default_rng(7), 90, rep_depth=3, n_levels=2)
     cases = [(c.name, c.pair, c.strategy, c.levels, None) for c in corpus]
     cases.append(("tower-rep-depth-3", deep.pair, deep.strategy, 2, 3))
-    composed_levels = 0
+    for name, data in (("images-pi", IMAGES_PI), ("proper-defect", PROPER_DEFECT)):
+        scenario = build_scenario(data)
+        cases.append((name, scenario.pair, scenario.strategy, scenario.levels, scenario.seed))
     for name, pair, strategy, levels, seed in cases:
         chain = coisometric_extend(pair, levels, strategy, DEFAULT_TOL, seed)
         oracle = dense_oracle.choi_route_chain(pair, levels, strategy, DEFAULT_TOL, seed)
@@ -131,8 +149,100 @@ def test_composed_chains_are_the_choi_route_chains(corpus):
         assert _multiplicities(chain) == _multiplicities(oracle), name
         cert = chain_intertwiner(chain, oracle)
         assert cert.verdict == "equivalent", (name, cert.residuals)
-        composed_levels += sum(held_kraus_form(lv.ext) is not None for lv in chain.levels)
-    assert composed_levels > 10
+        assert None not in [held_kraus_form(lv.ext) for lv in chain.levels], name
+
+
+def _recorded_steps(monkeypatch) -> tuple:
+    """Every extension step from now on, as a record of its rep, transfer
+    and form key, the Kraus forms it composed from and its calls to
+    ``transfer_images``; and the rep of every ``kraus_dilation`` call made
+    from ``covariant``, in order (None outside a step)."""
+    steps, dilated, inside = [], [], []
+    real_step, real_compose = covariant_mod._stinespring_step, KrausTransfer.compose
+    real_images, real_dilation = covariant_mod.transfer_images, covariant_mod.kraus_dilation
+
+    def step(system, rep, tau, working, tol):
+        record = {"rep": rep, "tau": tau, "composed": [], "images": 0,
+                  "key": ("kraus", system, working, rep.max_depth, tol)}
+        inside.append(record)
+        try:
+            return real_step(system, rep, tau, working, tol)
+        finally:
+            steps.append(inside.pop())
+
+    def compose(self, rep):
+        if inside:
+            inside[-1]["composed"].append(self)
+        return real_compose(self, rep)
+
+    def images(*args, **kwargs):
+        if inside:
+            inside[-1]["images"] += 1
+        return real_images(*args, **kwargs)
+
+    def dilation(*args, **kwargs):
+        dilated.append(inside[-1]["rep"] if inside else None)
+        return real_dilation(*args, **kwargs)
+
+    monkeypatch.setattr(covariant_mod, "_stinespring_step", step)
+    monkeypatch.setattr(KrausTransfer, "compose", compose)
+    monkeypatch.setattr(covariant_mod, "transfer_images", images)
+    monkeypatch.setattr(covariant_mod, "kraus_dilation", dilation)
+    return steps, dilated
+
+
+def _fresh_finite_scenario(case, gns: bool) -> Scenario:
+    """A corpus case's data in new objects, so that no certificate that the
+    shared corpus fixture holds hides a call; GNS with E = id, since every
+    finite corpus alpha is an automorphism."""
+    system = FiniteDimSystem(case.pair.system.algebra, case.pair.system.alpha)
+    pair = CovariantPair(system, replace(case.pair.rep), case.pair.contraction)
+    strategy = GnsStrategy(CPMap.identity(system.algebra)) if gns \
+        else AdaptedStrategy(replace(case.strategy.transfer))
+    return Scenario({}, "finite-dim", system, pair, strategy, case.levels, case.copies,
+                    DEFAULT_TOL, 3)
+
+
+def test_every_finite_step_composes_from_the_held_transfer_form(corpus, monkeypatch):
+    """extend, unitary, matricial and compare on finite adapted and GNS
+    scenarios: every step, level 0 included, composes once from the Kraus
+    form its transfer holds, reaches no ``transfer_images`` (no Choi block
+    of rep o tau), and each pi is dilated by ``kraus_dilation`` once, for
+    its own Kraus form, over all four commands.  Every object is new here,
+    so no certificate that earlier tests left on shared objects hides a
+    call."""
+    finite = [c for c in corpus if c.backend == "finite-dim" and not c.unitary_contraction]
+    scenarios = [(f"{c.name}-{kind}", _fresh_finite_scenario(c, kind == "gns"))
+                 for c in finite[:10] for kind in ("adapted", "gns")]
+    scenarios += [(name, build_scenario(data)) for name, data in
+                  (("images-pi", IMAGES_PI), ("images-pi-gns", IMAGES_PI_GNS))]
+    steps, dilated = _recorded_steps(monkeypatch)
+    for name, scenario in scenarios:
+        for command in ("extend", "unitary", "matricial", "compare"):
+            del steps[:]
+            other = replace(scenario, seed=11) if command == "compare" else None
+            assert run(scenario, command, other)["passed"], (name, command)
+            assert len(steps) >= scenario.levels, (name, command)
+            assert any(s["rep"] is scenario.pair.rep for s in steps), (name, command)
+            for s in steps:
+                held = vars(s["tau"])["_certificates"][s["key"]]
+                assert len(s["composed"]) == 1 and s["composed"][0] is held, (name, command)
+                assert s["images"] == 0, (name, command)
+    assert Counter(map(id, dilated)) == Counter(id(s.pair.rep) for _, s in scenarios)
+
+
+def test_the_images_pi_has_a_basis_unitary_that_its_kraus_form_undoes():
+    """The fixture's pi is U* K U with U far from a permutation, so level 0's
+    isometry W_K U is not W_K with its columns permuted."""
+    scenario = build_scenario(IMAGES_PI)
+    system, pi = scenario.system, scenario.pair.rep
+    form, u = kraus_form(system, pi)
+    assert isinstance(pi, Representation) and form.dilation.multiplicities == (2,)
+    assert np.abs(np.abs(u) - np.abs(u).round()).max() > 0.1
+    rows = np.eye(system.basis_size())
+    assert np.abs(u.conj().T @ form.images(rows, None) @ u - pi.images(rows)).max() <= 1e-13
+    assert np.abs(u.conj().T @ u - np.eye(pi.dim)).max() <= 1e-13
+    assert np.abs(u @ u.conj().T - np.eye(form.dim)).max() <= 1e-13
 
 
 def test_frame_complement_gate_is_the_dense_complement_gate(built_chains):

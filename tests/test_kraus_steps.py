@@ -89,7 +89,7 @@ def dense_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None
 def rotated_route_chain(pair, n_levels, strategy, tol=DEFAULT_TOL, basis_seed=None):
     """coisometric_extend with every step space rotated: with a seed, each
     step is rotated by a Haar draw of its dilation dimension
-    (:func:`conftest.rotated_step`), a representation with no Kraus form,
+    (:func:`conftest.rotated_step`), a representation that is not a KrausRep,
     and :func:`dense_two_step` builds its level from the evaluated images,
     drawing the defect rotation on the same generator."""
     system = pair.system
@@ -427,10 +427,13 @@ def test_merged_gns_rep_matches_the_direct_sum(corpus, seed):
 # ---------------------------------------------------------------------------
 
 def _gns_cases(corpus):
-    """(name, pair, GNS strategy, levels) on the corpus and on the tower-wide
-    GNS scenarios, these with two levels."""
+    """(name, pair, GNS strategy, levels) on the corpus, on the finite pi
+    given by images in a Haar-rotated basis, and on the tower-wide GNS
+    scenarios, these with two levels."""
     for case in corpus:
         yield case.name, case.pair, gns_strategy(case), case.levels
+    images = load_scenario(str(FIXTURES / "finite-images-pi-gns.json"))
+    yield "images-pi-gns", images.pair, images.strategy, images.levels
     for i, data in enumerate(gns_tower_scenarios()):
         scenario = build_scenario(dict(data, levels=2))
         yield f"tower-wide-gns-{i}", scenario.pair, scenario.strategy, scenario.levels
@@ -458,9 +461,9 @@ def test_gns_cut_chains_are_the_per_summand_route_chains(corpus, basis_seed):
 
 
 def test_a_finite_gns_chain_holds_one_kraus_transfer(corpus, monkeypatch):
-    """Level 0 dilates pi o tau on the Choi route, pi having no Kraus form;
-    every level above is composed from the one Kraus form that the strategy's
-    held transfer alpha^-1 o E holds, one per (working depth, stage)."""
+    """Every level, level 0 through pi's own Kraus form, is composed from
+    the one Kraus form that the strategy's held transfer alpha^-1 o E holds,
+    one per (working depth, stage)."""
     case = next(c for c in corpus if c.backend == "finite-dim" and c.pair.contraction.any())
     strategy = gns_strategy(case)
     built = []
